@@ -1,7 +1,10 @@
 """Replica placement strategies.
 
 Given the clockwise node walk produced by the token ring, a replication
-strategy selects which nodes hold the ``RF`` replicas of a key.
+strategy selects which nodes hold the ``RF`` replicas of a key.  The walk is
+lazy and every strategy stops pulling from it as soon as its rules are
+satisfied, so one placement costs O(RF + skipped vnodes) ring tokens, not
+O(ring).
 
 * :class:`SimpleStrategy` takes the first ``RF`` distinct nodes of the walk,
   ignoring topology (Cassandra's ``SimpleStrategy``).
@@ -22,8 +25,9 @@ strategy selects which nodes hold the ``RF`` replicas of a key.
 
 from __future__ import annotations
 
+import itertools
 from abc import ABC, abstractmethod
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Iterator, List, Mapping
 
 from repro.cluster.ring import TokenRing
 from repro.network.topology import NodeAddress, Topology
@@ -45,27 +49,20 @@ class ReplicationStrategy(ABC):
         self.replication_factor = int(replication_factor)
 
     @abstractmethod
-    def replicas_for_walk(self, walk: Sequence[NodeAddress]) -> List[NodeAddress]:
-        """Select replicas (in preference order) from a clockwise node walk."""
+    def select(self, walk: Iterator[NodeAddress]) -> List[NodeAddress]:
+        """Select replicas (in preference order) from a lazy clockwise walk.
 
-    def walk_limit(self) -> Optional[int]:
-        """How many distinct nodes of the clockwise walk this strategy needs.
-
-        ``None`` means the full walk (topology-aware strategies may have to
-        scan past the first RF nodes to find another datacenter or rack);
-        topology-agnostic strategies return their replication factor so the
-        ring can stop walking early.
+        ``walk`` yields distinct physical nodes; implementations pull only as
+        many as their rules need.
         """
-        return None
 
     def replicas(self, ring: TokenRing, key: str) -> List[NodeAddress]:
         """Replica set for a key; the first element is the primary replica."""
-        walk = ring.walk_from_key(key, limit=self.walk_limit())
-        if len(walk) < self.replication_factor:
+        if ring.size < self.replication_factor:
             raise ValueError(
-                f"replication factor {self.replication_factor} exceeds cluster size {len(walk)}"
+                f"replication factor {self.replication_factor} exceeds cluster size {ring.size}"
             )
-        selected = self.replicas_for_walk(walk)
+        selected = self.select(ring.walk_from_token(ring.token_of(key)))
         if len(selected) != self.replication_factor:  # pragma: no cover - defensive
             raise RuntimeError(
                 f"{type(self).__name__} selected {len(selected)} replicas, "
@@ -77,11 +74,8 @@ class ReplicationStrategy(ABC):
 class SimpleStrategy(ReplicationStrategy):
     """First ``RF`` distinct nodes of the walk, topology-agnostic."""
 
-    def walk_limit(self) -> Optional[int]:
-        return self.replication_factor
-
-    def replicas_for_walk(self, walk: Sequence[NodeAddress]) -> List[NodeAddress]:
-        return list(walk[: self.replication_factor])
+    def select(self, walk: Iterator[NodeAddress]) -> List[NodeAddress]:
+        return list(itertools.islice(walk, self.replication_factor))
 
 
 class OldNetworkTopologyStrategy(ReplicationStrategy):
@@ -97,44 +91,52 @@ class OldNetworkTopologyStrategy(ReplicationStrategy):
        *different rack*, if any;
     4. remaining replicas are filled from the walk in order, skipping nodes
        already chosen.
+
+    A rule that cannot fire is not searched for: rule 2 on a one-datacenter
+    topology, rule 3 when the primary's datacenter has a single rack.
     """
 
     def __init__(self, replication_factor: int, topology: Topology) -> None:
         super().__init__(replication_factor)
         self._topology = topology
+        self._multi_dc = len(topology.datacenter_names) > 1
+        self._multi_rack: Dict[str, bool] = {
+            dc: len(topology.racks_in_datacenter(dc)) > 1 for dc in topology.datacenter_names
+        }
 
-    def replicas_for_walk(self, walk: Sequence[NodeAddress]) -> List[NodeAddress]:
-        primary = walk[0]
-        chosen: List[NodeAddress] = [primary]
-        if self.replication_factor == 1:
-            return chosen
-        primary_dc = self._topology.datacenter_of(primary)
-        primary_rack = self._topology.rack_of(primary)
-
-        def first_matching(predicate) -> NodeAddress | None:
-            for node in walk:
-                if node in chosen:
-                    continue
-                if predicate(node):
-                    return node
-            return None
-
-        # Rule 2: a replica in another datacenter.
-        other_dc = first_matching(lambda n: self._topology.datacenter_of(n) != primary_dc)
-        if other_dc is not None and len(chosen) < self.replication_factor:
-            chosen.append(other_dc)
-
-        # Rule 3: a replica in the primary DC but another rack.
-        other_rack = first_matching(
-            lambda n: self._topology.datacenter_of(n) == primary_dc
-            and self._topology.rack_of(n) != primary_rack
-        )
-        if other_rack is not None and len(chosen) < self.replication_factor:
-            chosen.append(other_rack)
-
-        # Rule 4: fill the remainder from the walk.
+    def select(self, walk: Iterator[NodeAddress]) -> List[NodeAddress]:
+        rf = self.replication_factor
+        primary = next(walk)
+        if rf == 1:
+            return [primary]
+        site_of = self._topology.site_of
+        primary_dc, primary_rack = site_of(primary)
+        seek_dc = self._multi_dc
+        seek_rack = self._multi_rack[primary_dc]
+        other_dc = other_rack = None
+        # Every node pulled after the primary, in walk order: rule 4 fills from it.
+        passed: List[NodeAddress] = []
         for node in walk:
-            if len(chosen) == self.replication_factor:
+            passed.append(node)
+            dc, rack = site_of(node)
+            if dc != primary_dc:
+                if seek_dc:
+                    other_dc = node
+                    seek_dc = False
+                    # With RF 2 the other-DC replica completes the set.
+                    seek_rack = seek_rack and rf > 2
+            elif seek_rack and rack != primary_rack:
+                other_rack = node
+                seek_rack = False
+            if not seek_dc and not seek_rack and len(passed) >= rf - 1:
+                break
+        chosen = [primary]
+        if other_dc is not None:
+            chosen.append(other_dc)
+        if other_rack is not None and len(chosen) < rf:
+            chosen.append(other_rack)
+        for node in passed:
+            if len(chosen) == rf:
                 break
             if node not in chosen:
                 chosen.append(node)
@@ -186,6 +188,7 @@ class NetworkTopologyStrategy(ReplicationStrategy):
         super().__init__(sum(factors.values()))
         self._topology = topology
         self._factors = dict(factors)
+        self._rack_counts = {dc: len(topology.racks_in_datacenter(dc)) for dc in factors}
 
     @property
     def replication_factors(self) -> Dict[str, int]:
@@ -196,33 +199,44 @@ class NetworkTopologyStrategy(ReplicationStrategy):
         """Replicas held by one datacenter (0 for datacenters not configured)."""
         return self._factors.get(datacenter, 0)
 
-    def replicas_for_walk(self, walk: Sequence[NodeAddress]) -> List[NodeAddress]:
+    def select(self, walk: Iterator[NodeAddress]) -> List[NodeAddress]:
+        site_of = self._topology.site_of
+        # Per datacenter still short of its factor: replicas still to place,
+        # racks already holding one, and the nodes passed over because their
+        # rack was taken -- reused, in walk order, once the racks run out.
+        short: Dict[str, list] = {dc: [rf, set(), []] for dc, rf in self._factors.items()}
+        pulled: List[NodeAddress] = []
         chosen: set[NodeAddress] = set()
-        for dc, rf in self._factors.items():
-            taken = 0
-            racks_used: set[str] = set()
-            # First pass: one replica per distinct rack, in walk order.
-            for node in walk:
-                if taken == rf:
-                    break
-                if self._topology.datacenter_of(node) != dc or node in chosen:
-                    continue
-                if self._topology.rack_of(node) in racks_used:
-                    continue
+        for node in walk:
+            dc, rack = site_of(node)
+            state = short.get(dc)
+            if state is None:
+                continue
+            pulled.append(node)
+            missing, racks_used, passed_over = state
+            if rack not in racks_used:
+                racks_used.add(rack)
                 chosen.add(node)
-                racks_used.add(self._topology.rack_of(node))
-                taken += 1
-            # Second pass: racks exhausted before the factor -- reuse racks.
-            if taken < rf:
-                for node in walk:
-                    if taken == rf:
-                        break
-                    if self._topology.datacenter_of(node) != dc or node in chosen:
-                        continue
-                    chosen.add(node)
-                    taken += 1
-            if taken < rf:  # pragma: no cover - construction validates sizes
+                missing = state[0] = missing - 1
+            else:
+                passed_over.append(node)
+            # Done with this datacenter once its factor is met by distinct
+            # racks alone, or every rack holds a replica and the passed-over
+            # nodes cover the rest.
+            if missing == 0 or (
+                len(racks_used) == self._rack_counts[dc] and len(passed_over) >= missing
+            ):
+                chosen.update(passed_over[:missing])
+                del short[dc]
+                if not short:
+                    break
+        for dc, (missing, _, passed_over) in short.items():
+            # The walk ran out first: racks (or nodes) of the datacenter are
+            # missing from this ring.
+            if len(passed_over) < missing:
                 raise RuntimeError(
-                    f"walk exhausted before placing {rf} replicas in datacenter {dc!r}"
+                    f"walk exhausted before placing {self._factors[dc]} replicas "
+                    f"in datacenter {dc!r}"
                 )
-        return [node for node in walk if node in chosen]
+            chosen.update(passed_over[:missing])
+        return [node for node in pulled if node in chosen]

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import itertools
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.network.topology import NodeAddress
 
@@ -113,11 +114,15 @@ class TokenRing:
                 self._token_map[token] = node
         self._sorted_tokens: List[int] = sorted(self._token_map)
         # Walk acceleration: the owner of sorted token i as an *index* into
-        # self._nodes, so the clockwise walk deduplicates physical nodes with
-        # a bytearray instead of hashing NodeAddress objects per vnode.
+        # self._nodes, so the clockwise walk deduplicates physical nodes by
+        # small int instead of hashing NodeAddress objects per vnode.
         self._owner_index: List[int] = [
             node_index[self._token_map[token]] for token in self._sorted_tokens
         ]
+        #: Clockwise walks started and ring tokens they stepped over so far:
+        #: tokens per walk is what a placement miss costs on this ring.
+        self.walks = 0
+        self.tokens_visited = 0
 
     # ------------------------------------------------------------------
     @property
@@ -133,44 +138,54 @@ class TokenRing:
         """Token of a data key."""
         return self.partitioner.token(key)
 
-    def primary_replica(self, key: str) -> NodeAddress:
-        """The node owning the key's token (first clockwise from the token)."""
-        return self.walk_from_token(self.token_of(key))[0]
+    def _position_of(self, token: int) -> int:
+        """Index of the first ring token ``>= token`` (wrapping to 0).
 
-    def walk_from_token(self, token: int, limit: Optional[int] = None) -> List[NodeAddress]:
-        """Distinct physical nodes in clockwise order starting at ``token``.
-
-        The walk visits every physical node at most once; replication
-        strategies consume a prefix of it.  ``limit`` bounds the walk: once
-        that many distinct nodes have been collected the walk stops early,
-        which spares topology-agnostic strategies (``SimpleStrategy`` needs
-        only the first RF nodes) a full O(nodes x vnodes) ring scan.
+        Everything placed by a clockwise walk depends on the key only through
+        this position.
         """
         tokens = self._sorted_tokens
+        position = bisect.bisect_left(tokens, token % Partitioner.TOKEN_SPACE)
+        return position if position < len(tokens) else 0
+
+    def primary_replica(self, key: str) -> NodeAddress:
+        """The node owning the key's token (first clockwise from the token)."""
+        return self._nodes[self._owner_index[self._position_of(self.token_of(key))]]
+
+    def walk_from_token(self, token: int, limit: Optional[int] = None) -> Iterator[NodeAddress]:
+        """Lazily yield distinct physical nodes clockwise starting at ``token``.
+
+        The walk visits every physical node at most once and costs only what
+        the consumer takes: a replication strategy stops pulling as soon as
+        its rules are satisfied, so a placement visits O(RF + skipped vnodes)
+        ring tokens however wide the ring is.  ``limit`` bounds the walk to
+        that many distinct nodes (``0`` yields nothing); ``None`` lets it go
+        round the whole ring.
+        """
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit!r}")
+        self.walks += 1
+        walk = self._clockwise(self._position_of(token))
+        return walk if limit is None else itertools.islice(walk, int(limit))
+
+    def _clockwise(self, position: int) -> Iterator[NodeAddress]:
         owners = self._owner_index
         nodes = self._nodes
-        n_phys = len(nodes)
-        target = n_phys if limit is None else min(int(limit), n_phys)
-        start = bisect.bisect_left(tokens, token % Partitioner.TOKEN_SPACE)
-        count = len(tokens)
-        seen = bytearray(n_phys)
-        ordered: List[NodeAddress] = []
-        append = ordered.append
-        found = 0
-        for offset in range(count):
-            position = start + offset
-            if position >= count:
-                position -= count
+        count = len(owners)
+        remaining = len(nodes)
+        seen = set()
+        while remaining:
+            self.tokens_visited += 1
             index = owners[position]
-            if not seen[index]:
-                seen[index] = 1
-                append(nodes[index])
-                found += 1
-                if found == target:
-                    break
-        return ordered
+            position += 1
+            if position == count:
+                position = 0
+            if index not in seen:
+                seen.add(index)
+                remaining -= 1
+                yield nodes[index]
 
-    def walk_from_key(self, key: str, limit: Optional[int] = None) -> List[NodeAddress]:
+    def walk_from_key(self, key: str, limit: Optional[int] = None) -> Iterator[NodeAddress]:
         """Clockwise node walk starting at the key's token."""
         return self.walk_from_token(self.token_of(key), limit=limit)
 

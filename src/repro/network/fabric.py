@@ -235,47 +235,36 @@ class _Link:
     """Delivery state of one directed (src, dst) node pair.
 
     A link with no message in flight delivers directly through one engine
-    event (the fast path).  Once messages overlap in flight on the link, the
-    overflow goes through the per-link queue -- a heap in "coalesced" mode,
-    a monotonically-timed deque in "fifo" mode -- woken by at most a few
-    engine events, which is what keeps the global event heap small under
-    per-link bursts.
+    event (the fast path), and that is all most links of a wide ring ever do:
+    a link is born holding only what the idle path reads.  Once messages
+    overlap in flight on the link, the overflow goes through the per-link
+    queue -- a heap in "coalesced" mode, a monotonically-timed deque in
+    "fifo" mode -- woken by at most a few engine events, which is what keeps
+    the global event heap small under per-link bursts.  The queue and its
+    wake-up callback are allocated by that first overlap
+    (:meth:`NetworkFabric._open_queue`).
     """
 
-    __slots__ = (
-        "pool",
-        "pending",
-        "fifo_queue",
-        "next_fire",
-        "last_time",
-        "in_flight",
-        "fire",
-        "handler",
-    )
+    __slots__ = ("pool", "handler", "last_time", "in_flight", "queue", "next_fire", "fire")
 
-    def __init__(self, pool: _LatencyPool) -> None:
+    def __init__(self, pool: _LatencyPool, handler: Optional[Callable[[Message], None]]) -> None:
         self.pool = pool
         #: Destination handler resolved once at link creation (kept in sync
         #: by register/unregister); delivery skips the per-message dict
         #: lookup.  ``None`` when the destination has no handler.
-        self.handler: Optional[Callable[[Message], None]] = None
-        # "coalesced" mode: heap of (deliver_at, seq, message, on_delivered).
-        self.pending: List[Tuple[float, int, Message, Optional[Callable]]] = []
-        # "fifo" mode: monotonically timed deque of the same tuples.
-        self.fifo_queue: deque = deque()
-        #: Earliest fire time of any engine event scheduled for this link
-        #: (None when nothing is scheduled).
-        self.next_fire: Optional[float] = None
+        self.handler = handler
         #: Last delivery time handed out in "fifo" mode (clamp floor).
         self.last_time = 0.0
         #: Messages currently in flight on this link (fast path + queued).
         self.in_flight = 0
-        #: Pre-bound engine callback (set by the fabric at link creation).
-        self.fire: Callable[[], None] = _noop
-
-
-def _noop() -> None:  # pragma: no cover - placeholder, replaced at link creation
-    return None
+        #: ``(deliver_at, seq, message, on_delivered)`` entries waiting behind
+        #: another message; ``None`` until the link first needs one.
+        self.queue: Any = None
+        #: Earliest fire time of any engine event scheduled for this link
+        #: (None when nothing is scheduled).
+        self.next_fire: Optional[float] = None
+        #: Pre-bound engine wake-up callback, allocated with the queue.
+        self.fire: Optional[Callable[[], None]] = None
 
 
 class NetworkFabric:
@@ -361,8 +350,8 @@ class NetworkFabric:
         # Latency multiplier applied to every sample; the figure-4(b) latency
         # sweep and failure-injection tests adjust this at run time.
         self._latency_scale = 1.0
-        # One pool per latency *class* (see _class_key); links of the same
-        # class share a pool, so pool count stays tiny even on big rings.
+        # One pool per latency *class* (Topology.link_class); links of the
+        # same class share a pool, so pool count stays tiny even on big rings.
         self._pools: Dict[str, _LatencyPool] = {}
         # One _Link per directed (src, dst) pair seen so far, as a two-level
         # dict so the per-send lookup needs no key-tuple allocation.
@@ -888,22 +877,15 @@ class NetworkFabric:
     # ------------------------------------------------------------------
     # Latency pools
     # ------------------------------------------------------------------
-    def _class_key(self, src: NodeAddress, dst: NodeAddress) -> str:
-        """Stable name of the latency class governing a node pair.
-
-        Used both as the pool cache key and as the suffix of the pool's
-        random stream name, so a given seed always produces the same pool
-        draws regardless of which pair touched the class first.
-        """
-        cls = self._topology.distance_class(src, dst)
-        if cls != "inter_dc":
-            return cls
-        a = self._topology.datacenter_of(src)
-        b = self._topology.datacenter_of(dst)
-        return f"inter_dc.{min(a, b)}|{max(a, b)}"
-
     def _pool_for(self, src: NodeAddress, dst: NodeAddress) -> _LatencyPool:
-        key = self._class_key(src, dst)
+        """The latency pool of the pair's link class.
+
+        The class name (:meth:`Topology.link_class`) is both the pool cache
+        key and the suffix of the pool's random stream name, so a given seed
+        always produces the same pool draws regardless of which pair touched
+        the class first.
+        """
+        key = self._topology.link_class(src, dst)
         pool = self._pools.get(key)
         if pool is None:
             pool = _LatencyPool(
@@ -919,13 +901,24 @@ class NetworkFabric:
             by_dst = self._links[src] = {}
         link = by_dst.get(dst)
         if link is None:
-            link = _Link(self._pool_for(src, dst))
-            # functools.partial: called without an interpreter frame of its
-            # own, unlike a bridging lambda.
-            link.fire = functools.partial(self._fire_link, link)
-            link.handler = self._handlers.get(dst)
-            by_dst[dst] = link
+            link = by_dst[dst] = _Link(self._pool_for(src, dst), self._handlers.get(dst))
         return link
+
+    def _open_queue(self, link: _Link):
+        """First overlap on ``link``: give it a queue and its wake-up callback."""
+        # functools.partial: called without an interpreter frame of its own,
+        # unlike a bridging lambda.
+        link.fire = functools.partial(self._fire_link, link)
+        queue = link.queue = deque() if self._fifo else []
+        return queue
+
+    def link_counts(self) -> Tuple[int, int]:
+        """``(links created, links that ever queued a message)``.
+
+        Counted by walking the link table when asked, not on the send path.
+        """
+        links = [link for by_dst in self._links.values() for link in by_dst.values()]
+        return len(links), sum(1 for link in links if link.queue is not None)
 
     def _sample_latency(self, src: NodeAddress, dst: NodeAddress) -> float:
         if self._latency_sampling == "pooled":
@@ -1139,13 +1132,16 @@ class NetworkFabric:
             return message
         seq = self._link_seq
         self._link_seq = seq + 1
+        queue = link.queue
+        if queue is None:
+            queue = self._open_queue(link)
         if self._fifo:
-            link.fifo_queue.append((deliver_at, seq, message, on_delivered))
+            queue.append((deliver_at, seq, message, on_delivered))
             if link.next_fire is None:
                 link.next_fire = deliver_at
                 engine._schedule_unhandled_at(deliver_at, link.fire)
         else:  # coalesced
-            heapq.heappush(link.pending, (deliver_at, seq, message, on_delivered))
+            heapq.heappush(queue, (deliver_at, seq, message, on_delivered))
             # Schedule an engine event only when this message became the new
             # head; a previously scheduled (later) event is left in place and
             # fires harmlessly -- cheaper than cancelling it.
@@ -1234,13 +1230,16 @@ class NetworkFabric:
             return
         seq = self._link_seq
         self._link_seq = seq + 1
+        queue = link.queue
+        if queue is None:
+            queue = self._open_queue(link)
         if self._fifo:
-            link.fifo_queue.append((deliver_at, seq, message, on_delivered))
+            queue.append((deliver_at, seq, message, on_delivered))
             if link.next_fire is None:
                 link.next_fire = deliver_at
                 engine._schedule_unhandled_at(deliver_at, link.fire)
         else:  # coalesced
-            heapq.heappush(link.pending, (deliver_at, seq, message, on_delivered))
+            heapq.heappush(queue, (deliver_at, seq, message, on_delivered))
             if link.next_fire is None or deliver_at < link.next_fire:
                 link.next_fire = deliver_at
                 engine._schedule_unhandled_at(deliver_at, link.fire)
@@ -1273,8 +1272,8 @@ class NetworkFabric:
             link.next_fire = None
         stats = self.stats
         handler = link.handler
+        queue = link.queue
         if self._fifo:
-            queue = link.fifo_queue
             while queue and queue[0][0] <= now:
                 _t, _seq, message, on_delivered = queue.popleft()
                 link.in_flight -= 1
@@ -1290,9 +1289,8 @@ class NetworkFabric:
                 link.next_fire = head
                 self._engine._schedule_unhandled_at(head, link.fire)
             return
-        pending = link.pending
-        while pending and pending[0][0] <= now:
-            _t, _seq, message, on_delivered = heapq.heappop(pending)
+        while queue and queue[0][0] <= now:
+            _t, _seq, message, on_delivered = heapq.heappop(queue)
             link.in_flight -= 1
             message.delivered_at = now
             stats.delivered += 1
@@ -1301,8 +1299,8 @@ class NetworkFabric:
                 handler(message)
             if on_delivered is not None:
                 on_delivered(message)
-        if pending:
-            head = pending[0][0]
+        if queue:
+            head = queue[0][0]
             if link.next_fire is None or head < link.next_fire:
                 link.next_fire = head
                 self._engine._schedule_unhandled_at(head, link.fire)

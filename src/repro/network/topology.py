@@ -111,7 +111,7 @@ class Topology:
         self._inter_rack = inter_rack or self._intra_rack
         self._inter_dc = inter_dc
         self._inter_dc_links: Dict[frozenset, LatencyModel] = {}
-        self._mean_latency_cache: Dict[Tuple[NodeAddress, NodeAddress], float] = {}
+        self._mean_latency_by_class: Dict[str, float] = {}
         dc_names = {dc.name for dc in self._datacenters}
         for pair, model in (inter_dc_links or {}).items():
             key = frozenset(pair)
@@ -127,20 +127,28 @@ class Topology:
                 raise ValueError(f"duplicate inter-DC link for pair {sorted(key)}")
             self._inter_dc_links[key] = model
         self._nodes: List[NodeAddress] = []
+        #: node -> (datacenter, rack): both coordinates in one lookup, shared
+        #: by placement, link-class resolution and the snitch.
+        self._site_of: Dict[NodeAddress, Tuple[str, str]] = {}
+        #: node -> datacenter alone: the lookup the per-message paths make.
         self._dc_of: Dict[NodeAddress, str] = {}
-        self._rack_of: Dict[NodeAddress, str] = {}
-        seen: set[NodeAddress] = set()
         for dc in self._datacenters:
             for rack in dc.racks:
                 for node in rack.nodes:
-                    if node in seen:
+                    if node in self._site_of:
                         raise ValueError(f"duplicate node address {node}")
-                    seen.add(node)
                     self._nodes.append(node)
+                    self._site_of[node] = (dc.name, rack.name)
                     self._dc_of[node] = dc.name
-                    self._rack_of[node] = rack.name
         if not self._nodes:
             raise ValueError("a topology needs at least one node")
+        #: Ordered DC pair -> name of its inter-DC link class (unordered).
+        self._inter_dc_class: Dict[Tuple[str, str], str] = {
+            (a, b): f"inter_dc.{min(a, b)}|{max(a, b)}"
+            for a in dc_names
+            for b in dc_names
+            if a != b
+        }
 
     # ------------------------------------------------------------------
     # Structure queries
@@ -167,23 +175,25 @@ class Topology:
         return self._dc_of[node]
 
     def rack_of(self, node: NodeAddress) -> str:
-        return self._rack_of[node]
+        return self._site_of[node][1]
+
+    def site_of(self, node: NodeAddress) -> Tuple[str, str]:
+        """``(datacenter, rack)`` of a node."""
+        return self._site_of[node]
 
     def nodes_in_datacenter(self, dc_name: str) -> List[NodeAddress]:
         return [node for node in self._nodes if self._dc_of[node] == dc_name]
 
     def nodes_in_rack(self, dc_name: str, rack_name: str) -> List[NodeAddress]:
-        return [
-            node
-            for node in self._nodes
-            if self._dc_of[node] == dc_name and self._rack_of[node] == rack_name
-        ]
+        site = (dc_name, rack_name)
+        return [node for node in self._nodes if self._site_of[node] == site]
 
     def racks_in_datacenter(self, dc_name: str) -> List[str]:
         seen: list[str] = []
         for node in self._nodes:
-            if self._dc_of[node] == dc_name and self._rack_of[node] not in seen:
-                seen.append(self._rack_of[node])
+            dc, rack = self._site_of[node]
+            if dc == dc_name and rack not in seen:
+                seen.append(rack)
         return seen
 
     # ------------------------------------------------------------------
@@ -193,11 +203,24 @@ class Topology:
         """One of ``{"loopback", "intra_rack", "inter_rack", "inter_dc"}``."""
         if a == b:
             return "loopback"
-        if self._dc_of[a] != self._dc_of[b]:
+        dc_a, rack_a = self._site_of[a]
+        dc_b, rack_b = self._site_of[b]
+        if dc_a != dc_b:
             return "inter_dc"
-        if self._rack_of[a] != self._rack_of[b]:
-            return "inter_rack"
-        return "intra_rack"
+        return "intra_rack" if rack_a == rack_b else "inter_rack"
+
+    def link_class(self, a: NodeAddress, b: NodeAddress) -> str:
+        """Stable name of the latency class governing a node pair.
+
+        The distance class, plus the datacenter pair where it matters:
+        ``"inter_dc.<a>|<b>"`` (names sorted).  That is everything the latency
+        of a pair depends on: the fabric keys its latency pools and their
+        random streams by it, and :meth:`mean_latency` its cache.
+        """
+        cls = self.distance_class(a, b)
+        if cls != "inter_dc":
+            return cls
+        return self._inter_dc_class[self._dc_of[a], self._dc_of[b]]
 
     def latency_model(self, a: NodeAddress, b: NodeAddress) -> LatencyModel:
         """The latency model governing messages from ``a`` to ``b``."""
@@ -221,13 +244,13 @@ class Topology:
     def mean_latency(self, a: NodeAddress, b: NodeAddress) -> float:
         """Expected one-way latency between two nodes in seconds.
 
-        Cached per ordered pair: the snitch (proximity sorts) asks this for
+        Cached per link class: the snitch (proximity sorts) asks this for
         every fresh replica set, and the model means never change.
         """
-        key = (a, b)
-        cached = self._mean_latency_cache.get(key)
+        key = self.link_class(a, b)
+        cached = self._mean_latency_by_class.get(key)
         if cached is None:
-            cached = self._mean_latency_cache[key] = self.latency_model(a, b).mean()
+            cached = self._mean_latency_by_class[key] = self.latency_model(a, b).mean()
         return cached
 
     def mean_inter_replica_latency(self, replicas: Iterable[NodeAddress]) -> float:

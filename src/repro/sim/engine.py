@@ -38,6 +38,12 @@ _COMPACTION_FLOOR = 64
 #: Maximum number of fired Event objects kept for reuse.
 _FREE_LIST_MAX = 4096
 
+#: "No bound" on the event loop's time...
+_FOREVER = float("inf")
+#: ...and on its event count: the loop counts its budget *down* and stops at
+#: zero, which a count starting below zero never reaches.
+_NO_LIMIT = -1
+
 
 class SimulationError(RuntimeError):
     """Raised when the engine is used incorrectly.
@@ -167,7 +173,6 @@ class SimulationEngine:
         self._now = float(start_time)
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
-        self._running = False
         self._stopped = False
         self._events_processed = 0
         self._cancelled_pending = 0
@@ -251,7 +256,7 @@ class SimulationEngine:
         """Rebuild the queue without cancelled entries (one O(n) pass).
 
         The queue list is mutated in place (slice assignment + heapify)
-        rather than replaced: the inlined loop in :meth:`run` holds a local
+        rather than replaced: the loop in :meth:`_dispatch` holds a local
         alias to it, and compaction can run from inside an event callback.
         """
         queue = self._queue
@@ -369,45 +374,71 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def _dispatch(self, until: float, limit: int) -> int:
+        """The event loop: pop, dispatch, recycle -- the one copy of it.
+
+        Executes up to ``limit`` (positive, or ``_NO_LIMIT``) events whose
+        time is ``<= until`` and returns how many ran.  Cancelled heads are
+        discarded (whatever their time) without counting; the first live event
+        beyond ``until`` goes back on the queue.  A :meth:`stop` request ends
+        the loop after the event that made it; a request made before the call
+        does not (callers check).  This is where the whole simulation spends
+        its wall time, so the free-list recycling is inlined rather than
+        calling :meth:`_recycle` per event.  :meth:`_compact` mutates the
+        queue list in place, so the local alias stays valid across callbacks.
+        """
+        queue = self._queue
+        free = self._free
+        heappop = heapq.heappop
+        budget = limit
+        try:
+            while queue:
+                entry = heappop(queue)
+                event = entry[2]
+                if event.cancelled:
+                    self._cancelled_pending -= 1
+                    event.generation += 1
+                    event.args = ()
+                    if len(free) < _FREE_LIST_MAX:
+                        free.append(event)
+                    continue
+                time = entry[0]
+                if time > until:
+                    heapq.heappush(queue, entry)
+                    break
+                if time < self._now:
+                    # Reachable: run_until(max_events=...) advances the clock
+                    # to its bound even when the cap left earlier events
+                    # queued.  The event goes back: refusing it loses nothing.
+                    heapq.heappush(queue, entry)
+                    raise SimulationError("event queue yielded an event from the past")
+                self._now = time
+                callback = event.callback
+                args = event.args
+                event.generation += 1
+                event.callback = None
+                event.args = ()
+                if len(free) < _FREE_LIST_MAX:
+                    free.append(event)
+                if args:
+                    callback(*args)
+                else:
+                    callback()
+                budget -= 1
+                if not budget or self._stopped:
+                    break
+        finally:
+            executed = limit - budget
+            self._events_processed += executed
+        return executed
+
     def step(self) -> bool:
         """Execute the next pending event.
 
         Returns ``True`` if an event was executed, ``False`` if the queue is
         empty (cancelled events are discarded without counting as a step).
         """
-        # This is the single hottest function of the simulator; the free-list
-        # recycling is inlined rather than calling _recycle() per event.
-        queue = self._queue
-        free = self._free
-        heappop = heapq.heappop
-        while queue:
-            entry = heappop(queue)
-            event = entry[2]
-            if event.cancelled:
-                self._cancelled_pending -= 1
-                event.generation += 1
-                event.args = ()
-                if len(free) < _FREE_LIST_MAX:
-                    free.append(event)
-                continue
-            time = entry[0]
-            if time < self._now:  # pragma: no cover - defensive
-                raise SimulationError("event queue yielded an event from the past")
-            self._now = time
-            callback = event.callback
-            args = event.args
-            event.generation += 1
-            event.callback = None
-            event.args = ()
-            if len(free) < _FREE_LIST_MAX:
-                free.append(event)
-            if args:
-                callback(*args)
-            else:
-                callback()
-            self._events_processed += 1
-            return True
-        return False
+        return self._dispatch(_FOREVER, 1) == 1
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the event queue is exhausted.
@@ -423,79 +454,29 @@ class SimulationEngine:
         int
             The number of events executed by this call.
         """
-        executed = 0
-        self._running = True
-        if max_events is not None:
-            try:
-                while not self._stopped:
-                    if executed >= max_events:
-                        break
-                    if not self.step():
-                        break
-                    executed += 1
-            finally:
-                self._running = False
-            return executed
-        # Unbounded run: the event loop is inlined (no per-event step() call)
-        # -- this is where the whole simulation spends its wall time.  The
-        # body mirrors step(); _compact() mutates the queue list in place, so
-        # the local alias stays valid across callbacks.
-        queue = self._queue
-        free = self._free
-        heappop = heapq.heappop
-        try:
-            while queue and not self._stopped:
-                entry = heappop(queue)
-                event = entry[2]
-                if event.cancelled:
-                    self._cancelled_pending -= 1
-                    event.generation += 1
-                    event.args = ()
-                    if len(free) < _FREE_LIST_MAX:
-                        free.append(event)
-                    continue
-                self._now = entry[0]
-                callback = event.callback
-                args = event.args
-                event.generation += 1
-                event.callback = None
-                event.args = ()
-                if len(free) < _FREE_LIST_MAX:
-                    free.append(event)
-                if args:
-                    callback(*args)
-                else:
-                    callback()
-                executed += 1
-        finally:
-            self._events_processed += executed
-            self._running = False
-        return executed
+        limit = _NO_LIMIT if max_events is None else max(max_events, 0)
+        if self._stopped or not limit:
+            return 0
+        return self._dispatch(_FOREVER, limit)
 
     def run_until(self, time: float, max_events: Optional[int] = None) -> int:
         """Run events with timestamps ``<= time``; advance the clock to ``time``.
 
         Events scheduled beyond ``time`` remain queued, so simulations can be
         driven in successive windows (the Harmony monitoring loop and the
-        experiment harness both rely on this).
+        experiment harness both rely on this).  The clock advances even when
+        ``max_events`` left events ``<= time`` queued; those are then overdue,
+        and the next call to run them raises :class:`SimulationError` rather
+        than move the clock backwards (they stay queued).
         """
         if time < self._now:
             raise SimulationError(
                 f"run_until({time!r}) would move the clock backwards from {self._now!r}"
             )
+        limit = _NO_LIMIT if max_events is None else max(max_events, 0)
         executed = 0
-        self._running = True
-        try:
-            while not self._stopped:
-                if max_events is not None and executed >= max_events:
-                    break
-                event = self._peek()
-                if event is None or event.time > time:
-                    break
-                self.step()
-                executed += 1
-        finally:
-            self._running = False
+        if limit and not self._stopped:
+            executed = self._dispatch(time, limit)
         if not self._stopped:
             self._now = max(self._now, float(time))
         return executed

@@ -107,7 +107,7 @@ class TestPlacement:
 
     def test_replicas_preserve_walk_order(self, three_site_topology, ring):
         strategy = NetworkTopologyStrategy(self.FACTORS, three_site_topology)
-        walk = ring.walk_from_key("somekey")
+        walk = list(ring.walk_from_key("somekey"))
         replicas = strategy.replicas(ring, "somekey")
         positions = [walk.index(r) for r in replicas]
         assert positions == sorted(positions)

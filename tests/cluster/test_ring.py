@@ -49,14 +49,14 @@ class TestTokenRing:
     def test_walk_visits_every_node_once(self):
         nodes = make_nodes(6)
         ring = TokenRing(nodes)
-        walk = ring.walk_from_key("some-key")
+        walk = list(ring.walk_from_key("some-key"))
         assert len(walk) == 6
         assert set(walk) == set(nodes)
 
     def test_walk_starts_at_the_owner(self):
         ring = TokenRing(make_nodes(4))
         key = "user123"
-        assert ring.walk_from_key(key)[0] == ring.primary_replica(key)
+        assert next(ring.walk_from_key(key)) == ring.primary_replica(key)
 
     def test_ownership_spreads_over_nodes(self):
         nodes = make_nodes(8)
@@ -94,3 +94,39 @@ class TestTokenRing:
         few = TokenRing(nodes, vnodes=1)
         many = TokenRing(nodes, vnodes=32)
         assert set(few.walk_from_key("k")) == set(many.walk_from_key("k"))
+
+    def test_walk_limit_bounds_the_walk(self):
+        ring = TokenRing(make_nodes(10))
+        full = list(ring.walk_from_token(12345))
+        assert len(full) == 10
+        assert list(ring.walk_from_token(12345, limit=3)) == full[:3]
+        assert list(ring.walk_from_token(12345, limit=99)) == full
+
+    def test_walk_limit_zero_is_empty(self):
+        # Regression: limit=0 used to return the whole ring.
+        ring = TokenRing(make_nodes(10))
+        assert list(ring.walk_from_token(12345, limit=0)) == []
+        assert list(ring.walk_from_key("k", limit=0)) == []
+
+    def test_negative_walk_limit_rejected(self):
+        # Regression: a negative limit used to return the whole ring.  The
+        # walk is lazy, the check is not: it raises before anything is pulled.
+        ring = TokenRing(make_nodes(10))
+        with pytest.raises(ValueError, match="limit"):
+            ring.walk_from_token(12345, limit=-2)
+
+    def test_lazy_walk_visits_only_what_is_pulled(self):
+        ring = TokenRing(make_nodes(50), vnodes=8)
+        walk = ring.walk_from_token(12345)
+        assert ring.walks == 1 and ring.tokens_visited == 0
+        first = [next(walk) for _ in range(3)]
+        assert first == list(ring.walk_from_token(12345, limit=3))
+        # 3 distinct nodes cost 3 tokens plus any repeated vnode, never the ring.
+        assert ring.walks == 2
+        assert ring.tokens_visited <= 2 * 3 * ring.vnodes
+
+    def test_walk_wraps_past_the_last_token(self):
+        ring = TokenRing(make_nodes(4))
+        last = max(ring._token_map)
+        assert next(ring.walk_from_token(last)) == ring._token_map[last]
+        assert next(ring.walk_from_token(last + 1)) == ring._token_map[min(ring._token_map)]

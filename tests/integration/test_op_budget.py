@@ -10,6 +10,11 @@ benchmark would notice.
 
 Recorded at the time of the overhaul (seed 11, 120 records, 600 ops,
 20 threads): ~14.1 events/op and ~8.74 messages/op in the run phase.
+
+The *width* budget does the same for ring width on the ``SCALE_1000`` smoke:
+ring tokens stepped over per placement miss (recorded 5.02 at RF 5: the walk
+stops when the strategy's rules are met) and the share of fabric links that
+ever allocated a queue (recorded 0 of 3 036: an idle link carries none).
 """
 
 from __future__ import annotations
@@ -26,8 +31,14 @@ from repro.workload.workloads import WORKLOAD_A
 MAX_EVENTS_PER_OP = 15.0
 MAX_MESSAGES_PER_OP = 9.2
 
+#: Width ceilings: a placement miss may step over this many ring tokens per
+#: replica, and this share of the links created may ever hold a queue.
+MAX_TOKENS_PER_MISS_PER_REPLICA = 8
+MAX_QUEUED_LINK_SHARE = 0.25
 
-def run_phase_counts(scenario, *, seed, records, ops, threads):
+
+def run_closed_loop(scenario, *, seed, records, ops, threads):
+    """Load and run; the cluster, then the run phase's events/op and messages/op."""
     cluster = SimulatedCluster(scenario.cluster_config(seed=seed))
     workload = WORKLOAD_A.scaled(record_count=records, operation_count=ops)
     executor = WorkloadExecutor(cluster, workload, StaticQuorumPolicy(), threads=threads)
@@ -38,7 +49,11 @@ def run_phase_counts(scenario, *, seed, records, ops, threads):
     assert metrics.counters.total == ops
     events = cluster.engine.events_processed - events_before
     messages = cluster.fabric.stats.sent - messages_before
-    return events / ops, messages / ops
+    return cluster, events / ops, messages / ops
+
+
+def run_phase_counts(scenario, **sizes):
+    return run_closed_loop(scenario, **sizes)[1:]
 
 
 class TestOperationBudget:
@@ -73,3 +88,23 @@ class TestOperationBudget:
         )
         assert events_per_op <= MAX_EVENTS_PER_OP
         assert messages_per_op <= MAX_MESSAGES_PER_OP
+
+    def test_scale_1000_width_budget(self):
+        # What a run costs must follow what it touches, not the ring's width:
+        # both ratios are exact for a seed and read off public state.
+        cluster, _, _ = run_closed_loop(SCALE_1000, seed=11, records=60, ops=300, threads=10)
+        ring = cluster.ring
+        assert ring.walks > 0
+        tokens_per_miss = ring.tokens_visited / ring.walks
+        budget = MAX_TOKENS_PER_MISS_PER_REPLICA * cluster.replication_factor
+        assert tokens_per_miss <= budget, (
+            f"a placement miss stepped over {tokens_per_miss:.1f} ring tokens "
+            f"(budget {budget}); is a strategy walking past the point where its "
+            "rules are satisfied?"
+        )
+        created, queued = cluster.fabric.link_counts()
+        assert created > 0
+        assert queued <= MAX_QUEUED_LINK_SHARE * created, (
+            f"{queued} of {created} links allocated a queue "
+            f"(budget {MAX_QUEUED_LINK_SHARE:.0%}); are links born with one again?"
+        )

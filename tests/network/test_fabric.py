@@ -242,6 +242,68 @@ def test_interleaved_sends_and_deliveries_on_one_link():
     assert len(received) == 50
 
 
+def burst_after_idle(delivery: str, burst: int = 40):
+    """One lone message (the link is born idle and queue-less), then a burst."""
+    engine, topo, fabric = make_jittery_fabric(delivery)
+    a, b = topo.nodes
+    received = []
+    fabric.register(b, received.append)
+    fabric.send(a, b, "x", "lone")
+    engine.run()
+    counts_when_idle = fabric.link_counts()
+    for i in range(burst):
+        fabric.send(a, b, "x", i)
+    counts_after_burst = fabric.link_counts()
+    engine.run()
+    return [m.payload for m in received], counts_when_idle, counts_after_burst
+
+
+@pytest.mark.parametrize("delivery", ["coalesced", "fifo"])
+def test_queue_is_allocated_by_the_first_overlap_not_at_link_creation(delivery):
+    order, counts_when_idle, counts_after_burst = burst_after_idle(delivery)
+    assert counts_when_idle == (1, 0)  # a link, no queue: nothing ever overlapped
+    assert counts_after_burst == (1, 1)
+    assert sorted(order[1:]) == list(range(40)) and order[0] == "lone"
+
+
+def test_burst_on_an_idle_fifo_link_arrives_in_send_order():
+    order, _, _ = burst_after_idle("fifo")
+    assert order == ["lone", *range(40)]
+
+
+def test_burst_on_an_idle_coalesced_link_arrives_in_sampled_time_order():
+    # Faithful delivery: the same pooled latency draws as one engine event
+    # per message, so the on-demand heap must reproduce that order exactly.
+    order, _, _ = burst_after_idle("coalesced")
+    reference, _, _ = burst_after_idle("per_message")
+    assert order == reference
+    assert order != ["lone", *range(40)]  # the jitter really reorders
+
+
+@pytest.mark.parametrize("delivery", ["coalesced", "fifo"])
+def test_register_and_unregister_resync_the_link_handler(delivery):
+    engine, topo, fabric = make_jittery_fabric(delivery)
+    a, b = topo.nodes
+    first, second = [], []
+    fabric.register(b, first.append)
+    for i in range(5):  # creates the link and, by overlapping, its queue
+        fabric.send(a, b, "x", i)
+    engine.run()
+    assert len(first) == 5 and fabric.link_counts() == (1, 1)
+    fabric.unregister(b)
+    fabric.send(a, b, "x", "to nobody")
+    engine.run()
+    assert len(first) == 5 and fabric.stats.delivered == 6
+    # Re-registering while a burst is in flight (fast path + queued): every
+    # message still on the link reaches the new handler.
+    for i in range(5):
+        fabric.send(a, b, "x", i)
+    fabric.register(b, second.append)
+    engine.run()
+    assert len(first) == 5
+    assert sorted(m.payload for m in second) == list(range(5))
+
+
 def test_message_kinds_are_interned():
     from repro.network.fabric import MessageKind
 

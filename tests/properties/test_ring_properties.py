@@ -32,7 +32,7 @@ def test_partitioner_tokens_are_stable_and_in_range(key):
 def test_ring_walk_is_a_permutation_of_the_nodes(key, n_nodes, vnodes):
     topo = uniform_topology(n_nodes, racks_per_dc=2, datacenters=1)
     ring = TokenRing(topo.nodes, vnodes=vnodes)
-    walk = ring.walk_from_key(key)
+    walk = list(ring.walk_from_key(key))
     assert len(walk) == n_nodes
     assert set(walk) == set(topo.nodes)
     assert walk[0] == ring.primary_replica(key)

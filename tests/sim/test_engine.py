@@ -283,3 +283,165 @@ class TestScheduleAfter:
         handle.cancel()
         engine.run()
         assert seen == []
+
+
+def run_until_by_steps(engine: SimulationEngine, time: float, max_events=None) -> int:
+    """Reference ``run_until``: peek the next live event, ``step()`` it, repeat.
+
+    This is the loop ``run_until`` used before it shared the inlined dispatch
+    body with ``run``; every observable of the two must agree.
+    """
+    executed = 0
+    while not engine._stopped:
+        if max_events is not None and executed >= max_events:
+            break
+        next_time = engine.next_event_time()  # discards cancelled heads
+        if next_time is None or next_time > time:
+            break
+        engine.step()
+        executed += 1
+    if not engine._stopped:
+        engine._now = max(engine._now, float(time))
+    return executed
+
+
+def observable_state(engine: SimulationEngine):
+    return (
+        engine.now,
+        engine.events_processed,
+        engine.pending_events,
+        engine.cancelled_pending,
+        engine.compactions,
+    )
+
+
+class TestRunUntilEqualsStepping:
+    """``run_until`` ≡ step-by-step execution, window after window."""
+
+    @staticmethod
+    def populate(engine: SimulationEngine, log: list, *, stop_at=None) -> None:
+        """A queue with cancelled heads, ties, events at window bounds (1.0,
+        2.0, 3.0), callbacks that schedule at exactly the bound and beyond
+        it, and a cancelled event just past a bound."""
+
+        def note(tag):
+            log.append((tag, engine.now))
+            if tag == stop_at:
+                engine.stop()
+
+        def spawn(tag):
+            note(tag)
+            engine.schedule(0.0, note, f"{tag}+0")  # exactly now
+            engine.at(2.0, note, f"{tag}@2")  # exactly the next bound
+            engine.schedule_after(5.0, note, f"{tag}+5", handle=False)
+
+        for i in range(3):  # cancelled heads, before any live event
+            engine.schedule(0.1 * (i + 1), note, f"dead{i}").cancel()
+        engine.schedule(0.5, note, "a")
+        engine.schedule(1.0, spawn, "b")  # exactly at the first bound
+        engine.schedule(1.0, note, "c")  # tie at the bound
+        engine.schedule(1.0 + 1e-9, note, "dead-past-bound").cancel()
+        engine.schedule(1.5, note, "d")
+        engine.schedule(2.0, spawn, "e")
+        late = engine.schedule(2.5, note, "dead-late")
+        engine.schedule(2.25, late.cancel)  # cancelled from inside a callback
+        engine.schedule(3.0, note, "f")
+        engine.schedule(9.0, note, "g")
+
+    def drive(self, runner, *, max_events=None, stop_at=None):
+        engine = SimulationEngine()
+        log: list = []
+        self.populate(engine, log, stop_at=stop_at)
+        trail = []
+        for bound in (1.0, 1.0, 2.0, 2.0, 3.0, 4.0, 20.0):
+            try:
+                executed = runner(engine, bound, max_events)
+            except SimulationError as error:
+                # A capped window advanced the clock past events it left
+                # queued; the next window must refuse to run them late.
+                trail.append((bound, str(error), observable_state(engine), list(log)))
+                break
+            trail.append((bound, executed, observable_state(engine), list(log)))
+            if engine._stopped:
+                engine.reset_stop()
+        return trail
+
+    @staticmethod
+    def run_until(engine, bound, max_events):
+        return engine.run_until(bound, max_events=max_events)
+
+    @pytest.mark.parametrize("max_events", [None, 0, 1, 3])
+    def test_windows_agree(self, max_events):
+        assert self.drive(self.run_until, max_events=max_events) == self.drive(
+            run_until_by_steps, max_events=max_events
+        )
+
+    def test_capped_window_refuses_to_run_left_over_events_late(self):
+        # max_events=1 leaves events <= 1.0 queued while the clock moves to
+        # the bound; running them afterwards would move the clock backwards.
+        trail = self.drive(self.run_until, max_events=1)
+        assert trail[-1][1] == "event queue yielded an event from the past"
+
+    @pytest.mark.parametrize("drain", [SimulationEngine.run, SimulationEngine.step])
+    def test_refused_left_over_event_stays_queued(self, drain):
+        engine = SimulationEngine()
+        seen: list = []
+        engine.schedule(0.5, seen.append, "early")
+        engine.schedule(0.6, seen.append, "left over")
+        assert engine.run_until(1.0, max_events=1) == 1
+        assert engine.now == 1.0 and engine.pending_events == 1
+        with pytest.raises(SimulationError, match="from the past"):
+            drain(engine)
+        # Refused, not lost: the event is still queued and nothing ran.
+        assert seen == ["early"]
+        assert engine.pending_events == 1 and engine.next_event_time() == 0.6
+        assert engine.events_processed == 1
+
+    @pytest.mark.parametrize("stop_at", ["a", "b", "c", "e+0", "f"])
+    def test_stop_from_inside_a_callback_agrees(self, stop_at):
+        fast = self.drive(self.run_until, stop_at=stop_at)
+        assert fast == self.drive(run_until_by_steps, stop_at=stop_at)
+        # The window that stopped left the clock at the stopping event.
+        stopped = next(entry for entry in fast if entry[3] and entry[3][-1][0] == stop_at)
+        assert stopped[2][0] == stopped[3][-1][1]
+
+    def test_events_at_exactly_the_bound_run_and_later_ones_wait(self):
+        engine = SimulationEngine()
+        log: list = []
+        self.populate(engine, log)
+        engine.run_until(1.0)
+        assert [tag for tag, _ in log] == ["a", "b", "c", "b+0"]
+        assert engine.now == 1.0
+        # The cancelled head just past the bound was discarded on the way to
+        # the first live event beyond it; that event went back on the queue.
+        assert engine.next_event_time() == 1.5
+        assert engine.cancelled_pending == 0
+
+    def test_mass_cancellation_inside_windows_compacts_identically(self):
+        def scenario(runner):
+            engine = SimulationEngine()
+            handles = [engine.schedule(1.0 + i * 1e-3, lambda: None) for i in range(400)]
+            engine.schedule(0.5, lambda: [h.cancel() for h in handles[:300]])
+            trail = []
+            for bound in (0.4, 0.6, 1.2, 2.0):
+                trail.append((runner(engine, bound, None), observable_state(engine)))
+            return trail
+
+        assert scenario(self.run_until) == scenario(run_until_by_steps)
+
+    def test_run_and_step_share_the_loop(self):
+        # run(max_events) ≡ that many step() calls, cancelled heads included.
+        def scenario(drive):
+            engine = SimulationEngine()
+            log: list = []
+            self.populate(engine, log)
+            drive(engine)
+            return observable_state(engine), log
+
+        def by_run(engine):
+            assert engine.run(max_events=4) == 4
+
+        def by_step(engine):
+            assert [engine.step() for _ in range(4)] == [True] * 4
+
+        assert scenario(by_run) == scenario(by_step)
