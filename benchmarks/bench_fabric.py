@@ -1,37 +1,25 @@
 #!/usr/bin/env python
-"""Fabric/runtime microbenchmark: simulated ops per wall-clock second.
+"""Sharded-engine benchmark: one ring, single-process vs sharded workers.
 
-This is the repo's first *performance* benchmark (the other benches
-regenerate paper figures).  It drives the ``SCALE_100`` scenario -- a
-100-node single-DC ring -- with a closed-loop YCSB workload-A at QUORUM and
-reports how many simulated client operations the runtime executes per
-wall-clock second, for:
+Drives a ``SCALE_*`` scenario with a closed-loop YCSB workload-A at QUORUM
+through the **sharded conservative-PDES engine** (:mod:`repro.sim.parallel`)
+and compares three runs of the same record/operation/thread counts and seed:
+the single-process runtime, the sharded engine on one worker, and the sharded
+engine on ``--workers N`` forked workers.  The two sharded runs must be
+byte-identical (per-shard trace hashes and merged summary -- the report's
+``deterministic`` field, and the command's exit code); the reported figure is
+the aggregate run-phase throughput ``ops / bottleneck-worker CPU seconds``.
 
-* ``optimized``  -- the current runtime (pooled latency draws, per-link
-  FIFO/coalesced delivery, cached replica walks, engine free-list);
-* ``legacy_fabric`` -- the same code but with the fabric forced back to the
-  pre-refactor behaviour (one RNG draw and one engine event per message);
-  this isolates the fabric-layer share of the speedup.
+The single-engine hot path is not measured here: the perf ledger's
+``scale100_quorum`` row (``benchmarks/perf/``) measures it end to end.
 
-The result is written to ``BENCH_fabric.json`` at the repository root,
-together with the **recorded pre-refactor baseline** (measured at commit
-f02a3cf, the last commit before the runtime hot-path refactor, on the same
-scenario/seed/workload), establishing the repo's performance trajectory.
-
-Determinism is asserted on every run: the optimized configuration is run
-twice with the same seed and the two metric summaries (plus engine/fabric
-trace counters) must be byte-identical.
-
-With ``--workers N`` the bench instead measures the **sharded
-conservative-PDES engine** (:mod:`repro.sim.parallel`): it compares the
-single-process runtime, the sharded engine on one worker, and the sharded
-engine on ``N`` forked workers, asserts the two sharded runs are
-byte-identical (per-shard trace hashes and merged summary), and reports the
-aggregate run-phase throughput ``ops / bottleneck-worker CPU seconds``.
+The recorded full run lives under ``parallel_scale_1000`` in
+``BENCH_fabric.json`` at the repository root.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_fabric.py [--quick] [--out PATH]
+    PYTHONPATH=src python benchmarks/bench_fabric.py --quick \
+        --scenario scale_300 --workers 2 --out BENCH_fabric_parallel_fresh.json
     PYTHONPATH=src python benchmarks/bench_fabric.py --scenario scale_1000 \
         --workers 40 --update-section parallel_scale_1000
 """
@@ -40,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import os
 import sys
@@ -59,20 +46,6 @@ if REPO_ROOT not in sys.path:  # direct `python benchmarks/bench_fabric.py` runs
     sys.path.insert(0, REPO_ROOT)
 
 from benchmarks._shared import trace_signature, write_benchmark_json  # noqa: E402
-
-#: Pre-refactor baseline, measured at commit f02a3cf (PR 1, before the
-#: runtime hot-path refactor) on this same benchmark configuration
-#: (SCALE_100 shape, workload-A, 1000 records / 8000 ops, 50 threads,
-#: seed 20260730).  Median of repeated runs on an otherwise idle machine.
-PRE_REFACTOR_BASELINE = {
-    "commit": "f02a3cf",
-    "ops_per_wall_s": 3212.0,
-    "run_wall_s": 2.49,
-    "notes": (
-        "per-message RNG draws, one engine event per message, list-copying "
-        "replicas_for, O(n*vnodes) ring walks with per-node hashing"
-    ),
-}
 
 FULL_CONFIG = {"record_count": 1000, "operation_count": 8000, "threads": 50, "seed": 20260730}
 QUICK_CONFIG = {"record_count": 300, "operation_count": 2000, "threads": 50, "seed": 20260730}
@@ -102,17 +75,10 @@ def run_workload(
     operation_count: int,
     threads: int,
     seed: int,
-    fabric_delivery: Optional[str] = None,
-    latency_sampling: Optional[str] = None,
-    scenario=SCALE_100,
+    scenario,
 ) -> Dict[str, object]:
-    """One measured run on the scenario's ring; returns timing + trace signature."""
-    config = scenario.cluster_config(seed=seed)
-    if fabric_delivery is not None:
-        config.fabric_delivery = fabric_delivery
-    if latency_sampling is not None:
-        config.latency_sampling = latency_sampling
-    cluster = SimulatedCluster(config)
+    """One single-process run on the scenario's ring; returns its timing."""
+    cluster = SimulatedCluster(scenario.cluster_config(seed=seed))
     workload = WORKLOAD_A.scaled(record_count=record_count, operation_count=operation_count)
     executor = WorkloadExecutor(cluster, workload, StaticQuorumPolicy(), threads=threads)
     t0 = time.perf_counter()
@@ -132,19 +98,6 @@ def run_workload(
         if gc_was_enabled:
             gc.enable()
     summary = metrics.summary()
-    # Canonical trace signature: identical seeds must reproduce it exactly.
-    trace = {
-        "summary": summary,
-        "events_processed": cluster.engine.events_processed,
-        "messages_sent": cluster.fabric.stats.sent,
-        "messages_delivered": cluster.fabric.stats.delivered,
-        "bytes_sent": cluster.fabric.stats.bytes_sent,
-        "mean_message_latency_us": round(cluster.fabric.stats.mean_latency() * 1e6, 6),
-        "virtual_duration_s": round(metrics.duration, 9),
-    }
-    digest = hashlib.sha256(
-        json.dumps(trace, sort_keys=True, default=str).encode("utf-8")
-    ).hexdigest()
     return {
         "ops": int(summary["ops"]),
         "ops_per_wall_s": round(operation_count / run_wall, 1),
@@ -153,16 +106,8 @@ def run_workload(
         "events_processed": cluster.engine.events_processed,
         "messages_sent": cluster.fabric.stats.sent,
         "fabric_delivery": cluster.fabric.delivery_mode,
-        "latency_sampling": cluster.fabric.latency_sampling,
-        "trace_sha256": digest,
         "summary": summary,
     }
-
-
-def _best_of(runs):
-    """The repetition with the highest throughput (least OS interference --
-    the standard way to report a wall-clock microbenchmark)."""
-    return max(runs, key=lambda r: r["ops_per_wall_s"])
 
 
 def run_parallel_workload(
@@ -249,7 +194,7 @@ def run_parallel_bench(
     # Best-of repetitions for the bottleneck-worker figure (full runs only):
     # the simulated work is deterministic, so repetitions only differ in OS
     # interference on the busiest worker -- the best repetition is the
-    # cleanest measurement, exactly as in the single-engine bench above.
+    # cleanest measurement.
     n_reps = 1 if (quick or workers == 1) else 2
     workers_n_runs = (
         [workers_1]
@@ -299,113 +244,50 @@ def run_parallel_bench(
     }
 
 
-def run_bench(
-    quick: bool = False, repeat: int = 3, scenario_name: str = SCALE_100.name
-) -> Dict[str, object]:
-    """Run the full comparison and return the report dict."""
-    scenario = ScenarioRegistry.get(scenario_name)
-    cfg = QUICK_CONFIG if quick else FULL_CONFIG
-    # Determinism is asserted across the recorded runs, so at least two
-    # same-seed runs always execute; ``repetitions`` records exactly how
-    # many entries the all-reps list carries (the writer validates this).
-    n_runs = max(2, max(1, repeat))
-
-    optimized_runs = [run_workload(**cfg, scenario=scenario) for _ in range(n_runs)]
-    optimized = _best_of(optimized_runs)
-    deterministic = len({r["trace_sha256"] for r in optimized_runs}) == 1
-
-    legacy_runs = [
-        run_workload(
-            **cfg,
-            fabric_delivery="per_message",
-            latency_sampling="per_message",
-            scenario=scenario,
-        )
-        for _ in range(max(1, repeat))
-    ]
-    legacy = _best_of(legacy_runs)
-
-    is_baseline_scenario = scenario.name == SCALE_100.name
-    baseline_ops = PRE_REFACTOR_BASELINE["ops_per_wall_s"]
-    report = {
-        "benchmark": "bench_fabric",
-        "scenario": scenario.name,
-        "config": dict(cfg),
-        "quick": quick,
-        "repetitions": n_runs,
-        "baseline_pre_refactor": PRE_REFACTOR_BASELINE if is_baseline_scenario else None,
-        "optimized": optimized,
-        "optimized_all_reps_ops_per_wall_s": [r["ops_per_wall_s"] for r in optimized_runs],
-        "legacy_fabric": legacy,
-        "deterministic": deterministic,
-        "speedup_vs_pre_refactor": (
-            round(optimized["ops_per_wall_s"] / baseline_ops, 3)
-            if is_baseline_scenario and not quick
-            else None
-        ),
-        "speedup_vs_legacy_fabric": round(
-            optimized["ops_per_wall_s"] / legacy["ops_per_wall_s"], 3
-        ),
-    }
-    return report
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="smoke-test sizes (CI); the recorded speedup field is only "
-        "computed on full runs, since the quick run sizes differ from the "
-        "baseline's configuration",
+        help="smoke-test sizes (CI) instead of the tuned per-scenario sizes",
     )
     parser.add_argument("--out", default=DEFAULT_OUT, help="output JSON path")
     parser.add_argument(
-        "--repeat", type=int, default=None,
-        help="repetitions per configuration (best-of; default 3 full, 1 quick)",
-    )
-    parser.add_argument(
         "--scenario", default=SCALE_100.name,
-        help="scenario ring to drive (scale_100, scale_1000, ...); the "
-        "recorded pre-refactor baseline only applies to scale_100",
+        help="scenario ring to drive (scale_100, scale_300, scale_1000)",
     )
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="run the *sharded* engine benchmark instead: compare "
-        "single-process vs workers=1 vs workers=N on the scenario ring "
-        "(the two sharded runs must be byte-identical)",
+        "--workers", type=int, required=True,
+        help="forked workers of the sharded run that is compared with "
+        "single-process and workers=1 (the two sharded runs must be "
+        "byte-identical)",
     )
     parser.add_argument(
         "--shards", type=int, default=None,
-        help="shard count for --workers mode (default: the tuned per-"
-        "scenario count, else 4); fixes the event schedule independently "
-        "of the worker count",
+        help="shard count (default: the tuned per-scenario count, else 4); "
+        "fixes the event schedule independently of the worker count",
     )
     parser.add_argument(
         "--granularity", default="auto", choices=("auto", "rack", "node"),
-        help="shard-planner granularity for --workers mode (default auto)",
+        help="shard-planner granularity (default auto)",
     )
     parser.add_argument(
         "--update-section", default=None, metavar="KEY",
         help="merge the report under KEY in an existing --out JSON instead "
-        "of replacing the file (used to record the parallel section next "
-        "to the classic scale_100 report in BENCH_fabric.json)",
+        "of replacing the file (how parallel_scale_1000 is recorded in "
+        "BENCH_fabric.json)",
     )
     args = parser.parse_args(argv)
 
-    if args.workers is not None:
-        if args.workers < 1:
-            parser.error("--workers must be >= 1")
-        report = run_parallel_bench(
-            quick=args.quick,
-            scenario_name=args.scenario,
-            workers=args.workers,
-            shards=args.shards,
-            granularity=args.granularity,
-        )
-    else:
-        repeat = args.repeat if args.repeat is not None else (1 if args.quick else 3)
-        report = run_bench(quick=args.quick, repeat=repeat, scenario_name=args.scenario)
+    if args.workers < 1:
+        parser.error("--workers must be >= 1")
+    report = run_parallel_bench(
+        quick=args.quick,
+        scenario_name=args.scenario,
+        workers=args.workers,
+        shards=args.shards,
+        granularity=args.granularity,
+    )
     # write_benchmark_json refuses placeholder values -- a PLACEHOLDER
     # baseline label must never reach a recorded result file again.
     if args.update_section:
@@ -420,7 +302,7 @@ def main(argv=None) -> int:
 
     print(json.dumps(report, indent=2, default=str))
     if not report["deterministic"]:
-        print("FAIL: two same-seed runs diverged", file=sys.stderr)
+        print("FAIL: workers=1 and workers=N diverged", file=sys.stderr)
         return 1
     print(f"\nwrote {args.out}")
     return 0

@@ -28,14 +28,15 @@ Package layout
 --------------
 ``repro.core``
     the Harmony contribution: stale-read estimation model, monitoring module
-    (cluster-wide and per-datacenter), adaptive consistency controller and
-    the policy interface;
+    (cluster-wide and per-datacenter) and the policy interface;
 ``repro.control``
     the unified adaptive control plane: the scope-parameterized
     :class:`~repro.control.StalenessEstimator`, the
     ``Decision``/``ControlPolicy``/:class:`~repro.control.ControlPlane`
-    spine every adaptive knob runs on (read levels, per-DC write levels,
-    repair cadence), and the client-side retry/downgrade policies;
+    spine every adaptive knob runs on -- the paper's decision scheme,
+    :class:`~repro.control.HarmonyReadPolicy`, first among them (read
+    levels, per-DC write levels, repair cadence) -- and the client-side
+    retry/downgrade policies;
 ``repro.geo``
     the geo-replication subsystem: the geo-aware workload policies, led by
     :class:`~repro.geo.GeoHarmonyPolicy` (one stale-read model instance
@@ -75,6 +76,13 @@ Package layout
 ``repro.sim``
     the discrete-event simulation engine everything runs on.
 
+Compatibility
+-------------
+The names this module exports (``__all__``) are the only compatibility
+promise; submodule paths and implementation-selecting options are internal
+and are removed, not shimmed, once nothing needs them (``CHANGES.md`` names
+the replacement of any name that leaves ``__all__``).
+
 Geo quick start
 ---------------
 >>> from repro import ConsistencyLevel, SimulatedCluster
@@ -96,7 +104,6 @@ from repro.cluster.antientropy import AntiEntropyConfig, AntiEntropyService, Mer
 from repro.core import (
     ClusterMonitor,
     HarmonyConfig,
-    HarmonyController,
     HarmonyPolicy,
     StaleReadModel,
     StaticEventualPolicy,
@@ -168,7 +175,6 @@ __all__ = [
     "GeoHarmonyPolicy",
     "GeoHarmonyRWPolicy",
     "HarmonyConfig",
-    "HarmonyController",
     "HarmonyPolicy",
     "LatencyHistogram",
     "MerkleTree",

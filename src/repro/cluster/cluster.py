@@ -152,13 +152,12 @@ class ClusterConfig:
         Virtual nodes per physical node in the token ring.
     seed:
         Root random seed.
-    fabric_delivery / latency_sampling:
-        Passed through to :class:`~repro.network.fabric.NetworkFabric`:
-        delivery mode (``"coalesced"``, ``"fifo"`` or ``"per_message"``) and
-        latency sampling mode (``"pooled"`` or ``"per_message"``).  The
-        defaults are the fast paths; ``"per_message"`` reproduces the
-        pre-refactor behaviour and is what the fabric benchmark compares
-        against.
+    drop_probability / fabric_delivery:
+        Passed through to :class:`~repro.network.fabric.NetworkFabric`
+        (which also validates them here, at construction): the probability
+        that any message is silently lost, and the delivery mode --
+        ``"coalesced"`` (independent latency per message) or ``"fifo"``
+        (in-order per-link delivery).
     bandwidth:
         Optional :class:`~repro.network.transfers.BandwidthConfig` turning
         on shared-link WAN bandwidth modeling (large payloads become
@@ -189,7 +188,6 @@ class ClusterConfig:
     drop_probability: float = 0.0
     partitioner: Optional[Partitioner] = None
     fabric_delivery: str = "coalesced"
-    latency_sampling: str = "pooled"
     bandwidth: Optional["BandwidthConfig"] = None
 
     def __post_init__(self) -> None:
@@ -218,6 +216,7 @@ class ClusterConfig:
             raise ValueError("write_size_bytes must be positive")
         if self.spares_per_dc < 0:
             raise ValueError("spares_per_dc must be non-negative")
+        NetworkFabric.check_options(self.drop_probability, self.fabric_delivery)
 
 
 class SimulatedCluster:
@@ -255,7 +254,6 @@ class SimulatedCluster:
             self.streams,
             drop_probability=config.drop_probability,
             delivery=config.fabric_delivery,
-            latency_sampling=config.latency_sampling,
             bandwidth=config.bandwidth,
         )
         #: Spare addresses: provisioned (full node + coordinator wiring,

@@ -14,9 +14,9 @@ controller implementations:
   :class:`ControlPolicy` interface and the :class:`ControlPlane` driver (one
   periodic process, shared monitoring samples, decision log + counters);
 * :mod:`repro.control.policies` -- the shipped policies:
-  :class:`HarmonyReadPolicy` and :class:`GeoReadPolicy` (the ports of the
-  two legacy controllers, which remain importable from their old paths as
-  thin shims), :class:`GeoReadWritePolicy` (joint per-DC read/write
+  :class:`HarmonyReadPolicy` (the paper's decision scheme) and
+  :class:`GeoReadPolicy` (the same scheme per datacenter),
+  :class:`GeoReadWritePolicy` (joint per-DC read/write
   adaptation), :class:`RepairSchedulePolicy` (divergence-driven
   anti-entropy scheduling with ``repair_bytes`` as a cost term),
   :class:`ThresholdReadPolicy` (the ported write/read-ratio rule) and

@@ -1,13 +1,9 @@
 """The control plane: one periodic driver for every adaptive decision.
 
-Before this module the repository had three separate feedback loops --
-``core/controller.py`` scheduling its own ticks for cluster-wide read levels,
-a geo controller doing the same per datacenter, and a fixed-interval
-anti-entropy process that adapted nothing.  Each new adaptation (write
-levels, repair cadence, client retries) would have meant a fourth and fifth
-copy of the same sample/estimate/decide scaffolding.
-
-The control plane factors the scaffolding out once:
+Every feedback loop of the simulator -- cluster-wide read levels (the
+paper's), per-datacenter read and write levels, repair cadence, ring size --
+needs the same sample/estimate/decide scaffolding.  The control plane holds
+it once:
 
 * a :class:`ControlPolicy` answers one question per tick -- given the shared
   monitoring view, which knob moves where -- and returns its answers as
@@ -123,9 +119,9 @@ class ControlPolicy:
 
     Subclasses override :meth:`tick` (and usually :meth:`bind`, to validate
     against the cluster and build per-scope state).  A policy may also be
-    driven manually through whatever decision methods it exposes -- the
-    legacy controllers do that for unit tests -- but scheduled execution
-    always goes through the plane.
+    driven manually through whatever decision methods it exposes -- the unit
+    tests of the decision schemes do -- but scheduled execution always goes
+    through the plane.
     """
 
     #: Policy name used in decision records and counters.

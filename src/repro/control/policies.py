@@ -3,7 +3,8 @@
 Six policies share the :class:`~repro.control.plane.ControlPolicy` spine:
 
 * :class:`HarmonyReadPolicy` -- the paper's cluster-wide read-level loop
-  (what :class:`repro.core.controller.HarmonyController` now delegates to);
+  (Section III: estimate the stale-read rate, compare it with the tolerated
+  rate, pick ``Xn``);
 * :class:`GeoReadPolicy` -- the per-datacenter read-level loop (what
   :class:`repro.geo.policy.GeoHarmonyPolicy` runs on its plane);
 * :class:`GeoReadWritePolicy` -- the per-datacenter **joint read/write**
@@ -22,9 +23,8 @@ Six policies share the :class:`~repro.control.plane.ControlPolicy` spine:
   level from the auditor's *measured* staleness-age distribution against a
   quantitative SLA ("99.9% of reads at most 50 ms stale").
 
-The ports keep the exact decision scheme of the original controllers --
-they are the *port*, not a reimplementation -- with the model arithmetic
-shared through :class:`~repro.control.estimator.StalenessEstimator`.
+The model arithmetic is shared through
+:class:`~repro.control.estimator.StalenessEstimator`.
 """
 
 from __future__ import annotations
@@ -60,9 +60,8 @@ __all__ = [
 class HarmonyReadPolicy(ControlPolicy):
     """Cluster-wide adaptive read levels (paper Section III, one scope).
 
-    Holds the current decision between ticks exactly like the original
-    controller; :meth:`decide` can also be driven manually with a
-    hand-built sample (the unit-test path).
+    Holds the current decision between ticks; :meth:`decide` can also be
+    driven manually with a hand-built sample (the unit-test path).
     """
 
     name = "harmony"
@@ -76,9 +75,6 @@ class HarmonyReadPolicy(ControlPolicy):
         self.current_replicas = 1
         self.estimate_series = TimeSeries("stale_estimate")
         self.level_series = TimeSeries("read_replicas")
-        #: Optional hook invoked with every decision (the legacy controller
-        #: shim uses it to keep its ``ControllerDecision`` log in step).
-        self.on_decision: Optional[Callable[[Decision], None]] = None
 
     def bind(self, plane) -> None:
         super().bind(plane)
@@ -105,8 +101,6 @@ class HarmonyReadPolicy(ControlPolicy):
         self.current_replicas = replicas
         self.estimate_series.append(decision.time, estimate.probability)
         self.level_series.append(decision.time, float(replicas))
-        if self.on_decision is not None:
-            self.on_decision(decision)
         return decision
 
     def tick(self, tick: ControlTick) -> List[Decision]:

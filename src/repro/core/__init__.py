@@ -1,6 +1,6 @@
 """Harmony core: the paper's contribution.
 
-Three pieces, mirroring the implementation section of the paper (Fig. 3):
+Two modules hold the paper's measurement and arithmetic (Fig. 3):
 
 * :mod:`repro.core.model` -- the closed-form probabilistic estimation of the
   stale-read rate (paper Eq. 1-6) and of ``Xn``, the number of replicas a
@@ -8,20 +8,17 @@ Three pieces, mirroring the implementation section of the paper (Fig. 3):
   tolerance (Eq. 7-8);
 * :mod:`repro.core.monitor` -- the monitoring module: samples the cluster's
   ``nodetool``-style counters and network latency on a fixed interval and
-  turns them into read/write arrival rates and a propagation-time estimate;
-* :mod:`repro.core.controller` -- the adaptive consistency module: combines
-  the monitor's measurements with the model and the application's tolerated
-  stale-read rate to pick the consistency level for upcoming reads.
+  turns them into read/write arrival rates and a propagation-time estimate.
 
-:mod:`repro.core.policy` wraps the adaptive loops (and the static baselines)
-in the uniform *consistency policy* interface the workload executor
-consumes; since the control plane landed, every adaptive policy drives a
-:class:`~repro.control.plane.ControlPlane` directly and
-:class:`HarmonyController` remains only as a compatibility shim.
+The adaptive consistency module -- combine the two with the application's
+tolerated stale-read rate and pick the level of upcoming reads (Section III)
+-- is :class:`repro.control.policies.HarmonyReadPolicy`, driven by a
+:class:`~repro.control.plane.ControlPlane`.  :mod:`repro.core.policy` wraps
+that loop (and the static baselines) in the uniform *consistency policy*
+interface the workload executor consumes.
 """
 
 from repro.core.config import HarmonyConfig
-from repro.core.controller import HarmonyController
 from repro.core.model import StaleReadModel, propagation_time
 from repro.core.monitor import ClusterMonitor, MonitoringSample
 from repro.core.policy import (
@@ -38,7 +35,6 @@ __all__ = [
     "ClusterMonitor",
     "ConsistencyPolicy",
     "HarmonyConfig",
-    "HarmonyController",
     "HarmonyPolicy",
     "MonitoringSample",
     "SLAConsistencyPolicy",

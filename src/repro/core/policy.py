@@ -25,10 +25,9 @@ Writes default to level ONE for every policy except the quorum policy,
 matching the paper's experimental setup (the adaptation is applied to reads).
 
 Every adaptive policy here drives a
-:class:`~repro.control.plane.ControlPlane` directly -- the legacy
-``core/controller.py`` scheduling shim is no longer on any policy path, so
-plane-level observability (decision log, counters, tracing) covers all of
-them through one code path.
+:class:`~repro.control.plane.ControlPlane` directly, so plane-level
+observability (decision log, counters, tracing) covers all of them through
+one code path.
 """
 
 from __future__ import annotations
@@ -91,13 +90,9 @@ class ConsistencyPolicy:
         """Control-plane decision counters (exported into run metrics).
 
         Adaptive policies run a :class:`~repro.control.plane.ControlPlane`
-        either directly (``self.plane``) or inside a legacy controller
-        (``self.controller.plane``); static policies have neither and
-        report no decisions.
+        (``self.plane``); static policies have none and report no decisions.
         """
         plane = getattr(self, "plane", None)
-        if plane is None:
-            plane = getattr(getattr(self, "controller", None), "plane", None)
         return plane.decision_counts if plane is not None else {}
 
     def describe(self) -> str:
@@ -142,10 +137,8 @@ class StaticQuorumPolicy(ConsistencyPolicy):
 class HarmonyPolicy(ConsistencyPolicy):
     """The adaptive policy: a :class:`HarmonyReadPolicy` on its own plane.
 
-    Earlier revisions went through the :class:`HarmonyController` scheduling
-    shim; the policy now builds the control plane directly, so its decisions
-    land in the same ``plane.decisions`` log (and the same trace channel) as
-    every other adaptive policy.
+    Its decisions land in the same ``plane.decisions`` log (and the same
+    trace channel) as every other adaptive policy's.
 
     Parameters
     ----------

@@ -324,10 +324,10 @@ def run_experiment(
 
         Runs right after ``policy.attach(cluster)``: if the consistency
         policy brought its own :class:`~repro.control.plane.ControlPlane`
-        (adaptive policies do, directly or inside a legacy controller
-        shim), the repair policy is co-registered on it -- one plane, one
-        periodic driver, one decision log per run.  Only static policies
-        get a dedicated plane ticking at the repair base cadence.
+        (adaptive policies do), the repair policy is co-registered on it
+        -- one plane, one periodic driver, one decision log per run.  Only
+        static policies get a dedicated plane ticking at the repair base
+        cadence.
         """
         nonlocal plane, own_plane
         from repro.control.plane import ControlPlane
@@ -335,8 +335,6 @@ def run_experiment(
 
         repair = RepairSchedulePolicy(service, scenario.adaptive_repair)
         shared = getattr(policy_obj, "plane", None)
-        if shared is None:
-            shared = getattr(getattr(policy_obj, "controller", None), "plane", None)
         if shared is not None:
             shared.add(repair)
             plane = shared
@@ -361,8 +359,6 @@ def run_experiment(
         target = plane
         if target is None:
             target = getattr(policy_obj, "plane", None)
-            if target is None:
-                target = getattr(getattr(policy_obj, "controller", None), "plane", None)
         if tracer is not None and target is not None:
             tracer.attach_plane(target)
         if recorder is not None:

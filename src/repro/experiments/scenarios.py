@@ -99,8 +99,8 @@ class Scenario:
         Per-datacenter ASR map for the per-DC Harmony controller (geo
         scenarios only; sites missing from the map use the controller's
         default).
-    fabric_delivery / latency_sampling:
-        Network-fabric runtime modes (see
+    fabric_delivery:
+        Network-fabric delivery mode (see
         :class:`~repro.network.fabric.NetworkFabric`).  The scale scenarios
         use ``"fifo"`` in-order links; the paper-faithful scenarios keep the
         default time-faithful ``"coalesced"`` delivery.
@@ -141,7 +141,6 @@ class Scenario:
     replication_factors: Optional[Dict[str, int]] = None
     harmony_stale_rates_by_dc: Optional[Dict[str, float]] = None
     fabric_delivery: str = "coalesced"
-    latency_sampling: str = "pooled"
     spares_per_dc: int = 0
     bandwidth: Optional[BandwidthConfig] = None
     fault_schedule: Optional[FaultSchedule] = None
@@ -182,7 +181,6 @@ class Scenario:
             inter_dc_latency=self.inter_dc_latency,
             seed=seed,
             fabric_delivery=self.fabric_delivery,
-            latency_sampling=self.latency_sampling,
             bandwidth=self.bandwidth,
             spares_per_dc=self.spares_per_dc,
         )
@@ -465,7 +463,7 @@ SCALE_1000 = Scenario(
         "1000-node single-site ring (10 racks of 100) with Grid'5000-like "
         "latency and bare-metal node envelope; the scale ceiling the "
         "batched client scheduler and shared timer queues are benchmarked "
-        "against (bench_fabric --scenario scale_1000)."
+        "against (the perf ledger's scale1000_wide and scale1000_sharded rows)."
     ),
 )
 

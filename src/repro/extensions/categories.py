@@ -15,7 +15,7 @@ appropriate consistency handling.  This module implements that idea:
   stricter tolerances because stale reads are both more likely and more
   consequential there;
 * :class:`CategorizedHarmonyPolicy` is a drop-in consistency policy that runs
-  one Harmony controller but answers ``read_level_for(key)`` per category, so
+  one Harmony read loop but answers ``read_level_for(key)`` per category, so
   cold archival keys keep reading at level ONE while hot, update-heavy keys
   are read with larger partial quorums.
 
@@ -34,8 +34,9 @@ import numpy as np
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel, level_for_replicas
 from repro.cluster.coordinator import OperationResult
+from repro.control.plane import ControlPlane
+from repro.control.policies import HarmonyReadPolicy
 from repro.core.config import HarmonyConfig
-from repro.core.controller import HarmonyController
 from repro.core.policy import ConsistencyPolicy
 
 __all__ = [
@@ -288,7 +289,7 @@ class ConsistencyCategorizer:
 class CategorizedHarmonyPolicy(ConsistencyPolicy):
     """Harmony with per-category tolerated stale-read rates.
 
-    One controller monitors the cluster (rates, latency) exactly as in base
+    One control plane monitors the cluster (rates, latency) exactly as in base
     Harmony; the per-key decision then applies the *key's category* tolerance
     to the shared estimate, so different data receives different consistency
     levels under the same system conditions.
@@ -312,18 +313,21 @@ class CategorizedHarmonyPolicy(ConsistencyPolicy):
         self.categorizer = categorizer
         self.default_asr = float(default_asr)
         self.config = config or HarmonyConfig(tolerated_stale_rate=default_asr)
-        self.controller: Optional[HarmonyController] = None
+        self.plane: Optional[ControlPlane] = None
+        self._read_policy: Optional[HarmonyReadPolicy] = None
         self.name = "harmony-categorized"
         self.per_category_levels: Dict[int, str] = {}
 
     # -- executor interface ------------------------------------------------
     def attach(self, cluster: SimulatedCluster) -> None:
-        self.controller = HarmonyController(cluster, self.config)
-        self.controller.start()
+        self._read_policy = HarmonyReadPolicy(self.config)
+        self.plane = ControlPlane(cluster, self.config, name="harmony.tick")
+        self.plane.add(self._read_policy)
+        self.plane.start()
 
     def detach(self) -> None:
-        if self.controller is not None:
-            self.controller.stop()
+        if self.plane is not None:
+            self.plane.stop()
 
     def read_level(self) -> ConsistencyLevel:
         """Keyless fallback: the level for the default tolerance."""
@@ -340,15 +344,12 @@ class CategorizedHarmonyPolicy(ConsistencyPolicy):
         return level
 
     def _level_for_asr(self, asr: float) -> ConsistencyLevel:
-        if self.controller is None or not self.controller.decisions:
+        # The plane's log is shared (the runner co-registers the repair scheduler
+        # on it): take the read loop's own latest decision, not the last entry.
+        log = reversed(self.plane.decisions) if self.plane is not None else ()
+        latest = next((d for d in log if d.policy == HarmonyReadPolicy.name), None)
+        if latest is None:
             return ConsistencyLevel.ONE
-        decision = self.controller.decisions[-1]
-        sample = decision.sample
-        estimate = self.controller.model.estimate(
-            read_rate=sample.read_rate,
-            write_rate=sample.write_rate,
-            propagation_time=sample.propagation_time,
-            tolerated_stale_rate=asr,
-        )
-        replicas = 1 if asr >= estimate.probability else estimate.required_replicas
-        return level_for_replicas(replicas, self.controller.cluster.replication_factor)
+        estimator = self._read_policy.estimator
+        _estimate, replicas = estimator.decide_replicas(latest.sample, asr)
+        return level_for_replicas(replicas, estimator.replication_factor())

@@ -66,8 +66,11 @@ Three things keep the per-message cost low on 100+ node rings:
   global event queue stays small.  The ``"fifo"`` mode additionally clamps
   per-link delivery times to be monotonic -- messages on a link never
   overtake each other, like a TCP connection -- which needs no reordering
-  heap at all and is the fastest mode.  ``"per_message"`` schedules one
-  engine event per message (the pre-refactor behaviour).
+  heap at all.  The two modes are two *models*, not two speeds:
+  ``"coalesced"`` draws an independent latency per message (the WARS
+  assumption of PBS, which the paper-faithful and geo scenarios keep),
+  ``"fifo"`` is one TCP connection per peer as in Cassandra 1.0 (the scale
+  scenarios).
 * **Interned message kinds.**  :class:`MessageKind` is a ``str`` enum, so
   kind dispatch compares interned singletons while remaining ``==``- and
   ``hash``-compatible with the plain strings used by tests and user code.
@@ -77,6 +80,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+from bisect import insort
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -278,21 +282,16 @@ class NetworkFabric:
         Cluster topology; supplies the latency model per node pair.
     streams:
         Random streams; the fabric uses one ``"network.latency.<class>"``
-        stream per latency class (pooled sampling), ``"network.latency"``
-        (per-message sampling) and ``"network.drops"``.
+        stream per latency class and ``"network.drops"``.
     bandwidth_bytes_per_s:
         Link bandwidth used for the size-dependent component of the delay.
         The default (1 Gbit/s) matches the paper's Gigabit Ethernet testbed.
     drop_probability:
         Probability that any given message is silently dropped.
     delivery:
-        ``"coalesced"`` (default) batches deliveries per link, ``"fifo"``
-        additionally forces in-order per-link delivery, ``"per_message"``
-        schedules one engine event per message (pre-refactor behaviour).
-    latency_sampling:
-        ``"pooled"`` (default) pre-draws vectorised latency pools per latency
-        class; ``"per_message"`` samples one value per message from the
-        shared ``"network.latency"`` stream (pre-refactor behaviour).
+        ``"coalesced"`` (default) batches deliveries per link in sampled
+        time order; ``"fifo"`` additionally forces in-order per-link
+        delivery.
     bandwidth:
         Optional :class:`~repro.network.transfers.BandwidthConfig` enabling
         shared-link capacity modeling: eligible large payloads become
@@ -305,8 +304,7 @@ class NetworkFabric:
 
     DEFAULT_BANDWIDTH = DEFAULT_BANDWIDTH_BYTES_PER_S  # 1 Gbit/s in bytes per second
 
-    DELIVERY_MODES = ("coalesced", "fifo", "per_message")
-    SAMPLING_MODES = ("pooled", "per_message")
+    DELIVERY_MODES = ("coalesced", "fifo")
 
     def __init__(
         self,
@@ -317,33 +315,21 @@ class NetworkFabric:
         bandwidth_bytes_per_s: float = DEFAULT_BANDWIDTH,
         drop_probability: float = 0.0,
         delivery: str = "coalesced",
-        latency_sampling: str = "pooled",
         bandwidth: Optional[BandwidthConfig] = None,
     ) -> None:
         if bandwidth_bytes_per_s <= 0:
             raise ValueError("bandwidth must be positive")
-        if not 0.0 <= drop_probability < 1.0:
-            raise ValueError(f"drop_probability must be in [0, 1), got {drop_probability!r}")
-        if delivery not in self.DELIVERY_MODES:
-            raise ValueError(f"delivery must be one of {self.DELIVERY_MODES}, got {delivery!r}")
-        if latency_sampling not in self.SAMPLING_MODES:
-            raise ValueError(
-                f"latency_sampling must be one of {self.SAMPLING_MODES}, got {latency_sampling!r}"
-            )
+        self.check_options(drop_probability, delivery)
         self._engine = engine
         self._topology = topology
         self._streams = streams
-        self._latency_rng = streams.stream("network.latency")
         self._drop_rng = streams.stream("network.drops")
         self._bandwidth = float(bandwidth_bytes_per_s)
         self._drop_probability = float(drop_probability)
         self._delivery = delivery
-        self._latency_sampling = latency_sampling
-        # Mode flags precomputed once; the send hot path branches on C-level
-        # booleans instead of comparing strings per message.
+        # Mode flag precomputed once; the send hot path branches on a C-level
+        # boolean instead of comparing strings per message.
         self._fifo = delivery == "fifo"
-        self._per_message_delivery = delivery == "per_message"
-        self._pooled = latency_sampling == "pooled"
         self._handlers: Dict[NodeAddress, Callable[[Message], None]] = {}
         self._next_msg_id = 0
         self.stats = NetworkStats()
@@ -403,6 +389,19 @@ class NetworkFabric:
         self._transfers: Optional[TransferScheduler] = None
         if bandwidth is not None:
             self.enable_bandwidth(bandwidth)
+
+    @classmethod
+    def check_options(cls, drop_probability: float, delivery: str) -> None:
+        """Reject a drop probability or delivery mode no fabric can run.
+
+        ``ClusterConfig`` calls this too, so a typo fails where the config is
+        written and not later where the fabric is built (on the sharded
+        engine, inside every forked worker).
+        """
+        if not 0.0 <= drop_probability < 1.0:
+            raise ValueError(f"drop_probability must be in [0, 1), got {drop_probability!r}")
+        if delivery not in cls.DELIVERY_MODES:
+            raise ValueError(f"delivery must be one of {cls.DELIVERY_MODES}, got {delivery!r}")
 
     # ------------------------------------------------------------------
     # Registration
@@ -492,8 +491,7 @@ class NetworkFabric:
 
     @drop_probability.setter
     def drop_probability(self, value: float) -> None:
-        if not 0.0 <= value < 1.0:
-            raise ValueError(f"drop_probability must be in [0, 1), got {value!r}")
+        self.check_options(value, self._delivery)
         self._drop_probability = float(value)
 
     # ------------------------------------------------------------------
@@ -519,11 +517,6 @@ class NetworkFabric:
         """
         if self._transfers is not None:
             return self._transfers
-        if self._per_message_delivery:
-            raise ValueError(
-                "bandwidth modeling requires a per-link delivery mode "
-                "('coalesced' or 'fifo'), not 'per_message'"
-            )
         self._transfers = TransferScheduler(
             self._engine,
             config if config is not None else BandwidthConfig(
@@ -671,7 +664,9 @@ class NetworkFabric:
         re-scheduled through the normal link machinery from the heal
         instant) only when every partition event that severed it has
         healed.  Returns the number of messages released (0 for drop-mode,
-        unknown pairs, or a pair still held by another partition event).
+        unknown pairs, or a pair still held by another partition event);
+        a message whose direction an asymmetric partition still severs is
+        handed to that partition instead (see :meth:`_release`).
         """
         pair = self._pair_key(dc_a, dc_b)
         entry = self._partitions.get(pair)
@@ -684,11 +679,44 @@ class NetworkFabric:
         self.partition_epoch += 1
         if self._transfers is not None:
             self._transfers.on_heal(dc_a, dc_b)
-        parked = self._parked.pop(pair, [])
+        return self._release(self._parked.pop(pair, []))
+
+    def _release(self, parked: List[Tuple[Message, Optional[Callable]]]) -> int:
+        """Re-admit the messages a healed partition had parked; returns how
+        many were scheduled for delivery.
+
+        Each one passes the partition check :meth:`send` applies, because the
+        other kind of partition may still sever its direction (a one-way cut
+        under the healed symmetric one, or the reverse): that blocker parks
+        it again (merged in send order, ``msg_id``: it may predate what the
+        blocker holds, and a ``fifo`` link must see the older one first) or
+        drops it.  The message is already in ``sent`` and ``blocked``; a second
+        blocker shows in its own ``blocked_by_pair`` key.
+        """
+        stats = self.stats
+        stats.parked -= len(parked)
+        datacenter_of = self._topology.datacenter_of
+        released = 0
         for message, on_delivered in parked:
-            self._schedule_delivery(message, on_delivered)
-        self.stats.parked -= len(parked)
-        return len(parked)
+            direction = (datacenter_of(message.src), datacenter_of(message.dst))
+            pair = self._pair_key(*direction)
+            entry = self._partitions.get(pair)
+            if entry is not None:
+                held, key = self._parked[pair], f"{pair[0]}|{pair[1]}"
+            else:
+                entry = self._oneway.get(direction)
+                if entry is None:
+                    self._schedule_delivery(message, on_delivered)
+                    released += 1
+                    continue
+                held, key = self._parked_oneway[direction], f"{direction[0]}->{direction[1]}"
+            stats.blocked_by_pair[key] += 1
+            if entry[0] == "park":
+                insort(held, (message, on_delivered), key=lambda item: item[0].msg_id)
+                stats.parked += 1
+            else:
+                stats.dropped += 1
+        return released
 
     def heal_all_partitions(self) -> int:
         """Fully heal every active partition, symmetric and asymmetric (all
@@ -770,11 +798,7 @@ class NetworkFabric:
         self._sync_grey()
         if self._transfers is not None:
             self._transfers.on_heal(src_dc, dst_dc)
-        parked = self._parked_oneway.pop(direction, [])
-        for message, on_delivered in parked:
-            self._schedule_delivery(message, on_delivered)
-        self.stats.parked -= len(parked)
-        return len(parked)
+        return self._release(self._parked_oneway.pop(direction, []))
 
     def is_partitioned_oneway(self, src_dc: str, dst_dc: str) -> bool:
         """Whether the ordered ``src_dc -> dst_dc`` direction has an active
@@ -866,13 +890,8 @@ class NetworkFabric:
 
     @property
     def delivery_mode(self) -> str:
-        """The configured delivery mode (``coalesced``, ``fifo`` or ``per_message``)."""
+        """The configured delivery mode (``coalesced`` or ``fifo``)."""
         return self._delivery
-
-    @property
-    def latency_sampling(self) -> str:
-        """The configured sampling mode (``pooled`` or ``per_message``)."""
-        return self._latency_sampling
 
     # ------------------------------------------------------------------
     # Latency pools
@@ -920,18 +939,12 @@ class NetworkFabric:
         links = [link for by_dst in self._links.values() for link in by_dst.values()]
         return len(links), sum(1 for link in links if link.queue is not None)
 
-    def _sample_latency(self, src: NodeAddress, dst: NodeAddress) -> float:
-        if self._latency_sampling == "pooled":
-            return self._pool_for(src, dst).next()
-        model = self._topology.latency_model(src, dst)
-        return model.sample(self._latency_rng)
-
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
     def one_way_delay(self, src: NodeAddress, dst: NodeAddress, size_bytes: int = 0) -> float:
         """Sample the delivery delay for one message from ``src`` to ``dst``."""
-        latency = self._sample_latency(src, dst) * self._latency_scale
+        latency = self._pool_for(src, dst).next() * self._latency_scale
         if self._pair_scale:
             latency *= self._pair_scale_for(src, dst)
         if size_bytes:
@@ -1019,37 +1032,19 @@ class NetworkFabric:
                 if self._pair_scale:
                     pair_scale = self._pair_scale.get(pair, 1.0)
 
-        if self._per_message_delivery:
-            # one_way_delay applies the pair scale itself.
-            delay = self.one_way_delay(src, dst, size_bytes=size_bytes)
-            if self._remote_sink is not None and dst not in self._owned:
-                if on_delivered is not None:
-                    raise ValueError(
-                        f"on_delivered callbacks cannot cross a shard boundary ({src} -> {dst})"
-                    )
-                self._remote_sink(now + delay, message)
-                return message
-            engine.schedule(
-                delay, self._deliver, message, on_delivered, label=f"deliver:{kind}"
-            )
-            return message
-
         by_dst = self._links.get(src)
         link = by_dst.get(dst) if by_dst is not None else None
         if link is None:
             link = self._link_for(src, dst)
-        if self._pooled:
-            # Inlined _LatencyPool.next() fast path (one list index).
-            pool = link.pool
-            index = pool.index
-            values = pool.values
-            if index < len(values):
-                pool.index = index + 1
-                latency = values[index]
-            else:
-                latency = pool.next()
+        # Inlined _LatencyPool.next() fast path (one list index).
+        pool = link.pool
+        index = pool.index
+        values = pool.values
+        if index < len(values):
+            pool.index = index + 1
+            latency = values[index]
         else:
-            latency = self._topology.latency_model(src, dst).sample(self._latency_rng)
+            latency = pool.next()
         if pair_scale != 1.0:
             latency *= pair_scale
         delay = latency * self._latency_scale
@@ -1166,17 +1161,8 @@ class NetworkFabric:
         src, dst = message.src, message.dst
         engine = self._engine
         now = engine._now
-        if self._delivery == "per_message":
-            delay = self.one_way_delay(src, dst, size_bytes=message.size_bytes)
-            engine.schedule(
-                delay, self._deliver, message, on_delivered, label=f"deliver:{message.kind}"
-            )
-            return
         link = self._link_for(src, dst)
-        if self._latency_sampling == "pooled":
-            latency = link.pool.next()
-        else:
-            latency = self._topology.latency_model(src, dst).sample(self._latency_rng)
+        latency = link.pool.next()
         if self._pair_scale:
             latency *= self._pair_scale_for(src, dst)
         delay = latency * self._latency_scale

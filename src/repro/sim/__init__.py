@@ -18,16 +18,12 @@ Design notes
 """
 
 from repro.sim.engine import Event, EventHandle, SimulationEngine, SimulationError
-from repro.sim.process import Process, Timeout, Waiter
 from repro.sim.rng import RandomStreams
 
 __all__ = [
     "Event",
     "EventHandle",
-    "Process",
     "RandomStreams",
     "SimulationEngine",
     "SimulationError",
-    "Timeout",
-    "Waiter",
 ]

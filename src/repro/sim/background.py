@@ -3,8 +3,9 @@
 Long-running maintenance activities -- the Harmony monitoring loop,
 anti-entropy repair, compaction-style housekeeping -- share one shape: run a
 callback every ``interval`` virtual seconds until told to stop.
-:class:`PeriodicProcess` packages that shape once, on top of
-:class:`~repro.sim.process.Process`, so services do not each reimplement the
+:class:`PeriodicProcess` packages that shape once -- a callback that
+re-schedules itself, holding the :class:`~repro.sim.engine.EventHandle` of
+its one pending event -- so services do not each reimplement the
 sleep/stop/tick-counting loop.
 
 A periodic process keeps the engine's event queue non-empty forever, so
@@ -17,8 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.sim.engine import SimulationEngine
-from repro.sim.process import Process, Timeout
+from repro.sim.engine import EventHandle, SimulationEngine
 
 __all__ = ["PeriodicProcess"]
 
@@ -58,34 +58,46 @@ class PeriodicProcess:
             raise ValueError(f"initial_delay must be non-negative, got {initial_delay!r}")
         self._engine = engine
         self._interval = float(interval)
-        self._initial_delay = float(interval if initial_delay is None else initial_delay)
         self._fn = fn
         self._name = name
-        self._stopped = False
         self.ticks = 0
-        self._process = Process(engine, self._loop(), name=name)
+        # The first timer is armed by a kick-off event, not here: that event
+        # is counted in ``events_processed`` and gives the first tick a later
+        # tie-break sequence number, and same-seed digests hash both.
+        self._pending: Optional[EventHandle] = engine.call_soon(
+            self._arm, float(interval if initial_delay is None else initial_delay)
+        )
 
     # ------------------------------------------------------------------
     @property
     def running(self) -> bool:
-        return not self._stopped and not self._process.finished
+        return self._pending is not None
 
     @property
     def interval(self) -> float:
         return self._interval
 
     def stop(self) -> None:
-        """Stop ticking; the engine queue can then drain normally."""
-        self._stopped = True
-        self._process.stop()
+        """Stop ticking; the engine queue can then drain normally.
+
+        Safe to call from inside ``fn`` (the tick that is running has already
+        fired, so there is nothing to cancel and no next tick is armed).
+        """
+        if self._pending is not None:
+            self._pending.cancel()
+            self._pending = None
 
     # ------------------------------------------------------------------
-    def _loop(self):
-        yield Timeout(self._initial_delay)
-        while not self._stopped:
-            self._fn()
-            self.ticks += 1
-            yield Timeout(self._interval)
+    def _arm(self, delay: float) -> None:
+        self._pending = self._engine.schedule(
+            delay, self._tick, label=f"{self._name}.timeout"
+        )
+
+    def _tick(self) -> None:
+        self._fn()
+        self.ticks += 1
+        if self._pending is not None:  # fn() may have stopped us
+            self._arm(self._interval)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "running" if self.running else "stopped"

@@ -109,6 +109,7 @@ class TestRecordedBenchmarkFilesAreClean:
         path = os.path.join(REPO_ROOT, "BENCH_fabric.json")
         with open(path, "r", encoding="utf-8") as handle:
             report = json.load(handle)
-        baseline = report["baseline_pre_refactor"]
-        assert baseline["ops_per_wall_s"] > 0
-        assert baseline["commit"]
+        baseline = report["parallel_scale_1000"]
+        assert baseline["quick"] is False and baseline["deterministic"] is True
+        assert baseline["single_process"]["ops_per_wall_s"] > 0
+        assert baseline["workers_n"]["aggregate_ops_per_busy_s"] > 0

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
+from repro.network.fabric import NetworkFabric
 from repro.network.latency import ConstantLatency
 from repro.network.topology import uniform_topology
 
@@ -22,6 +23,17 @@ class TestClusterConfig:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             ClusterConfig(strategy="bogus")
+
+    def test_fabric_options_are_rejected_when_the_config_is_written(self):
+        # Not later, when the fabric is built (inside each sharded worker).
+        with pytest.raises(ValueError, match="delivery must be one of"):
+            ClusterConfig(fabric_delivery="fifo ")
+        for probability in (-0.1, 1.0):
+            with pytest.raises(ValueError, match="drop_probability"):
+                ClusterConfig(drop_probability=probability)
+        for delivery in NetworkFabric.DELIVERY_MODES:
+            config = ClusterConfig(fabric_delivery=delivery, drop_probability=0.5)
+            assert SimulatedCluster(config).fabric.delivery_mode == delivery
 
     def test_explicit_topology_overrides_n_nodes(self):
         topology = uniform_topology(8, racks_per_dc=2, datacenters=2)

@@ -9,8 +9,6 @@ import pytest
 from repro.control.plane import ControlPlane, ControlPolicy, ControlTick, Decision
 from repro.core.config import HarmonyConfig
 
-from tests.control.conftest import make_sample
-
 
 class CountingPolicy(ControlPolicy):
     """Emits one decision per tick and records which views it touched."""
@@ -116,20 +114,7 @@ class TestDecisionAccounting:
 
 
 class TestLegacyControllersShareTheSpine:
-    """The deprecation shims must drive the very same plane machinery."""
-
-    def test_harmony_controller_runs_on_a_plane(self, plain_cluster):
-        from repro.core.controller import HarmonyController
-
-        controller = HarmonyController(
-            plain_cluster, HarmonyConfig(tolerated_stale_rate=0.2, monitoring_interval=0.1)
-        )
-        controller.start()
-        plain_cluster.engine.run_until(0.35)
-        controller.stop()
-        assert controller.plane.stats.ticks == 3
-        assert controller.plane.decision_counts == {"harmony.read_level": 3}
-        assert len(controller.decisions) == 3  # legacy record stays in step
+    """The workload-facing wrappers must drive the very same plane machinery."""
 
     def test_geo_policy_runs_on_a_plane(self, geo_cluster):
         from repro.geo import GeoHarmonyPolicy
@@ -140,16 +125,3 @@ class TestLegacyControllersShareTheSpine:
         policy.detach()
         assert policy.plane.decision_counts == {"geo-harmony.read_level": 6}
         assert len(policy.plane.decisions) == 6
-
-    def test_manual_decide_and_plane_tick_agree(self, plain_cluster):
-        from repro.core.controller import HarmonyController
-
-        controller = HarmonyController(
-            plain_cluster, HarmonyConfig(tolerated_stale_rate=0.3)
-        )
-        sample = make_sample(3000.0, 2000.0, 0.0004)
-        legacy = controller.decide(sample)
-        spine = controller.plane  # the decision also lives in policy state
-        assert controller.read_level is legacy.level
-        assert controller.read_replicas == legacy.replicas
-        assert spine.decisions == []  # manual decides bypass the plane log

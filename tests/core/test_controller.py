@@ -1,4 +1,9 @@
-"""Unit tests for the Harmony adaptive consistency controller."""
+"""Unit tests of the paper's decision scheme (Section III).
+
+``HarmonyReadPolicy.decide`` is the adaptive consistency module -- estimate
+the stale-read rate, compare it with the tolerated rate, pick ``Xn`` -- and a
+``ControlPlane`` is the periodic monitor that drives it.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +11,9 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
+from repro.control.plane import ControlPlane
+from repro.control.policies import HarmonyReadPolicy
 from repro.core.config import HarmonyConfig
-from repro.core.controller import HarmonyController
 from repro.core.monitor import MonitoringSample
 from repro.network.latency import ConstantLatency
 
@@ -22,6 +28,12 @@ def make_cluster(rf=3, n_nodes=6) -> SimulatedCluster:
             inter_rack_latency=ConstantLatency(0.0005),
         )
     )
+
+
+def make_policy(cluster: SimulatedCluster, config=None):
+    """The read policy bound to a plane on ``cluster``: ``(plane, policy)``."""
+    plane = ControlPlane(cluster, config, name="harmony.tick")
+    return plane, plane.add(HarmonyReadPolicy(plane.config))
 
 
 def sample(read_rate: float, write_rate: float, tp: float, time: float = 1.0) -> MonitoringSample:
@@ -39,44 +51,44 @@ def sample(read_rate: float, write_rate: float, tp: float, time: float = 1.0) ->
 
 class TestDecisionScheme:
     def test_idle_cluster_chooses_eventual_consistency(self):
-        controller = HarmonyController(make_cluster(), HarmonyConfig(tolerated_stale_rate=0.2))
-        decision = controller.decide(sample(0.0, 0.0, 0.001))
-        assert decision.level is ConsistencyLevel.ONE
+        _, policy = make_policy(make_cluster(), HarmonyConfig(tolerated_stale_rate=0.2))
+        decision = policy.decide(sample(0.0, 0.0, 0.001))
+        assert decision.value is ConsistencyLevel.ONE
         assert decision.replicas == 1
 
     def test_tolerant_application_keeps_level_one(self):
-        controller = HarmonyController(make_cluster(), HarmonyConfig(tolerated_stale_rate=1.0))
-        decision = controller.decide(sample(5000.0, 5000.0, 0.01))
-        assert decision.level is ConsistencyLevel.ONE
+        _, policy = make_policy(make_cluster(), HarmonyConfig(tolerated_stale_rate=1.0))
+        decision = policy.decide(sample(5000.0, 5000.0, 0.01))
+        assert decision.value is ConsistencyLevel.ONE
 
     def test_zero_tolerance_under_load_reads_all_replicas(self):
         cluster = make_cluster(rf=3)
-        controller = HarmonyController(cluster, HarmonyConfig(tolerated_stale_rate=0.0))
-        decision = controller.decide(sample(2000.0, 2000.0, 0.01))
+        _, policy = make_policy(cluster, HarmonyConfig(tolerated_stale_rate=0.0))
+        decision = policy.decide(sample(2000.0, 2000.0, 0.01))
         assert decision.replicas == 3
-        assert decision.level is ConsistencyLevel.ALL
+        assert decision.value is ConsistencyLevel.ALL
 
     def test_moderate_tolerance_picks_intermediate_level(self):
         cluster = make_cluster(rf=5, n_nodes=6)
-        controller = HarmonyController(cluster, HarmonyConfig(tolerated_stale_rate=0.3))
-        decision = controller.decide(sample(2000.0, 1500.0, 0.0003))
+        _, policy = make_policy(cluster, HarmonyConfig(tolerated_stale_rate=0.3))
+        decision = policy.decide(sample(2000.0, 1500.0, 0.0003))
         assert 1 < decision.replicas < 5
 
     def test_estimate_above_tolerance_raises_the_level(self):
         cluster = make_cluster(rf=5, n_nodes=6)
-        controller = HarmonyController(cluster, HarmonyConfig(tolerated_stale_rate=0.2))
-        light = controller.decide(sample(50.0, 10.0, 0.0002))
-        heavy = controller.decide(sample(8000.0, 8000.0, 0.002))
+        _, policy = make_policy(cluster, HarmonyConfig(tolerated_stale_rate=0.2))
+        light = policy.decide(sample(50.0, 10.0, 0.0002))
+        heavy = policy.decide(sample(8000.0, 8000.0, 0.002))
         assert light.replicas <= heavy.replicas
         assert heavy.replicas > 1
 
     def test_decision_matches_model_xn(self):
         cluster = make_cluster(rf=5, n_nodes=6)
         config = HarmonyConfig(tolerated_stale_rate=0.25)
-        controller = HarmonyController(cluster, config)
+        _, policy = make_policy(cluster, config)
         s = sample(3000.0, 2000.0, 0.0004)
-        decision = controller.decide(s)
-        expected = controller.model.estimate(
+        decision = policy.decide(s)
+        expected = policy.estimator.models[None].estimate(
             read_rate=s.read_rate,
             write_rate=s.write_rate,
             propagation_time=s.propagation_time,
@@ -88,54 +100,60 @@ class TestDecisionScheme:
             assert decision.replicas == expected.required_replicas
 
     def test_decisions_and_series_are_recorded(self):
-        controller = HarmonyController(make_cluster(), HarmonyConfig(tolerated_stale_rate=0.5))
-        controller.decide(sample(100.0, 50.0, 0.001, time=1.0))
-        controller.decide(sample(200.0, 100.0, 0.001, time=2.0))
-        assert len(controller.decisions) == 2
-        assert len(controller.estimate_series) == 2
-        assert len(controller.level_series) == 2
-        assert controller.current_estimate == controller.decisions[-1].estimate.probability
+        plane, policy = make_policy(make_cluster(), HarmonyConfig(tolerated_stale_rate=0.5))
+        policy.decide(sample(100.0, 50.0, 0.001, time=1.0))
+        last = policy.decide(sample(8000.0, 8000.0, 0.002, time=2.0))
+        assert len(policy.estimate_series) == 2
+        assert len(policy.level_series) == 2
+        assert policy.estimate_series.last()[1] == last.estimate.probability
+        assert policy.level_series.last()[1] == last.replicas > 1
+        # The last decision is the one held for upcoming reads.
+        assert policy.current_level is last.value
+        assert policy.current_replicas == last.replicas
+        assert plane.decisions == []  # the plane logs its own ticks only
 
-    def test_current_estimate_defaults_to_zero(self):
-        controller = HarmonyController(make_cluster())
-        assert controller.current_estimate == 0.0
-        assert controller.read_level is ConsistencyLevel.ONE
-        assert controller.read_replicas == 1
+    def test_level_defaults_to_one_before_the_first_decision(self):
+        plane, policy = make_policy(make_cluster())
+        assert policy.current_level is ConsistencyLevel.ONE
+        assert policy.current_replicas == 1
+        assert len(policy.estimate_series) == 0
+        assert plane.decisions == []
 
 
 class TestPeriodicLoop:
     def test_start_schedules_periodic_ticks(self):
         cluster = make_cluster()
         config = HarmonyConfig(tolerated_stale_rate=0.2, monitoring_interval=0.1)
-        controller = HarmonyController(cluster, config)
-        controller.start()
+        plane, policy = make_policy(cluster, config)
+        plane.start()
         cluster.engine.run_until(cluster.engine.now + 0.55)
-        assert len(controller.decisions) == 5
-        controller.stop()
-        decisions_after_stop = len(controller.decisions)
+        assert len(plane.decisions) == 5
+        assert plane.decision_counts == {"harmony.read_level": 5}
+        assert len(policy.estimate_series) == 5
+        plane.stop()
         cluster.engine.run_until(cluster.engine.now + 0.5)
-        assert len(controller.decisions) == decisions_after_stop
+        assert len(plane.decisions) == 5
 
     def test_start_twice_does_not_double_schedule(self):
         cluster = make_cluster()
         config = HarmonyConfig(tolerated_stale_rate=0.2, monitoring_interval=0.1)
-        controller = HarmonyController(cluster, config)
-        controller.start()
-        controller.start()
+        plane, _ = make_policy(cluster, config)
+        plane.start()
+        plane.start()
         cluster.engine.run_until(cluster.engine.now + 0.35)
-        assert len(controller.decisions) == 3
-        controller.stop()
+        assert len(plane.decisions) == 3
+        plane.stop()
 
     def test_ticks_react_to_live_traffic(self):
         cluster = make_cluster(rf=3)
         config = HarmonyConfig(tolerated_stale_rate=0.05, monitoring_interval=0.05)
-        controller = HarmonyController(cluster, config)
-        controller.start()
+        plane, _ = make_policy(cluster, config)
+        plane.start()
         # Generate heavy traffic so the measured rates are non-trivial.
         for i in range(300):
             cluster.write(f"k{i % 20}", "v", ConsistencyLevel.ONE)
             cluster.read(f"k{i % 20}", ConsistencyLevel.ONE)
         cluster.engine.run_until(cluster.engine.now + 0.2)
-        controller.stop()
-        assert len(controller.decisions) >= 2
-        assert controller.decisions[-1].estimate.read_rate > 0
+        plane.stop()
+        assert len(plane.decisions) >= 2
+        assert plane.decisions[-1].estimate.read_rate > 0

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
+from repro.control.plane import ControlPolicy, Decision
 from repro.core.config import HarmonyConfig
 from repro.extensions.categories import (
     CategorizedHarmonyPolicy,
@@ -163,6 +164,39 @@ class TestCategorizedHarmonyPolicy:
         level = policy.read_level_for("brand-new-key")
         policy.detach()
         assert level.blocked_for(5) >= 1
+
+    def test_levels_ignore_other_policies_on_the_shared_plane(self, cluster, policy):
+        """The runner co-registers the repair scheduler on ``policy.plane``;
+        its sample-less decisions land *after* the read loop's in each tick."""
+
+        class SamplelessPolicy(ControlPolicy):
+            name = "repair-schedule"
+            kind = "repair_interval"
+            uses_monitor = False
+
+            def tick(self, tick):
+                return [
+                    Decision(
+                        time=tick.now,
+                        policy=self.name,
+                        scope="pair:a|b",
+                        kind=self.kind,
+                        value=1.0,
+                    )
+                ]
+
+        policy.attach(cluster)
+        policy.plane.add(SamplelessPolicy())
+        for i in range(400):
+            cluster.write(f"hot{i % 5}", "v", ConsistencyLevel.ONE)
+            cluster.read(f"hot{i % 5}", ConsistencyLevel.ONE)
+        cluster.engine.run_until(cluster.engine.now + 0.2)
+        assert policy.plane.decisions[-1].sample is None
+        strict_level = policy.read_level_for("hot0")      # ASR = 0.0
+        relaxed_level = policy.read_level_for("cold0")    # ASR = 1.0
+        policy.detach()
+        assert relaxed_level is ConsistencyLevel.ONE
+        assert strict_level.blocked_for(5) > 1
 
     def test_default_asr_validation(self):
         categorizer = ConsistencyCategorizer()

@@ -39,7 +39,6 @@ class TestScaleScenarios:
         assert config.n_nodes == 100
         assert config.replication_factor == 5
         assert config.fabric_delivery == "fifo"
-        assert config.latency_sampling == "pooled"
 
     def test_scale_300_is_multi_dc(self):
         config = SCALE_300.cluster_config(seed=3)

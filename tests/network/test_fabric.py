@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.network.fabric import NetworkFabric
+from repro.network.fabric import LATENCY_POOL_SIZE, NetworkFabric
 from repro.network.latency import ConstantLatency
 from repro.network.topology import TopologyBuilder
 from repro.sim.engine import SimulationEngine
@@ -158,8 +158,6 @@ def test_invalid_construction_parameters():
         NetworkFabric(engine, topo, RandomStreams(0), drop_probability=1.0)
     with pytest.raises(ValueError):
         NetworkFabric(engine, topo, RandomStreams(0), delivery="bogus")
-    with pytest.raises(ValueError):
-        NetworkFabric(engine, topo, RandomStreams(0), latency_sampling="bogus")
 
 
 # ----------------------------------------------------------------------
@@ -186,7 +184,7 @@ def make_jittery_fabric(delivery: str):
     return engine, topo, fabric
 
 
-@pytest.mark.parametrize("delivery", ["per_message", "coalesced", "fifo"])
+@pytest.mark.parametrize("delivery", NetworkFabric.DELIVERY_MODES)
 def test_every_delivery_mode_delivers_everything(delivery):
     engine, topo, fabric = make_jittery_fabric(delivery)
     a, b = topo.nodes
@@ -255,29 +253,42 @@ def burst_after_idle(delivery: str, burst: int = 40):
         fabric.send(a, b, "x", i)
     counts_after_burst = fabric.link_counts()
     engine.run()
-    return [m.payload for m in received], counts_when_idle, counts_after_burst
+    return received, counts_when_idle, counts_after_burst
 
 
 @pytest.mark.parametrize("delivery", ["coalesced", "fifo"])
 def test_queue_is_allocated_by_the_first_overlap_not_at_link_creation(delivery):
-    order, counts_when_idle, counts_after_burst = burst_after_idle(delivery)
+    received, counts_when_idle, counts_after_burst = burst_after_idle(delivery)
+    order = [m.payload for m in received]
     assert counts_when_idle == (1, 0)  # a link, no queue: nothing ever overlapped
     assert counts_after_burst == (1, 1)
     assert sorted(order[1:]) == list(range(40)) and order[0] == "lone"
 
 
 def test_burst_on_an_idle_fifo_link_arrives_in_send_order():
-    order, _, _ = burst_after_idle("fifo")
-    assert order == ["lone", *range(40)]
+    received, _, _ = burst_after_idle("fifo")
+    assert [m.payload for m in received] == ["lone", *range(40)]
 
 
 def test_burst_on_an_idle_coalesced_link_arrives_in_sampled_time_order():
-    # Faithful delivery: the same pooled latency draws as one engine event
-    # per message, so the on-demand heap must reproduce that order exactly.
-    order, _, _ = burst_after_idle("coalesced")
-    reference, _, _ = burst_after_idle("per_message")
-    assert order == reference
-    assert order != ["lone", *range(40)]  # the jitter really reorders
+    # Faithful delivery in closed form: message i (in send order) lands
+    # exactly its own pool draw after it was sent, so the on-demand heap must
+    # hand the burst over in that time order.  The draws are re-made here
+    # from the link class's named stream, the way the fabric fills its pool.
+    received, _, _ = burst_after_idle("coalesced")
+    _, topo, _ = make_jittery_fabric("coalesced")
+    a, b = topo.nodes
+    draws = topo.latency_model(a, b).sample_many(
+        RandomStreams(seed=7).stream(f"network.latency.{topo.link_class(a, b)}"),
+        LATENCY_POOL_SIZE,
+    )
+    in_send_order = sorted(received, key=lambda m: m.msg_id)
+    assert [m.payload for m in in_send_order] == ["lone", *range(40)]
+    for message, draw in zip(in_send_order, draws):
+        assert message.delivered_at == message.sent_at + draw
+    burst = in_send_order[1:]
+    assert received[1:] == sorted(burst, key=lambda m: m.delivered_at)
+    assert received[1:] != burst  # the jitter really reorders
 
 
 @pytest.mark.parametrize("delivery", ["coalesced", "fifo"])

@@ -118,6 +118,70 @@ class TestAsymmetricPartition:
         engine.run()
         assert len(received) == 1
 
+    def parked_crossing(
+        self,
+        first: str,
+        then: str,
+        then_mode: str,
+        *,
+        delivery: str = "coalesced",
+        follow_up: bool = False,
+    ):
+        """Park one dc1 -> dc2 message under the ``first`` kind of partition,
+        add the other kind (``then``) in ``then_mode`` (and, with
+        ``follow_up``, send a second message on the same link), heal the
+        first."""
+        engine, topology, fabric = build_fabric(delivery)
+        dcs = nodes_by_dc(topology)
+        received = []
+        for node in topology.nodes:
+            fabric.register(node, received.append)
+        cut = {
+            "symmetric": (fabric.partition_datacenters, fabric.heal_datacenters),
+            "oneway": (fabric.partition_datacenters_oneway, fabric.heal_datacenters_oneway),
+        }
+        cut[first][0]("dc1", "dc2", mode="park")
+        fabric.send(dcs["dc1"][0], dcs["dc2"][0], "ping", "first")
+        cut[then][0]("dc1", "dc2", mode=then_mode)
+        if follow_up:
+            fabric.send(dcs["dc1"][0], dcs["dc2"][0], "ping", "second")
+        released = cut[first][1]("dc1", "dc2")
+        engine.run()
+        assert fabric.is_severed("dc1", "dc2")
+        return engine, fabric, received, released, cut[then][1]
+
+    @pytest.mark.parametrize("first, then", [("symmetric", "oneway"), ("oneway", "symmetric")])
+    def test_heal_does_not_deliver_across_a_direction_still_dropped(self, first, then):
+        _, fabric, received, released, _ = self.parked_crossing(first, then, "drop")
+        assert released == 0 and not received
+        stats = fabric.stats
+        assert (stats.sent, stats.blocked, stats.parked, stats.dropped) == (1, 1, 0, 1)
+        assert stats.blocked_by_pair == {"dc1|dc2": 1, "dc1->dc2": 1}
+
+    @pytest.mark.parametrize("first, then", [("symmetric", "oneway"), ("oneway", "symmetric")])
+    def test_heal_hands_parked_messages_to_a_remaining_park_partition(self, first, then):
+        engine, fabric, received, released, heal_rest = self.parked_crossing(first, then, "park")
+        assert released == 0 and not received
+        stats = fabric.stats
+        assert (stats.sent, stats.blocked, stats.parked, stats.dropped) == (1, 1, 1, 0)
+        assert heal_rest("dc1", "dc2") == 1
+        engine.run()
+        assert len(received) == 1 and stats.parked == 0 and stats.delivered == 1
+
+    @pytest.mark.parametrize("delivery", NetworkFabric.DELIVERY_MODES)
+    @pytest.mark.parametrize("first, then", [("symmetric", "oneway"), ("oneway", "symmetric")])
+    def test_handed_over_messages_keep_their_send_order(self, first, then, delivery):
+        # The second message parks under whichever partition ``send`` checks
+        # first (the symmetric one); the hand-over must not queue the older
+        # message behind it -- on a fifo link that would deliver out of order.
+        engine, fabric, received, released, heal_rest = self.parked_crossing(
+            first, then, "park", delivery=delivery, follow_up=True
+        )
+        assert released == 0 and not received and fabric.stats.parked == 2
+        assert heal_rest("dc1", "dc2") == 2
+        engine.run()
+        assert [message.payload for message in received] == ["first", "second"]
+
     def test_validation(self):
         _, _, fabric = build_fabric()
         with pytest.raises(ValueError):

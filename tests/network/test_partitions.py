@@ -174,7 +174,7 @@ class TestOverlappingPartitions:
 
 
 class TestPartitionsAcrossDeliveryModes:
-    @pytest.mark.parametrize("delivery", ["coalesced", "fifo", "per_message"])
+    @pytest.mark.parametrize("delivery", NetworkFabric.DELIVERY_MODES)
     def test_blocking_works_in_every_delivery_mode(self, delivery):
         engine, topology, fabric = build_fabric(delivery)
         dcs = nodes_by_dc(topology)

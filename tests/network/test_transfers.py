@@ -326,24 +326,6 @@ class TestDeterminismAndConfig:
         fabric.enable_bandwidth()
         assert fabric.transfers is scheduler
 
-    def test_per_message_delivery_rejects_bandwidth_modeling(self):
-        engine = SimulationEngine()
-        topo = (
-            TopologyBuilder()
-            .latencies(inter_dc=ConstantLatency(LATENCY),
-                       loopback=ConstantLatency(0.0001),
-                       intra_rack=ConstantLatency(0.001),
-                       inter_rack=ConstantLatency(0.002))
-            .datacenter("dc1").rack("r1", nodes=1)
-            .datacenter("dc2").rack("r1", nodes=1)
-            .build()
-        )
-        with pytest.raises(ValueError, match="per_message"):
-            NetworkFabric(
-                engine, topo, RandomStreams(seed=1),
-                delivery="per_message", bandwidth=BandwidthConfig(),
-            )
-
     def test_link_capacity_override_wins(self):
         engine, topo, fabric = make_fabric(
             link_capacities={"dc1|dc2": 1000.0}

@@ -41,3 +41,25 @@ class TestPeriodicProcess:
             PeriodicProcess(engine, 0.0, lambda: None)
         with pytest.raises(ValueError):
             PeriodicProcess(engine, 1.0, lambda: None, initial_delay=-1.0)
+
+    def test_stop_from_inside_its_own_tick_halts_cleanly(self):
+        engine = SimulationEngine()
+        holder = []
+        holder.append(PeriodicProcess(engine, 1.0, lambda: holder[0].stop()))
+        engine.run()  # terminates: the tick that stopped it armed no successor
+        process = holder[0]
+        assert process.ticks == 1
+        assert not process.running
+        assert engine.now == 1.0 and engine.pending_events == 0
+
+    def test_stop_before_the_first_tick_leaves_the_queue_drainable(self):
+        engine = SimulationEngine()
+        for run_kick_off in (False, True):
+            process = PeriodicProcess(engine, 1.0, lambda: None)
+            if run_kick_off:  # the first timer is armed, not yet fired
+                engine.step()
+            process.stop()
+            assert not process.running
+            engine.run()
+            assert process.ticks == 0
+            assert engine.now == 0.0 and engine.pending_events == 0

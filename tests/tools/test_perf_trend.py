@@ -12,17 +12,8 @@ GUARD = os.path.join(REPO_ROOT, "tools", "check_perf_trend.py")
 spec = importlib.util.spec_from_file_location("check_perf_trend", GUARD)
 _module = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(_module)
-compare, main = _module.compare, _module.main
+main = _module.main
 compare_repair = _module.compare_repair
-
-
-def report(ops=7000.0, ratio=1.2, config=None, scenario=None):
-    return {
-        "scenario": scenario,
-        "config": config or {"operation_count": 8000, "threads": 50, "seed": 1},
-        "optimized": {"ops_per_wall_s": ops},
-        "speedup_vs_legacy_fabric": ratio,
-    }
 
 
 def repair_report(bytes_per_session=2000.0, ratio=8.0, claims=None):
@@ -43,58 +34,6 @@ ALL_CLAIMS = {
     "recovery_completes_in_every_arm": True,
     "throttle_engages_backpressure": True,
 }
-
-
-class TestCompare:
-    def test_equal_reports_pass(self):
-        _lines, failures = compare(report(), report(), 0.25)
-        assert failures == []
-
-    def test_ops_regression_fails(self):
-        _lines, failures = compare(report(ops=5000.0), report(ops=7000.0), 0.25)
-        assert any("ops_per_wall_s" in f for f in failures)
-
-    def test_small_regression_tolerated(self):
-        _lines, failures = compare(report(ops=6000.0), report(ops=7000.0), 0.25)
-        assert failures == []
-
-    def test_ratio_regression_fails_even_across_configs(self):
-        fresh = report(ratio=0.8, config={"operation_count": 2000})
-        _lines, failures = compare(fresh, report(ratio=1.2), 0.25)
-        assert any("speedup_vs_legacy_fabric" in f for f in failures)
-
-    def test_config_mismatch_skips_ops_comparison(self):
-        fresh = report(ops=1.0, ratio=1.2, config={"operation_count": 2000})
-        lines, failures = compare(fresh, report(ops=7000.0), 0.25)
-        assert failures == []
-        assert any("configs differ" in line for line in lines)
-
-    def test_nothing_comparable_fails(self):
-        _lines, failures = compare({"config": {"a": 1}}, {"config": {"b": 2}}, 0.25)
-        assert any("no comparable metric" in f for f in failures)
-
-    def test_improvement_passes(self):
-        _lines, failures = compare(report(ops=9000.0, ratio=1.5), report(), 0.25)
-        assert failures == []
-
-    def test_scale_100_gets_the_tighter_five_percent_floor(self):
-        fresh = report(ops=6500.0, scenario="scale_100")
-        base = report(ops=7000.0, scenario="scale_100")
-        # A ~7% dip passes the generic 25% budget but not the hot-path floor.
-        _lines, failures = compare(fresh, base, 0.25)
-        assert any("5%" in f for f in failures)
-
-    def test_scale_100_within_five_percent_passes(self):
-        fresh = report(ops=6700.0, scenario="scale_100")
-        base = report(ops=7000.0, scenario="scale_100")
-        _lines, failures = compare(fresh, base, 0.25)
-        assert failures == []
-
-    def test_other_scenarios_keep_the_generic_budget(self):
-        fresh = report(ops=6500.0, scenario="scale_1000")
-        base = report(ops=7000.0, scenario="scale_1000")
-        _lines, failures = compare(fresh, base, 0.25)
-        assert failures == []
 
 
 class TestCompareRepair:
@@ -132,18 +71,29 @@ class TestMain:
         return str(path)
 
     def test_exit_codes(self, tmp_path):
-        fresh = self._write(tmp_path, "fresh.json", report())
-        base = self._write(tmp_path, "base.json", report())
-        assert main(["--fresh", fresh, "--baseline", base]) == 0
-        bad = self._write(tmp_path, "bad.json", report(ops=1000.0))
-        assert main(["--fresh", bad, "--baseline", base]) == 1
+        fresh = self._write(tmp_path, "fresh.json", repair_report(claims=ALL_CLAIMS))
+        base = self._write(tmp_path, "base.json", repair_report(claims=ALL_CLAIMS))
+        assert main(["--repair-fresh", fresh, "--repair-baseline", base]) == 0
+        bad = self._write(
+            tmp_path, "bad.json", repair_report(bytes_per_session=9000.0, claims=ALL_CLAIMS)
+        )
+        assert main(["--repair-fresh", bad, "--repair-baseline", base]) == 1
 
     def test_threshold_flag(self, tmp_path):
-        fresh = self._write(tmp_path, "fresh.json", report(ops=6500.0))
-        base = self._write(tmp_path, "base.json", report(ops=7000.0))
-        assert main(["--fresh", fresh, "--baseline", base, "--max-regression", "0.05"]) == 1
-        assert main(["--fresh", fresh, "--baseline", base, "--max-regression", "0.1"]) == 0
+        fresh = self._write(
+            tmp_path, "fresh.json", repair_report(bytes_per_session=2160.0, claims=ALL_CLAIMS)
+        )
+        base = self._write(tmp_path, "base.json", repair_report(claims=ALL_CLAIMS))
+        pair = ["--repair-fresh", fresh, "--repair-baseline", base]
+        assert main([*pair, "--max-regression", "0.05"]) == 1
+        assert main([*pair, "--max-regression", "0.1"]) == 0
+
+    def test_a_run_that_selects_no_guard_fails(self, tmp_path, capsys):
+        base = self._write(tmp_path, "base.json", repair_report(claims=ALL_CLAIMS))
+        assert main(["--repair-baseline", base]) == 1
+        assert "no guard selected" in capsys.readouterr().err
 
     def test_real_recorded_baseline_compares_with_itself(self):
-        baseline = _module.DEFAULT_BASELINE
-        assert main(["--fresh", baseline, "--baseline", baseline]) == 0
+        # Each guard's default baseline is its recorded file at the repo root.
+        recorded = os.path.join(REPO_ROOT, "BENCH_fabric.json")
+        assert main(["--parallel-fresh", recorded]) == 0

@@ -1,37 +1,35 @@
 #!/usr/bin/env python
-"""Perf-trend guard: fail CI when the fabric benchmark regresses.
+"""Trend guards: fail CI when a recorded benchmark claim stops holding.
 
-Compares a freshly-measured ``bench_fabric.py`` result against the recorded
-``BENCH_fabric.json`` baseline committed at the repository root and exits
-non-zero when the hot path regressed by more than ``--max-regression``
-(default 25%).
+Each guard compares one freshly-measured ``bench_*.py`` report against its
+recorded ``BENCH_*.json`` baseline at the repository root, and runs when its
+``--*-fresh`` report is given (``--*-baseline`` defaults to the recorded
+file).  What CI compares is machine-independent -- a byte count, a
+virtual-time measurement, a determinism flag or a ratio of CPU times over one
+simulated schedule -- so a runner reproduces what the recording host saw;
+figures that depend on the run's size are compared only when the fresh run
+used the recorded configuration:
 
-Two metrics are compared:
+* ``--parallel-fresh`` -- the sharded engine: the fresh smoke run must be
+  deterministic across worker counts, and the recorded baseline section must
+  keep its acceptance floors (workers >= 4, aggregate >= 40k ops per
+  bottleneck-worker CPU second, >= 2x the workers=1 aggregate, >= 3x
+  single-process);
+* ``--repair-fresh`` -- steady-state repair bytes per session and the
+  bandwidth-contention claims;
+* ``--staleness-fresh`` -- the staleness claims and the estimator's error;
+* ``--elasticity-fresh`` -- adaptive ring beats every static size.
 
-* ``optimized.ops_per_wall_s`` -- the headline simulated-ops-per-wall-second
-  number, compared only when the fresh run used the **same benchmark
-  configuration** (record/operation/thread counts and seed) as the recorded
-  baseline; comparing across run sizes would be meaningless;
-* ``speedup_vs_legacy_fabric`` -- the optimized-vs-legacy-fabric ratio
-  measured within one process on one machine.  Both configurations run the
-  identical workload, so the ratio cancels out machine speed: a CI runner
-  half as fast as the laptop that recorded the baseline still reproduces
-  the ratio, and a change that slows the optimized path shrinks it.
+Host speed (simulated ops per wall-second) is not guarded here: the perf
+ledger (``benchmarks/perf/``, ``BENCHMARK.json``) measures it end to end.
 
-At least one metric must be comparable, otherwise the guard fails loudly
-(a guard that silently compares nothing guards nothing).
-
-``--parallel-fresh`` adds the sharded-engine guard: the fresh smoke run
-must be deterministic across worker counts, and the recorded baseline
-section must keep its acceptance floors (workers >= 4, aggregate >= 40k
-ops per bottleneck-worker CPU second, >= 2x the workers=1 aggregate,
->= 3x single-process) -- CPU-time ratios over identical simulated
-schedules, hence machine-independent like the legacy-fabric ratio.
+A run that selects no guard fails loudly (a guard that silently compares
+nothing guards nothing).
 
 Usage::
 
-    python tools/check_perf_trend.py --fresh BENCH_fabric_fresh.json \
-        [--baseline BENCH_fabric.json] [--max-regression 0.25]
+    python tools/check_perf_trend.py --repair-fresh BENCH_repair_fresh.json \
+        [--repair-baseline BENCH_repair.json] [--max-regression 0.25]
 """
 
 from __future__ import annotations
@@ -43,92 +41,11 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT_BASELINE = os.path.join(REPO_ROOT, "BENCH_fabric.json")
-
-#: The SCALE_100 hot path carries its own tighter floor: foreground
-#: messages must keep the bandwidth-model fast path, so the headline
-#: ops/wall-s number may not regress more than 5% even when the general
-#: ``--max-regression`` budget is looser.
-SCALE_100_MAX_REGRESSION = 0.05
 
 
 def _load(path: str) -> Dict[str, object]:
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
-
-
-def _ratio_metric(report: Dict[str, object]) -> Optional[float]:
-    value = report.get("speedup_vs_legacy_fabric")
-    return float(value) if value is not None else None
-
-
-def _ops_metric(report: Dict[str, object]) -> Optional[float]:
-    optimized = report.get("optimized")
-    if not isinstance(optimized, dict):
-        return None
-    value = optimized.get("ops_per_wall_s")
-    return float(value) if value is not None else None
-
-
-def compare(
-    fresh: Dict[str, object], baseline: Dict[str, object], max_regression: float
-) -> Tuple[List[str], List[str]]:
-    """Returns (report lines, failure lines)."""
-    lines: List[str] = []
-    failures: List[str] = []
-
-    def check(
-        name: str,
-        fresh_value: Optional[float],
-        base_value: Optional[float],
-        allowed: Optional[float] = None,
-    ) -> bool:
-        budget = max_regression if allowed is None else allowed
-        if fresh_value is None or base_value is None or base_value <= 0:
-            return False
-        change = fresh_value / base_value - 1.0
-        lines.append(
-            f"{name}: fresh={fresh_value:.3f} baseline={base_value:.3f} "
-            f"({change:+.1%})"
-        )
-        if change < -budget:
-            failures.append(
-                f"{name} regressed {-change:.1%} (> {budget:.0%} allowed)"
-            )
-        return True
-
-    compared = False
-    same_scenario = fresh.get("scenario") == baseline.get("scenario")
-    if same_scenario and fresh.get("config") == baseline.get("config"):
-        # The SCALE_100 hot path gets the tighter bandwidth-model floor.
-        allowed = (
-            min(max_regression, SCALE_100_MAX_REGRESSION)
-            if fresh.get("scenario") == "scale_100"
-            else None
-        )
-        compared |= check(
-            "optimized ops_per_wall_s",
-            _ops_metric(fresh),
-            _ops_metric(baseline),
-            allowed=allowed,
-        )
-    else:
-        lines.append(
-            "configs differ -- skipping the ops/s comparison "
-            f"(fresh={fresh.get('config')} baseline={baseline.get('config')})"
-        )
-    if same_scenario:
-        compared |= check(
-            "speedup_vs_legacy_fabric", _ratio_metric(fresh), _ratio_metric(baseline)
-        )
-    else:
-        lines.append(
-            "scenarios differ -- skipping the speedup-ratio comparison "
-            f"(fresh={fresh.get('scenario')} baseline={baseline.get('scenario')})"
-        )
-    if not compared:
-        failures.append("no comparable metric between fresh and baseline reports")
-    return lines, failures
 
 
 def _steady_state_bytes(report: Dict[str, object]) -> Optional[float]:
@@ -320,9 +237,8 @@ def compare_elasticity(
 def _parallel_section(doc: Dict[str, object]) -> Optional[Dict[str, object]]:
     """Find the sharded-engine report in a BENCH JSON document.
 
-    ``bench_fabric.py --workers`` either writes the parallel report as the
-    whole file or merges it under a section key (``--update-section``) next
-    to the classic report; accept both shapes.
+    ``bench_fabric.py`` either writes its report as the whole file or
+    merges it under a section key (``--update-section``); accept both shapes.
     """
     if doc.get("benchmark") == "bench_fabric_parallel":
         return doc
@@ -347,9 +263,8 @@ def compare_parallel(
       least 40,000 ops per bottleneck-worker CPU second, at least 2x the
       ``workers=1`` aggregate and at least 3x the single-process run.  The
       worker ratio divides two CPU-time figures for the *same* simulated
-      schedule, so it cancels machine speed the same way the legacy-fabric
-      ratio does; re-asserting the floors here stops a regressed baseline
-      from ever being committed quietly.
+      schedule, so it cancels machine speed; re-asserting the floors here
+      stops a regressed baseline from ever being committed quietly.
 
     When fresh and baseline were measured with the same configuration the
     aggregate itself is also compared under ``max_regression``.
@@ -426,100 +341,51 @@ def compare_parallel(
     return lines, failures
 
 
+#: The guards: flag stem -> (comparison, recorded baseline at the repo root).
+GUARDS = {
+    "parallel": (compare_parallel, "BENCH_fabric.json"),
+    "repair": (compare_repair, "BENCH_repair.json"),
+    "staleness": (compare_staleness, "BENCH_staleness.json"),
+    "elasticity": (compare_elasticity, "BENCH_elasticity.json"),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--fresh", required=True, help="freshly measured BENCH JSON")
-    parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE, help="recorded baseline BENCH JSON"
-    )
     parser.add_argument(
         "--max-regression",
         type=float,
         default=0.25,
         help="maximum tolerated fractional regression (default 0.25)",
     )
-    parser.add_argument(
-        "--repair-fresh",
-        default=None,
-        help="freshly measured BENCH_repair JSON (adds the machine-independent "
-        "steady-state repair-bytes guard)",
-    )
-    parser.add_argument(
-        "--repair-baseline",
-        default=os.path.join(REPO_ROOT, "BENCH_repair.json"),
-        help="recorded BENCH_repair baseline (used with --repair-fresh)",
-    )
-    parser.add_argument(
-        "--staleness-fresh",
-        default=None,
-        help="freshly measured BENCH_staleness JSON (adds the machine-"
-        "independent staleness-claims and estimator-error guard)",
-    )
-    parser.add_argument(
-        "--staleness-baseline",
-        default=os.path.join(REPO_ROOT, "BENCH_staleness.json"),
-        help="recorded BENCH_staleness baseline (used with --staleness-fresh)",
-    )
-    parser.add_argument(
-        "--elasticity-fresh",
-        default=None,
-        help="freshly measured BENCH_elasticity JSON (adds the machine-"
-        "independent adaptive-beats-static and determinism guard)",
-    )
-    parser.add_argument(
-        "--elasticity-baseline",
-        default=os.path.join(REPO_ROOT, "BENCH_elasticity.json"),
-        help="recorded BENCH_elasticity baseline (used with --elasticity-fresh)",
-    )
-    parser.add_argument(
-        "--parallel-fresh",
-        default=None,
-        help="freshly measured parallel (bench_fabric.py --workers) JSON "
-        "(adds the sharded-engine determinism and speedup-floor guard)",
-    )
-    parser.add_argument(
-        "--parallel-baseline",
-        default=DEFAULT_BASELINE,
-        help="report holding the recorded parallel baseline section "
-        "(used with --parallel-fresh; default BENCH_fabric.json)",
-    )
+    for name, (_compare, recorded) in GUARDS.items():
+        parser.add_argument(
+            f"--{name}-fresh",
+            default=None,
+            help=f"freshly measured report; runs the {name} guard",
+        )
+        parser.add_argument(
+            f"--{name}-baseline",
+            default=os.path.join(REPO_ROOT, recorded),
+            help=f"recorded baseline of the {name} guard (default {recorded})",
+        )
     args = parser.parse_args(argv)
     if not 0 < args.max_regression < 1:
         parser.error("--max-regression must be in (0, 1)")
 
-    fresh = _load(args.fresh)
-    baseline = _load(args.baseline)
-    lines, failures = compare(fresh, baseline, args.max_regression)
-    if args.repair_fresh is not None:
-        repair_lines, repair_failures = compare_repair(
-            _load(args.repair_fresh), _load(args.repair_baseline), args.max_regression
-        )
-        lines.extend(repair_lines)
-        failures.extend(repair_failures)
-    if args.staleness_fresh is not None:
-        staleness_lines, staleness_failures = compare_staleness(
-            _load(args.staleness_fresh),
-            _load(args.staleness_baseline),
+    lines: List[str] = []
+    failures: List[str] = []
+    selected = [name for name in GUARDS if getattr(args, f"{name}_fresh") is not None]
+    if not selected:
+        failures.append("no guard selected: pass at least one --*-fresh report")
+    for name in selected:
+        guard_lines, guard_failures = GUARDS[name][0](
+            _load(getattr(args, f"{name}_fresh")),
+            _load(getattr(args, f"{name}_baseline")),
             args.max_regression,
         )
-        lines.extend(staleness_lines)
-        failures.extend(staleness_failures)
-    if args.elasticity_fresh is not None:
-        elasticity_lines, elasticity_failures = compare_elasticity(
-            _load(args.elasticity_fresh),
-            _load(args.elasticity_baseline),
-            args.max_regression,
-        )
-        lines.extend(elasticity_lines)
-        failures.extend(elasticity_failures)
-    if args.parallel_fresh is not None:
-        parallel_lines, parallel_failures = compare_parallel(
-            _load(args.parallel_fresh),
-            _load(args.parallel_baseline),
-            args.max_regression,
-        )
-        lines.extend(parallel_lines)
-        failures.extend(parallel_failures)
+        lines.extend(guard_lines)
+        failures.extend(guard_failures)
     for line in lines:
         print(line)
     if failures:
