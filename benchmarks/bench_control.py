@@ -136,8 +136,8 @@ def run_repair_comparison(cfg: Dict[str, object], seed: int) -> Dict[str, object
             },
             "stale_rate_by_dc": _staleness_by_dc(result),
             "asr_bound_held": _asr_held(result, scenario),
-            "repair_interval_decisions": (
-                len(result.control_plane.decisions) if result.control_plane else 0
+            "repair_interval_decisions": result.metrics.control_decisions.get(
+                "repair-schedule.repair_interval", 0
             ),
             "duration_s": round(result.metrics.duration, 3),
         }

@@ -319,7 +319,7 @@ def run_bandwidth_arm(
     )
     plane = None
     if wan_budget is not None:
-        plane = ControlPlane(cluster, interval=1.0, name="repair-throttle")
+        plane = ControlPlane(cluster, interval=1.0)
         plane.add(
             RepairSchedulePolicy(
                 service,

@@ -47,9 +47,9 @@ from typing import Dict, Optional
 
 from repro.cluster.consistency import ConsistencyLevel, quorum_size
 from repro.control.estimator import StalenessEstimator
+from repro.control.plane import LevelPolicy
 from repro.core.model import propagation_time
 from repro.core.monitor import MonitoringSample
-from repro.core.policy import ConsistencyPolicy
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import EC2_MULTIREGION, GRID5000_3SITES, SCALE_100
 from repro.workload.workloads import WORKLOAD_A
@@ -81,17 +81,13 @@ SCENARIOS = (GRID5000_3SITES, EC2_MULTIREGION, SCALE_100)
 T_GRID = (0.0, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1)
 
 
-def _arm_policy(name: str, rf: int) -> ConsistencyPolicy | str:
+def _arm_policy(name: str, rf: int) -> LevelPolicy | str:
     if name == "eventual":
         return "eventual"
     if name == "quorum":
         return "quorum"
     if name == "write_quorum":
-        policy = ConsistencyPolicy(
-            read=ConsistencyLevel.ONE, write=ConsistencyLevel.QUORUM
-        )
-        policy.name = "write-quorum"
-        return policy
+        return LevelPolicy(ConsistencyLevel.ONE, ConsistencyLevel.QUORUM, name="write-quorum")
     raise ValueError(name)
 
 

@@ -56,8 +56,7 @@ def main() -> None:
             auditor=auditor,
         )
         metrics = executor.run()
-        assert policy.plane is not None
-        for decision in policy.plane.decisions:
+        for decision in executor.plane.decisions:
             decision_rows.append(
                 {
                     "phase_threads": threads,

@@ -26,6 +26,7 @@ Run with::
 from __future__ import annotations
 
 from repro import ClusterConfig, ConsistencyLevel, SimulatedCluster, format_table
+from repro.control import ControlPlane
 from repro.core.config import HarmonyConfig
 from repro.extensions import (
     ApplicationProfile,
@@ -67,7 +68,7 @@ def main() -> None:
     print(format_table(categorizer.summary(), title="Discovered consistency categories"))
     print()
 
-    # 2. Attach a categorized Harmony policy to a cluster under load.
+    # 2. Put a categorized Harmony policy on a control plane, under load.
     cluster = SimulatedCluster(
         ClusterConfig(n_nodes=10, replication_factor=5, datacenters=2, seed=4)
     )
@@ -76,7 +77,9 @@ def main() -> None:
         default_asr=0.4,
         config=HarmonyConfig(tolerated_stale_rate=0.4, monitoring_interval=0.05),
     )
-    policy.attach(cluster)
+    plane = ControlPlane(cluster)
+    plane.add(policy)
+    plane.start()
     # Generate traffic so the shared monitor measures realistic rates.
     for i in range(1500):
         cluster.write(f"order:{i % 20}", "v", ConsistencyLevel.ONE)
@@ -94,10 +97,10 @@ def main() -> None:
                 "tolerated_stale_rate": categorizer.tolerated_stale_rate_for(
                     key, default=policy.default_asr
                 ),
-                "read_level_now": policy.read_level_for(key).value,
+                "read_level_now": policy.level_for_key(key).value,
             }
         )
-    policy.detach()
+    plane.stop()
     print(format_table(rows, title="Per-key consistency decisions under the same cluster state"))
     print()
 

@@ -28,20 +28,24 @@ Package layout
 --------------
 ``repro.core``
     the Harmony contribution: stale-read estimation model, monitoring module
-    (cluster-wide and per-datacenter) and the policy interface;
+    (cluster-wide and per-datacenter) and the named policies of the paper's
+    comparison (``HarmonyPolicy``, ``StaticStrongPolicy``, ...), which
+    construct ``repro.control`` policies;
 ``repro.control``
     the unified adaptive control plane: the scope-parameterized
     :class:`~repro.control.StalenessEstimator`, the
     ``Decision``/``ControlPolicy``/:class:`~repro.control.ControlPlane`
-    spine every adaptive knob runs on -- the paper's decision scheme,
-    :class:`~repro.control.HarmonyReadPolicy`, first among them (read
-    levels, per-DC write levels, repair cadence) -- and the client-side
-    retry/downgrade policies;
+    spine every adaptive knob runs on -- one plane per run, owned by the
+    workload executor -- :class:`~repro.control.LevelPolicy` (the policy the
+    executor asks for ``read_level(dc)`` / ``write_level(dc)``: fixed levels,
+    or a subclass such as the paper's decision scheme,
+    :class:`~repro.control.HarmonyReadPolicy`), repair cadence, scale-out,
+    and the client-side retry/downgrade policies;
 ``repro.geo``
-    the geo-replication subsystem: the geo-aware workload policies, led by
-    :class:`~repro.geo.GeoHarmonyPolicy` (one stale-read model instance
-    per site, each independently mapping its ``Xn`` onto the DC-aware
-    levels);
+    the geo-replication subsystem: constructors of the geo-aware level
+    policies, led by :func:`~repro.geo.GeoHarmonyPolicy` (one stale-read
+    model instance per site, each independently mapping its ``Xn`` onto the
+    DC-aware levels);
 ``repro.cluster``
     the simulated quorum-replicated store (ring, replication strategies
     including the per-DC ``NetworkTopologyStrategy``, storage engines,

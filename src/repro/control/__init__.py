@@ -11,17 +11,22 @@ controller implementations:
   probabilistic model of :mod:`repro.core.model` parameterized per scope
   (cluster-wide or per-datacenter), plus its write-aware generalization;
 * :mod:`repro.control.plane` -- the :class:`Decision` record, the
-  :class:`ControlPolicy` interface and the :class:`ControlPlane` driver (one
-  periodic process, shared monitoring samples, decision log + counters);
+  :class:`ControlPolicy` interface, the :class:`ControlPlane` driver (one
+  periodic process, shared monitoring samples, decision log + counters) and
+  :class:`LevelPolicy`, the control policy a workload executor asks for
+  ``read_level(dc)`` / ``write_level(dc)`` (fixed levels on its own; every
+  adaptive level policy below subclasses it);
 * :mod:`repro.control.policies` -- the shipped policies:
   :class:`HarmonyReadPolicy` (the paper's decision scheme) and
   :class:`GeoReadPolicy` (the same scheme per datacenter),
   :class:`GeoReadWritePolicy` (joint per-DC read/write
   adaptation), :class:`RepairSchedulePolicy` (divergence-driven
   anti-entropy scheduling with ``repair_bytes`` as a cost term),
-  :class:`ThresholdReadPolicy` (the ported write/read-ratio rule) and
+  :class:`ThresholdReadPolicy` (the write/read-ratio rule),
   :class:`StalenessSLAPolicy` (closed-loop on the auditor's *measured*
-  staleness-age distribution against a quantitative SLA);
+  staleness-age distribution against a quantitative SLA) and
+  :class:`~repro.control.policies.ScaleOutPolicy` (demand-driven ring
+  membership);
 * :mod:`repro.control.retry` -- client-side :class:`RetryPolicy` /
   :class:`DowngradeRetryPolicy` with deterministic exponential backoff.
 
@@ -31,7 +36,13 @@ runs are byte-identical with or without any given policy registered.
 """
 
 from repro.control.estimator import StalenessEstimator
-from repro.control.plane import ControlPlane, ControlPolicy, ControlTick, Decision
+from repro.control.plane import (
+    ControlPlane,
+    ControlPolicy,
+    ControlTick,
+    Decision,
+    LevelPolicy,
+)
 from repro.control.policies import (
     GeoReadPolicy,
     GeoReadWritePolicy,
@@ -54,6 +65,7 @@ __all__ = [
     "ControlPolicy",
     "ControlTick",
     "Decision",
+    "LevelPolicy",
     "HarmonyReadPolicy",
     "GeoReadPolicy",
     "GeoReadWritePolicy",

@@ -12,6 +12,11 @@ it once:
   from **one** :class:`~repro.sim.background.PeriodicProcess`, logs the
   decisions and counts them per ``policy.kind`` (the observability channel
   the run metrics export);
+* a :class:`LevelPolicy` is the :class:`ControlPolicy` the workload executor
+  asks for consistency levels -- ``read_level(datacenter)`` /
+  ``write_level(datacenter)`` -- and the one place a datacenter is resolved
+  to a level (:func:`resolve_level`); on its own it holds a fixed pair and
+  never ticks, the adaptive level policies subclass it;
 * a :class:`ControlTick` hands policies the monitoring samples of the tick
   **at most once per scope** -- two policies consuming the per-DC view share
   one sampling pass, so registering a second policy never shrinks the
@@ -26,17 +31,28 @@ byte-identical regardless of which policies are registered.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from functools import lru_cache
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
+from repro.cluster.consistency import ConsistencyLevel
 from repro.core.config import HarmonyConfig
 from repro.core.model import StaleEstimate
 from repro.core.monitor import ClusterMonitor, MonitoringSample
+from repro.metrics.series import TimeSeries
 from repro.sim.background import PeriodicProcess
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import SimulatedCluster
 
-__all__ = ["Decision", "ControlPolicy", "ControlTick", "ControlPlane"]
+__all__ = [
+    "Decision",
+    "ControlPolicy",
+    "ControlTick",
+    "ControlPlane",
+    "LevelPolicy",
+    "resolve_level",
+    "site_agnostic_level",
+]
 
 
 @dataclass(frozen=True)
@@ -133,6 +149,11 @@ class ControlPolicy:
     #: builds or primes a monitor.
     uses_monitor = True
 
+    #: Tick period the policy wants, in virtual seconds; ``None`` for a
+    #: policy that never needs a tick of its own (static levels).  A plane
+    #: given no explicit period ticks at the first one its policies declare.
+    interval: Optional[float] = None
+
     def __init__(self) -> None:
         self.plane: Optional[ControlPlane] = None
 
@@ -146,12 +167,155 @@ class ControlPolicy:
         """Called once when the policy is registered with a plane."""
         self.plane = plane
 
+    def prime(self) -> None:
+        """Take the baselines the first tick's window is measured against.
+
+        Called when the policy is registered (so manual ticks have a window)
+        and again when the plane starts: the executor registers its policies
+        before the load phase, and a window left open since then would count
+        the load as the first tick's traffic.
+        """
+
     def tick(self, tick: ControlTick) -> List[Decision]:
         """Produce this tick's decisions (empty list = nothing changed)."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+#: LOCAL_* levels resolved for a client with no replica-holding "local" site:
+#: LOCAL_* is unsatisfiable at a coordinator whose datacenter holds no
+#: replicas (``UnavailableException``), so "local" degrades to the
+#: corresponding global level.
+_SITE_AGNOSTIC = {
+    ConsistencyLevel.LOCAL_ONE: ConsistencyLevel.ONE,
+    ConsistencyLevel.LOCAL_QUORUM: ConsistencyLevel.QUORUM,
+}
+
+#: Blocking strength of the per-site decisions, to pick the strictest.
+_STRICTNESS = {
+    ConsistencyLevel.LOCAL_QUORUM: 1,
+    ConsistencyLevel.EACH_QUORUM: 2,
+    ConsistencyLevel.ALL: 3,
+}
+
+
+def site_agnostic_level(level: ConsistencyLevel) -> ConsistencyLevel:
+    """A level safe at any coordinator, for clients not pinned to a site.
+
+    ``LOCAL_ONE``/``LOCAL_QUORUM`` become ``ONE``/``QUORUM``; every other
+    level (including ``EACH_QUORUM``, which needs no *local* replicas) is
+    already coordinator-agnostic and passes through.
+    """
+    return _SITE_AGNOSTIC.get(level, level)
+
+
+def resolve_level(
+    decided: Mapping[str, ConsistencyLevel],
+    fallback: ConsistencyLevel,
+    replica_sites: Optional[Sequence[str]],
+    datacenter: Optional[str],
+) -> ConsistencyLevel:
+    """The one ``datacenter -> level`` rule of every level policy.
+
+    ``decided`` holds the per-site decisions (empty for a fixed level),
+    ``fallback`` the level of a site without one, ``replica_sites`` the
+    datacenters holding replicas (``None``: every site does -- a cluster
+    without per-DC replication factors).
+
+    * A client pinned to a replica-holding site gets that site's level.
+    * A client pinned to a site holding no replicas gets it degraded by
+      :func:`site_agnostic_level`.
+    * An unpinned client (``datacenter=None``) has no local site to consult
+      and may be routed to a coordinator anywhere: it gets the *strictest*
+      level any site currently demands -- conservative, and it keeps an
+      adaptive loop live instead of degrading to a static level -- degraded
+      the same way.
+    """
+    if datacenter is None:
+        strictest = max(
+            decided.values(), key=lambda level: _STRICTNESS.get(level, 0), default=fallback
+        )
+        return site_agnostic_level(strictest)
+    level = decided.get(datacenter, fallback)
+    if replica_sites is not None and datacenter not in replica_sites:
+        return site_agnostic_level(level)
+    return level
+
+
+@lru_cache(maxsize=256)
+def _resolve_fixed_level(
+    level: ConsistencyLevel, replica_sites: Optional[Sequence[str]], datacenter: Optional[str]
+) -> ConsistencyLevel:
+    """:func:`resolve_level` of a level no tick moves: looked up per operation, resolved once."""
+    return resolve_level({}, level, replica_sites, datacenter)
+
+
+class LevelPolicy(ControlPolicy):
+    """The policy the workload executor asks for consistency levels.
+
+    On its own: a fixed read/write pair that never ticks (the paper's static
+    baselines -- eventual, strong, quorum -- and the DC-aware ones).  The
+    adaptive level policies in :mod:`repro.control.policies` subclass it and
+    move ``read_level`` / ``write_level`` from their ticks.
+
+    Two names: ``name`` keys the decision records (``"harmony"``) and
+    ``label`` is what reports show (``"harmony-20%"``,
+    :attr:`RunMetrics.policy_name <repro.workload.executor.RunMetrics>`);
+    a static policy emits no decisions and uses one string for both.
+
+    Parameters
+    ----------
+    read / write:
+        The fixed levels (writes default to ONE, as in the paper's setup:
+        the adaptation is applied to reads).
+    name:
+        Report name of a static policy built directly from its levels.
+    """
+
+    name = "base"
+    uses_monitor = False
+
+    #: Harmony tunables the run's monitor is built with (``None``: defaults).
+    config: Optional[HarmonyConfig] = None
+
+    def __init__(
+        self,
+        read: ConsistencyLevel = ConsistencyLevel.ONE,
+        write: ConsistencyLevel = ConsistencyLevel.ONE,
+        name: Optional[str] = None,
+    ) -> None:
+        super().__init__()
+        self._read = read
+        self._write = write
+        if name is not None:
+            self.name = name
+        self.label = self.name
+        #: Datacenters holding replicas, in placement order (``None`` until
+        #: bound, and on clusters without per-DC replication factors).
+        self.replica_sites: Optional[Sequence[str]] = None
+
+    def bind(self, plane: "ControlPlane") -> None:
+        super().bind(plane)
+        factors = plane.cluster.replication_factors
+        self.replica_sites = (
+            None if factors is None else tuple(dc for dc, rf in factors.items() if rf >= 1)
+        )
+
+    def read_level(self, datacenter: Optional[str] = None) -> ConsistencyLevel:
+        """Level of the next read of a client pinned to ``datacenter``."""
+        return _resolve_fixed_level(self._read, self.replica_sites, datacenter)
+
+    def write_level(self, datacenter: Optional[str] = None) -> ConsistencyLevel:
+        """Level of the next write of a client pinned to ``datacenter``."""
+        return _resolve_fixed_level(self._write, self.replica_sites, datacenter)
+
+    def tick(self, tick: ControlTick) -> List[Decision]:
+        return []  # fixed levels: nothing to decide when a co-registered policy ticks
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}({self.label!r}, read={self._read}, write={self._write})"
 
 
 @dataclass
@@ -183,15 +347,16 @@ class ControlPlane:
     cluster:
         The cluster under control.
     config:
-        Shared Harmony tunables; ``config.monitoring_interval`` is the tick
-        period unless ``interval`` overrides it.
+        Shared Harmony tunables (the monitor is built with them); when
+        given, ``config.monitoring_interval`` is the tick period unless
+        ``interval`` overrides it.
     monitor:
         Optional pre-built monitor (a fresh one is created otherwise).
     interval:
-        Explicit tick period in virtual seconds (e.g. the repair policy's
-        base cadence when no consistency policy shares the plane).
-    name:
-        Process name in traces (``"control-plane"``).
+        Explicit tick period in virtual seconds.  With neither ``interval``
+        nor ``config`` the plane ticks at the first period its policies
+        declare (:attr:`ControlPolicy.interval`), and not at all when none
+        does -- a plane of static levels schedules no engine event.
     """
 
     def __init__(
@@ -201,15 +366,15 @@ class ControlPlane:
         monitor: Optional[ClusterMonitor] = None,
         *,
         interval: Optional[float] = None,
-        name: str = "control-plane",
     ) -> None:
         self.cluster = cluster
+        if interval is None and config is not None:
+            interval = config.monitoring_interval
+        if interval is not None and interval <= 0:
+            raise ValueError(f"control interval must be positive, got {interval!r}")
+        self._interval = None if interval is None else float(interval)
         self.config = config or HarmonyConfig()
         self._monitor = monitor
-        self.interval = float(interval if interval is not None else self.config.monitoring_interval)
-        if self.interval <= 0:
-            raise ValueError(f"control interval must be positive, got {interval!r}")
-        self.name = name
         self.policies: List[ControlPolicy] = []
         self.decisions: List[Decision] = []
         self.stats = _PlaneStats()
@@ -217,6 +382,16 @@ class ControlPlane:
         #: Optional op-lifecycle tracer (see :mod:`repro.obs.tracer`): every
         #: decision of every registered policy is mirrored into the trace.
         self.tracer = None
+        #: The run's staleness auditor, for policies that steer from measured
+        #: staleness (:class:`~repro.control.policies.StalenessSLAPolicy`).
+        self.auditor = None
+
+    @property
+    def interval(self) -> Optional[float]:
+        """The tick period: explicit, else the first a policy declares."""
+        if self._interval is not None:
+            return self._interval
+        return next((float(p.interval) for p in self.policies if p.interval is not None), None)
 
     @property
     def monitor(self) -> ClusterMonitor:
@@ -234,8 +409,9 @@ class ControlPlane:
     # Registration
     # ------------------------------------------------------------------
     def add(self, policy: ControlPolicy) -> ControlPolicy:
-        """Register (and bind) one policy; returns it for chaining."""
+        """Register (bind and prime) one policy; returns it for chaining."""
         policy.bind(self)
+        policy.prime()
         self.policies.append(policy)
         return policy
 
@@ -250,10 +426,15 @@ class ControlPlane:
         """Prime the monitor (if any policy samples) and begin the loop."""
         if self.running:
             return
+        interval = self.interval
+        if interval is None:
+            return  # nothing registered ever wants a tick
         if self._monitor is not None or any(p.uses_monitor for p in self.policies):
             self.monitor.prime()
+        for policy in self.policies:
+            policy.prime()
         self._process = PeriodicProcess(
-            self.cluster.engine, self.interval, self._on_tick, name=self.name
+            self.cluster.engine, interval, self.tick, name="control-plane"
         )
 
     def stop(self) -> None:
@@ -261,9 +442,6 @@ class ControlPlane:
         if self._process is not None:
             self._process.stop()
             self._process = None
-
-    def _on_tick(self) -> None:
-        self.tick()
 
     # ------------------------------------------------------------------
     # Decision loop
@@ -288,6 +466,15 @@ class ControlPlane:
     def decision_counts(self) -> Dict[str, int]:
         """Decisions per ``policy.kind`` key (exported into run metrics)."""
         return dict(self.stats.by_policy_kind)
+
+    @property
+    def estimate_series(self) -> TimeSeries:
+        """The cluster-wide stale-read estimates of the decision log."""
+        series = TimeSeries("stale_estimate")
+        for decision in self.decisions:
+            if decision.scope == "cluster" and decision.estimate is not None:
+                series.append(decision.time, decision.estimate.probability)
+        return series
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         names = ", ".join(policy.name for policy in self.policies) or "none"

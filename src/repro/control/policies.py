@@ -1,27 +1,33 @@
 """Control-plane policies: every adaptive knob of the simulator in one idiom.
 
-Six policies share the :class:`~repro.control.plane.ControlPolicy` spine:
+Seven policies share the :class:`~repro.control.plane.ControlPolicy` spine.
+Five are :class:`~repro.control.plane.LevelPolicy` subclasses -- the object
+the workload executor asks for ``read_level(dc)`` / ``write_level(dc)`` *is*
+the object the plane ticks:
 
 * :class:`HarmonyReadPolicy` -- the paper's cluster-wide read-level loop
   (Section III: estimate the stale-read rate, compare it with the tolerated
   rate, pick ``Xn``);
 * :class:`GeoReadPolicy` -- the per-datacenter read-level loop (what
-  :class:`repro.geo.policy.GeoHarmonyPolicy` runs on its plane);
+  :func:`repro.geo.policy.GeoHarmonyPolicy` constructs);
 * :class:`GeoReadWritePolicy` -- the per-datacenter **joint read/write**
   adaptation: instead of forcing the whole consistency requirement onto the
   read path, each site picks the ``(X reads, W writes)`` pair that satisfies
   its tolerated stale rate at the lowest blocking cost for its current
   read/write mix (read-heavy sites escalate writes, write-heavy sites
   escalate reads);
-* :class:`RepairSchedulePolicy` -- adapts the anti-entropy repair interval
-  per DC pair from measured leaf-diff divergence, with the pair's repair
-  WAN traffic fed back as a cost term;
 * :class:`ThresholdReadPolicy` -- the Wang et al.-style write/read-ratio
-  threshold rule (what :class:`repro.core.policy.ThresholdPolicy` now
-  delegates to; the last policy ported off a private scheduling loop);
+  threshold rule (``repro.core.policy.ThresholdPolicy`` is this class);
 * :class:`StalenessSLAPolicy` -- a closed-loop policy steering the read
   level from the auditor's *measured* staleness-age distribution against a
   quantitative SLA ("99.9% of reads at most 50 ms stale").
+
+Two move other knobs:
+
+* :class:`RepairSchedulePolicy` -- adapts the anti-entropy repair interval
+  per DC pair from measured leaf-diff divergence, with the pair's repair
+  WAN traffic fed back as a cost term;
+* :class:`ScaleOutPolicy` -- demand-driven ring membership.
 
 The model arithmetic is shared through
 :class:`~repro.control.estimator.StalenessEstimator`.
@@ -39,7 +45,13 @@ from repro.cluster.consistency import (
     quorum_size,
 )
 from repro.control.estimator import StalenessEstimator
-from repro.control.plane import ControlPolicy, ControlTick, Decision
+from repro.control.plane import (
+    ControlPolicy,
+    ControlTick,
+    Decision,
+    LevelPolicy,
+    resolve_level,
+)
 from repro.core.config import HarmonyConfig
 from repro.core.monitor import MonitoringSample
 from repro.metrics.series import TimeSeries
@@ -57,24 +69,42 @@ __all__ = [
 ]
 
 
-class HarmonyReadPolicy(ControlPolicy):
+def _percent(rate: float) -> str:
+    return f"{int(round(rate * 100))}%"
+
+
+class HarmonyReadPolicy(LevelPolicy):
     """Cluster-wide adaptive read levels (paper Section III, one scope).
 
     Holds the current decision between ticks; :meth:`decide` can also be
-    driven manually with a hand-built sample (the unit-test path).
+    driven manually with a hand-built sample (the unit-test path).  Writes
+    stay at the fixed ``write`` level (ONE, as in the paper).
     """
 
     name = "harmony"
     kind = "read_level"
+    uses_monitor = True
 
-    def __init__(self, config: Optional[HarmonyConfig] = None) -> None:
-        super().__init__()
+    def __init__(
+        self,
+        config: Optional[HarmonyConfig] = None,
+        write: ConsistencyLevel = ConsistencyLevel.ONE,
+    ) -> None:
+        super().__init__(write=write)
         self.config = config or HarmonyConfig()
+        self.interval = self.config.monitoring_interval
+        self.label = f"harmony-{_percent(self.config.tolerated_stale_rate)}"
         self.estimator: Optional[StalenessEstimator] = None
         self.current_level = ConsistencyLevel.ONE
         self.current_replicas = 1
+        #: The monitoring sample behind the current decision (``None`` before
+        #: the first one).
+        self.last_sample: Optional[MonitoringSample] = None
         self.estimate_series = TimeSeries("stale_estimate")
         self.level_series = TimeSeries("read_replicas")
+
+    def read_level(self, datacenter: Optional[str] = None) -> ConsistencyLevel:
+        return self.current_level  # a cluster-wide level needs no per-site rule
 
     def bind(self, plane) -> None:
         super().bind(plane)
@@ -99,6 +129,7 @@ class HarmonyReadPolicy(ControlPolicy):
         )
         self.current_level = level
         self.current_replicas = replicas
+        self.last_sample = sample
         self.estimate_series.append(decision.time, estimate.probability)
         self.level_series.append(decision.time, float(replicas))
         return decision
@@ -107,33 +138,56 @@ class HarmonyReadPolicy(ControlPolicy):
         return [self.decide(tick.sample)]
 
 
-class GeoReadPolicy(ControlPolicy):
+class GeoReadPolicy(LevelPolicy):
     """Per-datacenter adaptive read levels (the geo controller's scheme).
 
     One staleness model per replica-holding datacenter, evaluated against
-    the site's **local** replication factor; sites without replicas fall
-    back to level ONE (the closest replica, wherever it lives).
+    the site's **local** replication factor, so every site independently
+    picks the replica involvement that keeps its own stale-read estimate
+    under its own tolerance and maps it onto the local levels; sites without
+    replicas fall back to level ONE (the closest replica, wherever it
+    lives).
+
+    Parameters
+    ----------
+    config:
+        Shared Harmony configuration; a default one is built if omitted.
+    tolerated_stale_rates:
+        Per-datacenter ASR overrides (sites without an entry use
+        ``config.tolerated_stale_rate``).
+    write:
+        The fixed write level (``LOCAL_ONE``: acknowledge on one local
+        replica, replicate across the WAN asynchronously -- the geo analogue
+        of the paper's writes-at-ONE setup).
     """
 
     name = "geo-harmony"
     kind = "read_level"
+    uses_monitor = True
 
     def __init__(
         self,
         config: Optional[HarmonyConfig] = None,
         tolerated_stale_rates: Optional[Mapping[str, float]] = None,
+        write: ConsistencyLevel = ConsistencyLevel.LOCAL_ONE,
     ) -> None:
-        super().__init__()
+        super().__init__(read=ConsistencyLevel.LOCAL_ONE, write=write)
         self.config = config or HarmonyConfig()
-        self._overrides = dict(tolerated_stale_rates or {})
+        self.interval = self.config.monitoring_interval
+        #: The per-site overrides until bound, every site's tolerance after.
+        self.tolerated_stale_rates: Dict[str, float] = dict(tolerated_stale_rates or {})
+        rates = "/".join(
+            f"{dc}:{_percent(asr)}" for dc, asr in sorted(self.tolerated_stale_rates.items())
+        ) or _percent(self.config.tolerated_stale_rate)
+        self.label = f"{self.name}-{rates}"
         self.estimator: Optional[StalenessEstimator] = None
-        self.tolerated_stale_rates: Dict[str, float] = {}
-        self._factors: Dict[str, int] = {}
         self.current_level: Dict[str, ConsistencyLevel] = {}
         self.current_replicas: Dict[str, int] = {}
         self.estimate_series: Dict[str, TimeSeries] = {}
         self.level_series: Dict[str, TimeSeries] = {}
-        self.on_decision: Optional[Callable[[Decision], None]] = None
+
+    def read_level(self, datacenter: Optional[str] = None) -> ConsistencyLevel:
+        return resolve_level(self.current_level, self._read, self.replica_sites, datacenter)
 
     def bind(self, plane) -> None:
         super().bind(plane)
@@ -145,24 +199,22 @@ class GeoReadPolicy(ControlPolicy):
                 "(per-DC replication factors); got strategy "
                 f"{cluster.config.strategy!r}"
             )
-        unknown = set(self._overrides) - set(cluster.datacenter_names)
+        overrides = self.tolerated_stale_rates
+        unknown = set(overrides) - set(cluster.datacenter_names)
         if unknown:
             raise ValueError(
                 f"tolerated_stale_rates references unknown datacenter(s) {sorted(unknown)}"
             )
-        for dc, asr in self._overrides.items():
+        for dc, asr in overrides.items():
             if not 0.0 <= asr <= 1.0:
                 raise ValueError(
                     f"tolerated stale rate for {dc!r} must be in [0, 1], got {asr!r}"
                 )
         self.tolerated_stale_rates = {
-            dc: self._overrides.get(dc, self.config.tolerated_stale_rate)
+            dc: overrides.get(dc, self.config.tolerated_stale_rate)
             for dc in cluster.datacenter_names
         }
-        self._factors = dict(factors)
-        self.estimator = StalenessEstimator(
-            {dc: rf for dc, rf in factors.items() if rf >= 1}
-        )
+        self.estimator = StalenessEstimator({dc: factors[dc] for dc in self.replica_sites})
         self.current_level = {
             dc: (
                 ConsistencyLevel.LOCAL_ONE
@@ -193,7 +245,9 @@ class GeoReadPolicy(ControlPolicy):
             raise ValueError(f"datacenter {datacenter!r} holds no replicas")
         asr = self.tolerated_stale_rates[datacenter]
         estimate, replicas = self.estimator.decide_replicas(sample, asr, scope=datacenter)
-        level = local_level_for_replicas(replicas, self._factors[datacenter])
+        level = local_level_for_replicas(
+            replicas, self.estimator.replication_factor(datacenter)
+        )
         decision = Decision(
             time=self.cluster.engine.now,
             policy=self.name,
@@ -208,8 +262,6 @@ class GeoReadPolicy(ControlPolicy):
         self.current_replicas[datacenter] = replicas
         self.estimate_series[datacenter].append(decision.time, estimate.probability)
         self.level_series[datacenter].append(decision.time, float(replicas))
-        if self.on_decision is not None:
-            self.on_decision(decision)
         return decision
 
     def tick(self, tick: ControlTick) -> List[Decision]:
@@ -218,7 +270,7 @@ class GeoReadPolicy(ControlPolicy):
         return [self.decide(dc, samples[dc]) for dc in self.estimator.models]
 
 
-class GeoReadWritePolicy(ControlPolicy):
+class GeoReadWritePolicy(GeoReadPolicy):
     """Joint per-datacenter read *and* write level adaptation.
 
     The paper (and :class:`GeoReadPolicy`) adapts reads only: writes stay at
@@ -241,7 +293,8 @@ class GeoReadWritePolicy(ControlPolicy):
     ``W = local_quorum`` to LOCAL_QUORUM.
 
     Everything is a pure function of the monitoring sample: the policy
-    consumes no randomness.
+    consumes no randomness.  Validation, per-site tolerances and the read
+    side's state are the read-only policy's.
     """
 
     name = "geo-harmony-rw"
@@ -251,66 +304,36 @@ class GeoReadWritePolicy(ControlPolicy):
         config: Optional[HarmonyConfig] = None,
         tolerated_stale_rates: Optional[Mapping[str, float]] = None,
     ) -> None:
-        super().__init__()
-        # Reuse the read policy's validation/state plumbing for the read side.
-        self._read = GeoReadPolicy(config, tolerated_stale_rates)
-        self._read.name = self.name
-        self.config = self._read.config
+        super().__init__(config, tolerated_stale_rates)
         self.current_write_level: Dict[str, ConsistencyLevel] = {}
         self.current_write_replicas: Dict[str, int] = {}
         self.write_level_series: Dict[str, TimeSeries] = {}
 
+    def write_level(self, datacenter: Optional[str] = None) -> ConsistencyLevel:
+        return resolve_level(
+            self.current_write_level, self._write, self.replica_sites, datacenter
+        )
+
     def bind(self, plane) -> None:
         super().bind(plane)
-        self._read.bind(plane)
-        for dc in self.cluster.datacenter_names:
-            holds = dc in self._read.models
-            self.current_write_level[dc] = (
-                ConsistencyLevel.LOCAL_ONE if holds else ConsistencyLevel.ONE
-            )
-            self.current_write_replicas[dc] = 1
+        # Same starting point as the read side: LOCAL_ONE where replicas live.
+        self.current_write_level = dict(self.current_level)
+        self.current_write_replicas = dict(self.current_replicas)
         self.write_level_series = {
-            dc: TimeSeries(f"write_replicas[{dc}]") for dc in self._read.models
+            dc: TimeSeries(f"write_replicas[{dc}]") for dc in self.models
         }
-
-    # ------------------------------------------------------------------
-    # Read-side passthroughs (shared with the read-only policy)
-    # ------------------------------------------------------------------
-    @property
-    def models(self) -> Dict[str, object]:
-        return self._read.models
-
-    @property
-    def tolerated_stale_rates(self) -> Dict[str, float]:
-        return self._read.tolerated_stale_rates
-
-    @property
-    def current_level(self) -> Dict[str, ConsistencyLevel]:
-        return self._read.current_level
-
-    @property
-    def current_replicas(self) -> Dict[str, int]:
-        return self._read.current_replicas
-
-    @property
-    def estimate_series(self) -> Dict[str, TimeSeries]:
-        return self._read.estimate_series
-
-    @property
-    def level_series(self) -> Dict[str, TimeSeries]:
-        return self._read.level_series
 
     # ------------------------------------------------------------------
     def search(
         self, datacenter: str, sample: MonitoringSample
     ) -> Tuple[int, int]:
         """The ``(X, W)`` pair for one site and sample (pure, for tests)."""
-        estimator = self._read.estimator
+        estimator = self.estimator
         assert estimator is not None, "policy must be bound before deciding"
         if datacenter not in estimator.models:
             raise ValueError(f"datacenter {datacenter!r} holds no replicas")
         n = estimator.replication_factor(datacenter)
-        asr = self._read.tolerated_stale_rates[datacenter]
+        asr = self.tolerated_stale_rates[datacenter]
         write_candidates = sorted({1, quorum_size(n)})
         best: Optional[Tuple[float, int, int]] = None
         for w in write_candidates:
@@ -330,11 +353,11 @@ class GeoReadWritePolicy(ControlPolicy):
 
     def decide(self, datacenter: str, sample: MonitoringSample) -> List[Decision]:
         """Joint read+write decision for one datacenter (two records)."""
-        estimator = self._read.estimator
+        estimator = self.estimator
         assert estimator is not None
         x, w = self.search(datacenter, sample)
         n = estimator.replication_factor(datacenter)
-        asr = self._read.tolerated_stale_rates[datacenter]
+        asr = self.tolerated_stale_rates[datacenter]
         estimate = estimator.evaluate(sample, asr, scope=datacenter)
         achieved = estimator.stale_probability_rw(
             sample, read_replicas=x, write_replicas=w, scope=datacenter
@@ -366,11 +389,10 @@ class GeoReadWritePolicy(ControlPolicy):
             sample=sample,
             achieved_staleness=achieved,
         )
-        read_state = self._read
-        read_state.current_level[datacenter] = read_level
-        read_state.current_replicas[datacenter] = x
-        read_state.estimate_series[datacenter].append(now, estimate.probability)
-        read_state.level_series[datacenter].append(now, float(x))
+        self.current_level[datacenter] = read_level
+        self.current_replicas[datacenter] = x
+        self.estimate_series[datacenter].append(now, estimate.probability)
+        self.level_series[datacenter].append(now, float(x))
         self.current_write_level[datacenter] = write_level
         self.current_write_replicas[datacenter] = w
         self.write_level_series[datacenter].append(now, float(w))
@@ -485,9 +507,15 @@ class RepairSchedulePolicy(ControlPolicy):
         self._last_tick_at: float = 0.0
         self._fabric = None
 
+    @property
+    def interval(self) -> float:
+        """One control evaluation per base repair tick: the policy only acts
+        on completed sessions, so a faster cadence of its own would add ticks
+        without adding information."""
+        return self.service.config.interval
+
     def bind(self, plane) -> None:
         super().bind(plane)
-        self._last_tick_at = plane.cluster.engine.now
         fabric = plane.cluster.fabric
         budget = self.config.wan_budget_bytes_per_s
         if budget is not None and fabric.bandwidth_enabled:
@@ -497,6 +525,9 @@ class RepairSchedulePolicy(ControlPolicy):
             self._fabric = fabric
             fabric.set_transfer_group_cap("repair", budget)
             self.service.stream_backlog_limit = budget * self.config.backlog_pace_s
+
+    def prime(self) -> None:
+        self._last_tick_at = self.cluster.engine.now
         for pair in self.service.pairs:
             stats = self.service.stats[pair]
             self._previous[pair] = (
@@ -554,38 +585,48 @@ class RepairSchedulePolicy(ControlPolicy):
         return decisions
 
 
-class ThresholdReadPolicy(ControlPolicy):
-    """The write/read-ratio threshold rule, ported onto the control spine.
+class ThresholdReadPolicy(LevelPolicy):
+    """Read/write-ratio threshold rule (Wang et al.-style related work).
 
-    The legacy :class:`repro.core.policy.ThresholdPolicy` ran this loop on a
-    private self-scheduled callback; the port keeps the exact decision
-    scheme -- windowed rates from :class:`~repro.cluster.stats.ClusterStats`
-    snapshots, idle windows keep the current level, a window with writes but
-    no reads escalates to ALL, otherwise escalate when ``write_rate /
-    read_rate`` exceeds the threshold and drop to ONE when it does not --
-    while gaining the plane's decision log and tracing for free.
+    Every ``monitoring_interval`` the policy compares the measured
+    write/read ratio against a static threshold -- windowed rates from
+    :class:`~repro.cluster.stats.ClusterStats` snapshots; idle windows keep
+    the current level, a window with writes but no reads escalates to ALL,
+    otherwise reads go to ALL when ``write_rate / read_rate`` exceeds the
+    threshold and to ONE when it does not.  The paper criticises exactly
+    this kind of arbitrary static threshold; the ablation benchmark
+    quantifies the difference against Harmony's model-driven decision.
 
-    Steers from request counters, not the monitor (``uses_monitor=False``),
-    so a plane carrying only this policy probes nothing and consumes no
-    randomness.
+    Steers from request counters, not the monitor: a plane carrying only
+    this policy probes nothing and consumes no randomness.
     """
 
     name = "threshold"
     kind = "read_level"
-    uses_monitor = False
 
-    def __init__(self, threshold: float = 0.3) -> None:
-        super().__init__()
+    def __init__(
+        self,
+        threshold: float = 0.3,
+        monitoring_interval: float = 0.5,
+        write: ConsistencyLevel = ConsistencyLevel.ONE,
+    ) -> None:
         if threshold < 0:
             raise ValueError(f"threshold must be non-negative, got {threshold!r}")
-        self.threshold = threshold
+        if monitoring_interval <= 0:
+            raise ValueError("monitoring_interval must be positive")
+        super().__init__(write=write)
+        self.threshold = float(threshold)
+        self.interval = float(monitoring_interval)
+        self.label = f"threshold-{threshold:g}"
         self.current_level = ConsistencyLevel.ONE
         self.level_series = TimeSeries("threshold_level")
         self._previous = None
 
-    def bind(self, plane) -> None:
-        super().bind(plane)
-        self._previous = plane.cluster.stats.snapshot(plane.cluster.engine.now)
+    def read_level(self, datacenter: Optional[str] = None) -> ConsistencyLevel:
+        return self.current_level
+
+    def prime(self) -> None:
+        self._previous = self.cluster.stats.snapshot(self.cluster.engine.now)
 
     # ------------------------------------------------------------------
     def tick(self, tick: ControlTick) -> List[Decision]:
@@ -619,7 +660,7 @@ class ThresholdReadPolicy(ControlPolicy):
         ]
 
 
-class StalenessSLAPolicy(ControlPolicy):
+class StalenessSLAPolicy(LevelPolicy):
     """Close the loop on *measured* staleness instead of a model estimate.
 
     Harmony steers from the closed-form stale-read probability; this policy
@@ -637,23 +678,25 @@ class StalenessSLAPolicy(ControlPolicy):
     * windows with fewer than ``min_window_reads`` judged reads carry no
       statistical signal and keep the current level.
 
-    Steers from auditor counters (``uses_monitor=False``): no probe traffic,
-    no randomness, zero engine events of its own.
+    Steers from auditor counters: no probe traffic, no randomness.  The
+    auditor is the one given here or, failing that, the plane's
+    (``plane.auditor`` -- the workload executor puts the run's there).
     """
 
     name = "staleness-sla"
     kind = "read_level"
-    uses_monitor = False
 
     def __init__(
         self,
-        auditor,
+        auditor=None,
         *,
         max_age: float = 0.05,
         quantile: float = 0.999,
         min_window_reads: int = 20,
+        monitoring_interval: float = 0.5,
+        write: ConsistencyLevel = ConsistencyLevel.ONE,
     ) -> None:
-        super().__init__()
+        super().__init__(write=write)
         if max_age <= 0:
             raise ValueError(f"max_age must be positive, got {max_age!r}")
         if not 0.0 < quantile < 1.0:
@@ -662,10 +705,14 @@ class StalenessSLAPolicy(ControlPolicy):
             raise ValueError(
                 f"min_window_reads must be >= 1, got {min_window_reads!r}"
             )
+        if monitoring_interval <= 0:
+            raise ValueError("monitoring_interval must be positive")
         self.auditor = auditor
-        self.max_age = max_age
-        self.quantile = quantile
-        self.min_window_reads = min_window_reads
+        self.max_age = float(max_age)
+        self.quantile = float(quantile)
+        self.min_window_reads = int(min_window_reads)
+        self.interval = float(monitoring_interval)
+        self.label = f"sla-{max_age * 1000.0:g}ms"
         self.current_level = ConsistencyLevel.ONE
         self.current_replicas = 1
         self.violation_series = TimeSeries("sla_violation_rate")
@@ -673,8 +720,20 @@ class StalenessSLAPolicy(ControlPolicy):
         self._prev_judged = 0
         self._prev_violations = 0
 
+    def read_level(self, datacenter: Optional[str] = None) -> ConsistencyLevel:
+        return self.current_level
+
     def bind(self, plane) -> None:
         super().bind(plane)
+        if self.auditor is None:
+            self.auditor = plane.auditor
+        if self.auditor is None:
+            raise RuntimeError(
+                f"{self.label}: no StalenessAuditor to steer from -- pass one, or "
+                "set plane.auditor (WorkloadExecutor(auditor=...) does)"
+            )
+
+    def prime(self) -> None:
         stats = self.auditor.stats
         self._prev_judged = stats.judged
         self._prev_violations = stats.violations_beyond(self.max_age)

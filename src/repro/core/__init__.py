@@ -13,16 +13,15 @@ Two modules hold the paper's measurement and arithmetic (Fig. 3):
 The adaptive consistency module -- combine the two with the application's
 tolerated stale-read rate and pick the level of upcoming reads (Section III)
 -- is :class:`repro.control.policies.HarmonyReadPolicy`, driven by a
-:class:`~repro.control.plane.ControlPlane`.  :mod:`repro.core.policy` wraps
-that loop (and the static baselines) in the uniform *consistency policy*
-interface the workload executor consumes.
+:class:`~repro.control.plane.ControlPlane`.  :mod:`repro.core.policy` names
+the policies of the paper's comparison (``HarmonyPolicy``, the static
+baselines, ...) as constructors of those control policies.
 """
 
 from repro.core.config import HarmonyConfig
 from repro.core.model import StaleReadModel, propagation_time
 from repro.core.monitor import ClusterMonitor, MonitoringSample
 from repro.core.policy import (
-    ConsistencyPolicy,
     HarmonyPolicy,
     SLAConsistencyPolicy,
     StaticEventualPolicy,
@@ -33,7 +32,6 @@ from repro.core.policy import (
 
 __all__ = [
     "ClusterMonitor",
-    "ConsistencyPolicy",
     "HarmonyConfig",
     "HarmonyPolicy",
     "MonitoringSample",

@@ -21,14 +21,19 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
+from repro.control.plane import LevelPolicy
+from repro.control.policies import RepairSchedulePolicy
+from repro.core.config import HarmonyConfig
 from repro.core.policy import (
-    ConsistencyPolicy,
     HarmonyPolicy,
+    SLAConsistencyPolicy,
     StaticEventualPolicy,
     StaticQuorumPolicy,
     StaticStrongPolicy,
+    ThresholdPolicy,
 )
 from repro.experiments.scenarios import Scenario
+from repro.geo.policy import GeoHarmonyPolicy, GeoHarmonyRWPolicy, StaticGeoPolicy
 from repro.staleness.auditor import StalenessAuditor
 from repro.workload.executor import RunMetrics, WorkloadExecutor
 from repro.workload.workloads import WorkloadConfig
@@ -67,6 +72,16 @@ class ExperimentConfig:
     n_nodes: Optional[int] = None
     monitoring_interval: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads!r}")
+        if self.n_nodes is not None and self.n_nodes < 1:
+            raise ValueError(f"n_nodes must be >= 1 when given, got {self.n_nodes!r}")
+        if self.monitoring_interval is not None and self.monitoring_interval <= 0:
+            raise ValueError(
+                f"monitoring_interval must be positive when given, got {self.monitoring_interval!r}"
+            )
+
 
 @dataclass
 class ExperimentResult:
@@ -78,9 +93,11 @@ class ExperimentResult:
     :class:`~repro.cluster.antientropy.AntiEntropyService` (whose stats hold
     the per-DC-pair repair traffic); the auditor is then a
     :class:`~repro.faults.timeline.FaultTimeline`, so results can be sliced
-    into before/during/after windows.  Scenarios with ``adaptive_repair``
-    also carry the run's :class:`~repro.control.plane.ControlPlane` (whose
-    ``decisions`` log every repair-interval move).
+    into before/during/after windows.  Every run carries its one
+    :class:`~repro.control.plane.ControlPlane` (the executor's), whose
+    ``decisions`` log every move of every policy registered on it -- the
+    level policy's and, on scenarios with ``adaptive_repair``, the repair
+    scheduler's.
     """
 
     config: ExperimentConfig
@@ -103,95 +120,92 @@ class ExperimentResult:
         return row
 
 
+def _stale_rate(spec: str) -> float:
+    """``"20%"`` -> 0.2; a bare number above 1 is a percentage too (``"20"``)."""
+    if spec.endswith("%"):
+        rate = float(spec[:-1]) / 100.0
+    else:
+        rate = float(spec)
+        if rate > 1.0:
+            rate /= 100.0
+    return rate
+
+
+#: Policy name (or ``"<family>-"`` prefix, applied to the rest of the name)
+#: -> constructor ``(spec, scenario, interval)``, where ``interval`` is
+#: ``{"monitoring_interval": x}`` when the caller overrides it and ``{}``
+#: otherwise -- both ``HarmonyConfig`` and the threshold / SLA constructors
+#: take it under that name.
+_POLICIES: Dict[str, Callable[[str, Scenario, Dict[str, float]], LevelPolicy]] = {
+    "eventual": lambda spec, scenario, interval: StaticEventualPolicy(),
+    "strong": lambda spec, scenario, interval: StaticStrongPolicy(),
+    "quorum": lambda spec, scenario, interval: StaticQuorumPolicy(),
+    "local_one": lambda spec, scenario, interval: StaticGeoPolicy(ConsistencyLevel.LOCAL_ONE),
+    "local_quorum": lambda spec, scenario, interval: StaticGeoPolicy(
+        ConsistencyLevel.LOCAL_QUORUM
+    ),
+    "each_quorum": lambda spec, scenario, interval: StaticGeoPolicy(
+        ConsistencyLevel.EACH_QUORUM
+    ),
+    "geo-harmony": lambda spec, scenario, interval: GeoHarmonyPolicy(
+        scenario.harmony_stale_rates_by_dc, HarmonyConfig(**interval)
+    ),
+    "geo-harmony-rw": lambda spec, scenario, interval: GeoHarmonyRWPolicy(
+        scenario.harmony_stale_rates_by_dc, HarmonyConfig(**interval)
+    ),
+    "harmony-": lambda spec, scenario, interval: HarmonyPolicy(
+        config=HarmonyConfig(tolerated_stale_rate=_stale_rate(spec), **interval)
+    ),
+    "threshold-": lambda spec, scenario, interval: ThresholdPolicy(float(spec), **interval),
+    "sla-": lambda spec, scenario, interval: SLAConsistencyPolicy(
+        float(spec.removesuffix("ms")) / 1000.0, **interval
+    ),
+}
+
+
 def make_policy(name: str, scenario: Scenario, *,
-                monitoring_interval: Optional[float] = None) -> ConsistencyPolicy:
-    """Build a policy object from its name.
+                monitoring_interval: Optional[float] = None) -> LevelPolicy:
+    """Build a level policy (the object the run's control plane ticks) from its name.
 
     Recognised names:
 
     * ``eventual`` -- static eventual consistency (level ONE);
     * ``strong`` -- static strong consistency (reads at ALL);
     * ``quorum`` -- static QUORUM reads and writes;
-    * ``harmony-<asr>`` -- Harmony with the given tolerated stale rate, e.g.
-      ``harmony-0.2`` or ``harmony-20%``;
+    * ``harmony-<asr>`` -- Harmony with the given tolerated stale rate: a
+      trailing ``%`` always means percent (``harmony-20%``, ``harmony-0.5%``),
+      a bare number is a rate up to 1 and a percentage above it
+      (``harmony-0.2`` and ``harmony-20`` are the same policy);
     * ``threshold-<x>`` -- write/read-ratio threshold baseline;
     * ``local_one`` / ``local_quorum`` / ``each_quorum`` -- static DC-aware
       levels (geo scenarios; writes at LOCAL_ONE);
-    * ``geo-harmony`` -- the per-datacenter adaptive controller, using the
+    * ``geo-harmony`` -- the per-datacenter adaptive loop, using the
       scenario's ``harmony_stale_rates_by_dc``;
     * ``geo-harmony-rw`` -- joint per-datacenter read *and* write
-      adaptation on the control plane (same ASR map); read-heavy sites
-      escalate writes instead of reads;
+      adaptation (same ASR map); read-heavy sites escalate writes instead
+      of reads;
     * ``sla-<ms>`` -- reads steered by a measured staleness SLA, e.g.
-      ``sla-50ms`` keeps 99.9% of reads at most 50 ms stale (the runner
-      injects the run's auditor).
-    """
-    from repro.core.config import HarmonyConfig
-    from repro.core.policy import SLAConsistencyPolicy, ThresholdPolicy
-    from repro.geo.policy import GeoHarmonyPolicy, GeoHarmonyRWPolicy, StaticGeoPolicy
+      ``sla-50ms`` keeps 99.9% of reads at most 50 ms stale (steering from
+      the auditor of the executor that runs it).
 
+    ``monitoring_interval`` overrides the tick period of the adaptive ones.
+    """
     lowered = name.lower()
-    if lowered == "eventual":
-        return StaticEventualPolicy()
-    if lowered == "strong":
-        return StaticStrongPolicy()
-    if lowered == "quorum":
-        return StaticQuorumPolicy()
-    if lowered in ("local_one", "local_quorum", "each_quorum"):
-        return StaticGeoPolicy(read=ConsistencyLevel(lowered.upper()))
-    if lowered == "geo-harmony":
-        config = (
-            HarmonyConfig(monitoring_interval=monitoring_interval)
-            if monitoring_interval is not None
-            else None
-        )
-        return GeoHarmonyPolicy(
-            tolerated_stale_rates=scenario.harmony_stale_rates_by_dc, config=config
-        )
-    if lowered == "geo-harmony-rw":
-        config = (
-            HarmonyConfig(monitoring_interval=monitoring_interval)
-            if monitoring_interval is not None
-            else None
-        )
-        return GeoHarmonyRWPolicy(
-            tolerated_stale_rates=scenario.harmony_stale_rates_by_dc, config=config
-        )
-    if lowered.startswith("harmony-"):
-        spec = lowered.split("-", 1)[1].rstrip("%")
-        asr = float(spec)
-        if asr > 1.0:
-            asr /= 100.0
-        kwargs = {"tolerated_stale_rate": asr}
-        if monitoring_interval is not None:
-            return HarmonyPolicy(
-                config=HarmonyConfig(
-                    tolerated_stale_rate=asr, monitoring_interval=monitoring_interval
-                )
-            )
-        return HarmonyPolicy(**kwargs)
-    if lowered.startswith("threshold-"):
-        threshold = float(lowered.split("-", 1)[1])
-        if monitoring_interval is not None:
-            return ThresholdPolicy(threshold=threshold, monitoring_interval=monitoring_interval)
-        return ThresholdPolicy(threshold=threshold)
-    if lowered.startswith("sla-"):
-        spec = lowered.split("-", 1)[1]
-        if spec.endswith("ms"):
-            spec = spec[:-2]
-        max_age = float(spec) / 1000.0
-        if monitoring_interval is not None:
-            return SLAConsistencyPolicy(
-                max_age=max_age, monitoring_interval=monitoring_interval
-            )
-        return SLAConsistencyPolicy(max_age=max_age)
-    raise ValueError(f"unknown policy name {name!r}")
+    build = _POLICIES.get(lowered)
+    spec = ""
+    if build is None:
+        family, _, spec = lowered.partition("-")
+        build = _POLICIES.get(family + "-") if spec else None
+    if build is None:
+        raise ValueError(f"unknown policy name {name!r}")
+    interval = {} if monitoring_interval is None else {"monitoring_interval": monitoring_interval}
+    return build(spec, scenario, interval)
 
 
 def run_experiment(
     scenario: Scenario,
     workload: WorkloadConfig,
-    policy: ConsistencyPolicy | str,
+    policy: LevelPolicy | str,
     threads: int,
     *,
     seed: int = 0,
@@ -211,8 +225,9 @@ def run_experiment(
     Parameters
     ----------
     scenario, workload, policy, threads, seed, n_nodes, monitoring_interval:
-        See :class:`ExperimentConfig`.  ``policy`` may be a policy object or
-        a policy name (see :func:`make_policy`).
+        See :class:`ExperimentConfig`.  ``policy`` may be a
+        :class:`~repro.control.plane.LevelPolicy` or a policy name (see
+        :func:`make_policy`).
     cluster_hook:
         Optional callable invoked with the freshly built cluster before the
         load phase -- used by the figure-4(b) latency sweep (to scale the
@@ -280,24 +295,26 @@ def run_experiment(
             retry_policy=retry_policy,
         )
     if isinstance(policy, str):
-        policy_obj = make_policy(policy, scenario, monitoring_interval=monitoring_interval)
-    else:
-        policy_obj = policy
+        policy = make_policy(policy, scenario, monitoring_interval=monitoring_interval)
     config = ExperimentConfig(
         scenario=scenario,
         workload=workload,
-        policy_name=getattr(policy_obj, "name", str(policy)),
+        policy_name=policy.label,
         threads=threads,
         seed=seed,
         n_nodes=n_nodes,
         monitoring_interval=monitoring_interval,
     )
+    if scenario.adaptive_repair is not None and scenario.anti_entropy is None:
+        raise ValueError(
+            f"scenario {scenario.name!r} sets adaptive_repair but no anti_entropy "
+            "config; the repair scheduler needs a repair service to steer"
+        )
     cluster = SimulatedCluster(scenario.cluster_config(seed=seed, n_nodes=n_nodes))
     if cluster_hook is not None:
         cluster_hook(cluster)
     if tracer is not None:
         tracer.attach_cluster(cluster)
-    recorder = None
     faulted = scenario.fault_schedule is not None
     if faulted:
         from repro.faults.timeline import FaultTimeline
@@ -306,84 +323,24 @@ def run_experiment(
         auditor.attach(cluster)
     else:
         auditor = StalenessAuditor()
-    if getattr(policy_obj, "needs_auditor", False):
-        # SLA policies close their loop on the auditor's measured staleness.
-        policy_obj.auditor = auditor
-    if scenario.adaptive_repair is not None and scenario.anti_entropy is None:
-        raise ValueError(
-            f"scenario {scenario.name!r} sets adaptive_repair but no anti_entropy "
-            "config; the repair scheduler needs a repair service to steer"
-        )
-    injector = None
-    service = None
-    plane = None
-    own_plane = False
-
-    def register_repair_policy() -> None:
-        """Put the repair scheduler on the run's single control plane.
-
-        Runs right after ``policy.attach(cluster)``: if the consistency
-        policy brought its own :class:`~repro.control.plane.ControlPlane`
-        (adaptive policies do), the repair policy is co-registered on it
-        -- one plane, one periodic driver, one decision log per run.  Only
-        static policies get a dedicated plane ticking at the repair base
-        cadence.
-        """
-        nonlocal plane, own_plane
-        from repro.control.plane import ControlPlane
-        from repro.control.policies import RepairSchedulePolicy
-
-        repair = RepairSchedulePolicy(service, scenario.adaptive_repair)
-        shared = getattr(policy_obj, "plane", None)
-        if shared is not None:
-            shared.add(repair)
-            plane = shared
-            own_plane = False
-        else:
-            # One control evaluation per base repair tick: the policy only
-            # acts on completed sessions, so a faster cadence would add
-            # ticks without adding information.
-            plane = ControlPlane(
-                cluster,
-                interval=scenario.anti_entropy.interval,
-                name="repair-control",
-            )
-            plane.add(repair)
-            plane.start()
-            own_plane = True
-
-    def on_policy_attached() -> None:
-        """Post-attach wiring that needs the policy's freshly built plane."""
-        if scenario.adaptive_repair is not None:
-            register_repair_policy()
-        target = plane
-        if target is None:
-            target = getattr(policy_obj, "plane", None)
-        if tracer is not None and target is not None:
-            tracer.attach_plane(target)
-        if recorder is not None:
-            recorder.plane = target
-
+    # Registers the policy on the run's one control plane: whatever it
+    # validates against the cluster fails here, before the load phase.
     executor = WorkloadExecutor(
         cluster,
         workload,
-        policy_obj,
+        policy,
         threads=threads,
         auditor=auditor,
         think_time=think_time,
         retry_policy=retry_policy,
         datacenters=list(datacenters) if datacenters is not None else None,
         tracer=tracer,
-        on_policy_attached=(
-            on_policy_attached
-            if (
-                scenario.adaptive_repair is not None
-                or tracer is not None
-                or series_interval is not None
-            )
-            else None
-        ),
     )
+    if tracer is not None:
+        tracer.attach_plane(executor.plane)
+    injector = None
+    service = None
+    recorder = None
     if faulted or scenario.anti_entropy is not None or series_interval is not None:
         # Load first so fault times, repair ticks and series samples are
         # relative to the start of the *measured* run, not the
@@ -402,6 +359,10 @@ def run_experiment(
             service = cluster.start_anti_entropy(scenario.anti_entropy)
             if tracer is not None:
                 tracer.attach_service(service)
+            if scenario.adaptive_repair is not None:
+                # After the level policy: an adaptive one sets the tick
+                # period, a static one leaves it to the repair base cadence.
+                executor.plane.add(RepairSchedulePolicy(service, scenario.adaptive_repair))
         if series_interval is not None:
             from repro.obs.export import RunSeriesRecorder
 
@@ -411,16 +372,13 @@ def run_experiment(
                 metrics=executor.metrics,
                 interval=series_interval,
             )
+            recorder.plane = executor.plane
             recorder.start()
     try:
         metrics = executor.run()
     finally:
-        # A shared plane is owned (and stopped) by the policy's detach();
-        # only a runner-built standalone plane is stopped here.
         if recorder is not None:
             recorder.stop()
-        if plane is not None and own_plane:
-            plane.stop()
         if service is not None:
             service.stop()
     return ExperimentResult(
@@ -429,7 +387,7 @@ def run_experiment(
         auditor=auditor,
         injector=injector,
         anti_entropy=service,
-        control_plane=plane,
+        control_plane=executor.plane,
         tracer=tracer,
         series=recorder,
     )

@@ -118,8 +118,8 @@ class Scenario:
     adaptive_repair:
         Optional :class:`~repro.control.policies.RepairControlConfig`; the
         runner then registers a
-        :class:`~repro.control.policies.RepairSchedulePolicy` on a control
-        plane, adapting each DC pair's repair interval to measured leaf-diff
+        :class:`~repro.control.policies.RepairSchedulePolicy` on the run's
+        control plane, adapting each DC pair's repair interval to measured leaf-diff
         divergence (requires ``anti_entropy``; its ``interval`` is the base
         tick and should equal ``adaptive_repair.min_interval``).
     description:

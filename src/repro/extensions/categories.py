@@ -14,14 +14,14 @@ appropriate consistency handling.  This module implements that idea:
   interpolated between a strict and a relaxed bound: write-hot categories get
   stricter tolerances because stale reads are both more likely and more
   consequential there;
-* :class:`CategorizedHarmonyPolicy` is a drop-in consistency policy that runs
-  one Harmony read loop but answers ``read_level_for(key)`` per category, so
-  cold archival keys keep reading at level ONE while hot, update-heavy keys
-  are read with larger partial quorums.
+* :class:`CategorizedHarmonyPolicy` is the Harmony read loop answering
+  ``level_for_key(key)`` per category, so cold archival keys keep
+  reading at level ONE while hot, update-heavy keys are read with larger
+  partial quorums.
 
-The workload executor consults plain policies through ``read_level()`` (no
-key); the categorized policy therefore also exposes the per-key API and a
-small adapter used by the category-aware example and tests.
+The workload executor asks level policies ``read_level(datacenter)`` (no
+key); the categorized policy answers that with its default tolerance and
+exposes the per-key method to the category-aware example and tests.
 """
 
 from __future__ import annotations
@@ -31,13 +31,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel, level_for_replicas
 from repro.cluster.coordinator import OperationResult
-from repro.control.plane import ControlPlane
 from repro.control.policies import HarmonyReadPolicy
 from repro.core.config import HarmonyConfig
-from repro.core.policy import ConsistencyPolicy
 
 __all__ = [
     "KeyAccessStats",
@@ -286,17 +283,17 @@ class ConsistencyCategorizer:
         ]
 
 
-class CategorizedHarmonyPolicy(ConsistencyPolicy):
+class CategorizedHarmonyPolicy(HarmonyReadPolicy):
     """Harmony with per-category tolerated stale-read rates.
 
-    One control plane monitors the cluster (rates, latency) exactly as in base
-    Harmony; the per-key decision then applies the *key's category* tolerance
-    to the shared estimate, so different data receives different consistency
-    levels under the same system conditions.
+    The one Harmony read loop monitors the cluster (rates, latency) exactly
+    as in base Harmony; the per-key decision then applies the *key's
+    category* tolerance to the loop's latest sample, so different data
+    receives different consistency levels under the same system conditions.
 
-    The plain ``read_level()`` (keyless) interface falls back to
-    ``default_asr``, keeping the policy usable by the standard executor; the
-    category-aware example drives the per-key API directly.
+    ``read_level(datacenter)`` -- what the standard executor asks -- answers
+    with ``default_asr``; the category-aware example drives
+    :meth:`level_for_key` directly.
     """
 
     def __init__(
@@ -307,49 +304,24 @@ class CategorizedHarmonyPolicy(ConsistencyPolicy):
         config: Optional[HarmonyConfig] = None,
         write: ConsistencyLevel = ConsistencyLevel.ONE,
     ) -> None:
-        super().__init__(read=ConsistencyLevel.ONE, write=write)
         if not 0.0 <= default_asr <= 1.0:
             raise ValueError("default_asr must be in [0, 1]")
+        super().__init__(config or HarmonyConfig(tolerated_stale_rate=default_asr), write=write)
         self.categorizer = categorizer
         self.default_asr = float(default_asr)
-        self.config = config or HarmonyConfig(tolerated_stale_rate=default_asr)
-        self.plane: Optional[ControlPlane] = None
-        self._read_policy: Optional[HarmonyReadPolicy] = None
-        self.name = "harmony-categorized"
-        self.per_category_levels: Dict[int, str] = {}
+        self.label = "harmony-categorized"
 
-    # -- executor interface ------------------------------------------------
-    def attach(self, cluster: SimulatedCluster) -> None:
-        self._read_policy = HarmonyReadPolicy(self.config)
-        self.plane = ControlPlane(cluster, self.config, name="harmony.tick")
-        self.plane.add(self._read_policy)
-        self.plane.start()
-
-    def detach(self) -> None:
-        if self.plane is not None:
-            self.plane.stop()
-
-    def read_level(self) -> ConsistencyLevel:
-        """Keyless fallback: the level for the default tolerance."""
+    def read_level(self, datacenter: Optional[str] = None) -> ConsistencyLevel:
+        """Keyless answer: the level for the default tolerance."""
         return self._level_for_asr(self.default_asr)
 
-    # -- per-key API ---------------------------------------------------------
-    def read_level_for(self, key: str) -> ConsistencyLevel:
+    def level_for_key(self, key: str) -> ConsistencyLevel:
         """The consistency level for a read of ``key`` under its category's ASR."""
         asr = self.categorizer.tolerated_stale_rate_for(key, default=self.default_asr)
-        level = self._level_for_asr(asr)
-        category = self.categorizer.category_of(key)
-        if category is not None:
-            self.per_category_levels[category.index] = level.value
-        return level
+        return self._level_for_asr(asr)
 
     def _level_for_asr(self, asr: float) -> ConsistencyLevel:
-        # The plane's log is shared (the runner co-registers the repair scheduler
-        # on it): take the read loop's own latest decision, not the last entry.
-        log = reversed(self.plane.decisions) if self.plane is not None else ()
-        latest = next((d for d in log if d.policy == HarmonyReadPolicy.name), None)
-        if latest is None:
+        if self.last_sample is None:
             return ConsistencyLevel.ONE
-        estimator = self._read_policy.estimator
-        _estimate, replicas = estimator.decide_replicas(latest.sample, asr)
-        return level_for_replicas(replicas, estimator.replication_factor())
+        _estimate, replicas = self.estimator.decide_replicas(self.last_sample, asr)
+        return level_for_replicas(replicas, self.estimator.replication_factor())

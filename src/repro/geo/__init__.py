@@ -17,8 +17,8 @@ datacenter awareness through the whole reproduction:
   instance per datacenter, so every site independently picks the replica
   involvement ``Xn`` that keeps its own stale-read estimate under its own
   tolerance, and maps it onto the local levels;
-* **workload** -- :class:`GeoHarmonyPolicy` plugs that control loop into
-  the workload executor, whose client threads can be pinned to datacenters.
+* **workload** -- :func:`GeoHarmonyPolicy` constructs that policy for the
+  workload executor, whose client threads can be pinned to datacenters.
 
 The WAN itself is modelled by per-DC-pair latency links on the topology
 (:meth:`repro.network.topology.TopologyBuilder.inter_dc_link`); the

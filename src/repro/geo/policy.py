@@ -1,31 +1,33 @@
-"""Geo-aware consistency policies for the workload executor.
+"""Geo-aware level policies, as constructors.
 
 The executor's client threads can be pinned to datacenters (see
-``WorkloadExecutor(datacenters=...)``); a *geo-aware* policy additionally
-implements ``read_level_for(datacenter)`` / ``write_level_for(datacenter)``,
-which pinned threads use instead of the site-agnostic ``read_level()`` /
-``write_level()``.
+``WorkloadExecutor(datacenters=...)``); every level policy answers
+``read_level(datacenter)`` / ``write_level(datacenter)``, and the one rule
+that resolves a datacenter to a level -- pinned to a replica-holding site,
+pinned to a replica-less one, unpinned -- is
+:func:`repro.control.plane.resolve_level`.  The classes live in
+:mod:`repro.control`; the names here build them with geo defaults:
 
-* :class:`GeoHarmonyPolicy` runs a
-  :class:`~repro.control.policies.GeoReadPolicy` on its own
-  :class:`~repro.control.plane.ControlPlane`: every site's reads follow
+* :func:`GeoHarmonyPolicy` -- a
+  :class:`~repro.control.policies.GeoReadPolicy`: every site's reads follow
   that site's own adaptive decision;
-* :class:`StaticGeoPolicy` issues every operation at one fixed DC-aware
-  level (``LOCAL_QUORUM``, ``EACH_QUORUM``, ...) -- the static baselines the
-  geo benchmark compares against.
+* :func:`GeoHarmonyRWPolicy` -- a
+  :class:`~repro.control.policies.GeoReadWritePolicy`: each site's reads
+  *and* writes follow the cost-optimal ``(X, W)`` pair that meets the
+  site's tolerated stale rate;
+* :func:`StaticGeoPolicy` -- every operation at one fixed DC-aware level
+  (``LOCAL_QUORUM``, ``EACH_QUORUM``, ...): the static baselines the geo
+  benchmark compares against.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Mapping, Optional
+from typing import Mapping, Optional
 
-from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
+from repro.control.plane import LevelPolicy, site_agnostic_level
+from repro.control.policies import GeoReadPolicy, GeoReadWritePolicy
 from repro.core.config import HarmonyConfig
-from repro.core.policy import ConsistencyPolicy
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.control.policies import GeoReadPolicy, GeoReadWritePolicy
 
 __all__ = [
     "GeoHarmonyPolicy",
@@ -34,270 +36,38 @@ __all__ = [
     "site_agnostic_level",
 ]
 
-#: LOCAL_* levels resolved for a client with no datacenter context.  An
-#: unpinned client may be routed to a coordinator in a datacenter holding no
-#: replicas, where LOCAL_* is unsatisfiable (``UnavailableException``), so
-#: "local" degrades to the corresponding global level.
-_SITE_AGNOSTIC = {
-    ConsistencyLevel.LOCAL_ONE: ConsistencyLevel.ONE,
-    ConsistencyLevel.LOCAL_QUORUM: ConsistencyLevel.QUORUM,
-}
+
+def StaticGeoPolicy(
+    read: ConsistencyLevel = ConsistencyLevel.LOCAL_QUORUM,
+    write: ConsistencyLevel = ConsistencyLevel.LOCAL_ONE,
+) -> LevelPolicy:
+    """Fixed (possibly DC-aware) read/write levels for every datacenter."""
+    return LevelPolicy(read, write, name=f"static-geo({read.value}/{write.value})")
 
 
-def site_agnostic_level(level: ConsistencyLevel) -> ConsistencyLevel:
-    """A level safe at any coordinator, for clients not pinned to a site.
+def GeoHarmonyPolicy(
+    tolerated_stale_rates: Optional[Mapping[str, float]] = None,
+    config: Optional[HarmonyConfig] = None,
+    write: ConsistencyLevel = ConsistencyLevel.LOCAL_ONE,
+) -> GeoReadPolicy:
+    """Per-datacenter adaptive reads: one stale-read model instance per site.
 
-    ``LOCAL_ONE``/``LOCAL_QUORUM`` become ``ONE``/``QUORUM``; every other
-    level (including ``EACH_QUORUM``, which needs no *local* replicas) is
-    already coordinator-agnostic and passes through.
+    ``tolerated_stale_rates`` overrides the ASR per datacenter (sites
+    without an entry use ``config.tolerated_stale_rate``); writes stay at
+    ``write`` (``LOCAL_ONE``: acknowledge on one local replica, replicate
+    across the WAN asynchronously).
     """
-    return _SITE_AGNOSTIC.get(level, level)
+    return GeoReadPolicy(config, tolerated_stale_rates, write=write)
 
 
-class StaticGeoPolicy(ConsistencyPolicy):
-    """Fixed (possibly DC-aware) read/write levels for every datacenter.
+def GeoHarmonyRWPolicy(
+    tolerated_stale_rates: Optional[Mapping[str, float]] = None,
+    config: Optional[HarmonyConfig] = None,
+) -> GeoReadWritePolicy:
+    """Joint per-datacenter read *and* write adaptation.
 
-    The base :class:`~repro.core.policy.ConsistencyPolicy` already carries a
-    fixed read/write pair; this subclass adds the per-DC lookup methods
-    pinned client threads call (returning the same fixed pair for every
-    site) and degrades LOCAL_* to the global equivalents for unpinned
-    clients, whose coordinator may sit in a replica-less datacenter.
+    Read-heavy sites push the consistency burden onto their rare writes
+    (reads stay at ``LOCAL_ONE``); write-heavy sites keep the paper's
+    read-led behaviour.
     """
-
-    def __init__(
-        self,
-        read: ConsistencyLevel = ConsistencyLevel.LOCAL_QUORUM,
-        write: ConsistencyLevel = ConsistencyLevel.LOCAL_ONE,
-    ) -> None:
-        super().__init__(read=read, write=write)
-        self.name = f"static-geo({read.value}/{write.value})"
-        self._replica_factors: Dict[str, int] = {}
-
-    def attach(self, cluster: SimulatedCluster) -> None:
-        # Remember which sites hold replicas, so clients pinned to a
-        # replica-less datacenter degrade LOCAL_* instead of hitting an
-        # UnavailableException on their first operation.
-        self._replica_factors = cluster.replication_factors or {}
-
-    def _resolve(self, level: ConsistencyLevel, datacenter: str) -> ConsistencyLevel:
-        if self._replica_factors and self._replica_factors.get(datacenter, 0) < 1:
-            return site_agnostic_level(level)
-        return level
-
-    def read_level(self) -> ConsistencyLevel:
-        return site_agnostic_level(self._read)
-
-    def write_level(self) -> ConsistencyLevel:
-        return site_agnostic_level(self._write)
-
-    def read_level_for(self, datacenter: str) -> ConsistencyLevel:
-        return self._resolve(self._read, datacenter)
-
-    def write_level_for(self, datacenter: str) -> ConsistencyLevel:
-        return self._resolve(self._write, datacenter)
-
-
-class GeoHarmonyPolicy(ConsistencyPolicy):
-    """Per-datacenter adaptive reads on the control plane.
-
-    Wraps a :class:`~repro.control.policies.GeoReadPolicy` on its own
-    :class:`~repro.control.plane.ControlPlane`: one stale-read model
-    instance per datacenter, so every site independently picks the replica
-    involvement that keeps its own stale-read estimate under its own
-    tolerance, and maps it onto the local levels.
-
-    Parameters
-    ----------
-    tolerated_stale_rates:
-        Per-datacenter ASR overrides (sites without an entry use
-        ``config.tolerated_stale_rate``).
-    config:
-        Shared Harmony configuration; a default one is built if omitted.
-    write:
-        Write consistency level (``LOCAL_ONE`` by default: acknowledge on
-        one local replica, replicate across the WAN asynchronously --
-        the geo analogue of the paper's writes-at-ONE setup).
-    """
-
-    def __init__(
-        self,
-        tolerated_stale_rates: Optional[Mapping[str, float]] = None,
-        config: Optional[HarmonyConfig] = None,
-        write: ConsistencyLevel = ConsistencyLevel.LOCAL_ONE,
-    ) -> None:
-        super().__init__(read=ConsistencyLevel.LOCAL_ONE, write=write)
-        self.config = config or HarmonyConfig()
-        self.tolerated_stale_rates: Dict[str, float] = dict(tolerated_stale_rates or {})
-        self.plane = None
-        self.control: Optional["GeoReadPolicy"] = None
-        if self.tolerated_stale_rates:
-            rates = "/".join(
-                f"{dc}:{int(round(asr * 100))}%"
-                for dc, asr in sorted(self.tolerated_stale_rates.items())
-            )
-        else:
-            rates = f"{int(round(self.config.tolerated_stale_rate * 100))}%"
-        self.name = f"geo-harmony-{rates}"
-
-    # -- executor interface -------------------------------------------------
-    def attach(self, cluster: SimulatedCluster) -> None:
-        from repro.control.plane import ControlPlane
-        from repro.control.policies import GeoReadPolicy
-
-        self.plane = ControlPlane(cluster, self.config, name="geo_harmony.tick")
-        self.control = GeoReadPolicy(
-            self.config, tolerated_stale_rates=self.tolerated_stale_rates
-        )
-        self.plane.add(self.control)
-        self.plane.start()
-
-    def detach(self) -> None:
-        if self.plane is not None:
-            self.plane.stop()
-
-    #: Blocking strength used to pick a site-agnostic level for unpinned
-    #: clients: the strictest current per-site decision.
-    _STRICTNESS = {
-        ConsistencyLevel.ONE: 0,
-        ConsistencyLevel.LOCAL_ONE: 0,
-        ConsistencyLevel.LOCAL_QUORUM: 1,
-        ConsistencyLevel.EACH_QUORUM: 2,
-        ConsistencyLevel.ALL: 3,
-    }
-
-    def read_level(self) -> ConsistencyLevel:
-        """Site-agnostic read level for clients not pinned to a datacenter.
-
-        An unpinned client has no "local" site to consult, so it gets the
-        *strictest* level any site currently demands -- conservative, and
-        it keeps the adaptive loop live instead of silently degrading to a
-        static level.  LOCAL_* decisions are degraded to their global
-        equivalents because the client's coordinator may sit in a
-        datacenter holding no replicas, where LOCAL_* is unsatisfiable.
-        """
-        if self.control is None:
-            return ConsistencyLevel.ONE
-        strictest = max(
-            (self.control.current_level[dc] for dc in self.control.models),
-            key=lambda level: self._STRICTNESS.get(level, 0),
-        )
-        return site_agnostic_level(strictest)
-
-    def write_level(self) -> ConsistencyLevel:
-        """Site-agnostic write level (LOCAL_* degrade to global levels)."""
-        return site_agnostic_level(super().write_level())
-
-    def read_level_for(self, datacenter: str) -> ConsistencyLevel:
-        """The adaptive read level of one site (LOCAL_ONE before attach)."""
-        if self.control is None:
-            return ConsistencyLevel.LOCAL_ONE
-        return self.control.current_level[datacenter]
-
-    def write_level_for(self, datacenter: str) -> ConsistencyLevel:
-        # Mirror the read-side fallback: a site holding no replicas cannot
-        # satisfy LOCAL_* levels, so its pinned clients write at the global
-        # equivalent.
-        if self.control is not None and datacenter not in self.control.models:
-            return site_agnostic_level(self._write)
-        return self._write
-
-    def describe(self) -> str:
-        return f"{self.name}(interval={self.config.monitoring_interval}s)"
-
-
-class GeoHarmonyRWPolicy(ConsistencyPolicy):
-    """Joint per-datacenter read *and* write adaptation on the control plane.
-
-    Wraps a :class:`~repro.control.policies.GeoReadWritePolicy` on its own
-    :class:`~repro.control.plane.ControlPlane`: each site's reads *and*
-    writes follow the cost-optimal ``(X, W)`` pair that meets the site's
-    tolerated stale rate -- read-heavy sites push the consistency burden
-    onto their rare writes (reads stay at ``LOCAL_ONE``), write-heavy sites
-    keep the paper's read-led behaviour.
-
-    Parameters
-    ----------
-    tolerated_stale_rates:
-        Per-datacenter ASR overrides (sites without an entry use
-        ``config.tolerated_stale_rate``).
-    config:
-        Shared Harmony configuration; a default one is built if omitted.
-    """
-
-    def __init__(
-        self,
-        tolerated_stale_rates: Optional[Mapping[str, float]] = None,
-        config: Optional[HarmonyConfig] = None,
-    ) -> None:
-        super().__init__(read=ConsistencyLevel.LOCAL_ONE, write=ConsistencyLevel.LOCAL_ONE)
-        self.config = config or HarmonyConfig()
-        self.tolerated_stale_rates: Dict[str, float] = dict(tolerated_stale_rates or {})
-        self.plane = None
-        self.control: Optional["GeoReadWritePolicy"] = None
-        if self.tolerated_stale_rates:
-            rates = "/".join(
-                f"{dc}:{int(round(asr * 100))}%"
-                for dc, asr in sorted(self.tolerated_stale_rates.items())
-            )
-        else:
-            rates = f"{int(round(self.config.tolerated_stale_rate * 100))}%"
-        self.name = f"geo-harmony-rw-{rates}"
-
-    # -- executor interface -------------------------------------------------
-    def attach(self, cluster: SimulatedCluster) -> None:
-        from repro.control.plane import ControlPlane
-        from repro.control.policies import GeoReadWritePolicy
-
-        self.plane = ControlPlane(cluster, self.config, name="geo_harmony_rw.tick")
-        self.control = GeoReadWritePolicy(
-            self.config, tolerated_stale_rates=self.tolerated_stale_rates
-        )
-        self.plane.add(self.control)
-        self.plane.start()
-
-    def detach(self) -> None:
-        if self.plane is not None:
-            self.plane.stop()
-
-    # -- unpinned clients ---------------------------------------------------
-    _STRICTNESS = GeoHarmonyPolicy._STRICTNESS
-
-    def read_level(self) -> ConsistencyLevel:
-        """Site-agnostic read level: the strictest current per-site decision."""
-        if self.control is None:
-            return ConsistencyLevel.ONE
-        strictest = max(
-            (self.control.current_level[dc] for dc in self.control.models),
-            key=lambda level: self._STRICTNESS.get(level, 0),
-        )
-        return site_agnostic_level(strictest)
-
-    def write_level(self) -> ConsistencyLevel:
-        """Site-agnostic write level: the strictest current per-site decision."""
-        if self.control is None:
-            return ConsistencyLevel.ONE
-        strictest = max(
-            (self.control.current_write_level[dc] for dc in self.control.models),
-            key=lambda level: self._STRICTNESS.get(level, 0),
-        )
-        return site_agnostic_level(strictest)
-
-    # -- pinned clients -----------------------------------------------------
-    def read_level_for(self, datacenter: str) -> ConsistencyLevel:
-        if self.control is None:
-            return ConsistencyLevel.LOCAL_ONE
-        if datacenter not in self.control.models:
-            return site_agnostic_level(self.control.current_level.get(datacenter, self._read))
-        return self.control.current_level[datacenter]
-
-    def write_level_for(self, datacenter: str) -> ConsistencyLevel:
-        if self.control is None:
-            return ConsistencyLevel.LOCAL_ONE
-        if datacenter not in self.control.models:
-            return site_agnostic_level(
-                self.control.current_write_level.get(datacenter, self._write)
-            )
-        return self.control.current_write_level[datacenter]
-
-    def describe(self) -> str:
-        return f"{self.name}(interval={self.config.monitoring_interval}s)"
+    return GeoReadWritePolicy(config, tolerated_stale_rates)

@@ -69,9 +69,8 @@ class RunSeriesRecorder:
         self.cluster = cluster
         self.auditor = auditor
         self.metrics = metrics
-        #: Control plane whose decision count is sampled; assigned after
-        #: construction because adaptive policies build their plane inside
-        #: ``policy.attach`` (the runner wires this up).
+        #: Control plane whose decision count is sampled (the runner assigns
+        #: the executor's).
         self.plane = None
         self.interval = float(interval)
         self.series: Dict[str, TimeSeries] = {

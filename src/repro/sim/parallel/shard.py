@@ -206,8 +206,6 @@ class ShardRuntime:
         self._out_seq = 0
         self.cluster.fabric.set_remote_sink(self.owned, self._sink)
         self.auditor = StalenessAuditor()
-        if getattr(policy, "needs_auditor", False):
-            policy.auditor = self.auditor
         self.executor = WorkloadExecutor(
             self.cluster,
             workload_config,

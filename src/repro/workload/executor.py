@@ -6,20 +6,26 @@ closed-loop client threads that draw operations from a shared budget, and
 collects the metrics the paper's figures report (latency histograms split by
 operation type, overall throughput, staleness counts via the auditor).
 
-Consistency decisions are delegated to a *policy* object (see
-:mod:`repro.core.policy`); the executor itself is policy-agnostic so the same
-code path produces the eventual-consistency, strong-consistency and Harmony
-series of every figure.
+Consistency decisions are delegated to a
+:class:`~repro.control.plane.LevelPolicy`; the executor itself is
+policy-agnostic so the same code path produces the eventual-consistency,
+strong-consistency and Harmony series of every figure.  The executor owns
+the run's one :class:`~repro.control.plane.ControlPlane`: the level policy
+is registered on it at construction, further control policies (repair
+scheduling, scale-out) are ``executor.plane.add(...)``-ed beside it, and the
+plane runs exactly as long as the run phase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol
+from functools import partial
+from typing import Callable, Dict, List, Optional
 
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
 from repro.cluster.coordinator import OperationResult
+from repro.control.plane import ControlPlane, LevelPolicy
 from repro.control.retry import RetryPolicy
 from repro.metrics.counters import OperationCounters, StalenessSummary, ThroughputMeter
 from repro.metrics.histogram import LatencyHistogram
@@ -27,29 +33,7 @@ from repro.metrics.series import TimeSeries
 from repro.workload.client import ClientThread, CompletionBatch
 from repro.workload.workloads import CoreWorkload, Operation, OperationType, WorkloadConfig
 
-__all__ = ["RunMetrics", "WorkloadExecutor", "ConsistencyPolicyProtocol"]
-
-
-class ConsistencyPolicyProtocol(Protocol):
-    """What the executor needs from a consistency policy.
-
-    Implementations live in :mod:`repro.core.policy`; the protocol keeps the
-    workload package free of a dependency on the Harmony core.
-    """
-
-    name: str
-
-    def read_level(self) -> ConsistencyLevel:  # pragma: no cover - protocol
-        ...
-
-    def write_level(self) -> ConsistencyLevel:  # pragma: no cover - protocol
-        ...
-
-    def attach(self, cluster: SimulatedCluster) -> None:  # pragma: no cover - protocol
-        ...
-
-    def detach(self) -> None:  # pragma: no cover - protocol
-        ...
+__all__ = ["RunMetrics", "WorkloadExecutor"]
 
 
 @dataclass
@@ -84,8 +68,8 @@ class RunMetrics:
         metered consistency cost of riding out Unavailable rejections.
     control_decisions:
         ``"policy.kind"`` -> decision count of the run's control plane
-        (empty for static policies) -- shows the adaptive loop actually
-        moving knobs.
+        (empty when nothing on it decided anything) -- shows the adaptive
+        loops actually moving knobs.
     staleness_stats / staleness_stats_by_dc:
         Quantitative staleness aggregates
         (:class:`~repro.staleness.stats.StalenessStats`: t-visibility,
@@ -156,7 +140,11 @@ class WorkloadExecutor:
     workload_config:
         The workload definition (mix, record count, operation count).
     policy:
-        Consistency policy consulted for every read/write level.
+        The :class:`~repro.control.plane.LevelPolicy` consulted for every
+        read/write level.  It is registered on the executor's control plane
+        here, so whatever it validates against the cluster (unknown
+        datacenter, missing per-DC replication factors, no auditor) fails
+        before the load phase.
     threads:
         Number of closed-loop client threads.
     auditor:
@@ -178,9 +166,9 @@ class WorkloadExecutor:
         Optional list of datacenter names to pin client threads to
         (round-robin): thread ``i`` contacts only coordinators of
         ``datacenters[i % len(datacenters)]``, modelling one client fleet
-        per site.  Pinned threads consult ``policy.read_level_for(dc)`` /
-        ``policy.write_level_for(dc)`` when the policy provides them (geo
-        policies do), falling back to the site-agnostic levels otherwise.
+        per site.  Thread ``i`` asks ``policy.read_level(dc)`` /
+        ``policy.write_level(dc)`` with its datacenter (``None`` when
+        unpinned).
     """
 
     #: Write payloads use the workload's record size; the load phase uses
@@ -192,7 +180,7 @@ class WorkloadExecutor:
         self,
         cluster: SimulatedCluster,
         workload_config: WorkloadConfig,
-        policy: ConsistencyPolicyProtocol,
+        policy: LevelPolicy,
         threads: int = 1,
         *,
         auditor: Optional[object] = None,
@@ -200,7 +188,6 @@ class WorkloadExecutor:
         retry_policy: Optional[RetryPolicy] = None,
         max_virtual_time: float = 3600.0,
         datacenters: Optional[List[str]] = None,
-        on_policy_attached: Optional[Callable[[], None]] = None,
         tracer: Optional[object] = None,
     ) -> None:
         if threads < 1:
@@ -217,11 +204,6 @@ class WorkloadExecutor:
         self.think_time = float(think_time)
         self.retry_policy = retry_policy
         self.max_virtual_time = float(max_virtual_time)
-        #: Invoked once per run, right after ``policy.attach(cluster)`` --
-        #: the experiment runner uses it to co-register further control
-        #: policies (e.g. the repair scheduler) on the plane the consistency
-        #: policy just built, instead of spinning up a second plane.
-        self.on_policy_attached = on_policy_attached
         if datacenters is not None:
             known = set(cluster.datacenter_names)
             unknown = [dc for dc in datacenters if dc not in known]
@@ -230,12 +212,17 @@ class WorkloadExecutor:
             if not datacenters:
                 raise ValueError("datacenters must not be empty when given")
         self.datacenters = list(datacenters) if datacenters is not None else None
+        #: The run's one control plane: started by :meth:`begin_run`, stopped
+        #: by :meth:`finalize_run`; its monitor uses the policy's tunables.
+        self.plane = ControlPlane(cluster, policy.config)
+        self.plane.auditor = auditor
+        self.plane.add(policy)
         self.workload = CoreWorkload(
             workload_config, cluster.streams.stream(f"workload.{workload_config.name}")
         )
         self._remaining = workload_config.operation_count
         self.metrics = RunMetrics(
-            policy_name=getattr(policy, "name", type(policy).__name__),
+            policy_name=policy.label,
             workload_name=workload_config.name,
             threads=self.threads,
         )
@@ -296,16 +283,14 @@ class WorkloadExecutor:
     def begin_run(
         self, on_all_finished: Optional[Callable[[], None]] = None
     ) -> List[ClientThread]:
-        """Attach the policy and start every client; do not drive the engine.
+        """Start the control plane and every client; do not drive the engine.
 
         ``on_all_finished`` fires when the last client finishes; the default
         stops the engine's run loop (what :meth:`run` wants).  The sharded
         engine passes its own callback because its shard must keep serving
         remote replica traffic after the local clients are done.
         """
-        self.policy.attach(self.cluster)
-        if self.on_policy_attached is not None:
-            self.on_policy_attached()
+        self.plane.start()
         engine = self.cluster.engine
         start_time = engine.now
         self._start_time = start_time
@@ -319,8 +304,8 @@ class WorkloadExecutor:
                 thread_id=i,
                 cluster=self.cluster,
                 workload=self.workload,
-                read_level_provider=self._read_level_provider(self._thread_datacenter(i)),
-                write_level_provider=self._write_level_provider(self._thread_datacenter(i)),
+                read_level_provider=self._level_provider(self.policy.read_level, i),
+                write_level_provider=self._level_provider(self.policy.write_level, i),
                 take_budget=self._take_budget,
                 on_result=self._on_result,
                 on_issue=self._on_issue,
@@ -360,19 +345,14 @@ class WorkloadExecutor:
             client.stop()
 
     def finalize_run(self) -> RunMetrics:
-        """Close the measurement window and capture policy/auditor state."""
+        """Close the measurement window and capture plane/auditor state."""
         engine = self.cluster.engine
         end_time = engine.now
         self.metrics.throughput.stop(end_time)
         self.metrics.duration = end_time - self._start_time
-        # Capture the controller's estimate trace, if the policy kept one.
-        series = getattr(self.policy, "estimate_series", None)
-        if series is not None:
-            self.metrics.estimate_series = series
-        # Capture the control plane's decision counters, if the policy ran one.
-        counts = getattr(self.policy, "decision_counts", None)
-        if counts:
-            self.metrics.control_decisions = dict(counts)
+        self.plane.stop()
+        self.metrics.estimate_series = self.plane.estimate_series
+        self.metrics.control_decisions = self.plane.decision_counts
         # Capture the auditor's quantitative staleness aggregates, if any.
         stats = getattr(self.auditor, "stats", None)
         if stats is not None:
@@ -380,7 +360,6 @@ class WorkloadExecutor:
             self.metrics.staleness_stats_by_dc = dict(
                 getattr(self.auditor, "stats_by_dc", {}) or {}
             )
-        self.policy.detach()
         return self.metrics
 
     def run(self) -> RunMetrics:
@@ -421,23 +400,12 @@ class WorkloadExecutor:
             return None
         return self.datacenters[thread_id % len(self.datacenters)]
 
-    def _read_level_provider(self, datacenter: Optional[str]) -> Callable[[], ConsistencyLevel]:
-        per_dc = getattr(self.policy, "read_level_for", None)
-        if datacenter is not None and callable(per_dc):
-            return lambda: per_dc(datacenter)
-        return self._read_level
-
-    def _write_level_provider(self, datacenter: Optional[str]) -> Callable[[], ConsistencyLevel]:
-        per_dc = getattr(self.policy, "write_level_for", None)
-        if datacenter is not None and callable(per_dc):
-            return lambda: per_dc(datacenter)
-        return self._write_level
-
-    def _read_level(self) -> ConsistencyLevel:
-        return self.policy.read_level()
-
-    def _write_level(self) -> ConsistencyLevel:
-        return self.policy.write_level()
+    def _level_provider(
+        self, level_of: Callable[..., ConsistencyLevel], thread_id: int
+    ) -> Callable[[], ConsistencyLevel]:
+        """The policy's bound method itself, closed over a pinned thread's site."""
+        datacenter = self._thread_datacenter(thread_id)
+        return level_of if datacenter is None else partial(level_of, datacenter)
 
     def _on_issue(self, operation: Operation) -> None:
         if self.auditor is not None and not operation.op_type.is_write:

@@ -6,7 +6,15 @@ from typing import List
 
 import pytest
 
-from repro.control.plane import ControlPlane, ControlPolicy, ControlTick, Decision
+from repro.cluster.consistency import ConsistencyLevel as CL
+from repro.control.plane import (
+    ControlPlane,
+    ControlPolicy,
+    ControlTick,
+    Decision,
+    LevelPolicy,
+    resolve_level,
+)
 from repro.core.config import HarmonyConfig
 
 
@@ -114,14 +122,70 @@ class TestDecisionAccounting:
 
 
 class TestLegacyControllersShareTheSpine:
-    """The workload-facing wrappers must drive the very same plane machinery."""
+    """The workload-facing names construct the very policies a plane ticks."""
 
     def test_geo_policy_runs_on_a_plane(self, geo_cluster):
         from repro.geo import GeoHarmonyPolicy
 
-        policy = GeoHarmonyPolicy(config=HarmonyConfig(monitoring_interval=0.1))
-        policy.attach(geo_cluster)
+        plane = ControlPlane(geo_cluster)
+        plane.add(GeoHarmonyPolicy(config=HarmonyConfig(monitoring_interval=0.1)))
+        plane.start()
         geo_cluster.engine.run_until(0.25)
-        policy.detach()
-        assert policy.plane.decision_counts == {"geo-harmony.read_level": 6}
-        assert len(policy.plane.decisions) == 6
+        plane.stop()
+        assert plane.decision_counts == {"geo-harmony.read_level": 6}
+        assert len(plane.decisions) == 6
+
+
+class TestInterval:
+    """Explicit period, else the given config's, else the first a policy declares."""
+
+    def test_explicit_interval_wins(self, plain_cluster):
+        plane = ControlPlane(plain_cluster, HarmonyConfig(monitoring_interval=0.1), interval=2.0)
+        plane.add(CountingPolicy("p")).interval = 0.3
+        assert plane.interval == 2.0
+
+    def test_first_declaring_policy_sets_it(self, plain_cluster):
+        plane = ControlPlane(plain_cluster)
+        plane.add(LevelPolicy())  # static: declares none
+        assert plane.interval is None
+        plane.add(CountingPolicy("a")).interval = 0.3
+        plane.add(CountingPolicy("b")).interval = 0.7
+        assert plane.interval == 0.3
+        plane.start()
+        plain_cluster.engine.run_until(1.0)
+        plane.stop()
+        assert plane.stats.ticks == 3
+
+    def test_non_positive_interval_rejected(self, plain_cluster):
+        with pytest.raises(ValueError, match="positive"):
+            ControlPlane(plain_cluster, interval=0.0)
+
+
+class TestResolveLevel:
+    """The one datacenter -> level rule (pinned / pinned replica-less / unpinned)."""
+
+    SITES = ("alpha", "beta")  # gamma holds no replicas
+    DECIDED = {"alpha": CL.LOCAL_QUORUM, "beta": CL.LOCAL_ONE, "gamma": CL.ONE}
+
+    def test_pinned_to_a_replica_holding_site_gets_that_sites_level(self):
+        assert resolve_level(self.DECIDED, CL.LOCAL_ONE, self.SITES, "alpha") is CL.LOCAL_QUORUM
+        assert resolve_level({}, CL.LOCAL_QUORUM, self.SITES, "beta") is CL.LOCAL_QUORUM
+
+    def test_pinned_to_a_replica_less_site_degrades_local_levels(self):
+        assert resolve_level({}, CL.LOCAL_QUORUM, self.SITES, "gamma") is CL.QUORUM
+        assert resolve_level(self.DECIDED, CL.LOCAL_ONE, self.SITES, "gamma") is CL.ONE
+        assert resolve_level({}, CL.EACH_QUORUM, self.SITES, "gamma") is CL.EACH_QUORUM
+
+    def test_unpinned_gets_the_strictest_site_decision_degraded(self):
+        assert resolve_level(self.DECIDED, CL.LOCAL_ONE, self.SITES, None) is CL.QUORUM
+        assert resolve_level({**self.DECIDED, "beta": CL.ALL}, CL.LOCAL_ONE, self.SITES, None) is CL.ALL
+        assert resolve_level({}, CL.LOCAL_ONE, self.SITES, None) is CL.ONE
+
+    def test_without_per_dc_factors_every_site_holds_replicas(self):
+        assert resolve_level({}, CL.LOCAL_QUORUM, None, "anywhere") is CL.LOCAL_QUORUM
+
+    def test_a_bound_static_policy_applies_it(self, geo_cluster):
+        policy = ControlPlane(geo_cluster).add(LevelPolicy(CL.LOCAL_QUORUM, CL.LOCAL_ONE))
+        assert policy.replica_sites == ("alpha", "beta", "gamma")
+        assert policy.read_level("alpha") is CL.LOCAL_QUORUM
+        assert (policy.read_level(), policy.write_level()) == (CL.QUORUM, CL.ONE)

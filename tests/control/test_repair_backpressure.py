@@ -39,7 +39,7 @@ def wan_cluster(seed: int = 3, *, capacity: float = 20_000.0) -> SimulatedCluste
 
 def throttled_policy(cluster, *, budget: float, pace: float = 0.5, interval: float = 1.0):
     service = cluster.start_anti_entropy(AntiEntropyConfig(interval=interval, depth=5))
-    plane = ControlPlane(cluster, interval=interval, name="repair-control")
+    plane = ControlPlane(cluster, interval=interval)
     policy = plane.add(
         RepairSchedulePolicy(
             service,
@@ -94,7 +94,7 @@ class TestBind:
     def test_no_budget_means_no_throttle(self):
         cluster = wan_cluster()
         service = cluster.start_anti_entropy(AntiEntropyConfig(interval=1.0, depth=5))
-        plane = ControlPlane(cluster, interval=1.0, name="repair-control")
+        plane = ControlPlane(cluster, interval=1.0)
         plane.add(
             RepairSchedulePolicy(
                 service, RepairControlConfig(min_interval=1.0, max_interval=8.0)

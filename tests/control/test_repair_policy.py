@@ -34,7 +34,7 @@ PAIR = ("dc1", "dc2")
 
 def controlled_service(cluster, *, interval=1.0, config=None):
     service = cluster.start_anti_entropy(AntiEntropyConfig(interval=interval, depth=5))
-    plane = ControlPlane(cluster, interval=interval, name="repair-control")
+    plane = ControlPlane(cluster, interval=interval)
     policy = plane.add(
         RepairSchedulePolicy(
             service,

@@ -51,7 +51,7 @@ class TestSearch:
         policy = bound_policy(geo_cluster, asr=0.1)
         sample = make_sample(400.0, 300.0, 0.006, datacenter="alpha")
         x, w = policy.search("alpha", sample)
-        estimator = policy._read.estimator
+        estimator = policy.estimator
         assert (
             estimator.stale_probability_rw(sample, read_replicas=x, write_replicas=w, scope="alpha")
             <= 0.1
@@ -94,12 +94,14 @@ class TestExecutorPolicyWrapper:
         from repro.geo.policy import GeoHarmonyRWPolicy
 
         policy = GeoHarmonyRWPolicy(config=HarmonyConfig(monitoring_interval=0.05))
-        assert policy.read_level_for("alpha") is ConsistencyLevel.LOCAL_ONE
-        assert policy.write_level_for("alpha") is ConsistencyLevel.LOCAL_ONE
-        policy.attach(geo_cluster)
+        assert policy.read_level("alpha") is ConsistencyLevel.LOCAL_ONE
+        assert policy.write_level("alpha") is ConsistencyLevel.LOCAL_ONE
+        plane = ControlPlane(geo_cluster)
+        plane.add(policy)
+        plane.start()
         geo_cluster.engine.run_until(0.2)
-        assert policy.decision_counts["geo-harmony-rw.read_level"] >= 3
-        assert policy.decision_counts["geo-harmony-rw.write_level"] >= 3
+        assert plane.decision_counts["geo-harmony-rw.read_level"] >= 3
+        assert plane.decision_counts["geo-harmony-rw.write_level"] >= 3
         # Unpinned clients must never receive LOCAL_* levels.
         assert not policy.read_level().is_datacenter_aware or (
             policy.read_level() is ConsistencyLevel.EACH_QUORUM
@@ -107,7 +109,7 @@ class TestExecutorPolicyWrapper:
         assert not policy.write_level().is_datacenter_aware or (
             policy.write_level() is ConsistencyLevel.EACH_QUORUM
         )
-        policy.detach()
+        plane.stop()
 
     def test_make_policy_builds_rw_from_scenario(self):
         from repro.experiments.runner import make_policy
@@ -115,4 +117,4 @@ class TestExecutorPolicyWrapper:
 
         policy = make_policy("geo-harmony-rw", GRID5000_3SITES)
         assert policy.tolerated_stale_rates == GRID5000_3SITES.harmony_stale_rates_by_dc
-        assert policy.name.startswith("geo-harmony-rw-")
+        assert policy.label.startswith("geo-harmony-rw-") and policy.name == "geo-harmony-rw"

@@ -32,7 +32,7 @@ def make_cluster(rf=3, n_nodes=6) -> SimulatedCluster:
 
 def make_policy(cluster: SimulatedCluster, config=None):
     """The read policy bound to a plane on ``cluster``: ``(plane, policy)``."""
-    plane = ControlPlane(cluster, config, name="harmony.tick")
+    plane = ControlPlane(cluster, config)
     return plane, plane.add(HarmonyReadPolicy(plane.config))
 
 

@@ -1,4 +1,4 @@
-"""Unit tests for the consistency policies."""
+"""Unit tests for the named level policies (constructors of control policies)."""
 
 from __future__ import annotations
 
@@ -6,9 +6,9 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
+from repro.control.plane import ControlPlane, LevelPolicy
 from repro.core.config import HarmonyConfig
 from repro.core.policy import (
-    ConsistencyPolicy,
     HarmonyPolicy,
     StaticEventualPolicy,
     StaticQuorumPolicy,
@@ -27,26 +27,30 @@ class TestStaticPolicies:
         policy = StaticEventualPolicy()
         assert policy.read_level() is ConsistencyLevel.ONE
         assert policy.write_level() is ConsistencyLevel.ONE
-        assert policy.name == "eventual"
+        assert policy.label == "eventual"
 
     def test_strong_reads_all_writes_one(self):
         policy = StaticStrongPolicy()
         assert policy.read_level() is ConsistencyLevel.ALL
         assert policy.write_level() is ConsistencyLevel.ONE
-        assert policy.name == "strong"
+        assert policy.label == "strong"
 
     def test_quorum_policy(self):
         policy = StaticQuorumPolicy()
         assert policy.read_level() is ConsistencyLevel.QUORUM
         assert policy.write_level() is ConsistencyLevel.QUORUM
 
-    def test_attach_detach_are_noops(self, cluster):
-        policy = StaticEventualPolicy()
-        policy.attach(cluster)
-        policy.detach()
+    def test_a_plane_of_static_levels_schedules_no_engine_event(self, cluster):
+        plane = ControlPlane(cluster)
+        plane.add(StaticEventualPolicy())
+        assert plane.interval is None
+        queued = cluster.engine.pending_events
+        plane.start()
+        assert not plane.running and cluster.engine.pending_events == queued
+        plane.stop()
 
     def test_describe_mentions_levels(self):
-        text = ConsistencyPolicy(ConsistencyLevel.TWO, ConsistencyLevel.ONE).describe()
+        text = repr(LevelPolicy(ConsistencyLevel.TWO, ConsistencyLevel.ONE))
         assert "TWO" in text and "ONE" in text
 
 
@@ -60,8 +64,10 @@ class TestHarmonyPolicy:
             HarmonyPolicy(tolerated_stale_rate=0.3, config=HarmonyConfig(tolerated_stale_rate=0.5))
 
     def test_name_reflects_the_asr(self):
-        assert HarmonyPolicy(tolerated_stale_rate=0.2).name == "harmony-20%"
-        assert HarmonyPolicy(tolerated_stale_rate=0.6).name == "harmony-60%"
+        # The report name carries the ASR; decision records stay keyed "harmony".
+        assert HarmonyPolicy(tolerated_stale_rate=0.2).label == "harmony-20%"
+        assert HarmonyPolicy(tolerated_stale_rate=0.6).label == "harmony-60%"
+        assert HarmonyPolicy(tolerated_stale_rate=0.6).name == "harmony"
 
     def test_read_level_before_attach_is_one(self):
         policy = HarmonyPolicy(tolerated_stale_rate=0.4)
@@ -69,30 +75,39 @@ class TestHarmonyPolicy:
         assert len(policy.estimate_series) == 0
 
     def test_attach_starts_a_plane_and_detach_stops_it(self, cluster):
+        """The policy *is* what the plane ticks, at the policy's own interval."""
         policy = HarmonyPolicy(
             config=HarmonyConfig(tolerated_stale_rate=0.4, monitoring_interval=0.05)
         )
-        policy.attach(cluster)
-        assert policy.plane is not None
+        plane = ControlPlane(cluster)
+        assert plane.add(policy) is policy and policy.plane is plane
+        assert plane.interval == 0.05
+        plane.start()
         cluster.engine.run_until(cluster.engine.now + 0.3)
-        decisions = len(policy.plane.decisions)
+        decisions = len(plane.decisions)
         assert decisions >= 5
-        policy.detach()
+        plane.stop()
         cluster.engine.run_until(cluster.engine.now + 0.3)
-        assert len(policy.plane.decisions) == decisions
+        assert len(plane.decisions) == decisions
 
     def test_estimate_series_is_exposed_after_attach(self, cluster):
         policy = HarmonyPolicy(
             config=HarmonyConfig(tolerated_stale_rate=0.4, monitoring_interval=0.05)
         )
-        policy.attach(cluster)
+        plane = ControlPlane(cluster)
+        plane.add(policy)
+        plane.start()
         cluster.engine.run_until(cluster.engine.now + 0.2)
-        policy.detach()
+        plane.stop()
         assert len(policy.estimate_series) >= 1
+        # The plane derives the same trace from its decision log.
+        assert list(plane.estimate_series) == list(policy.estimate_series)
 
     def test_describe_includes_asr_and_interval(self):
-        text = HarmonyPolicy(tolerated_stale_rate=0.25).describe()
-        assert "0.25" in text
+        policy = HarmonyPolicy(tolerated_stale_rate=0.25)
+        assert "harmony-25%" in repr(policy)
+        assert policy.config.tolerated_stale_rate == 0.25
+        assert policy.interval == policy.config.monitoring_interval
 
 
 class TestThresholdPolicy:
@@ -104,7 +119,9 @@ class TestThresholdPolicy:
 
     def test_heavy_write_ratio_switches_to_all(self, cluster):
         policy = ThresholdPolicy(threshold=0.3, monitoring_interval=0.05)
-        policy.attach(cluster)
+        plane = ControlPlane(cluster)
+        plane.add(policy)
+        plane.start()
         # Generate a write-heavy window.
         for i in range(200):
             cluster.write(f"k{i}", "v", ConsistencyLevel.ONE)
@@ -112,22 +129,26 @@ class TestThresholdPolicy:
             cluster.read(f"k{i}", ConsistencyLevel.ONE)
         cluster.engine.run_until(cluster.engine.now + 0.2)
         assert policy.read_level() is ConsistencyLevel.ALL
-        policy.detach()
+        plane.stop()
 
     def test_read_heavy_ratio_switches_back_to_one(self, cluster):
         policy = ThresholdPolicy(threshold=0.3, monitoring_interval=0.05)
-        policy.attach(cluster)
+        plane = ControlPlane(cluster)
+        plane.add(policy)
+        plane.start()
         for i in range(300):
             cluster.read(f"k{i % 10}", ConsistencyLevel.ONE)
         for i in range(5):
             cluster.write(f"k{i}", "v", ConsistencyLevel.ONE)
         cluster.engine.run_until(cluster.engine.now + 0.2)
         assert policy.read_level() is ConsistencyLevel.ONE
-        policy.detach()
+        plane.stop()
 
     def test_level_series_records_decisions(self, cluster):
         policy = ThresholdPolicy(threshold=0.3, monitoring_interval=0.05)
-        policy.attach(cluster)
+        plane = ControlPlane(cluster)
+        plane.add(policy)
+        plane.start()
         cluster.engine.run_until(cluster.engine.now + 0.25)
-        policy.detach()
+        plane.stop()
         assert len(policy.level_series) >= 4

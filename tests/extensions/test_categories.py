@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
-from repro.control.plane import ControlPolicy, Decision
+from repro.control.plane import ControlPlane
 from repro.core.config import HarmonyConfig
 from repro.extensions.categories import (
     CategorizedHarmonyPolicy,
@@ -141,62 +141,38 @@ class TestCategorizedHarmonyPolicy:
         )
 
     def test_before_attach_every_key_reads_at_one(self, policy):
-        assert policy.read_level_for("hot0") is ConsistencyLevel.ONE
+        assert policy.level_for_key("hot0") is ConsistencyLevel.ONE
         assert policy.read_level() is ConsistencyLevel.ONE
 
     def test_categories_receive_different_levels_under_load(self, cluster, policy):
-        policy.attach(cluster)
+        plane = ControlPlane(cluster)
+        plane.add(policy)
+        plane.start()
         # Drive enough traffic that the shared estimate is clearly non-zero.
         for i in range(400):
             cluster.write(f"hot{i % 5}", "v", ConsistencyLevel.ONE)
             cluster.read(f"hot{i % 5}", ConsistencyLevel.ONE)
         cluster.engine.run_until(cluster.engine.now + 0.2)
-        strict_level = policy.read_level_for("hot0")      # ASR = 0.0
-        relaxed_level = policy.read_level_for("cold0")    # ASR = 1.0
-        policy.detach()
+        strict_level = policy.level_for_key("hot0")      # ASR = 0.0
+        relaxed_level = policy.level_for_key("cold0")    # ASR = 1.0
+        plane.stop()
         assert relaxed_level is ConsistencyLevel.ONE
         assert strict_level.blocked_for(5) > 1
         assert strict_level.blocked_for(5) >= relaxed_level.blocked_for(5)
 
     def test_unknown_keys_fall_back_to_the_default_asr(self, cluster, policy):
-        policy.attach(cluster)
+        plane = ControlPlane(cluster)
+        plane.add(policy)
+        plane.start()
         cluster.engine.run_until(cluster.engine.now + 0.1)
-        level = policy.read_level_for("brand-new-key")
-        policy.detach()
+        level = policy.level_for_key("brand-new-key")
+        plane.stop()
         assert level.blocked_for(5) >= 1
 
-    def test_levels_ignore_other_policies_on_the_shared_plane(self, cluster, policy):
-        """The runner co-registers the repair scheduler on ``policy.plane``;
-        its sample-less decisions land *after* the read loop's in each tick."""
-
-        class SamplelessPolicy(ControlPolicy):
-            name = "repair-schedule"
-            kind = "repair_interval"
-            uses_monitor = False
-
-            def tick(self, tick):
-                return [
-                    Decision(
-                        time=tick.now,
-                        policy=self.name,
-                        scope="pair:a|b",
-                        kind=self.kind,
-                        value=1.0,
-                    )
-                ]
-
-        policy.attach(cluster)
-        policy.plane.add(SamplelessPolicy())
-        for i in range(400):
-            cluster.write(f"hot{i % 5}", "v", ConsistencyLevel.ONE)
-            cluster.read(f"hot{i % 5}", ConsistencyLevel.ONE)
-        cluster.engine.run_until(cluster.engine.now + 0.2)
-        assert policy.plane.decisions[-1].sample is None
-        strict_level = policy.read_level_for("hot0")      # ASR = 0.0
-        relaxed_level = policy.read_level_for("cold0")    # ASR = 1.0
-        policy.detach()
-        assert relaxed_level is ConsistencyLevel.ONE
-        assert strict_level.blocked_for(5) > 1
+    def test_a_pinned_client_is_not_mistaken_for_a_key(self, cluster, policy):
+        """``read_level`` takes a datacenter; the per-key method has its own name."""
+        ControlPlane(cluster).add(policy)
+        assert policy.read_level("dc1") is policy.read_level() is ConsistencyLevel.ONE
 
     def test_default_asr_validation(self):
         categorizer = ConsistencyCategorizer()

@@ -30,7 +30,7 @@ def make_sample(dc, read_rate, write_rate, tp, now=0.0):
 def make_control(cluster, config=None, tolerated_stale_rates=None):
     """A GeoReadPolicy bound to its own plane (validation runs at add())."""
     config = config or HarmonyConfig()
-    plane = ControlPlane(cluster, config, name="geo_harmony.tick")
+    plane = ControlPlane(cluster, config)
     control = plane.add(GeoReadPolicy(config, tolerated_stale_rates=tolerated_stale_rates))
     return plane, control
 
@@ -111,11 +111,11 @@ class TestDecisions:
 
     def test_decisions_recorded_per_site(self, geo_cluster):
         _, control = make_control(geo_cluster)
-        decisions = []
-        control.on_decision = decisions.append
-        control.decide("alpha", make_sample("alpha", 10.0, 5.0, 0.001))
-        control.decide("alpha", make_sample("alpha", 10.0, 5.0, 0.001, now=1.0))
-        control.decide("beta", make_sample("beta", 10.0, 5.0, 0.001))
+        decisions = [
+            control.decide("alpha", make_sample("alpha", 10.0, 5.0, 0.001)),
+            control.decide("alpha", make_sample("alpha", 10.0, 5.0, 0.001, now=1.0)),
+            control.decide("beta", make_sample("beta", 10.0, 5.0, 0.001)),
+        ]
         per_site = [d for d in decisions if d.scope == "dc:alpha"]
         assert len(per_site) == 2
         assert len([d for d in decisions if d.scope == "dc:beta"]) == 1
@@ -152,8 +152,8 @@ class TestPolicies:
         policy = StaticGeoPolicy(
             read=ConsistencyLevel.EACH_QUORUM, write=ConsistencyLevel.LOCAL_ONE
         )
-        assert policy.read_level_for("anywhere") is ConsistencyLevel.EACH_QUORUM
-        assert policy.write_level_for("anywhere") is ConsistencyLevel.LOCAL_ONE
+        assert policy.read_level("anywhere") is ConsistencyLevel.EACH_QUORUM
+        assert policy.write_level("anywhere") is ConsistencyLevel.LOCAL_ONE
 
     def test_unpinned_read_level_is_strictest_site_decision(self, geo_cluster):
         """Clients without a datacenter follow the most demanding site.
@@ -163,10 +163,8 @@ class TestPolicies:
         """
         from repro.geo.policy import site_agnostic_level
 
-        policy = GeoHarmonyPolicy(config=HarmonyConfig(tolerated_stale_rate=0.05))
-        policy.attach(geo_cluster)
-        control = policy.control
-        assert control is not None
+        policy = control = GeoHarmonyPolicy(config=HarmonyConfig(tolerated_stale_rate=0.05))
+        ControlPlane(geo_cluster).add(policy)
         control.decide("alpha", make_sample("alpha", 500.0, 400.0, 0.008))
         control.decide("beta", make_sample("beta", 1.0, 0.001, 0.0002))
         assert control.current_level["beta"] is ConsistencyLevel.LOCAL_ONE
@@ -178,7 +176,6 @@ class TestPolicies:
         assert not policy.read_level().is_datacenter_aware or (
             policy.read_level() is ConsistencyLevel.EACH_QUORUM
         )
-        policy.detach()
 
     def test_unpinned_levels_never_local(self, geo_cluster):
         """Unpinned clients must get levels valid at any coordinator."""
@@ -188,11 +185,11 @@ class TestPolicies:
         assert static.read_level() is ConsistencyLevel.QUORUM
         assert static.write_level() is ConsistencyLevel.ONE
         # Pinned lookups keep the DC-aware pair.
-        assert static.read_level_for("alpha") is ConsistencyLevel.LOCAL_QUORUM
-        assert static.write_level_for("alpha") is ConsistencyLevel.LOCAL_ONE
+        assert static.read_level("alpha") is ConsistencyLevel.LOCAL_QUORUM
+        assert static.write_level("alpha") is ConsistencyLevel.LOCAL_ONE
         harmony = GeoHarmonyPolicy()
         assert harmony.write_level() is ConsistencyLevel.ONE
-        assert harmony.write_level_for("alpha") is ConsistencyLevel.LOCAL_ONE
+        assert harmony.write_level("alpha") is ConsistencyLevel.LOCAL_ONE
 
     def test_unpinned_run_survives_replica_less_datacenter(self):
         """The crash scenario: a site with no replicas coordinates unpinned ops."""
@@ -255,13 +252,15 @@ class TestPolicies:
             tolerated_stale_rates={"alpha": 0.2},
             config=HarmonyConfig(monitoring_interval=0.1),
         )
-        assert policy.read_level_for("alpha") is ConsistencyLevel.LOCAL_ONE
-        policy.attach(geo_cluster)
-        assert policy.plane is not None and policy.control is not None
+        assert policy.read_level("alpha") is ConsistencyLevel.LOCAL_ONE
+        plane = ControlPlane(geo_cluster)
+        plane.add(policy)
+        assert plane.interval == 0.1
+        plane.start()
         geo_cluster.engine.run_until(0.35)
-        assert len(policy.plane.decisions) > 0
-        assert policy.read_level_for("alpha") is policy.control.current_level["alpha"]
-        policy.detach()
+        assert len(plane.decisions) > 0
+        assert policy.read_level("alpha") is policy.current_level["alpha"]
+        plane.stop()
 
 
 class TestPerDatacenterMonitoring:

@@ -13,7 +13,8 @@ import pytest
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel, is_strongly_consistent
 from repro.cluster.node import NodeConfig
-from repro.core.policy import ConsistencyPolicy, StaticEventualPolicy, StaticStrongPolicy
+from repro.control.plane import LevelPolicy
+from repro.core.policy import StaticEventualPolicy, StaticStrongPolicy
 from repro.staleness.auditor import StalenessAuditor
 from repro.workload.executor import WorkloadExecutor
 from repro.workload.workloads import WORKLOAD_A
@@ -35,7 +36,7 @@ def build_cluster(seed: int, rf: int = 3, n_nodes: int = 6) -> SimulatedCluster:
     )
 
 
-def run(policy: ConsistencyPolicy, seed: int = 0, threads: int = 8, rf: int = 3):
+def run(policy: LevelPolicy, seed: int = 0, threads: int = 8, rf: int = 3):
     cluster = build_cluster(seed, rf=rf)
     auditor = StalenessAuditor()
     executor = WorkloadExecutor(
@@ -67,8 +68,7 @@ def test_strong_reads_are_never_stale(seed):
 )
 def test_quorum_intersection_implies_zero_staleness(read, write):
     assert is_strongly_consistent(read, write, 3)
-    policy = ConsistencyPolicy(read=read, write=write)
-    policy.name = f"{read.value}+{write.value}"
+    policy = LevelPolicy(read, write, name=f"{read.value}+{write.value}")
     _, metrics, auditor = run(policy, seed=3)
     assert auditor.stale_reads == 0
 

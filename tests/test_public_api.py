@@ -7,6 +7,7 @@ deletion.  Walk the packages instead of listing them, so a new one is covered.
 
 from __future__ import annotations
 
+import doctest
 import importlib
 import pkgutil
 
@@ -32,3 +33,9 @@ def test_every_exported_name_resolves_once(package):
     assert len(exported) == len(set(exported)), "duplicate names in __all__"
     missing = [name for name in exported if not hasattr(module, name)]
     assert not missing, f"{package}.__all__ names nothing for {missing}"
+
+
+def test_the_package_docstring_examples_run():
+    """Both quick starts in ``repro/__init__.py`` construct policies by public name."""
+    results = doctest.testmod(repro)
+    assert results.attempted >= 11 and results.failed == 0

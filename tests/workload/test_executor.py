@@ -61,6 +61,35 @@ class TestLoadPhase:
         assert metrics.counters.total == 400
 
 
+class TestControlPlane:
+    """The executor owns the run's plane and registers the policy on it at once."""
+
+    def test_policy_validation_fails_at_construction(self):
+        from repro.core.policy import SLAConsistencyPolicy
+        from repro.geo import GeoHarmonyPolicy
+
+        workload = WORKLOAD_A.scaled(record_count=10, operation_count=10)
+        with pytest.raises(RuntimeError, match="StalenessAuditor"):
+            WorkloadExecutor(make_cluster(), workload, SLAConsistencyPolicy())
+        with pytest.raises(ValueError, match="NetworkTopologyStrategy"):
+            WorkloadExecutor(make_cluster(), workload, GeoHarmonyPolicy())
+
+    def test_the_plane_runs_exactly_as_long_as_the_run_phase(self):
+        from repro.core.policy import ThresholdPolicy
+
+        cluster = make_cluster()
+        policy = ThresholdPolicy(0.3, monitoring_interval=0.01)
+        executor = WorkloadExecutor(
+            cluster, WORKLOAD_A.scaled(record_count=40, operation_count=400), policy, threads=4
+        )
+        assert executor.plane.policies == [policy] and not executor.plane.running
+        executor.load()
+        assert executor.plane.stats.ticks == 0  # bound before the load, ticking after it
+        metrics = executor.run()
+        assert not executor.plane.running and executor.plane.stats.ticks > 0
+        assert metrics.control_decisions == {"threshold.read_level": executor.plane.stats.ticks}
+
+
 class TestRunPhase:
     def test_operation_budget_is_respected(self):
         metrics = run_workload(StaticEventualPolicy(), threads=7)
