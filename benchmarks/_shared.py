@@ -1,21 +1,12 @@
-"""Shared infrastructure for the figure benchmarks.
+"""Shared guards for the recorded result files.
 
-Every bench in this directory regenerates one figure (or claim table) of the
-paper.  The heavy lifting lives in :mod:`repro.experiments.figures`; this
-module provides:
-
-* ``FIGURE_DEFAULTS`` -- the run sizes used by the benches (larger than the
-  unit-test sizes, small enough that the whole harness finishes in minutes);
-* a per-session cache so figure panels that share a parameter sweep
-  (e.g. Fig. 5(a) latency and Fig. 5(c) throughput on Grid'5000) run the
-  sweep once;
-* ``emit_report`` -- prints the regenerated rows/series and also writes them
-  to ``benchmarks/results/<name>.txt`` so they survive pytest's output
-  capture;
-* ``write_benchmark_json`` -- the one way benches persist ``BENCH_*.json``
-  result files: it refuses placeholder values, so a half-finished benchmark
-  can never masquerade as a recorded result again (a ``PLACEHOLDER``
-  baseline label once survived a whole PR in ``BENCH_fabric.json``).
+* ``write_benchmark_json`` -- the one way ``SCORECARD.json``,
+  ``BENCH_fabric.json`` and the perf ledger are persisted: it refuses
+  placeholder values, so a half-finished benchmark can never masquerade as
+  a recorded result again (a ``PLACEHOLDER`` baseline label once survived a
+  whole PR in ``BENCH_fabric.json``);
+* ``trace_signature`` -- folds a sharded run's per-shard trace hashes into
+  one scalar for ``bench_fabric.py``.
 """
 
 from __future__ import annotations
@@ -23,35 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-from typing import Callable, Dict
-
-from repro.experiments.figures import FigureDefaults
-from repro.metrics.report import MetricsReport
-
-#: Run sizes for the benches.  The paper runs 3-10 million operations on
-#: 84/20-node clusters; these defaults keep the shapes while finishing each
-#: figure in about a minute on a laptop.  Scale up for higher fidelity.
-FIGURE_DEFAULTS = FigureDefaults(
-    record_count=1500,
-    operation_count=6000,
-    thread_steps=(1, 15, 40, 70, 90),
-    n_nodes=10,
-    seed=11,
-    monitoring_interval=0.05,
-)
-
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-_cache: Dict[str, MetricsReport] = {}
-
-
-def cached_report(key: str, builder: Callable[[], MetricsReport]) -> MetricsReport:
-    """Build (or reuse) a report shared by several benches in one session."""
-    if key not in _cache:
-        _cache[key] = builder()
-    return _cache[key]
-
+from typing import Dict
 
 #: Substrings that mark a value as "not actually measured".  Matching is
 #: case-sensitive on purpose: these appear as deliberate ALL-CAPS markers.
@@ -150,21 +113,9 @@ def assert_repetitions_consistent(report: Dict[str, object], path: str = "$") ->
 
 
 def write_benchmark_json(path: str, report: Dict[str, object]) -> None:
-    """Validate and persist one ``BENCH_*.json`` result file."""
+    """Validate and persist one recorded result file."""
     assert_no_placeholders(report)
     assert_repetitions_consistent(report)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, default=str)
         handle.write("\n")
-
-
-def emit_report(name: str, report: MetricsReport) -> str:
-    """Print the report and persist it under ``benchmarks/results``."""
-    text = report.render()
-    print()
-    print(text)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{name}.txt")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
-    return text

@@ -1,8 +1,8 @@
-#!/usr/bin/env python
 """Control-plane benchmark: adaptive repair scheduling + adaptive write levels.
 
 Two claims of the unified control plane, measured on the 3-site Grid'5000
-ring and recorded in ``BENCH_control.json``:
+ring and recorded as the ``control`` section of ``SCORECARD.json``
+(``python -m benchmarks.scorecard`` calls :func:`run_bench`):
 
 1. **Adaptive repair scheduling** (``RepairSchedulePolicy``): in steady
    state -- healthy WAN, no faults -- divergence-driven scheduling relaxes
@@ -22,30 +22,17 @@ ring and recorded in ``BENCH_control.json``:
 Determinism is asserted: the ``GRID5000_3SITES_ADAPTIVE`` run is repeated
 with the same seed and the two trace signatures (metrics summary, repair
 stats, control decisions, engine/fabric counters) must be byte-identical.
-
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_control.py [--quick] [--out PATH]
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
-import os
-import sys
 from typing import Dict
 
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import GRID5000_3SITES, GRID5000_3SITES_ADAPTIVE
 from repro.workload.workloads import WORKLOAD_B
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-if REPO_ROOT not in sys.path:  # direct `python benchmarks/bench_control.py` runs
-    sys.path.insert(0, REPO_ROOT)
-
-from benchmarks._shared import write_benchmark_json  # noqa: E402
 
 FULL_CONFIG = {
     "repair": {"record_count": 300, "operation_count": 4000, "threads": 10, "think_time": 0.25},
@@ -57,8 +44,6 @@ QUICK_CONFIG = {
     "writes": {"record_count": 150, "operation_count": 2000, "threads": 15},
     "seed": 11,
 }
-
-DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_control.json")
 
 #: The fixed-interval control arm: identical scenario, no scheduling policy.
 FIXED_REPAIR = GRID5000_3SITES_ADAPTIVE.with_overrides(
@@ -219,27 +204,3 @@ def run_bench(quick: bool = False) -> Dict[str, object]:
         "deterministic": repair["deterministic"],
         "claims_hold": bool(repair["claim_holds"] and writes["claim_holds"]),
     }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="smoke-test sizes (CI)")
-    parser.add_argument("--out", default=DEFAULT_OUT, help="output JSON path")
-    args = parser.parse_args(argv)
-
-    report = run_bench(quick=args.quick)
-    # write_benchmark_json refuses placeholder values and non-finite numbers.
-    write_benchmark_json(args.out, report)
-    print(json.dumps(report, indent=2, default=str))
-    if not report["deterministic"]:
-        print("FAIL: two same-seed adaptive runs diverged", file=sys.stderr)
-        return 1
-    if not report["claims_hold"]:
-        print("FAIL: a recorded claim does not hold at these run sizes", file=sys.stderr)
-        return 1
-    print(f"\nwrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,4 +1,3 @@
-#!/usr/bin/env python
 """Elasticity benchmark: demand-driven scaling vs every static ring size.
 
 A diurnal load profile -- quiet, a sustained peak, quiet again -- is driven
@@ -18,27 +17,18 @@ against four arms of the same single-DC cluster:
 Each arm reports **cost** (node-seconds: ring members integrated over the
 run, with a bootstrapping node charged from the moment its transition
 starts) and **p99 latency** over the whole run, and their product is the
-headline *cost x p99* score.  The acceptance criterion asserted here and
-guarded by ``tools/check_perf_trend.py --elasticity-fresh``: the adaptive
-arm's score beats every static arm's.
+headline *cost x p99* score.  The acceptance criterion, judged by the
+scorecard (``python -m benchmarks.scorecard`` calls :func:`run_bench` and
+records it as the ``elasticity`` section of ``SCORECARD.json``): the
+adaptive arm's score beats every static arm's.
 
 Every reported quantity is virtual-time or a deterministic count, so the
 result is machine-independent; the report re-runs the adaptive arm with the
-same seed and records byte-equality as ``deterministic``.
-
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_elasticity.py [--quick] [--out PATH]
+same seed and records equality as ``deterministic``.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
-import os
-import sys
-import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
@@ -47,12 +37,6 @@ from repro.cluster.membership import MembershipManager
 from repro.cluster.node import NodeConfig
 from repro.control.plane import ControlPlane
 from repro.control.policies import ScaleOutConfig, ScaleOutPolicy
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-if REPO_ROOT not in sys.path:  # direct `python benchmarks/bench_elasticity.py` runs
-    sys.path.insert(0, REPO_ROOT)
-
-from benchmarks._shared import write_benchmark_json  # noqa: E402
 
 SEED = 20260808
 KEYSPACE = 64
@@ -103,8 +87,6 @@ SCALE_CONFIG = ScaleOutConfig(
     cooldown=2.0,
     min_members_per_dc=MIN_MEMBERS,
 )
-
-DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_elasticity.json")
 
 
 def _cluster(members: int, spares: int) -> SimulatedCluster:
@@ -222,7 +204,6 @@ def _percentile(values: List[float], pct: float) -> Optional[float]:
 
 
 def run_static_arm(members: int, phases: List[Tuple[float, float]]) -> Dict[str, object]:
-    t0 = time.perf_counter()
     cluster = _cluster(members, 0)
     latencies, run_start, run_end = _drive(cluster, phases)
     cluster.settle()
@@ -235,12 +216,10 @@ def run_static_arm(members: int, phases: List[Tuple[float, float]]) -> Dict[str,
         "node_seconds": round(node_seconds, 3),
         "p99_latency_s": round(p99, 6) if p99 is not None else None,
         "score": round(node_seconds * p99, 4) if p99 is not None else None,
-        "wall_s": round(time.perf_counter() - t0, 2),
     }
 
 
 def run_adaptive_arm(phases: List[Tuple[float, float]]) -> Dict[str, object]:
-    t0 = time.perf_counter()
     cluster = _cluster(MIN_MEMBERS, MAX_MEMBERS - MIN_MEMBERS)
     manager = MembershipManager(cluster)
     plane = ControlPlane(cluster, interval=1.0)
@@ -284,39 +263,21 @@ def run_adaptive_arm(phases: List[Tuple[float, float]]) -> Dict[str, object]:
         "decisions": decisions,
         "transitions": transitions,
         "pending_read_violations": manager.pending_read_violations,
-        "wall_s": round(time.perf_counter() - t0, 2),
     }
 
 
-def _arm_signature(arm: Dict[str, object]) -> str:
-    stable = {k: v for k, v in arm.items() if k != "wall_s"}
-    return hashlib.sha256(
-        json.dumps(stable, sort_keys=True, default=str).encode("utf-8")
-    ).hexdigest()
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="CI smoke sizes")
-    parser.add_argument("--out", default=DEFAULT_OUT, help="output JSON path")
-    args = parser.parse_args(argv)
-    phases = QUICK_PHASES if args.quick else FULL_PHASES
-
+def run_bench(quick: bool = False) -> Dict[str, object]:
+    phases = QUICK_PHASES if quick else FULL_PHASES
     static_arms = [
         run_static_arm(members, phases)
         for members in range(MIN_MEMBERS, MAX_MEMBERS + 1)
     ]
     adaptive = run_adaptive_arm(phases)
     rerun = run_adaptive_arm(phases)
-    deterministic = _arm_signature(adaptive) == _arm_signature(rerun)
-
     best_static = min(arm["score"] for arm in static_arms)
-    beats_all = (
-        adaptive["score"] is not None and adaptive["score"] < best_static
-    )
-    report = {
+    return {
         "benchmark": "bench_elasticity",
-        "quick": args.quick,
+        "quick": quick,
         "seed": SEED,
         "config": {
             "phases": phases,
@@ -334,31 +295,9 @@ def main(argv=None) -> int:
         "static": static_arms,
         "adaptive": adaptive,
         "best_static_score": best_static,
-        "adaptive_beats_all_static": beats_all,
-        "deterministic": deterministic,
+        "adaptive_beats_all_static": (
+            adaptive["score"] is not None and adaptive["score"] < best_static
+        ),
+        "deterministic": adaptive == rerun,
         "zero_pending_read_violations": adaptive["pending_read_violations"] == 0,
     }
-    for arm in static_arms + [adaptive]:
-        print(
-            f"{arm['arm']:>10}: node_seconds={arm['node_seconds']:10.1f} "
-            f"p99={arm['p99_latency_s']}s score={arm['score']}"
-        )
-    print(f"adaptive beats all static: {beats_all} (best static {best_static})")
-    print(f"deterministic: {deterministic}")
-
-    write_benchmark_json(args.out, report)
-    print(f"wrote {args.out}")
-    if not beats_all:
-        print("FAIL: the adaptive arm did not beat every static size", file=sys.stderr)
-        return 1
-    if not deterministic:
-        print("FAIL: same-seed adaptive runs diverged", file=sys.stderr)
-        return 1
-    if adaptive["pending_read_violations"]:
-        print("FAIL: reads contacted a pending-range node", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,4 +1,3 @@
-#!/usr/bin/env python
 """Anti-entropy benchmark: stale rate with Merkle repair on vs off under a
 60-second datacenter partition.
 
@@ -20,25 +19,18 @@ Reported per arm: the isolated site's stale rate before/during/after the
 partition, the post-heal recovery stale rate (measured from one repair
 interval after heal to the end of the run), and the per-DC-pair repair WAN
 traffic -- the stale-rate-vs-traffic trade-off from the ROADMAP.  The
-benchmark asserts the acceptance criterion: with repair on, the partitioned
-site's post-heal stale rate drops back under the site's tolerated stale
-rate (ASR), and no LOCAL_* operation anywhere surfaced Unavailable.
+acceptance criterion: with repair on, the partitioned site's post-heal
+stale rate drops back under the site's tolerated stale rate (ASR), and no
+LOCAL_* operation anywhere surfaced Unavailable.
 
-The result is written to ``BENCH_repair.json`` at the repository root
-through the shared placeholder-refusing writer.
-
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_repair.py [--quick] [--out PATH]
+:func:`run_bench` is the ``repair`` section of the scorecard
+(``python -m benchmarks.scorecard``), which judges the criteria above and
+records the result in ``SCORECARD.json``.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import os
-import sys
-import time
 from typing import Dict, List, Optional
 
 from repro.cluster.antientropy import AntiEntropyConfig
@@ -54,13 +46,7 @@ from repro.experiments.scenarios import (
 )
 from repro.geo.policy import StaticGeoPolicy
 from repro.workload.executor import WorkloadExecutor
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-if REPO_ROOT not in sys.path:  # direct `python benchmarks/bench_repair.py` runs
-    sys.path.insert(0, REPO_ROOT)
-
-from benchmarks._shared import write_benchmark_json  # noqa: E402
-from repro.workload.workloads import WORKLOAD_B  # noqa: E402
+from repro.workload.workloads import WORKLOAD_B
 
 ISOLATED = "sophia"
 SEED = 20260730
@@ -87,8 +73,6 @@ QUICK_CONFIG = {
     "think_time": 0.02,
 }
 
-DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_repair.json")
-
 
 def run_arm(cfg: Dict[str, float], *, repair: bool) -> Dict[str, object]:
     """One measured run; returns windowed per-DC staleness + repair traffic."""
@@ -101,7 +85,6 @@ def run_arm(cfg: Dict[str, float], *, repair: bool) -> Dict[str, object]:
     workload = WORKLOAD_B.scaled(
         record_count=int(cfg["record_count"]), operation_count=int(cfg["operation_count"])
     )
-    t0 = time.perf_counter()
     result = run_experiment(
         scenario,
         workload,
@@ -111,7 +94,6 @@ def run_arm(cfg: Dict[str, float], *, repair: bool) -> Dict[str, object]:
         datacenters=scenario.datacenter_names,
         think_time=cfg["think_time"],
     )
-    wall = time.perf_counter() - t0
     timeline = result.auditor  # FaultTimeline (fault scenario)
     log = dict((desc.split(" ")[0], t) for t, desc in result.injector.log)
     partition_at = log["isolate"]
@@ -150,7 +132,6 @@ def run_arm(cfg: Dict[str, float], *, repair: bool) -> Dict[str, object]:
         "repair_sessions": (
             {f"{a}|{b}": s.as_dict() for (a, b), s in service.stats.items()} if service else {}
         ),
-        "wall_s": round(wall, 2),
     }
 
 
@@ -166,11 +147,9 @@ def run_steady_state_arm(
     empty leaf set.  The first interval (the convergence / full-exchange
     session) is excluded from the per-session figure.  Every number here is
     a deterministic byte count -- machine-independent, which is what lets
-    the CI perf-trend guard pin it.
+    the committed scorecard pin it.
     """
     cluster = SimulatedCluster(GRID5000_3SITES.cluster_config(seed=SEED))
-    from repro.workload.workloads import WORKLOAD_B
-
     workload = WORKLOAD_B.scaled(record_count=record_count, operation_count=0)
     executor = WorkloadExecutor(
         cluster, workload, StaticGeoPolicy(), threads=1,
@@ -333,7 +312,6 @@ def run_bandwidth_arm(
         )
         plane.start()
 
-    t0 = time.perf_counter()
     latencies: List[float] = []
     timeouts = 0
     recovery_s: Optional[float] = None
@@ -352,7 +330,6 @@ def run_bandwidth_arm(
     if plane is not None:
         plane.stop()
     service.stop()
-    wall = time.perf_counter() - t0
 
     stats = service.stats.get((dc_fresh, dc_stale)) or service.stats.get(
         (dc_stale, dc_fresh)
@@ -371,7 +348,6 @@ def run_bandwidth_arm(
         "transfers_started": fabric.stats.transfers_started,
         "transfers_completed": fabric.stats.transfers_completed,
         "transfer_bytes_completed": fabric.stats.transfer_bytes_completed,
-        "wall_s": round(wall, 2),
     }
 
 
@@ -447,49 +423,3 @@ def run_bench(quick: bool = False) -> Dict[str, object]:
         },
     }
     return report
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="smoke-test sizes (CI)")
-    parser.add_argument("--out", default=DEFAULT_OUT, help="output JSON path")
-    args = parser.parse_args(argv)
-
-    report = run_bench(quick=args.quick)
-    write_benchmark_json(args.out, report)
-
-    import json
-
-    print(json.dumps(report, indent=2, default=str))
-    comparison = report["comparison"]
-    failed = False
-    if not comparison["recovery_under_asr_with_repair"]:
-        print(
-            f"FAIL: post-heal stale rate {comparison['post_heal_recovery_stale_rate_repair_on']} "
-            f"did not drop under the ASR bound {report['tolerated_stale_rate']}",
-            file=sys.stderr,
-        )
-        failed = True
-    if report["repair_on"]["unavailable_total"] != 0:
-        print("FAIL: LOCAL_ONE clients saw Unavailable during the partition", file=sys.stderr)
-        failed = True
-    ratio = report["steady_state"]["full_vs_incremental_bytes_ratio"]
-    if ratio is None or ratio < 5.0:
-        print(
-            f"FAIL: steady-state incremental repair only cut session bytes {ratio}x "
-            "(acceptance floor is 5x over the full-keyspace baseline)",
-            file=sys.stderr,
-        )
-        failed = True
-    for claim, held in report["bandwidth_contention"]["claims"].items():
-        if not held:
-            print(f"FAIL: bandwidth-contention claim {claim!r} did not hold", file=sys.stderr)
-            failed = True
-    if failed:
-        return 1
-    print(f"\nwrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

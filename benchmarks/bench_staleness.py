@@ -1,4 +1,3 @@
-#!/usr/bin/env python
 """Staleness benchmark: measured t-visibility vs the closed-form estimator.
 
 The paper's control loop trusts a closed-form estimate of the stale-read
@@ -31,18 +30,15 @@ rates) and the deterministic topology (mean inter-replica one-way latency
 asserted by running one arm twice with the same seed and comparing trace
 signatures.
 
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_staleness.py [--quick] [--out PATH]
+:func:`run_bench` is the ``staleness`` section of the scorecard
+(``python -m benchmarks.scorecard``), which shows predicted vs measured per
+scenario beside the one-sided bound and records both in ``SCORECARD.json``.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
-import os
-import sys
 from typing import Dict, Optional
 
 from repro.cluster.consistency import ConsistencyLevel, quorum_size
@@ -54,12 +50,6 @@ from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import EC2_MULTIREGION, GRID5000_3SITES, SCALE_100
 from repro.workload.workloads import WORKLOAD_A
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-if REPO_ROOT not in sys.path:  # direct `python benchmarks/bench_staleness.py` runs
-    sys.path.insert(0, REPO_ROOT)
-
-from benchmarks._shared import write_benchmark_json  # noqa: E402
-
 FULL_CONFIG = {
     "record_count": 300,
     "operation_count": 6000,
@@ -68,12 +58,10 @@ FULL_CONFIG = {
 }
 QUICK_CONFIG = {
     "record_count": 150,
-    "operation_count": 2000,
+    "operation_count": 1200,
     "threads": 10,
     "seed": 11,
 }
-
-DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_staleness.json")
 
 SCENARIOS = (GRID5000_3SITES, EC2_MULTIREGION, SCALE_100)
 
@@ -250,26 +238,3 @@ def run_bench(quick: bool = False) -> Dict[str, object]:
         "deterministic": all(row["deterministic"] for row in per_scenario.values()),
         "claims_hold": claims_hold,
     }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="smoke-test sizes (CI)")
-    parser.add_argument("--out", default=DEFAULT_OUT, help="output JSON path")
-    args = parser.parse_args(argv)
-
-    report = run_bench(quick=args.quick)
-    write_benchmark_json(args.out, report)
-    print(json.dumps(report, indent=2, default=str))
-    if not report["deterministic"]:
-        print("FAIL: two same-seed eventual-arm runs diverged", file=sys.stderr)
-        return 1
-    if not report["claims_hold"]:
-        print("FAIL: a recorded claim does not hold at these run sizes", file=sys.stderr)
-        return 1
-    print(f"\nwrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,11 +1,17 @@
-"""Setup shim.
+"""Package metadata for ``repro``, the simulated Harmony reproduction.
 
-The project metadata lives in ``pyproject.toml``; this file exists so that
-legacy editable installs (``pip install -e . --no-use-pep517``) work in
-offline environments that lack the ``wheel`` package required by PEP 660
-editable builds.
+This file is the only packaging metadata in the repository (there is no
+``pyproject.toml``).  ``pip install -e . --no-use-pep517`` installs the
+``src/repro`` package offline; the tests and benchmarks need no install and
+run with ``PYTHONPATH=src``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+    python_requires=">=3.10",
+)

@@ -24,8 +24,8 @@ One run is a fixed phase sequence (all in virtual time):
 Trace identity
 --------------
 Every report carries two phase hashes -- the client-run summary and the
-final cluster state -- folded into one :meth:`ChaosReport.signature` via
-``trace_signature`` from ``benchmarks/_shared.py``.  The shrinker re-runs
+final cluster state -- folded into one :meth:`ChaosReport.signature` (the
+SHA-256 of the newline-joined phase hashes).  The shrinker re-runs
 a schedule and compares signatures before trusting any verdict, so
 nondeterminism is *detected*, never silently shrunk around.
 """
@@ -47,22 +47,6 @@ from repro.faults.schedule import FaultInjector, FaultSchedule
 from repro.faults.timeline import FaultTimeline
 from repro.workload.executor import WorkloadExecutor
 from repro.workload.workloads import WorkloadConfig
-
-try:  # pragma: no cover - exercised implicitly by whichever path imports
-    from benchmarks._shared import trace_signature
-except ImportError:  # pragma: no cover - benchmarks/ not importable (installed pkg)
-
-    def trace_signature(trace_sha256):
-        if isinstance(trace_sha256, str):
-            return trace_sha256
-        if (
-            isinstance(trace_sha256, (list, tuple))
-            and trace_sha256
-            and all(isinstance(item, str) for item in trace_sha256)
-        ):
-            return hashlib.sha256("\n".join(trace_sha256).encode("utf-8")).hexdigest()
-        raise TypeError(f"expected hash or list of hashes, got {trace_sha256!r}")
-
 
 __all__ = ["ChaosConfig", "ChaosReport", "run_chaos"]
 
@@ -99,6 +83,26 @@ class ChaosConfig:
     per_dc_stale_bound: float = 0.9
     min_judged_reads: int = 25
 
+    def __post_init__(self) -> None:
+        for name in ("threads", "record_count", "operation_count", "min_judged_reads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        for name in ("horizon", "repair_interval"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("repair_rounds", "post_heal_grace"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        for name in ("read_proportion", "stale_bound", "per_dc_stale_bound"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)!r}")
+        if self.think_time is not None and self.think_time < 0:
+            raise ValueError(f"think_time must be >= 0 when given, got {self.think_time!r}")
+        if self.scenario.lower() not in ScenarioRegistry.names():
+            raise ValueError(
+                f"unknown scenario {self.scenario!r}; available: {ScenarioRegistry.names()}"
+            )
+
     def overrides(self) -> Dict[str, Any]:
         """Non-default fields as a dict (the corpus ``config`` block)."""
         defaults = ChaosConfig()
@@ -112,7 +116,7 @@ class ChaosConfig:
         if self.think_time is not None:
             return self.think_time
         span = self.horizon * 1.4 + 2.0
-        ops_per_thread = max(1, self.operation_count // max(1, self.threads))
+        ops_per_thread = max(1, self.operation_count // self.threads)
         return round(span / ops_per_thread, 4)
 
 
@@ -145,7 +149,9 @@ class ChaosReport:
 
     def signature(self) -> str:
         """Single trace-identity hash for determinism comparison."""
-        return trace_signature(list(self.trace_hashes))
+        if not self.trace_hashes:
+            raise TypeError("a chaos report without phase hashes has no signature")
+        return hashlib.sha256("\n".join(self.trace_hashes).encode("utf-8")).hexdigest()
 
 
 def _pick_policy(config: ChaosConfig, scenario: Scenario, multi_dc: bool):

@@ -17,8 +17,8 @@ Verdict trust
 -------------
 Every verdict rests on the replay being deterministic.  The shrinker
 re-runs the baseline schedule and the final minimized schedule and
-compares :meth:`~repro.chaos.replay.ChaosReport.signature` (the
-``trace_signature`` fold from ``benchmarks/_shared.py``); a mismatch
+compares :meth:`~repro.chaos.replay.ChaosReport.signature` (the SHA-256
+fold of the run's phase hashes); a mismatch
 raises :class:`NondeterministicReplayError` instead of silently shrinking
 around flaky behaviour.
 

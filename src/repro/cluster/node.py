@@ -264,15 +264,6 @@ class StorageNode:
         else:  # pragma: no cover - defensive; unknown kinds indicate a bug
             raise ValueError(f"node {self.address} received unknown message kind {message.kind!r}")
 
-    def _enqueue(self, message: Message) -> None:
-        if self._busy_workers >= self.config.concurrency:
-            if len(self._queue) >= self.config.queue_capacity:
-                self.counters.queue_rejections += 1
-                return
-            self._queue.append((message, self._engine.now))
-            return
-        self._start_service(message)
-
     _SERVICE_POOL_SIZE = 512
 
     def _start_service(self, message: Message) -> None:

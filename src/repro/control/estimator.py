@@ -57,15 +57,6 @@ class StalenessEstimator:
         if not self.models:
             raise ValueError("estimator needs at least one scope with replicas")
 
-    @classmethod
-    def for_cluster(cls, cluster) -> "StalenessEstimator":
-        """Cluster-wide scope plus one scope per replica-holding datacenter."""
-        factors: Dict[Optional[str], int] = {None: cluster.replication_factor}
-        per_dc = cluster.replication_factors
-        if per_dc:
-            factors.update({dc: rf for dc, rf in per_dc.items()})
-        return cls(factors)
-
     # ------------------------------------------------------------------
     def replication_factor(self, scope: Optional[str] = None) -> int:
         """``N`` of one scope."""

@@ -346,18 +346,6 @@ class ClusterMonitor:
             self.samples_by_dc.setdefault(datacenter, []).append(sample)
         return sample
 
-    def sample_scope(self, scope: Optional[str]) -> MonitoringSample:
-        """One sample for a control-plane scope.
-
-        ``None`` is the cluster-wide view; a datacenter name is that site's
-        view -- the same scope convention the
-        :class:`~repro.control.estimator.StalenessEstimator` uses, so
-        scope-parameterized policies can sample without special-casing.
-        """
-        if scope is None:
-            return self.sample()
-        return self.sample_datacenter(scope)
-
     def sample_per_datacenter(self) -> Dict[str, MonitoringSample]:
         """One sample per datacenter, in topology order."""
         whole = self.cluster.stats.snapshot_for(

@@ -2,8 +2,8 @@
 
 One function per figure of the paper's evaluation section.  Each returns a
 :class:`~repro.metrics.report.MetricsReport` whose sections contain the rows
-or series the original figure plots, so the benchmark harness can print them
-and EXPERIMENTS.md can quote them.
+or series the original figure plots, so the scorecard
+(``python -m benchmarks.scorecard``) can judge them and SCORECARD.md can quote them.
 
 The paper's absolute numbers come from 84-node Grid'5000 clusters and 20-node
 EC2 deployments running millions of YCSB operations; the regenerators default

@@ -123,7 +123,7 @@ class Scenario:
         divergence (requires ``anti_entropy``; its ``interval`` is the base
         tick and should equal ``adaptive_repair.min_interval``).
     description:
-        Free-text summary used in logs and EXPERIMENTS.md.
+        Free-text summary used in logs.
     """
 
     name: str

@@ -21,7 +21,7 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.cluster.coordinator import OperationResult
 from repro.staleness.auditor import StalenessAuditor
@@ -161,42 +161,6 @@ class FaultTimeline(StalenessAuditor):
         if not latencies:
             return None
         return sum(latencies) / len(latencies)
-
-    def window_rows(
-        self,
-        edges: Sequence[float],
-        datacenters: Sequence[str],
-        *,
-        labels: Optional[Sequence[str]] = None,
-    ) -> List[Dict[str, object]]:
-        """One table row per (window, datacenter): the fault reports' shape.
-
-        ``edges`` are ``n+1`` window boundaries; ``labels`` (optional) names
-        the ``n`` windows (e.g. ``["before", "during", "after"]``).
-        """
-        if len(edges) < 2:
-            raise ValueError("need at least two window edges")
-        if labels is not None and len(labels) != len(edges) - 1:
-            raise ValueError("need exactly one label per window")
-        rows: List[Dict[str, object]] = []
-        for index in range(len(edges) - 1):
-            start, end = float(edges[index]), float(edges[index + 1])
-            if end <= start:
-                raise ValueError("window edges must be strictly increasing")
-            for dc in datacenters:
-                stale = self.stale_rate_in(start, end, datacenter=dc)
-                latency = self.mean_latency_in(start, end, datacenter=dc, op_type="read")
-                rows.append(
-                    {
-                        "window": labels[index] if labels is not None else f"[{start:g},{end:g})",
-                        "datacenter": dc,
-                        "ops": self.ops_in(start, end, datacenter=dc),
-                        "unavailable": self.unavailable_in(start, end, datacenter=dc),
-                        "stale_rate": round(stale, 4) if stale is not None else "",
-                        "read_mean_ms": round(latency * 1e3, 3) if latency is not None else "",
-                    }
-                )
-        return rows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

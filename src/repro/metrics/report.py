@@ -1,8 +1,8 @@
 """Plain-text report formatting for experiment results.
 
-The benchmark harness prints the rows/series a figure reports; these helpers
-format them as aligned text tables so ``pytest benchmarks/ --benchmark-only``
-output is directly comparable to the paper's plots.
+The scorecard records the rows/series a figure reports; these helpers
+format them as aligned text tables so ``SCORECARD.md`` (written by
+``python -m benchmarks.scorecard``) is directly comparable to the paper's plots.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ def format_table(
 class MetricsReport:
     """A named collection of result tables produced by one experiment.
 
-    The experiment harness assembles a report per figure; benches print it
-    and ``EXPERIMENTS.md`` quotes it.
+    The experiment harness assembles a report per figure; the scorecard
+    records it and ``SCORECARD.md`` renders it.
     """
 
     title: str

@@ -427,9 +427,6 @@ class NetworkFabric:
             if link is not None:
                 link.handler = handler
 
-    def is_registered(self, address: NodeAddress) -> bool:
-        return address in self._handlers
-
     # ------------------------------------------------------------------
     # Sharded-engine seam (conservative PDES)
     # ------------------------------------------------------------------

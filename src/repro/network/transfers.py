@@ -504,9 +504,6 @@ class TransferScheduler:
             out[key] = link.busy_integral
         return out
 
-    def link_keys(self) -> List[str]:
-        return sorted(self._links)
-
     # ------------------------------------------------------------------
     # Core: advance / allocate / arm
     # ------------------------------------------------------------------

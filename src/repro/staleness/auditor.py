@@ -68,13 +68,6 @@ class _KeyHistory:
         self.ack_times.append(ack_time)
         self.versions.append(version)
 
-    def newest_before(self, time: float) -> Optional[Version]:
-        """Newest version acknowledged strictly before ``time`` (or None)."""
-        index = bisect.bisect_left(self.ack_times, time)
-        if index == 0:
-            return None
-        return self.versions[index - 1]
-
     def acked_before(self, time: float) -> int:
         """Number of versions acknowledged strictly before ``time``."""
         return bisect.bisect_left(self.ack_times, time)
@@ -129,11 +122,6 @@ class StalenessAuditor:
     # ------------------------------------------------------------------
     # Read side
     # ------------------------------------------------------------------
-    def snapshot(self, key: str) -> None:
-        """Retained for API compatibility; the auditor no longer needs
-        issue-time snapshots because :meth:`judge` resolves the expected
-        version from the read's own ``started_at``."""
-
     def judge(self, key: str, result: OperationResult) -> Optional[bool]:
         """Return the staleness verdict for a completed read.
 

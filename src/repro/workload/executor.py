@@ -408,8 +408,6 @@ class WorkloadExecutor:
         return level_of if datacenter is None else partial(level_of, datacenter)
 
     def _on_issue(self, operation: Operation) -> None:
-        if self.auditor is not None and not operation.op_type.is_write:
-            self.auditor.snapshot(operation.key)
         if self.tracer is not None:
             self.tracer.op_issue(
                 "write" if operation.op_type.is_write else "read", operation.key

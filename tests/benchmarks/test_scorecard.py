@@ -1,0 +1,76 @@
+"""The committed scorecard is what the one entry point writes.
+
+``SCORECARD.json`` / ``SCORECARD.md`` are exact for a seed; CI regenerates
+them at full size and diffs.  Tier-1 holds the parts that do not need the
+full run: the committed record is clean, complete and rendered, and a
+``--quick`` build reaches the same verdict on every row.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import sys
+
+import pytest
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+if REPO_ROOT not in sys.path:
+    sys.path.insert(0, REPO_ROOT)
+
+from benchmarks import scorecard  # noqa: E402
+from benchmarks._shared import assert_no_placeholders  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def committed():
+    with open(os.path.join(REPO_ROOT, "SCORECARD.json"), "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _keys(value):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _keys(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _keys(item)
+
+
+def _verdicts(doc):
+    return {row["id"]: row["verdict"] for row in doc["rows"]}
+
+
+class TestCommittedScorecard:
+    def test_is_a_full_size_measurement_without_placeholders(self, committed):
+        assert committed["quick"] is False
+        assert_no_placeholders(committed)
+
+    def test_records_no_wall_clock_or_host_field(self, committed):
+        offenders = [key for key in _keys(committed) if re.search("wall|host|elapsed_wall", key)]
+        assert offenders == []
+
+    def test_names_every_registered_section(self, committed):
+        assert list(committed["tables"]) == list(scorecard.SECTIONS)
+        assert {row["section"] for row in committed["rows"]} == set(scorecard.SECTIONS)
+        ids = [row["id"] for row in committed["rows"]]
+        assert len(ids) == len(set(ids))
+        assert {row["verdict"] for row in committed["rows"]} <= {"holds", "differs"}
+
+    def test_markdown_is_the_rendering_of_the_json(self, committed):
+        with open(os.path.join(REPO_ROOT, "SCORECARD.md"), "r", encoding="utf-8") as handle:
+            assert handle.read() == scorecard.render(committed)
+
+
+@pytest.mark.slow
+def test_quick_build_reaches_the_committed_verdicts(committed):
+    """Verdicts are size-independent by construction; numbers are not compared."""
+    quick = scorecard.build(quick=True)
+    assert quick["quick"] is True
+    assert _verdicts(quick) == _verdicts(committed)
+    # Exact for a seed: the cheapest section, built again, is the same section.
+    rows, table = scorecard.build_section("geo", quick=True)
+    assert table == quick["tables"]["geo"]
+    assert rows == [row for row in quick["rows"] if row["section"] == "geo"]

@@ -97,7 +97,7 @@ class TestRepetitionGuard:
 
 
 class TestRecordedBenchmarkFilesAreClean:
-    @pytest.mark.parametrize("name", ["BENCH_fabric.json", "BENCH_repair.json"])
+    @pytest.mark.parametrize("name", ["BENCH_fabric.json", "SCORECARD.json"])
     def test_recorded_results_contain_no_placeholders(self, name):
         path = os.path.join(REPO_ROOT, name)
         with open(path, "r", encoding="utf-8") as handle:

@@ -35,6 +35,29 @@ def config_for(reproducer) -> ChaosConfig:
     return ChaosConfig(**base)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("threads", 0),
+        ("record_count", 0),
+        ("operation_count", 0),
+        ("min_judged_reads", 0),
+        ("repair_rounds", -1),
+        ("horizon", 0.0),
+        ("repair_interval", 0.0),
+        ("post_heal_grace", -0.1),
+        ("read_proportion", 1.5),
+        ("stale_bound", -0.1),
+        ("per_dc_stale_bound", 1.1),
+        ("think_time", -1.0),
+        ("scenario", "no_such_scenario"),
+    ],
+)
+def test_chaos_config_validates_on_construction(field, value):
+    with pytest.raises(ValueError, match=field):
+        ChaosConfig(**{field: value})
+
+
 def test_corpus_is_not_empty():
     assert len(CORPUS_FILES) >= 3, (
         "the committed corpus must keep at least three reproducers; "

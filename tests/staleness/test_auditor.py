@@ -138,9 +138,3 @@ def test_counters_and_keys_are_independent():
     assert auditor.judged == 2
     assert auditor.reads_judged == 2
     assert auditor.stale_rate() == pytest.approx(0.5)
-
-
-def test_snapshot_is_a_compatible_noop():
-    auditor = StalenessAuditor()
-    auditor.snapshot("k")  # must not raise or change state
-    assert auditor.reads_judged == 0

@@ -7,9 +7,14 @@ deletion.  Walk the packages instead of listing them, so a new one is covered.
 
 from __future__ import annotations
 
+import ast
 import doctest
 import importlib
 import pkgutil
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,3 +44,31 @@ def test_the_package_docstring_examples_run():
     """Both quick starts in ``repro/__init__.py`` construct policies by public name."""
     results = doctest.testmod(repro)
     assert results.attempted >= 11 and results.failed == 0
+
+
+def test_no_module_under_src_imports_benchmarks():
+    """``src/repro`` must work without ``benchmarks/`` on ``sys.path``."""
+    offenders = []
+    for path in sorted(Path(repro.__path__[0]).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "benchmarks" for module in modules):
+                offenders.append(f"{path}:{node.lineno}")
+    assert not offenders, f"src/ imports benchmarks/: {offenders}"
+
+
+def test_setup_py_names_the_package(tmp_path):
+    """``setup()`` with no arguments installed a package called UNKNOWN."""
+    root = Path(repro.__path__[0]).parents[1]
+    shutil.copy(root / "setup.py", tmp_path / "setup.py")
+    done = subprocess.run(
+        [sys.executable, "setup.py", "--name"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["repro"]

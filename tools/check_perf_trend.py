@@ -1,35 +1,29 @@
 #!/usr/bin/env python
-"""Trend guards: fail CI when a recorded benchmark claim stops holding.
+"""Trend guard: fail CI when the sharded engine's recorded claim stops holding.
 
-Each guard compares one freshly-measured ``bench_*.py`` report against its
-recorded ``BENCH_*.json`` baseline at the repository root, and runs when its
-``--*-fresh`` report is given (``--*-baseline`` defaults to the recorded
-file).  What CI compares is machine-independent -- a byte count, a
-virtual-time measurement, a determinism flag or a ratio of CPU times over one
-simulated schedule -- so a runner reproduces what the recording host saw;
-figures that depend on the run's size are compared only when the fresh run
-used the recorded configuration:
+Compares one freshly measured ``bench_fabric.py`` report (``--parallel-fresh``)
+against the recorded ``BENCH_fabric.json`` at the repository root
+(``--parallel-baseline``).  What CI compares is machine-independent -- a
+determinism flag and ratios of CPU times over one simulated schedule -- so a
+runner reproduces what the recording host saw: the fresh smoke run must be
+deterministic across worker counts, and the recorded baseline section must
+keep its acceptance floors (workers >= 4, aggregate >= 40k ops per
+bottleneck-worker CPU second, >= 2x the workers=1 aggregate, >= 3x
+single-process).
 
-* ``--parallel-fresh`` -- the sharded engine: the fresh smoke run must be
-  deterministic across worker counts, and the recorded baseline section must
-  keep its acceptance floors (workers >= 4, aggregate >= 40k ops per
-  bottleneck-worker CPU second, >= 2x the workers=1 aggregate, >= 3x
-  single-process);
-* ``--repair-fresh`` -- steady-state repair bytes per session and the
-  bandwidth-contention claims;
-* ``--staleness-fresh`` -- the staleness claims and the estimator's error;
-* ``--elasticity-fresh`` -- adaptive ring beats every static size.
-
-Host speed (simulated ops per wall-second) is not guarded here: the perf
-ledger (``benchmarks/perf/``, ``BENCHMARK.json``) measures it end to end.
+The simulated-fidelity claims (repair, control, staleness, elasticity) are
+exact for a seed and live in the committed ``SCORECARD.json``, which CI
+regenerates and diffs (``python -m benchmarks.scorecard``).  Host speed
+(simulated ops per wall-second) is not guarded here either: the perf ledger
+(``benchmarks/perf/``, ``BENCHMARK.json``) measures it end to end.
 
 A run that selects no guard fails loudly (a guard that silently compares
 nothing guards nothing).
 
 Usage::
 
-    python tools/check_perf_trend.py --repair-fresh BENCH_repair_fresh.json \
-        [--repair-baseline BENCH_repair.json] [--max-regression 0.25]
+    python tools/check_perf_trend.py --parallel-fresh BENCH_fabric_fresh.json \
+        [--parallel-baseline BENCH_fabric.json] [--max-regression 0.25]
 """
 
 from __future__ import annotations
@@ -46,192 +40,6 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def _load(path: str) -> Dict[str, object]:
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
-
-
-def _steady_state_bytes(report: Dict[str, object]) -> Optional[float]:
-    """Per-session steady-state repair bytes of one BENCH_repair report."""
-    steady = report.get("steady_state")
-    if not isinstance(steady, dict):
-        return None
-    value = steady.get("incremental", {}).get("bytes_per_session")
-    return float(value) if value is not None else None
-
-
-def _steady_state_reduction(report: Dict[str, object]) -> Optional[float]:
-    steady = report.get("steady_state")
-    if not isinstance(steady, dict):
-        return None
-    value = steady.get("full_vs_incremental_bytes_ratio")
-    return float(value) if value is not None else None
-
-
-def compare_repair(
-    fresh: Dict[str, object], baseline: Dict[str, object], max_regression: float
-) -> Tuple[List[str], List[str]]:
-    """Guard the repair benchmark's steady-state session bytes.
-
-    Both metrics are byte counts over deterministic sessions, so they are
-    machine-independent: a fresh run on any hardware must reproduce the
-    committed steady-state economics.  ``bytes_per_session`` may not grow
-    more than ``max_regression`` over the baseline, and the full-keyspace
-    vs incremental reduction ratio may not shrink below 5x (the recorded
-    acceptance floor) or ``max_regression`` under the baseline's ratio.
-
-    The fresh report must also carry the ``bandwidth_contention`` section
-    with every claim holding: bandwidth-on shows measurable contention
-    (foreground read p99 inflated over the bandwidth-off arm during the
-    repair storm) and the ``wan_budget_bytes_per_s`` throttle bounds that
-    inflation while recovery still completes in every arm.  These are
-    virtual-time measurements of a deterministic simulation, so any
-    hardware reproduces them.
-    """
-    lines: List[str] = []
-    failures: List[str] = []
-    contention = fresh.get("bandwidth_contention")
-    if not isinstance(contention, dict):
-        failures.append("bandwidth_contention section missing from the fresh repair report")
-    else:
-        claims = contention.get("claims", {})
-        summary = " ".join(f"{name}={bool(value)}" for name, value in sorted(claims.items()))
-        lines.append(f"bandwidth contention claims: {summary or '(none)'}")
-        if not claims:
-            failures.append("bandwidth_contention.claims missing from the fresh repair report")
-        for name, value in sorted(claims.items()):
-            if value is not True:
-                failures.append(f"bandwidth contention claim failed: {name}")
-    fresh_bytes = _steady_state_bytes(fresh)
-    base_bytes = _steady_state_bytes(baseline)
-    if fresh_bytes is None or base_bytes is None:
-        failures.append("steady_state.incremental.bytes_per_session missing from a report")
-        return lines, failures
-    growth = fresh_bytes / base_bytes - 1.0 if base_bytes > 0 else 0.0
-    lines.append(
-        f"steady-state repair bytes/session: fresh={fresh_bytes:.0f} "
-        f"baseline={base_bytes:.0f} ({growth:+.1%})"
-    )
-    if growth > max_regression:
-        failures.append(
-            f"steady-state repair bytes/session grew {growth:.1%} "
-            f"(> {max_regression:.0%} allowed)"
-        )
-    fresh_ratio = _steady_state_reduction(fresh)
-    base_ratio = _steady_state_reduction(baseline)
-    if fresh_ratio is not None and base_ratio is not None:
-        lines.append(
-            f"full-vs-incremental byte reduction: fresh={fresh_ratio:.1f}x "
-            f"baseline={base_ratio:.1f}x"
-        )
-        if fresh_ratio < 5.0:
-            failures.append(
-                f"full-vs-incremental reduction {fresh_ratio:.1f}x fell under the 5x floor"
-            )
-        elif fresh_ratio < base_ratio * (1.0 - max_regression):
-            failures.append(
-                f"full-vs-incremental reduction shrank to {fresh_ratio:.1f}x "
-                f"(baseline {base_ratio:.1f}x)"
-            )
-    return lines, failures
-
-
-def compare_staleness(
-    fresh: Dict[str, object], baseline: Dict[str, object], max_regression: float
-) -> Tuple[List[str], List[str]]:
-    """Guard the staleness benchmark's machine-independent invariants.
-
-    The staleness bench records claims that hold on any hardware (the
-    simulation is deterministic, so a fresh run reproduces the physics, not
-    the wall-clock): quorum reads measure exactly zero staleness,
-    t-visibility is monotone, the write-aware estimator upper-bounds every
-    measurement, and same-seed runs are byte-identical.  A fresh report
-    must re-establish all of them.  When the fresh run used the same
-    configuration as the baseline, the estimator's worst-case relative
-    error additionally may not grow by more than ``max_regression`` --
-    catching silent drift in the closed-form model or the auditor.
-    """
-    lines: List[str] = []
-    failures: List[str] = []
-    if "claims_hold" not in fresh or "deterministic" not in fresh:
-        failures.append("staleness report is missing claims_hold/deterministic")
-        return lines, failures
-    lines.append(
-        f"staleness claims_hold={fresh['claims_hold']} "
-        f"deterministic={fresh['deterministic']}"
-    )
-    if not fresh["deterministic"]:
-        failures.append("staleness bench: same-seed runs diverged")
-    if not fresh["claims_hold"]:
-        failures.append(
-            "staleness bench: a machine-independent claim failed "
-            "(quorum overlap, t-visibility monotonicity, write-quorum "
-            "direction, or estimator conservativeness)"
-        )
-    fresh_error = fresh.get("eventual_max_relative_error")
-    base_error = baseline.get("eventual_max_relative_error")
-    if fresh.get("config") == baseline.get("config"):
-        if fresh_error is not None and base_error is not None:
-            growth = float(fresh_error) - float(base_error)
-            lines.append(
-                f"estimator max relative error: fresh={float(fresh_error):.4f} "
-                f"baseline={float(base_error):.4f} ({growth:+.4f})"
-            )
-            if growth > max_regression:
-                failures.append(
-                    f"estimator max relative error grew {growth:.4f} "
-                    f"(> {max_regression:.2f} allowed)"
-                )
-    else:
-        lines.append(
-            "staleness configs differ -- skipping the estimator-error comparison"
-        )
-    return lines, failures
-
-
-def compare_elasticity(
-    fresh: Dict[str, object], baseline: Dict[str, object], max_regression: float
-) -> Tuple[List[str], List[str]]:
-    """Guard the elasticity benchmark's machine-independent claims.
-
-    Every headline quantity in ``BENCH_elasticity.json`` is virtual-time or
-    a deterministic count, so a fresh run on any hardware must reproduce
-    the economics exactly:
-
-    * ``adaptive_beats_all_static`` -- the demand-driven arm's cost x p99
-      score beats every static ring size it can reach;
-    * ``deterministic`` -- two same-seed adaptive runs were byte-identical
-      (decisions, transitions and scores included);
-    * ``zero_pending_read_violations`` -- no read ever contacted a
-      pending-range node mid-bootstrap/decommission.
-
-    When fresh and baseline share a configuration, the adaptive score
-    (lower is better) additionally may not grow by more than
-    ``max_regression`` over the recorded baseline.
-    """
-    lines: List[str] = []
-    failures: List[str] = []
-    for claim in ("adaptive_beats_all_static", "deterministic", "zero_pending_read_violations"):
-        value = fresh.get(claim)
-        lines.append(f"elasticity {claim}={value}")
-        if value is not True:
-            failures.append(f"elasticity bench: {claim} does not hold in the fresh run")
-    fresh_score = fresh.get("adaptive", {}).get("score")
-    base_score = baseline.get("adaptive", {}).get("score")
-    if fresh.get("config") == baseline.get("config"):
-        if fresh_score is not None and base_score is not None and float(base_score) > 0:
-            growth = float(fresh_score) / float(base_score) - 1.0
-            lines.append(
-                f"elasticity adaptive score: fresh={float(fresh_score):.4f} "
-                f"baseline={float(base_score):.4f} ({growth:+.1%})"
-            )
-            if growth > max_regression:
-                failures.append(
-                    f"elasticity adaptive score grew {growth:.1%} "
-                    f"(> {max_regression:.0%} allowed; lower is better)"
-                )
-        else:
-            failures.append("elasticity report is missing adaptive.score")
-    else:
-        lines.append("elasticity configs differ -- skipping the score comparison")
-    return lines, failures
 
 
 def _parallel_section(doc: Dict[str, object]) -> Optional[Dict[str, object]]:
@@ -341,15 +149,6 @@ def compare_parallel(
     return lines, failures
 
 
-#: The guards: flag stem -> (comparison, recorded baseline at the repo root).
-GUARDS = {
-    "parallel": (compare_parallel, "BENCH_fabric.json"),
-    "repair": (compare_repair, "BENCH_repair.json"),
-    "staleness": (compare_staleness, "BENCH_staleness.json"),
-    "elasticity": (compare_elasticity, "BENCH_elasticity.json"),
-}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -358,34 +157,26 @@ def main(argv=None) -> int:
         default=0.25,
         help="maximum tolerated fractional regression (default 0.25)",
     )
-    for name, (_compare, recorded) in GUARDS.items():
-        parser.add_argument(
-            f"--{name}-fresh",
-            default=None,
-            help=f"freshly measured report; runs the {name} guard",
-        )
-        parser.add_argument(
-            f"--{name}-baseline",
-            default=os.path.join(REPO_ROOT, recorded),
-            help=f"recorded baseline of the {name} guard (default {recorded})",
-        )
+    parser.add_argument(
+        "--parallel-fresh",
+        default=None,
+        help="freshly measured bench_fabric.py report; runs the guard",
+    )
+    parser.add_argument(
+        "--parallel-baseline",
+        default=os.path.join(REPO_ROOT, "BENCH_fabric.json"),
+        help="recorded baseline (default BENCH_fabric.json)",
+    )
     args = parser.parse_args(argv)
     if not 0 < args.max_regression < 1:
         parser.error("--max-regression must be in (0, 1)")
 
-    lines: List[str] = []
-    failures: List[str] = []
-    selected = [name for name in GUARDS if getattr(args, f"{name}_fresh") is not None]
-    if not selected:
-        failures.append("no guard selected: pass at least one --*-fresh report")
-    for name in selected:
-        guard_lines, guard_failures = GUARDS[name][0](
-            _load(getattr(args, f"{name}_fresh")),
-            _load(getattr(args, f"{name}_baseline")),
-            args.max_regression,
-        )
-        lines.extend(guard_lines)
-        failures.extend(guard_failures)
+    if args.parallel_fresh is None:
+        print("FAIL: no guard selected: pass a --parallel-fresh report", file=sys.stderr)
+        return 1
+    lines, failures = compare_parallel(
+        _load(args.parallel_fresh), _load(args.parallel_baseline), args.max_regression
+    )
     for line in lines:
         print(line)
     if failures:
