@@ -39,9 +39,14 @@ FULL_CONFIG = {
     "writes": {"record_count": 400, "operation_count": 6000, "threads": 15},
     "seed": 11,
 }
+#: ``writes`` keeps the full keyspace at half the operations: ~30 stale reads
+#: per arm, where 150 records and 2,000 operations judged ``rw stale <=
+#: local_quorum stale`` on a handful more or less.  The stale-rate half of
+#: that claim is within seed noise even at full size (it holds on 3 of the
+#: seeds 11-14), so the quick run keeps the full run's seed and keyspace.
 QUICK_CONFIG = {
     "repair": {"record_count": 150, "operation_count": 1500, "threads": 10, "think_time": 0.25},
-    "writes": {"record_count": 150, "operation_count": 2000, "threads": 15},
+    "writes": {"record_count": 400, "operation_count": 3000, "threads": 15},
     "seed": 11,
 }
 

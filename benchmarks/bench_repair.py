@@ -155,7 +155,7 @@ def run_steady_state_arm(
         cluster, workload, StaticGeoPolicy(), threads=1,
         datacenters=cluster.datacenter_names,
     )
-    executor.load()  # settles: all replicas converged before repair starts
+    executor.load()  # every replica holds every record before repair starts
     service = cluster.start_anti_entropy(
         AntiEntropyConfig(interval=interval, incremental=incremental)
     )

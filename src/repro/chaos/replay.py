@@ -6,7 +6,7 @@ it, which is what makes a schedule found by one replayable by the others.
 
 One run is a fixed phase sequence (all in virtual time):
 
-1. **Load** -- the workload's records are written at ``ONE`` and settled.
+1. **Load** -- the workload's records are bulk-loaded into every replica.
 2. **Run** -- the fault schedule is armed, cross-DC anti-entropy starts,
    and clients execute the workload while faults fire.  The client run is
    sized (via ``think_time``) to outlast the fault horizon so there is
@@ -192,10 +192,10 @@ def run_chaos(schedule: FaultSchedule, config: ChaosConfig) -> ChaosReport:
     arm_time = engine.now
     if cluster.config.spares_per_dc > 0:
         # Elastic scenarios run a membership manager for the measured phase
-        # so schedule events can begin transitions.  Started after the load
-        # settle (a ticking periodic process would keep settle spinning) and
-        # stopped before the convergence settles below; scenarios without
-        # spares never construct one and stay byte-identical.
+        # so schedule events can begin transitions.  Stopped before the
+        # convergence settles below (a ticking periodic process would keep
+        # settle spinning); scenarios without spares never construct one and
+        # stay byte-identical.
         MembershipManager(cluster).start()
     injector = FaultInjector(cluster, schedule)
     injector.arm()

@@ -18,8 +18,9 @@ evaluation need:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.antientropy import AntiEntropyService
@@ -673,6 +674,32 @@ class SimulatedCluster:
             executed += 1
             if executed > max_events:  # pragma: no cover - defensive
                 raise RuntimeError("operation did not complete within the event budget")
+
+    def load(
+        self, records: Iterable[Tuple[str, object]], size_bytes: int
+    ) -> List[OperationResult]:
+        """Bulk-load ``(key, value)`` records straight into their replicas.
+
+        Each gets a cell minted by the round-robin coordinator, applied through
+        every replica's write-apply path (as ``sstableloader`` streams to the
+        owners): no event, message, random draw or observer.  Cells and
+        acknowledgements are dated just before now, so a write at the run's
+        first instant is strictly newer than the record it replaces and a read
+        then is judged against the load."""
+        acked_at = math.nextafter(self.engine.now, -math.inf)
+        results = []
+        for key, value in records:
+            coordinator = self._pick_coordinator(None)
+            cell = coordinator.mint(key, value, size_bytes, acked_at)
+            replicas = self.replicas_for(key)
+            for address in replicas:
+                self.nodes[address].apply_write(cell)
+            results.append(OperationResult(
+                "write", key, cell, ConsistencyLevel.ONE, 1, acked_at, acked_at,
+                replicas=replicas, coordinator=coordinator.address,
+                datacenter=coordinator.datacenter,
+            ))
+        return results
 
     def settle(self, extra_time: float = 1.0) -> None:
         """Run the engine until pending background work (propagation, repair,

@@ -370,7 +370,6 @@ class Coordinator:
         callback: Callable[[OperationResult], None],
         *,
         size_bytes: Optional[int] = None,
-        timestamp: Optional[float] = None,
     ) -> int:
         """Issue a write; ``callback`` receives the :class:`OperationResult`.
 
@@ -418,13 +417,7 @@ class Coordinator:
                 "write", key, consistency_level, required, replicas, callback
             )
         request_id = next(self._request_ids)
-        cell = Cell(
-            timestamp=timestamp if timestamp is not None else self._engine.now,
-            value_id=next(self._value_ids),
-            key=key,
-            value=value,
-            size_bytes=size_bytes if size_bytes is not None else self._write_size_bytes,
-        )
+        cell = self.mint(key, value, size_bytes, self._engine.now)
         pending = _PendingWrite(
             request_id=request_id,
             cell=cell,
@@ -436,7 +429,6 @@ class Coordinator:
             started_at=self._engine.now,
         )
         self._pending_writes[request_id] = pending
-        self._counters.coordinator_writes += 1
         payload = (request_id, cell)
         fabric_send = self._fabric.send
         address = self.address
@@ -457,6 +449,17 @@ class Coordinator:
             self.config.write_timeout, self._write_timed_out, request_id
         )
         return request_id
+
+    def mint(
+        self, key: str, value: object, size_bytes: Optional[int], timestamp: float
+    ) -> Cell:
+        """A new version of ``key`` dated ``timestamp``, its value id from this
+        coordinator's counter, counted as one coordinated write: the cell
+        :meth:`write` sends and :meth:`SimulatedCluster.load` stores."""
+        self._counters.coordinator_writes += 1
+        if size_bytes is None:
+            size_bytes = self._write_size_bytes
+        return Cell(timestamp, next(self._value_ids), key, value, size_bytes)
 
     def read(
         self,
@@ -1014,11 +1017,13 @@ class Coordinator:
         # The coordinator's read-repair stream is consumed only here, so
         # pre-drawing a block yields the exact same uniform sequence as
         # per-read scalar draws (NumPy fills doubles sequentially from the
-        # bit stream) at a fraction of the per-roll cost.
+        # bit stream) at a fraction of the per-roll cost.  Blocks double from
+        # 16 up to the cap, so a coordinator that rolls a few times holds few.
         index = self._read_repair_index
         pool = self._read_repair_pool
         if index >= len(pool):
-            pool = self._read_repair_rng.random(size=self._READ_REPAIR_POOL_SIZE).tolist()
+            size = min(2 * len(pool) or 16, self._READ_REPAIR_POOL_SIZE)
+            pool = self._read_repair_rng.random(size=size).tolist()
             self._read_repair_pool = pool
             index = 0
         self._read_repair_index = index + 1

@@ -240,13 +240,13 @@ class StorageNode:
         elif kind == MessageKind.HINT_REPLAY:
             # Hint replays are applied directly (they are background work and
             # modelled as not competing for the foreground worker pool).
-            self._apply_write(message.payload, is_repair=True)
+            self.apply_write(message.payload, is_repair=True)
         elif kind == MessageKind.REPAIR_STREAM:
             # Anti-entropy streamed cell: background work like hint replay
             # (is_repair=False: the read_repairs counter is for the read
             # path), counted separately so repair effectiveness is
             # observable.
-            self._apply_write(message.payload, is_repair=False)
+            self.apply_write(message.payload, is_repair=False)
             self.counters.anti_entropy_cells += 1
         elif kind == MessageKind.RANGE_STREAM:
             # Membership bulk transfer: a batch of cells for a moving range.
@@ -254,7 +254,7 @@ class StorageNode:
             # like any other write; the membership manager drives progress
             # through the on-delivered callback attached to the send.
             for cell in message.payload:
-                self._apply_write(cell, is_repair=False)
+                self.apply_write(cell, is_repair=False)
             self.counters.range_stream_cells += len(message.payload)
         elif kind in (MessageKind.TREE_REQUEST, MessageKind.TREE_RESPONSE):
             # Merkle tree exchange: the anti-entropy service drives its own
@@ -283,9 +283,10 @@ class StorageNode:
         index = self._service_index
         pool = self._service_pool
         if index >= len(pool):
-            pool = self._rng.standard_gamma(
-                self._gamma_shape, size=self._SERVICE_POOL_SIZE
-            ).tolist()
+            # Refills double from 16 up to the cap: a node that serves a
+            # handful of requests never holds 512 pre-drawn floats.
+            size = min(2 * len(pool) or 16, self._SERVICE_POOL_SIZE)
+            pool = self._rng.standard_gamma(self._gamma_shape, size=size).tolist()
             self._service_pool = pool
             index = 0
         self._service_index = index + 1
@@ -314,7 +315,7 @@ class StorageNode:
             elif kind == MessageKind.WRITE_REQUEST or kind == MessageKind.REPAIR_WRITE:
                 is_repair = kind == MessageKind.REPAIR_WRITE
                 cell = payload[1]
-                self._apply_write(cell, is_repair=is_repair)
+                self.apply_write(cell, is_repair=is_repair)
                 self._fabric.send(
                     self.address,
                     message.src,
@@ -327,7 +328,7 @@ class StorageNode:
             queued, _enqueued_at = self._queue.popleft()
             self._start_service(queued)
 
-    def _apply_write(self, cell: Cell, *, is_repair: bool) -> None:
+    def apply_write(self, cell: Cell, *, is_repair: bool = False) -> None:
         self.storage.apply(cell)
         self.counters.writes_applied += 1
         if is_repair:

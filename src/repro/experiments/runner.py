@@ -342,11 +342,8 @@ def run_experiment(
     service = None
     recorder = None
     if faulted or scenario.anti_entropy is not None or series_interval is not None:
-        # Load first so fault times, repair ticks and series samples are
-        # relative to the start of the *measured* run, not the
-        # (variable-length) load phase.  (The series recorder keeps the
-        # event queue non-empty, so it must not run across the load-phase
-        # settle barrier.)
+        # Load first: fault times, repair ticks and series samples count
+        # from the start of the measured run.
         executor.load()
         if faulted:
             from repro.faults.schedule import FaultInjector

@@ -228,12 +228,12 @@ class _WindowController:
                     g = entry[0]
         return g
 
-    def run_windows(self, *, until_clients_done: bool) -> None:
-        """Advance rounds until quiescence (load) or every shard's clients
-        are done (run phase; shards keep serving remote traffic for other
-        shards' clients until the last one finishes)."""
+    def run_windows(self) -> None:
+        """Advance rounds until every shard's clients are done (shards keep
+        serving remote traffic for other shards' clients until the last one
+        finishes) or nothing is left to run."""
         while True:
-            if until_clients_done and all(self.done):
+            if all(self.done):
                 # Remaining buffered messages are responses to clients that
                 # already finished; dropping them mirrors the single-engine
                 # run stopping with events still queued.
@@ -261,9 +261,8 @@ class _WindowController:
     def align(self) -> None:
         """Catch every shard's clock up to the last window bound.
 
-        Run before ``begin_run`` (so all clients start at the same instant)
-        and before ``finalize`` (so every shard reports the same virtual end
-        time regardless of idle-skipping).
+        Run before ``finalize`` so every shard reports the same virtual end
+        time regardless of idle-skipping.
         """
         if self.time > 0.0:
             self.broadcast(("align", self.time))
@@ -292,11 +291,11 @@ class ParallelExperimentResult:
     trace_sha256: List[str]
     rounds: int
     cross_messages: int
-    #: Per-worker CPU seconds over the whole lifecycle (load + run + merge).
+    #: Per-worker CPU seconds over every command (begin, run, finalize).
     busy_seconds: List[float]
     #: Per-worker CPU seconds spent in the measured run phase only
-    #: (``begin_run`` through the post-run align, excluding load and
-    #: finalize) -- the figure comparable to the single-engine
+    #: (after ``begin_run`` through the post-run align) -- the figure
+    #: comparable to the single-engine
     #: ``ops_per_wall_s``, which also excludes the load phase.
     run_busy_seconds: List[float]
     #: CPU seconds the controller process spent in the run phase.  With
@@ -413,6 +412,17 @@ def run_parallel_experiment(
             )
         )
 
+    # The bulk load, before any worker forks: each shard loads its own key
+    # slice into its whole cluster copy (its coordinators, its auditor), and
+    # every replica it does not own is also stored by the shard that owns it
+    # -- ghost copies never serve traffic.
+    for runtime in runtimes:
+        for result in runtime.executor.load():
+            for address in result.replicas:
+                owner = runtimes[plan.shard_of(address)]
+                if owner is not runtime:
+                    owner.cluster.nodes[address].apply_write(result.cell)
+
     effective_workers = max(1, min(workers, shards))
     backend = (
         LocalShards(runtimes)
@@ -429,17 +439,13 @@ def run_parallel_experiment(
     gc.disable()
     try:
         controller = _WindowController(backend, plan)
-        controller.broadcast(("issue_load",))
-        controller.run_windows(until_clients_done=False)
-        controller.align()
-        controller.broadcast(("finish_load",))
         controller.broadcast(("begin_run",))
-        load_busy = list(backend.busy_seconds)
+        begun = list(backend.busy_seconds)
         parent_cpu_start = process_time()
-        controller.run_windows(until_clients_done=True)
+        controller.run_windows()
         controller.align()
         parent_run_cpu = process_time() - parent_cpu_start
-        run_busy = [after - before for after, before in zip(backend.busy_seconds, load_busy)]
+        run_busy = [after - before for after, before in zip(backend.busy_seconds, begun)]
         finals = backend.dispatch({k: ("finalize",) for k in range(shards)})
         busy_seconds = list(backend.busy_seconds)
     finally:

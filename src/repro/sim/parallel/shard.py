@@ -13,8 +13,7 @@ to the single-process run of the same sharded configuration.
 The runtime is a command state machine driven by the window controller in
 :mod:`repro.sim.parallel.runner`:
 
-``issue_load`` -> ``advance``* -> ``finish_load`` -> ``begin_run`` ->
-``advance``* -> ``align`` -> ``finalize``
+``begin_run`` -> ``advance``* -> ``align`` -> ``finalize`` (the runner bulk-loads before).
 
 Every command reply carries ``(next_event_time, outbox, clients_done)`` so
 the controller can compute the next conservative window without extra round
@@ -216,7 +215,6 @@ class ShardRuntime:
             retry_policy=retry_policy,
             max_virtual_time=max_virtual_time,
         )
-        self._load_completed = None
         self._clients_done = False
         self._finish_time: Optional[float] = None
         self._deadline_handle = None
@@ -250,13 +248,6 @@ class ShardRuntime:
         if op == "align":
             self.engine.run_until(command[1])
             self._check_membership_epoch()
-            return self._reply()
-        if op == "issue_load":
-            self._load_completed = self.executor.issue_load()
-            return self._reply()
-        if op == "finish_load":
-            self.executor.finish_load(self._load_completed)
-            self._load_completed = None
             return self._reply()
         if op == "begin_run":
             return self._begin_run()

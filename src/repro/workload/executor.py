@@ -171,11 +171,6 @@ class WorkloadExecutor:
         unpinned).
     """
 
-    #: Write payloads use the workload's record size; the load phase uses
-    #: consistency level ONE exactly like the paper (the initial load is not
-    #: part of the measured run).
-    LOAD_CONSISTENCY = ConsistencyLevel.ONE
-
     def __init__(
         self,
         cluster: SimulatedCluster,
@@ -233,49 +228,20 @@ class WorkloadExecutor:
     # ------------------------------------------------------------------
     # Load phase
     # ------------------------------------------------------------------
-    def issue_load(self) -> List[OperationResult]:
-        """Issue every initial-load write; completions accumulate later.
-
-        Returns the (initially empty) completion list that fills in as the
-        engine delivers write acknowledgements.  Callers must drive the
-        engine themselves -- :meth:`load` settles a self-contained cluster;
-        the sharded engine drains the whole ring through its conservative
-        windows instead (CL ONE acks can come from remote replicas) -- and
-        then hand the list to :meth:`finish_load`.
-        """
-        keys = self.workload.load_keys()
-        completed: List[OperationResult] = []
-        for key in keys:
-            self.cluster.write(
-                key,
-                f"initial:{key}",
-                self.LOAD_CONSISTENCY,
-                completed.append,
-                size_bytes=self.workload.value_size(),
-            )
-        return completed
-
-    def finish_load(self, completed: List[OperationResult]) -> int:
-        """Account the drained load phase; returns the records loaded."""
+    def load(self) -> List[OperationResult]:
+        """Bulk-load the initial ``record_count`` records (unmeasured, as in the
+        paper): every replica holds every record, acknowledged to the auditor
+        before the run's first instant.  Returns one acknowledgement per
+        record (see :meth:`SimulatedCluster.load`)."""
+        results = self.cluster.load(
+            [(key, f"initial:{key}") for key in self.workload.load_keys()],
+            self.workload.value_size(),
+        )
         if self.auditor is not None:
-            for result in completed:
+            for result in results:
                 self.auditor.observe_write(result)
         self._loaded = True
-        return len(completed)
-
-    def load(self) -> int:
-        """Insert the initial ``record_count`` records (not measured).
-
-        Returns the number of records loaded.  The engine is run after the
-        inserts so all replicas converge before the run phase starts, which
-        matches the paper's setup of loading the dataset before running the
-        measured workloads.
-        """
-        completed = self.issue_load()
-        # Drain everything (writes + background propagation) so the run phase
-        # starts from a consistent store.
-        self.cluster.settle()
-        return self.finish_load(completed)
+        return results
 
     # ------------------------------------------------------------------
     # Run phase

@@ -119,7 +119,13 @@ class TestStuckUnavailable:
 class TestWindowedStaleRate:
     def test_tight_bound_fires_on_a_lossy_run(self):
         generator = ScheduleGenerator(ScenarioRegistry.get("grid5000_3sites"))
-        config = ChaosConfig(seed=0, stale_bound=0.0, per_dc_stale_bound=0.0, min_judged_reads=5)
+        # Ten hot keys at ~5x the default op rate keep cross-site races going
+        # after the heal: 3-11 stale reads in the post-heal window over seeds
+        # 0-5, where the default sizes leave 0 or 1 there.
+        config = ChaosConfig(
+            seed=0, record_count=10, operation_count=2000,
+            stale_bound=0.0, per_dc_stale_bound=0.0, min_judged_reads=5,
+        )
         report = run_chaos(generator.generate(0, budget=6), config)
         assert report.violated_invariants() == ("windowed_stale_rate",)
 

@@ -102,9 +102,12 @@ def run_on_one_plane(family: str):
     manager.start()
     service = cluster.start_anti_entropy(AntiEntropyConfig(interval=REPAIR_INTERVAL))
     plane = executor.plane
+    # The scheduler starts mid-range, so every completed session moves it:
+    # a diverging one tightens, a clean one relaxes.  (With the floor at the
+    # start interval, a run whose sessions all diverge has nothing to decide.)
     plane.add(
         RepairSchedulePolicy(
-            service, RepairControlConfig(min_interval=REPAIR_INTERVAL, max_interval=8.0)
+            service, RepairControlConfig(min_interval=REPAIR_INTERVAL / 2, max_interval=8.0)
         )
     )
     plane.add(ScaleOutPolicy(ScaleOutConfig(sustain_ticks=2, cooldown=1.0)))

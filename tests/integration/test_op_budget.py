@@ -43,6 +43,8 @@ def run_closed_loop(scenario, *, seed, records, ops, threads):
     workload = WORKLOAD_A.scaled(record_count=records, operation_count=ops)
     executor = WorkloadExecutor(cluster, workload, StaticQuorumPolicy(), threads=threads)
     executor.load()
+    # The bulk load is free: no engine event, no fabric message.
+    assert cluster.engine.events_processed == 0 and cluster.fabric.stats.sent == 0
     events_before = cluster.engine.events_processed
     messages_before = cluster.fabric.stats.sent
     metrics = executor.run()

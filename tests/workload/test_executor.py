@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
@@ -43,18 +45,53 @@ def run_workload(policy, workload=None, threads=4, seed=4, auditor=None):
 
 class TestLoadPhase:
     def test_load_inserts_every_record(self):
+        from repro.faults.timeline import FaultTimeline
+
         cluster = make_cluster()
+        timeline = FaultTimeline()
+        timeline.attach(cluster)
         executor = WorkloadExecutor(
             cluster,
             WORKLOAD_A.scaled(record_count=40, operation_count=10),
             StaticEventualPolicy(),
             threads=1,
+            auditor=timeline,
         )
-        loaded = executor.load()
-        assert loaded == 40
-        # All records are present and consistent after the load settles.
+        assert len(executor.load()) == 40  # one acknowledgement per record
+        # Every replica holds every record, and no simulated time passed.
         for i in range(40):
             assert cluster.newest_cell(f"user{i}") is not None
+            assert cluster.is_consistent(f"user{i}")
+        assert cluster.engine.now == 0.0 and cluster.engine.events_processed == 0
+        # The auditor knows every record; no synthetic load op reached an
+        # operation observer or a latency histogram.
+        assert timeline.writes_observed == 40 and timeline.op_events == []
+        assert executor.metrics.overall_latency.count == 0
+
+    def test_a_write_at_the_first_instant_replaces_the_loaded_record(self):
+        # 10 records over 6 coordinators: four mint two records each, two
+        # mint one.  A write at t = 0 through one of the latter draws the
+        # value id of a loaded cell minted second -- the same (timestamp,
+        # value id) if the load were dated t = 0 -- and must still win.
+        cluster = make_cluster()
+        executor = WorkloadExecutor(
+            cluster,
+            WORKLOAD_A.scaled(record_count=10, operation_count=1),
+            StaticEventualPolicy(),
+            threads=1,
+        )
+        loaded = executor.load()
+        minted = Counter(result.coordinator for result in loaded)
+        last = loaded[-1]
+        assert minted[last.coordinator] == 2 and last.cell.value_id == 1
+        fewer = next(address for address, count in minted.items() if count == 1)
+        result = cluster.write_sync(
+            last.key, "new", ConsistencyLevel.ALL, coordinator=fewer
+        )
+        assert result.started_at == 0.0 and result.cell.value_id == last.cell.value_id
+        cells = cluster.replica_cells(last.key)
+        assert len(cells) == 3
+        assert all(cell.value == "new" for cell in cells.values())
 
     def test_run_loads_automatically_if_needed(self):
         metrics = run_workload(StaticEventualPolicy())
