@@ -107,7 +107,9 @@ class StorageNode:
         )
         self._rng = streams.stream(f"node.{address}.service")
         self._busy_workers = 0
-        self._queue: Deque[Tuple[Message, float]] = deque()
+        # Requests waiting for a worker; born at the node's first saturation,
+        # since most nodes of a wide ring never queue one.
+        self._queue: Optional[Deque[Tuple[Message, float]]] = None
         self._up = True
         self._slowdown = 1.0
         # Gamma service time parameters (shape, scale) per request kind.
@@ -161,9 +163,9 @@ class StorageNode:
     def go_down(self) -> None:
         """Take the node offline: queued and future requests are dropped."""
         self._up = False
-        dropped = len(self._queue)
-        self._queue.clear()
-        self.counters.dropped_mutations += dropped
+        if self._queue:
+            self.counters.dropped_mutations += len(self._queue)
+            self._queue.clear()
 
     def come_up(self) -> None:
         """Bring the node back online (data written while down is missing
@@ -184,7 +186,7 @@ class StorageNode:
     @property
     def queue_depth(self) -> int:
         """Number of requests waiting for a worker."""
-        return len(self._queue)
+        return len(self._queue) if self._queue is not None else 0
 
     @property
     def busy_workers(self) -> int:
@@ -231,10 +233,13 @@ class StorageNode:
             or kind == MessageKind.REPAIR_WRITE
         ):
             if self._busy_workers >= self.config.concurrency:
-                if len(self._queue) >= self.config.queue_capacity:
+                queue = self._queue
+                if queue is None:
+                    queue = self._queue = deque()
+                elif len(queue) >= self.config.queue_capacity:
                     self.counters.queue_rejections += 1
                     return
-                self._queue.append((message, self._engine.now))
+                queue.append((message, self._engine.now))
                 return
             self._start_service(message)
         elif kind == MessageKind.HINT_REPLAY:
@@ -324,8 +329,9 @@ class StorageNode:
                     size_bytes=64,
                 )
         # Pull the next queued request, if any.
-        while self._queue and self._busy_workers < self.config.concurrency:
-            queued, _enqueued_at = self._queue.popleft()
+        queue = self._queue
+        while queue and self._busy_workers < self.config.concurrency:
+            queued, _enqueued_at = queue.popleft()
             self._start_service(queued)
 
     def apply_write(self, cell: Cell, *, is_repair: bool = False) -> None:

@@ -44,7 +44,7 @@ binary, the space the chaos harness (:mod:`repro.chaos`) searches over:
 * **Slow WAN** -- :meth:`NetworkFabric.set_pair_latency_scale` multiplies
   every sampled latency on one DC pair (brown-out, congested transit).
   The scale applies to the propagation term only (not the bandwidth term),
-  and the ``fifo`` delivery clamp still guarantees per-link FIFO order.
+  and the ``fifo`` delivery clamp still guarantees per-pair FIFO order.
 
 None of the three touches intra-DC traffic, and none perturbs any other
 random stream, so enabling a grey failure mid-run leaves the rest of the
@@ -59,18 +59,21 @@ Three things keep the per-message cost low on 100+ node rings:
   :data:`LATENCY_POOL_SIZE` -- one pool per latency *class* (loopback,
   intra-rack, inter-rack, each inter-DC link), each fed by its own named
   :class:`~repro.sim.rng.RandomStreams` stream, so runs stay deterministic
-  for a given seed and pool draws never perturb other streams.
-* **Per-link delivery queues.**  In the default ``"coalesced"`` mode each
-  (src, dst) link keeps its own small heap of in-flight messages and holds at
-  most a few engine events (one per "earliest pending delivery"), so the
-  global event queue stays small.  The ``"fifo"`` mode additionally clamps
-  per-link delivery times to be monotonic -- messages on a link never
-  overtake each other, like a TCP connection -- which needs no reordering
-  heap at all.  The two modes are two *models*, not two speeds:
-  ``"coalesced"`` draws an independent latency per message (the WARS
-  assumption of PBS, which the paper-faithful and geo scenarios keep),
-  ``"fifo"`` is one TCP connection per peer as in Cassandra 1.0 (the scale
-  scenarios).
+  for a given seed and pool draws never perturb other streams.  The send
+  path finds its pool in a cache per (source, destination site).
+* **One engine event per message, and no per-link state.**  A message is
+  its own entry in the engine heap, which already orders every delivery by
+  ``(time, seq)``; the destination handler is looked up at delivery.  The
+  two delivery modes are two *models*, not two speeds.  ``"coalesced"``
+  delivers each message at ``sent_at`` plus its own independent latency
+  draw (the WARS model of PBS, which the paper-faithful and geo scenarios
+  keep), so a delivery does not depend on its pair at all.  ``"fifo"`` is
+  one TCP connection per peer as in Cassandra 1.0 (the scale scenarios): a
+  message never overtakes the one sent before it on the same pair, because
+  its delivery time is clamped to the last one handed out there.  That
+  clamp floor is the only per-pair state, and it exists only while the pair
+  has a message in flight: the delivery at the floor's time removes it, so
+  a wide ring holds what is in flight, not every pair it ever used.
 * **Interned message kinds.**  :class:`MessageKind` is a ``str`` enum, so
   kind dispatch compares interned singletons while remaining ``==``- and
   ``hash``-compatible with the plain strings used by tests and user code.
@@ -78,10 +81,9 @@ Three things keep the per-message cost low on 100+ node rings:
 
 from __future__ import annotations
 
-import functools
 import heapq
 from bisect import insort
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -235,42 +237,6 @@ class _LatencyPool:
         return values[index]
 
 
-class _Link:
-    """Delivery state of one directed (src, dst) node pair.
-
-    A link with no message in flight delivers directly through one engine
-    event (the fast path), and that is all most links of a wide ring ever do:
-    a link is born holding only what the idle path reads.  Once messages
-    overlap in flight on the link, the overflow goes through the per-link
-    queue -- a heap in "coalesced" mode, a monotonically-timed deque in
-    "fifo" mode -- woken by at most a few engine events, which is what keeps
-    the global event heap small under per-link bursts.  The queue and its
-    wake-up callback are allocated by that first overlap
-    (:meth:`NetworkFabric._open_queue`).
-    """
-
-    __slots__ = ("pool", "handler", "last_time", "in_flight", "queue", "next_fire", "fire")
-
-    def __init__(self, pool: _LatencyPool, handler: Optional[Callable[[Message], None]]) -> None:
-        self.pool = pool
-        #: Destination handler resolved once at link creation (kept in sync
-        #: by register/unregister); delivery skips the per-message dict
-        #: lookup.  ``None`` when the destination has no handler.
-        self.handler = handler
-        #: Last delivery time handed out in "fifo" mode (clamp floor).
-        self.last_time = 0.0
-        #: Messages currently in flight on this link (fast path + queued).
-        self.in_flight = 0
-        #: ``(deliver_at, seq, message, on_delivered)`` entries waiting behind
-        #: another message; ``None`` until the link first needs one.
-        self.queue: Any = None
-        #: Earliest fire time of any engine event scheduled for this link
-        #: (None when nothing is scheduled).
-        self.next_fire: Optional[float] = None
-        #: Pre-bound engine wake-up callback, allocated with the queue.
-        self.fire: Optional[Callable[[], None]] = None
-
-
 class NetworkFabric:
     """Delivers messages between registered node handlers.
 
@@ -289,9 +255,9 @@ class NetworkFabric:
     drop_probability:
         Probability that any given message is silently dropped.
     delivery:
-        ``"coalesced"`` (default) batches deliveries per link in sampled
-        time order; ``"fifo"`` additionally forces in-order per-link
-        delivery.
+        ``"coalesced"`` (default) delivers every message after its own
+        latency draw; ``"fifo"`` additionally keeps each (src, dst) pair in
+        send order.
     bandwidth:
         Optional :class:`~repro.network.transfers.BandwidthConfig` enabling
         shared-link capacity modeling: eligible large payloads become
@@ -336,14 +302,21 @@ class NetworkFabric:
         # Latency multiplier applied to every sample; the figure-4(b) latency
         # sweep and failure-injection tests adjust this at run time.
         self._latency_scale = 1.0
-        # One pool per latency *class* (Topology.link_class); links of the
+        # One pool per latency *class* (Topology.link_class); pairs of the
         # same class share a pool, so pool count stays tiny even on big rings.
         self._pools: Dict[str, _LatencyPool] = {}
-        # One _Link per directed (src, dst) pair seen so far, as a two-level
-        # dict so the per-send lookup needs no key-tuple allocation.
-        self._links: Dict[NodeAddress, Dict[NodeAddress, _Link]] = {}
-        # Monotonic tie-break for per-link heaps.
-        self._link_seq = 0
+        # The send path's pool cache: source -> destination site -> pool
+        # (``None`` is the source's own loopback).  A site is a (datacenter,
+        # rack) pair, which with the source fixes the link class.
+        self._pools_from: Dict[NodeAddress, Dict[Any, _LatencyPool]] = {}
+        self._site_of = topology.site_of
+        # "fifo" clamp floors: source -> destination -> the last delivery
+        # time handed out on that pair.  An entry lives only while the pair
+        # has a message in flight; the delivery at the floor's time removes
+        # it (see _deliver_in_order), and an emptied inner dict goes too.
+        self._floors: Dict[NodeAddress, Dict[NodeAddress, float]] = {}
+        # The delivery callback every scheduled message's engine event runs.
+        self._arrive = self._deliver_in_order if self._fifo else self._deliver
         #: Monotone counter bumped whenever the partition map changes (a new
         #: partition or a completed heal).  The anti-entropy service compares
         #: epochs to decide when an incremental session can no longer trust
@@ -411,21 +384,10 @@ class NetworkFabric:
         if address in self._handlers:
             raise ValueError(f"a handler is already registered for {address}")
         self._handlers[address] = handler
-        self._sync_link_handlers(address, handler)
 
     def unregister(self, address: NodeAddress) -> None:
         """Remove a node's handler (simulates a crashed / removed node)."""
         self._handlers.pop(address, None)
-        self._sync_link_handlers(address, None)
-
-    def _sync_link_handlers(
-        self, address: NodeAddress, handler: Optional[Callable[[Message], None]]
-    ) -> None:
-        """Refresh the cached handler on every existing link toward ``address``."""
-        for by_dst in self._links.values():
-            link = by_dst.get(address)
-            if link is not None:
-                link.handler = handler
 
     # ------------------------------------------------------------------
     # Sharded-engine seam (conservative PDES)
@@ -456,17 +418,7 @@ class NetworkFabric:
         ``deliver_at`` is fine, but a violation (the clock already past the
         timestamp) raises instead of silently reordering the past.
         """
-        self._engine.at(deliver_at, self._deliver_remote, message, label="remote_delivery")
-
-    def _deliver_remote(self, message: Message) -> None:
-        now = self._engine._now
-        message.delivered_at = now
-        stats = self.stats
-        stats.delivered += 1
-        stats.total_latency += now - message.sent_at
-        handler = self._handlers.get(message.dst)
-        if handler is not None:
-            handler(message)
+        self._engine.at(deliver_at, self._deliver, message, None, label="remote_delivery")
 
     # ------------------------------------------------------------------
     # Latency control (used by sweeps and failure injection)
@@ -530,7 +482,8 @@ class NetworkFabric:
     ) -> None:
         """Delivery seam for completed transfers (called by the scheduler):
         honours the sharded-engine remote sink, then delivers through one
-        engine event exactly like a fast-path message."""
+        engine event like any other message (a transfer takes no fifo
+        clamp, as before)."""
         tracer = self.tracer
         if tracer is not None:
             tracer.transfer_end(message, deliver_at)
@@ -658,8 +611,8 @@ class NetworkFabric:
         """Undo one partition of a DC pair.
 
         The pair reopens (and parked messages are released, each
-        re-scheduled through the normal link machinery from the heal
-        instant) only when every partition event that severed it has
+        re-scheduled like a fresh send from the heal instant) only when
+        every partition event that severed it has
         healed.  Returns the number of messages released (0 for drop-mode,
         unknown pairs, or a pair still held by another partition event);
         a message whose direction an asymmetric partition still severs is
@@ -686,7 +639,7 @@ class NetworkFabric:
         other kind of partition may still sever its direction (a one-way cut
         under the healed symmetric one, or the reverse): that blocker parks
         it again (merged in send order, ``msg_id``: it may predate what the
-        blocker holds, and a ``fifo`` link must see the older one first) or
+        blocker holds, and a ``fifo`` pair must see the older one first) or
         drops it.  The message is already in ``sent`` and ``blocked``; a second
         blocker shows in its own ``blocked_by_pair`` key.
         """
@@ -911,30 +864,17 @@ class NetworkFabric:
             self._pools[key] = pool
         return pool
 
-    def _link_for(self, src: NodeAddress, dst: NodeAddress) -> _Link:
-        by_dst = self._links.get(src)
-        if by_dst is None:
-            by_dst = self._links[src] = {}
-        link = by_dst.get(dst)
-        if link is None:
-            link = by_dst[dst] = _Link(self._pool_for(src, dst), self._handlers.get(dst))
-        return link
-
-    def _open_queue(self, link: _Link):
-        """First overlap on ``link``: give it a queue and its wake-up callback."""
-        # functools.partial: called without an interpreter frame of its own,
-        # unlike a bridging lambda.
-        link.fire = functools.partial(self._fire_link, link)
-        queue = link.queue = deque() if self._fifo else []
-        return queue
-
-    def link_counts(self) -> Tuple[int, int]:
-        """``(links created, links that ever queued a message)``.
-
-        Counted by walking the link table when asked, not on the send path.
-        """
-        links = [link for by_dst in self._links.values() for link in by_dst.values()]
-        return len(links), sum(1 for link in links if link.queue is not None)
+    def _data_pool(self, src: NodeAddress, dst: NodeAddress) -> _LatencyPool:
+        """The pool a ``src -> dst`` message draws from, through the send
+        path's cache (which :meth:`send` reads inline)."""
+        pools = self._pools_from.get(src)
+        if pools is None:
+            pools = self._pools_from[src] = {}
+        site = self._site_of(dst) if dst != src else None
+        pool = pools.get(site)
+        if pool is None:
+            pool = pools[site] = self._pool_for(src, dst)
+        return pool
 
     # ------------------------------------------------------------------
     # Sending
@@ -1029,12 +969,15 @@ class NetworkFabric:
                 if self._pair_scale:
                     pair_scale = self._pair_scale.get(pair, 1.0)
 
-        by_dst = self._links.get(src)
-        link = by_dst.get(dst) if by_dst is not None else None
-        if link is None:
-            link = self._link_for(src, dst)
+        pools = self._pools_from.get(src)
+        pool = (
+            pools.get(self._site_of(dst) if dst != src else None)
+            if pools is not None
+            else None
+        )
+        if pool is None:
+            pool = self._data_pool(src, dst)
         # Inlined _LatencyPool.next() fast path (one list index).
-        pool = link.pool
         index = pool.index
         values = pool.values
         if index < len(values):
@@ -1046,247 +989,150 @@ class NetworkFabric:
             latency *= pair_scale
         delay = latency * self._latency_scale
         if size_bytes:
-            transfers = self._transfers
-            if transfers is None:
+            if self._transfers is None:
                 delay += size_bytes / self._bandwidth
             else:
-                src_dc = self._topology.datacenter_of(src)
-                dst_dc = self._topology.datacenter_of(dst)
-                if src_dc == dst_dc:
-                    delay += size_bytes / self._bandwidth
-                else:
-                    config = transfers.config
-                    if (
-                        size_bytes >= config.transfer_threshold_bytes
-                        and kind in config.transfer_kinds
-                    ):
-                        # Bulk payload: enters the link's fair share; the
-                        # propagation latency (already sampled, so RNG
-                        # order matches a modeling-off run) is applied
-                        # after streaming completes.
-                        transfer = transfers.submit(
-                            src_dc,
-                            dst_dc,
-                            size_bytes,
-                            delay,
-                            message=message,
-                            on_delivered=on_delivered,
-                            group=transfers.group_for_kind(kind),
-                        )
-                        tracer = self.tracer
-                        if tracer is not None:
-                            tracer.transfer_start(message, transfer)
-                        return message
-                    # Foreground message on a contended link: serialization
-                    # runs at the residual (capacity minus transfer share).
-                    delay += size_bytes / transfers.foreground_rate(src_dc, dst_dc)
+                delay = self._sized_delay(message, on_delivered, delay)
+                if delay is None:
+                    return message
         deliver_at = now + delay
         if self._fifo:
-            # In-order links: a message never overtakes the one before it.
-            if deliver_at < link.last_time:
-                deliver_at = link.last_time
-            link.last_time = deliver_at
+            # In-order pairs: a message never overtakes the one before it.
+            floors = self._floors.get(src)
+            if floors is None:
+                self._floors[src] = {dst: deliver_at}
+            else:
+                floor = floors.get(dst)
+                if floor is not None and deliver_at < floor:
+                    deliver_at = floor
+                floors[dst] = deliver_at
         if self._remote_sink is not None and dst not in self._owned:
             # The latency draw (and fifo clamp) above already happened, so
             # shard-local RNG state evolves identically whether or not the
-            # destination is remote.
+            # destination is remote.  The clamp entry stays at the sender.
             if on_delivered is not None:
                 raise ValueError(
                     f"on_delivered callbacks cannot cross a shard boundary ({src} -> {dst})"
                 )
             self._remote_sink(deliver_at, message)
             return message
-        in_flight = link.in_flight
-        link.in_flight = in_flight + 1
-        if in_flight == 0:
-            # Fast path: nothing else in flight on this link -- one direct
-            # engine event, no queue, no closure (args ride on the event).
-            # The engine's event construction is inlined: this runs once per
-            # message on idle links, the dominant case on wide rings.
-            free = engine._free
-            if free:
-                event = free.pop()
-                event.time = deliver_at
-                event.callback = self._deliver_from_link
-                event.args = (link, message, on_delivered)
-                event.cancelled = False
-                event.label = ""
-            else:
-                event = Event(
-                    time=deliver_at,
-                    callback=self._deliver_from_link,
-                    args=(link, message, on_delivered),
-                )
-            seq = engine._seq
-            engine._seq = seq + 1
-            event.seq = seq
-            heapq.heappush(engine._queue, (deliver_at, seq, event))
-            return message
-        seq = self._link_seq
-        self._link_seq = seq + 1
-        queue = link.queue
-        if queue is None:
-            queue = self._open_queue(link)
-        if self._fifo:
-            queue.append((deliver_at, seq, message, on_delivered))
-            if link.next_fire is None:
-                link.next_fire = deliver_at
-                engine._schedule_unhandled_at(deliver_at, link.fire)
-        else:  # coalesced
-            heapq.heappush(queue, (deliver_at, seq, message, on_delivered))
-            # Schedule an engine event only when this message became the new
-            # head; a previously scheduled (later) event is left in place and
-            # fires harmlessly -- cheaper than cancelling it.
-            if link.next_fire is None or deliver_at < link.next_fire:
-                link.next_fire = deliver_at
-                engine._schedule_unhandled_at(deliver_at, link.fire)
+        # One engine event per message, no closure (args ride on the event);
+        # the engine's event construction is inlined because this runs once
+        # per message.
+        free = engine._free
+        if free:
+            event = free.pop()
+            event.time = deliver_at
+            event.callback = self._arrive
+            event.args = (message, on_delivered)
+            event.cancelled = False
+            event.label = ""
+        else:
+            event = Event(time=deliver_at, callback=self._arrive, args=(message, on_delivered))
+        seq = engine._seq
+        engine._seq = seq + 1
+        event.seq = seq
+        heapq.heappush(engine._queue, (deliver_at, seq, event))
         return message
+
+    def _sized_delay(
+        self, message: Message, on_delivered: Optional[Callable[[Message], None]], delay: float
+    ) -> Optional[float]:
+        """``delay`` plus the size-dependent term under bandwidth modeling;
+        ``None`` when the message became a bulk transfer instead."""
+        size_bytes = message.size_bytes
+        transfers = self._transfers
+        if transfers is None:
+            return delay + size_bytes / self._bandwidth
+        src_dc = self._topology.datacenter_of(message.src)
+        dst_dc = self._topology.datacenter_of(message.dst)
+        if src_dc == dst_dc:
+            return delay + size_bytes / self._bandwidth
+        config = transfers.config
+        kind = message.kind
+        if size_bytes >= config.transfer_threshold_bytes and kind in config.transfer_kinds:
+            # Bulk payload: enters the link's fair share; the propagation
+            # latency (already sampled, so RNG order matches a modeling-off
+            # run) is applied after streaming completes.
+            transfer = transfers.submit(
+                src_dc,
+                dst_dc,
+                size_bytes,
+                delay,
+                message=message,
+                on_delivered=on_delivered,
+                group=transfers.group_for_kind(kind),
+            )
+            tracer = self.tracer
+            if tracer is not None:
+                tracer.transfer_start(message, transfer)
+            return None
+        # Foreground message on a contended link: serialization runs at the
+        # residual (capacity minus transfer share).
+        return delay + size_bytes / transfers.foreground_rate(src_dc, dst_dc)
 
     def _schedule_delivery(
         self, message: Message, on_delivered: Optional[Callable[[Message], None]]
     ) -> None:
-        """Schedule delivery of an already-counted message via the normal
-        per-link machinery.
+        """Schedule delivery of an already-counted message from now.
 
-        Used when parked messages are released on heal: routing them through
-        the links (instead of straight to :meth:`_deliver`) keeps the
-        ``fifo`` mode's in-order guarantee and the per-link queue accounting
-        intact relative to post-heal traffic on the same links.  Mirrors the
-        tail of :meth:`send`, which stays monolithic because it is the hot
-        path.
+        Used when parked messages are released on heal: the message draws a
+        fresh latency and takes the ``fifo`` clamp like a send from the heal
+        instant, so it keeps its place relative to post-heal traffic on the
+        same pair.  Mirrors the tail of :meth:`send`, which stays monolithic
+        because it is the hot path.
         """
         src, dst = message.src, message.dst
         engine = self._engine
-        now = engine._now
-        link = self._link_for(src, dst)
-        latency = link.pool.next()
+        latency = self._data_pool(src, dst).next()
         if self._pair_scale:
             latency *= self._pair_scale_for(src, dst)
         delay = latency * self._latency_scale
-        size_bytes = message.size_bytes
-        if size_bytes:
-            transfers = self._transfers
-            if transfers is None:
-                delay += size_bytes / self._bandwidth
-            else:
-                src_dc = self._topology.datacenter_of(src)
-                dst_dc = self._topology.datacenter_of(dst)
-                if src_dc == dst_dc:
-                    delay += size_bytes / self._bandwidth
-                else:
-                    config = transfers.config
-                    if (
-                        size_bytes >= config.transfer_threshold_bytes
-                        and message.kind in config.transfer_kinds
-                    ):
-                        transfer = transfers.submit(
-                            src_dc,
-                            dst_dc,
-                            size_bytes,
-                            delay,
-                            message=message,
-                            on_delivered=on_delivered,
-                            group=transfers.group_for_kind(message.kind),
-                        )
-                        tracer = self.tracer
-                        if tracer is not None:
-                            tracer.transfer_start(message, transfer)
-                        return
-                    delay += size_bytes / transfers.foreground_rate(src_dc, dst_dc)
-        deliver_at = now + delay
+        if message.size_bytes:
+            delay = self._sized_delay(message, on_delivered, delay)
+            if delay is None:
+                return
+        deliver_at = engine._now + delay
         if self._fifo:
-            if deliver_at < link.last_time:
-                deliver_at = link.last_time
-            link.last_time = deliver_at
-        if self._remote_sink is not None and message.dst not in self._owned:
+            floors = self._floors.setdefault(src, {})
+            deliver_at = max(deliver_at, floors.get(dst, deliver_at))
+            floors[dst] = deliver_at
+        if self._remote_sink is not None and dst not in self._owned:
             if on_delivered is not None:
                 raise ValueError(
-                    f"on_delivered callbacks cannot cross a shard boundary "
-                    f"({message.src} -> {message.dst})"
+                    f"on_delivered callbacks cannot cross a shard boundary ({src} -> {dst})"
                 )
             self._remote_sink(deliver_at, message)
             return
-        in_flight = link.in_flight
-        link.in_flight = in_flight + 1
-        if in_flight == 0:
-            engine._new_event(deliver_at, self._deliver_from_link, "", (link, message, on_delivered))
-            return
-        seq = self._link_seq
-        self._link_seq = seq + 1
-        queue = link.queue
-        if queue is None:
-            queue = self._open_queue(link)
-        if self._fifo:
-            queue.append((deliver_at, seq, message, on_delivered))
-            if link.next_fire is None:
-                link.next_fire = deliver_at
-                engine._schedule_unhandled_at(deliver_at, link.fire)
-        else:  # coalesced
-            heapq.heappush(queue, (deliver_at, seq, message, on_delivered))
-            if link.next_fire is None or deliver_at < link.next_fire:
-                link.next_fire = deliver_at
-                engine._schedule_unhandled_at(deliver_at, link.fire)
+        engine._new_event(deliver_at, self._arrive, "", (message, on_delivered))
 
-    def _deliver_from_link(
-        self, link: _Link, message: Message, on_delivered: Optional[Callable[[Message], None]]
+    def _deliver_in_order(
+        self, message: Message, on_delivered: Optional[Callable[[Message], None]]
     ) -> None:
-        """Direct (fast-path) delivery of a message that skipped the queue.
+        """``fifo`` delivery: drop the pair's clamp floor once the clock has
+        reached it, then deliver.
 
-        The delivery bookkeeping is inlined (rather than calling
-        :meth:`_deliver`) because this runs once per message on idle links --
-        the common case on wide rings.
+        A floor equal to the clock belongs to the pair's last scheduled
+        message or to one tied with it; every message still in flight on the
+        pair is due no later, and a later send lands at ``now`` or after
+        with a larger engine ``seq``, so the floor has nothing left to hold.
         """
-        link.in_flight -= 1
         now = self._engine._now
+        src = message.src
+        floors = self._floors.get(src)
+        if floors is not None and floors.get(message.dst) == now:
+            del floors[message.dst]
+            if not floors:
+                del self._floors[src]
         message.delivered_at = now
         stats = self.stats
         stats.delivered += 1
         stats.total_latency += now - message.sent_at
-        handler = link.handler
+        handler = self._handlers.get(message.dst)
         if handler is not None:
             handler(message)
         if on_delivered is not None:
             on_delivered(message)
-
-    def _fire_link(self, link: _Link) -> None:
-        """Deliver every queued message on ``link`` whose time has come."""
-        now = self._engine._now
-        if link.next_fire is not None and link.next_fire <= now:
-            link.next_fire = None
-        stats = self.stats
-        handler = link.handler
-        queue = link.queue
-        if self._fifo:
-            while queue and queue[0][0] <= now:
-                _t, _seq, message, on_delivered = queue.popleft()
-                link.in_flight -= 1
-                message.delivered_at = now
-                stats.delivered += 1
-                stats.total_latency += now - message.sent_at
-                if handler is not None:
-                    handler(message)
-                if on_delivered is not None:
-                    on_delivered(message)
-            if queue and link.next_fire is None:
-                head = queue[0][0]
-                link.next_fire = head
-                self._engine._schedule_unhandled_at(head, link.fire)
-            return
-        while queue and queue[0][0] <= now:
-            _t, _seq, message, on_delivered = heapq.heappop(queue)
-            link.in_flight -= 1
-            message.delivered_at = now
-            stats.delivered += 1
-            stats.total_latency += now - message.sent_at
-            if handler is not None:
-                handler(message)
-            if on_delivered is not None:
-                on_delivered(message)
-        if queue:
-            head = queue[0][0]
-            if link.next_fire is None or head < link.next_fire:
-                link.next_fire = head
-                self._engine._schedule_unhandled_at(head, link.fire)
 
     def _deliver(self, message: Message, on_delivered: Optional[Callable[[Message], None]]) -> None:
         handler = self._handlers.get(message.dst)

@@ -334,12 +334,12 @@ class SimulationEngine:
 
     def _schedule_unhandled_at(self, time: float, callback: Callable[[], None]) -> None:
         """Cheapest scheduling path: no handle is created, so the event cannot
-        be cancelled.  Reserved for internal fire-and-forget work (the network
-        fabric's link wake-ups).  Takes an *absolute* time: the fabric
-        compares queued delivery times against the clock with ``<=``, so the
-        wake-up must fire at exactly the stored float (re-deriving it from a
-        delay would round and can undershoot by one ulp, leaving the queue
-        head marooned just beyond the clock)."""
+        be cancelled.  Reserved for internal fire-and-forget work (the shared
+        timer queues' wake-ups).  Takes an *absolute* time: a timer queue
+        compares its deadlines against the clock with ``<=``, so the wake-up
+        must fire at exactly the stored float (re-deriving it from a delay
+        would round and can undershoot by one ulp, leaving the queue head
+        marooned just beyond the clock)."""
         self._new_event(time, callback, "")
 
     def at(

@@ -93,9 +93,17 @@ class FixedDelayTimer:
         """Arrange ``fn(arg)`` to run ``delay`` seconds from now.
 
         Returns the entry; call :meth:`TimerEntry.cancel` to disarm it.
+        Cancelled entries at the head are dropped here rather than kept until
+        the armed event fires, which would hold a whole timeout window of
+        them; the armed event still fires at its time and re-arms at the
+        first live deadline, so the engine sees the same events.
         """
+        entries = self._entries
+        while entries and entries[0].fn is None:
+            entries.popleft()
+            self.swept += 1
         entry = TimerEntry(self._engine._now + self.delay, fn, arg)
-        self._entries.append(entry)
+        entries.append(entry)
         if not self._armed:
             self._armed = True
             # Absolute-time, handle-free scheduling: the wake-up must fire at

@@ -36,7 +36,7 @@ executor's counters.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.cluster.cluster import SimulatedCluster
@@ -139,6 +139,42 @@ class ClientThread:
         batch is created when omitted (standalone use).
     """
 
+    # A wide run holds one client per thread for its whole length (1,280 on
+    # the SCALE_1000 ledger row), so each one is a fixed record, not a dict.
+    __slots__ = (
+        "thread_id",
+        "datacenter",
+        "operations_completed",
+        "_cluster",
+        "_engine",
+        "_workload",
+        "_read_level_provider",
+        "_write_level_provider",
+        "_take_budget",
+        "_on_result",
+        "_on_issue",
+        "_on_retry",
+        "_think_time",
+        "_retry_policy",
+        "_retry_rng",
+        "_batch",
+        "_running",
+        "_finished",
+        "_on_finish",
+        "_sleep_handle",
+        "_op",
+        "_attempt",
+        "_override",
+        "_rmw_read",
+        "_scan_remaining",
+        "_scan_first",
+        "_scan_last",
+        "_cb_single",
+        "_cb_rmw_read",
+        "_cb_rmw_write",
+        "_cb_scan",
+    )
+
     def __init__(
         self,
         thread_id: int,
@@ -174,9 +210,7 @@ class ClientThread:
         self._on_issue = on_issue
         self._on_retry = on_retry
         self._think_time = think_time
-        self._retry_policy = retry_policy or RetryPolicy(
-            BackoffConfig(initial=unavailable_backoff, max_delay=max(unavailable_backoff, 1.0))
-        )
+        self._retry_policy = retry_policy or _no_retry_policy(unavailable_backoff)
         self._retry_rng = retry_rng
         self._batch = batch if batch is not None else CompletionBatch(cluster.engine)
         self.operations_completed = 0
@@ -447,6 +481,15 @@ class ClientThread:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ClientThread(id={self.thread_id}, completed={self.operations_completed})"
+
+
+@lru_cache(maxsize=None)
+def _no_retry_policy(unavailable_backoff: float) -> RetryPolicy:
+    """The default policy for one backoff, shared by every client that uses
+    it (a :class:`RetryPolicy` holds only its backoff schedule)."""
+    return RetryPolicy(
+        BackoffConfig(initial=unavailable_backoff, max_delay=max(unavailable_backoff, 1.0))
+    )
 
 
 def _payload_for(operation: Operation) -> str:

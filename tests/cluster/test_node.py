@@ -112,6 +112,17 @@ def test_concurrency_limit_queues_requests():
     assert node.queue_depth == 0
 
 
+def test_request_queue_is_born_at_the_first_saturation():
+    engine, fabric, node, coordinator, responses, counters = build_node()
+    for i in range(2):  # two workers: nothing waits yet
+        node.handle_message(write_message(coordinator, node.address, key=f"k{i}", request_id=i))
+    assert node._queue is None and node.queue_depth == 0
+    node.handle_message(write_message(coordinator, node.address, key="k2", request_id=2))
+    assert node._queue is not None and node.queue_depth == 1
+    engine.run()
+    assert counters.writes_applied == 3 and node.queue_depth == 0
+
+
 def test_queue_capacity_rejects_overflow():
     engine, fabric, node, coordinator, responses, counters = build_node()
     for i in range(20):

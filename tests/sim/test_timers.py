@@ -54,6 +54,25 @@ def test_one_armed_event_covers_many_entries():
     assert not timer.armed
 
 
+def test_schedule_drops_the_cancelled_entries_at_the_head():
+    """A queue does not hold a timeout window of dead entries until its armed
+    event fires: the next schedule drops the cancelled head run, and the
+    armed event still fires once, at its time."""
+    engine = SimulationEngine()
+    timer = FixedDelayTimer(engine, 1.0)
+    fired = []
+    completed = [timer.schedule(fired.append, i) for i in range(3)]
+    timer.schedule(fired.append, "live")
+    behind_live = timer.schedule(fired.append, "cancelled behind a live entry")
+    for entry in (*completed, behind_live):
+        entry.cancel()
+    timer.schedule(fired.append, "next")
+    assert len(timer) == 3 and timer.swept == 3
+    assert engine.run() == 1
+    assert fired == ["live", "next"]
+    assert timer.swept == 4 and not timer.armed
+
+
 def test_entries_fire_in_deadline_order_and_rearm():
     engine = SimulationEngine()
     timer = FixedDelayTimer(engine, 0.5)
