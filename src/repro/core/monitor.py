@@ -362,8 +362,9 @@ class ClusterMonitor:
 
         The paper's monitor pings the storage nodes; here the fabric's
         ``ping`` samples the same latency models the data path uses (scaled
-        by the fabric's current ``latency_scale``), halved to convert RTT to
-        a one-way figure.  With ``datacenter`` given, every probe's *target*
+        by the fabric's current ``latency_scale``) from pools of its own, so
+        probing never shifts a data message's latency, halved to convert RTT
+        to a one-way figure.  With ``datacenter`` given, every probe's *target*
         lies in that datacenter while the source is drawn from the whole
         cluster -- the inbound-propagation latency that site's replicas see.
         """

@@ -248,7 +248,8 @@ class NetworkFabric:
         Cluster topology; supplies the latency model per node pair.
     streams:
         Random streams; the fabric uses one ``"network.latency.<class>"``
-        stream per latency class and ``"network.drops"``.
+        stream per latency class, one ``"network.ping.<class>"`` stream per
+        class that :meth:`ping` probes, and ``"network.drops"``.
     bandwidth_bytes_per_s:
         Link bandwidth used for the size-dependent component of the delay.
         The default (1 Gbit/s) matches the paper's Gigabit Ethernet testbed.
@@ -846,22 +847,23 @@ class NetworkFabric:
     # ------------------------------------------------------------------
     # Latency pools
     # ------------------------------------------------------------------
-    def _pool_for(self, src: NodeAddress, dst: NodeAddress) -> _LatencyPool:
-        """The latency pool of the pair's link class.
+    def _pool_for(
+        self, src: NodeAddress, dst: NodeAddress, family: str = "network.latency"
+    ) -> _LatencyPool:
+        """The latency pool of the pair's link class in one stream family.
 
-        The class name (:meth:`Topology.link_class`) is both the pool cache
-        key and the suffix of the pool's random stream name, so a given seed
-        always produces the same pool draws regardless of which pair touched
-        the class first.
+        The pool's random stream is ``<family>.<link class>``
+        (:meth:`Topology.link_class`), which is also its cache key, so a
+        given seed always produces the same pool draws regardless of which
+        pair touched the class first.  Data messages draw from the
+        ``network.latency`` family, monitoring pings from ``network.ping``.
         """
-        key = self._topology.link_class(src, dst)
-        pool = self._pools.get(key)
+        name = f"{family}.{self._topology.link_class(src, dst)}"
+        pool = self._pools.get(name)
         if pool is None:
-            pool = _LatencyPool(
-                self._topology.latency_model(src, dst),
-                self._streams.stream(f"network.latency.{key}"),
+            pool = self._pools[name] = _LatencyPool(
+                self._topology.latency_model(src, dst), self._streams.stream(name)
             )
-            self._pools[key] = pool
         return pool
 
     def _data_pool(self, src: NodeAddress, dst: NodeAddress) -> _LatencyPool:
@@ -879,15 +881,6 @@ class NetworkFabric:
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
-    def one_way_delay(self, src: NodeAddress, dst: NodeAddress, size_bytes: int = 0) -> float:
-        """Sample the delivery delay for one message from ``src`` to ``dst``."""
-        latency = self._pool_for(src, dst).next() * self._latency_scale
-        if self._pair_scale:
-            latency *= self._pair_scale_for(src, dst)
-        if size_bytes:
-            return latency + size_bytes / self._bandwidth
-        return latency
-
     def expected_one_way_delay(
         self, src: NodeAddress, dst: NodeAddress, size_bytes: int = 0
     ) -> float:
@@ -1154,10 +1147,18 @@ class NetworkFabric:
 
         The Harmony monitoring module in the paper measures latency with the
         ``ping`` tool, outside the storage data path; we mirror that by
-        sampling the latency model directly rather than enqueueing messages,
-        so monitoring does not perturb the simulated data path.
+        sampling the latency models directly rather than enqueueing messages,
+        from pools of their own (the ``network.ping.<link class>`` streams),
+        so monitoring does not perturb the simulated data path: a run's
+        messages see the same latencies however often it is pinged.
         """
-        return self.one_way_delay(src, dst) + self.one_way_delay(dst, src)
+        return self._ping_delay(src, dst) + self._ping_delay(dst, src)
+
+    def _ping_delay(self, src: NodeAddress, dst: NodeAddress) -> float:
+        latency = self._pool_for(src, dst, "network.ping").next() * self._latency_scale
+        if self._pair_scale:
+            latency *= self._pair_scale_for(src, dst)
+        return latency
 
     def ping_mean(self, src: NodeAddress, dst: NodeAddress) -> float:
         """Expected RTT between two nodes."""

@@ -148,6 +148,19 @@ class TestRunExperiment:
         )
         assert len(result.metrics.estimate_series) >= 1
 
+    def test_monitoring_pings_leave_the_data_path_alone(self):
+        # Harmony tolerating 100 % staleness reads at ONE throughout, like
+        # eventual; only its monitor's pings run beside the same seed.  They
+        # draw from their own pools, so the two runs are the same run.
+        workload = WORKLOAD_A.scaled(record_count=200, operation_count=3000)
+        eventual, harmony = (
+            run_experiment(GRID5000, workload, name, 20, seed=3, monitoring_interval=0.005)
+            for name in ("eventual", "harmony-100%")
+        )
+        assert dict(harmony.metrics.consistency_level_usage) == {"ONE": 1538}
+        assert len(harmony.metrics.estimate_series) > 50
+        assert {**harmony.summary(), "policy": "eventual"} == eventual.summary()
+
 
 class TestResultPlane:
     """The plane is owned by the executor, not found on the policy afterwards."""
