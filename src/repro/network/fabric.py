@@ -1110,22 +1110,13 @@ class NetworkFabric:
         pair is due no later, and a later send lands at ``now`` or after
         with a larger engine ``seq``, so the floor has nothing left to hold.
         """
-        now = self._engine._now
         src = message.src
         floors = self._floors.get(src)
-        if floors is not None and floors.get(message.dst) == now:
+        if floors is not None and floors.get(message.dst) == self._engine._now:
             del floors[message.dst]
             if not floors:
                 del self._floors[src]
-        message.delivered_at = now
-        stats = self.stats
-        stats.delivered += 1
-        stats.total_latency += now - message.sent_at
-        handler = self._handlers.get(message.dst)
-        if handler is not None:
-            handler(message)
-        if on_delivered is not None:
-            on_delivered(message)
+        self._deliver(message, on_delivered)
 
     def _deliver(self, message: Message, on_delivered: Optional[Callable[[Message], None]]) -> None:
         handler = self._handlers.get(message.dst)

@@ -483,7 +483,7 @@ class ClientThread:
         return f"ClientThread(id={self.thread_id}, completed={self.operations_completed})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _no_retry_policy(unavailable_backoff: float) -> RetryPolicy:
     """The default policy for one backoff, shared by every client that uses
     it (a :class:`RetryPolicy` holds only its backoff schedule)."""
