@@ -362,11 +362,12 @@ class ClusterMonitor:
 
         The paper's monitor pings the storage nodes; here the fabric's
         ``ping`` samples the same latency models the data path uses (scaled
-        by the fabric's current ``latency_scale``) from pools of its own, so
-        probing never shifts a data message's latency, halved to convert RTT
-        to a one-way figure.  With ``datacenter`` given, every probe's *target*
-        lies in that datacenter while the source is drawn from the whole
-        cluster -- the inbound-propagation latency that site's replicas see.
+        by the fabric's current ``latency_scale``), halved to convert RTT to
+        a one-way figure.  Pings draw from pools of their own, so probing
+        never shifts a data message's latency.  With ``datacenter`` given,
+        every probe's *target* lies in that datacenter while the source is
+        drawn from the whole cluster -- the inbound-propagation latency that
+        site's replicas see.
         """
         nodes = self.cluster.addresses
         if len(nodes) < 2:
