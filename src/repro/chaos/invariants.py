@@ -35,6 +35,15 @@ simulator reproduces (and that Harmony's staleness bounds assume):
     driver force-aborts stragglers, so seeing one here means the
     sequencing contract broke.
 
+``fabric_conservation``
+    The fabric loses no message from its books and counts none twice:
+    ``sent == delivered + dropped + parked`` plus what is still in flight
+    (delivery events on the engine heap and message-borne bandwidth
+    transfers, streaming or paused), and ``stats.parked`` equals the
+    messages a partition actually holds.  It is checked first, on the
+    cluster the caller settled, before the suite's own probes send anything;
+    there nothing should be in flight but a paused transfer.
+
 ``windowed_stale_rate``
     PBS-style bound (Bailis et al., VLDB 2012): in the post-heal window
     ``[heal + grace, end of run]`` the observed stale rate from
@@ -106,6 +115,7 @@ class InvariantChecker:
         judged).
         """
         self.violations = []
+        self._check_fabric_conservation(cluster)
         self._check_no_stuck_unavailable(cluster, timeline)
         self._check_no_lost_acked_writes(cluster, timeline)
         self._check_hints(cluster)
@@ -119,6 +129,24 @@ class InvariantChecker:
             self.violations.append(Violation(invariant, detail))
         elif n == _MAX_DETAILS_PER_INVARIANT + 1:
             self.violations.append(Violation(invariant, "... further details elided"))
+
+    # ------------------------------------------------------------------
+    def _check_fabric_conservation(self, cluster: SimulatedCluster) -> None:
+        counter: dict = {}
+        name = "fabric_conservation"
+        stats = cluster.fabric.stats
+        parked, in_flight = cluster.fabric.messages_held()
+        if stats.parked != parked:
+            self._add(
+                name, f"stats.parked={stats.parked} but partitions hold {parked}", counter
+            )
+        if stats.sent != stats.delivered + stats.dropped + stats.parked + in_flight:
+            self._add(
+                name,
+                f"sent={stats.sent} != delivered={stats.delivered} + dropped="
+                f"{stats.dropped} + parked={stats.parked} + in flight={in_flight}",
+                counter,
+            )
 
     # ------------------------------------------------------------------
     def _check_no_stuck_unavailable(

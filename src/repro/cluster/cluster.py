@@ -391,14 +391,13 @@ class SimulatedCluster:
     def invalidate_placement(self) -> None:
         """Drop every cache derived from ring placement.
 
-        Must run after any membership change: the cluster replica cache, the
-        coordinator route/proximity/requirement caches and the anti-entropy
-        tree caches all assume a static ring between invalidations.
+        Must run after any membership change: the cluster replica cache and
+        the anti-entropy tree caches assume a static ring between
+        invalidations.  The coordinators hold nothing per key: their caches
+        are keyed by replica sets and counts, which mean the same on any ring.
         """
         self._replica_cache.clear()
         self._rebuild_round_robins()
-        for coordinator in self.coordinators.values():
-            coordinator.invalidate_routes()
         if self.anti_entropy is not None:
             self.anti_entropy.invalidate_caches()
 
@@ -410,9 +409,8 @@ class SimulatedCluster:
 
         The returned tuple is the cache entry itself -- immutable, shared by
         every caller, and hashable so the coordinators can key their
-        proximity caches on it.  (The previous implementation copied the
-        cached list on every call, which dominated the placement cost on
-        large rings.)
+        requirement and read-route caches on it.  Coordinators call
+        this once per operation; it is the only per-key cache on the op path.
         """
         cached = self._replica_cache.get(key)
         if cached is None:

@@ -35,6 +35,7 @@ little state machine driven by response messages and timeout events.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -266,7 +267,7 @@ class Coordinator:
         self._counters = counters
         self.config = config or CoordinatorConfig()
         self._read_repair_rng = read_repair_rng
-        self._read_repair_pool: List[float] = []
+        self._read_repair_pool = array("d")
         self._read_repair_index = 0
         self._write_size_bytes = int(write_size_bytes)
         #: Shared liveness view (see :mod:`repro.faults.detector`).  ``None``
@@ -279,28 +280,21 @@ class Coordinator:
         # Reads at level ALL that detected divergent replicas and are waiting
         # for the blocking read repair to finish (paper Fig. 1, left side).
         self._blocking_repairs: Dict[int, _PendingRead] = {}
-        # Hot-path caches, all keyed on the cluster's shared replica tuples
-        # (immutable and hashable).  Replica sets recur for every operation
-        # on the same key -- and, with NetworkTopologyStrategy, across many
-        # keys -- so proximity sorts and per-DC requirement resolution are
-        # computed once per (level, replica set) instead of per operation.
-        self._proximity_cache: Dict[Sequence[NodeAddress], Tuple[NodeAddress, ...]] = {}
-        self._requirement_cache: Dict[
-            Tuple[ConsistencyLevel, Sequence[NodeAddress]],
-            Tuple[int, Optional[Dict[str, int]]],
+        # Hot-path caches, each keyed by exactly what its value depends on,
+        # so none can go stale when placement changes (the per-key replica
+        # set itself is the cluster's cache, behind ``replicas_for``):
+        # * requirement: (level, replica count) for the classic levels, and
+        #   (level, replica tuple) for the DC-aware ones, whose per-DC split
+        #   depends on where the replicas live;
+        # * a read's route: (level, replica tuple) -> (requirement, contacted
+        #   replicas), since the snitch order depends on which replicas, seen
+        #   from this node.  The requirement rides along (the shared tuple
+        #   above) so a read pays one lookup after placement, not two.
+        self._requirement_cache: Dict[tuple, Tuple[int, Optional[Dict[str, int]]]] = {}
+        self._read_routes: Dict[
+            Tuple[ConsistencyLevel, Tuple[NodeAddress, ...]],
+            Tuple[Tuple[int, Optional[Dict[str, int]]], Tuple[NodeAddress, ...]],
         ] = {}
-        self._dc_contacts_cache: Dict[
-            Tuple[ConsistencyLevel, Sequence[NodeAddress]], Tuple[NodeAddress, ...]
-        ] = {}
-        # Per-(level, key) route cache: [replicas, required, required_by_dc,
-        # contacted-or-None].  Replica placement is static for the lifetime
-        # of a ring, so the whole resolution chain (placement lookup,
-        # requirement, proximity prefix) collapses to one dict hit keyed by
-        # cheap string/enum hashes instead of hashing replica tuples.
-        # A caller that supplies a *dynamic* ``replicas_for`` (placement that
-        # changes over time) must call :meth:`invalidate_routes` after every
-        # change -- the cache has no other invalidation trigger.
-        self._route_cache: Dict[Tuple[ConsistencyLevel, str], List] = {}
         # Shared fixed-delay timer queues (one per distinct delay value)
         # replacing the historical one-engine-event-per-operation timeouts:
         # arming is an append, completion is an O(1) cancel, and dead entries
@@ -321,18 +315,6 @@ class Coordinator:
         # The coordinator receives replica responses at a dedicated logical
         # address component; responses are routed back via the fabric handler
         # installed by the owning cluster (see SimulatedCluster).
-
-    def invalidate_routes(self) -> None:
-        """Drop every cached (level, key) route and derived placement cache.
-
-        Required after a change to what ``replicas_for`` returns (placement
-        is static in the shipped cluster, so this never runs on the hot
-        path; the hook exists for callers simulating token movement).
-        """
-        self._route_cache.clear()
-        self._proximity_cache.clear()
-        self._requirement_cache.clear()
-        self._dc_contacts_cache.clear()
 
     def set_pending_hooks(
         self,
@@ -375,19 +357,10 @@ class Coordinator:
 
         Returns the request id (useful for tracing in tests).
         """
-        route = self._route_cache.get((consistency_level, key))
-        if route is None:
-            replicas = self._replicas_for(key)
-            if type(replicas) is not tuple:  # user-supplied replicas_for callables
-                replicas = tuple(replicas)
-            required, required_by_dc = self._requirement(consistency_level, replicas)
-            self._route_cache[(consistency_level, key)] = [
-                replicas, required, required_by_dc, None,
-            ]
-        else:
-            replicas = route[0]
-            required = route[1]
-            required_by_dc = route[2]
+        replicas = self._replicas_for(key)
+        if type(replicas) is not tuple:  # user-supplied replicas_for callables
+            replicas = tuple(replicas)
+        required, required_by_dc = self._requirement(consistency_level, replicas)
         pending_provider = self._pending_provider
         if pending_provider is not None:
             extra = pending_provider(key)
@@ -396,7 +369,7 @@ class Coordinator:
                 # and raise the requirement by the pending count, so enough
                 # *natural* acknowledgements remain even if every pending
                 # target answered (quorum-intersection safety across both
-                # an abort and a cutover).  Route-cache entries stay
+                # an abort and a cutover).  Cached requirements stay
                 # pending-free: the adjustment is applied per write and
                 # vanishes with the provider.
                 replicas = replicas + extra
@@ -468,55 +441,23 @@ class Coordinator:
         callback: Callable[[OperationResult], None],
     ) -> int:
         """Issue a read; ``callback`` receives the :class:`OperationResult`."""
-        if consistency_level.is_write_only:
-            raise ValueError("consistency level ANY cannot be used for reads")
-        route = self._route_cache.get((consistency_level, key))
+        replicas = self._replicas_for(key)
+        if type(replicas) is not tuple:  # user-supplied replicas_for callables
+            replicas = tuple(replicas)
+        route = self._read_routes.get((consistency_level, replicas))
         if route is None:
-            replicas = self._replicas_for(key)
-            if type(replicas) is not tuple:  # user-supplied replicas_for callables
-                replicas = tuple(replicas)
-            required, required_by_dc = self._requirement(consistency_level, replicas)
-            route = [replicas, required, required_by_dc, None]
-            self._route_cache[(consistency_level, key)] = route
-        else:
-            replicas = route[0]
-            required = route[1]
-            required_by_dc = route[2]
+            route = self._read_route(consistency_level, replicas)
+        (required, required_by_dc), contacted = route
         if not self._is_achievable(replicas, required, required_by_dc):
             return self._reject_unavailable(
                 "read", key, consistency_level, required, replicas, callback
             )
         request_id = next(self._request_ids)
-        contacted = route[3]
-        if contacted is None:
-            if required_by_dc is None:
-                # The contacted prefix only depends on (level, replica set):
-                # cache the slice itself so the hot path pays one dict hit.
-                contacted = self._dc_contacts_cache.get((consistency_level, replicas))
-                if contacted is None:
-                    contacted = self._order_by_proximity(replicas)[:required]
-                    self._dc_contacts_cache[(consistency_level, replicas)] = contacted
-            else:
-                # DC-aware level: contact exactly the required count in every
-                # datacenter with a requirement (LOCAL_* touch only the local
-                # DC).  The union is re-sorted by proximity so the closest
-                # contacted replica receives the full data request (index 0
-                # below) and the rest get digests, as in the classic path.
-                # The selection only depends on (level, replica set), so it
-                # is cached.
-                contacted = self._dc_contacts_cache.get((consistency_level, replicas))
-                if contacted is None:
-                    union: List[NodeAddress] = []
-                    for dc, need in required_by_dc.items():
-                        in_dc = [r for r in replicas if self._topology.datacenter_of(r) == dc]
-                        in_dc.sort(key=lambda r: self._topology.mean_latency(self.address, r))
-                        union.extend(in_dc[:need])
-                    contacted = self._order_by_proximity(tuple(union))
-                    self._dc_contacts_cache[(consistency_level, replicas)] = contacted
-            route[3] = contacted
         # Global read repair: occasionally contact every replica so the
         # background repair can fix stale ones even under CL=ONE (for LOCAL_*
-        # levels this round is also the cross-DC anti-entropy path).
+        # levels this round is also the cross-DC anti-entropy path).  The
+        # full order is sorted when rolled: a tenth of reads at the default
+        # chance, not worth a cache entry per replica set.
         if len(contacted) < len(replicas) and self._read_repair_roll():
             contacted = self._order_by_proximity(replicas)
         read_guard = self._pending_read_guard
@@ -948,20 +889,28 @@ class Coordinator:
 
         Returns ``(total, per_dc)`` where ``per_dc`` is ``None`` for the
         classic count-based levels and a datacenter -> count map for the
-        DC-aware ones (``total`` is then the sum over datacenters).  The
-        resolution is pure in ``(level, replicas)`` and cached; callers must
-        treat the returned per-DC map as read-only.
+        DC-aware ones (``total`` is then the sum over datacenters).  It is
+        cached by what it depends on: the replica count for the classic
+        levels, the replica set (through its datacenters) for the DC-aware
+        ones.  Callers must treat the returned per-DC map as read-only.
         """
-        key = (level, replicas)
-        cached = self._requirement_cache.get(key)
+        # The count key first: it is all a classic level needs, and a
+        # DC-aware level, never stored under it, pays one cheap miss there
+        # instead of every level paying the ``is_datacenter_aware`` lookup.
+        cached = self._requirement_cache.get((level, len(replicas)))
         if cached is not None:
             return cached
         if not level.is_datacenter_aware:
+            key: tuple = (level, len(replicas))
             resolved: Tuple[int, Optional[Dict[str, int]]] = (
                 level.blocked_for(len(replicas)),
                 None,
             )
         else:
+            key = (level, replicas)
+            cached = self._requirement_cache.get(key)
+            if cached is not None:
+                return cached
             counts: Dict[str, int] = {}
             for replica in replicas:
                 dc = self._topology.datacenter_of(replica)
@@ -990,20 +939,40 @@ class Coordinator:
                 return False
         return True
 
-    def _order_by_proximity(self, replicas: Tuple[NodeAddress, ...]) -> Tuple[NodeAddress, ...]:
-        """Replicas sorted by expected latency from this coordinator (snitch).
+    def _read_route(
+        self, level: ConsistencyLevel, replicas: Tuple[NodeAddress, ...]
+    ) -> tuple:
+        """A read's requirement and the replicas it contacts, closest first;
+        cached per (level, replica set).  A level no read may use is refused
+        here, so it is never cached and the hot path need not test for it."""
+        if level.is_write_only:
+            raise ValueError("consistency level ANY cannot be used for reads")
+        requirement = self._requirement(level, replicas)
+        required, required_by_dc = requirement
+        if required_by_dc is None:
+            contacted = self._order_by_proximity(replicas)[:required]
+        else:
+            # DC-aware level: contact exactly the required count in every
+            # datacenter with a requirement (LOCAL_* touch only the local
+            # DC).  The union is re-sorted by proximity so the closest
+            # contacted replica receives the full data request and the rest
+            # get digests, as in the classic path.
+            union: List[NodeAddress] = []
+            for dc, need in required_by_dc.items():
+                in_dc = [r for r in replicas if self._topology.datacenter_of(r) == dc]
+                in_dc.sort(key=lambda r: self._topology.mean_latency(self.address, r))
+                union.extend(in_dc[:need])
+            contacted = self._order_by_proximity(union)
+        route = self._read_routes[(level, replicas)] = (requirement, contacted)
+        return route
 
-        The ordering is static per replica set (the snitch consults latency
-        model *means*, not samples), so it is computed once and cached
-        against the shared replica tuple.
-        """
-        cached = self._proximity_cache.get(replicas)
-        if cached is None:
-            cached = tuple(
-                sorted(replicas, key=lambda r: self._topology.mean_latency(self.address, r))
-            )
-            self._proximity_cache[replicas] = cached
-        return cached
+    def _order_by_proximity(self, replicas: Sequence[NodeAddress]) -> Tuple[NodeAddress, ...]:
+        """Replicas sorted by expected latency from this coordinator (snitch:
+        latency model *means*, not samples; the sort is stable, so ties keep
+        the order given)."""
+        return tuple(
+            sorted(replicas, key=lambda r: self._topology.mean_latency(self.address, r))
+        )
 
     _READ_REPAIR_POOL_SIZE = 512
 
@@ -1018,12 +987,13 @@ class Coordinator:
         # pre-drawing a block yields the exact same uniform sequence as
         # per-read scalar draws (NumPy fills doubles sequentially from the
         # bit stream) at a fraction of the per-roll cost.  Blocks double from
-        # 16 up to the cap, so a coordinator that rolls a few times holds few.
+        # 16 up to the cap, so a coordinator that rolls a few times holds few,
+        # and hold C doubles (8 bytes a draw, not a boxed float each).
         index = self._read_repair_index
         pool = self._read_repair_pool
         if index >= len(pool):
             size = min(2 * len(pool) or 16, self._READ_REPAIR_POOL_SIZE)
-            pool = self._read_repair_rng.random(size=size).tolist()
+            pool = array("d", self._read_repair_rng.random(size=size).tobytes())
             self._read_repair_pool = pool
             index = 0
         self._read_repair_index = index + 1

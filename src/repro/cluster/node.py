@@ -17,6 +17,7 @@ tests can exercise hinted handoff and read-repair convergence.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Optional, Tuple
@@ -121,9 +122,9 @@ class StorageNode:
         # gamma(shape, scale) is standard_gamma(shape) * scale bit-for-bit,
         # and batched draws consume the bit stream exactly like sequential
         # single draws, so pooling keeps per-node service times identical to
-        # per-request sampling while costing a list index instead of a NumPy
-        # call on the hot path.
-        self._service_pool: list = []
+        # per-request sampling while costing an array index instead of a
+        # NumPy call on the hot path.  Kept as C doubles, 8 bytes a draw.
+        self._service_pool = array("d")
         self._service_index = 0
         # Replica *responses* addressed to this node are forwarded to the
         # co-located coordinator (set by the owning SimulatedCluster via
@@ -289,9 +290,9 @@ class StorageNode:
         pool = self._service_pool
         if index >= len(pool):
             # Refills double from 16 up to the cap: a node that serves a
-            # handful of requests never holds 512 pre-drawn floats.
+            # handful of requests never holds 512 pre-drawn doubles.
             size = min(2 * len(pool) or 16, self._SERVICE_POOL_SIZE)
-            pool = self._rng.standard_gamma(self._gamma_shape, size=size).tolist()
+            pool = array("d", self._rng.standard_gamma(self._gamma_shape, size=size).tobytes())
             self._service_pool = pool
             index = 0
         self._service_index = index + 1

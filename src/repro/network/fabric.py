@@ -82,6 +82,7 @@ Three things keep the per-message cost low on 100+ node rings:
 from __future__ import annotations
 
 import heapq
+from array import array
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
@@ -212,10 +213,11 @@ class NetworkStats:
 class _LatencyPool:
     """A block of pre-drawn latencies for one latency class.
 
-    ``values`` is a plain Python list (``ndarray.tolist()``), so the
-    per-message pop is a C-level list index instead of a NumPy scalar
-    extraction.  Refills draw :data:`LATENCY_POOL_SIZE` samples at once from
-    the pool's dedicated stream.
+    ``values`` is an ``array('d')`` of the drawn doubles (8 bytes each,
+    where a list would box every one as a Python float), so the per-message
+    pop is a C-level index instead of a NumPy scalar extraction.  Refills
+    draw :data:`LATENCY_POOL_SIZE` samples at once from the pool's dedicated
+    stream.
     """
 
     __slots__ = ("model", "rng", "values", "index")
@@ -223,14 +225,15 @@ class _LatencyPool:
     def __init__(self, model: LatencyModel, rng: np.random.Generator) -> None:
         self.model = model
         self.rng = rng
-        self.values: List[float] = []
+        self.values = array("d")
         self.index = 0
 
     def next(self) -> float:
         index = self.index
         values = self.values
         if index >= len(values):
-            values = self.model.sample_many(self.rng, LATENCY_POOL_SIZE).tolist()
+            drawn = self.model.sample_many(self.rng, LATENCY_POOL_SIZE)
+            values = array("d", np.asarray(drawn, dtype=np.float64).tobytes())
             self.values = values
             index = 0
         self.index = index + 1
@@ -681,6 +684,29 @@ class NetworkFabric:
                 released += self.heal_datacenters_oneway(*pair)
         return released
 
+    def messages_held(self) -> Tuple[int, int]:
+        """``(parked, in_flight)``: the messages sent and not yet delivered or
+        dropped, counted where they are rather than from :attr:`stats`.
+
+        Parked messages sit in a partition's lists; in-flight ones are
+        delivery events on the engine heap or message-borne transfers still
+        streaming.  On the single engine ``stats.sent`` equals ``delivered +
+        dropped + parked + in_flight`` at every instant, which the chaos
+        suite's ``fabric_conservation`` invariant checks.
+        """
+        parked = sum(map(len, self._parked.values())) + sum(
+            map(len, self._parked_oneway.values())
+        )
+        arrive, deliver = self._arrive, self._deliver
+        in_flight = sum(
+            1
+            for _, _, event in self._engine._queue
+            if not event.cancelled and (event.callback == arrive or event.callback == deliver)
+        )
+        if self._transfers is not None:
+            in_flight += self._transfers.messages_streaming()
+        return parked, in_flight
+
     def is_partitioned(self, dc_a: str, dc_b: str) -> bool:
         """Whether the unordered DC pair is currently severed."""
         return self._pair_key(dc_a, dc_b) in self._partitions
@@ -970,7 +996,7 @@ class NetworkFabric:
         )
         if pool is None:
             pool = self._data_pool(src, dst)
-        # Inlined _LatencyPool.next() fast path (one list index).
+        # Inlined _LatencyPool.next() fast path (one array index).
         index = pool.index
         values = pool.values
         if index < len(values):

@@ -494,6 +494,13 @@ class TransferScheduler:
             return len(link.active) if link is not None else 0
         return sum(len(link.active) for link in self._links.values())
 
+    def messages_streaming(self) -> int:
+        """Message-borne transfers not yet complete or aborted (paused ones
+        included): messages the fabric has sent but not delivered."""
+        return sum(
+            1 for link in self._links.values() for t in link.active if t.message is not None
+        )
+
     def utilization_integrals(self) -> Dict[str, float]:
         """Per-link ``∫ utilization dt`` up to now; windowed deltas of this
         are mean utilization over the window (see ``RunSeriesRecorder``)."""

@@ -320,7 +320,7 @@ class ClientThread:
         level = self._override if self._override is not None else self._write_level_provider()
         self._cluster.write(
             operation.key,
-            _payload_for(operation),
+            self._workload.value_for(operation.key),
             level,
             sink,
             datacenter=self.datacenter,
@@ -491,7 +491,3 @@ def _no_retry_policy(unavailable_backoff: float) -> RetryPolicy:
         BackoffConfig(initial=unavailable_backoff, max_delay=max(unavailable_backoff, 1.0))
     )
 
-
-def _payload_for(operation: Operation) -> str:
-    """Synthetic record payload; content is irrelevant, size is what matters."""
-    return f"value:{operation.key}"

@@ -195,6 +195,7 @@ class CoreWorkload:
         self._cumulative = np.cumsum(probabilities / probabilities.sum())
         self._cumulative_list: list = self._cumulative.tolist()
         self._key_names: list = []
+        self._values: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Load phase
@@ -209,6 +210,14 @@ class CoreWorkload:
         while index >= len(names):
             names.append(f"{self.config.key_prefix}{len(names)}")
         return names[index]
+
+    def value_for(self, key: str) -> str:
+        """Synthetic payload of a write to ``key`` (memoized -- one string per
+        record, however often it is written; its size is ``value_size``)."""
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = f"value:{key}"
+        return value
 
     def value_size(self) -> int:
         """Size in bytes of one generated record value."""

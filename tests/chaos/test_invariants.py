@@ -14,6 +14,7 @@ from repro.cluster.consistency import ConsistencyLevel
 from repro.experiments.scenarios import ScenarioRegistry
 from repro.faults.schedule import DatacenterPartition, FaultSchedule
 from repro.faults.timeline import FaultTimeline
+from repro.network.fabric import MessageKind
 
 
 def build_checked_cluster(seed: int = 0):
@@ -99,6 +100,45 @@ class TestHintAccounting:
             cluster=cluster, timeline=timeline, heal_time=0.0, end_time=cluster.engine.now
         )
         assert "hints_drained" in {v.invariant for v in violations}
+
+
+class TestFabricConservation:
+    def check(self, cluster, timeline):
+        return InvariantChecker().check(
+            cluster=cluster, timeline=timeline, heal_time=0.0, end_time=cluster.engine.now
+        )
+
+    def test_double_counted_delivery_is_reported(self):
+        cluster, timeline = build_checked_cluster()
+        cluster.fabric.stats.delivered += 1
+        violations = self.check(cluster, timeline)
+        assert {v.invariant for v in violations} == {"fabric_conservation"}
+        assert "delivered=" in violations[0].detail
+
+    def test_parked_count_without_a_parked_message_is_reported(self):
+        cluster, timeline = build_checked_cluster()
+        cluster.fabric.stats.parked += 1
+        violations = self.check(cluster, timeline)
+        assert {v.invariant for v in violations} == {"fabric_conservation"}
+        # Both halves fire: the count disagrees with the partitions' lists,
+        # and the books no longer balance.
+        assert len(violations) == 2
+
+    def test_parked_scheduled_and_streaming_messages_balance(self):
+        cluster, timeline = build_checked_cluster()
+        fabric = cluster.fabric
+        fabric.enable_bandwidth()
+        here, severed, open_dc = cluster.datacenter_names
+        fabric.partition_datacenters(here, severed, mode="park")
+        src = cluster.addresses_in(here)[0]
+        kind = MessageKind.TREE_REQUEST  # a kind the node accepts and ignores
+        fabric.send(src, cluster.addresses_in(severed)[0], kind, None, size_bytes=64)
+        fabric.send(src, cluster.addresses_in(open_dc)[0], kind, None, size_bytes=1 << 20)
+        fabric.send(src, cluster.addresses_in(here)[1], kind, None, size_bytes=64)
+        # One parked; one bandwidth transfer streaming, one delivery queued.
+        assert fabric.messages_held() == (1, 2)
+        violations = self.check(cluster, timeline)
+        assert "fabric_conservation" not in {v.invariant for v in violations}
 
 
 class TestStuckUnavailable:

@@ -4,8 +4,8 @@ Covers the Cassandra 1.0-era operational contract reproduced by
 :mod:`repro.cluster.membership`: pending-range writes (the joiner absorbs
 writes before it ever serves reads), fabric-streamed range transfer with
 source-crash failover and partition pausing, clean aborts, deterministic
-token assignment, and the ring-walk / route-cache invalidation that keeps
-every placement-derived cache honest across a topology change.
+token assignment, and the placement-cache invalidation that keeps every
+coordinator routing by the current ring across a topology change.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import pytest
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
 from repro.cluster.membership import MembershipConfig, MembershipManager
+from repro.network.fabric import MessageKind
 
 QUORUM = ConsistencyLevel.QUORUM
 
@@ -273,26 +274,51 @@ class TestTokenDeterminism:
 class TestCacheInvalidation:
     """Regression: PR-2/PR-5 placement caches must not survive a ring flip."""
 
-    def test_route_cache_cannot_go_stale_across_a_join(self):
+    def test_route_cache_cannot_go_stale_across_a_join(self, monkeypatch):
+        """After a join cutover every coordinator routes by the new placement:
+        its reads contact only new replicas and its writes fan out to exactly
+        them.  The placement is recomputed from the new ring, not read back
+        through any cache, so a cache that outlived the flip shows here."""
         cluster = make_cluster(seed=13)
         seed_data(cluster)
-        # Warm every coordinator's route cache with reads for every key.
-        for i in range(32):
-            cluster.read_sync(f"key{i}", QUORUM)
-        warmed = sum(len(c._route_cache) for c in cluster.coordinators.values())
-        assert warmed > 0
+        keys = [f"key{i}" for i in range(32)]
+        # Route every key through every coordinator, warming whatever the
+        # cluster and the coordinators cache on the way.
+        for address in cluster.members:
+            for key in keys:
+                cluster.read_sync(key, QUORUM, coordinator=address)
+                cluster.write_sync(key, "warm", QUORUM, coordinator=address)
         manager = MembershipManager(cluster)
-        manager.begin_bootstrap(cluster.spares[0])
+        spare = cluster.spares[0]
+        manager.begin_bootstrap(spare)
         drive_to_completion(cluster, manager)
         manager.stop()
         cluster.settle()
-        # The cutover dropped every cached route...
-        assert all(not c._route_cache for c in cluster.coordinators.values())
-        # ...and fresh reads route strictly by the *new* placement.
-        for i in range(32):
-            key = f"key{i}"
-            result = cluster.read_sync(key, QUORUM)
-            assert set(result.responded) <= set(cluster.replicas_for(key))
+        placement = {key: tuple(cluster.strategy.replicas(cluster.ring, key)) for key in keys}
+        assert any(spare in replicas for replicas in placement.values()), (
+            "the join moved no sampled key -- the case tests nothing"
+        )
+
+        sent = []
+        send = cluster.fabric.send
+
+        def recording_send(src, dst, kind, payload, **kwargs):
+            sent.append((src, dst, kind))
+            return send(src, dst, kind, payload, **kwargs)
+
+        monkeypatch.setattr(cluster.fabric, "send", recording_send)
+        for address in cluster.members:
+            for key in keys:
+                # Requests leave inside the call, before the engine runs.
+                sent.clear()
+                cluster.read(key, QUORUM, coordinator=address)
+                contacted = {dst for src, dst, kind in sent if kind == MessageKind.READ_REQUEST}
+                assert contacted and contacted <= set(placement[key]), (address, key)
+                sent.clear()
+                cluster.write(key, "after", QUORUM, coordinator=address)
+                fanout = [dst for src, dst, kind in sent if kind == MessageKind.WRITE_REQUEST]
+                assert sorted(fanout) == sorted(placement[key]), (address, key)
+                cluster.settle()
 
     def test_cluster_replica_cache_invalidated_on_cutover(self):
         cluster = make_cluster(seed=13)

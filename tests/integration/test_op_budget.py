@@ -16,13 +16,24 @@ ring tokens stepped over per placement miss (recorded 5.02 at RF 5: the walk
 stops when the strategy's rules are met), and what the run leaves behind once
 it drains: no per-pair fabric state, no request deque on a node that never
 queued, no timer queue left holding entries.
+
+The *routing-state* budget pins what a coordinator keeps between operations
+to what placement depends on: nothing per key, one requirement per level and
+replica count, one read route (requirement and contacted replicas) per
+(level, replica set) it read, and nothing more when the same operations run
+again.  Every value a run keeps in
+bulk -- latency samples and pre-drawn pools -- is a C double, and a write's
+payload is one string per record.
 """
 
 from __future__ import annotations
 
+from array import array
+
 from repro.cluster.cluster import SimulatedCluster
 from repro.core.policy import StaticQuorumPolicy
 from repro.experiments.scenarios import SCALE_100, SCALE_1000
+from repro.metrics.histogram import LatencyHistogram
 from repro.workload.executor import WorkloadExecutor
 from repro.workload.workloads import WORKLOAD_A
 
@@ -117,3 +128,77 @@ class TestOperationBudget:
         assert not queues, f"{len(queues)} nodes hold a request deque they never used"
         timers = [t for c in cluster.coordinators.values() for t in c._timers.values()]
         assert timers and not any(len(timer) or timer.armed for timer in timers)
+
+
+def routing_entries(cluster):
+    """Per coordinator: (requirement cache keys, read-route cache keys)."""
+    return {
+        address: (set(c._requirement_cache), set(c._read_routes))
+        for address, c in cluster.coordinators.items()
+    }
+
+
+class TestRoutingState:
+    def test_scale_100_routing_state_follows_placement_not_ops(self):
+        cluster = SimulatedCluster(SCALE_100.cluster_config(seed=11))
+        workload = WORKLOAD_A.scaled(record_count=120, operation_count=600)
+        executor = WorkloadExecutor(cluster, workload, StaticQuorumPolicy(), threads=20)
+        results = []
+        cluster.add_operation_observer(results.append)
+        executor.load()
+        metrics = executor.run()
+        cluster.settle()
+        ops = list(results)
+        assert len(ops) == 600
+        records = set(executor.workload.load_keys())
+
+        levels = {address: set() for address in cluster.coordinators}
+        seen = {address: set() for address in cluster.coordinators}
+        for result in ops:
+            levels[result.coordinator].add(result.consistency_level)
+            if result.op_type == "read":
+                seen[result.coordinator].add((result.consistency_level, result.replicas))
+        entries = routing_entries(cluster)
+        for address, coordinator in cluster.coordinators.items():
+            # Nothing the coordinator holds is keyed by a record key.
+            for name, held in vars(coordinator).items():
+                if isinstance(held, dict):
+                    parts = [p for k in held for p in (k if isinstance(k, tuple) else (k,))]
+                    assert not records.intersection(p for p in parts if isinstance(p, str)), name
+            requirements, routes = entries[address]
+            # Static QUORUM: classic levels only, one entry per (level, RF).
+            assert all(type(count) is int for _, count in requirements)
+            assert len(requirements) <= len(levels[address])
+            # One read route per (level, replica set) the coordinator read.
+            assert routes <= seen[address]
+
+        # Doubling the op count over the same keys adds no entry: replay
+        # every operation through the coordinator and at the level it had.
+        for result in ops:
+            if result.op_type == "read":
+                cluster.read(result.key, result.consistency_level,
+                             coordinator=result.coordinator)
+            else:
+                cluster.write(result.key, "again", result.consistency_level,
+                              coordinator=result.coordinator)
+        cluster.settle()
+        assert len(results) == 2 * len(ops)
+        assert routing_entries(cluster) == entries
+        assert not any(c.in_flight for c in cluster.coordinators.values())
+
+        # A write's payload is one string per record, not one per write.
+        values = executor.workload._values
+        assert 0 < len(values) <= len(records)
+
+        # Samples and pre-drawn pools are C doubles: 8 bytes a value, no
+        # Python float object behind each one.
+        histograms = [metrics.read_latency, metrics.write_latency, metrics.overall_latency]
+        assert all(isinstance(h, LatencyHistogram) for h in histograms)
+        pools = [pool.values for pool in cluster.fabric._pools.values()]
+        pools += [node._service_pool for node in cluster.nodes.values()]
+        pools += [c._read_repair_pool for c in cluster.coordinators.values()]
+        stores = [h._samples for h in histograms] + pools
+        assert sum(map(len, stores)) > 0
+        for store in stores:
+            assert type(store) is array and store.typecode == "d" and store.itemsize == 8
+        assert sum(len(h._samples) for h in histograms) == sum(h.count for h in histograms)
