@@ -6,38 +6,27 @@ Two jobs share one wire format:
   ``(seed, scenario, budget)`` gives a byte-identical schedule") is stated
   over :func:`schedule_signature`, the sha256 of the canonical JSON form --
   key-sorted, ms-rounded floats, addresses as ``[dc, rack, id]`` triples.
-* **The reproducer corpus.** ``tools/chaos_search.py`` writes every
-  minimized failing schedule as a reproducer file under
-  ``tests/chaos/corpus/``; ``tests/chaos/test_corpus_replay.py`` replays
-  each one against current code and asserts all invariants hold.
+* **The reproducer corpus.** ``tools/chaos_search.py --emit-corpus DIR``
+  writes every minimized failing schedule as a reproducer file; the ones
+  committed under ``tests/chaos/corpus/`` are replayed by
+  ``tests/chaos/test_corpus_replay.py``, which asserts all invariants hold.
 
-The format is versioned (``"format": 1``) so later PRs can evolve it
-without invalidating committed corpus entries.
+An event is its kind's ``tag`` (as ``"type"``) plus its dataclass fields,
+generically: a field is omitted only when it equals a ``None`` or ``bool``
+default, so ``mode`` and every other field with a value default is always
+written.  The format is versioned (``"format": 1``) so later PRs can evolve
+it without invalidating committed corpus entries.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Union
 
-from repro.faults.schedule import (
-    AsymmetricPartition,
-    DatacenterIsolation,
-    DatacenterOutage,
-    DatacenterPartition,
-    FaultEvent,
-    FaultSchedule,
-    NodeBootstrap,
-    NodeCrash,
-    NodeDecommission,
-    NodeRestart,
-    PacketLoss,
-    SlowWan,
-    WanCongestion,
-)
+from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.network.topology import NodeAddress
 
 __all__ = [
@@ -54,9 +43,8 @@ __all__ = [
 
 CORPUS_FORMAT = 1
 
-
-def _address_to_list(node: NodeAddress) -> List[Any]:
-    return [node.datacenter, node.rack, node.node_id]
+#: Every fault kind by its corpus tag.
+_KINDS = {kind.tag: kind for kind in FaultEvent.__subclasses__()}
 
 
 def _address_from_list(raw: Any) -> NodeAddress:
@@ -65,179 +53,47 @@ def _address_from_list(raw: Any) -> NodeAddress:
     return NodeAddress(str(raw[0]), str(raw[1]), int(raw[2]))
 
 
+#: JSON value -> field value, by the field's declared type.  ``None`` stays
+#: ``None`` whatever the type.
+_DECODE = {
+    "float": float,
+    "Optional[float]": float,
+    "bool": bool,
+    "str": str,
+    "Tuple[str, str]": tuple,
+    "NodeAddress": _address_from_list,
+}
+
+
 def event_to_dict(event: FaultEvent) -> Dict[str, Any]:
-    """One fault event as a plain JSON-ready dict with a ``type`` tag."""
-    if isinstance(event, NodeCrash):
-        return {"type": "node_crash", "at": event.at, "node": _address_to_list(event.node)}
-    if isinstance(event, NodeRestart):
-        out: Dict[str, Any] = {
-            "type": "node_restart",
-            "at": event.at,
-            "node": _address_to_list(event.node),
-        }
-        if not event.replay_hints:
-            out["replay_hints"] = False
-        return out
-    if isinstance(event, DatacenterOutage):
-        out = {"type": "dc_outage", "at": event.at, "datacenter": event.datacenter}
-        if event.duration is not None:
-            out["duration"] = event.duration
-        if not event.replay_hints:
-            out["replay_hints"] = False
-        return out
-    if isinstance(event, DatacenterIsolation):
-        out = {
-            "type": "dc_isolation",
-            "at": event.at,
-            "datacenter": event.datacenter,
-            "mode": event.mode,
-        }
-        if event.duration is not None:
-            out["duration"] = event.duration
-        if not event.replay_hints:
-            out["replay_hints"] = False
-        return out
-    if isinstance(event, DatacenterPartition):
-        out = {
-            "type": "partition",
-            "at": event.at,
-            "datacenters": list(event.datacenters),
-            "mode": event.mode,
-        }
-        if event.duration is not None:
-            out["duration"] = event.duration
-        if not event.replay_hints:
-            out["replay_hints"] = False
-        return out
-    if isinstance(event, AsymmetricPartition):
-        out = {
-            "type": "partition_oneway",
-            "at": event.at,
-            "datacenters": list(event.datacenters),
-            "mode": event.mode,
-        }
-        if event.duration is not None:
-            out["duration"] = event.duration
-        if not event.replay_hints:
-            out["replay_hints"] = False
-        return out
-    if isinstance(event, PacketLoss):
-        out = {
-            "type": "packet_loss",
-            "at": event.at,
-            "datacenters": list(event.datacenters),
-            "probability": event.probability,
-        }
-        if event.duration is not None:
-            out["duration"] = event.duration
-        return out
-    if isinstance(event, SlowWan):
-        out = {
-            "type": "slow_wan",
-            "at": event.at,
-            "datacenters": list(event.datacenters),
-            "scale": event.scale,
-        }
-        if event.duration is not None:
-            out["duration"] = event.duration
-        return out
-    if isinstance(event, WanCongestion):
-        out = {
-            "type": "wan_congestion",
-            "at": event.at,
-            "datacenters": list(event.datacenters),
-            "bytes": event.bytes,
-            "duration": event.duration,
-        }
-        if event.rate_cap is not None:
-            out["rate_cap"] = event.rate_cap
-        return out
-    if isinstance(event, NodeBootstrap):
-        return {
-            "type": "node_bootstrap",
-            "at": event.at,
-            "node": _address_to_list(event.node),
-        }
-    if isinstance(event, NodeDecommission):
-        return {
-            "type": "node_decommission",
-            "at": event.at,
-            "node": _address_to_list(event.node),
-        }
-    raise TypeError(f"cannot serialize fault event {event!r}")
+    """One fault event as a plain JSON-ready dict with a ``type`` tag.
+
+    Every field is written except one that equals a ``None`` or ``bool``
+    default; tuples (site pairs, node addresses as ``[dc, rack, id]``)
+    become lists.
+    """
+    if not isinstance(event, FaultEvent):
+        raise TypeError(f"cannot serialize fault event {event!r}")
+    out: Dict[str, Any] = {"type": event.tag}
+    for spec in fields(event):
+        value = getattr(event, spec.name)
+        if value == spec.default and (spec.default is None or isinstance(spec.default, bool)):
+            continue
+        out[spec.name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def event_from_dict(raw: Dict[str, Any]) -> FaultEvent:
     """Inverse of :func:`event_to_dict`."""
-    kind = raw.get("type")
-    at = float(raw["at"])
-    if kind == "node_crash":
-        return NodeCrash(at=at, node=_address_from_list(raw["node"]))
-    if kind == "node_restart":
-        return NodeRestart(
-            at=at,
-            node=_address_from_list(raw["node"]),
-            replay_hints=bool(raw.get("replay_hints", True)),
-        )
-    if kind == "dc_outage":
-        return DatacenterOutage(
-            at=at,
-            datacenter=str(raw["datacenter"]),
-            duration=raw.get("duration"),
-            replay_hints=bool(raw.get("replay_hints", True)),
-        )
-    if kind == "dc_isolation":
-        return DatacenterIsolation(
-            at=at,
-            datacenter=str(raw["datacenter"]),
-            duration=raw.get("duration"),
-            mode=str(raw.get("mode", "drop")),
-            replay_hints=bool(raw.get("replay_hints", True)),
-        )
-    if kind == "partition":
-        return DatacenterPartition(
-            at=at,
-            datacenters=tuple(raw["datacenters"]),
-            duration=raw.get("duration"),
-            mode=str(raw.get("mode", "drop")),
-            replay_hints=bool(raw.get("replay_hints", True)),
-        )
-    if kind == "partition_oneway":
-        return AsymmetricPartition(
-            at=at,
-            datacenters=tuple(raw["datacenters"]),
-            duration=raw.get("duration"),
-            mode=str(raw.get("mode", "drop")),
-            replay_hints=bool(raw.get("replay_hints", True)),
-        )
-    if kind == "packet_loss":
-        return PacketLoss(
-            at=at,
-            datacenters=tuple(raw["datacenters"]),
-            probability=float(raw["probability"]),
-            duration=raw.get("duration"),
-        )
-    if kind == "slow_wan":
-        return SlowWan(
-            at=at,
-            datacenters=tuple(raw["datacenters"]),
-            scale=float(raw["scale"]),
-            duration=raw.get("duration"),
-        )
-    if kind == "wan_congestion":
-        rate_cap = raw.get("rate_cap")
-        return WanCongestion(
-            at=at,
-            datacenters=tuple(raw["datacenters"]),
-            bytes=float(raw["bytes"]),
-            duration=float(raw["duration"]),
-            rate_cap=float(rate_cap) if rate_cap is not None else None,
-        )
-    if kind == "node_bootstrap":
-        return NodeBootstrap(at=at, node=_address_from_list(raw["node"]))
-    if kind == "node_decommission":
-        return NodeDecommission(at=at, node=_address_from_list(raw["node"]))
-    raise ValueError(f"unknown fault event type {kind!r}")
+    kind = _KINDS.get(raw.get("type"))
+    if kind is None:
+        raise ValueError(f"unknown fault event type {raw.get('type')!r}")
+    values = {
+        spec.name: None if raw[spec.name] is None else _DECODE[spec.type](raw[spec.name])
+        for spec in fields(kind)
+        if spec.name in raw
+    }
+    return kind(**values)
 
 
 def schedule_to_dict(schedule: FaultSchedule) -> Dict[str, Any]:

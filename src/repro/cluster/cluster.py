@@ -811,12 +811,8 @@ class SimulatedCluster:
         released or replayed yet.
         """
         released = self.fabric.heal_datacenters(dc_a, dc_b)
-        replayed = 0
-        if replay_hints and not self.fabric.is_partitioned(dc_a, dc_b):
-            for target_dc in (dc_a, dc_b):
-                for address in self.addresses_in(target_dc):
-                    replayed += self._replay_hints_for(address)
-        return released, replayed
+        reopened = not self.fabric.is_partitioned(dc_a, dc_b)
+        return released, self._replay_hints_into((dc_a, dc_b) if replay_hints and reopened else ())
 
     def partition_datacenters_oneway(self, src_dc: str, dst_dc: str, *, mode: str = "drop") -> None:
         """Sever one WAN direction (``src_dc -> dst_dc``) while the reverse
@@ -834,11 +830,17 @@ class SimulatedCluster:
         partition still blocks the direction.
         """
         released = self.fabric.heal_datacenters_oneway(src_dc, dst_dc)
-        replayed = 0
-        if replay_hints and not self.fabric.is_severed(src_dc, dst_dc):
-            for address in self.addresses_in(dst_dc):
-                replayed += self._replay_hints_for(address)
-        return released, replayed
+        reopened = not self.fabric.is_severed(src_dc, dst_dc)
+        return released, self._replay_hints_into((dst_dc,) if replay_hints and reopened else ())
+
+    def _replay_hints_into(self, datacenters: Sequence[str]) -> int:
+        """Replay the hints held for every node of ``datacenters``, in order
+        (the shared tail of the two heals); returns how many were replayed."""
+        return sum(
+            self._replay_hints_for(address)
+            for datacenter in datacenters
+            for address in self.addresses_in(datacenter)
+        )
 
     def set_pair_loss(self, dc_a: str, dc_b: str, probability: float) -> None:
         """Enable (or with 0.0 clear) per-pair WAN packet loss (see the fabric)."""

@@ -7,6 +7,12 @@ injector translates each event into plain engine callbacks, so a fault
 timeline is exactly as deterministic as everything else in the simulator:
 the same seed and the same schedule produce the same trace.
 
+Each fault kind is one class, and the class is the only place that knows
+the kind: its corpus ``tag``, its :meth:`~FaultEvent.start` action and, for
+a kind with a ``duration``, its :meth:`~FaultEvent.end` action.  The
+injector and the corpus format (:mod:`repro.chaos.corpus`) are generic over
+kinds, so a new kind is one new class here plus its generator entry.
+
 Event times are **relative to the arming instant** (the experiment runner
 arms the schedule after the load phase, so ``at=5.0`` means "five virtual
 seconds into the measured run").  Every event can be described before the
@@ -48,7 +54,7 @@ The three failure axes map onto the cluster layers like this:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, ClassVar, List, Optional, Sequence, Tuple
 
 from repro.network.topology import NodeAddress
 
@@ -77,14 +83,45 @@ __all__ = [
 class FaultEvent:
     """Base class: one timed fault action.
 
-    ``at`` is in virtual seconds relative to :meth:`FaultInjector.arm`.
+    ``at`` is in virtual seconds relative to :meth:`FaultInjector.arm`.  A
+    kind with a ``node`` field must name a node, one with a ``datacenter``
+    field a site.
     """
 
     at: float
 
+    #: The kind's ``type`` in the corpus format; every kind sets its own.
+    tag: ClassVar[str]
+
     def __post_init__(self) -> None:
         if self.at < 0:
             raise ValueError(f"fault time must be non-negative, got {self.at!r}")
+        if hasattr(self, "node") and self.node is None:
+            raise ValueError(f"{type(self).__name__} needs a node address")
+        if hasattr(self, "datacenter") and not self.datacenter:
+            raise ValueError(f"{type(self).__name__} needs a datacenter name")
+
+    def start(self, injector: "FaultInjector") -> str:
+        """Apply the fault at ``at``; returns the line the injector logs."""
+        raise NotImplementedError
+
+    def end(self, injector: "FaultInjector") -> str:
+        """Undo the fault at ``at + duration`` (kinds with a ``duration``
+        only, and only when it is not ``None``); returns the log line."""
+        raise NotImplementedError
+
+
+def _check_sites(event: FaultEvent, needs: str, itself: str) -> None:
+    sites = event.datacenters
+    if len(sites) != 2 or not all(sites):
+        raise ValueError(f"{type(event).__name__} needs {needs} site names, got {sites!r}")
+    if sites[0] == sites[1]:
+        raise ValueError(f"cannot {itself}")
+
+
+def _check_duration(event: FaultEvent, noun: str) -> None:
+    if event.duration is not None and event.duration <= 0:
+        raise ValueError(f"{noun} duration must be positive, got {event.duration!r}")
 
 
 @dataclass(frozen=True)
@@ -93,10 +130,11 @@ class NodeCrash(FaultEvent):
 
     node: NodeAddress = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.node is None:
-            raise ValueError("NodeCrash needs a node address")
+    tag = "node_crash"
+
+    def start(self, injector: "FaultInjector") -> str:
+        injector.cluster.take_down(self.node)
+        return f"node {self.node} down"
 
 
 @dataclass(frozen=True)
@@ -106,10 +144,11 @@ class NodeRestart(FaultEvent):
     node: NodeAddress = None  # type: ignore[assignment]
     replay_hints: bool = True
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.node is None:
-            raise ValueError("NodeRestart needs a node address")
+    tag = "node_restart"
+
+    def start(self, injector: "FaultInjector") -> str:
+        replayed = injector.cluster.bring_up(self.node, replay_hints=self.replay_hints)
+        return f"node {self.node} up ({replayed} hints replayed)"
 
 
 @dataclass(frozen=True)
@@ -126,12 +165,21 @@ class DatacenterOutage(FaultEvent):
     duration: Optional[float] = None
     replay_hints: bool = True
 
+    tag = "dc_outage"
+
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not self.datacenter:
-            raise ValueError("DatacenterOutage needs a datacenter name")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError(f"outage duration must be positive, got {self.duration!r}")
+        _check_duration(self, "outage")
+
+    def start(self, injector: "FaultInjector") -> str:
+        injector.cluster.take_down_datacenter(self.datacenter)
+        return f"datacenter {self.datacenter} down"
+
+    def end(self, injector: "FaultInjector") -> str:
+        replayed = injector.cluster.bring_up_datacenter(
+            self.datacenter, replay_hints=self.replay_hints
+        )
+        return f"datacenter {self.datacenter} up ({replayed} hints replayed)"
 
 
 @dataclass(frozen=True)
@@ -150,14 +198,24 @@ class DatacenterPartition(FaultEvent):
     mode: str = "drop"
     replay_hints: bool = True
 
+    tag = "partition"
+
     def __post_init__(self) -> None:
         super().__post_init__()
-        if len(self.datacenters) != 2 or not all(self.datacenters):
-            raise ValueError(f"DatacenterPartition needs two site names, got {self.datacenters!r}")
-        if self.datacenters[0] == self.datacenters[1]:
-            raise ValueError("cannot partition a datacenter from itself")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError(f"partition duration must be positive, got {self.duration!r}")
+        _check_sites(self, "two", "partition a datacenter from itself")
+        _check_duration(self, "partition")
+
+    def start(self, injector: "FaultInjector") -> str:
+        a, b = self.datacenters
+        injector.cluster.partition_datacenters(a, b, mode=self.mode)
+        return f"partition {a}|{b} ({self.mode})"
+
+    def end(self, injector: "FaultInjector") -> str:
+        a, b = self.datacenters
+        released, replayed = injector.cluster.heal_datacenters(
+            a, b, replay_hints=self.replay_hints
+        )
+        return f"heal {a}|{b} ({released} parked released, {replayed} hints replayed)"
 
 
 @dataclass(frozen=True)
@@ -174,12 +232,32 @@ class DatacenterIsolation(FaultEvent):
     mode: str = "drop"
     replay_hints: bool = True
 
+    tag = "dc_isolation"
+
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not self.datacenter:
-            raise ValueError("DatacenterIsolation needs a datacenter name")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError(f"isolation duration must be positive, got {self.duration!r}")
+        _check_duration(self, "isolation")
+
+    def _others(self, cluster: "SimulatedCluster") -> List[str]:
+        return [dc for dc in cluster.datacenter_names if dc != self.datacenter]
+
+    def start(self, injector: "FaultInjector") -> str:
+        for other in self._others(injector.cluster):
+            injector.cluster.partition_datacenters(self.datacenter, other, mode=self.mode)
+        return f"isolate {self.datacenter} ({self.mode})"
+
+    def end(self, injector: "FaultInjector") -> str:
+        released = replayed = 0
+        for other in self._others(injector.cluster):
+            r, h = injector.cluster.heal_datacenters(
+                self.datacenter, other, replay_hints=self.replay_hints
+            )
+            released += r
+            replayed += h
+        return (
+            f"deisolate {self.datacenter} ({released} parked released, "
+            f"{replayed} hints replayed)"
+        )
 
 
 @dataclass(frozen=True)
@@ -198,16 +276,24 @@ class AsymmetricPartition(FaultEvent):
     mode: str = "drop"
     replay_hints: bool = True
 
+    tag = "partition_oneway"
+
     def __post_init__(self) -> None:
         super().__post_init__()
-        if len(self.datacenters) != 2 or not all(self.datacenters):
-            raise ValueError(
-                f"AsymmetricPartition needs (src, dst) site names, got {self.datacenters!r}"
-            )
-        if self.datacenters[0] == self.datacenters[1]:
-            raise ValueError("cannot partition a datacenter from itself")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError(f"partition duration must be positive, got {self.duration!r}")
+        _check_sites(self, "(src, dst)", "partition a datacenter from itself")
+        _check_duration(self, "partition")
+
+    def start(self, injector: "FaultInjector") -> str:
+        src, dst = self.datacenters
+        injector.cluster.partition_datacenters_oneway(src, dst, mode=self.mode)
+        return f"partition {src}->{dst} ({self.mode})"
+
+    def end(self, injector: "FaultInjector") -> str:
+        src, dst = self.datacenters
+        released, replayed = injector.cluster.heal_datacenters_oneway(
+            src, dst, replay_hints=self.replay_hints
+        )
+        return f"heal {src}->{dst} ({released} parked released, {replayed} hints replayed)"
 
 
 @dataclass(frozen=True)
@@ -225,16 +311,24 @@ class PacketLoss(FaultEvent):
     probability: float = 0.0
     duration: Optional[float] = None
 
+    tag = "packet_loss"
+
     def __post_init__(self) -> None:
         super().__post_init__()
-        if len(self.datacenters) != 2 or not all(self.datacenters):
-            raise ValueError(f"PacketLoss needs two site names, got {self.datacenters!r}")
-        if self.datacenters[0] == self.datacenters[1]:
-            raise ValueError("cannot lose packets between a datacenter and itself")
+        _check_sites(self, "two", "lose packets between a datacenter and itself")
         if not 0.0 < self.probability < 1.0:
             raise ValueError(f"loss probability must be in (0, 1), got {self.probability!r}")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError(f"loss duration must be positive, got {self.duration!r}")
+        _check_duration(self, "loss")
+
+    def start(self, injector: "FaultInjector") -> str:
+        a, b = self.datacenters
+        injector.cluster.set_pair_loss(a, b, self.probability)
+        return f"packet loss {a}|{b} p={self.probability}"
+
+    def end(self, injector: "FaultInjector") -> str:
+        a, b = self.datacenters
+        injector.cluster.set_pair_loss(a, b, 0.0)
+        return f"packet loss {a}|{b} cleared"
 
 
 @dataclass(frozen=True)
@@ -251,16 +345,24 @@ class SlowWan(FaultEvent):
     scale: float = 1.0
     duration: Optional[float] = None
 
+    tag = "slow_wan"
+
     def __post_init__(self) -> None:
         super().__post_init__()
-        if len(self.datacenters) != 2 or not all(self.datacenters):
-            raise ValueError(f"SlowWan needs two site names, got {self.datacenters!r}")
-        if self.datacenters[0] == self.datacenters[1]:
-            raise ValueError("cannot slow the WAN between a datacenter and itself")
+        _check_sites(self, "two", "slow the WAN between a datacenter and itself")
         if self.scale <= 1.0:
             raise ValueError(f"slow-WAN scale must be > 1, got {self.scale!r}")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError(f"slow-WAN duration must be positive, got {self.duration!r}")
+        _check_duration(self, "slow-WAN")
+
+    def start(self, injector: "FaultInjector") -> str:
+        a, b = self.datacenters
+        injector.cluster.set_pair_latency_scale(a, b, self.scale)
+        return f"slow wan {a}|{b} x{self.scale}"
+
+    def end(self, injector: "FaultInjector") -> str:
+        a, b = self.datacenters
+        injector.cluster.set_pair_latency_scale(a, b, 1.0)
+        return f"slow wan {a}|{b} cleared"
 
 
 @dataclass(frozen=True)
@@ -285,18 +387,32 @@ class WanCongestion(FaultEvent):
     duration: float = 0.0
     rate_cap: Optional[float] = None
 
+    tag = "wan_congestion"
+
     def __post_init__(self) -> None:
         super().__post_init__()
-        if len(self.datacenters) != 2 or not all(self.datacenters):
-            raise ValueError(f"WanCongestion needs two site names, got {self.datacenters!r}")
-        if self.datacenters[0] == self.datacenters[1]:
-            raise ValueError("cannot congest the WAN between a datacenter and itself")
+        _check_sites(self, "two", "congest the WAN between a datacenter and itself")
         if self.bytes <= 0:
             raise ValueError(f"congestion bytes must be positive, got {self.bytes!r}")
-        if self.duration <= 0:
-            raise ValueError(f"congestion duration must be positive, got {self.duration!r}")
+        _check_duration(self, "congestion")
         if self.rate_cap is not None and self.rate_cap <= 0:
             raise ValueError(f"congestion rate cap must be positive, got {self.rate_cap!r}")
+
+    def start(self, injector: "FaultInjector") -> str:
+        a, b = self.datacenters
+        injector._congestion_handles[self] = injector.cluster.fabric.start_background_transfer(
+            a, b, self.bytes, rate_cap=self.rate_cap
+        )
+        cap = f" cap={self.rate_cap:g}B/s" if self.rate_cap is not None else ""
+        return f"wan congestion {a}|{b} {self.bytes:g}B{cap}"
+
+    def end(self, injector: "FaultInjector") -> str:
+        a, b = self.datacenters
+        handle = injector._congestion_handles.pop(self, None)
+        aborted = 0.0
+        if handle is not None:
+            aborted = injector.cluster.fabric.cancel_background_transfer(handle)
+        return f"wan congestion {a}|{b} cleared ({aborted:g}B aborted)"
 
 
 @dataclass(frozen=True)
@@ -314,10 +430,10 @@ class NodeBootstrap(FaultEvent):
 
     node: NodeAddress = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.node is None:
-            raise ValueError("NodeBootstrap needs a node address")
+    tag = "node_bootstrap"
+
+    def start(self, injector: "FaultInjector") -> str:
+        return injector._begin_transition("bootstrap", self.node)
 
 
 @dataclass(frozen=True)
@@ -332,10 +448,10 @@ class NodeDecommission(FaultEvent):
 
     node: NodeAddress = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.node is None:
-            raise ValueError("NodeDecommission needs a node address")
+    tag = "node_decommission"
+
+    def start(self, injector: "FaultInjector") -> str:
+        return injector._begin_transition("decommission", self.node)
 
 
 class FaultSchedule:
@@ -405,205 +521,42 @@ class FaultInjector:
 
     # ------------------------------------------------------------------
     def arm(self) -> None:
-        """Schedule every event of the timeline relative to *now*."""
+        """Schedule every event of the timeline relative to *now*: its start
+        at ``at`` and, when it has a duration, its end at ``at + duration``."""
         if self._armed:
             raise RuntimeError("a FaultInjector can only be armed once")
         self._armed = True
         engine = self.cluster.engine
         for event in self.schedule:
-            if isinstance(event, NodeCrash):
-                engine.schedule(event.at, self._crash_node, event, label="fault.node_crash")
-            elif isinstance(event, NodeRestart):
-                engine.schedule(event.at, self._restart_node, event, label="fault.node_restart")
-            elif isinstance(event, DatacenterOutage):
-                engine.schedule(event.at, self._dc_down, event, label="fault.dc_outage")
-                if event.duration is not None:
-                    engine.schedule(
-                        event.at + event.duration, self._dc_up, event, label="fault.dc_recover"
-                    )
-            elif isinstance(event, DatacenterPartition):
-                engine.schedule(event.at, self._partition, event, label="fault.partition")
-                if event.duration is not None:
-                    engine.schedule(
-                        event.at + event.duration, self._heal, event, label="fault.heal"
-                    )
-            elif isinstance(event, DatacenterIsolation):
-                engine.schedule(event.at, self._isolate, event, label="fault.isolation")
-                if event.duration is not None:
-                    engine.schedule(
-                        event.at + event.duration, self._deisolate, event, label="fault.heal"
-                    )
-            elif isinstance(event, AsymmetricPartition):
-                engine.schedule(
-                    event.at, self._partition_oneway, event, label="fault.partition_oneway"
-                )
-                if event.duration is not None:
-                    engine.schedule(
-                        event.at + event.duration, self._heal_oneway, event, label="fault.heal"
-                    )
-            elif isinstance(event, PacketLoss):
-                engine.schedule(event.at, self._loss_on, event, label="fault.packet_loss")
-                if event.duration is not None:
-                    engine.schedule(
-                        event.at + event.duration, self._loss_off, event, label="fault.heal"
-                    )
-            elif isinstance(event, SlowWan):
-                engine.schedule(event.at, self._slow_on, event, label="fault.slow_wan")
-                if event.duration is not None:
-                    engine.schedule(
-                        event.at + event.duration, self._slow_off, event, label="fault.heal"
-                    )
-            elif isinstance(event, WanCongestion):
-                engine.schedule(
-                    event.at, self._congestion_on, event, label="fault.wan_congestion"
-                )
-                engine.schedule(
-                    event.at + event.duration, self._congestion_off, event, label="fault.heal"
-                )
-            elif isinstance(event, NodeBootstrap):
-                engine.schedule(
-                    event.at, self._bootstrap_node, event, label="fault.node_bootstrap"
-                )
-            elif isinstance(event, NodeDecommission):
-                engine.schedule(
-                    event.at, self._decommission_node, event, label="fault.node_decommission"
-                )
-            else:  # pragma: no cover - FaultSchedule validates types
-                raise TypeError(f"unknown fault event {event!r}")
+            engine.schedule(event.at, self._apply, event.start, label=f"fault.{event.tag}")
+            duration = getattr(event, "duration", None)
+            if duration is not None:
+                engine.schedule(event.at + duration, self._apply, event.end, label="fault.heal")
 
     # ------------------------------------------------------------------
-    def _note(self, description: str) -> None:
+    def _apply(self, action) -> None:
+        description = action(self)
         self.log.append((self.cluster.engine.now, description))
         if self.tracer is not None:
             self.tracer.fault(description)
 
-    def _crash_node(self, event: NodeCrash) -> None:
-        self.cluster.take_down(event.node)
-        self._note(f"node {event.node} down")
-
-    def _restart_node(self, event: NodeRestart) -> None:
-        replayed = self.cluster.bring_up(event.node, replay_hints=event.replay_hints)
-        self._note(f"node {event.node} up ({replayed} hints replayed)")
-
-    def _dc_down(self, event: DatacenterOutage) -> None:
-        self.cluster.take_down_datacenter(event.datacenter)
-        self._note(f"datacenter {event.datacenter} down")
-
-    def _dc_up(self, event: DatacenterOutage) -> None:
-        replayed = self.cluster.bring_up_datacenter(
-            event.datacenter, replay_hints=event.replay_hints
-        )
-        self._note(f"datacenter {event.datacenter} up ({replayed} hints replayed)")
-
-    def _partition(self, event: DatacenterPartition) -> None:
-        a, b = event.datacenters
-        self.cluster.partition_datacenters(a, b, mode=event.mode)
-        self._note(f"partition {a}|{b} ({event.mode})")
-
-    def _heal(self, event: DatacenterPartition) -> None:
-        a, b = event.datacenters
-        released, replayed = self.cluster.heal_datacenters(
-            a, b, replay_hints=event.replay_hints
-        )
-        self._note(f"heal {a}|{b} ({released} parked released, {replayed} hints replayed)")
-
-    def _isolate(self, event: DatacenterIsolation) -> None:
-        for other in self.cluster.datacenter_names:
-            if other != event.datacenter:
-                self.cluster.partition_datacenters(event.datacenter, other, mode=event.mode)
-        self._note(f"isolate {event.datacenter} ({event.mode})")
-
-    def _deisolate(self, event: DatacenterIsolation) -> None:
-        released = replayed = 0
-        for other in self.cluster.datacenter_names:
-            if other != event.datacenter:
-                r, h = self.cluster.heal_datacenters(
-                    event.datacenter, other, replay_hints=event.replay_hints
-                )
-                released += r
-                replayed += h
-        self._note(
-            f"deisolate {event.datacenter} ({released} parked released, "
-            f"{replayed} hints replayed)"
-        )
-
-    def _partition_oneway(self, event: AsymmetricPartition) -> None:
-        src, dst = event.datacenters
-        self.cluster.partition_datacenters_oneway(src, dst, mode=event.mode)
-        self._note(f"partition {src}->{dst} ({event.mode})")
-
-    def _heal_oneway(self, event: AsymmetricPartition) -> None:
-        src, dst = event.datacenters
-        released, replayed = self.cluster.heal_datacenters_oneway(
-            src, dst, replay_hints=event.replay_hints
-        )
-        self._note(
-            f"heal {src}->{dst} ({released} parked released, {replayed} hints replayed)"
-        )
-
-    def _loss_on(self, event: PacketLoss) -> None:
-        a, b = event.datacenters
-        self.cluster.set_pair_loss(a, b, event.probability)
-        self._note(f"packet loss {a}|{b} p={event.probability}")
-
-    def _loss_off(self, event: PacketLoss) -> None:
-        a, b = event.datacenters
-        self.cluster.set_pair_loss(a, b, 0.0)
-        self._note(f"packet loss {a}|{b} cleared")
-
-    def _slow_on(self, event: SlowWan) -> None:
-        a, b = event.datacenters
-        self.cluster.set_pair_latency_scale(a, b, event.scale)
-        self._note(f"slow wan {a}|{b} x{event.scale}")
-
-    def _slow_off(self, event: SlowWan) -> None:
-        a, b = event.datacenters
-        self.cluster.set_pair_latency_scale(a, b, 1.0)
-        self._note(f"slow wan {a}|{b} cleared")
-
-    def _congestion_on(self, event: WanCongestion) -> None:
-        a, b = event.datacenters
-        handle = self.cluster.fabric.start_background_transfer(
-            a, b, event.bytes, rate_cap=event.rate_cap
-        )
-        self._congestion_handles[event] = handle
-        cap = f" cap={event.rate_cap:g}B/s" if event.rate_cap is not None else ""
-        self._note(f"wan congestion {a}|{b} {event.bytes:g}B{cap}")
-
-    def _membership_manager(self):
-        """The cluster's membership manager, created and started on demand."""
-        manager = self.cluster.membership
-        if manager is None:
-            from repro.cluster.membership import MembershipManager
-
-            manager = MembershipManager(self.cluster)
-        if not manager.running:
-            manager.start()
-        return manager
-
-    def _bootstrap_node(self, event: NodeBootstrap) -> None:
+    def _begin_transition(self, kind: str, node: NodeAddress) -> str:
+        """Begin a bootstrap or decommission through the cluster's membership
+        manager (created and started on demand); a refused begin is logged,
+        not raised."""
         try:
-            self._membership_manager().begin_bootstrap(event.node)
-        except ValueError as exc:
-            self._note(f"bootstrap of {event.node} rejected: {exc}")
-            return
-        self._note(f"bootstrap of {event.node} started")
+            manager = self.cluster.membership
+            if manager is None:
+                from repro.cluster.membership import MembershipManager
 
-    def _decommission_node(self, event: NodeDecommission) -> None:
-        try:
-            self._membership_manager().begin_decommission(event.node)
+                manager = MembershipManager(self.cluster)
+            if not manager.running:
+                manager.start()
+            # MembershipManager.begin_bootstrap / begin_decommission
+            getattr(manager, f"begin_{kind}")(node)
         except ValueError as exc:
-            self._note(f"decommission of {event.node} rejected: {exc}")
-            return
-        self._note(f"decommission of {event.node} started")
-
-    def _congestion_off(self, event: WanCongestion) -> None:
-        a, b = event.datacenters
-        handle = self._congestion_handles.pop(event, None)
-        aborted = 0.0
-        if handle is not None:
-            aborted = self.cluster.fabric.cancel_background_transfer(handle)
-        self._note(f"wan congestion {a}|{b} cleared ({aborted:g}B aborted)")
+            return f"{kind} of {node} rejected: {exc}"
+        return f"{kind} of {node} started"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "armed" if self._armed else "idle"

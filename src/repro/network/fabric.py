@@ -12,16 +12,28 @@ a ``ping``-style RTT probe and counters of delivered / dropped messages.
 
 Datacenter partitions (fault injection)
 ---------------------------------------
-The fabric is where WAN partitions live: :meth:`NetworkFabric.partition_datacenters`
-severs one unordered DC pair so that messages between the two sites are either
-*dropped* (a hard partition; senders rely on timeouts, hints and anti-entropy
-to converge later) or *parked* (a grey partition; traffic is buffered in the
-fabric and released when :meth:`NetworkFabric.heal_datacenters` is called,
-like a WAN link that buffers and finally flushes).  Intra-DC traffic is never
-affected, which is exactly what lets ``LOCAL_ONE``/``LOCAL_QUORUM`` keep
-serving while ``EACH_QUORUM`` degrades.  Blocked traffic is counted per DC
-pair (``NetworkStats.blocked`` / ``blocked_by_pair``), so tests and the
-fault benchmarks can assert where messages died.
+The fabric is where WAN partitions live, as one map of *cuts*: an entry per
+severed ordered direction ``(src_dc, dst_dc)``.  A cut counts the partitions
+severing its direction, of two kinds.
+:meth:`NetworkFabric.partition_datacenters` cuts both directions of a DC
+pair, counted as "both ways": the kind the failure detector and the
+coordinator's fail-fast see (:meth:`NetworkFabric.is_partitioned`).
+:meth:`NetworkFabric.partition_datacenters_oneway` cuts one direction, a
+grey failure (below).  Counts are refcounts, so overlapping fault events
+compose: a direction reopens only when every partition cutting it has
+healed.  Each kind keeps the mode its latest partition set, and while both
+kinds cut a direction the both-ways mode wins.  A blocked message is either
+*dropped* (a hard partition; senders rely on timeouts, hints and
+anti-entropy to converge later) or *parked* in the cut's one list (a grey
+partition, like a WAN link that buffers and finally flushes).  A heal
+releases, in send (``msg_id``) order, what every direction it reopened had
+parked; on a direction the other kind still cuts, that kind takes over what
+the healed one parked.  Intra-DC traffic is never affected, which is exactly
+what lets ``LOCAL_ONE``/``LOCAL_QUORUM`` keep serving while ``EACH_QUORUM``
+degrades.  Blocked traffic is counted per DC pair (``NetworkStats.blocked``
+/ ``blocked_by_pair``: ``"A|B"`` under a both-ways cut, ``"A->B"`` under a
+one-way one), so tests and the fault benchmarks can assert where messages
+died.
 
 Grey failures (chaos injection)
 -------------------------------
@@ -31,10 +43,9 @@ binary, the space the chaos harness (:mod:`repro.chaos`) searches over:
 * **Asymmetric partitions** --
   :meth:`NetworkFabric.partition_datacenters_oneway` severs one *ordered*
   DC direction: ``A -> B`` traffic is dropped or parked while ``B -> A``
-  keeps flowing (a broken BGP announcement, a one-way firewall rule).
-  Directional blocks are refcounted and healed independently of the
-  symmetric partitions; directional blocked traffic is counted under
-  ``"A->B"`` keys in ``blocked_by_pair``.
+  keeps flowing (a broken BGP announcement, a one-way firewall rule).  It
+  is the same cut as above, counted one way only, which the failure
+  detector does not see.
 * **Per-pair packet loss** -- :meth:`NetworkFabric.set_pair_loss` drops each
   message crossing one DC pair with a configured probability.  Losses are
   drawn from a dedicated named stream per pair
@@ -83,10 +94,10 @@ from __future__ import annotations
 
 import heapq
 from array import array
-from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -240,6 +251,30 @@ class _LatencyPool:
         return values[index]
 
 
+#: The two kinds of partition a cut counts (indices into its counts and modes).
+BOTH_WAYS, ONE_WAY = 0, 1
+
+
+class _Cut:
+    """The partitions severing one ordered WAN direction, and what they hold.
+
+    ``counts`` and ``modes`` hold, per kind, how many partitions cut the
+    direction and the mode the latest one set.  ``parked`` holds what a
+    "park" cut buffered, in send (``msg_id``) order: the both-ways kind
+    parked the last ``held_both_ways`` of them and the one-way kind the
+    rest, which only matters when one kind heals while the other still
+    cuts the direction.
+    """
+
+    __slots__ = ("counts", "modes", "parked", "held_both_ways")
+
+    def __init__(self) -> None:
+        self.counts = [0, 0]
+        self.modes = ["drop", "drop"]
+        self.parked: List[Tuple[Message, Optional[Callable]]] = []
+        self.held_both_ways = 0
+
+
 class NetworkFabric:
     """Delivers messages between registered node handlers.
 
@@ -327,18 +362,10 @@ class NetworkFabric:
         #: its per-pair sync markers (messages may have been lost) and must
         #: fall back to a full tree exchange.
         self.partition_epoch = 0
-        # Active datacenter partitions: ordered DC-pair tuple -> [mode,
-        # refcount].  Refcounted so overlapping fault events (an isolation
-        # spanning a pairwise partition) compose: the pair only reopens when
-        # every partition event that severed it has healed.  Empty in
+        # Active partitions: severed (src_dc, dst_dc) direction -> its cut.
+        # An entry lives while any partition cuts the direction.  Empty in
         # healthy runs, so the hot path pays one falsy check per send.
-        self._partitions: Dict[Tuple[str, str], List] = {}
-        # Messages parked by "park"-mode partitions, per pair, in send order.
-        self._parked: Dict[Tuple[str, str], List[Tuple[Message, Optional[Callable]]]] = {}
-        # Asymmetric (one-way) partitions: *ordered* (src_dc, dst_dc) ->
-        # [mode, refcount].  Checked only after the symmetric map misses.
-        self._oneway: Dict[Tuple[str, str], List] = {}
-        self._parked_oneway: Dict[Tuple[str, str], List[Tuple[Message, Optional[Callable]]]] = {}
+        self._cuts: Dict[Tuple[str, str], _Cut] = {}
         # Per-pair packet loss: unordered pair -> probability.  Loss draws
         # come from a dedicated named stream per pair (cached in _loss_rng
         # across enable/disable so re-arming continues the stream), so
@@ -579,7 +606,7 @@ class NetworkFabric:
         return (dc_a, dc_b) if dc_a <= dc_b else (dc_b, dc_a)
 
     def partition_datacenters(self, dc_a: str, dc_b: str, *, mode: str = "drop") -> None:
-        """Sever the WAN between two datacenters.
+        """Sever the WAN between two datacenters: cut both directions.
 
         ``mode="drop"`` loses blocked messages outright (a hard partition:
         the sender's timeouts, hints and anti-entropy must repair the
@@ -591,112 +618,126 @@ class NetworkFabric:
         more heal before the pair reopens, so overlapping fault events
         compose instead of the first heal reopening everyone's cut.
         """
+        self._cut(((dc_a, dc_b), (dc_b, dc_a)), BOTH_WAYS, mode)
+
+    def partition_datacenters_oneway(self, src_dc: str, dst_dc: str, *, mode: str = "drop") -> None:
+        """Sever one WAN *direction*: ``src_dc -> dst_dc`` traffic is blocked
+        while the reverse direction keeps flowing.
+
+        Semantics mirror :meth:`partition_datacenters` (drop vs park,
+        refcounting), counted apart from it; while both cut the direction,
+        the symmetric partition's mode applies.
+        """
+        self._cut(((src_dc, dst_dc),), ONE_WAY, mode)
+
+    def _cut(self, directions: Tuple[Tuple[str, str], ...], kind: int, mode: str) -> None:
         if mode not in self.PARTITION_MODES:
             raise ValueError(f"mode must be one of {self.PARTITION_MODES}, got {mode!r}")
-        if dc_a == dc_b:
-            raise ValueError(f"cannot partition a datacenter from itself ({dc_a!r})")
-        known = set(self._topology.datacenter_names)
-        for dc in (dc_a, dc_b):
-            if dc not in known:
-                raise ValueError(f"unknown datacenter {dc!r}; topology has {sorted(known)}")
-        pair = self._pair_key(dc_a, dc_b)
-        entry = self._partitions.get(pair)
-        if entry is None:
-            self._partitions[pair] = [mode, 1]
-        else:
-            entry[0] = mode
-            entry[1] += 1
+        self._check_dcs(*directions[0])
+        for direction in directions:
+            cut = self._cuts.get(direction)
+            if cut is None:
+                cut = self._cuts[direction] = _Cut()
+            cut.counts[kind] += 1
+            cut.modes[kind] = mode
         self.partition_epoch += 1
-        self._parked.setdefault(pair, [])
         if self._transfers is not None:
-            self._transfers.on_partition(dc_a, dc_b, mode)
+            self._transfers.on_partition(directions, mode)
 
     def heal_datacenters(self, dc_a: str, dc_b: str) -> int:
         """Undo one partition of a DC pair.
 
-        The pair reopens (and parked messages are released, each
+        Each direction reopens (and its parked messages are released, each
         re-scheduled like a fresh send from the heal instant) only when
-        every partition event that severed it has
-        healed.  Returns the number of messages released (0 for drop-mode,
-        unknown pairs, or a pair still held by another partition event);
-        a message whose direction an asymmetric partition still severs is
-        handed to that partition instead (see :meth:`_release`).
+        every partition event that cut it has healed.  Returns the number of
+        messages released (0 for drop-mode, unknown pairs, or a pair still
+        held by another partition event); what a direction that an
+        asymmetric partition still cuts had parked stays with that partition
+        instead (see :meth:`_hand_over`).
         """
-        pair = self._pair_key(dc_a, dc_b)
-        entry = self._partitions.get(pair)
-        if entry is None:
+        return self._heal(((dc_a, dc_b), (dc_b, dc_a)), BOTH_WAYS)
+
+    def heal_datacenters_oneway(self, src_dc: str, dst_dc: str) -> int:
+        """Undo one asymmetric partition of the ``src_dc -> dst_dc``
+        direction; returns parked messages released (see
+        :meth:`heal_datacenters`)."""
+        return self._heal(((src_dc, dst_dc),), ONE_WAY)
+
+    def _heal(self, directions: Tuple[Tuple[str, str], ...], kind: int) -> int:
+        """Lift one ``kind`` partition from ``directions`` (a pair's two, or
+        one); returns how many parked messages the reopened ones released."""
+        cuts = [self._cuts.get(direction) for direction in directions]
+        if cuts[0] is None or not cuts[0].counts[kind]:
             return 0
-        entry[1] -= 1
-        if entry[1] > 0:
+        for cut in cuts:
+            cut.counts[kind] -= 1
+        if cuts[0].counts[kind]:
             return 0
-        del self._partitions[pair]
         self.partition_epoch += 1
+        reopened = []
+        for direction, cut in zip(directions, cuts):
+            if cut.counts[1 - kind]:
+                self._hand_over(direction, cut, kind)
+            else:
+                del self._cuts[direction]
+                reopened.append(cut.parked)
         if self._transfers is not None:
-            self._transfers.on_heal(dc_a, dc_b)
-        return self._release(self._parked.pop(pair, []))
+            self._transfers.on_heal(*directions[0])
+        # Both directions of a pair draw from one latency pool: release in
+        # send order across them.
+        released = sorted(chain.from_iterable(reopened), key=lambda item: item[0].msg_id)
+        self.stats.parked -= len(released)
+        for message, on_delivered in released:
+            self._schedule_delivery(message, on_delivered)
+        return len(released)
 
-    def _release(self, parked: List[Tuple[Message, Optional[Callable]]]) -> int:
-        """Re-admit the messages a healed partition had parked; returns how
-        many were scheduled for delivery.
+    def _hand_over(self, direction: Tuple[str, str], cut: _Cut, healed: int) -> None:
+        """The ``healed`` kind left ``direction`` while the other kind still
+        cuts it: the other kind takes over what the healed one parked, as if
+        it had blocked them -- one more count under its ``blocked_by_pair``
+        key, and dropped if its mode drops.  Send order is kept (they were
+        parked before anything the other kind parks from now on)."""
+        parked = cut.parked
+        split = len(parked) - cut.held_both_ways  # one-way | both-ways parked
+        moved = slice(split, None) if healed == BOTH_WAYS else slice(0, split)
+        count = len(parked[moved])
+        if count:
+            stats = self.stats
+            stats.blocked_by_pair[self._blocked_key(direction, 1 - healed)] += count
+            if cut.modes[1 - healed] == "drop":
+                del parked[moved]
+                stats.dropped += count
+                stats.parked -= count
+        cut.held_both_ways = 0 if healed == BOTH_WAYS else len(parked)
 
-        Each one passes the partition check :meth:`send` applies, because the
-        other kind of partition may still sever its direction (a one-way cut
-        under the healed symmetric one, or the reverse): that blocker parks
-        it again (merged in send order, ``msg_id``: it may predate what the
-        blocker holds, and a ``fifo`` pair must see the older one first) or
-        drops it.  The message is already in ``sent`` and ``blocked``; a second
-        blocker shows in its own ``blocked_by_pair`` key.
-        """
-        stats = self.stats
-        stats.parked -= len(parked)
-        datacenter_of = self._topology.datacenter_of
-        released = 0
-        for message, on_delivered in parked:
-            direction = (datacenter_of(message.src), datacenter_of(message.dst))
-            pair = self._pair_key(*direction)
-            entry = self._partitions.get(pair)
-            if entry is not None:
-                held, key = self._parked[pair], f"{pair[0]}|{pair[1]}"
-            else:
-                entry = self._oneway.get(direction)
-                if entry is None:
-                    self._schedule_delivery(message, on_delivered)
-                    released += 1
-                    continue
-                held, key = self._parked_oneway[direction], f"{direction[0]}->{direction[1]}"
-            stats.blocked_by_pair[key] += 1
-            if entry[0] == "park":
-                insort(held, (message, on_delivered), key=lambda item: item[0].msg_id)
-                stats.parked += 1
-            else:
-                stats.dropped += 1
-        return released
+    def _blocked_key(self, direction: Tuple[str, str], kind: int) -> str:
+        if kind == BOTH_WAYS:
+            return "%s|%s" % self._pair_key(*direction)
+        return "%s->%s" % direction
 
     def heal_all_partitions(self) -> int:
         """Fully heal every active partition, symmetric and asymmetric (all
         refcounts drained); returns total parked messages released."""
         released = 0
-        for pair in list(self._partitions):
-            while pair in self._partitions:
+        for pair in self.partitioned_pairs():
+            while self.is_partitioned(*pair):
                 released += self.heal_datacenters(*pair)
-        for pair in list(self._oneway):
-            while pair in self._oneway:
-                released += self.heal_datacenters_oneway(*pair)
+        for direction in self.oneway_partitioned_pairs():
+            while self.is_partitioned_oneway(*direction):
+                released += self.heal_datacenters_oneway(*direction)
         return released
 
     def messages_held(self) -> Tuple[int, int]:
         """``(parked, in_flight)``: the messages sent and not yet delivered or
         dropped, counted where they are rather than from :attr:`stats`.
 
-        Parked messages sit in a partition's lists; in-flight ones are
+        Parked messages sit in the cuts' lists; in-flight ones are
         delivery events on the engine heap or message-borne transfers still
         streaming.  On the single engine ``stats.sent`` equals ``delivered +
         dropped + parked + in_flight`` at every instant, which the chaos
         suite's ``fabric_conservation`` invariant checks.
         """
-        parked = sum(map(len, self._parked.values())) + sum(
-            map(len, self._parked_oneway.values())
-        )
+        parked = sum(len(cut.parked) for cut in self._cuts.values())
         arrive, deliver = self._arrive, self._deliver
         in_flight = sum(
             1
@@ -707,19 +748,37 @@ class NetworkFabric:
             in_flight += self._transfers.messages_streaming()
         return parked, in_flight
 
+    def _cut_count(self, src_dc: str, dst_dc: str, kind: int) -> int:
+        cut = self._cuts.get((src_dc, dst_dc))
+        return cut.counts[kind] if cut is not None else 0
+
     def is_partitioned(self, dc_a: str, dc_b: str) -> bool:
-        """Whether the unordered DC pair is currently severed."""
-        return self._pair_key(dc_a, dc_b) in self._partitions
+        """Whether a symmetric partition severs the unordered DC pair."""
+        return self._cut_count(dc_a, dc_b, BOTH_WAYS) > 0
+
+    def is_partitioned_oneway(self, src_dc: str, dst_dc: str) -> bool:
+        """Whether the ordered ``src_dc -> dst_dc`` direction has an active
+        asymmetric partition."""
+        return self._cut_count(src_dc, dst_dc, ONE_WAY) > 0
+
+    def is_severed(self, src_dc: str, dst_dc: str) -> bool:
+        """Whether traffic from ``src_dc`` to ``dst_dc`` is currently blocked
+        by any partition, symmetric or asymmetric (directional query)."""
+        return (src_dc, dst_dc) in self._cuts
 
     @property
     def has_partitions(self) -> bool:
         """Whether any DC partition (symmetric or asymmetric) is active
         (cheap liveness-precheck guard)."""
-        return bool(self._partitions or self._oneway)
+        return bool(self._cuts)
 
     def partitioned_pairs(self) -> List[Tuple[str, str]]:
         """Active symmetric partitions as sorted ordered pairs."""
-        return sorted(self._partitions)
+        return sorted(d for d, cut in self._cuts.items() if cut.counts[BOTH_WAYS] and d[0] < d[1])
+
+    def oneway_partitioned_pairs(self) -> List[Tuple[str, str]]:
+        """Active asymmetric partitions as sorted (src_dc, dst_dc) pairs."""
+        return sorted(d for d, cut in self._cuts.items() if cut.counts[ONE_WAY])
 
     # ------------------------------------------------------------------
     # Grey failures (chaos injection)
@@ -733,68 +792,7 @@ class NetworkFabric:
                 raise ValueError(f"unknown datacenter {dc!r}; topology has {sorted(known)}")
 
     def _sync_grey(self) -> None:
-        self._grey = bool(self._oneway or self._pair_loss or self._pair_scale)
-
-    def partition_datacenters_oneway(self, src_dc: str, dst_dc: str, *, mode: str = "drop") -> None:
-        """Sever one WAN *direction*: ``src_dc -> dst_dc`` traffic is blocked
-        while the reverse direction keeps flowing.
-
-        Semantics mirror :meth:`partition_datacenters` (drop vs park,
-        refcounting), but the key is the ordered direction.  A symmetric
-        partition of the same pair takes precedence while it is active.
-        """
-        if mode not in self.PARTITION_MODES:
-            raise ValueError(f"mode must be one of {self.PARTITION_MODES}, got {mode!r}")
-        self._check_dcs(src_dc, dst_dc)
-        direction = (src_dc, dst_dc)
-        entry = self._oneway.get(direction)
-        if entry is None:
-            self._oneway[direction] = [mode, 1]
-        else:
-            entry[0] = mode
-            entry[1] += 1
-        self.partition_epoch += 1
-        self._parked_oneway.setdefault(direction, [])
-        self._grey = True
-        if self._transfers is not None:
-            self._transfers.on_partition_oneway(src_dc, dst_dc, mode)
-
-    def heal_datacenters_oneway(self, src_dc: str, dst_dc: str) -> int:
-        """Undo one asymmetric partition of the ``src_dc -> dst_dc``
-        direction; returns parked messages released (see
-        :meth:`heal_datacenters`)."""
-        direction = (src_dc, dst_dc)
-        entry = self._oneway.get(direction)
-        if entry is None:
-            return 0
-        entry[1] -= 1
-        if entry[1] > 0:
-            return 0
-        del self._oneway[direction]
-        self.partition_epoch += 1
-        self._sync_grey()
-        if self._transfers is not None:
-            self._transfers.on_heal(src_dc, dst_dc)
-        return self._release(self._parked_oneway.pop(direction, []))
-
-    def is_partitioned_oneway(self, src_dc: str, dst_dc: str) -> bool:
-        """Whether the ordered ``src_dc -> dst_dc`` direction has an active
-        asymmetric partition."""
-        return (src_dc, dst_dc) in self._oneway
-
-    def is_severed(self, src_dc: str, dst_dc: str) -> bool:
-        """Whether traffic from ``src_dc`` to ``dst_dc`` is currently blocked
-        by any partition, symmetric or asymmetric (directional query)."""
-        if src_dc == dst_dc:
-            return False
-        return (
-            self._pair_key(src_dc, dst_dc) in self._partitions
-            or (src_dc, dst_dc) in self._oneway
-        )
-
-    def oneway_partitioned_pairs(self) -> List[Tuple[str, str]]:
-        """Active asymmetric partitions as sorted (src_dc, dst_dc) pairs."""
-        return sorted(self._oneway)
+        self._grey = bool(self._pair_loss or self._pair_scale)
 
     def set_pair_loss(self, dc_a: str, dc_b: str, probability: float) -> None:
         """Drop each message crossing the unordered DC pair with
@@ -951,34 +949,25 @@ class NetworkFabric:
             stats.dropped += 1
             return message
         pair_scale = 1.0
-        if self._partitions or self._grey:
+        if self._cuts or self._grey:
             src_dc = self._topology.datacenter_of(src)
             dst_dc = self._topology.datacenter_of(dst)
             if src_dc != dst_dc:
-                pair = (src_dc, dst_dc) if src_dc <= dst_dc else (dst_dc, src_dc)
-                entry = self._partitions.get(pair)
-                if entry is not None:
+                cut = self._cuts.get((src_dc, dst_dc))
+                if cut is not None:
+                    # The both-ways kind wins while it cuts the direction.
+                    kind = BOTH_WAYS if cut.counts[BOTH_WAYS] else ONE_WAY
                     stats.blocked += 1
-                    stats.blocked_by_pair[f"{pair[0]}|{pair[1]}"] += 1
-                    if entry[0] == "park":
-                        self._parked[pair].append((message, on_delivered))
+                    stats.blocked_by_pair[self._blocked_key((src_dc, dst_dc), kind)] += 1
+                    if cut.modes[kind] == "park":
+                        cut.parked.append((message, on_delivered))
+                        if kind == BOTH_WAYS:
+                            cut.held_both_ways += 1
                         stats.parked += 1
                     else:
                         stats.dropped += 1
                     return message
-                if self._oneway:
-                    entry = self._oneway.get((src_dc, dst_dc))
-                    if entry is not None:
-                        stats.blocked += 1
-                        stats.blocked_by_pair[f"{src_dc}->{dst_dc}"] += 1
-                        if entry[0] == "park":
-                            self._parked_oneway[(src_dc, dst_dc)].append(
-                                (message, on_delivered)
-                            )
-                            stats.parked += 1
-                        else:
-                            stats.dropped += 1
-                        return message
+                pair = (src_dc, dst_dc) if src_dc <= dst_dc else (dst_dc, src_dc)
                 if self._pair_loss:
                     loss = self._pair_loss.get(pair)
                     if loss is not None and self._loss_rng[pair].random() < loss:

@@ -52,7 +52,7 @@ the fabric's ``fifo`` clamp for small messages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.constants import DEFAULT_BANDWIDTH_BYTES_PER_S
 
@@ -372,17 +372,25 @@ class TransferScheduler:
     # ------------------------------------------------------------------
     # Capacity / topology change hooks (called by the fabric)
     # ------------------------------------------------------------------
-    def on_partition(self, dc_a: str, dc_b: str, mode: str) -> None:
-        """A symmetric partition hit the pair: ``drop`` aborts every active
-        transfer on the link, ``park`` pauses them (rate 0) until heal."""
-        self._interrupt(self._links.get(self.pair_key(dc_a, dc_b)), mode, direction=None)
-
-    def on_partition_oneway(self, src_dc: str, dst_dc: str, mode: str) -> None:
-        """An asymmetric partition: only transfers flowing ``src -> dst``
-        are aborted/paused; the reverse direction keeps streaming."""
-        self._interrupt(
-            self._links.get(self.pair_key(src_dc, dst_dc)), mode, direction=(src_dc, dst_dc)
-        )
+    def on_partition(self, directions: Sequence[Tuple[str, str]], mode: str) -> None:
+        """Partitions cut ``directions`` of one link (both for a symmetric
+        partition, one for an asymmetric one): ``drop`` aborts every active
+        transfer flowing that way, ``park`` pauses them (rate 0) until heal;
+        the other direction keeps streaming."""
+        link = self._links.get(self.pair_key(*directions[0]))
+        if link is None or not link.active:
+            return
+        now = self._engine.now
+        self._advance(link, now)
+        affected = [t for t in link.active if t.direction in directions]
+        if mode == "drop":
+            for transfer in affected:
+                self._abort(link, transfer)
+        else:  # park
+            for transfer in affected:
+                transfer.paused = True
+        self._allocate(link)
+        self._arm(link, now)
 
     def on_heal(self, dc_a: str, dc_b: str) -> None:
         """The pair (or one direction of it) reopened: resume paused
@@ -615,30 +623,6 @@ class TransferScheduler:
             # counting into ``dropped`` keeps the anti-entropy distrust
             # guard honest about lost repair data.
             stats.dropped += 1
-
-    def _interrupt(
-        self,
-        link: Optional[_TransferLink],
-        mode: str,
-        direction: Optional[Tuple[str, str]],
-    ) -> None:
-        if link is None or not link.active:
-            return
-        now = self._engine.now
-        self._advance(link, now)
-        affected = [
-            t
-            for t in link.active
-            if direction is None or t.direction == direction
-        ]
-        if mode == "drop":
-            for transfer in affected:
-                self._abort(link, transfer)
-        else:  # park
-            for transfer in affected:
-                transfer.paused = True
-        self._allocate(link)
-        self._arm(link, now)
 
 
 def _water_fill(transfers: List[Transfer], capacity: float) -> None:

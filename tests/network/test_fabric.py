@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from bisect import insort
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -332,11 +333,13 @@ def order_topology(kind: str):
 GAPS = st.sampled_from([0.0, 0.0002, 0.001, 0.004])
 NODE = st.integers(0, 3)
 PAIR = st.tuples(NODE, NODE)
+MODES = st.sampled_from(NetworkFabric.PARTITION_MODES)
+DIRECTIONS = st.sampled_from([("dc1", "dc2"), ("dc2", "dc1")])
 GEO_STEPS = [
-    st.tuples(st.just("partition"), GAPS),
+    st.tuples(st.just("partition"), GAPS, MODES),
     st.tuples(st.just("heal"), GAPS),
-    st.tuples(st.just("oneway"), GAPS, st.sampled_from([("dc1", "dc2"), ("dc2", "dc1")])),
-    st.tuples(st.just("heal_oneway"), GAPS, st.sampled_from([("dc1", "dc2"), ("dc2", "dc1")])),
+    st.tuples(st.just("oneway"), GAPS, DIRECTIONS, MODES),
+    st.tuples(st.just("heal_oneway"), GAPS, DIRECTIONS),
     st.tuples(st.just("slow_wan"), GAPS, st.sampled_from([1.0, 3.0, 10.0])),
 ]
 
@@ -360,7 +363,24 @@ def delivery_schedules(draw):
 
 class DeliveryOracle:
     """When and in which order each message must arrive, derived from the
-    pool draws, the partition rules and the fifo clamp, without the fabric."""
+    pool draws, the partition rules and the fifo clamp, without the fabric.
+
+    The partition rules, stated over two kinds of cut rather than over the
+    fabric's data structures:
+
+    * a symmetric cut of dc1|dc2 and a one-way cut of each direction are
+      refcounted separately, and each kind's mode is the one its latest
+      partition set;
+    * a message crossing a severed direction is blocked by the symmetric
+      cut when one is active (its mode and its ``dc1|dc2`` key win),
+      otherwise by the direction's one-way cut (``src->dst``), and is
+      parked or dropped by that cut's mode;
+    * when a kind's last partition heals, each message it parked goes to
+      the other kind if that one still severs the message's direction (one
+      more ``blocked_by_pair`` count under its key, then parked in send
+      order or dropped by its mode) and is otherwise scheduled from the
+      heal instant, in send order.
+    """
 
     def __init__(self, topo, seed: int, fifo: bool) -> None:
         self.topo = topo
@@ -400,9 +420,79 @@ class DeliveryOracle:
         17,
         [
             ("burst", 0.0, (0, 2), 8),
-            ("partition", 0.0),
+            ("partition", 0.0, "park"),
             ("burst", 0.0, (0, 2), 4),
             ("heal", 0.0002),
+        ],
+    )
+)
+# Both directions reopen at one heal: their parked messages draw from the
+# pair's one pool in send order, whichever direction they cross.
+@example(
+    (
+        "geo",
+        "coalesced",
+        7,
+        [
+            ("partition", 0.0, "park"),
+            ("interleave", 0.0, [(0, 2), (2, 1), (1, 3), (3, 0), (0, 3)]),
+            ("heal", 0.001),
+        ],
+    )
+)
+# A symmetric drop over a one-way park, healed in both orders: the one-way
+# cut's parked messages die under the drop when it heals first, and keep
+# waiting when the symmetric cut heals first.
+@example(
+    (
+        "geo",
+        "fifo",
+        3,
+        [
+            ("oneway", 0.0, ("dc1", "dc2"), "park"),
+            ("burst", 0.0, (0, 2), 3),
+            ("partition", 0.0, "drop"),
+            ("burst", 0.0, (0, 2), 2),
+            ("interleave", 0.0, [(2, 0), (0, 2)]),
+            ("heal_oneway", 0.001, ("dc1", "dc2")),
+            ("heal", 0.001),
+        ],
+    )
+)
+@example(
+    (
+        "geo",
+        "coalesced",
+        3,
+        [
+            ("oneway", 0.0, ("dc1", "dc2"), "park"),
+            ("burst", 0.0, (0, 2), 3),
+            ("partition", 0.0, "drop"),
+            ("heal", 0.001),
+            ("burst", 0.0, (0, 2), 2),
+            ("heal_oneway", 0.001, ("dc1", "dc2")),
+        ],
+    )
+)
+# The reverse: a symmetric park over a one-way drop, and stacked cuts whose
+# latest partition changes the mode.
+@example(
+    (
+        "geo",
+        "fifo",
+        5,
+        [
+            ("partition", 0.0, "park"),
+            ("interleave", 0.0, [(0, 2), (2, 0), (1, 3), (3, 1)]),
+            ("oneway", 0.0, ("dc2", "dc1"), "drop"),
+            ("burst", 0.0002, (2, 0), 2),
+            ("heal", 0.001),
+            ("partition", 0.0, "park"),
+            ("partition", 0.0, "drop"),
+            ("burst", 0.0, (2, 0), 2),
+            ("heal_oneway", 0.001, ("dc2", "dc1")),
+            ("heal", 0.0),
+            ("heal", 0.0),
         ],
     )
 )
@@ -425,41 +515,59 @@ def test_delivery_order_is_the_engine_order_of_each_message(schedule):
     for node in nodes:
         register(node)
     arrivals, sent = [], []
-    symmetric, oneway = False, set()
+    # The two kinds of cut: [refcount, mode] of the symmetric one, and of
+    # the one-way cut of each direction; each with the messages it parked.
+    symmetric, oneway = [0, None], {}
     parked_symmetric, parked_oneway = [], {}
+    dropped, blocked, blocked_by_pair = set(), 0, Counter()
 
     def by_id(message):
         return message.msg_id
 
+    def hold(message, key, mode, parked):
+        """A cut in ``mode`` blocks the message: park it or drop it."""
+        blocked_by_pair[key] += 1
+        if mode == "park":
+            insort(parked, message, key=by_id)
+        else:
+            dropped.add(message.msg_id)
+
     def send(src, dst):
+        nonlocal blocked
         message = fabric.send(nodes[src], nodes[dst], "x", None, on_delivered=arrivals.append)
         sent.append(message)
         direction = (dc_of(message.src), dc_of(message.dst))
-        if direction[0] != direction[1] and symmetric:
-            parked_symmetric.append(message)
+        if direction[0] != direction[1] and symmetric[0]:
+            blocked += 1
+            hold(message, "dc1|dc2", symmetric[1], parked_symmetric)
         elif direction in oneway:
-            parked_oneway[direction].append(message)
+            blocked += 1
+            hold(message, "%s->%s" % direction, oneway[direction][1], parked_oneway[direction])
         else:
             oracle.schedule(message, engine.now)
 
     def heal_symmetric():
-        nonlocal symmetric
         fabric.heal_datacenters("dc1", "dc2")
-        symmetric = False
+        symmetric[0] -= 1
+        if symmetric[0]:
+            return
         for message in parked_symmetric:
             direction = (dc_of(message.src), dc_of(message.dst))
             if direction in oneway:  # the other cut still holds it
-                insort(parked_oneway[direction], message, key=by_id)
+                hold(message, "%s->%s" % direction, oneway[direction][1], parked_oneway[direction])
             else:
                 oracle.schedule(message, engine.now)
         parked_symmetric.clear()
 
     def heal_oneway(direction):
         fabric.heal_datacenters_oneway(*direction)
-        oneway.discard(direction)
+        oneway[direction][0] -= 1
+        if oneway[direction][0]:
+            return
+        del oneway[direction]
         for message in parked_oneway.pop(direction):
-            if symmetric:
-                insort(parked_symmetric, message, key=by_id)
+            if symmetric[0]:
+                hold(message, "dc1|dc2", symmetric[1], parked_symmetric)
             else:
                 oracle.schedule(message, engine.now)
 
@@ -475,35 +583,41 @@ def test_delivery_order_is_the_engine_order_of_each_message(schedule):
         elif action == "reregister":
             fabric.unregister(nodes[step[2]])
             register(nodes[step[2]])
-        elif action == "partition" and not symmetric:
-            fabric.partition_datacenters("dc1", "dc2", mode="park")
-            symmetric = True
-        elif action == "heal" and symmetric:
+        elif action == "partition" and symmetric[0] < 2:
+            fabric.partition_datacenters("dc1", "dc2", mode=step[2])
+            symmetric[:] = [symmetric[0] + 1, step[2]]
+        elif action == "heal" and symmetric[0]:
             heal_symmetric()
-        elif action == "oneway" and step[2] not in oneway:
-            fabric.partition_datacenters_oneway(*step[2], mode="park")
-            oneway.add(step[2])
-            parked_oneway[step[2]] = []
+        elif action == "oneway" and oneway.get(step[2], [0])[0] < 2:
+            fabric.partition_datacenters_oneway(*step[2], mode=step[3])
+            oneway[step[2]] = [oneway.get(step[2], [0])[0] + 1, step[3]]
+            parked_oneway.setdefault(step[2], [])
         elif action == "heal_oneway" and step[2] in oneway:
             heal_oneway(step[2])
         elif action == "slow_wan":
             fabric.set_pair_latency_scale("dc1", "dc2", step[2])
             oracle.wan_scale = step[2]
-    if symmetric:
+    while symmetric[0]:
         heal_symmetric()
     for direction in sorted(oneway):
-        heal_oneway(direction)
+        while direction in oneway:
+            heal_oneway(direction)
     engine.run()
 
-    # Every message is delivered exactly once, at its own time...
-    assert sorted(m.msg_id for m in arrivals) == [m.msg_id for m in sent]
-    assert fabric.stats.delivered == len(sent) and fabric.stats.parked == 0
-    for message in sent:
+    # Every message the cuts did not drop is delivered exactly once, at its
+    # own time...
+    stats = fabric.stats
+    kept = [m for m in sent if m.msg_id not in dropped]
+    assert sorted(m.msg_id for m in arrivals) == [m.msg_id for m in kept]
+    assert stats.delivered == len(kept) and stats.parked == 0
+    assert (stats.blocked, stats.dropped) == (blocked, len(dropped))
+    assert stats.blocked_by_pair == blocked_by_pair
+    for message in kept:
         assert message.delivered_at == oracle.expected[message.msg_id][0]
     # ...in the engine's order: by time, ties in scheduling order...
-    assert arrivals == sorted(sent, key=lambda m: oracle.expected[m.msg_id])
+    assert arrivals == sorted(kept, key=lambda m: oracle.expected[m.msg_id])
     # ...to the handler registered when it arrives...
-    for message in sent:
+    for message in kept:
         generation = max(g for t, g in registered[message.dst] if t < message.delivered_at)
         assert handled[message.msg_id] == generation
     # ...each fifo pair in send order, and no clamp entry outlives the run.

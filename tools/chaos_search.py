@@ -4,10 +4,11 @@
 For every seed in ``--seed-range``, draws a fault schedule from
 :class:`repro.chaos.ScheduleGenerator`, runs it through
 :func:`repro.chaos.run_chaos` and checks the invariant suite.  A failing
-seed is shrunk to a 1-minimal reproducer (``--no-shrink`` skips that) and
-written as JSON into the corpus directory, ready to be committed as a
-regression test -- ``tests/chaos/test_corpus_replay.py`` replays every
-corpus entry.
+seed is shrunk to a 1-minimal reproducer (``--no-shrink`` skips that) and,
+with ``--emit-corpus DIR``, written as JSON into ``DIR``.  Nothing is written
+without it: a reproducer becomes a regression test only when it is moved
+into ``tests/chaos/corpus/`` on purpose (``tests/chaos/test_corpus_replay.py``
+replays every entry there and requires it to pass).
 
 Exit status: 0 when all seeds pass, 1 when any invariant was violated
 (CI fails the build and uploads the emitted reproducers as artifacts),
@@ -17,7 +18,8 @@ Examples::
 
     python tools/chaos_search.py --seed-range 0:200
     python tools/chaos_search.py --seed-range 0:40 --budget 8 --scenario grid5000_3sites
-    python tools/chaos_search.py --seed-range 0:100000 --time-budget 60 --keep-going
+    python tools/chaos_search.py --seed-range 0:100000 --time-budget 60 --keep-going \
+        --emit-corpus chaos-found
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ from repro.chaos import (  # noqa: E402  (path bootstrap above)
 )
 from repro.chaos.shrink import NondeterministicReplayError  # noqa: E402
 from repro.experiments.scenarios import ScenarioRegistry  # noqa: E402
-
-DEFAULT_CORPUS_DIR = os.path.join(REPO_ROOT, "tests", "chaos", "corpus")
 
 
 def parse_seed_range(raw: str):
@@ -99,11 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--emit-corpus",
-        nargs="?",
-        const=DEFAULT_CORPUS_DIR,
-        default=DEFAULT_CORPUS_DIR,
         metavar="DIR",
-        help=f"directory for minimized reproducers (default {DEFAULT_CORPUS_DIR})",
+        help="write each failing seed's reproducer into DIR (default: write nothing)",
     )
     parser.add_argument(
         "--no-shrink",
@@ -192,21 +189,22 @@ def main(argv=None) -> int:
                 print(f"    SHRINK ABORTED (nondeterministic replay): {exc}")
                 source += " [shrink aborted: nondeterministic replay]"
 
-        reproducer = Reproducer(
-            schedule=emitted,
-            scenario=args.scenario,
-            seed=seed,
-            description=(
-                f"seed {seed} violates {', '.join(report.violated_invariants())} "
-                f"on {args.scenario}"
-            ),
-            source=source,
-            config=run_config.overrides(),
-            expected_violations=list(report.violated_invariants()),
-        )
-        path = os.path.join(args.emit_corpus, f"found_{args.scenario}_seed{seed}.json")
-        write_reproducer(path, reproducer)
-        print(f"    reproducer written to {os.path.relpath(path, REPO_ROOT)}")
+        if args.emit_corpus is not None:
+            reproducer = Reproducer(
+                schedule=emitted,
+                scenario=args.scenario,
+                seed=seed,
+                description=(
+                    f"seed {seed} violates {', '.join(report.violated_invariants())} "
+                    f"on {args.scenario}"
+                ),
+                source=source,
+                config=run_config.overrides(),
+                expected_violations=list(report.violated_invariants()),
+            )
+            path = os.path.join(args.emit_corpus, f"found_{args.scenario}_seed{seed}.json")
+            write_reproducer(path, reproducer)
+            print(f"    reproducer written to {os.path.relpath(path, REPO_ROOT)}")
         if not args.keep_going:
             break
 
