@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 __all__ = ["Cell", "Memtable", "SSTable", "CommitLog", "StorageEngine", "StorageStats"]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Cell:
     """A timestamped value for a key (Cassandra column cell, simplified).
 
@@ -57,21 +57,17 @@ class StorageStats:
 
 
 class CommitLog:
-    """Append-only durability log (bounded in-memory representation).
+    """Append-only durability log, kept as its counters.
 
-    Only the most recent ``max_entries`` appends are retained; the engine
-    never replays the log (there is no crash recovery in the simulation), but
-    the log length and byte counters make the write path observable to tests
-    and to storage-overhead ablations.
+    The engine never replays the log (there is no crash recovery in the
+    simulation, and Cassandra recycles a segment once its memtables flush),
+    so no entry is retained: the append and byte counters are what make the
+    write path observable to tests and to storage-overhead ablations.
     """
 
-    def __init__(self, max_entries: int = 10_000) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries!r}")
-        self._max_entries = int(max_entries)
-        # Entries are the cells themselves (their timestamp/key are what a
-        # replay would need); storing the cell avoids a per-write tuple.
-        self._entries: List[Cell] = []
+    __slots__ = ("appended", "bytes_appended")
+
+    def __init__(self) -> None:
         self.appended = 0
         self.bytes_appended = 0
 
@@ -79,14 +75,6 @@ class CommitLog:
         """Record one mutation."""
         self.appended += 1
         self.bytes_appended += cell.size_bytes
-        entries = self._entries
-        entries.append(cell)
-        if len(entries) > self._max_entries:
-            # Keep the newest half to avoid O(n) trimming on every append.
-            self._entries = entries[-self._max_entries // 2 :]
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 class Memtable:
@@ -171,8 +159,10 @@ class StorageEngine:
         # Keys mutated since the last drain_dirty() -- the incremental
         # anti-entropy feed.  Every mutation funnels through apply() (client
         # writes, read repair, hint replay, repair streams), so this set is
-        # exactly "what could have changed a Merkle leaf".
-        self.dirty_keys: set = set()
+        # exactly "what could have changed a Merkle leaf".  ``None`` until the
+        # first drain: the first consumer rebuilds from the full key set, so
+        # nothing flagged before it would ever be read.
+        self.dirty_keys: Optional[set] = None
 
     # ------------------------------------------------------------------
     # Write path
@@ -184,10 +174,6 @@ class StorageEngine:
         log = self.commit_log
         log.appended += 1
         log.bytes_appended += cell.size_bytes
-        entries = log._entries
-        entries.append(cell)
-        if len(entries) > log._max_entries:
-            log._entries = entries[-log._max_entries // 2 :]
         key = cell.key
         memtable = self.memtable
         # One memtable lookup serves both the live-cell accounting and the
@@ -211,7 +197,8 @@ class StorageEngine:
         stats.bytes_written += cell.size_bytes
         if not had_key:
             stats.live_cells += 1
-        self.dirty_keys.add(key)
+        if self.dirty_keys is not None:
+            self.dirty_keys.add(key)
         if len(memtable._cells) >= self._flush_threshold:
             self.flush()
 
@@ -276,12 +263,14 @@ class StorageEngine:
     def drain_dirty(self) -> set:
         """Return (and reset) the keys mutated since the previous drain.
 
-        Consumed by the anti-entropy service's per-datacenter tree caches;
-        like :meth:`peek`, draining never touches the read counters.
+        Tracking starts at the first call, which returns an empty set.
+        Consumed by the anti-entropy service's per-datacenter tree caches,
+        whose first refresh is a full rebuild; like :meth:`peek`, draining
+        never touches the read counters.
         """
         dirty = self.dirty_keys
         self.dirty_keys = set()
-        return dirty
+        return set() if dirty is None else dirty
 
     # ------------------------------------------------------------------
     # Introspection

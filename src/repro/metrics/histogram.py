@@ -124,6 +124,10 @@ class LatencyHistogram:
             return 0.0
         return float(np.percentile(self._samples, q))
 
+    def sorted_samples(self) -> array:
+        """The retained samples in ascending order, as C doubles."""
+        return array("d", sorted(self._samples))
+
     def p50(self) -> float:
         """Median latency."""
         return self.percentile(50.0)

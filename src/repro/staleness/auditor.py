@@ -38,7 +38,7 @@ coordinator that served the read).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.coordinator import OperationResult
@@ -50,23 +50,30 @@ __all__ = ["StalenessAuditor"]
 Version = Tuple[float, int]
 
 
-@dataclass
 class _KeyHistory:
-    """Acknowledged-write history of one key (both lists grow monotonically)."""
+    """Acknowledged-write history of one key: one row (ack time, timestamp,
+    value id) per version that moved it forward, in three parallel columns.
+    Ack times never decrease and versions strictly increase."""
 
-    ack_times: List[float] = field(default_factory=list)
-    versions: List[Version] = field(default_factory=list)
+    __slots__ = ("ack_times", "timestamps", "value_ids")
+
+    def __init__(self) -> None:
+        self.ack_times = array("d")
+        self.timestamps = array("d")
+        self.value_ids = array("q")
 
     def record(self, ack_time: float, version: Version) -> None:
         """Append an acknowledgement; keeps the version sequence monotone."""
-        if self.versions and version <= self.versions[-1]:
+        ack_times = self.ack_times
+        if ack_times and version <= (self.timestamps[-1], self.value_ids[-1]):
             # A slower write acknowledged after a newer one: it does not move
             # the "newest acknowledged version" forward, so skip it.
             return
-        if self.ack_times and ack_time < self.ack_times[-1]:
-            ack_time = self.ack_times[-1]
-        self.ack_times.append(ack_time)
-        self.versions.append(version)
+        if ack_times and ack_time < ack_times[-1]:
+            ack_time = ack_times[-1]
+        ack_times.append(ack_time)
+        self.timestamps.append(version[0])
+        self.value_ids.append(version[1])
 
     def acked_before(self, time: float) -> int:
         """Number of versions acknowledged strictly before ``time``."""
@@ -76,14 +83,17 @@ class _KeyHistory:
         """Version lag of ``version`` among the first ``acked`` versions.
 
         How many of the ``acked`` acknowledged-before-read versions are
-        strictly newer than the returned one.  The version list is strictly
-        increasing (``record`` skips non-advancing versions), so a binary
-        search locates the returned cell's position.
+        strictly newer than the returned one: bisect the timestamps, then the
+        value ids among the rows with the returned timestamp.
         """
-        return acked - bisect.bisect_right(self.versions, version, 0, acked)
+        timestamp, value_id = version
+        timestamps = self.timestamps
+        low = bisect.bisect_left(timestamps, timestamp, 0, acked)
+        high = bisect.bisect_right(timestamps, timestamp, low, acked)
+        return acked - bisect.bisect_right(self.value_ids, value_id, low, high)
 
     def newest(self) -> Optional[Version]:
-        return self.versions[-1] if self.versions else None
+        return (self.timestamps[-1], self.value_ids[-1]) if self.ack_times else None
 
 
 class StalenessAuditor:
@@ -116,7 +126,9 @@ class StalenessAuditor:
         if result.cell is None:
             return
         self.writes_observed += 1
-        history = self._history.setdefault(result.key, _KeyHistory())
+        history = self._history.get(result.key)
+        if history is None:
+            history = self._history[result.key] = _KeyHistory()
         history.record(result.completed_at, (result.cell.timestamp, result.cell.value_id))
 
     # ------------------------------------------------------------------
@@ -136,7 +148,7 @@ class StalenessAuditor:
             self.unknown_reads += 1
             return None
         assert history is not None
-        expected = history.versions[acked - 1]
+        expected = (history.timestamps[acked - 1], history.value_ids[acked - 1])
         cell = result.cell
         if cell is None:
             # The key had an acknowledged write but the read saw nothing at
@@ -212,7 +224,7 @@ class StalenessAuditor:
 
         The chaos invariant checker walks this to assert every acked write
         is still readable after heal and repair."""
-        return [key for key, history in self._history.items() if history.versions]
+        return [key for key, history in self._history.items() if history.ack_times]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -19,6 +19,7 @@ so the aggregation adds zero simulated cost and consumes no randomness.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Dict, List, Optional, Sequence
 
@@ -53,12 +54,11 @@ class StalenessStats:
         #: excluded, mirroring :class:`~repro.staleness.auditor.StalenessAuditor`.
         self.judged = 0
         self.stale = 0
-        #: One entry per stale read (fresh reads have age 0 implicitly).
-        self._stale_ages: List[float] = []
-        self._sorted_ages: Optional[List[float]] = None
         #: Staleness-age histogram over stale reads only (exact percentiles
-        #: of "how stale were the stale reads").
+        #: of "how stale were the stale reads"): one sample per stale read,
+        #: fresh reads having age 0 implicitly.
         self.stale_age_histogram = LatencyHistogram()
+        self._sorted_ages: Optional[Sequence[float]] = None
         #: Version lag -> read count, including ``k = 0`` for fresh reads.
         self.k_counts: Dict[int, int] = {}
 
@@ -76,7 +76,6 @@ class StalenessStats:
             k = 1
         self.judged += 1
         self.stale += 1
-        self._stale_ages.append(age)
         self._sorted_ages = None
         self.stale_age_histogram.record(age)
         self.k_counts[k] = self.k_counts.get(k, 0) + 1
@@ -86,11 +85,10 @@ class StalenessStats:
 
         Used by the sharded engine to combine per-shard stats into one
         cluster-wide view; all aggregates here are order-insensitive except
-        the raw age list, which downstream percentile queries re-sort.
+        the histogram's samples, which the age queries re-sort.
         """
         self.judged += other.judged
         self.stale += other.stale
-        self._stale_ages.extend(other._stale_ages)
         self._sorted_ages = None
         self.stale_age_histogram.merge(other.stale_age_histogram)
         for k, count in other.k_counts.items():
@@ -99,9 +97,9 @@ class StalenessStats:
     # ------------------------------------------------------------------
     # t-visibility
     # ------------------------------------------------------------------
-    def _ages_sorted(self) -> List[float]:
+    def _ages_sorted(self) -> Sequence[float]:
         if self._sorted_ages is None:
-            self._sorted_ages = sorted(self._stale_ages)
+            self._sorted_ages = self.stale_age_histogram.sorted_samples()
         return self._sorted_ages
 
     def stale_rate(self) -> float:
@@ -114,18 +112,7 @@ class StalenessStats:
         because every stale read has a strictly positive age (the missed
         write was acknowledged strictly before the read started).
         """
-        if self.judged == 0:
-            return 0.0
-        ages = self._ages_sorted()
-        # Count ages > t via binary search on the sorted list.
-        lo, hi = 0, len(ages)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if ages[mid] <= t:
-                lo = mid + 1
-            else:
-                hi = mid
-        return (len(ages) - lo) / self.judged
+        return self.violations_beyond(t) / self.judged if self.judged else 0.0
 
     def t_visibility(self, t: float) -> float:
         """P(a read is at most ``t`` seconds stale) -- 1 minus stale_beyond."""
@@ -142,17 +129,8 @@ class StalenessStats:
 
     def violations_beyond(self, t: float) -> int:
         """Count of judged reads staler than ``t`` (the SLA policy's signal)."""
-        if not self._stale_ages:
-            return 0
         ages = self._ages_sorted()
-        lo, hi = 0, len(ages)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if ages[mid] <= t:
-                lo = mid + 1
-            else:
-                hi = mid
-        return len(ages) - lo
+        return len(ages) - bisect.bisect_right(ages, t)
 
     def age_percentile(self, q: float) -> float:
         """The ``q``-th percentile of staleness age over *all* judged reads.

@@ -50,16 +50,19 @@ def run_sessions(cluster: SimulatedCluster, service: AntiEntropyService, n: int)
 
 
 class TestDirtyTracking:
-    def test_apply_flags_keys_and_drain_resets(self):
+    def test_nothing_is_flagged_before_the_first_drain(self):
         cluster = build_cluster()
         load(cluster, 4)
         node = cluster.nodes[cluster.addresses[0]]
-        assert node.storage.dirty_keys  # the load writes flagged keys
-        drained = node.storage.drain_dirty()
-        assert drained == {k for k in drained}  # a set
-        assert node.storage.dirty_keys == set()
+        # The first refresh rebuilds from every key, so the load flags none.
+        assert node.storage.stats.writes > 0
+        assert not node.storage.dirty_keys
+        assert node.storage.drain_dirty() == set()
+        # From the first drain on, a write flags its key and a drain resets.
         cluster.write_sync("key0", "again", ConsistencyLevel.ALL)
-        assert "key0" in node.storage.dirty_keys
+        assert node.storage.dirty_keys == {"key0"}
+        assert node.storage.drain_dirty() == {"key0"}
+        assert node.storage.dirty_keys == set()
 
     def test_write_rehashes_only_touched_keys(self):
         cluster = build_cluster()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.cluster.storage import Cell, CommitLog, Memtable, SSTable, StorageEngine
@@ -51,18 +53,16 @@ class TestCommitLog:
         log.append(cell("b", 2.0, size=7))
         assert log.appended == 2
         assert log.bytes_appended == 12
-        assert len(log) == 2
 
-    def test_bounded_retention(self):
-        log = CommitLog(max_entries=10)
-        for i in range(50):
-            log.append(cell(f"k{i}", float(i)))
+    def test_retains_no_entry(self):
+        # Nothing replays the log, so an appended cell is not kept alive by it.
+        log = CommitLog()
+        appended = cell("a", 1.0)
+        before = sys.getrefcount(appended)
+        for _ in range(50):
+            log.append(appended)
         assert log.appended == 50
-        assert len(log) <= 10
-
-    def test_rejects_non_positive_bound(self):
-        with pytest.raises(ValueError):
-            CommitLog(max_entries=0)
+        assert sys.getrefcount(appended) == before
 
 
 class TestSSTable:

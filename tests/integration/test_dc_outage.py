@@ -13,8 +13,12 @@ import pytest
 
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import make_policy, run_experiment
 from repro.experiments.scenarios import GRID5000_3SITES, grid5000_3sites_faults
+from repro.faults.schedule import DatacenterOutage, FaultInjector, FaultSchedule
+from repro.faults.timeline import FaultTimeline
+from repro.staleness.auditor import StalenessAuditor
+from repro.workload.executor import WorkloadExecutor
 from repro.workload.workloads import WORKLOAD_B
 
 ISOLATED = "sophia"
@@ -170,3 +174,78 @@ class TestPartitionHealRepairAcceptance:
             # LOCAL_ONE never touches the WAN, so the cut must not move
             # read latency beyond noise.
             assert during < before * 1.5
+
+
+class TestWindowedQueriesMatchTheOperationLog:
+    """The timeline's four windowed queries against a naive recomputation from
+    a plain list of every :class:`OperationResult`, on a run where Sophia goes
+    dark: LOCAL_ONE clients there get Unavailable reads and writes, while the
+    other sites keep serving (and reading stale)."""
+
+    DOWN, UP = 1.0, 3.0
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        scenario = GRID5000_3SITES.with_overrides(
+            fault_schedule=FaultSchedule(
+                [DatacenterOutage(at=self.DOWN, datacenter=ISOLATED, duration=self.UP - self.DOWN)]
+            )
+        )
+        cluster = SimulatedCluster(scenario.cluster_config(seed=7))
+        timeline = FaultTimeline()
+        timeline.attach(cluster)
+        results = []
+        cluster.add_operation_observer(results.append)
+        executor = WorkloadExecutor(
+            cluster,
+            WORKLOAD_B.scaled(record_count=60, operation_count=1500),
+            make_policy("local_one", scenario),
+            threads=9,
+            auditor=timeline,
+            think_time=0.02,
+            datacenters=list(scenario.datacenter_names),
+        )
+        loaded = executor.load()
+        FaultInjector(cluster, scenario.fault_schedule).arm()
+        executor.run()
+        # The verdicts, re-derived by replaying the list through a plain auditor.
+        replay = StalenessAuditor()
+        for result in loaded:
+            replay.observe_write(result)
+        verdicts = {}
+        for result in results:
+            if result.unavailable:
+                continue
+            if result.op_type == "read":
+                verdicts[id(result)] = replay.judge(result.key, result)
+            else:
+                replay.observe_write(result)
+        assert sum(r.unavailable for r in results) > 0 and replay.stale_reads > 0
+        return timeline, results, verdicts
+
+    @pytest.mark.parametrize("op_type", [None, "read", "write"])
+    @pytest.mark.parametrize("datacenter", [None, "rennes", "nancy", ISOLATED, "nowhere"])
+    def test_queries_equal_a_naive_recomputation(self, run, datacenter, op_type):
+        timeline, results, verdicts = run
+        windows = [(0.0, self.DOWN), (self.DOWN, self.UP), (self.UP, float("inf"))]
+        for start, end in windows:
+            selected = [
+                r
+                for r in results
+                if start <= r.completed_at < end
+                and datacenter in (None, r.datacenter)
+                and op_type in (None, r.op_type)
+            ]
+            served = [r.latency for r in selected if not r.unavailable]
+            judged = [verdicts[id(r)] for r in selected if verdicts.get(id(r)) is not None]
+            assert timeline.ops_in(start, end, datacenter, op_type) == len(selected)
+            assert timeline.unavailable_in(start, end, datacenter, op_type) == sum(
+                r.unavailable for r in selected
+            )
+            assert timeline.mean_latency_in(start, end, datacenter, op_type) == (
+                sum(served) / len(served) if served else None
+            )
+            if op_type != "write":  # the stale rate is over reads whatever the filter
+                assert timeline.stale_rate_in(start, end, datacenter) == (
+                    sum(judged) / len(judged) if judged else None
+                )

@@ -24,18 +24,29 @@ replica count, one read route (requirement and contacted replicas) per
 again.  Every value a run keeps in
 bulk -- latency samples and pre-drawn pools -- is a C double, and a write's
 payload is one string per record.
+
+The *retention* budget pins what a run keeps per operation to what some code
+reads back: the fault timeline's per-operation log is typed columns, and an
+acknowledged write leaves behind its latency samples and one row of its
+key's audit history -- no commit-log entry, no version tuple.
 """
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from array import array
+from dataclasses import replace
 
-from repro.cluster.cluster import SimulatedCluster
+from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.core.policy import StaticQuorumPolicy
-from repro.experiments.scenarios import SCALE_100, SCALE_1000
+from repro.experiments.runner import run_experiment
+from repro.experiments.scenarios import GRID5000_3SITES_WAN, SCALE_100, SCALE_1000
+from repro.faults import timeline as timeline_module
 from repro.metrics.histogram import LatencyHistogram
+from repro.staleness.auditor import StalenessAuditor
 from repro.workload.executor import WorkloadExecutor
-from repro.workload.workloads import WORKLOAD_A
+from repro.workload.workloads import WORKLOAD_A, WORKLOAD_B
 
 #: Ceilings with a small allowance over the recorded values; semantic
 #: message counts (replica fan-out) dominate, the allowance covers only
@@ -46,6 +57,17 @@ MAX_MESSAGES_PER_OP = 9.2
 #: Width ceiling: a placement miss may step over this many ring tokens per
 #: replica.
 MAX_TOKENS_PER_MISS_PER_REPLICA = 8
+
+#: Fault-timeline bytes kept per logged operation: two C doubles and four
+#: bytes per op, plus a double and two bytes per judged read.  Measured 32.9
+#: on the quick WAN run below; an object per op (a frozen dataclass, a
+#: verdict tuple, boxed floats) kept about 240.
+MAX_TIMELINE_BYTES_PER_OP = 40
+
+#: Live-set growth per extra acknowledged write: two 8-byte latency samples
+#: and a 24-byte audit-history row.  Measured 43 B on the five-node ring
+#: below (N = 400); retaining commit-log cells and version tuples cost 320 B.
+MAX_LIVE_BYTES_PER_WRITE = 64
 
 
 def run_closed_loop(scenario, *, seed, records, ops, threads):
@@ -202,3 +224,62 @@ class TestRoutingState:
         for store in stores:
             assert type(store) is array and store.typecode == "d" and store.itemsize == 8
         assert sum(len(h._samples) for h in histograms) == sum(h.count for h in histograms)
+
+
+def live_bytes_after_writes(writes: int) -> int:
+    """Bytes still allocated after ``writes`` QUORUM writes to four keys."""
+    tracemalloc.start()
+    try:
+        cluster = SimulatedCluster(ClusterConfig(n_nodes=5, replication_factor=3, seed=3))
+        workload = replace(WORKLOAD_A, read_proportion=0.0, update_proportion=1.0).scaled(
+            record_count=4, operation_count=writes
+        )
+        auditor = StalenessAuditor()
+        executor = WorkloadExecutor(
+            cluster, workload, StaticQuorumPolicy(), threads=4, auditor=auditor
+        )
+        executor.run()
+        cluster.settle()
+        assert auditor.writes_observed == writes + 4  # every write acknowledged, and the load
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRetention:
+    def test_fault_timeline_keeps_typed_columns(self):
+        tracemalloc.start()
+        try:
+            result = run_experiment(
+                GRID5000_3SITES_WAN,
+                WORKLOAD_B.scaled(record_count=100, operation_count=800),
+                "local_one",
+                12,
+                seed=20260730,
+                datacenters=GRID5000_3SITES_WAN.datacenter_names,
+                think_time=83.0 * 12 / 800,  # the ledger's quick geo_faults_wan row
+            )
+            kept = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, timeline_module.__file__)]
+            )
+        finally:
+            tracemalloc.stop()
+        timeline = result.auditor
+        assert len(timeline.op_events) == 800 and len(timeline.read_events) > 0
+        per_op = sum(stat.size for stat in kept.statistics("filename")) / len(timeline.op_events)
+        assert per_op <= MAX_TIMELINE_BYTES_PER_OP, (
+            f"the fault timeline keeps {per_op:.1f} B per logged op "
+            f"(budget {MAX_TIMELINE_BYTES_PER_OP}); is an object per op back?"
+        )
+
+    def test_an_acknowledged_write_leaves_little_behind(self):
+        live_bytes_after_writes(10)  # one-time allocations (pools, caches) land here
+        writes = 400
+        small = live_bytes_after_writes(writes)
+        large = live_bytes_after_writes(10 * writes)
+        per_write = (large - small) / (9 * writes)
+        assert per_write <= MAX_LIVE_BYTES_PER_WRITE, (
+            f"each extra acknowledged write keeps {per_write:.0f} B alive "
+            f"(budget {MAX_LIVE_BYTES_PER_WRITE}); is a log retaining cells?"
+        )
