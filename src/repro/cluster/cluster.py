@@ -297,6 +297,8 @@ class SimulatedCluster:
         self.nodes: Dict[NodeAddress, StorageNode] = {}
         self.coordinators: Dict[NodeAddress, Coordinator] = {}
         self._replica_cache: Dict[str, Tuple[NodeAddress, ...]] = {}
+        # One bound method for every coordinator, not one each.
+        replicas_for = self.replicas_for
         for address in self.topology.nodes:
             counters = self.stats.register_node(address)
             node = StorageNode(
@@ -312,11 +314,10 @@ class SimulatedCluster:
                 fabric=self.fabric,
                 topology=self.topology,
                 address=address,
-                nodes=self.nodes,
-                replicas_for=self.replicas_for,
+                replicas_for=replicas_for,
                 counters=counters,
                 config=config.coordinator,
-                read_repair_rng=self.streams.stream(f"coordinator.{address}.read_repair"),
+                streams=self.streams,
                 write_size_bytes=config.write_size_bytes,
                 failure_detector=self.failure_detector,
             )

@@ -41,15 +41,20 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.consistency import ConsistencyLevel, blocked_for_datacenters
 from repro.cluster.hints import Hint, HintStore
-from repro.cluster.node import StorageNode
 from repro.cluster.stats import NodeCounters
 from repro.cluster.storage import Cell
 from repro.network.fabric import Message, MessageKind, NetworkFabric
 from repro.network.topology import NodeAddress, Topology
 from repro.sim.engine import SimulationEngine
+from repro.sim.rng import RandomStreams
 from repro.sim.timers import FixedDelayTimer, TimerEntry
 
 __all__ = ["Coordinator", "OperationResult", "CoordinatorConfig"]
+
+#: The read-repair pool every coordinator starts with.  A refill replaces
+#: the pool and nothing writes into one, so a single empty array serves
+#: every coordinator that has not yet rolled.
+_EMPTY_POOL = array("d")
 
 
 @dataclass(frozen=True)
@@ -247,12 +252,11 @@ class Coordinator:
         fabric: NetworkFabric,
         topology: Topology,
         address: NodeAddress,
-        nodes: Dict[NodeAddress, StorageNode],
         replicas_for: Callable[[str], Sequence[NodeAddress]],
         counters: NodeCounters,
         config: Optional[CoordinatorConfig] = None,
         *,
-        read_repair_rng=None,
+        streams: Optional[RandomStreams] = None,
         write_size_bytes: int = 1024,
         failure_detector=None,
     ) -> None:
@@ -262,12 +266,14 @@ class Coordinator:
         self.address = address
         #: The coordinator's own datacenter: what LOCAL_* levels block on.
         self.datacenter = topology.datacenter_of(address)
-        self._nodes = nodes
         self._replicas_for = replicas_for
         self._counters = counters
         self.config = config or CoordinatorConfig()
-        self._read_repair_rng = read_repair_rng
-        self._read_repair_pool = array("d")
+        # The ``coordinator.<address>.read_repair`` stream is looked up by
+        # name at the first read-repair refill; ``None`` means no rolls
+        # (only a chance of 1 repairs).
+        self._streams = streams
+        self._read_repair_pool = _EMPTY_POOL
         self._read_repair_index = 0
         self._write_size_bytes = int(write_size_bytes)
         #: Shared liveness view (see :mod:`repro.faults.detector`).  ``None``
@@ -279,7 +285,8 @@ class Coordinator:
         self._pending_reads: Dict[int, _PendingRead] = {}
         # Reads at level ALL that detected divergent replicas and are waiting
         # for the blocking read repair to finish (paper Fig. 1, left side).
-        self._blocking_repairs: Dict[int, _PendingRead] = {}
+        # Born at the coordinator's first such read: most never start one.
+        self._blocking_repairs: Optional[Dict[int, _PendingRead]] = None
         # Hot-path caches, each keyed by exactly what its value depends on,
         # so none can go stale when placement changes (the per-key replica
         # set itself is the cluster's cache, behind ``replicas_for``):
@@ -519,7 +526,7 @@ class Coordinator:
     def handle_write_response_payload(self, payload: Tuple) -> None:
         """Fast path for an already-classified WRITE_RESPONSE payload."""
         request_id = payload[0]
-        if payload[2] and request_id in self._blocking_repairs:
+        if payload[2] and self._blocking_repairs and request_id in self._blocking_repairs:
             self._on_blocking_repair_ack(request_id)
         else:
             self._on_write_ack(request_id, payload[1])
@@ -713,7 +720,8 @@ class Coordinator:
         pending = self._pending_reads.get(request_id)
         if pending is None or pending.completed:
             return
-        self._blocking_repairs.pop(request_id, None)
+        if self._blocking_repairs:
+            self._blocking_repairs.pop(request_id, None)
         # _complete_read either pops the entry (everyone answered) or arms
         # the eviction grace timer; popping here as well would defeat that
         # window and drop straggler responses that should trigger read
@@ -750,6 +758,8 @@ class Coordinator:
             self._complete_read(pending, timed_out=False)
             return
         pending.repairs_outstanding = len(stale)
+        if self._blocking_repairs is None:
+            self._blocking_repairs = {}
         self._blocking_repairs[pending.request_id] = pending
         for replica in stale:
             self._counters.read_repairs += 1
@@ -981,7 +991,7 @@ class Coordinator:
             return False
         if self.config.read_repair_chance >= 1.0:
             return True
-        if self._read_repair_rng is None:
+        if self._streams is None:
             return False
         # The coordinator's read-repair stream is consumed only here, so
         # pre-drawing a block yields the exact same uniform sequence as
@@ -993,7 +1003,8 @@ class Coordinator:
         pool = self._read_repair_pool
         if index >= len(pool):
             size = min(2 * len(pool) or 16, self._READ_REPAIR_POOL_SIZE)
-            pool = array("d", self._read_repair_rng.random(size=size).tobytes())
+            rng = self._streams.stream(f"coordinator.{self.address}.read_repair")
+            pool = array("d", rng.random(size=size).tobytes())
             self._read_repair_pool = pool
             index = 0
         self._read_repair_index = index + 1

@@ -27,7 +27,7 @@ class Hint:
     created_at: float
 
 
-@dataclass
+@dataclass(slots=True)
 class HintStore:
     """Per-coordinator store of pending hints.
 

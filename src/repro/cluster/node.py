@@ -22,8 +22,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Optional, Tuple
 
-import numpy as np
-
 from repro.cluster.stats import NodeCounters
 from repro.cluster.storage import Cell, StorageEngine
 from repro.network.fabric import Message, MessageKind, NetworkFabric
@@ -32,6 +30,11 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RandomStreams
 
 __all__ = ["NodeConfig", "StorageNode"]
+
+#: The service pool every node starts with.  A refill replaces the pool and
+#: nothing writes into one, so a single empty array serves every node that
+#: has not yet served a request.
+_EMPTY_POOL = array("d")
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,10 @@ class StorageNode:
             memtable_flush_threshold=config.memtable_flush_threshold,
             compaction_threshold=config.compaction_threshold,
         )
-        self._rng = streams.stream(f"node.{address}.service")
+        # The node's ``node.<address>.service`` stream is looked up by name at
+        # its first service-pool refill: a node that never serves (a spare,
+        # most of a wide ring) never creates it.
+        self._streams = streams
         self._busy_workers = 0
         # Requests waiting for a worker; born at the node's first saturation,
         # since most nodes of a wide ring never queue one.
@@ -124,7 +130,7 @@ class StorageNode:
         # single draws, so pooling keeps per-node service times identical to
         # per-request sampling while costing an array index instead of a
         # NumPy call on the hot path.  Kept as C doubles, 8 bytes a draw.
-        self._service_pool = array("d")
+        self._service_pool = _EMPTY_POOL
         self._service_index = 0
         # Replica *responses* addressed to this node are forwarded to the
         # co-located coordinator (set by the owning SimulatedCluster via
@@ -140,7 +146,6 @@ class StorageNode:
         self._write_response_sink: Optional[Callable] = None
         # Pre-bound hot callables (one attribute hop less per request).
         self._schedule_after = engine.schedule_after
-        self._fabric_send = fabric.send
 
     def set_response_handler(self, handler: Callable[[Message], None]) -> None:
         """Install the co-located coordinator's response handler."""
@@ -292,7 +297,8 @@ class StorageNode:
             # Refills double from 16 up to the cap: a node that serves a
             # handful of requests never holds 512 pre-drawn doubles.
             size = min(2 * len(pool) or 16, self._SERVICE_POOL_SIZE)
-            pool = array("d", self._rng.standard_gamma(self._gamma_shape, size=size).tobytes())
+            rng = self._streams.stream(f"node.{self.address}.service")
+            pool = array("d", rng.standard_gamma(self._gamma_shape, size=size).tobytes())
             self._service_pool = pool
             index = 0
         self._service_index = index + 1

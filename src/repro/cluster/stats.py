@@ -69,7 +69,8 @@ class ClusterStats:
 
     def __init__(self) -> None:
         self._counters: Dict[NodeAddress, NodeCounters] = {}
-        self._snapshots: List[CounterSnapshot] = []
+        # Only the latest cluster-wide snapshot is ever read back.
+        self._last_snapshot: Optional[CounterSnapshot] = None
 
     def register_node(self, address: NodeAddress) -> NodeCounters:
         """Create (or return) the counter block for a node."""
@@ -108,15 +109,15 @@ class ClusterStats:
             reads_served=self.total("reads_served"),
             writes_applied=self.total("writes_applied"),
         )
-        self._snapshots.append(snap)
+        self._last_snapshot = snap
         return snap
 
     def snapshot_for(self, time: float, addresses: Iterable[NodeAddress]) -> CounterSnapshot:
         """A snapshot restricted to a node subset (per-datacenter monitoring).
 
-        Subset snapshots are not appended to the cluster-wide snapshot
-        history: they belong to whoever is tracking that subset (the geo
-        monitor keeps one per datacenter).
+        Subset snapshots do not replace the cluster-wide last snapshot: they
+        belong to whoever is tracking that subset (the geo monitor keeps one
+        per datacenter).
         """
         members = list(addresses)
         return CounterSnapshot(
@@ -128,7 +129,8 @@ class ClusterStats:
         )
 
     def last_snapshot(self) -> Optional[CounterSnapshot]:
-        return self._snapshots[-1] if self._snapshots else None
+        """The latest cluster-wide snapshot (``None`` before the first)."""
+        return self._last_snapshot
 
     def window_rates(self, previous: CounterSnapshot, current: CounterSnapshot) -> Dict[str, float]:
         """Read/write arrival rates (ops per second) between two snapshots.

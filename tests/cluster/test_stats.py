@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cluster.stats import ClusterStats, NodeCounters
@@ -39,6 +42,19 @@ def test_snapshot_and_window_rates():
     assert rates["write_rate"] == pytest.approx(25.0)
     assert rates["elapsed"] == pytest.approx(2.0)
     assert stats.last_snapshot() is second
+
+
+def test_only_the_last_snapshot_is_retained():
+    stats = ClusterStats()
+    counters = stats.register_node(addr(0))
+    alive = []
+    for tick in range(100):
+        counters.coordinator_reads += 1
+        alive.append(weakref.ref(stats.snapshot(time=float(tick))))
+    gc.collect()
+    retained = [ref() for ref in alive if ref() is not None]
+    assert retained == [stats.last_snapshot()]
+    assert retained[0].time == 99.0 and retained[0].coordinator_reads == 100
 
 
 def test_window_rates_with_zero_elapsed_are_zero():

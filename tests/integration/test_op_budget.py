@@ -17,6 +17,13 @@ stops when the strategy's rules are met), and what the run leaves behind once
 it drains: no per-pair fabric state, no request deque on a node that never
 queued, no timer queue left holding entries.
 
+The *build* budget pins what a ring costs before it serves anything: no
+per-node random stream (a node's service stream is born at its first
+request, a coordinator's read-repair stream at its first roll), and a ceiling
+on the bytes the ``SCALE_1000`` build allocates per node.  When every node
+and coordinator created its stream at build, that was 5 789 B per node and
+2 001 streams.
+
 The *routing-state* budget pins what a coordinator keeps between operations
 to what placement depends on: nothing per key, one requirement per level and
 replica count, one read route (requirement and contacted replicas) per
@@ -70,25 +77,45 @@ MAX_TIMELINE_BYTES_PER_OP = 40
 MAX_LIVE_BYTES_PER_WRITE = 64
 
 
+#: Bytes the ``SCALE_1000`` build allocates per node (tracemalloc, a second
+#: build after a warm-up one).  Measured 3 344 B on CPython 3.11, against
+#: 5 789 B with every per-node stream created at build; the ceiling is 35 %
+#: under that.
+MAX_BUILD_BYTES_PER_NODE = 3_750
+
+
 def run_closed_loop(scenario, *, seed, records, ops, threads):
-    """Load and run; the cluster, then the run phase's events/op and messages/op."""
+    """Load and run; the cluster, the run phase's events/op and messages/op,
+    and each node's ``writes_applied`` after the load."""
     cluster = SimulatedCluster(scenario.cluster_config(seed=seed))
     workload = WORKLOAD_A.scaled(record_count=records, operation_count=ops)
     executor = WorkloadExecutor(cluster, workload, StaticQuorumPolicy(), threads=threads)
     executor.load()
     # The bulk load is free: no engine event, no fabric message.
     assert cluster.engine.events_processed == 0 and cluster.fabric.stats.sent == 0
+    loaded = {a: cluster.stats.counters(a).writes_applied for a in cluster.nodes}
     events_before = cluster.engine.events_processed
     messages_before = cluster.fabric.stats.sent
     metrics = executor.run()
     assert metrics.counters.total == ops
     events = cluster.engine.events_processed - events_before
     messages = cluster.fabric.stats.sent - messages_before
-    return cluster, events / ops, messages / ops
+    return cluster, events / ops, messages / ops, loaded
 
 
 def run_phase_counts(scenario, **sizes):
-    return run_closed_loop(scenario, **sizes)[1:]
+    return run_closed_loop(scenario, **sizes)[1:3]
+
+
+def per_node_streams(cluster, kind):
+    """Addresses whose ``<kind>.<address>.*`` stream exists."""
+    by_name = {str(address): address for address in cluster.nodes}
+    prefix = kind + "."
+    return {
+        by_name[name[len(prefix):].rpartition(".")[0]]
+        for name in cluster.streams.names()
+        if name.startswith(prefix)
+    }
 
 
 class TestOperationBudget:
@@ -127,7 +154,9 @@ class TestOperationBudget:
     def test_scale_1000_width_budget(self):
         # What a run costs must follow what it touches, not the ring's width.
         # Every fact below is exact for a seed.
-        cluster, _, _ = run_closed_loop(SCALE_1000, seed=11, records=60, ops=300, threads=10)
+        cluster, _, _, loaded = run_closed_loop(
+            SCALE_1000, seed=11, records=60, ops=300, threads=10
+        )
         ring = cluster.ring
         assert ring.walks > 0
         tokens_per_miss = ring.tokens_visited / ring.walks
@@ -150,6 +179,43 @@ class TestOperationBudget:
         assert not queues, f"{len(queues)} nodes hold a request deque they never used"
         timers = [t for c in cluster.coordinators.values() for t in c._timers.values()]
         assert timers and not any(len(timer) or timer.armed for timer in timers)
+        # A node's service stream exists iff it served a request (read, or a
+        # write or repair beyond what the load applied), and a coordinator's
+        # read-repair stream iff it rolled: every QUORUM read here contacts
+        # 3 of 5 replicas, so every coordinator of a read rolled.
+        served = {
+            a for a, node in cluster.nodes.items()
+            if node.counters.reads_served or node.counters.writes_applied > loaded[a]
+        }
+        rolled = {a for a in cluster.coordinators if cluster.stats.counters(a).coordinator_reads}
+        assert per_node_streams(cluster, "node") == served
+        assert per_node_streams(cluster, "coordinator") == rolled
+        assert (len(served), len(rolled)) == (145, 154)
+
+
+class TestBuildBudget:
+    def test_scale_1000_build_creates_no_per_node_stream(self):
+        cluster = SimulatedCluster(SCALE_1000.cluster_config(seed=11))
+        assert not per_node_streams(cluster, "node")
+        assert not per_node_streams(cluster, "coordinator")
+        assert len(cluster.streams.names()) == 1, cluster.streams.names()
+
+    def test_scale_1000_build_bytes_per_node(self):
+        config = SCALE_1000.cluster_config(seed=11)
+        SimulatedCluster(config)  # one-time allocations (imports, caches) land here
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cluster = SimulatedCluster(config)
+            allocated = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        per_node = allocated / len(cluster.nodes)
+        assert per_node <= MAX_BUILD_BYTES_PER_NODE, (
+            f"building SCALE_1000 allocates {per_node:.0f} B per node "
+            f"(budget {MAX_BUILD_BYTES_PER_NODE}); is per-node state that only "
+            "serving or coordinating uses built up front again?"
+        )
 
 
 def routing_entries(cluster):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.rng import RandomStreams
 
@@ -38,7 +40,44 @@ def test_adding_streams_does_not_perturb_existing_ones():
     mixed = RandomStreams(seed=5)
     mixed.stream("some.other.consumer").random(7)  # extra consumer first
     perturbed = mixed.stream("workload").random(20)
-    assert np.allclose(baseline, perturbed)
+    assert np.array_equal(baseline, perturbed)
+
+
+@st.composite
+def interleavings(draw):
+    """Distinct stream names, some created up front in a random order, and a
+    schedule of (name, how many draws) steps."""
+    names = draw(
+        st.lists(
+            st.text(alphabet="abcxyz.0123", min_size=1, max_size=12),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+    up_front = draw(st.permutations(names))[: draw(st.integers(0, len(names)))]
+    steps = draw(
+        st.lists(st.tuples(st.sampled_from(names), st.integers(1, 40)), min_size=1, max_size=30)
+    )
+    return up_front, steps
+
+
+@given(seed=st.integers(0, 2**32 - 1), case=interleavings())
+@settings(max_examples=60, deadline=None)
+def test_a_stream_draws_the_same_whatever_else_exists(seed, case):
+    # The contract that lets a stream be created at first use: its draws
+    # depend on its name alone, not on which streams exist, when it was
+    # created relative to them, or how their draws interleave with its own.
+    up_front, steps = case
+    streams = RandomStreams(seed=seed)
+    for name in up_front:
+        streams.stream(name)
+    drawn = {}
+    for name, count in steps:
+        drawn.setdefault(name, []).extend(streams.stream(name).random(count).tolist())
+    for name, values in drawn.items():
+        alone = RandomStreams(seed=seed).stream(name).random(len(values)).tolist()
+        assert values == alone, name
 
 
 def test_fork_produces_deterministic_children():
