@@ -6,7 +6,9 @@
   a recorded result again (a ``PLACEHOLDER`` baseline label once survived a
   whole PR in ``BENCH_fabric.json``);
 * ``trace_signature`` -- folds a sharded run's per-shard trace hashes into
-  one scalar for ``bench_fabric.py``.
+  one scalar for ``bench_fabric.py``;
+* ``percentile`` -- the nearest-rank percentile the subsystem benchmarks
+  report latencies with.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Dict
+from typing import Dict, List, Optional
 
 #: Substrings that mark a value as "not actually measured".  Matching is
 #: case-sensitive on purpose: these appear as deliberate ALL-CAPS markers.
@@ -49,6 +51,15 @@ def assert_no_placeholders(value: object, path: str = "$") -> None:
     elif isinstance(value, (list, tuple)):
         for index, item in enumerate(value):
             assert_no_placeholders(item, f"{path}[{index}]")
+
+
+def percentile(values: List[float], pct: float) -> Optional[float]:
+    """Nearest-rank ``pct``-th percentile of ``values``; ``None`` when empty."""
+    if not values:
+        return None
+    ordered = sorted(values)
+    index = min(len(ordered) - 1, int(round(pct / 100.0 * (len(ordered) - 1))))
+    return ordered[index]
 
 
 class RepetitionMismatchError(ValueError):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from benchmarks._shared import percentile
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
 from repro.cluster.membership import MembershipManager
@@ -195,20 +196,12 @@ def _node_seconds(
     return total
 
 
-def _percentile(values: List[float], pct: float) -> Optional[float]:
-    if not values:
-        return None
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(round(pct / 100.0 * (len(ordered) - 1))))
-    return ordered[index]
-
-
 def run_static_arm(members: int, phases: List[Tuple[float, float]]) -> Dict[str, object]:
     cluster = _cluster(members, 0)
     latencies, run_start, run_end = _drive(cluster, phases)
     cluster.settle()
     node_seconds = _node_seconds(members, run_start, run_end, None)
-    p99 = _percentile(latencies, 99.0)
+    p99 = percentile(latencies, 99.0)
     return {
         "arm": f"static-{members}",
         "members": members,
@@ -234,7 +227,7 @@ def run_adaptive_arm(phases: List[Tuple[float, float]]) -> Dict[str, object]:
     manager.stop()
     cluster.settle()
     node_seconds = _node_seconds(MIN_MEMBERS, run_start, run_end, manager)
-    p99 = _percentile(latencies, 99.0)
+    p99 = percentile(latencies, 99.0)
     decisions = [
         [round(d.time - run_start, 3), d.scope, d.value] for d in plane.decisions
     ]

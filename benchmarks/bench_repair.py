@@ -33,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional
 
+from benchmarks._shared import percentile
 from repro.cluster.antientropy import AntiEntropyConfig
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
@@ -213,14 +214,6 @@ def run_steady_state(quick: bool) -> Dict[str, object]:
     }
 
 
-def _percentile(values: List[float], pct: float) -> Optional[float]:
-    if not values:
-        return None
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(round(pct / 100.0 * (len(ordered) - 1))))
-    return ordered[index]
-
-
 #: Bandwidth-contention arm sizes: enough diverged bytes that repair keeps
 #: the 4 MB/s WAN busy for several seconds after the heal.  ``fg_keys`` are
 #: written everywhere before the partition, so the foreground QUORUM probes
@@ -341,8 +334,8 @@ def run_bandwidth_arm(
         "diverged_bytes": int(cfg["keys"]) * int(cfg["value_bytes"]),
         "recovery_s": round(recovery_s, 3) if recovery_s is not None else None,
         "foreground_reads": len(latencies),
-        "read_p50_ms": round(_percentile(latencies, 50) * 1e3, 3) if latencies else None,
-        "read_p99_ms": round(_percentile(latencies, 99) * 1e3, 3) if latencies else None,
+        "read_p50_ms": round(percentile(latencies, 50) * 1e3, 3) if latencies else None,
+        "read_p99_ms": round(percentile(latencies, 99) * 1e3, 3) if latencies else None,
         "read_timeouts": timeouts,
         "stream_deferrals": stats.stream_deferrals if stats else 0,
         "transfers_started": fabric.stats.transfers_started,

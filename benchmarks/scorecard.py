@@ -32,10 +32,11 @@ import operator
 import os
 import sys
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from benchmarks import bench_control, bench_elasticity, bench_repair, bench_staleness
 from benchmarks._shared import write_benchmark_json
+from repro.control.policies import _percent
 from repro.experiments import ablations, claims, figures
 from repro.experiments.figures import FigureDefaults
 from repro.experiments.runner import run_experiment
@@ -118,13 +119,17 @@ class _Rows(list):
 
 
 def _pct(rate: float) -> str:
-    return f"harmony-{int(rate * 100)}%"
+    """The label a Harmony policy at ``rate`` names itself (and its rows) with."""
+    return f"harmony-{_percent(rate)}"
 
 
 # ----------------------------------------------------------------------
-# Figure sections: (FigureDefaults) -> (MetricsReport, rows)
+# Figure sections: (FigureDefaults) -> one (MetricsReport, rows) per section
 # ----------------------------------------------------------------------
-def _fig4a(d: FigureDefaults) -> Tuple[MetricsReport, List[Row]]:
+Sections = Iterator[Tuple[MetricsReport, List[Row]]]
+
+
+def _fig4a(d: FigureDefaults) -> Sections:
     report = figures.figure_4a_estimation_over_time(d, scenario=GRID5000)
     mean: Dict[str, Dict[int, float]] = {}
     for row in report.sections["per-step summary"]:
@@ -145,10 +150,10 @@ def _fig4a(d: FigureDefaults) -> Tuple[MetricsReport, List[Row]]:
         "the estimate falls as the thread count (hence the write rate) steps down",
         {f"A@{steps[0]}": a[steps[0]]}, "<=", {f"A@{steps[-1]}": a[steps[-1]]},
     )
-    return report, rows
+    yield report, rows
 
 
-def _fig4b(d: FigureDefaults) -> Tuple[MetricsReport, List[Row]]:
+def _fig4b(d: FigureDefaults) -> Sections:
     # A modest thread count keeps the cluster-wide rates low enough that the
     # latency sweep spans the 0..1 probability range (as in the paper's
     # scatter); at saturation every point would sit near 1.0.
@@ -181,24 +186,29 @@ def _fig4b(d: FigureDefaults) -> Tuple[MetricsReport, List[Row]]:
         "simulated runs with the fabric latency scaled follow the same trend",
         {f"estimate@{high}": simulated[-1]}, ">", {f"estimate@{low}": simulated[0]},
     )
-    return report, rows
+    yield report, rows
 
 
 def _at(rows: List[Row], threads: int, column: str) -> Dict[str, float]:
     return {row["policy"]: row[column] for row in rows if row["threads"] == threads}
 
 
-def _fig5(
-    scenario: Scenario, letters: str, min_gain: Optional[float], d: FigureDefaults
-) -> Tuple[MetricsReport, List[Row]]:
-    """Fig. 5(a)+(c) or 5(b)+(d); ``min_gain`` is the Grid'5000-only ~45% claim."""
-    report = figures.figure_5_latency_throughput(
-        scenario=scenario, defaults=d, workload=WORKLOAD_A
-    )
+def _fig5_6(
+    scenario: Scenario,
+    letters: str,
+    min_gain: Optional[float],
+    min_reduction: Optional[float],
+    d: FigureDefaults,
+) -> Sections:
+    """Fig. 5(a)+(c) then 6(a), or 5(b)+(d) then 6(b), from one thread sweep.
+
+    ``min_gain`` and ``min_reduction`` are the Grid'5000-only ~45% and ~80% claims.
+    """
+    fig5, fig6 = figures.figure_5_6_thread_sweep(scenario, d, WORKLOAD_A)
     harmony = _pct(scenario.harmony_stale_rates[0])
     lo, hi = min(d.thread_steps), max(d.thread_steps)
-    p99 = _at(report.sections["99th percentile read latency (Fig. 5a/5b)"], hi, "read_p99_ms")
-    throughput = report.sections["overall throughput (Fig. 5c/5d)"]
+    p99 = _at(fig5.sections["99th percentile read latency (Fig. 5a/5b)"], hi, "read_p99_ms")
+    throughput = fig5.sections["overall throughput (Fig. 5c/5d)"]
     top, bottom = _at(throughput, hi, "throughput_ops_s"), _at(throughput, lo, "throughput_ops_s")
 
     fig = f"fig5{letters[0]}"
@@ -245,19 +255,13 @@ def _fig5(
             {harmony: top[harmony]}, ">=",
             {f"{min_gain} x strong": round(min_gain * top["strong"], 6)},
         )
-    return report, latency + rate
+    yield fig5, latency + rate
 
-
-def _fig6(
-    scenario: Scenario, letter: str, min_reduction: Optional[float], d: FigureDefaults
-) -> Tuple[MetricsReport, List[Row]]:
-    """Fig. 6(a) or 6(b); ``min_reduction`` is the Grid'5000-only ~80% claim."""
-    report = figures.figure_6_staleness(scenario=scenario, defaults=d, workload=WORKLOAD_A)
-    lenient, restrictive = (_pct(rate) for rate in scenario.harmony_stale_rates)
+    lenient, restrictive = (_pct(asr) for asr in scenario.harmony_stale_rates)
     stale: Dict[str, int] = {}
-    for row in report.sections["stale reads (Fig. 6a/6b)"]:
+    for row in fig6.sections["stale reads (Fig. 6a/6b)"]:
         stale[row["policy"]] = stale.get(row["policy"], 0) + row["stale_reads"]
-    fig, rows = f"fig6{letter}", _Rows(f"Fig. 6({letter})")
+    fig, rows = f"fig6{letters[0]}", _Rows(f"Fig. 6({letters[0]})")
     rows.compare(
         f"{fig}.strong_never_stale",
         "strong consistency returns no stale read at any thread count",
@@ -283,10 +287,10 @@ def _fig6(
             or stale[restrictive] <= (1 - min_reduction) * stale["eventual"],
             {restrictive: stale[restrictive], "eventual": stale["eventual"]},
         )
-    return report, rows
+    yield fig6, rows
 
 
-def _claims(d: FigureDefaults) -> Tuple[MetricsReport, List[Row]]:
+def _claims(d: FigureDefaults) -> Sections:
     report, (reduction, improvement) = claims.headline_claims(
         scenario=GRID5000, defaults=d, threads=70
     )
@@ -314,10 +318,10 @@ def _claims(d: FigureDefaults) -> Tuple[MetricsReport, List[Row]]:
         "the throughput gain keeps the application's consistency requirement",
         {f"{_pct(asr)} stale rate": lenient["stale_rate"]}, "<=", {"ASR": asr},
     )
-    return report, rows
+    yield report, rows
 
 
-def _ablation_monitoring(d: FigureDefaults) -> Tuple[MetricsReport, List[Row]]:
+def _ablation_monitoring(d: FigureDefaults) -> Sections:
     report = ablations.monitoring_interval_ablation(
         intervals=INTERVALS, scenario=GRID5000, defaults=d, threads=40
     )
@@ -336,10 +340,10 @@ def _ablation_monitoring(d: FigureDefaults) -> Tuple[MetricsReport, List[Row]]:
         {f"stale@{row['monitoring_interval_s']}s": row["stale_rate"] for row in sweep}, "<=",
         {f"ASR + {ASR_MARGIN}": round(asr + ASR_MARGIN, 6)},
     )
-    return report, rows
+    yield report, rows
 
 
-def _ablation_policies(d: FigureDefaults) -> Tuple[MetricsReport, List[Row]]:
+def _ablation_policies(d: FigureDefaults) -> Sections:
     report = ablations.policy_comparison_ablation(
         scenario=GRID5000, defaults=d, threads=40, thresholds=THRESHOLDS
     )
@@ -369,10 +373,10 @@ def _ablation_policies(d: FigureDefaults) -> Tuple[MetricsReport, List[Row]]:
         "a low write/read-ratio threshold behaves like strong consistency on workload A",
         {low: ops[low]}, "<=", {f"1.05 x {harmony}": round(1.05 * ops[harmony], 6)},
     )
-    return report, rows
+    yield report, rows
 
 
-def _geo(d: FigureDefaults) -> Tuple[MetricsReport, List[Row]]:
+def _geo(d: FigureDefaults) -> Sections:
     """DC-aware levels on the 3-site Grid'5000 ring, one client fleet per site.
 
     ``GRID5000_3SITES`` places replicas in Rennes (3), Sophia (2) and Nancy
@@ -444,16 +448,21 @@ def _geo(d: FigureDefaults) -> Tuple[MetricsReport, List[Row]]:
             for row in harmony
         },
     )
-    return report, rows
+    yield report, rows
 
 
-FIGURE_SECTIONS: Dict[str, Callable[[FigureDefaults], Tuple[MetricsReport, List[Row]]]] = {
+#: Fig. 5 and Fig. 6 plot columns of the same runs: one sweep per platform,
+#: registered under both its sections, yields the fig5 section then the fig6.
+_GRID5000_SWEEP = partial(_fig5_6, GRID5000, "ac", 1.15, 0.5)
+_EC2_SWEEP = partial(_fig5_6, EC2, "bd", None, None)
+
+FIGURE_SECTIONS: Dict[str, Callable[[FigureDefaults], Sections]] = {
     "fig4a": _fig4a,
     "fig4b": _fig4b,
-    "fig5_grid5000": partial(_fig5, GRID5000, "ac", 1.15),
-    "fig5_ec2": partial(_fig5, EC2, "bd", None),
-    "fig6_grid5000": partial(_fig6, GRID5000, "a", 0.5),
-    "fig6_ec2": partial(_fig6, EC2, "b", None),
+    "fig5_grid5000": _GRID5000_SWEEP,
+    "fig5_ec2": _EC2_SWEEP,
+    "fig6_grid5000": _GRID5000_SWEEP,
+    "fig6_ec2": _EC2_SWEEP,
     "claims": _claims,
     "ablation_monitoring": _ablation_monitoring,
     "ablation_policies": _ablation_policies,
@@ -662,36 +671,46 @@ SUBSYSTEM_SECTIONS: Dict[str, Callable[[bool], Tuple[Dict[str, object], str, Lis
 SECTIONS = (*FIGURE_SECTIONS, *SUBSYSTEM_SECTIONS)
 
 
+def _stamp(rows: List[Row], section: str, seed: int, sizes: str) -> List[Row]:
+    for row in rows:
+        row.update(section=section, seed=seed, sizes=sizes)
+    return rows
+
+
+def _build(name: str, quick: bool) -> Dict[str, Tuple[List[Row], Dict[str, object]]]:
+    """Run the builder behind ``name``; every section it yields -> (rows, table)."""
+    if name in SUBSYSTEM_SECTIONS:
+        table, sizes, rows = SUBSYSTEM_SECTIONS[name](quick)
+        return {name: (_stamp(rows, name, table["seed"], sizes), table)}
+    d = QUICK_SECTION_DEFAULTS.get(name, QUICK_DEFAULTS) if quick else figures.DEFAULTS
+    sizes = (
+        f"{d.operation_count} ops, {d.record_count} records, {d.n_nodes} nodes, "
+        f"threads {'/'.join(str(t) for t in d.thread_steps)}"
+    )
+    builder = FIGURE_SECTIONS[name]
+    names = [other for other, each in FIGURE_SECTIONS.items() if each is builder]
+    return {
+        section: (_stamp(rows, section, d.seed, sizes), dataclasses.asdict(report))
+        for section, (report, rows) in zip(names, builder(d), strict=True)
+    }
+
+
 def build_section(name: str, quick: bool) -> Tuple[List[Row], Dict[str, object]]:
     """Run one section; returns its verdict rows and the table behind them."""
-    if name in FIGURE_SECTIONS:
-        d = QUICK_SECTION_DEFAULTS.get(name, QUICK_DEFAULTS) if quick else figures.DEFAULTS
-        report, rows = FIGURE_SECTIONS[name](d)
-        table, seed = dataclasses.asdict(report), d.seed
-        sizes = (
-            f"{d.operation_count} ops, {d.record_count} records, {d.n_nodes} nodes, "
-            f"threads {'/'.join(str(t) for t in d.thread_steps)}"
-        )
-    else:
-        table, sizes, rows = SUBSYSTEM_SECTIONS[name](quick)
-        seed = table["seed"]
-    for row in rows:
-        row.update(section=name, seed=seed, sizes=sizes)
-    return rows, table
+    return _build(name, quick)[name]
 
 
 def build(quick: bool = False) -> Dict[str, object]:
     """The whole scorecard as one JSON-ready document."""
-    rows: List[Row] = []
-    tables: Dict[str, object] = {}
+    built: Dict[str, Tuple[List[Row], Dict[str, object]]] = {}
     for name in SECTIONS:
-        section_rows, tables[name] = build_section(name, quick)
-        rows += section_rows
+        if name not in built:
+            built.update(_build(name, quick))
     return {
         "scorecard": "Harmony (Chihoub et al., CLUSTER 2012) on the simulated store",
         "quick": quick,
-        "rows": rows,
-        "tables": tables,
+        "rows": [row for name in SECTIONS for row in built[name][0]],
+        "tables": {name: built[name][1] for name in SECTIONS},
     }
 
 

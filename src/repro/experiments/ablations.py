@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.figures import DEFAULTS, FigureDefaults, _scaled
-from repro.experiments.runner import run_experiment
+from repro.experiments.figures import DEFAULTS, FigureDefaults
 from repro.experiments.scenarios import GRID5000, Scenario
 from repro.metrics.report import MetricsReport
 from repro.workload.workloads import WORKLOAD_A, WorkloadConfig
@@ -39,16 +38,9 @@ def monitoring_interval_ablation(
     )
     rows: List[Dict[str, object]] = []
     for interval in intervals:
-        result = run_experiment(
-            scenario,
-            _scaled(workload, defaults),
-            f"harmony-{tolerated}",
-            threads,
-            seed=defaults.seed,
-            n_nodes=defaults.n_nodes,
-            monitoring_interval=interval,
-        )
-        metrics = result.metrics
+        metrics = defaults.run(
+            scenario, workload, f"harmony-{tolerated}", threads, monitoring_interval=interval
+        ).metrics
         rows.append(
             {
                 "monitoring_interval_s": interval,
@@ -90,16 +82,7 @@ def policy_comparison_ablation(
     )
     rows: List[Dict[str, object]] = []
     for policy in policies:
-        result = run_experiment(
-            scenario,
-            _scaled(workload, defaults),
-            policy,
-            threads,
-            seed=defaults.seed,
-            n_nodes=defaults.n_nodes,
-            monitoring_interval=defaults.monitoring_interval,
-        )
-        metrics = result.metrics
+        metrics = defaults.run(scenario, workload, policy, threads).metrics
         rows.append(
             {
                 "policy": metrics.policy_name,

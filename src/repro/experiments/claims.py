@@ -17,10 +17,9 @@ the measured reduction/improvement factors next to the paper's numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.experiments.figures import DEFAULTS, FigureDefaults, _scaled
-from repro.experiments.runner import run_experiment
+from repro.experiments.figures import DEFAULTS, FigureDefaults
 from repro.experiments.scenarios import GRID5000, Scenario
 from repro.metrics.report import MetricsReport
 from repro.workload.workloads import WORKLOAD_A, WorkloadConfig
@@ -60,21 +59,10 @@ def headline_claims(
     restrictive = (
         restrictive_asr if restrictive_asr is not None else scenario.harmony_stale_rates[1]
     )
-    runs: Dict[str, object] = {}
-    for policy in ("eventual", "strong", f"harmony-{restrictive}", f"harmony-{lenient}"):
-        runs[policy] = run_experiment(
-            scenario,
-            _scaled(workload, defaults),
-            policy,
-            threads,
-            seed=defaults.seed,
-            n_nodes=defaults.n_nodes,
-            monitoring_interval=defaults.monitoring_interval,
-        )
-    eventual = runs["eventual"].metrics
-    strong = runs["strong"].metrics
-    harmony_restrictive = runs[f"harmony-{restrictive}"].metrics
-    harmony_lenient = runs[f"harmony-{lenient}"].metrics
+    eventual, strong, harmony_restrictive, harmony_lenient = (
+        defaults.run(scenario, workload, policy, threads).metrics
+        for policy in ("eventual", "strong", f"harmony-{restrictive}", f"harmony-{lenient}")
+    )
 
     # Claim 1: stale-read reduction vs eventual consistency (restrictive ASR).
     eventual_stale = eventual.staleness.stale_reads
@@ -93,7 +81,7 @@ def headline_claims(
         holds=reduction >= 0.5,
         detail=(
             f"eventual={eventual_stale} stale reads, "
-            f"harmony-{int(restrictive * 100)}%={harmony_stale}; "
+            f"{harmony_restrictive.policy_name}={harmony_stale}; "
             f"p99 latency added: {added_latency_ms:.3f} ms"
         ),
     )
@@ -109,7 +97,7 @@ def headline_claims(
         holds=improvement >= 0.15,
         detail=(
             f"strong={strong_tp:.1f} ops/s, "
-            f"harmony-{int(lenient * 100)}%={harmony_tp:.1f} ops/s, "
+            f"{harmony_lenient.policy_name}={harmony_tp:.1f} ops/s, "
             f"harmony stale rate={harmony_lenient.staleness.stale_rate():.3f} "
             f"(ASR={lenient})"
         ),

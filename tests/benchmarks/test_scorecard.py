@@ -12,6 +12,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 
 import pytest
 
@@ -21,6 +22,10 @@ if REPO_ROOT not in sys.path:
 
 from benchmarks import scorecard  # noqa: E402
 from benchmarks._shared import assert_no_placeholders  # noqa: E402
+from repro.experiments import ablations, claims, figures  # noqa: E402
+from repro.experiments.runner import make_policy, run_experiment  # noqa: E402
+from repro.experiments.scenarios import GRID5000  # noqa: E402
+from repro.workload.workloads import WORKLOAD_A  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -64,10 +69,51 @@ class TestCommittedScorecard:
             assert handle.read() == scorecard.render(committed)
 
 
+def test_policy_labels_match_the_policies_own_names():
+    assert [scorecard._pct(rate / 100) for rate in range(1, 100)] == [
+        make_policy(f"harmony-{rate / 100}", GRID5000).label for rate in range(1, 100)
+    ]
+
+
+def _argument_set(args, kwargs):
+    """A comparable ``run_experiment`` argument set (a hook by its code and bound values)."""
+    return repr(args) + repr(
+        sorted(
+            (key, (value.__qualname__, value.__defaults__) if callable(value) else value)
+            for key, value in kwargs.items()
+        )
+    )
+
+
 @pytest.mark.slow
-def test_quick_build_reaches_the_committed_verdicts(committed):
-    """Verdicts are size-independent by construction; numbers are not compared."""
+def test_quick_build_reaches_the_committed_verdicts(committed, monkeypatch):
+    """Verdicts are size-independent by construction; numbers are not compared.
+
+    While it builds, the figure, claim and ablation sections are counted: Fig. 5
+    and Fig. 6 share one sweep, so the only argument sets run twice are the
+    three the policy ablation shares with Fig. 5's Grid'5000 sweep at 40
+    threads.  (The subsystem benchmarks repeat runs on purpose, to check
+    determinism; they are not counted.)
+    """
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(_argument_set(args, kwargs))
+        return run_experiment(*args, **kwargs)
+
+    for module in (figures, claims, ablations, scorecard):
+        if getattr(module, "run_experiment", None) is run_experiment:
+            monkeypatch.setattr(module, "run_experiment", counted)
     quick = scorecard.build(quick=True)
+    assert len(calls) == 50
+    d = scorecard.QUICK_DEFAULTS
+    workload = WORKLOAD_A.scaled(record_count=d.record_count, operation_count=d.operation_count)
+    sizes = {"seed": d.seed, "n_nodes": d.n_nodes, "monitoring_interval": d.monitoring_interval}
+    shared = [
+        _argument_set((GRID5000, workload, policy, 40), sizes)
+        for policy in ("eventual", "strong", f"harmony-{GRID5000.harmony_stale_rates[1]}")
+    ]
+    assert {args: n for args, n in Counter(calls).items() if n > 1} == dict.fromkeys(shared, 2)
     assert quick["quick"] is True
     assert _verdicts(quick) == _verdicts(committed)
     # Exact for a seed: the cheapest section, built again, is the same section.

@@ -22,6 +22,7 @@ from benchmarks._shared import (  # noqa: E402
     RepetitionMismatchError,
     assert_no_placeholders,
     assert_repetitions_consistent,
+    percentile,
     write_benchmark_json,
 )
 
@@ -113,3 +114,15 @@ class TestRecordedBenchmarkFilesAreClean:
         assert baseline["quick"] is False and baseline["deterministic"] is True
         assert baseline["single_process"]["ops_per_wall_s"] > 0
         assert baseline["workers_n"]["aggregate_ops_per_busy_s"] > 0
+
+
+class TestPercentile:
+    def test_nearest_rank_of_unsorted_values(self):
+        values = [5.0, 1.0, 4.0, 2.0, 3.0]
+        assert percentile(values, 0) == 1.0
+        assert percentile(values, 50) == 3.0
+        assert percentile(values, 99) == 5.0
+        assert percentile(values, 100) == 5.0
+
+    def test_empty_input_has_no_percentile(self):
+        assert percentile([], 50) is None

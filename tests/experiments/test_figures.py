@@ -12,6 +12,7 @@ import pytest
 from repro.experiments import figures
 from repro.experiments.claims import headline_claims
 from repro.experiments.ablations import monitoring_interval_ablation, policy_comparison_ablation
+from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import GRID5000
 from repro.metrics.report import MetricsReport
 from repro.workload.workloads import WORKLOAD_A
@@ -47,32 +48,32 @@ def test_figure_4b_produces_analytic_and_simulated_sections(defaults):
     assert len(simulated) == 2
 
 
-def test_figure_5_has_latency_and_throughput_sections(defaults):
-    report = figures.figure_5_latency_throughput(
+def test_figures_5_and_6_come_from_one_sweep(defaults, monkeypatch):
+    policies = ("eventual", "strong")
+    runs = []
+
+    def counted(scenario, workload, policy, threads, **kwargs):
+        runs.append((threads, policy))
+        return run_experiment(scenario, workload, policy, threads, **kwargs)
+
+    monkeypatch.setattr(figures, "run_experiment", counted)
+    fig5, fig6 = figures.figure_5_6_thread_sweep(
         scenario=GRID5000,
         defaults=defaults,
         workload=WORKLOAD_A,
-        policies=("eventual", "strong"),
+        policies=policies,
     )
-    latency_rows = report.sections["99th percentile read latency (Fig. 5a/5b)"]
-    throughput_rows = report.sections["overall throughput (Fig. 5c/5d)"]
-    assert len(latency_rows) == len(defaults.thread_steps) * 2
-    assert len(throughput_rows) == len(defaults.thread_steps) * 2
+    # Each (threads, policy) pair runs exactly once, and all three tables come from it.
+    pairs = [(threads, policy) for threads in defaults.thread_steps for policy in policies]
+    assert runs == pairs
+    latency_rows = fig5.sections["99th percentile read latency (Fig. 5a/5b)"]
+    throughput_rows = fig5.sections["overall throughput (Fig. 5c/5d)"]
+    stale_rows = fig6.sections["stale reads (Fig. 6a/6b)"]
+    for rows in (latency_rows, throughput_rows, stale_rows):
+        assert [(row["threads"], row["policy"]) for row in rows] == pairs
     assert all(row["read_p99_ms"] >= 0 for row in latency_rows)
     assert all(row["throughput_ops_s"] > 0 for row in throughput_rows)
-
-
-def test_figure_6_reports_stale_read_counts(defaults):
-    report = figures.figure_6_staleness(
-        scenario=GRID5000,
-        defaults=defaults,
-        workload=WORKLOAD_A,
-        policies=("eventual", "strong"),
-    )
-    rows = report.sections["stale reads (Fig. 6a/6b)"]
-    assert len(rows) == len(defaults.thread_steps) * 2
-    strong_rows = [row for row in rows if row["policy"] == "strong"]
-    assert all(row["stale_reads"] == 0 for row in strong_rows)
+    assert all(row["stale_reads"] == 0 for row in stale_rows if row["policy"] == "strong")
 
 
 def test_headline_claims_report_and_outcomes(defaults):
@@ -108,12 +109,13 @@ def test_policy_comparison_ablation_runs(defaults):
 
 
 def test_reports_render_to_text(defaults):
-    report = figures.figure_5_latency_throughput(
+    fig5, fig6 = figures.figure_5_6_thread_sweep(
         scenario=GRID5000,
         defaults=defaults,
         workload=WORKLOAD_A,
         policies=("eventual",),
     )
-    text = report.render()
-    assert "Figure 5" in text
-    assert "threads" in text
+    for report, title in ((fig5, "Figure 5"), (fig6, "Figure 6")):
+        text = report.render()
+        assert title in text
+        assert "threads" in text
