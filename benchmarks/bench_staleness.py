@@ -86,12 +86,12 @@ def _arm_rw(name: str, rf: int) -> tuple:
 
 
 def _trace_signature(result) -> str:
-    stats = result.metrics.staleness_stats
+    stats = result.metrics.staleness
     trace = {
         "summary": result.summary(),
-        "staleness": stats.summary() if stats is not None else None,
-        "visibility": stats.visibility_curve(T_GRID) if stats is not None else None,
-        "k_histogram": stats.k_histogram() if stats is not None else None,
+        "staleness": stats.summary(),
+        "visibility": stats.visibility_curve(T_GRID),
+        "k_histogram": stats.k_histogram(),
     }
     return hashlib.sha256(
         json.dumps(trace, sort_keys=True, default=str).encode("utf-8")
@@ -156,7 +156,7 @@ def run_scenario(scenario, cfg: Dict[str, object], seed: int) -> Dict[str, objec
             )
             if arm_name == "eventual":
                 signatures.append(_trace_signature(result))
-        stats = result.metrics.staleness_stats
+        stats = result.metrics.staleness
         read_replicas, write_replicas = _arm_rw(arm_name, rf)
         measured = stats.stale_rate()
         predicted = _predict(captured["cluster"], result, read_replicas, write_replicas)
@@ -164,8 +164,8 @@ def run_scenario(scenario, cfg: Dict[str, object], seed: int) -> Dict[str, objec
         arms[arm_name] = {
             "read_replicas": read_replicas,
             "write_replicas": write_replicas,
-            "judged_reads": stats.judged,
-            "stale_reads": stats.stale,
+            "judged_reads": stats.judged_reads,
+            "stale_reads": stats.stale_reads,
             "measured_stale_rate": round(measured, 6),
             "predicted_stale_rate": round(predicted, 6),
             "relative_error": (

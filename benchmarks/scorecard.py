@@ -408,7 +408,7 @@ def _geo(d: FigureDefaults) -> Sections:
                 {
                     "policy": result.config.policy_name,
                     "datacenter": dc,
-                    "reads": staleness.total_reads if staleness else 0,
+                    "reads": staleness.judged_reads + staleness.unknown_reads if staleness else 0,
                     "read_p99_ms": round(latency.p99() * 1e3, 3) if latency else 0.0,
                     "read_mean_ms": round(latency.mean() * 1e3, 3) if latency else 0.0,
                     "stale_rate": round(staleness.stale_rate(), 4) if staleness else 0.0,

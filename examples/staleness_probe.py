@@ -71,7 +71,7 @@ def run(with_probe: bool, seed: int = 9):
         "measurement": "dual-read probe (paper)" if with_probe else "ground-truth auditor",
         "throughput_ops_s": round(metrics.ops_per_second(), 1),
         "read_p99_ms": round(metrics.read_latency.p99() * 1e3, 2),
-        "ground_truth_stale_rate": round(auditor.stale_rate(), 4),
+        "ground_truth_stale_rate": round(metrics.staleness.stale_rate(), 4),
         "probe_stale_rate": round(probe.stale_rate(), 4) if probe else None,
         "extra_reads_issued": probe.probes_issued if probe else 0,
     }
@@ -89,7 +89,7 @@ def render_visibility_cdf(stats, width: int = 50) -> str:
         bar = "#" * round(row["visibility"] * width)
         lines.append(f"  t <= {row['t'] * 1e3:8.1f} ms |{bar:<{width}}| {row['visibility']:7.2%}")
     lines.append(
-        f"  stale reads: {stats.stale}/{stats.judged}"
+        f"  stale reads: {stats.stale_reads}/{stats.judged_reads}"
         f"  age p99: {stats.age_percentile(99) * 1e3:.1f} ms"
         f"  max version lag k: {stats.max_k()}"
     )

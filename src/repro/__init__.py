@@ -72,7 +72,7 @@ Package layout
     :class:`~repro.obs.Tracer` (deterministic JSONL spans) and the periodic
     :class:`~repro.obs.RunSeriesRecorder` time-series export;
 ``repro.metrics``
-    latency histograms, throughput meters, time series and reports;
+    latency histograms, operation counters, time series and reports;
 ``repro.experiments``
     scenarios (GRID5000, EC2, and the geo-distributed GRID5000_3SITES and
     EC2_MULTIREGION), the experiment runner and per-figure regenerators

@@ -735,13 +735,13 @@ class StalenessSLAPolicy(LevelPolicy):
 
     def prime(self) -> None:
         stats = self.auditor.stats
-        self._prev_judged = stats.judged
+        self._prev_judged = stats.judged_reads
         self._prev_violations = stats.violations_beyond(self.max_age)
 
     # ------------------------------------------------------------------
     def tick(self, tick: ControlTick) -> List[Decision]:
         stats = self.auditor.stats
-        judged = stats.judged
+        judged = stats.judged_reads
         violations = stats.violations_beyond(self.max_age)
         window_judged = judged - self._prev_judged
         window_violations = violations - self._prev_violations

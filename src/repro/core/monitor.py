@@ -205,7 +205,7 @@ class ClusterMonitor:
         )
         if stats is None:
             return 0.0, 0.0
-        judged, stale = stats.judged, stats.stale
+        judged, stale = stats.judged_reads, stats.stale_reads
         prev_judged, prev_stale = self._staleness_prev.get(datacenter, (0, 0))
         self._staleness_prev[datacenter] = (judged, stale)
         window_judged = judged - prev_judged

@@ -218,5 +218,5 @@ class FaultTimeline(StalenessAuditor):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FaultTimeline(ops={len(self.op_events)}, reads_judged={len(self.read_events)}, "
-            f"stale={self.stale_reads})"
+            f"stale={self.stats.stale_reads})"
         )

@@ -1,11 +1,11 @@
-"""Operation counters, throughput meter and staleness summary."""
+"""Counts of client operations by type and outcome."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
-__all__ = ["OperationCounters", "ThroughputMeter", "StalenessSummary"]
+__all__ = ["OperationCounters"]
 
 
 @dataclass
@@ -51,107 +51,4 @@ class OperationCounters:
             "retries": self.retries,
             "downgrades": self.downgrades,
             "total": self.total,
-        }
-
-
-class ThroughputMeter:
-    """Tracks completed operations over a (virtual) time interval.
-
-    The meter is started at the beginning of the measured window and stopped
-    at its end; ``ops_per_second`` is simply completed operations divided by
-    the window length (the same way YCSB reports overall throughput).
-    """
-
-    def __init__(self) -> None:
-        self._started_at: Optional[float] = None
-        self._stopped_at: Optional[float] = None
-        self._operations = 0
-
-    def start(self, time: float) -> None:
-        """Mark the start of the measurement window (virtual seconds)."""
-        self._started_at = float(time)
-        self._stopped_at = None
-        self._operations = 0
-
-    def record(self, count: int = 1) -> None:
-        """Record ``count`` completed operations."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        self._operations += count
-
-    def stop(self, time: float) -> None:
-        """Mark the end of the measurement window."""
-        if self._started_at is None:
-            raise RuntimeError("ThroughputMeter.stop() called before start()")
-        if time < self._started_at:
-            raise ValueError("stop time precedes start time")
-        self._stopped_at = float(time)
-
-    @property
-    def operations(self) -> int:
-        return self._operations
-
-    @property
-    def elapsed(self) -> float:
-        """Length of the measurement window in seconds (0.0 if incomplete)."""
-        if self._started_at is None or self._stopped_at is None:
-            return 0.0
-        return self._stopped_at - self._started_at
-
-    def ops_per_second(self) -> float:
-        """Overall throughput; 0.0 when the window is empty or zero-length."""
-        elapsed = self.elapsed
-        if elapsed <= 0:
-            return 0.0
-        return self._operations / elapsed
-
-
-@dataclass
-class StalenessSummary:
-    """Aggregate staleness outcome of one run (the paper's Fig. 6 metric)."""
-
-    total_reads: int = 0
-    stale_reads: int = 0
-    fresh_reads: int = 0
-    unknown_reads: int = 0
-    per_level: Dict[str, int] = field(default_factory=dict)
-    stale_per_level: Dict[str, int] = field(default_factory=dict)
-
-    def record(self, consistency_level: str, stale: Optional[bool]) -> None:
-        """Record the staleness verdict of one read.
-
-        ``stale=None`` means the verdict could not be established (no prior
-        write for the key); such reads are excluded from the rate.
-        """
-        self.total_reads += 1
-        self.per_level[consistency_level] = self.per_level.get(consistency_level, 0) + 1
-        if stale is None:
-            self.unknown_reads += 1
-        elif stale:
-            self.stale_reads += 1
-            self.stale_per_level[consistency_level] = (
-                self.stale_per_level.get(consistency_level, 0) + 1
-            )
-        else:
-            self.fresh_reads += 1
-
-    @property
-    def judged_reads(self) -> int:
-        """Reads with a definite fresh/stale verdict."""
-        return self.stale_reads + self.fresh_reads
-
-    def stale_rate(self) -> float:
-        """Fraction of judged reads that were stale (0.0 when nothing judged)."""
-        judged = self.judged_reads
-        return self.stale_reads / judged if judged else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "total_reads": self.total_reads,
-            "stale_reads": self.stale_reads,
-            "fresh_reads": self.fresh_reads,
-            "unknown_reads": self.unknown_reads,
-            "stale_rate": self.stale_rate(),
-            "per_level": dict(self.per_level),
-            "stale_per_level": dict(self.stale_per_level),
         }

@@ -3,17 +3,15 @@
 The paper's Fig. 5(a)/(b) report the 99th percentile of read-operation
 latency.  For simulation-scale sample counts (10^4-10^6 operations) an exact
 sample-based percentile is affordable and avoids the bucketing error of HDR-
-style histograms, so the default implementation simply keeps every sample in
-an ``array('d')``: 8 bytes a sample, which NumPy reads without a copy.  A
-bounded reservoir mode is available for very long runs.
+style histograms, so the histogram simply keeps every sample in an
+``array('d')``: 8 bytes a sample.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
-from typing import Dict, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Sequence
 
 __all__ = ["LatencyHistogram"]
 
@@ -21,29 +19,16 @@ __all__ = ["LatencyHistogram"]
 class LatencyHistogram:
     """Collects latency samples (seconds) and computes summary statistics.
 
-    Parameters
-    ----------
-    reservoir_size:
-        If ``None`` (default), every sample is kept and percentiles are
-        exact.  Otherwise a uniform reservoir of that size is maintained,
-        bounding memory at the cost of a small sampling error.
-    rng:
-        Random generator used only in reservoir mode.
+    Every sample is kept, so percentiles are exact.  The first query after
+    the samples grew sorts them in place; no statistic depends on their
+    insertion order.
     """
 
-    def __init__(
-        self,
-        reservoir_size: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        if reservoir_size is not None and reservoir_size < 1:
-            raise ValueError("reservoir_size must be >= 1 when given")
-        self._reservoir_size = reservoir_size
-        # Constructed lazily: a Generator costs tens of microseconds to build
-        # and is only needed in reservoir mode, while histograms are created
-        # in bulk (one per datacenter per run, plus ad-hoc ones in tests).
-        self._rng = rng
+    def __init__(self) -> None:
         self._samples = array("d")
+        #: Length of the sorted prefix of ``_samples``: recording and merging
+        #: append past it, which is what tells a query to sort again.
+        self._sorted = 0
         self._count = 0
         self._total = 0.0
         self._min = float("inf")
@@ -60,18 +45,7 @@ class LatencyHistogram:
             self._min = latency
         if latency > self._max:
             self._max = latency
-        if self._reservoir_size is None:
-            self._samples.append(latency)
-        elif len(self._samples) < self._reservoir_size:
-            self._samples.append(latency)
-        else:
-            # Vitter's algorithm R: replace a random slot with prob k/n.
-            rng = self._rng
-            if rng is None:
-                rng = self._rng = np.random.default_rng(0)
-            slot = int(rng.integers(0, self._count))
-            if slot < self._reservoir_size:
-                self._samples[slot] = latency
+        self._samples.append(latency)
 
     def record_many(self, latencies: Sequence[float]) -> None:
         """Add several samples at once."""
@@ -79,21 +53,13 @@ class LatencyHistogram:
             self.record(latency)
 
     def merge(self, other: "LatencyHistogram") -> None:
-        """Fold another histogram's samples into this one.
-
-        In reservoir mode only the other histogram's retained samples are
-        folded in (an unavoidable approximation once samples were discarded).
-        """
-        if self._reservoir_size is None:
-            self._samples.extend(other._samples)
-            self._count += other._count
-            self._total += other._total
-            if other._count:
-                self._min = min(self._min, other._min)
-                self._max = max(self._max, other._max)
-        else:
-            for sample in other._samples:
-                self.record(sample)
+        """Fold another histogram's samples into this one."""
+        self._samples.extend(other._samples)
+        self._count += other._count
+        self._total += other._total
+        if other._count:
+            self._min = min(self._min, other._min)
+            self._max = max(self._max, other._max)
 
     # ------------------------------------------------------------------
     @property
@@ -117,16 +83,39 @@ class LatencyHistogram:
         return self._max if self._count else 0.0
 
     def percentile(self, q: float) -> float:
-        """The ``q``-th percentile (``q`` in [0, 100]); 0.0 when empty."""
+        """The ``q``-th percentile (``q`` in [0, 100]); 0.0 when empty.
+
+        NumPy's default ``"linear"`` rule, to the last bit: interpolate
+        between the two samples around rank ``(n - 1) * q / 100``, from the
+        nearer end.
+        """
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {q!r}")
-        if not self._samples:
+        samples = self.sorted_samples()
+        last = len(samples) - 1
+        if last < 0:
             return 0.0
-        return float(np.percentile(self._samples, q))
+        virtual = last * (q / 100)
+        below = int(virtual)
+        if below >= last:
+            return samples[last]
+        low, high = samples[below], samples[below + 1]
+        gamma = virtual - below
+        if gamma >= 0.5:
+            return high - (high - low) * (1 - gamma)
+        return low + (high - low) * gamma
 
     def sorted_samples(self) -> array:
-        """The retained samples in ascending order, as C doubles."""
-        return array("d", sorted(self._samples))
+        """The samples in ascending order, as C doubles.
+
+        This is the histogram's own array, sorted once per growth: read it,
+        do not modify it.
+        """
+        samples = self._samples
+        if self._sorted != len(samples):
+            samples = self._samples = array("d", sorted(samples))
+            self._sorted = len(samples)
+        return samples
 
     def p50(self) -> float:
         """Median latency."""
@@ -141,9 +130,11 @@ class LatencyHistogram:
 
     def stddev(self) -> float:
         """Sample standard deviation (0.0 with fewer than two samples)."""
-        if len(self._samples) < 2:
+        samples = self._samples
+        if len(samples) < 2:
             return 0.0
-        return float(np.std(self._samples, ddof=1))
+        mean = math.fsum(samples) / len(samples)
+        return math.sqrt(math.fsum((x - mean) ** 2 for x in samples) / (len(samples) - 1))
 
     def summary(self) -> Dict[str, float]:
         """All headline statistics in one dict (seconds)."""

@@ -111,7 +111,7 @@ class RunSeriesRecorder:
         now = self.cluster.engine.now
         if self.auditor is not None:
             stats = self.auditor.stats
-            judged, stale = stats.judged, stats.stale
+            judged, stale = stats.judged_reads, stats.stale_reads
             d_judged = judged - self._prev_judged
             d_stale = stale - self._prev_stale
             self._prev_judged, self._prev_stale = judged, stale

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.metrics.counters import StalenessSummary
 from repro.metrics.histogram import LatencyHistogram
 from repro.staleness.stats import StalenessStats
 from repro.workload.executor import RunMetrics
@@ -31,19 +30,10 @@ _COUNTER_FIELDS = (
     "downgrades",
 )
 
-_STALENESS_FIELDS = ("total_reads", "stale_reads", "fresh_reads", "unknown_reads")
-
 
 def _merge_count_dict(target: Dict[str, int], source: Dict[str, int]) -> None:
     for key, count in source.items():
         target[key] = target.get(key, 0) + count
-
-
-def _merge_staleness_summary(target: StalenessSummary, source: StalenessSummary) -> None:
-    for name in _STALENESS_FIELDS:
-        setattr(target, name, getattr(target, name) + getattr(source, name))
-    _merge_count_dict(target.per_level, source.per_level)
-    _merge_count_dict(target.stale_per_level, source.stale_per_level)
 
 
 def merge_run_metrics(parts: Sequence[RunMetrics]) -> RunMetrics:
@@ -61,11 +51,6 @@ def merge_run_metrics(parts: Sequence[RunMetrics]) -> RunMetrics:
         workload_name=first.workload_name,
         threads=sum(p.threads for p in parts),
     )
-    total_ops = 0
-    longest = 0.0
-    has_stats = any(p.staleness_stats is not None for p in parts)
-    if has_stats:
-        merged.staleness_stats = StalenessStats()
     for part in parts:
         merged.read_latency.merge(part.read_latency)
         merged.write_latency.merge(part.write_latency)
@@ -74,9 +59,7 @@ def merge_run_metrics(parts: Sequence[RunMetrics]) -> RunMetrics:
             setattr(
                 merged.counters, name, getattr(merged.counters, name) + getattr(part.counters, name)
             )
-        total_ops += part.throughput.operations
-        longest = max(longest, part.throughput.elapsed)
-        _merge_staleness_summary(merged.staleness, part.staleness)
+        merged.staleness.merge(part.staleness)
         _merge_count_dict(merged.consistency_level_usage, part.consistency_level_usage)
         _merge_count_dict(merged.downgrade_usage, part.downgrade_usage)
         _merge_count_dict(merged.control_decisions, part.control_decisions)
@@ -85,23 +68,12 @@ def merge_run_metrics(parts: Sequence[RunMetrics]) -> RunMetrics:
             if target is None:
                 target = merged.read_latency_by_dc[dc] = LatencyHistogram()
             target.merge(histogram)
-        for dc, staleness in part.staleness_by_dc.items():
+        for dc, stats in part.staleness_by_dc.items():
             target = merged.staleness_by_dc.get(dc)
             if target is None:
-                target = merged.staleness_by_dc[dc] = StalenessSummary()
-            _merge_staleness_summary(target, staleness)
-        if part.staleness_stats is not None:
-            merged.staleness_stats.merge(part.staleness_stats)
-        for dc, stats in part.staleness_stats_by_dc.items():
-            target = merged.staleness_stats_by_dc.get(dc)
-            if target is None:
-                target = merged.staleness_stats_by_dc[dc] = StalenessStats()
+                target = merged.staleness_by_dc[dc] = StalenessStats()
             target.merge(stats)
+        # Every shard starts at the same aligned instant, so the merged run
+        # phase (and the throughput window) is the longest shard's.
         merged.duration = max(merged.duration, part.duration)
-    # The merged throughput window spans the common start to the latest
-    # shard's end; every shard starts at the same aligned instant, so the
-    # window length is just the longest per-shard elapsed time.
-    merged.throughput.start(0.0)
-    merged.throughput.record(total_ops)
-    merged.throughput.stop(longest)
     return merged

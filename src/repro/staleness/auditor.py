@@ -30,9 +30,11 @@ see :mod:`repro.staleness.stats`):
   than the returned cell (0 for fresh reads; a miss on a written key counts
   every acknowledged version as missed).
 
-The aggregates are exposed as :attr:`StalenessAuditor.stats` (cluster-wide)
-and :attr:`StalenessAuditor.stats_by_dc` (keyed by the datacenter of the
-coordinator that served the read).
+Each verdict, unknown ones included, updates one aggregate per scope:
+:attr:`StalenessAuditor.stats` (cluster-wide) and
+:attr:`StalenessAuditor.stats_by_dc` (keyed by the datacenter of the
+coordinator that served the read, in first-read order).  They are the run's
+only staleness account: the executor hands them to its metrics as they are.
 """
 
 from __future__ import annotations
@@ -109,13 +111,10 @@ class StalenessAuditor:
     def __init__(self) -> None:
         self._history: Dict[str, _KeyHistory] = {}
         self.writes_observed = 0
-        self.reads_judged = 0
-        self.stale_reads = 0
-        self.fresh_reads = 0
-        self.unknown_reads = 0
-        #: Cluster-wide staleness-age / version-lag aggregates.
+        #: Cluster-wide verdict counts and staleness-age / version-lag aggregates.
         self.stats = StalenessStats()
-        #: Per-datacenter aggregates, keyed by the coordinator's datacenter.
+        #: Per-datacenter aggregates, keyed by the coordinator's datacenter;
+        #: a site's scope is created at its first read, whatever the verdict.
         self.stats_by_dc: Dict[str, StalenessStats] = {}
 
     # ------------------------------------------------------------------
@@ -141,11 +140,18 @@ class StalenessAuditor:
         ``False`` -- fresh,
         ``None``  -- no acknowledged write existed before the read was issued.
         """
+        datacenter = result.datacenter
+        by_dc: Optional[StalenessStats] = None
+        if datacenter is not None:
+            by_dc = self.stats_by_dc.get(datacenter)
+            if by_dc is None:
+                by_dc = self.stats_by_dc[datacenter] = StalenessStats()
         history = self._history.get(key)
         acked = history.acked_before(result.started_at) if history else 0
-        self.reads_judged += 1
         if acked == 0:
-            self.unknown_reads += 1
+            self.stats.record_unknown()
+            if by_dc is not None:
+                by_dc.record_unknown()
             return None
         assert history is not None
         expected = (history.timestamps[acked - 1], history.value_ids[acked - 1])
@@ -154,46 +160,15 @@ class StalenessAuditor:
             # The key had an acknowledged write but the read saw nothing at
             # all: that is the most stale a read can be -- it missed every
             # acknowledged version.
-            self.stale_reads += 1
-            self._quantify(result, stale=True, history=history, acked=acked, k=acked)
-            return True
-        version = (cell.timestamp, cell.value_id)
-        stale = version < expected
-        if stale:
-            self.stale_reads += 1
-            self._quantify(
-                result,
-                stale=True,
-                history=history,
-                acked=acked,
-                k=history.lag_of(version, acked),
-            )
+            k = acked
         else:
-            self.fresh_reads += 1
-            self._quantify(result, stale=False, history=history, acked=acked, k=0)
-        return stale
-
-    def _quantify(
-        self,
-        result: OperationResult,
-        *,
-        stale: bool,
-        history: _KeyHistory,
-        acked: int,
-        k: int,
-    ) -> None:
-        """Feed the verdict's age/lag into the per-scope aggregates."""
-        datacenter = result.datacenter
-        by_dc: Optional[StalenessStats] = None
-        if datacenter is not None:
-            by_dc = self.stats_by_dc.get(datacenter)
-            if by_dc is None:
-                by_dc = self.stats_by_dc[datacenter] = StalenessStats()
-        if not stale:
-            self.stats.record_fresh()
-            if by_dc is not None:
-                by_dc.record_fresh()
-            return
+            version = (cell.timestamp, cell.value_id)
+            if version >= expected:
+                self.stats.record_fresh()
+                if by_dc is not None:
+                    by_dc.record_fresh()
+                return False
+            k = history.lag_of(version, acked)
         # The newest missed write is exactly the expected version: its ack
         # time is strictly before the read's start (bisect_left semantics),
         # so the age is strictly positive.
@@ -201,19 +176,11 @@ class StalenessAuditor:
         self.stats.record_stale(age, k)
         if by_dc is not None:
             by_dc.record_stale(age, k)
+        return True
 
     # ------------------------------------------------------------------
     # Summary
     # ------------------------------------------------------------------
-    @property
-    def judged(self) -> int:
-        """Number of reads that received a definite verdict."""
-        return self.stale_reads + self.fresh_reads
-
-    def stale_rate(self) -> float:
-        """Fraction of judged reads that were stale."""
-        return self.stale_reads / self.judged if self.judged else 0.0
-
     def newest_acknowledged(self, key: str) -> Optional[Version]:
         """The newest acknowledged (timestamp, value_id) for ``key``, if any."""
         history = self._history.get(key)
@@ -228,6 +195,6 @@ class StalenessAuditor:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"StalenessAuditor(judged={self.judged}, stale={self.stale_reads}, "
-            f"rate={self.stale_rate():.3f})"
+            f"StalenessAuditor(judged={self.stats.judged_reads}, "
+            f"stale={self.stats.stale_reads}, rate={self.stats.stale_rate():.3f})"
         )

@@ -13,7 +13,8 @@ distributions rather than a single rate:
   the returned cell is behind.  Fresh reads sit at ``k = 0``.
 
 One :class:`StalenessStats` instance aggregates one scope (the whole
-cluster, or one datacenter); the auditor feeds it as verdicts are produced,
+cluster, or one datacenter) and is that scope's only tally of read verdicts,
+the stale-read rate included; the auditor feeds it as verdicts are produced,
 so the aggregation adds zero simulated cost and consumes no randomness.
 """
 
@@ -47,26 +48,30 @@ DEFAULT_T_GRID = (
 
 
 class StalenessStats:
-    """Exact staleness-age and version-lag aggregates of one scope."""
+    """Verdict counts and exact staleness-age / version-lag aggregates of one scope."""
 
     def __init__(self) -> None:
-        #: Reads with a definite verdict (stale or fresh); unknown reads are
-        #: excluded, mirroring :class:`~repro.staleness.auditor.StalenessAuditor`.
-        self.judged = 0
-        self.stale = 0
+        #: Reads with a definite verdict (stale or fresh).
+        self.judged_reads = 0
+        self.stale_reads = 0
+        #: Reads with no acknowledged prior write: no verdict, so they are
+        #: excluded from every rate and aggregate below.
+        self.unknown_reads = 0
         #: Staleness-age histogram over stale reads only (exact percentiles
         #: of "how stale were the stale reads"): one sample per stale read,
         #: fresh reads having age 0 implicitly.
         self.stale_age_histogram = LatencyHistogram()
-        self._sorted_ages: Optional[Sequence[float]] = None
         #: Version lag -> read count, including ``k = 0`` for fresh reads.
         self.k_counts: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Recording (called by the auditor per verdict)
     # ------------------------------------------------------------------
+    def record_unknown(self) -> None:
+        self.unknown_reads += 1
+
     def record_fresh(self) -> None:
-        self.judged += 1
+        self.judged_reads += 1
         self.k_counts[0] = self.k_counts.get(0, 0) + 1
 
     def record_stale(self, age: float, k: int) -> None:
@@ -74,9 +79,8 @@ class StalenessStats:
             age = 0.0
         if k < 1:
             k = 1
-        self.judged += 1
-        self.stale += 1
-        self._sorted_ages = None
+        self.judged_reads += 1
+        self.stale_reads += 1
         self.stale_age_histogram.record(age)
         self.k_counts[k] = self.k_counts.get(k, 0) + 1
 
@@ -87,9 +91,9 @@ class StalenessStats:
         cluster-wide view; all aggregates here are order-insensitive except
         the histogram's samples, which the age queries re-sort.
         """
-        self.judged += other.judged
-        self.stale += other.stale
-        self._sorted_ages = None
+        self.judged_reads += other.judged_reads
+        self.stale_reads += other.stale_reads
+        self.unknown_reads += other.unknown_reads
         self.stale_age_histogram.merge(other.stale_age_histogram)
         for k, count in other.k_counts.items():
             self.k_counts[k] = self.k_counts.get(k, 0) + count
@@ -97,13 +101,9 @@ class StalenessStats:
     # ------------------------------------------------------------------
     # t-visibility
     # ------------------------------------------------------------------
-    def _ages_sorted(self) -> Sequence[float]:
-        if self._sorted_ages is None:
-            self._sorted_ages = self.stale_age_histogram.sorted_samples()
-        return self._sorted_ages
-
     def stale_rate(self) -> float:
-        return self.stale / self.judged if self.judged else 0.0
+        """Fraction of judged reads that were stale (0.0 when nothing judged)."""
+        return self.stale_reads / self.judged_reads if self.judged_reads else 0.0
 
     def stale_beyond(self, t: float) -> float:
         """Fraction of judged reads whose staleness age exceeds ``t``.
@@ -112,7 +112,7 @@ class StalenessStats:
         because every stale read has a strictly positive age (the missed
         write was acknowledged strictly before the read started).
         """
-        return self.violations_beyond(t) / self.judged if self.judged else 0.0
+        return self.violations_beyond(t) / self.judged_reads if self.judged_reads else 0.0
 
     def t_visibility(self, t: float) -> float:
         """P(a read is at most ``t`` seconds stale) -- 1 minus stale_beyond."""
@@ -129,7 +129,7 @@ class StalenessStats:
 
     def violations_beyond(self, t: float) -> int:
         """Count of judged reads staler than ``t`` (the SLA policy's signal)."""
-        ages = self._ages_sorted()
+        ages = self.stale_age_histogram.sorted_samples()
         return len(ages) - bisect.bisect_right(ages, t)
 
     def age_percentile(self, q: float) -> float:
@@ -140,15 +140,15 @@ class StalenessStats:
         reads were.  Uses the nearest-rank definition (deterministic,
         machine-independent).
         """
-        if self.judged == 0:
+        if self.judged_reads == 0:
             return 0.0
         if not 0 <= q <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {q!r}")
-        rank = max(1, math.ceil(q / 100.0 * self.judged))
-        fresh = self.judged - self.stale
+        rank = max(1, math.ceil(q / 100.0 * self.judged_reads))
+        fresh = self.judged_reads - self.stale_reads
         if rank <= fresh:
             return 0.0
-        return self._ages_sorted()[rank - fresh - 1]
+        return self.stale_age_histogram.sorted_samples()[rank - fresh - 1]
 
     # ------------------------------------------------------------------
     # k-staleness
@@ -161,16 +161,16 @@ class StalenessStats:
         return max(self.k_counts) if self.k_counts else 0
 
     def mean_k(self) -> float:
-        if self.judged == 0:
+        if self.judged_reads == 0:
             return 0.0
-        return sum(k * n for k, n in self.k_counts.items()) / self.judged
+        return sum(k * n for k, n in self.k_counts.items()) / self.judged_reads
 
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, object]:
         """One flat dict for reports and benchmark JSON."""
         return {
-            "judged": self.judged,
-            "stale": self.stale,
+            "judged": self.judged_reads,
+            "stale": self.stale_reads,
             "stale_rate": round(self.stale_rate(), 6),
             "age_p50_ms": round(self.age_percentile(50) * 1e3, 3),
             "age_p95_ms": round(self.age_percentile(95) * 1e3, 3),
@@ -183,6 +183,6 @@ class StalenessStats:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"StalenessStats(judged={self.judged}, stale={self.stale}, "
+            f"StalenessStats(judged={self.judged_reads}, stale={self.stale_reads}, "
             f"age_p99={self.age_percentile(99):.4f}s, k_max={self.max_k()})"
         )

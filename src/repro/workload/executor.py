@@ -27,9 +27,10 @@ from repro.cluster.consistency import ConsistencyLevel
 from repro.cluster.coordinator import OperationResult
 from repro.control.plane import ControlPlane, LevelPolicy
 from repro.control.retry import RetryPolicy
-from repro.metrics.counters import OperationCounters, StalenessSummary, ThroughputMeter
+from repro.metrics.counters import OperationCounters
 from repro.metrics.histogram import LatencyHistogram
 from repro.metrics.series import TimeSeries
+from repro.staleness.stats import StalenessStats
 from repro.workload.client import ClientThread, CompletionBatch
 from repro.workload.workloads import CoreWorkload, Operation, OperationType, WorkloadConfig
 
@@ -48,10 +49,11 @@ class RunMetrics:
         Latency histograms in seconds.
     counters:
         Operation counts by type and outcome.
-    throughput:
-        Overall operations per second over the run phase.
     staleness:
-        Stale/fresh verdict counts (filled in when an auditor is attached).
+        The run's read verdicts: the auditor's cluster-wide
+        :class:`~repro.staleness.stats.StalenessStats` (stale / judged /
+        unknown counts, t-visibility, k-staleness, staleness-age
+        percentiles); an empty one without an auditor.
     consistency_level_usage:
         How many reads were issued at each consistency level -- shows the
         adaptive controller actually switching levels.
@@ -59,7 +61,8 @@ class RunMetrics:
         Time series of the controller's stale-read estimates (Harmony only).
     read_latency_by_dc / staleness_by_dc:
         Per-datacenter splits of the read latency and staleness metrics,
-        keyed by the datacenter of the coordinator that served the read.
+        keyed by the datacenter of the coordinator that served the read, in
+        first-read order (``staleness_by_dc`` is the auditor's own map).
         Populated whenever the cluster reports coordinator datacenters
         (always, in practice); what the geo benchmark compares per site.
     downgrade_usage:
@@ -70,11 +73,6 @@ class RunMetrics:
         ``"policy.kind"`` -> decision count of the run's control plane
         (empty when nothing on it decided anything) -- shows the adaptive
         loops actually moving knobs.
-    staleness_stats / staleness_stats_by_dc:
-        Quantitative staleness aggregates
-        (:class:`~repro.staleness.stats.StalenessStats`: t-visibility,
-        k-staleness, staleness-age percentiles), cluster-wide and per
-        datacenter; ``None`` / empty without an auditor.
     duration:
         Virtual duration of the run phase in seconds.
     """
@@ -86,21 +84,21 @@ class RunMetrics:
     write_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
     overall_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
     counters: OperationCounters = field(default_factory=OperationCounters)
-    throughput: ThroughputMeter = field(default_factory=ThroughputMeter)
-    staleness: StalenessSummary = field(default_factory=StalenessSummary)
+    staleness: StalenessStats = field(default_factory=StalenessStats)
     consistency_level_usage: Dict[str, int] = field(default_factory=dict)
     estimate_series: TimeSeries = field(default_factory=lambda: TimeSeries("stale_estimate"))
     read_latency_by_dc: Dict[str, LatencyHistogram] = field(default_factory=dict)
-    staleness_by_dc: Dict[str, StalenessSummary] = field(default_factory=dict)
+    staleness_by_dc: Dict[str, StalenessStats] = field(default_factory=dict)
     downgrade_usage: Dict[str, int] = field(default_factory=dict)
     control_decisions: Dict[str, int] = field(default_factory=dict)
-    staleness_stats: Optional[object] = None
-    staleness_stats_by_dc: Dict[str, object] = field(default_factory=dict)
     duration: float = 0.0
 
     def ops_per_second(self) -> float:
-        """Overall throughput of the run phase."""
-        return self.throughput.ops_per_second()
+        """Overall throughput of the run phase: completed reads and writes
+        per second of ``duration`` (0.0 for an empty window)."""
+        if self.duration <= 0:
+            return 0.0
+        return (self.counters.reads + self.counters.writes) / self.duration
 
     def summary(self) -> Dict[str, object]:
         """One flat row summarising the run (used by figure tables)."""
@@ -115,14 +113,8 @@ class RunMetrics:
             "write_p99_ms": round(self.write_latency.p99() * 1e3, 3),
             "stale_reads": self.staleness.stale_reads,
             "stale_rate": round(self.staleness.stale_rate(), 4),
-            "stale_age_p99_ms": (
-                round(self.staleness_stats.age_percentile(99) * 1e3, 3)
-                if self.staleness_stats is not None
-                else 0.0
-            ),
-            "k_max": (
-                self.staleness_stats.max_k() if self.staleness_stats is not None else 0
-            ),
+            "stale_age_p99_ms": round(self.staleness.age_percentile(99) * 1e3, 3),
+            "k_max": self.staleness.max_k(),
             "unavailable": self.counters.unavailable,
             "retries": self.counters.retries,
             "downgrades": self.counters.downgrades,
@@ -148,8 +140,9 @@ class WorkloadExecutor:
     threads:
         Number of closed-loop client threads.
     auditor:
-        Optional staleness auditor; when given, every read gets a
-        fresh/stale verdict recorded into the metrics.
+        Optional staleness auditor; when given, it judges every read, and
+        its per-scope aggregates are the metrics' ``staleness`` and
+        ``staleness_by_dc``.
     think_time:
         Per-thread delay between operations (default 0, a tight closed loop).
     retry_policy:
@@ -221,6 +214,9 @@ class WorkloadExecutor:
             workload_name=workload_config.name,
             threads=self.threads,
         )
+        if auditor is not None:
+            self.metrics.staleness = auditor.stats
+            self.metrics.staleness_by_dc = auditor.stats_by_dc
         self._loaded = False
         self._start_time = 0.0
         self._clients: List[ClientThread] = []
@@ -260,7 +256,6 @@ class WorkloadExecutor:
         engine = self.cluster.engine
         start_time = engine.now
         self._start_time = start_time
-        self.metrics.throughput.start(start_time)
 
         # One completion batch shared by every client: a burst of completions
         # at one instant costs one flush event, not one wake-up event each.
@@ -311,21 +306,11 @@ class WorkloadExecutor:
             client.stop()
 
     def finalize_run(self) -> RunMetrics:
-        """Close the measurement window and capture plane/auditor state."""
-        engine = self.cluster.engine
-        end_time = engine.now
-        self.metrics.throughput.stop(end_time)
-        self.metrics.duration = end_time - self._start_time
+        """Close the measurement window and capture the plane's state."""
+        self.metrics.duration = self.cluster.engine.now - self._start_time
         self.plane.stop()
         self.metrics.estimate_series = self.plane.estimate_series
         self.metrics.control_decisions = self.plane.decision_counts
-        # Capture the auditor's quantitative staleness aggregates, if any.
-        stats = getattr(self.auditor, "stats", None)
-        if stats is not None:
-            self.metrics.staleness_stats = stats
-            self.metrics.staleness_stats_by_dc = dict(
-                getattr(self.auditor, "stats_by_dc", {}) or {}
-            )
         return self.metrics
 
     def run(self) -> RunMetrics:
@@ -410,7 +395,6 @@ class WorkloadExecutor:
             return
         latency = result.completed_at - result.started_at
         metrics.overall_latency.record(latency)
-        metrics.throughput.record()
         if result.op_type == "read":
             counters.reads += 1
             metrics.read_latency.record(latency)
@@ -430,13 +414,7 @@ class WorkloadExecutor:
                     by_dc = metrics.read_latency_by_dc[datacenter] = LatencyHistogram()
                 by_dc.record(latency)
             if self.auditor is not None:
-                stale = self.auditor.judge(operation.key, result)
-                metrics.staleness.record(level_name, stale)
-                if datacenter is not None:
-                    stale_dc = metrics.staleness_by_dc.get(datacenter)
-                    if stale_dc is None:
-                        stale_dc = metrics.staleness_by_dc[datacenter] = StalenessSummary()
-                    stale_dc.record(level_name, stale)
+                self.auditor.judge(operation.key, result)
         else:
             counters.writes += 1
             metrics.write_latency.record(latency)

@@ -53,7 +53,8 @@ def run(policy: LevelPolicy, seed: int = 0, threads: int = 8, rf: int = 3):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_strong_reads_are_never_stale(seed):
     _, metrics, auditor = run(StaticStrongPolicy(), seed=seed)
-    assert auditor.stale_reads == 0
+    assert metrics.staleness is auditor.stats
+    assert metrics.staleness.judged_reads > 0
     assert metrics.staleness.stale_reads == 0
 
 
@@ -69,8 +70,8 @@ def test_strong_reads_are_never_stale(seed):
 def test_quorum_intersection_implies_zero_staleness(read, write):
     assert is_strongly_consistent(read, write, 3)
     policy = LevelPolicy(read, write, name=f"{read.value}+{write.value}")
-    _, metrics, auditor = run(policy, seed=3)
-    assert auditor.stale_reads == 0
+    _, metrics, _ = run(policy, seed=3)
+    assert metrics.staleness.stale_reads == 0
 
 
 def test_eventual_consistency_produces_stale_reads_under_heavy_updates():

@@ -19,7 +19,7 @@ from repro.faults.schedule import DatacenterOutage, FaultInjector, FaultSchedule
 from repro.faults.timeline import FaultTimeline
 from repro.staleness.auditor import StalenessAuditor
 from repro.workload.executor import WorkloadExecutor
-from repro.workload.workloads import WORKLOAD_B
+from repro.workload.workloads import WORKLOAD_B, WORKLOAD_D
 
 ISOLATED = "sophia"
 SURVIVORS = ("rennes", "nancy")
@@ -180,7 +180,9 @@ class TestWindowedQueriesMatchTheOperationLog:
     """The timeline's four windowed queries against a naive recomputation from
     a plain list of every :class:`OperationResult`, on a run where Sophia goes
     dark: LOCAL_ONE clients there get Unavailable reads and writes, while the
-    other sites keep serving (and reading stale)."""
+    other sites keep serving (and reading stale).  Workload D's reads of the
+    latest inserts also meet keys with no acknowledged write yet, so the run
+    has unknown verdicts too."""
 
     DOWN, UP = 1.0, 3.0
 
@@ -196,9 +198,19 @@ class TestWindowedQueriesMatchTheOperationLog:
         timeline.attach(cluster)
         results = []
         cluster.add_operation_observer(results.append)
+        # (datacenter, verdict) of every read the run's auditor judged.
+        returned = []
+        judge = timeline.judge
+
+        def recording_judge(key, result):
+            verdict = judge(key, result)
+            returned.append((result.datacenter, verdict))
+            return verdict
+
+        timeline.judge = recording_judge
         executor = WorkloadExecutor(
             cluster,
-            WORKLOAD_B.scaled(record_count=60, operation_count=1500),
+            WORKLOAD_D.scaled(record_count=60, operation_count=1500),
             make_policy("local_one", scenario),
             threads=9,
             auditor=timeline,
@@ -207,7 +219,7 @@ class TestWindowedQueriesMatchTheOperationLog:
         )
         loaded = executor.load()
         FaultInjector(cluster, scenario.fault_schedule).arm()
-        executor.run()
+        metrics = executor.run()
         # The verdicts, re-derived by replaying the list through a plain auditor.
         replay = StalenessAuditor()
         for result in loaded:
@@ -220,13 +232,13 @@ class TestWindowedQueriesMatchTheOperationLog:
                 verdicts[id(result)] = replay.judge(result.key, result)
             else:
                 replay.observe_write(result)
-        assert sum(r.unavailable for r in results) > 0 and replay.stale_reads > 0
-        return timeline, results, verdicts
+        assert sum(r.unavailable for r in results) > 0 and replay.stats.stale_reads > 0
+        return timeline, results, verdicts, metrics, returned
 
     @pytest.mark.parametrize("op_type", [None, "read", "write"])
     @pytest.mark.parametrize("datacenter", [None, "rennes", "nancy", ISOLATED, "nowhere"])
     def test_queries_equal_a_naive_recomputation(self, run, datacenter, op_type):
-        timeline, results, verdicts = run
+        timeline, results, verdicts, _, _ = run
         windows = [(0.0, self.DOWN), (self.DOWN, self.UP), (self.UP, float("inf"))]
         for start, end in windows:
             selected = [
@@ -249,3 +261,27 @@ class TestWindowedQueriesMatchTheOperationLog:
                 assert timeline.stale_rate_in(start, end, datacenter) == (
                     sum(judged) / len(judged) if judged else None
                 )
+
+    def test_the_staleness_account_is_a_recount_of_the_verdicts(self, run):
+        timeline, results, verdicts, metrics, returned = run
+        assert metrics.staleness is timeline.stats
+        assert len(returned) == metrics.counters.reads  # Unavailable reads are never judged
+        assert [v for _, v in returned] == [
+            verdicts[id(r)] for r in results if r.op_type == "read" and not r.unavailable
+        ]
+        assert None in verdicts.values() and True in verdicts.values()
+        by_dc = {}
+        for datacenter, verdict in returned:
+            by_dc.setdefault(datacenter, []).append(verdict)
+
+        def recount(verdicts):
+            unknown = verdicts.count(None)
+            return unknown, len(verdicts) - unknown, verdicts.count(True)
+
+        def account(stats):
+            return stats.unknown_reads, stats.judged_reads, stats.stale_reads
+
+        assert account(metrics.staleness) == recount([v for _, v in returned])
+        assert list(metrics.staleness_by_dc) == list(by_dc)
+        for datacenter, dc_verdicts in by_dc.items():
+            assert account(metrics.staleness_by_dc[datacenter]) == recount(dc_verdicts)

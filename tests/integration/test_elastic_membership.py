@@ -120,7 +120,7 @@ class TestWorkloadUnderTopologyChange:
             decommission_node=cluster.members[-1],
         )
         assert [t.state for t in manager.history] == ["done", "done"]
-        assert timeline.judged > 100  # the run actually exercised reads
+        assert timeline.stats.judged_reads > 100  # the run actually exercised reads
         _check(cluster, timeline, heal, end)
 
     def test_streaming_source_crash_mid_transfer(self):

@@ -119,8 +119,11 @@ class TestGeoWorkload:
         metrics = executor.run()
         # Every site served reads, and the per-DC split covers them all.
         assert set(metrics.read_latency_by_dc) == {"alpha", "beta", "gamma"}
-        split_total = sum(s.total_reads for s in metrics.staleness_by_dc.values())
-        assert split_total == metrics.staleness.total_reads
+        assert list(metrics.staleness_by_dc) == list(metrics.read_latency_by_dc)
+        split_total = sum(
+            s.judged_reads + s.unknown_reads for s in metrics.staleness_by_dc.values()
+        )
+        assert split_total == metrics.counters.reads
         # Only levels the geo controller can emit were issued (ALL is its
         # escalation when a site demands more than a local quorum).
         assert set(metrics.consistency_level_usage) <= {

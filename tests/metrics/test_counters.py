@@ -1,10 +1,8 @@
-"""Unit tests for operation counters, throughput meter and staleness summary."""
+"""Unit tests for the operation counters."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.metrics.counters import OperationCounters, StalenessSummary, ThroughputMeter
+from repro.metrics.counters import OperationCounters
 
 
 class TestOperationCounters:
@@ -14,80 +12,3 @@ class TestOperationCounters:
         data = counters.as_dict()
         assert data["total"] == 5
         assert data["read_misses"] == 1
-
-
-class TestThroughputMeter:
-    def test_ops_per_second(self):
-        meter = ThroughputMeter()
-        meter.start(10.0)
-        meter.record(50)
-        meter.record()
-        meter.stop(20.0)
-        assert meter.operations == 51
-        assert meter.elapsed == pytest.approx(10.0)
-        assert meter.ops_per_second() == pytest.approx(5.1)
-
-    def test_zero_window_returns_zero(self):
-        meter = ThroughputMeter()
-        meter.start(1.0)
-        meter.stop(1.0)
-        assert meter.ops_per_second() == 0.0
-
-    def test_stop_before_start_rejected(self):
-        meter = ThroughputMeter()
-        with pytest.raises(RuntimeError):
-            meter.stop(1.0)
-
-    def test_stop_earlier_than_start_rejected(self):
-        meter = ThroughputMeter()
-        meter.start(5.0)
-        with pytest.raises(ValueError):
-            meter.stop(4.0)
-
-    def test_negative_record_rejected(self):
-        meter = ThroughputMeter()
-        meter.start(0.0)
-        with pytest.raises(ValueError):
-            meter.record(-1)
-
-    def test_incomplete_window_reports_zero(self):
-        meter = ThroughputMeter()
-        meter.start(0.0)
-        meter.record(10)
-        assert meter.ops_per_second() == 0.0
-
-    def test_restart_resets_counters(self):
-        meter = ThroughputMeter()
-        meter.start(0.0)
-        meter.record(10)
-        meter.stop(1.0)
-        meter.start(2.0)
-        assert meter.operations == 0
-
-
-class TestStalenessSummary:
-    def test_record_and_rates(self):
-        summary = StalenessSummary()
-        summary.record("ONE", True)
-        summary.record("ONE", False)
-        summary.record("QUORUM", False)
-        summary.record("ONE", None)
-        assert summary.total_reads == 4
-        assert summary.stale_reads == 1
-        assert summary.fresh_reads == 2
-        assert summary.unknown_reads == 1
-        assert summary.judged_reads == 3
-        assert summary.stale_rate() == pytest.approx(1 / 3)
-        assert summary.per_level["ONE"] == 3
-        assert summary.stale_per_level["ONE"] == 1
-
-    def test_empty_summary_rate_is_zero(self):
-        assert StalenessSummary().stale_rate() == 0.0
-
-    def test_as_dict(self):
-        summary = StalenessSummary()
-        summary.record("ALL", False)
-        data = summary.as_dict()
-        assert data["total_reads"] == 1
-        assert data["stale_rate"] == 0.0
-        assert data["per_level"] == {"ALL": 1}

@@ -74,24 +74,6 @@ def test_merge_combines_samples():
     assert a.mean() == pytest.approx(0.0025)
 
 
-def test_reservoir_mode_bounds_memory_but_keeps_statistics_reasonable():
-    rng = np.random.default_rng(0)
-    hist = LatencyHistogram(reservoir_size=500, rng=rng)
-    values = rng.gamma(2.0, 0.005, size=20_000)
-    hist.record_many(values)
-    assert hist.count == 20_000
-    assert len(hist._samples) == 500
-    # Mean/min/max are exact; percentiles are approximate.
-    assert hist.mean() == pytest.approx(float(values.mean()), rel=1e-9)
-    assert hist.max() == pytest.approx(float(values.max()))
-    assert hist.p50() == pytest.approx(float(np.percentile(values, 50)), rel=0.2)
-
-
-def test_reservoir_size_validation():
-    with pytest.raises(ValueError):
-        LatencyHistogram(reservoir_size=0)
-
-
 def test_stddev_of_constant_samples_is_zero():
     hist = LatencyHistogram()
     hist.record_many([0.005] * 10)

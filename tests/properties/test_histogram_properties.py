@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.histogram import LatencyHistogram
@@ -37,6 +37,44 @@ def test_percentiles_are_monotone_in_q(values, q1, q2):
     hist.record_many(values)
     low, high = sorted((q1, q2))
     assert hist.percentile(low) <= hist.percentile(high) + 1e-12
+
+
+# Few distinct values, so samples repeat; and q's ends, integers and fractions.
+repeated_latencies = st.lists(
+    st.sampled_from([0.0, 1e-3, 2.5e-3, 0.1, 7.0]) | st.floats(0.0, 10.0),
+    min_size=1,
+    max_size=60,
+)
+percentiles = (
+    st.sampled_from([0.0, 50.0, 95.0, 99.0, 100.0]) | st.integers(0, 100) | st.floats(0, 100)
+)
+
+
+@given(values=latencies | repeated_latencies, q=percentiles)
+@example(values=[0.25], q=0.0)
+@example(values=[0.25], q=37.5)
+@example(values=[0.25], q=100.0)
+@example(values=[0.1, 0.1, 0.1, 0.3], q=62.5)
+@example(values=[0.0, 1.0, 2.0, 3.0], q=10.0)  # 3 * (10 / 100), not 3 * 10 / 100
+@settings(max_examples=400, deadline=None)
+def test_percentile_is_numpys_linear_rule_to_the_bit(values, q):
+    hist = LatencyHistogram()
+    hist.record_many(values)
+    assert hist.percentile(q) == float(np.percentile(values, q))
+
+
+@given(a=latencies, b=latencies, q=percentiles)
+@settings(max_examples=100, deadline=None)
+def test_recording_and_merging_after_a_query_are_seen_by_the_next(a, b, q):
+    hist = LatencyHistogram()
+    hist.record_many(a)
+    assert hist.percentile(q) == float(np.percentile(a, q))
+    other = LatencyHistogram()
+    other.record_many(b)
+    hist.merge(other)
+    assert hist.percentile(q) == float(np.percentile(a + b, q))
+    hist.record(b[0])
+    assert hist.percentile(q) == float(np.percentile(a + b + b[:1], q))
 
 
 @given(a=latencies, b=latencies)

@@ -52,26 +52,26 @@ def fault_run():
 
 class TestTVisibilityIsACDF:
     def test_monotone_non_decreasing(self, eventual_run):
-        stats = eventual_run.metrics.staleness_stats
-        assert stats.judged > 100  # the run produced a real sample
+        stats = eventual_run.metrics.staleness
+        assert stats.judged_reads > 100  # the run produced a real sample
         grid = [0.0, 1e-4, 1e-3, 2e-3, 5e-3, 1e-2, 5e-2, 1e-1, 1.0]
         values = [stats.t_visibility(t) for t in grid]
         assert values == sorted(values)
         assert all(0.0 <= v <= 1.0 for v in values)
 
     def test_anchored_at_stale_rate_and_one(self, eventual_run):
-        stats = eventual_run.metrics.staleness_stats
+        stats = eventual_run.metrics.staleness
         assert stats.t_visibility(0.0) == pytest.approx(1.0 - stats.stale_rate())
         assert stats.t_visibility(math.inf) == 1.0
 
     def test_ages_are_strictly_positive_and_bounded_by_the_run(self, eventual_run):
-        stats = eventual_run.metrics.staleness_stats
-        assert stats.stale > 0  # eventual consistency on a WAN: staleness exists
+        stats = eventual_run.metrics.staleness
+        assert stats.stale_reads > 0  # eventual consistency on a WAN: staleness exists
         assert stats.age_percentile(100) > 0.0
         assert stats.age_percentile(100) <= eventual_run.metrics.duration
 
     def test_per_dc_curves_are_cdfs_too(self, eventual_run):
-        by_dc = eventual_run.metrics.staleness_stats_by_dc
+        by_dc = eventual_run.metrics.staleness_by_dc
         assert set(by_dc) == set(GRID5000_3SITES.datacenter_names)
         for stats in by_dc.values():
             values = [stats.t_visibility(t) for t in (0.0, 1e-3, 1e-2, 1e-1)]
@@ -88,9 +88,9 @@ class TestQuorumCollapsesStaleness:
             seed=19,
             datacenters=GRID5000_3SITES.datacenter_names,
         )
-        stats = result.metrics.staleness_stats
-        assert stats.judged > 100
-        assert stats.stale == 0
+        stats = result.metrics.staleness
+        assert stats.judged_reads > 100
+        assert stats.stale_reads == 0
         assert stats.max_k() == 0
         assert set(stats.k_histogram()) <= {0}
         assert stats.t_visibility(0.0) == 1.0
@@ -98,10 +98,10 @@ class TestQuorumCollapsesStaleness:
 
 class TestScopesAgree:
     def test_per_dc_stats_partition_the_cluster_stats(self, eventual_run):
-        stats = eventual_run.metrics.staleness_stats
-        by_dc = eventual_run.metrics.staleness_stats_by_dc
-        assert sum(s.judged for s in by_dc.values()) == stats.judged
-        assert sum(s.stale for s in by_dc.values()) == stats.stale
+        stats = eventual_run.metrics.staleness
+        by_dc = eventual_run.metrics.staleness_by_dc
+        assert sum(s.judged_reads for s in by_dc.values()) == stats.judged_reads
+        assert sum(s.stale_reads for s in by_dc.values()) == stats.stale_reads
         merged = {}
         for dc_stats in by_dc.values():
             for k, count in dc_stats.k_histogram().items():
@@ -137,5 +137,5 @@ class TestScopesAgree:
                 judged += 1
                 stale += bool(verdict)
             start += width
-        assert judged == timeline.judged
-        assert stale / judged == pytest.approx(timeline.stale_rate())
+        assert judged == timeline.stats.judged_reads
+        assert stale / judged == pytest.approx(timeline.stats.stale_rate())

@@ -14,7 +14,10 @@ import json
 
 import pytest
 
+from repro.metrics.counters import OperationCounters
 from repro.sim.parallel import merge_run_metrics, run_parallel_experiment
+from repro.staleness.stats import StalenessStats
+from repro.workload.executor import RunMetrics
 from repro.workload.workloads import WORKLOAD_A
 
 SMALL = WORKLOAD_A.scaled(record_count=60, operation_count=240)
@@ -74,3 +77,43 @@ class TestMerge:
     def test_merge_rejects_empty(self):
         with pytest.raises(ValueError):
             merge_run_metrics([])
+
+    def test_merge_folds_hand_built_staleness_accounts(self):
+        def part(dc, unknown, fresh, stale_ages):
+            metrics = RunMetrics(policy_name="eventual", workload_name="A", threads=2)
+            by_dc = metrics.staleness_by_dc[dc] = StalenessStats()
+            for stats in (metrics.staleness, by_dc):
+                for _ in range(unknown):
+                    stats.record_unknown()
+                for _ in range(fresh):
+                    stats.record_fresh()
+                for age in stale_ages:
+                    stats.record_stale(age, 2)
+            return metrics
+
+        merged = merge_run_metrics(
+            [part("rennes", 3, 4, [0.02]), part("sophia", 1, 0, [0.01, 0.03])]
+        )
+        staleness = merged.staleness
+        assert (staleness.unknown_reads, staleness.judged_reads, staleness.stale_reads) == (4, 7, 3)
+        assert staleness.stale_rate() == 3 / 7
+        assert staleness.k_histogram() == {0: 4, 2: 3}
+        assert staleness.stale_age_histogram.sorted_samples().tolist() == [0.01, 0.02, 0.03]
+        assert list(merged.staleness_by_dc) == ["rennes", "sophia"]
+        sophia = merged.staleness_by_dc["sophia"]
+        assert (sophia.unknown_reads, sophia.judged_reads, sophia.stale_reads) == (1, 2, 2)
+
+
+def test_ops_per_second_is_completed_ops_over_the_run_phase():
+    empty = RunMetrics(policy_name="eventual", workload_name="A", threads=1)
+    empty.counters = OperationCounters(reads=5, writes=2)
+    assert empty.ops_per_second() == 0.0  # no window: duration 0
+    parts = []
+    for reads, writes, unavailable, duration in ((30, 10, 4, 2.0), (50, 10, 0, 4.0)):
+        part = RunMetrics(policy_name="eventual", workload_name="A", threads=1)
+        part.counters = OperationCounters(reads=reads, writes=writes, unavailable_reads=unavailable)
+        part.duration = duration
+        parts.append(part)
+    assert parts[0].ops_per_second() == 40 / 2.0  # rejections are not throughput
+    # Shards share one clock: the merged rate is every shard's ops over the longest shard.
+    assert merge_run_metrics(parts).ops_per_second() == 100 / 4.0

@@ -41,8 +41,9 @@ def test_read_with_no_prior_write_is_unknown():
     auditor = StalenessAuditor()
     verdict = auditor.judge("k", read_result("k", None, None, started_at=1.0))
     assert verdict is None
-    assert auditor.unknown_reads == 1
-    assert auditor.stale_rate() == 0.0
+    assert auditor.stats.unknown_reads == 1
+    assert auditor.stats.judged_reads == 0
+    assert auditor.stats.stale_rate() == 0.0
 
 
 def test_fresh_read_of_the_acknowledged_version():
@@ -50,7 +51,7 @@ def test_fresh_read_of_the_acknowledged_version():
     auditor.observe_write(write_result("k", ts=1.0, vid=0, completed_at=1.0))
     verdict = auditor.judge("k", read_result("k", 1.0, 0, started_at=2.0))
     assert verdict is False
-    assert auditor.fresh_reads == 1
+    assert (auditor.stats.judged_reads, auditor.stats.stale_reads) == (1, 0)
 
 
 def test_stale_read_returns_older_version():
@@ -59,8 +60,8 @@ def test_stale_read_returns_older_version():
     auditor.observe_write(write_result("k", ts=2.0, vid=1, completed_at=2.0))
     verdict = auditor.judge("k", read_result("k", 1.0, 0, started_at=3.0))
     assert verdict is True
-    assert auditor.stale_reads == 1
-    assert auditor.stale_rate() == 1.0
+    assert auditor.stats.stale_reads == 1
+    assert auditor.stats.stale_rate() == 1.0
 
 
 def test_write_acked_after_read_start_does_not_count():
@@ -135,6 +136,6 @@ def test_counters_and_keys_are_independent():
     auditor.observe_write(write_result("a", 2.0, 1, 2.0))
     assert auditor.judge("a", read_result("a", 1.0, 0, started_at=3.0)) is True
     assert auditor.judge("b", read_result("b", 1.0, 0, started_at=3.0)) is False
-    assert auditor.judged == 2
-    assert auditor.reads_judged == 2
-    assert auditor.stale_rate() == pytest.approx(0.5)
+    assert auditor.stats.judged_reads == 2
+    assert auditor.stats.unknown_reads == 0
+    assert auditor.stats.stale_rate() == pytest.approx(0.5)

@@ -86,7 +86,7 @@ class TestStalenessStats:
     def test_record_stale_clamps_degenerate_inputs(self):
         stats = StalenessStats()
         stats.record_stale(-0.5, 0)  # clock skew / caller bug: clamp, don't corrupt
-        assert stats.stale == 1
+        assert stats.stale_reads == 1
         assert stats.k_histogram() == {1: 1}
         assert stats.age_percentile(100) == 0.0
 
@@ -120,7 +120,7 @@ class TestAuditorQuantification:
         auditor.observe_write(write_result("k", ts=1.0, vid=0, completed_at=1.0))
         auditor.observe_write(write_result("k", ts=2.0, vid=1, completed_at=2.0))
         auditor.judge("k", read_result("k", 1.0, 0, started_at=2.25))
-        assert auditor.stats.stale == 1
+        assert auditor.stats.stale_reads == 1
         # Newest missed write (v1) acked at 2.0; read started at 2.25.
         assert auditor.stats.age_percentile(100) == pytest.approx(0.25)
 
@@ -141,13 +141,15 @@ class TestAuditorQuantification:
         auditor.judge("k", read_result("k", None, None, started_at=3.0))
         assert auditor.stats.k_histogram() == {2: 1}
 
-    def test_fresh_reads_record_k_zero_and_unknown_reads_record_nothing(self):
+    def test_fresh_reads_record_k_zero_and_unknown_reads_only_their_count(self):
         auditor = StalenessAuditor()
         auditor.judge("k", read_result("k", None, None, started_at=0.5))  # unknown
         auditor.observe_write(write_result("k", ts=1.0, vid=0, completed_at=1.0))
         auditor.judge("k", read_result("k", 1.0, 0, started_at=2.0))  # fresh
-        assert auditor.stats.judged == 1
+        assert auditor.stats.judged_reads == 1
+        assert auditor.stats.unknown_reads == 1
         assert auditor.stats.k_histogram() == {0: 1}
+        assert auditor.stats.stale_rate() == 0.0
 
     def test_per_dc_stats_split_by_coordinator_datacenter(self):
         auditor = StalenessAuditor()
@@ -159,17 +161,21 @@ class TestAuditorQuantification:
         fresh.datacenter = "sophia"
         auditor.judge("k", stale)
         auditor.judge("k", fresh)
-        assert auditor.stats.judged == 2
-        assert auditor.stats_by_dc["rennes"].stale == 1
-        assert auditor.stats_by_dc["sophia"].stale == 0
-        assert auditor.stats_by_dc["sophia"].judged == 1
+        assert auditor.stats.judged_reads == 2
+        assert auditor.stats_by_dc["rennes"].stale_reads == 1
+        assert auditor.stats_by_dc["sophia"].stale_reads == 0
+        assert auditor.stats_by_dc["sophia"].judged_reads == 1
 
-    def test_stats_agree_with_boolean_counters(self):
+    def test_a_site_scope_is_created_at_its_first_read_whatever_the_verdict(self):
         auditor = StalenessAuditor()
+        unknown = read_result("k", None, None, started_at=0.5)
+        unknown.datacenter = "sophia"
+        auditor.judge("k", unknown)
         auditor.observe_write(write_result("k", ts=1.0, vid=0, completed_at=1.0))
-        auditor.observe_write(write_result("k", ts=2.0, vid=1, completed_at=2.0))
-        auditor.judge("k", read_result("k", 1.0, 0, started_at=3.0))
-        auditor.judge("k", read_result("k", 2.0, 1, started_at=3.0))
-        assert auditor.stats.judged == auditor.judged
-        assert auditor.stats.stale == auditor.stale_reads
-        assert auditor.stats.stale_rate() == pytest.approx(auditor.stale_rate())
+        fresh = read_result("k", 1.0, 0, started_at=2.0)
+        fresh.datacenter = "rennes"
+        auditor.judge("k", fresh)
+        assert list(auditor.stats_by_dc) == ["sophia", "rennes"]
+        sophia = auditor.stats_by_dc["sophia"]
+        assert (sophia.judged_reads, sophia.unknown_reads) == (0, 1)
+        assert sophia.summary() == StalenessStats().summary()

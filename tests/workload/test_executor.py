@@ -11,6 +11,7 @@ from repro.cluster.consistency import ConsistencyLevel
 from repro.cluster.node import NodeConfig
 from repro.core.policy import StaticEventualPolicy, StaticQuorumPolicy, StaticStrongPolicy
 from repro.staleness.auditor import StalenessAuditor
+from repro.staleness.stats import StalenessStats
 from repro.workload.executor import WorkloadExecutor
 from repro.workload.workloads import WORKLOAD_A, WORKLOAD_F, WorkloadConfig
 
@@ -158,11 +159,20 @@ class TestRunPhase:
             metrics = run_workload(StaticEventualPolicy(), threads=threads)
             assert metrics.counters.total == 400
 
-    def test_auditor_populates_staleness_summary(self):
+    def test_the_auditor_stats_are_the_staleness_account(self):
         auditor = StalenessAuditor()
         metrics = run_workload(StaticEventualPolicy(), auditor=auditor)
-        assert metrics.staleness.total_reads == metrics.counters.reads
-        assert metrics.staleness.stale_reads == auditor.stale_reads
+        assert metrics.staleness is auditor.stats
+        assert metrics.staleness_by_dc is auditor.stats_by_dc
+        staleness = metrics.staleness
+        assert staleness.judged_reads + staleness.unknown_reads == metrics.counters.reads
+
+    def test_without_an_auditor_the_staleness_account_is_empty(self):
+        metrics = run_workload(StaticEventualPolicy())
+        assert metrics.counters.reads > 0
+        assert metrics.staleness.summary() == StalenessStats().summary()
+        assert metrics.staleness.unknown_reads == 0
+        assert metrics.staleness_by_dc == {}
 
     def test_strong_reads_are_never_stale(self):
         auditor = StalenessAuditor()
