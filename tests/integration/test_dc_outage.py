@@ -18,6 +18,7 @@ from repro.experiments.scenarios import GRID5000_3SITES, grid5000_3sites_faults
 from repro.faults.schedule import DatacenterOutage, FaultInjector, FaultSchedule
 from repro.faults.timeline import FaultTimeline
 from repro.staleness.auditor import StalenessAuditor
+from repro.staleness.stats import StalenessStats
 from repro.workload.executor import WorkloadExecutor
 from repro.workload.workloads import WORKLOAD_B, WORKLOAD_D
 
@@ -285,3 +286,21 @@ class TestWindowedQueriesMatchTheOperationLog:
         assert list(metrics.staleness_by_dc) == list(by_dc)
         for datacenter, dc_verdicts in by_dc.items():
             assert account(metrics.staleness_by_dc[datacenter]) == recount(dc_verdicts)
+
+    def test_the_site_scopes_partition_the_cluster_scope(self, run):
+        _, _, _, metrics, returned = run
+        assert all(datacenter is not None for datacenter, _ in returned)
+        folded = StalenessStats()
+        for stats in metrics.staleness_by_dc.values():
+            folded.merge(stats)
+        cluster = metrics.staleness
+        assert (folded.unknown_reads, folded.judged_reads, folded.stale_reads) == (
+            cluster.unknown_reads,
+            cluster.judged_reads,
+            cluster.stale_reads,
+        )
+        assert folded.k_histogram() == cluster.k_histogram()
+        assert (
+            folded.stale_age_histogram.sorted_samples().tolist()
+            == cluster.stale_age_histogram.sorted_samples().tolist()
+        )

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
+from repro.metrics import histogram as histogram_module
 from repro.metrics.histogram import LatencyHistogram
 
 
@@ -84,3 +88,46 @@ def test_len_matches_count():
     hist = LatencyHistogram()
     hist.record_many([0.001] * 7)
     assert len(hist) == 7
+
+
+def test_constructor_takes_no_reservoir_options():
+    # Every sample is kept: there is no sampling mode to configure.
+    with pytest.raises(TypeError):
+        LatencyHistogram(reservoir_size=8)
+    with pytest.raises(TypeError):
+        LatencyHistogram(rng=np.random.default_rng(0))
+
+
+def test_module_imports_no_numpy():
+    tree = ast.parse(inspect.getsource(histogram_module))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert "numpy" not in imported
+
+
+def test_sorted_samples_are_sorted_once_per_growth():
+    hist = LatencyHistogram()
+    hist.record_many([0.003, 0.001, 0.002])
+    first = hist.sorted_samples()
+    assert first.tolist() == [0.001, 0.002, 0.003]
+    assert hist.sorted_samples() is first  # no growth: the same sorted array
+    hist.record(0.0005)
+    grown = hist.sorted_samples()
+    assert grown.tolist() == [0.0005, 0.001, 0.002, 0.003]
+    assert hist.percentile(0) == 0.0005
+    other = LatencyHistogram()
+    other.record(0.009)
+    hist.merge(other)
+    assert hist.sorted_samples().tolist() == [0.0005, 0.001, 0.002, 0.003, 0.009]
+    assert hist.p99() == pytest.approx(float(np.percentile([0.0005, 0.001, 0.002, 0.003, 0.009], 99)))
+
+
+@pytest.mark.parametrize("q", [0.0, 12.5, 50.0, 99.0, 100.0])
+def test_a_single_sample_is_every_percentile(q):
+    hist = LatencyHistogram()
+    hist.record(0.042)
+    assert hist.percentile(q) == 0.042

@@ -112,6 +112,53 @@ class TestStalenessStats:
         assert all(isinstance(v, (int, float)) for v in summary.values())
 
 
+    def test_summary_keys_are_the_report_contract(self):
+        # Reports, benchmark JSON and the scorecard read these keys by name.
+        assert list(StalenessStats().summary()) == [
+            "judged",
+            "stale",
+            "stale_rate",
+            "age_p50_ms",
+            "age_p95_ms",
+            "age_p99_ms",
+            "age_max_ms",
+            "stale_age_mean_ms",
+            "k_max",
+            "k_mean",
+        ]
+
+    def test_unknown_reads_stay_out_of_every_rate_and_aggregate(self):
+        stats = StalenessStats()
+        for _ in range(3):
+            stats.record_unknown()
+        stats.record_fresh()
+        stats.record_stale(0.020, 2)
+        assert (stats.unknown_reads, stats.judged_reads, stats.stale_reads) == (3, 2, 1)
+        assert stats.stale_rate() == 0.5
+        assert stats.stale_beyond(0.0) == 0.5
+        assert stats.k_histogram() == {0: 1, 2: 1}
+        assert stats.mean_k() == 1.0
+        assert stats.age_percentile(50) == 0.0
+        assert stats.age_percentile(100) == pytest.approx(0.020)
+        assert stats.summary()["judged"] == 2
+
+    def test_merge_adds_every_count_and_keeps_rates_over_judged_reads(self):
+        a = StalenessStats()
+        a.record_unknown()
+        a.record_fresh()
+        a.record_stale(0.030, 1)
+        b = StalenessStats()
+        b.record_unknown()
+        b.record_unknown()
+        b.record_stale(0.010, 3)
+        a.merge(b)
+        assert (a.unknown_reads, a.judged_reads, a.stale_reads) == (3, 3, 2)
+        assert a.stale_rate() == 2 / 3
+        assert a.k_histogram() == {0: 1, 1: 1, 3: 1}
+        assert a.stale_age_histogram.sorted_samples().tolist() == [0.010, 0.030]
+        assert a.violations_beyond(0.020) == 1
+
+
 class TestAuditorQuantification:
     """The auditor must feed exact ages and version lags into the stats."""
 

@@ -146,6 +146,11 @@ class TestRunPhase:
         assert metrics.duration > 0
         assert metrics.ops_per_second() > 0
 
+    def test_ops_per_second_is_completed_reads_and_writes_over_duration(self):
+        metrics = run_workload(StaticEventualPolicy())
+        counters = metrics.counters
+        assert metrics.ops_per_second() == (counters.reads + counters.writes) / metrics.duration
+
     def test_policy_levels_are_used(self):
         eventual = run_workload(StaticEventualPolicy())
         assert set(eventual.consistency_level_usage) == {"ONE"}
