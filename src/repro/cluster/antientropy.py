@@ -26,9 +26,11 @@ Tree *construction* is instantaneous (zero simulated cost), mirroring how
 the monitoring module samples counters out-of-band; what the simulation
 accounts for is the **traffic**: every byte of tree exchange and streaming
 crosses the fabric, is delayed by the WAN latency models, is subject to
-partitions and is tallied per DC pair.  That per-pair tally is what the
-monitor reports (:meth:`~repro.core.monitor.ClusterMonitor.attach_anti_entropy`)
-and what ``benchmarks/bench_repair.py`` trades off against the stale rate.
+partitions and is tallied per DC pair.  That per-pair tally
+(:meth:`AntiEntropyService.traffic_by_pair`, :meth:`AntiEntropyService.wan_traffic_bytes`)
+is the one account of repair traffic: the adaptive repair scheduler and the
+run's series recorder read it, and ``benchmarks/bench_repair.py`` trades it
+off against the stale rate.
 
 Incremental repair (the default, ``AntiEntropyConfig.incremental``)
 -------------------------------------------------------------------
@@ -468,7 +470,8 @@ class AntiEntropyService:
         self._pair_interval[self._normalize_pair(pair)] = float(interval)
 
     # ------------------------------------------------------------------
-    # Traffic accounting (consumed by the monitor and the benches)
+    # Traffic accounting (the one account of repair bytes; the series
+    # recorder and the benches read it)
     # ------------------------------------------------------------------
     def traffic_by_pair(self) -> Dict[str, int]:
         """Cumulative repair bytes per unordered DC pair (``"a|b"`` keys)."""

@@ -8,8 +8,8 @@ provides the *windowed deltas* that turn cumulative counters into rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterable, List
 
 from repro.network.topology import NodeAddress
 
@@ -35,23 +35,6 @@ class NodeCounters:
     #: Cells applied from membership range streaming (bootstrap/decommission).
     range_stream_cells: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-dict view used by reports and the monitoring module."""
-        return {
-            "reads_served": self.reads_served,
-            "writes_applied": self.writes_applied,
-            "coordinator_reads": self.coordinator_reads,
-            "coordinator_writes": self.coordinator_writes,
-            "read_repairs": self.read_repairs,
-            "hints_stored": self.hints_stored,
-            "hints_replayed": self.hints_replayed,
-            "dropped_mutations": self.dropped_mutations,
-            "queue_rejections": self.queue_rejections,
-            "unavailable_rejections": self.unavailable_rejections,
-            "anti_entropy_cells": self.anti_entropy_cells,
-            "range_stream_cells": self.range_stream_cells,
-        }
-
 
 @dataclass(frozen=True)
 class CounterSnapshot:
@@ -69,8 +52,6 @@ class ClusterStats:
 
     def __init__(self) -> None:
         self._counters: Dict[NodeAddress, NodeCounters] = {}
-        # Only the latest cluster-wide snapshot is ever read back.
-        self._last_snapshot: Optional[CounterSnapshot] = None
 
     def register_node(self, address: NodeAddress) -> NodeCounters:
         """Create (or return) the counter block for a node."""
@@ -102,23 +83,16 @@ class ClusterStats:
 
     def snapshot(self, time: float) -> CounterSnapshot:
         """Take a cluster-wide snapshot at virtual time ``time``."""
-        snap = CounterSnapshot(
+        return CounterSnapshot(
             time=time,
             coordinator_reads=self.total("coordinator_reads"),
             coordinator_writes=self.total("coordinator_writes"),
             reads_served=self.total("reads_served"),
             writes_applied=self.total("writes_applied"),
         )
-        self._last_snapshot = snap
-        return snap
 
     def snapshot_for(self, time: float, addresses: Iterable[NodeAddress]) -> CounterSnapshot:
-        """A snapshot restricted to a node subset (per-datacenter monitoring).
-
-        Subset snapshots do not replace the cluster-wide last snapshot: they
-        belong to whoever is tracking that subset (the geo monitor keeps one
-        per datacenter).
-        """
+        """A snapshot restricted to a node subset (per-datacenter monitoring)."""
         members = list(addresses)
         return CounterSnapshot(
             time=time,
@@ -127,10 +101,6 @@ class ClusterStats:
             reads_served=self.total_for("reads_served", members),
             writes_applied=self.total_for("writes_applied", members),
         )
-
-    def last_snapshot(self) -> Optional[CounterSnapshot]:
-        """The latest cluster-wide snapshot (``None`` before the first)."""
-        return self._last_snapshot
 
     def window_rates(self, previous: CounterSnapshot, current: CounterSnapshot) -> Dict[str, float]:
         """Read/write arrival rates (ops per second) between two snapshots.
@@ -149,12 +119,3 @@ class ClusterStats:
             "write_rate": writes / elapsed,
             "elapsed": elapsed,
         }
-
-    def as_table(self) -> List[Dict[str, object]]:
-        """Per-node rows for reports (stable node ordering)."""
-        rows: List[Dict[str, object]] = []
-        for address in sorted(self._counters):
-            row: Dict[str, object] = {"node": str(address)}
-            row.update(self._counters[address].as_dict())
-            rows.append(row)
-        return rows

@@ -12,7 +12,7 @@ controller implementations:
   (cluster-wide or per-datacenter), plus its write-aware generalization;
 * :mod:`repro.control.plane` -- the :class:`Decision` record, the
   :class:`ControlPolicy` interface, the :class:`ControlPlane` driver (one
-  periodic process, shared monitoring samples, decision log + counters) and
+  periodic process, shared monitoring samples, the decision log) and
   :class:`LevelPolicy`, the control policy a workload executor asks for
   ``read_level(dc)`` / ``write_level(dc)`` (fixed levels on its own; every
   adaptive level policy below subclasses it);
@@ -21,7 +21,7 @@ controller implementations:
   :class:`GeoReadPolicy` (the same scheme per datacenter),
   :class:`GeoReadWritePolicy` (joint per-DC read/write
   adaptation), :class:`RepairSchedulePolicy` (divergence-driven
-  anti-entropy scheduling with ``repair_bytes`` as a cost term),
+  anti-entropy scheduling with the pair's repair traffic as a cost term),
   :class:`ThresholdReadPolicy` (the write/read-ratio rule),
   :class:`StalenessSLAPolicy` (closed-loop on the auditor's *measured*
   staleness-age distribution against a quantitative SLA) and

@@ -9,9 +9,11 @@ it once:
   monitoring view, which knob moves where -- and returns its answers as
   :class:`Decision` records;
 * the :class:`ControlPlane` owns the monitor, drives every registered policy
-  from **one** :class:`~repro.sim.background.PeriodicProcess`, logs the
-  decisions and counts them per ``policy.kind`` (the observability channel
-  the run metrics export);
+  from **one** :class:`~repro.sim.background.PeriodicProcess` and logs the
+  decisions: ``ControlPlane.decisions`` is the run's one record of control,
+  and the per-``policy.kind`` counts, the cluster-wide estimate series, the
+  tracer's ``control.decision`` events and the series recorder's
+  ``control_decisions`` are views of it;
 * a :class:`LevelPolicy` is the :class:`ControlPolicy` the workload executor
   asks for consistency levels -- ``read_level(datacenter)`` /
   ``write_level(datacenter)`` -- and the one place a datacenter is resolved
@@ -30,7 +32,7 @@ byte-identical regardless of which policies are registered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
@@ -318,27 +320,6 @@ class LevelPolicy(ControlPolicy):
         return f"{type(self).__name__}({self.label!r}, read={self._read}, write={self._write})"
 
 
-@dataclass
-class _PlaneStats:
-    """Aggregate counters of one plane (exported into run metrics)."""
-
-    ticks: int = 0
-    decisions: int = 0
-    by_policy_kind: Dict[str, int] = field(default_factory=dict)
-
-    def record(self, decision: Decision) -> None:
-        self.decisions += 1
-        key = f"{decision.policy}.{decision.kind}"
-        self.by_policy_kind[key] = self.by_policy_kind.get(key, 0) + 1
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "ticks": self.ticks,
-            "decisions": self.decisions,
-            **dict(sorted(self.by_policy_kind.items())),
-        }
-
-
 class ControlPlane:
     """Drives every registered :class:`ControlPolicy` on one periodic loop.
 
@@ -376,8 +357,12 @@ class ControlPlane:
         self.config = config or HarmonyConfig()
         self._monitor = monitor
         self.policies: List[ControlPolicy] = []
+        #: The run's one record of control: every decision of every policy,
+        #: in the order taken.  Run metrics, the tracer and the series
+        #: recorder derive their views from it.
         self.decisions: List[Decision] = []
-        self.stats = _PlaneStats()
+        #: Ticks run so far.
+        self.ticks = 0
         self._process: Optional[PeriodicProcess] = None
         #: Optional op-lifecycle tracer (see :mod:`repro.obs.tracer`): every
         #: decision of every registered policy is mirrored into the trace.
@@ -449,12 +434,10 @@ class ControlPlane:
     def tick(self) -> List[Decision]:
         """Run one tick over every policy; returns the new decisions."""
         tick = ControlTick(self)
-        self.stats.ticks += 1
+        self.ticks += 1
         produced: List[Decision] = []
         for policy in self.policies:
             produced.extend(policy.tick(tick))
-        for decision in produced:
-            self.stats.record(decision)
         self.decisions.extend(produced)
         tracer = self.tracer
         if tracer is not None:
@@ -464,8 +447,13 @@ class ControlPlane:
 
     @property
     def decision_counts(self) -> Dict[str, int]:
-        """Decisions per ``policy.kind`` key (exported into run metrics)."""
-        return dict(self.stats.by_policy_kind)
+        """Decisions per ``policy.kind`` key, keys in first-decision order:
+        a recount of the log (exported into run metrics)."""
+        counts: Dict[str, int] = {}
+        for decision in self.decisions:
+            key = f"{decision.policy}.{decision.kind}"
+            counts[key] = counts.get(key, 0) + 1
+        return counts
 
     @property
     def estimate_series(self) -> TimeSeries:

@@ -96,12 +96,9 @@ class HarmonyReadPolicy(LevelPolicy):
         self.label = f"harmony-{_percent(self.config.tolerated_stale_rate)}"
         self.estimator: Optional[StalenessEstimator] = None
         self.current_level = ConsistencyLevel.ONE
-        self.current_replicas = 1
         #: The monitoring sample behind the current decision (``None`` before
         #: the first one).
         self.last_sample: Optional[MonitoringSample] = None
-        self.estimate_series = TimeSeries("stale_estimate")
-        self.level_series = TimeSeries("read_replicas")
 
     def read_level(self, datacenter: Optional[str] = None) -> ConsistencyLevel:
         return self.current_level  # a cluster-wide level needs no per-site rule
@@ -128,10 +125,7 @@ class HarmonyReadPolicy(LevelPolicy):
             sample=sample,
         )
         self.current_level = level
-        self.current_replicas = replicas
         self.last_sample = sample
-        self.estimate_series.append(decision.time, estimate.probability)
-        self.level_series.append(decision.time, float(replicas))
         return decision
 
     def tick(self, tick: ControlTick) -> List[Decision]:
@@ -182,9 +176,6 @@ class GeoReadPolicy(LevelPolicy):
         self.label = f"{self.name}-{rates}"
         self.estimator: Optional[StalenessEstimator] = None
         self.current_level: Dict[str, ConsistencyLevel] = {}
-        self.current_replicas: Dict[str, int] = {}
-        self.estimate_series: Dict[str, TimeSeries] = {}
-        self.level_series: Dict[str, TimeSeries] = {}
 
     def read_level(self, datacenter: Optional[str] = None) -> ConsistencyLevel:
         return resolve_level(self.current_level, self._read, self.replica_sites, datacenter)
@@ -223,13 +214,6 @@ class GeoReadPolicy(LevelPolicy):
             )
             for dc in cluster.datacenter_names
         }
-        self.current_replicas = {dc: 1 for dc in cluster.datacenter_names}
-        self.estimate_series = {
-            dc: TimeSeries(f"stale_estimate[{dc}]") for dc in self.estimator.models
-        }
-        self.level_series = {
-            dc: TimeSeries(f"read_replicas[{dc}]") for dc in self.estimator.models
-        }
 
     # ------------------------------------------------------------------
     @property
@@ -259,9 +243,6 @@ class GeoReadPolicy(LevelPolicy):
             sample=sample,
         )
         self.current_level[datacenter] = level
-        self.current_replicas[datacenter] = replicas
-        self.estimate_series[datacenter].append(decision.time, estimate.probability)
-        self.level_series[datacenter].append(decision.time, float(replicas))
         return decision
 
     def tick(self, tick: ControlTick) -> List[Decision]:
@@ -306,8 +287,6 @@ class GeoReadWritePolicy(GeoReadPolicy):
     ) -> None:
         super().__init__(config, tolerated_stale_rates)
         self.current_write_level: Dict[str, ConsistencyLevel] = {}
-        self.current_write_replicas: Dict[str, int] = {}
-        self.write_level_series: Dict[str, TimeSeries] = {}
 
     def write_level(self, datacenter: Optional[str] = None) -> ConsistencyLevel:
         return resolve_level(
@@ -318,10 +297,6 @@ class GeoReadWritePolicy(GeoReadPolicy):
         super().bind(plane)
         # Same starting point as the read side: LOCAL_ONE where replicas live.
         self.current_write_level = dict(self.current_level)
-        self.current_write_replicas = dict(self.current_replicas)
-        self.write_level_series = {
-            dc: TimeSeries(f"write_replicas[{dc}]") for dc in self.models
-        }
 
     # ------------------------------------------------------------------
     def search(
@@ -390,12 +365,7 @@ class GeoReadWritePolicy(GeoReadPolicy):
             achieved_staleness=achieved,
         )
         self.current_level[datacenter] = read_level
-        self.current_replicas[datacenter] = x
-        self.estimate_series[datacenter].append(now, estimate.probability)
-        self.level_series[datacenter].append(now, float(x))
         self.current_write_level[datacenter] = write_level
-        self.current_write_replicas[datacenter] = w
-        self.write_level_series[datacenter].append(now, float(w))
         return [read_decision, write_decision]
 
     def tick(self, tick: ControlTick) -> List[Decision]:
@@ -425,7 +395,7 @@ class RepairControlConfig:
     wan_budget_bytes_per_s:
         Optional cost cap: when the pair's repair traffic over the control
         window exceeds this rate, the interval is relaxed even under
-        divergence -- ``repair_bytes`` feeding back into the decision.
+        divergence -- the repair traffic feeding back into the decision.
         When the cluster's fabric models bandwidth
         (:class:`~repro.network.transfers.BandwidthConfig`), the budget
         additionally becomes *physical* backpressure: the policy installs
@@ -619,7 +589,6 @@ class ThresholdReadPolicy(LevelPolicy):
         self.interval = float(monitoring_interval)
         self.label = f"threshold-{threshold:g}"
         self.current_level = ConsistencyLevel.ONE
-        self.level_series = TimeSeries("threshold_level")
         self._previous = None
 
     def read_level(self, datacenter: Optional[str] = None) -> ConsistencyLevel:
@@ -643,11 +612,8 @@ class ThresholdReadPolicy(LevelPolicy):
             else:
                 level = ConsistencyLevel.ONE
         self.current_level = level
-        # The series records every tick -- idle windows included -- so the
-        # sampled trajectory always covers the whole run.
-        self.level_series.append(
-            tick.now, float(level.blocked_for(cluster.replication_factor))
-        )
+        # One decision every tick -- idle windows included -- so the log's
+        # trajectory always covers the whole run.
         return [
             Decision(
                 time=tick.now,
@@ -716,7 +682,6 @@ class StalenessSLAPolicy(LevelPolicy):
         self.current_level = ConsistencyLevel.ONE
         self.current_replicas = 1
         self.violation_series = TimeSeries("sla_violation_rate")
-        self.level_series = TimeSeries("read_replicas")
         self._prev_judged = 0
         self._prev_violations = 0
 
@@ -763,7 +728,6 @@ class StalenessSLAPolicy(LevelPolicy):
         level = level_for_replicas(replicas, rf)
         self.current_level = level
         self.current_replicas = replicas
-        self.level_series.append(tick.now, float(replicas))
         return [
             Decision(
                 time=tick.now,
@@ -792,7 +756,8 @@ class ScaleOutConfig:
     p99_source:
         Optional callable ``datacenter -> seconds`` supplying the measured
         p99 the latency test is evaluated against (e.g. a closure over a
-        :class:`~repro.metrics.collectors.MetricsCollector`).
+        :class:`~repro.workload.executor.RunMetrics`'s
+        ``read_latency_by_dc`` histograms).
     sustain_ticks:
         Consecutive ticks a signal must persist before acting -- transient
         spikes never trigger a topology change.

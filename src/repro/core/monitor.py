@@ -19,7 +19,11 @@ The simulated monitor mirrors this:
   does not whipsaw the consistency level.
 
 The monitor is passive: it never touches the simulated data path, exactly as
-the real monitoring module sits outside Cassandra's request path.
+the real monitoring module sits outside Cassandra's request path.  It keeps
+only what its next sample needs (the previous counter snapshots and the
+smoothing state) and no history: what each sample led to is recorded once,
+in the control plane's decision log (:attr:`ControlPlane.decisions
+<repro.control.plane.ControlPlane.decisions>`).
 
 Geo-replication extends the monitor with a **per-datacenter view**:
 
@@ -76,20 +80,6 @@ class MonitoringSample:
     datacenter:
         ``None`` for the cluster-wide aggregate; the datacenter name for a
         per-DC sample (geo monitoring).
-    repair_bytes:
-        Anti-entropy repair traffic sent during the window: cluster-wide for
-        the aggregate sample, or summed over the DC pairs touching this
-        datacenter for a per-DC sample.  Zero unless an
-        :class:`~repro.cluster.antientropy.AntiEntropyService` was attached
-        via :meth:`ClusterMonitor.attach_anti_entropy` -- this is the WAN
-        cost axis of the stale-rate-vs-repair-traffic trade-off.
-    stale_rate / stale_age_p99:
-        Measured ground-truth staleness of the scope: the fraction of reads
-        judged stale during the window, and the cumulative 99th-percentile
-        staleness age in seconds.  Zero unless a
-        :class:`~repro.staleness.auditor.StalenessAuditor` was attached via
-        :meth:`ClusterMonitor.attach_staleness` -- the feedback signal the
-        SLA policy steers on (the estimator-driven policies ignore it).
     """
 
     time: float
@@ -101,9 +91,6 @@ class MonitoringSample:
     propagation_time: float
     window: float
     datacenter: Optional[str] = None
-    repair_bytes: float = 0.0
-    stale_rate: float = 0.0
-    stale_age_p99: float = 0.0
 
 
 class ClusterMonitor:
@@ -129,88 +116,6 @@ class ClusterMonitor:
         #: the datacenter name for per-DC views; value is [read, write].
         self._smoothed: Dict[Optional[str], List[float]] = {}
         self._ping_rng = cluster.streams.stream("harmony.monitor.ping")
-        self.samples: List[MonitoringSample] = []
-        self.samples_by_dc: Dict[str, List[MonitoringSample]] = {}
-        # Anti-entropy accounting: the attached service's cumulative byte
-        # totals at the previous sample, per scope (None = cluster-wide).
-        self._anti_entropy = None
-        self._repair_prev: Dict[Optional[str], int] = {}
-        # Staleness accounting: the attached auditor's cumulative judged /
-        # stale counts at the previous sample, per scope.
-        self._staleness = None
-        self._staleness_prev: Dict[Optional[str], tuple] = {}
-
-    # ------------------------------------------------------------------
-    # Anti-entropy accounting
-    # ------------------------------------------------------------------
-    def attach_anti_entropy(self, service) -> None:
-        """Count the repair traffic of an anti-entropy service in samples.
-
-        Subsequent samples carry the per-window ``repair_bytes`` delta
-        (per-DC samples sum the pairs touching that DC), making the repair
-        traffic observable through the same channel as the rates the
-        controller consumes.  Explicit attachment is only needed for a
-        service the cluster facade does not know about: a service started
-        through :meth:`SimulatedCluster.start_anti_entropy` is discovered
-        automatically via ``cluster.anti_entropy``.
-        """
-        self._anti_entropy = service
-        self._repair_prev.clear()
-
-    def _anti_entropy_service(self):
-        if self._anti_entropy is not None:
-            return self._anti_entropy
-        return getattr(self.cluster, "anti_entropy", None)
-
-    def repair_traffic_by_pair(self) -> Dict[str, int]:
-        """Cumulative repair bytes per DC pair (empty without a service)."""
-        service = self._anti_entropy_service()
-        if service is None:
-            return {}
-        return service.traffic_by_pair()
-
-    def _repair_window_bytes(self, datacenter: Optional[str]) -> float:
-        service = self._anti_entropy_service()
-        if service is None:
-            return 0.0
-        total = service.wan_traffic_bytes(datacenter)
-        previous = self._repair_prev.get(datacenter, 0)
-        self._repair_prev[datacenter] = total
-        return float(total - previous)
-
-    # ------------------------------------------------------------------
-    # Staleness accounting (ground truth from the auditor)
-    # ------------------------------------------------------------------
-    def attach_staleness(self, auditor) -> None:
-        """Carry the auditor's measured staleness in subsequent samples.
-
-        Samples then report the windowed stale-read fraction and the
-        cumulative staleness-age p99 of the sampled scope, making ground
-        truth observable through the same channel as the rates -- what
-        closed-loop policies (e.g.
-        :class:`~repro.control.policies.StalenessSLAPolicy`) steer on.
-        """
-        self._staleness = auditor
-        self._staleness_prev.clear()
-
-    def _staleness_window(self, datacenter: Optional[str]) -> tuple:
-        """``(window stale rate, cumulative age p99)`` for one scope."""
-        auditor = self._staleness
-        if auditor is None:
-            return 0.0, 0.0
-        stats = (
-            auditor.stats
-            if datacenter is None
-            else auditor.stats_by_dc.get(datacenter)
-        )
-        if stats is None:
-            return 0.0, 0.0
-        judged, stale = stats.judged_reads, stats.stale_reads
-        prev_judged, prev_stale = self._staleness_prev.get(datacenter, (0, 0))
-        self._staleness_prev[datacenter] = (judged, stale)
-        window_judged = judged - prev_judged
-        rate = (stale - prev_stale) / window_judged if window_judged > 0 else 0.0
-        return rate, stats.age_percentile(99)
 
     # ------------------------------------------------------------------
     def prime(self) -> None:
@@ -303,7 +208,7 @@ class ClusterMonitor:
         window: float,
         datacenter: Optional[str],
     ) -> MonitoringSample:
-        """Smooth the raw rates, probe latency, derive ``Tp``, record the sample."""
+        """Smooth the raw rates, probe latency, derive ``Tp``, build the sample."""
         alpha = self.config.rate_smoothing
         smoothed = self._smoothed.get(datacenter)
         if window <= 0:
@@ -325,8 +230,7 @@ class ClusterMonitor:
             bandwidth_bytes_per_s=self.config.bandwidth_bytes_per_s,
             overhead=self.config.propagation_overhead,
         )
-        stale_rate, stale_age_p99 = self._staleness_window(datacenter)
-        sample = MonitoringSample(
+        return MonitoringSample(
             time=now,
             read_rate=float(smoothed[0]),
             write_rate=float(smoothed[1]),
@@ -336,15 +240,7 @@ class ClusterMonitor:
             propagation_time=float(tp),
             window=float(window),
             datacenter=datacenter,
-            repair_bytes=self._repair_window_bytes(datacenter),
-            stale_rate=float(stale_rate),
-            stale_age_p99=float(stale_age_p99),
         )
-        if datacenter is None:
-            self.samples.append(sample)
-        else:
-            self.samples_by_dc.setdefault(datacenter, []).append(sample)
-        return sample
 
     def sample_per_datacenter(self) -> Dict[str, MonitoringSample]:
         """One sample per datacenter, in topology order."""
@@ -390,23 +286,3 @@ class ClusterMonitor:
                 a = nodes[int(self._ping_rng.integers(len(nodes)))]
             rtts[i] = self.cluster.fabric.ping(a, b)
         return float(np.mean(rtts) / 2.0)
-
-    # ------------------------------------------------------------------
-    @property
-    def last_sample(self) -> Optional[MonitoringSample]:
-        """Most recent sample, or ``None`` before the first call."""
-        return self.samples[-1] if self.samples else None
-
-    def reset(self) -> None:
-        """Forget history (used when reusing a monitor across runs)."""
-        self._previous = None
-        self._previous_by_dc.clear()
-        self._previous_global_by_dc.clear()
-        self._smoothed.clear()
-        self.samples.clear()
-        self.samples_by_dc.clear()
-        self._repair_prev.clear()
-        self._staleness_prev.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ClusterMonitor(samples={len(self.samples)})"

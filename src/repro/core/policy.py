@@ -17,8 +17,8 @@ arguments the paper's experiments are phrased in:
 * :func:`StaticQuorumPolicy` -- reads and writes at QUORUM (classic
   R+W > N configuration, used in ablations);
 * :class:`ThresholdPolicy` -- a Wang et al.-style read/write-ratio threshold
-  rule switching between ONE and ALL, the related-work ablation (DESIGN.md
-  ablation A2);
+  rule switching between ONE and ALL, the related-work ablation (ablation A2
+  in :mod:`repro.experiments.ablations`);
 * :func:`SLAConsistencyPolicy` -- closes the loop on the staleness auditor's
   *measured* t-visibility instead of the model estimate: "at least 99.9% of
   reads at most 50 ms stale" as a control target.

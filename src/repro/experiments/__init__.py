@@ -14,8 +14,8 @@ the paper's evaluation (Section V):
 * :mod:`repro.experiments.claims` -- the two headline claims (~80% fewer
   stale reads than eventual consistency, ~45% more throughput than strong
   consistency);
-* :mod:`repro.experiments.ablations` -- monitoring-interval and
-  policy-comparison ablations called out in DESIGN.md.
+* :mod:`repro.experiments.ablations` -- the monitoring-interval (A1) and
+  policy-comparison (A2) ablations.
 """
 
 from repro.experiments.runner import ExperimentConfig, ExperimentResult, run_experiment

@@ -1,4 +1,4 @@
-"""Ablation experiments for the design choices called out in DESIGN.md.
+"""Ablation experiments for two design choices of Harmony.
 
 * **A1 -- monitoring window**: Harmony's estimates come from windowed counter
   deltas; short windows react fast but are noisy, long windows are smooth but

@@ -17,7 +17,7 @@ the paper makes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
@@ -388,31 +388,3 @@ def run_experiment(
         tracer=tracer,
         series=recorder,
     )
-
-
-def run_thread_sweep(
-    scenario: Scenario,
-    workload: WorkloadConfig,
-    policy_names: Sequence[str],
-    thread_counts: Sequence[int],
-    *,
-    seed: int = 0,
-    n_nodes: Optional[int] = None,
-    monitoring_interval: Optional[float] = None,
-) -> List[ExperimentResult]:
-    """Run the cartesian product of policies x thread counts (Fig. 5/6 shape)."""
-    results: List[ExperimentResult] = []
-    for threads in thread_counts:
-        for policy_name in policy_names:
-            results.append(
-                run_experiment(
-                    scenario,
-                    workload,
-                    policy_name,
-                    threads,
-                    seed=seed,
-                    n_nodes=n_nodes,
-                    monitoring_interval=monitoring_interval,
-                )
-            )
-    return results

@@ -11,7 +11,8 @@ series per tick:
 * ``read_latency_mean[<dc>]`` -- per-datacenter mean read latency of the
   window (from the run metrics' per-DC histograms);
 * ``repair_bytes`` -- anti-entropy WAN bytes sent in the window;
-* ``control_decisions`` -- control-plane decisions taken in the window;
+* ``control_decisions`` -- decisions the control plane logged in the window
+  (the growth of ``plane.decisions``);
 * ``wan_utilization[<dcA|dcB>]`` -- fraction of the window each modeled
   inter-DC link spent busy (only when the fabric's bandwidth model is on);
 * ``transfer_backlog_bytes`` -- bytes still queued across all fair-share

@@ -10,7 +10,7 @@ observes the ground truth (the newest client-acknowledged write for each key
 at the moment a read is issued) at zero simulated cost, so the measured
 workload is not disturbed.  The paper-faithful dual-read probe is also
 provided (:class:`~repro.staleness.probe.DualReadProbe`) for methodological
-comparison -- one of the design points DESIGN.md calls out.
+comparison.
 """
 
 from repro.staleness.auditor import StalenessAuditor

@@ -26,8 +26,8 @@ metrics byte for byte.
 
 Unavailable rejections go through a pluggable
 :class:`~repro.control.retry.RetryPolicy`: the default surfaces the failure
-after a configurable backoff (historically a hard-coded 50 ms, now an
-exponential schedule with optional deterministic jitter), while
+after a 50 ms backoff (a policy of the caller's may use an exponential
+schedule with optional deterministic jitter), while
 :class:`~repro.control.retry.DowngradeRetryPolicy` re-issues the operation
 at a weaker consistency level -- e.g. ``EACH_QUORUM -> LOCAL_QUORUM`` during
 a datacenter outage -- with every retry and downgrade metered through the
@@ -36,7 +36,7 @@ executor's counters.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.cluster.cluster import SimulatedCluster
@@ -47,6 +47,11 @@ from repro.sim.engine import EventHandle
 from repro.workload.workloads import CoreWorkload, Operation, OperationType
 
 __all__ = ["ClientThread", "CompletionBatch"]
+
+#: The policy of a client given none: surface the failure after 50 ms.  Shared
+#: by every such client (a :class:`RetryPolicy` holds only its backoff
+#: schedule).
+_NO_RETRY = RetryPolicy(BackoffConfig(initial=0.05, max_delay=1.0))
 
 
 class CompletionBatch:
@@ -118,17 +123,14 @@ class ClientThread:
         Fixed delay between an operation completing and the next being
         issued (0 for a tight closed loop, as in YCSB without a target rate).
     retry_policy:
-        Policy consulted after every Unavailable rejection.  ``None`` builds
-        the default no-retry policy from ``unavailable_backoff`` (drivers
-        back off before the next operation after a host refused work;
-        without this, a client pinned to a dead datacenter would burn the
-        whole operation budget in zero virtual time).
+        Policy consulted after every Unavailable rejection.  ``None`` means
+        the default no-retry policy with a 50 ms backoff (drivers back off
+        before the next operation after a host refused work; without this,
+        a client pinned to a dead datacenter would burn the whole operation
+        budget in zero virtual time).
     retry_rng:
         Named random stream for jittered backoff schedules (unused -- and
         never drawn from -- unless the policy's backoff has jitter).
-    unavailable_backoff:
-        Backoff of the default policy when ``retry_policy`` is not given;
-        kept for backward compatibility with the pre-retry-policy API.
     datacenter:
         When given, the client only contacts coordinators in that
         datacenter (a geo client next to one site); DC-aware consistency
@@ -190,14 +192,11 @@ class ClientThread:
         think_time: float = 0.0,
         retry_policy: Optional[RetryPolicy] = None,
         retry_rng=None,
-        unavailable_backoff: float = 0.05,
         datacenter: Optional[str] = None,
         batch: Optional[CompletionBatch] = None,
     ) -> None:
         if think_time < 0:
             raise ValueError("think_time must be non-negative")
-        if unavailable_backoff < 0:
-            raise ValueError("unavailable_backoff must be non-negative")
         self.thread_id = thread_id
         self.datacenter = datacenter
         self._cluster = cluster
@@ -210,7 +209,7 @@ class ClientThread:
         self._on_issue = on_issue
         self._on_retry = on_retry
         self._think_time = think_time
-        self._retry_policy = retry_policy or _no_retry_policy(unavailable_backoff)
+        self._retry_policy = retry_policy or _NO_RETRY
         self._retry_rng = retry_rng
         self._batch = batch if batch is not None else CompletionBatch(cluster.engine)
         self.operations_completed = 0
@@ -481,13 +480,3 @@ class ClientThread:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ClientThread(id={self.thread_id}, completed={self.operations_completed})"
-
-
-@lru_cache(maxsize=8)
-def _no_retry_policy(unavailable_backoff: float) -> RetryPolicy:
-    """The default policy for one backoff, shared by every client that uses
-    it (a :class:`RetryPolicy` holds only its backoff schedule)."""
-    return RetryPolicy(
-        BackoffConfig(initial=unavailable_backoff, max_delay=max(unavailable_backoff, 1.0))
-    )
-

@@ -58,7 +58,8 @@ class RunMetrics:
         How many reads were issued at each consistency level -- shows the
         adaptive controller actually switching levels.
     estimate_series:
-        Time series of the controller's stale-read estimates (Harmony only).
+        The cluster-scope stale-read estimates of the control plane's
+        decision log, one point per decision carrying one (Harmony's).
     read_latency_by_dc / staleness_by_dc:
         Per-datacenter splits of the read latency and staleness metrics,
         keyed by the datacenter of the coordinator that served the read, in
@@ -70,9 +71,9 @@ class RunMetrics:
         retry policy performed (empty without a downgrading policy) -- the
         metered consistency cost of riding out Unavailable rejections.
     control_decisions:
-        ``"policy.kind"`` -> decision count of the run's control plane
-        (empty when nothing on it decided anything) -- shows the adaptive
-        loops actually moving knobs.
+        ``"policy.kind"`` -> decision count: a recount of the control
+        plane's decision log (empty when nothing on it decided anything) --
+        shows the adaptive loops actually moving knobs.
     duration:
         Virtual duration of the run phase in seconds.
     """

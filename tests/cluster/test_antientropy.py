@@ -140,37 +140,32 @@ class TestAntiEntropyService:
         # Tree exchange still costs WAN bytes -- the price of checking.
         assert stats.bytes_sent > 0
 
-    def test_repair_traffic_counted_per_pair_and_by_monitor(self):
-        from repro.core.config import HarmonyConfig
-        from repro.core.monitor import ClusterMonitor
-
+    def test_repair_traffic_is_counted_once_by_the_service(self):
         cluster = two_dc_cluster()
         keys = [f"k{i}" for i in range(20)]
         for key in keys:
             cluster.write_sync(key, "v0", ConsistencyLevel.EACH_QUORUM, datacenter="dc1")
         cluster.settle()
-        monitor = ClusterMonitor(cluster, HarmonyConfig(monitoring_interval=0.5))
-        monitor.prime()
         diverge_pair(cluster, keys)
         service = cluster.start_anti_entropy(AntiEntropyConfig(interval=1.0))
-        monitor.attach_anti_entropy(service)
         cluster.engine.run_until(cluster.engine.now + 2.5)
         service.stop()
         cluster.settle()
 
+        stats = service.stats[("dc1", "dc2")]
         by_pair = service.traffic_by_pair()
+        assert by_pair == {"dc1|dc2": stats.bytes_sent}
         assert by_pair["dc1|dc2"] > 0
-        assert monitor.repair_traffic_by_pair() == by_pair
-        sample = monitor.sample()
-        assert sample.repair_bytes == by_pair["dc1|dc2"]
-        per_dc = monitor.sample_per_datacenter()
-        # Both sites touch the only pair; the window delta was consumed by
-        # the cluster-wide sample just above, so per-DC deltas start fresh.
-        assert per_dc["dc1"].repair_bytes == by_pair["dc1|dc2"]
+        # Both sites touch the only pair, so each site's total is the pair's.
+        assert service.wan_traffic_bytes() == by_pair["dc1|dc2"]
+        assert service.wan_traffic_bytes("dc1") == by_pair["dc1|dc2"]
+        assert service.wan_traffic_bytes("dc2") == by_pair["dc1|dc2"]
 
-    def test_monitor_discovers_cluster_service_without_explicit_attach(self):
+    def test_monitor_samples_carry_only_what_the_estimator_reads(self):
+        import dataclasses
+
         from repro.core.config import HarmonyConfig
-        from repro.core.monitor import ClusterMonitor
+        from repro.core.monitor import ClusterMonitor, MonitoringSample
 
         cluster = two_dc_cluster()
         keys = [f"k{i}" for i in range(15)]
@@ -179,15 +174,20 @@ class TestAntiEntropyService:
         cluster.settle()
         diverge_pair(cluster, keys)
         service = cluster.start_anti_entropy(AntiEntropyConfig(interval=1.0))
-        # A monitor built *after* the service (the runner/policy order)
-        # finds it through cluster.anti_entropy -- no attach call needed.
         monitor = ClusterMonitor(cluster, HarmonyConfig(monitoring_interval=0.5))
         monitor.prime()
         cluster.engine.run_until(cluster.engine.now + 2.5)
         service.stop()
         cluster.settle()
-        assert monitor.repair_traffic_by_pair()["dc1|dc2"] > 0
-        assert monitor.sample().repair_bytes > 0
+        assert service.wan_traffic_bytes() > 0
+        # Repair traffic is the service's account; the monitor samples the
+        # rates and the latency behind Tp, nothing else.
+        assert [f.name for f in dataclasses.fields(MonitoringSample)] == [
+            "time", "read_rate", "write_rate", "raw_read_rate", "raw_write_rate",
+            "network_latency", "propagation_time", "window", "datacenter",
+        ]
+        sample = monitor.sample()
+        assert sample.propagation_time > 0 and sample.datacenter is None
 
     def test_session_abandoned_when_partner_site_dies_mid_exchange(self):
         cluster = two_dc_cluster()

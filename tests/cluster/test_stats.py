@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from repro.cluster.stats import ClusterStats, NodeCounters
+from repro.cluster.stats import ClusterStats
 from repro.network.topology import NodeAddress
 
 
@@ -41,20 +41,21 @@ def test_snapshot_and_window_rates():
     assert rates["read_rate"] == pytest.approx(50.0)
     assert rates["write_rate"] == pytest.approx(25.0)
     assert rates["elapsed"] == pytest.approx(2.0)
-    assert stats.last_snapshot() is second
 
 
-def test_only_the_last_snapshot_is_retained():
+def test_no_snapshot_is_retained():
+    # Snapshots belong to whoever takes them (the monitor keeps the previous
+    # one of each window); the stats keep none.
     stats = ClusterStats()
     counters = stats.register_node(addr(0))
     alive = []
     for tick in range(100):
         counters.coordinator_reads += 1
         alive.append(weakref.ref(stats.snapshot(time=float(tick))))
+        alive.append(weakref.ref(stats.snapshot_for(float(tick), [addr(0)])))
     gc.collect()
-    retained = [ref() for ref in alive if ref() is not None]
-    assert retained == [stats.last_snapshot()]
-    assert retained[0].time == 99.0 and retained[0].coordinator_reads == 100
+    assert [ref() for ref in alive if ref() is not None] == []
+    assert set(vars(stats)) == {"_counters"}
 
 
 def test_window_rates_with_zero_elapsed_are_zero():
@@ -81,19 +82,20 @@ def test_rates_use_coordinator_counters_not_replica_counters():
     assert rates["write_rate"] == pytest.approx(0.0)
 
 
-def test_as_table_has_one_row_per_node():
+def test_total_for_sums_a_subset_and_skips_unregistered_nodes():
     stats = ClusterStats()
-    stats.register_node(addr(1)).reads_served = 7
-    stats.register_node(addr(0)).writes_applied = 3
-    rows = stats.as_table()
-    assert len(rows) == 2
-    assert rows[0]["node"] == str(addr(0))
-    assert rows[1]["reads_served"] == 7
+    stats.register_node(addr(0)).reads_served = 7
+    stats.register_node(addr(1)).reads_served = 3
+    stats.register_node(addr(2)).reads_served = 100
+    assert stats.total_for("reads_served", [addr(0), addr(1), addr(9)]) == 10
+    assert stats.total("reads_served") == 110
 
 
-def test_node_counters_as_dict_round_trip():
-    counters = NodeCounters(reads_served=1, hints_stored=2)
-    data = counters.as_dict()
-    assert data["reads_served"] == 1
-    assert data["hints_stored"] == 2
-    assert set(data) >= {"coordinator_reads", "coordinator_writes", "read_repairs"}
+def test_snapshot_for_counts_only_the_subset():
+    stats = ClusterStats()
+    stats.register_node(addr(0)).coordinator_reads = 4
+    stats.register_node(addr(1)).coordinator_writes = 6
+    snap = stats.snapshot_for(2.5, [addr(1)])
+    assert (snap.time, snap.coordinator_reads, snap.coordinator_writes) == (2.5, 0, 6)
+    whole = stats.snapshot(2.5)
+    assert (whole.coordinator_reads, whole.coordinator_writes) == (4, 6)

@@ -45,7 +45,7 @@ class TestLifecycle:
         plane.stop()
         plain_cluster.engine.run_until(1.5)
         assert len(policy.seen) == 5
-        assert plane.stats.ticks == 5
+        assert plane.ticks == 5
 
     def test_start_twice_does_not_double_schedule(self, plain_cluster):
         plane = ControlPlane(plain_cluster, HarmonyConfig(monitoring_interval=0.1))
@@ -71,29 +71,46 @@ class TestLifecycle:
             ControlPlane(plain_cluster, interval=0.0)
 
 
+def count_calls(monitor, method: str) -> List[float]:
+    """Wrap one sampling method of ``monitor``; returns the list of call times."""
+    calls: List[float] = []
+    original = getattr(monitor, method)
+
+    def spy(*args, **kwargs):
+        calls.append(monitor.cluster.engine.now)
+        return original(*args, **kwargs)
+
+    setattr(monitor, method, spy)
+    return calls
+
+
 class TestSharedTick:
     def test_two_policies_share_one_sample(self, plain_cluster):
         """The monitor's window must be consumed once per tick, not per policy."""
         plane = ControlPlane(plain_cluster, HarmonyConfig(monitoring_interval=0.1))
         first = plane.add(CountingPolicy("first"))
         second = plane.add(CountingPolicy("second"))
+        samples = count_calls(plane.monitor, "sample")
         plane.start()
-        plain_cluster.engine.run_until(0.15)
+        plain_cluster.engine.run_until(0.25)
         plane.stop()
-        assert len(first.seen) == 1 and len(second.seen) == 1
+        assert len(first.seen) == 2 and len(second.seen) == 2
         assert first.seen[0] is second.seen[0]  # the very same sample object
-        assert len(plane.monitor.samples) == 1
+        assert samples == pytest.approx([0.1, 0.2])  # one sampling pass per tick
 
     def test_per_dc_view_sampled_once(self, geo_cluster):
         plane = ControlPlane(geo_cluster, HarmonyConfig(monitoring_interval=0.1))
         first = plane.add(CountingPolicy("first", use_per_dc=True))
         second = plane.add(CountingPolicy("second", use_per_dc=True))
+        per_dc = count_calls(plane.monitor, "sample_per_datacenter")
+        cluster_wide = count_calls(plane.monitor, "sample")
         plane.start()
-        geo_cluster.engine.run_until(0.15)
+        geo_cluster.engine.run_until(0.25)
         plane.stop()
         assert first.seen[0] is second.seen[0]
-        for dc_samples in plane.monitor.samples_by_dc.values():
-            assert len(dc_samples) == 1
+        assert set(first.seen[0]) == {"alpha", "beta", "gamma"}
+        assert per_dc == pytest.approx([0.1, 0.2])
+        assert cluster_wide == []  # a view no policy reads is never sampled
 
 
 class TestDecisionAccounting:
@@ -106,7 +123,33 @@ class TestDecisionAccounting:
         plane.stop()
         assert len(plane.decisions) == 6
         assert plane.decision_counts == {"a.noop": 3, "b.noop": 3}
-        assert plane.stats.as_dict()["decisions"] == 6
+        assert plane.ticks == 3
+        # The log is in tick order, each tick's decisions in policy order.
+        assert [d.policy for d in plane.decisions] == ["a", "b"] * 3
+
+    def test_decision_counts_recount_the_log_in_first_decision_order(self, plain_cluster):
+        plane = ControlPlane(plain_cluster, HarmonyConfig(monitoring_interval=0.1))
+        plane.add(CountingPolicy("z"))
+        plane.add(CountingPolicy("a"))
+        plane.tick()
+        # A decision appended by hand is counted like one a policy took.
+        plane.decisions.append(
+            Decision(time=0.0, policy="m", scope="cluster", kind="knob", value=1)
+        )
+        plane.tick()
+        counts = plane.decision_counts
+        assert counts == {"z.noop": 2, "a.noop": 2, "m.knob": 1}
+        assert list(counts) == ["z.noop", "a.noop", "m.knob"]
+        assert counts is not plane.decision_counts  # a fresh recount each time
+
+    def test_ticks_count_ticks_that_decide_nothing(self, plain_cluster):
+        plane = ControlPlane(plain_cluster, interval=0.1)
+        plane.add(LevelPolicy())  # ticks, never decides
+        plane.start()
+        plain_cluster.engine.run_until(0.45)
+        plane.stop()
+        assert (plane.ticks, plane.decisions, plane.decision_counts) == (4, [], {})
+        assert len(plane.estimate_series) == 0
 
     def test_manual_tick(self, plain_cluster):
         plane = ControlPlane(plain_cluster, HarmonyConfig(monitoring_interval=0.1))
@@ -154,7 +197,7 @@ class TestInterval:
         plane.start()
         plain_cluster.engine.run_until(1.0)
         plane.stop()
-        assert plane.stats.ticks == 3
+        assert plane.ticks == 3
 
     def test_non_positive_interval_rejected(self, plain_cluster):
         with pytest.raises(ValueError, match="positive"):

@@ -74,7 +74,23 @@ class TestDecisions:
         assert write_d.value is ConsistencyLevel.LOCAL_QUORUM
         assert policy.current_level["alpha"] is ConsistencyLevel.LOCAL_ONE
         assert policy.current_write_level["alpha"] is ConsistencyLevel.LOCAL_QUORUM
-        assert len(policy.write_level_series["alpha"]) == 1
+        assert (read_d.replicas, write_d.replicas) == (1, 2)
+        assert read_d.estimate is write_d.estimate and read_d.sample is sample
+        assert read_d.achieved_staleness == write_d.achieved_staleness <= 0.05
+
+    def test_the_plane_log_holds_every_sites_write_trajectory(self, geo_cluster):
+        policy = bound_policy(geo_cluster, asr=0.05)
+        plane = policy.plane
+        plane.tick()
+        plane.tick()
+        writes = [d for d in plane.decisions if d.kind == "write_level"]
+        # One read and one write record per replica-holding site per tick.
+        sites = ["dc:alpha", "dc:beta", "dc:gamma"]
+        assert [d.scope for d in writes] == sites * 2
+        assert len(plane.decisions) == 2 * len(writes)
+        last = {d.scope: d for d in writes[-3:]}
+        for dc in ("alpha", "beta", "gamma"):
+            assert policy.current_write_level[dc] is last[f"dc:{dc}"].value
 
     def test_per_site_tolerances_respected(self, geo_cluster):
         policy = bound_policy(geo_cluster, asr=0.4, overrides={"alpha": 0.005, "beta": 0.99})

@@ -60,8 +60,9 @@ class TestThresholdReadPolicy:
         # Five idle ticks: the level never moved, the trajectory still covers
         # the whole run, and every tick logged a decision on the plane.
         assert policy.current_level is ConsistencyLevel.ONE
-        assert len(policy.level_series) == 5
+        assert plane.ticks == 5
         assert len(plane.decisions) == 5
+        assert [d.time for d in plane.decisions] == pytest.approx([0.05, 0.1, 0.15, 0.2, 0.25])
         assert all(d.policy == "threshold" for d in plane.decisions)
         assert all(
             d.replicas == d.value.blocked_for(plain_cluster.replication_factor)
@@ -153,4 +154,18 @@ class TestStalenessSLAPolicy:
         feed(auditor, fresh=20, violating=0)
         plane.tick()
         assert list(policy.violation_series.values) == pytest.approx([0.5, 0.0])
-        assert list(policy.level_series.values) == [2.0, 1.0]
+        assert [d.replicas for d in plane.decisions] == [2, 1]
+
+    def test_violations_are_recorded_on_ticks_that_decide_nothing(self, plain_cluster):
+        # The log holds level moves only; the violation series also holds
+        # the held windows, which is why the policy keeps it.
+        auditor, plane, policy = self.make(plain_cluster)  # budget = 0.2
+        feed(auditor, fresh=5, violating=5)
+        plane.tick()  # escalate
+        feed(auditor, fresh=17, violating=3)
+        plane.tick()  # hold: rate 0.15
+        feed(auditor, fresh=3, violating=0)
+        plane.tick()  # 3 judged reads < 10: no signal, nothing recorded
+        assert list(policy.violation_series.values) == pytest.approx([0.5, 0.15])
+        assert [d.replicas for d in plane.decisions] == [2]
+        assert plane.ticks == 3

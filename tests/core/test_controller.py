@@ -99,24 +99,21 @@ class TestDecisionScheme:
         else:
             assert decision.replicas == expected.required_replicas
 
-    def test_decisions_and_series_are_recorded(self):
+    def test_the_last_decision_is_held_for_upcoming_reads(self):
         plane, policy = make_policy(make_cluster(), HarmonyConfig(tolerated_stale_rate=0.5))
         policy.decide(sample(100.0, 50.0, 0.001, time=1.0))
-        last = policy.decide(sample(8000.0, 8000.0, 0.002, time=2.0))
-        assert len(policy.estimate_series) == 2
-        assert len(policy.level_series) == 2
-        assert policy.estimate_series.last()[1] == last.estimate.probability
-        assert policy.level_series.last()[1] == last.replicas > 1
-        # The last decision is the one held for upcoming reads.
-        assert policy.current_level is last.value
-        assert policy.current_replicas == last.replicas
+        heavy = sample(8000.0, 8000.0, 0.002, time=2.0)
+        last = policy.decide(heavy)
+        assert last.replicas > 1
+        assert policy.current_level is last.value is policy.read_level()
+        assert policy.last_sample is heavy is last.sample
         assert plane.decisions == []  # the plane logs its own ticks only
 
     def test_level_defaults_to_one_before_the_first_decision(self):
         plane, policy = make_policy(make_cluster())
         assert policy.current_level is ConsistencyLevel.ONE
-        assert policy.current_replicas == 1
-        assert len(policy.estimate_series) == 0
+        assert policy.last_sample is None
+        assert len(plane.estimate_series) == 0
         assert plane.decisions == []
 
 
@@ -129,7 +126,10 @@ class TestPeriodicLoop:
         cluster.engine.run_until(cluster.engine.now + 0.55)
         assert len(plane.decisions) == 5
         assert plane.decision_counts == {"harmony.read_level": 5}
-        assert len(policy.estimate_series) == 5
+        series = plane.estimate_series
+        assert list(series.times) == [d.time for d in plane.decisions]
+        assert list(series.values) == [d.estimate.probability for d in plane.decisions]
+        assert policy.last_sample is plane.decisions[-1].sample
         plane.stop()
         cluster.engine.run_until(cluster.engine.now + 0.5)
         assert len(plane.decisions) == 5

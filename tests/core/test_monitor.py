@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
@@ -97,16 +100,24 @@ def test_single_node_cluster_has_zero_latency():
     assert monitor.measure_network_latency() == 0.0
 
 
-def test_samples_accumulate_and_reset_clears():
+def test_the_monitor_keeps_no_sample_history():
+    # What a sample led to lives in the plane's decision log; the monitor
+    # keeps only the window and smoothing state its next sample needs.
     cluster = make_cluster()
     monitor = ClusterMonitor(cluster)
-    monitor.sample()
-    monitor.sample()
-    assert len(monitor.samples) == 2
-    assert monitor.last_sample is monitor.samples[-1]
-    monitor.reset()
-    assert monitor.samples == []
-    assert monitor.last_sample is None
+    taken = [weakref.ref(monitor.sample()) for _ in range(3)]
+    taken += [weakref.ref(s) for s in monitor.sample_per_datacenter().values()]
+    gc.collect()
+    assert [ref() for ref in taken if ref() is not None] == []
+    assert set(vars(monitor)) == {
+        "cluster",
+        "config",
+        "_previous",
+        "_previous_by_dc",
+        "_previous_global_by_dc",
+        "_smoothed",
+        "_ping_rng",
+    }
 
 
 def test_monitoring_does_not_touch_the_data_path():

@@ -72,7 +72,7 @@ class TestHarmonyPolicy:
     def test_read_level_before_attach_is_one(self):
         policy = HarmonyPolicy(tolerated_stale_rate=0.4)
         assert policy.read_level() is ConsistencyLevel.ONE
-        assert len(policy.estimate_series) == 0
+        assert policy.plane is None and policy.last_sample is None
 
     def test_attach_starts_a_plane_and_detach_stops_it(self, cluster):
         """The policy *is* what the plane ticks, at the policy's own interval."""
@@ -90,7 +90,7 @@ class TestHarmonyPolicy:
         cluster.engine.run_until(cluster.engine.now + 0.3)
         assert len(plane.decisions) == decisions
 
-    def test_estimate_series_is_exposed_after_attach(self, cluster):
+    def test_estimate_series_is_derived_from_the_decision_log(self, cluster):
         policy = HarmonyPolicy(
             config=HarmonyConfig(tolerated_stale_rate=0.4, monitoring_interval=0.05)
         )
@@ -99,9 +99,11 @@ class TestHarmonyPolicy:
         plane.start()
         cluster.engine.run_until(cluster.engine.now + 0.2)
         plane.stop()
-        assert len(policy.estimate_series) >= 1
-        # The plane derives the same trace from its decision log.
-        assert list(plane.estimate_series) == list(policy.estimate_series)
+        assert len(plane.decisions) >= 1
+        # The policy keeps no series of its own; the plane's is the log's.
+        assert list(plane.estimate_series) == [
+            (d.time, d.estimate.probability) for d in plane.decisions
+        ]
 
     def test_describe_includes_asr_and_interval(self):
         policy = HarmonyPolicy(tolerated_stale_rate=0.25)
@@ -144,11 +146,15 @@ class TestThresholdPolicy:
         assert policy.read_level() is ConsistencyLevel.ONE
         plane.stop()
 
-    def test_level_series_records_decisions(self, cluster):
+    def test_every_tick_logs_a_decision(self, cluster):
         policy = ThresholdPolicy(threshold=0.3, monitoring_interval=0.05)
         plane = ControlPlane(cluster)
         plane.add(policy)
         plane.start()
         cluster.engine.run_until(cluster.engine.now + 0.25)
         plane.stop()
-        assert len(policy.level_series) >= 4
+        assert plane.ticks >= 4
+        assert len(plane.decisions) == plane.ticks
+        assert plane.decision_counts == {"threshold.read_level": plane.ticks}
+        # A threshold decision carries no model estimate.
+        assert len(plane.estimate_series) == 0

@@ -135,7 +135,7 @@ def test_one_plane_carries_everything(family):
     # The level policy sets the tick period; static levels leave it to the
     # next policy that declares one (the repair base cadence).
     assert plane.interval == (REPAIR_INTERVAL if static else INTERVAL)
-    assert plane.stats.ticks >= 3
+    assert plane.ticks >= 3
 
     # One decision log, one counter export, and it reaches the run metrics.
     assert metrics.control_decisions == plane.decision_counts

@@ -6,12 +6,8 @@ import pytest
 
 from repro.control.policies import HarmonyReadPolicy
 from repro.core.policy import StaticEventualPolicy, ThresholdPolicy
-from repro.experiments.runner import (
-    ExperimentConfig,
-    make_policy,
-    run_experiment,
-    run_thread_sweep,
-)
+from repro.experiments import runner
+from repro.experiments.runner import ExperimentConfig, make_policy, run_experiment
 from repro.experiments.scenarios import GRID5000, GRID5000_3SITES_ADAPTIVE
 from repro.workload.workloads import WORKLOAD_A, WORKLOAD_B
 
@@ -196,16 +192,14 @@ class TestResultPlane:
         assert cluster.engine.events_processed == 0
 
 
-class TestThreadSweep:
-    def test_sweep_covers_the_cartesian_product(self):
-        results = run_thread_sweep(
-            GRID5000,
-            WORKLOAD_A.scaled(record_count=50, operation_count=150),
-            policy_names=("eventual", "strong"),
-            thread_counts=(1, 4),
-            seed=2,
-            n_nodes=6,
-        )
-        assert len(results) == 4
-        combos = {(r.config.threads, r.config.policy_name) for r in results}
-        assert combos == {(1, "eventual"), (1, "strong"), (4, "eventual"), (4, "strong")}
+class TestOneSweep:
+    def test_the_runner_makes_single_runs_and_the_figures_sweep(self):
+        # Fig. 5 / 6's thread sweep is ``figures.figure_5_6_thread_sweep``
+        # over ``FigureDefaults.run``; the runner holds no second one.
+        from repro.experiments import figures
+
+        assert runner.__all__ == [
+            "ExperimentConfig", "ExperimentResult", "run_experiment", "make_policy"
+        ]
+        assert not [name for name in vars(runner) if "sweep" in name]
+        assert callable(figures.figure_5_6_thread_sweep)

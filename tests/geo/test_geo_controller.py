@@ -119,8 +119,22 @@ class TestDecisions:
         per_site = [d for d in decisions if d.scope == "dc:alpha"]
         assert len(per_site) == 2
         assert len([d for d in decisions if d.scope == "dc:beta"]) == 1
-        assert len(control.estimate_series["alpha"]) == 2
-        assert len(control.estimate_series["beta"]) == 1
+        assert control.current_level["alpha"] is decisions[1].value
+        assert control.current_level["beta"] is decisions[2].value
+        assert control.plane.decisions == []  # manual decisions bypass the log
+
+    def test_each_tick_logs_one_decision_per_replica_holding_site(self, geo_cluster):
+        plane, control = make_control(geo_cluster, HarmonyConfig(monitoring_interval=0.1))
+        plane.start()
+        geo_cluster.engine.run_until(0.25)
+        plane.stop()
+        sites = [f"dc:{dc}" for dc in control.models]
+        assert plane.ticks == 2
+        assert [d.scope for d in plane.decisions] == sites * 2
+        # Each site's estimate comes from that site's own sample.
+        assert all(d.sample.datacenter == d.scope[3:] for d in plane.decisions)
+        # Per-site decisions carry no cluster-scope estimate.
+        assert len(plane.estimate_series) == 0
 
     def test_unknown_site_rejected(self, geo_cluster):
         _, control = make_control(geo_cluster)

@@ -122,10 +122,10 @@ class TestControlPlane:
         )
         assert executor.plane.policies == [policy] and not executor.plane.running
         executor.load()
-        assert executor.plane.stats.ticks == 0  # bound before the load, ticking after it
+        assert executor.plane.ticks == 0  # bound before the load, ticking after it
         metrics = executor.run()
-        assert not executor.plane.running and executor.plane.stats.ticks > 0
-        assert metrics.control_decisions == {"threshold.read_level": executor.plane.stats.ticks}
+        assert not executor.plane.running and executor.plane.ticks > 0
+        assert metrics.control_decisions == {"threshold.read_level": executor.plane.ticks}
 
 
 class TestRunPhase:
