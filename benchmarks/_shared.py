@@ -1,19 +1,15 @@
 """Shared guards for the recorded result files.
 
-* ``write_benchmark_json`` -- the one way ``SCORECARD.json``,
-  ``BENCH_fabric.json`` and the perf ledger are persisted: it refuses
-  placeholder values, so a half-finished benchmark can never masquerade as
-  a recorded result again (a ``PLACEHOLDER`` baseline label once survived a
-  whole PR in ``BENCH_fabric.json``);
-* ``trace_signature`` -- folds a sharded run's per-shard trace hashes into
-  one scalar for ``bench_fabric.py``;
+* ``write_benchmark_json`` -- the one way ``SCORECARD.json`` and the perf
+  ledger are persisted: it refuses placeholder values and ``repetitions``
+  counts that disagree with their samples, so a half-finished benchmark can
+  never masquerade as a recorded result;
 * ``percentile`` -- the nearest-rank percentile the subsystem benchmarks
   report latencies with.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from typing import Dict, List, Optional
@@ -66,40 +62,12 @@ class RepetitionMismatchError(ValueError):
     """A benchmark's ``repetitions`` field disagrees with its per-rep lists."""
 
 
-def trace_signature(trace_sha256: object) -> str:
-    """Collapse a run's trace hash into one scalar signature.
-
-    Single-engine runs record one ``trace_sha256`` string; sharded runs
-    record one hash *per shard* (the shard is the unit of reproducibility).
-    Comparisons and merged reports want a single scalar either way, so a
-    list is folded order-sensitively: the merged signature is the SHA-256
-    of the newline-joined per-shard hashes.  A one-element list therefore
-    deliberately differs from its bare scalar -- the shapes mean different
-    things (a sharded run of one shard is not the unsharded run).
-    """
-    if isinstance(trace_sha256, str):
-        return trace_sha256
-    if isinstance(trace_sha256, (list, tuple)):
-        if not trace_sha256 or not all(isinstance(item, str) for item in trace_sha256):
-            raise TypeError(
-                f"per-shard trace hashes must be a non-empty list of strings, "
-                f"got {trace_sha256!r}"
-            )
-        return hashlib.sha256("\n".join(trace_sha256).encode("utf-8")).hexdigest()
-    raise TypeError(f"trace_sha256 must be a string or list of strings, got {trace_sha256!r}")
-
-
 def assert_repetitions_consistent(report: Dict[str, object], path: str = "$") -> None:
     """Check that ``repetitions`` matches the length of every ``*all_reps*`` list.
 
-    ``BENCH_fabric.json`` once claimed ``"repetitions": 3`` while recording
-    four entries in ``optimized_all_reps_ops_per_wall_s`` -- metadata that
-    lies about its own sample count poisons every later comparison.  The
-    check recurses into nested dicts *and* lists of dicts (parallel reports
-    carry per-run sections inside lists).  Plain value lists that are not
-    ``*all_reps*`` samples -- e.g. a sharded run's per-shard ``trace_sha256``
-    list, whose length is the shard count, not the repetition count -- are
-    left alone.
+    Metadata that lies about its own sample count poisons every later
+    comparison.  The check recurses into nested dicts *and* lists of dicts;
+    plain value lists that are not ``*all_reps*`` samples are left alone.
     """
     if not isinstance(report, dict):
         return

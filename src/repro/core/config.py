@@ -36,10 +36,6 @@ class HarmonyConfig:
     propagation_overhead:
         Fixed per-write overhead added to ``Tp`` (serialisation, commit-log
         append on the receiving replica).
-    use_named_levels:
-        If True (default), the computed replica count is mapped to the
-        nearest Cassandra named level (ONE/TWO/THREE/QUORUM/ALL); if False,
-        the raw replica count is used directly (the simulator supports it).
     """
 
     tolerated_stale_rate: float = 0.4
@@ -49,7 +45,6 @@ class HarmonyConfig:
     avg_write_size: float = 1024.0
     bandwidth_bytes_per_s: float = DEFAULT_BANDWIDTH_BYTES_PER_S
     propagation_overhead: float = 0.000005
-    use_named_levels: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.tolerated_stale_rate <= 1.0:

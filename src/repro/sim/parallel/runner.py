@@ -88,10 +88,9 @@ def _worker_main(conn, runtimes: Dict[int, ShardRuntime]) -> None:
     figure is the work done, not the wall time spent preempted) and is
     piggybacked on every reply so the parent always has the latest figure.
 
-    The cyclic GC is disabled for the worker's lifetime, mirroring the
-    standard wall-clock-benchmark practice in ``bench_fabric.py``:
-    collector pauses are measurement noise in ``busy``, and a worker is a
-    short-lived child that exits after ``finalize`` anyway.
+    The cyclic GC is disabled for the worker's lifetime: collector pauses
+    are measurement noise in ``busy``, and a worker is a short-lived child
+    that exits after ``finalize`` anyway.
     """
     gc.disable()
     busy = 0.0

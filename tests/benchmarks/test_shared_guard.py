@@ -1,14 +1,16 @@
 """The benchmark JSON writer must refuse placeholder values.
 
-A ``PLACEHOLDER`` baseline label once survived a whole PR inside
-``BENCH_fabric.json``; these tests pin the guard that prevents a repeat, and
-verify the recorded benchmark files themselves are clean.
+A ``PLACEHOLDER`` baseline label once survived a whole change inside a recorded
+result file; these tests pin the guard that prevents a repeat, and verify
+the recorded result files themselves are clean.
 """
 
 from __future__ import annotations
 
+import fnmatch
 import json
 import os
+import re
 import sys
 
 import pytest
@@ -25,6 +27,7 @@ from benchmarks._shared import (  # noqa: E402
     percentile,
     write_benchmark_json,
 )
+from benchmarks.perf import spec  # noqa: E402
 
 
 class TestPlaceholderGuard:
@@ -97,23 +100,44 @@ class TestRepetitionGuard:
         assert not path.exists()
 
 
+LEDGER = "benchmarks/perf/recorded/ledger.json"
+
+
+def _load(name):
+    with open(os.path.join(REPO_ROOT, name), "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
 class TestRecordedBenchmarkFilesAreClean:
-    @pytest.mark.parametrize("name", ["BENCH_fabric.json", "SCORECARD.json"])
+    @pytest.mark.parametrize("name", ["SCORECARD.json", "BENCHMARK.json", LEDGER])
     def test_recorded_results_contain_no_placeholders(self, name):
-        path = os.path.join(REPO_ROOT, name)
-        with open(path, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
+        report = _load(name)
         assert_no_placeholders(report)
         assert_repetitions_consistent(report)
 
-    def test_fabric_baseline_is_a_real_measurement(self):
-        path = os.path.join(REPO_ROOT, "BENCH_fabric.json")
-        with open(path, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-        baseline = report["parallel_scale_1000"]
-        assert baseline["quick"] is False and baseline["deterministic"] is True
-        assert baseline["single_process"]["ops_per_wall_s"] > 0
-        assert baseline["workers_n"]["aggregate_ops_per_busy_s"] > 0
+    def test_sharded_baseline_is_a_real_measurement(self):
+        ledger = _load(LEDGER)
+        row = ledger["workloads"]["scale1000_sharded"]
+        assert ledger["provenance"]["quick"] is False
+        assert row["failed"] == 0 and row["checks"] == []
+        for metric in spec.END_TO_END:
+            cell = row["end_to_end"][metric.name]
+            # Host timings are one per repetition; simulated results are
+            # exact for an input, so they hold one value per input.
+            assert cell["n"] >= (5 if metric.clock == "host" else 1), metric.name
+            assert cell["median"] > 0, metric.name
+        assert re.fullmatch(r"[0-9a-f]{64}", row["sim_digest"])
+
+    def test_the_root_holds_no_other_recorded_results(self):
+        with open(os.path.join(REPO_ROOT, ".gitignore"), "r", encoding="utf-8") as handle:
+            ignored = [line.strip() for line in handle if line.strip()]
+        recorded = {
+            name
+            for name in os.listdir(REPO_ROOT)
+            if name.endswith(".json")
+            and not any(fnmatch.fnmatch(name, pattern) for pattern in ignored)
+        }
+        assert recorded == {"BENCHMARK.json", "SCORECARD.json"}
 
 
 class TestPercentile:

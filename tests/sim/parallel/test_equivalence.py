@@ -27,7 +27,9 @@ def _canonical(result) -> str:
     return json.dumps(result.summary(), sort_keys=True, default=str)
 
 
-@pytest.mark.parametrize("scenario,shards", [("scale_100", 4), ("grid5000_3sites", 3)])
+@pytest.mark.parametrize(
+    "scenario,shards", [("scale_100", 4), ("grid5000_3sites", 3), ("scale_300", 4)]
+)
 def test_workers_1_and_workers_4_are_byte_identical(scenario, shards):
     solo = run_parallel_experiment(
         scenario, SMALL, "quorum", 8, seed=11, shards=shards, workers=1
