@@ -150,9 +150,9 @@ def _drive(cluster: SimulatedCluster, phases: List[Tuple[float, float]], on_load
             cluster.read(key, ConsistencyLevel.QUORUM)
         state["i"] += 1
         if state["i"] < len(times):
-            engine.schedule(times[state["i"]] - engine.now, issue, label="bench.op")
+            engine.schedule(times[state["i"]] - engine.now, issue)
 
-    engine.schedule(times[0] - engine.now, issue, label="bench.op")
+    engine.schedule(times[0] - engine.now, issue)
     run_end = run_start + sum(duration for duration, _ in phases)
     engine.run_until(run_end + 5.0)
     return latencies, run_start, engine.now

@@ -845,7 +845,6 @@ class AntiEntropyService:
                     keys[index:],
                     view_a,
                     view_b,
-                    label="repair.pace",
                 )
                 return
             cell_a = view_a.get(key)

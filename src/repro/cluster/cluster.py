@@ -566,7 +566,7 @@ class SimulatedCluster:
             coordinator=None,
             datacenter=datacenter,
         )
-        self.engine.schedule_after(0.0, on_complete, result, handle=False)
+        self.engine.call_at(self.engine.now, on_complete, result)
         return -1
 
     def write(

@@ -886,7 +886,7 @@ class Coordinator:
             self.tracer.op_complete(result)
         # Delivered through the event loop so callbacks never run re-entrantly
         # inside the caller's stack frame (same rule as every other response).
-        self._engine.schedule_after(0.0, callback, result, handle=False)
+        self._engine.call_at(self._engine.now, callback, result)
         return next(self._request_ids)
 
     # ------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Optional, Tuple
+from typing import Callable, Deque, Optional
 
 from repro.cluster.stats import NodeCounters
 from repro.cluster.storage import Cell, StorageEngine
@@ -116,7 +116,7 @@ class StorageNode:
         self._busy_workers = 0
         # Requests waiting for a worker; born at the node's first saturation,
         # since most nodes of a wide ring never queue one.
-        self._queue: Optional[Deque[Tuple[Message, float]]] = None
+        self._queue: Optional[Deque[Message]] = None
         self._up = True
         self._slowdown = 1.0
         # Gamma service time parameters (shape, scale) per request kind.
@@ -144,8 +144,8 @@ class StorageNode:
         # Coordinator); responses then skip the generic Message dispatch.
         self._read_response_sink: Optional[Callable] = None
         self._write_response_sink: Optional[Callable] = None
-        # Pre-bound hot callables (one attribute hop less per request).
-        self._schedule_after = engine.schedule_after
+        # Pre-bound hot callable (one attribute hop less per request).
+        self._call_at = engine.call_at
 
     def set_response_handler(self, handler: Callable[[Message], None]) -> None:
         """Install the co-located coordinator's response handler."""
@@ -245,7 +245,7 @@ class StorageNode:
                 elif len(queue) >= self.config.queue_capacity:
                     self.counters.queue_rejections += 1
                     return
-                queue.append((message, self._engine.now))
+                queue.append(message)
                 return
             self._start_service(message)
         elif kind == MessageKind.HINT_REPLAY:
@@ -302,10 +302,12 @@ class StorageNode:
             self._service_pool = pool
             index = 0
         self._service_index = index + 1
-        # handle=False: service completions are never cancelled (a node going
-        # down is checked inside _finish_service), so skip the handle.
-        self._schedule_after(
-            pool[index] * scale * self._slowdown, self._finish_service, message, handle=False
+        # Fire-and-forget: service completions are never cancelled (a node
+        # going down is checked inside _finish_service).
+        self._call_at(
+            self._engine.now + pool[index] * scale * self._slowdown,
+            self._finish_service,
+            message,
         )
 
     def _finish_service(self, message: Message) -> None:
@@ -338,8 +340,7 @@ class StorageNode:
         # Pull the next queued request, if any.
         queue = self._queue
         while queue and self._busy_workers < self.config.concurrency:
-            queued, _enqueued_at = queue.popleft()
-            self._start_service(queued)
+            self._start_service(queue.popleft())
 
     def apply_write(self, cell: Cell, *, is_repair: bool = False) -> None:
         self.storage.apply(cell)

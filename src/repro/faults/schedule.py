@@ -528,10 +528,10 @@ class FaultInjector:
         self._armed = True
         engine = self.cluster.engine
         for event in self.schedule:
-            engine.schedule(event.at, self._apply, event.start, label=f"fault.{event.tag}")
+            engine.schedule(event.at, self._apply, event.start)
             duration = getattr(event, "duration", None)
             if duration is not None:
-                engine.schedule(event.at + duration, self._apply, event.end, label="fault.heal")
+                engine.schedule(event.at + duration, self._apply, event.end)
 
     # ------------------------------------------------------------------
     def _apply(self, action) -> None:

@@ -92,7 +92,6 @@ Three things keep the per-message cost low on 100+ node rings:
 
 from __future__ import annotations
 
-import heapq
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -106,7 +105,7 @@ from repro.constants import DEFAULT_BANDWIDTH_BYTES_PER_S
 from repro.network.latency import LatencyModel
 from repro.network.topology import NodeAddress, Topology
 from repro.network.transfers import BandwidthConfig, TransferScheduler
-from repro.sim.engine import Event, SimulationEngine
+from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RandomStreams
 
 __all__ = ["Message", "MessageKind", "NetworkFabric", "NetworkStats", "LATENCY_POOL_SIZE"]
@@ -444,12 +443,12 @@ class NetworkFabric:
     def inject_remote(self, deliver_at: float, message: Message) -> None:
         """Deliver a message handed over by another shard at ``deliver_at``.
 
-        Scheduling through :meth:`SimulationEngine.at` makes the conservative
+        Scheduling through :meth:`SimulationEngine.call_at` makes the conservative
         window a *hard* guarantee: injecting before the local clock reached
         ``deliver_at`` is fine, but a violation (the clock already past the
         timestamp) raises instead of silently reordering the past.
         """
-        self._engine.at(deliver_at, self._deliver, message, None, label="remote_delivery")
+        self._engine.call_at(deliver_at, self._deliver, message, None)
 
     # ------------------------------------------------------------------
     # Latency control (used by sweeps and failure injection)
@@ -526,9 +525,7 @@ class NetworkFabric:
                 )
             self._remote_sink(deliver_at, message)
             return
-        self._engine.at(
-            deliver_at, self._deliver, message, on_delivered, label="transfer_delivery"
-        )
+        self._engine.call_at(deliver_at, self._deliver, message, on_delivered)
 
     def start_background_transfer(
         self,
@@ -741,8 +738,8 @@ class NetworkFabric:
         arrive, deliver = self._arrive, self._deliver
         in_flight = sum(
             1
-            for _, _, event in self._engine._queue
-            if not event.cancelled and (event.callback == arrive or event.callback == deliver)
+            for callback in self._engine.pending_callbacks()
+            if callback == arrive or callback == deliver
         )
         if self._transfers is not None:
             in_flight += self._transfers.messages_streaming()
@@ -1024,23 +1021,8 @@ class NetworkFabric:
                 )
             self._remote_sink(deliver_at, message)
             return message
-        # One engine event per message, no closure (args ride on the event);
-        # the engine's event construction is inlined because this runs once
-        # per message.
-        free = engine._free
-        if free:
-            event = free.pop()
-            event.time = deliver_at
-            event.callback = self._arrive
-            event.args = (message, on_delivered)
-            event.cancelled = False
-            event.label = ""
-        else:
-            event = Event(time=deliver_at, callback=self._arrive, args=(message, on_delivered))
-        seq = engine._seq
-        engine._seq = seq + 1
-        event.seq = seq
-        heapq.heappush(engine._queue, (deliver_at, seq, event))
+        # One engine event per message, no closure (args ride on the entry).
+        engine.call_at(deliver_at, self._arrive, message, on_delivered)
         return message
 
     def _sized_delay(
@@ -1112,7 +1094,7 @@ class NetworkFabric:
                 )
             self._remote_sink(deliver_at, message)
             return
-        engine._new_event(deliver_at, self._arrive, "", (message, on_delivered))
+        engine.call_at(deliver_at, self._arrive, message, on_delivered)
 
     def _deliver_in_order(
         self, message: Message, on_delivered: Optional[Callable[[Message], None]]

@@ -584,9 +584,8 @@ class TransferScheduler:
             if next_dt is None or dt < next_dt:
                 next_dt = dt
         if next_dt is not None:
-            self._engine.schedule_after(
-                next_dt, self._fire, link, link.timer_gen, handle=False
-            )
+            engine = self._engine
+            engine.call_at(engine.now + next_dt, self._fire, link, link.timer_gen)
 
     def _fire(self, link: _TransferLink, gen: int) -> None:
         if gen != link.timer_gen:

@@ -17,11 +17,10 @@ Design notes
   randomness does not perturb the draws seen by unrelated components.
 """
 
-from repro.sim.engine import Event, EventHandle, SimulationEngine, SimulationError
+from repro.sim.engine import EventHandle, SimulationEngine, SimulationError
 from repro.sim.rng import RandomStreams
 
 __all__ = [
-    "Event",
     "EventHandle",
     "RandomStreams",
     "SimulationEngine",

@@ -89,9 +89,7 @@ class PeriodicProcess:
 
     # ------------------------------------------------------------------
     def _arm(self, delay: float) -> None:
-        self._pending = self._engine.schedule(
-            delay, self._tick, label=f"{self._name}.timeout"
-        )
+        self._pending = self._engine.schedule(delay, self._tick)
 
     def _tick(self) -> None:
         self._fn()

@@ -1,48 +1,54 @@
 """Core discrete-event simulation engine.
 
 The engine maintains a priority queue of timestamped events and a virtual
-clock.  It is intentionally minimal: components interact with it only
-through :meth:`SimulationEngine.schedule` / :meth:`SimulationEngine.at`
-(to enqueue callbacks) and :meth:`SimulationEngine.run` /
-:meth:`SimulationEngine.run_until` (to drive the loop).
+clock.  Components interact with it only through its four scheduling calls
+and :meth:`SimulationEngine.run` / :meth:`SimulationEngine.run_until` /
+:meth:`SimulationEngine.step` (to drive the loop):
+
+* :meth:`~SimulationEngine.call_at` -- fire-and-forget at an absolute time;
+  returns nothing and cannot be cancelled.  Every hot path (message
+  delivery, service completion, timer-queue wake-ups, completion batches)
+  uses it.
+* :meth:`~SimulationEngine.schedule` (relative delay),
+  :meth:`~SimulationEngine.at` (absolute time) and
+  :meth:`~SimulationEngine.call_soon` (now) -- cancellable; each returns a
+  one-shot :class:`EventHandle`.
 
 The engine is single threaded and deterministic.  Ties in event time are
 broken by a monotonically increasing sequence number, so two runs with the
 same seed and the same call ordering produce identical traces.
 
-Hot-path design notes
----------------------
-The queue stores plain ``(time, seq, event)`` tuples so heap sifting
-compares C-level floats/ints instead of calling a Python ``__lt__`` (the
-unique ``seq`` guarantees the :class:`Event` object itself is never
-compared).  Fired events are recycled through a bounded free-list; a
-``generation`` counter on each event keeps stale :class:`EventHandle`\\ s
-from cancelling a recycled slot.  Cancelled events are compacted out of the
-queue once they outnumber half of it (the strategy asyncio uses for timer
-handles), so workloads that cancel most of their timeouts -- every
-completed read/write cancels one -- do not pay heap costs for dead entries.
+Queue format
+------------
+The heap holds one kind of entry, ``(time, seq, callback, args)``.  A
+fire-and-forget event stores its callback and argument tuple directly; a
+cancellable one stores ``(time, seq, handle, None)`` and the handle holds
+the callback, the args and ``cancelled``.  The unique ``seq`` means heap
+sifting compares C-level floats/ints and never reaches the third field.  A
+handle is used once: firing it clears its callback, and cancelling it is an
+attribute store.  Cancelled entries are compacted out of the queue once
+they outnumber half of it (the strategy asyncio uses for timer handles).
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
-__all__ = ["Event", "EventHandle", "SimulationEngine", "SimulationError"]
+__all__ = ["EventHandle", "SimulationEngine", "SimulationError"]
 
 #: Cancelled events are purged from the queue once they exceed both this
 #: floor and half the queue length (mirrors asyncio's timer compaction).
 _COMPACTION_FLOOR = 64
-
-#: Maximum number of fired Event objects kept for reuse.
-_FREE_LIST_MAX = 4096
 
 #: "No bound" on the event loop's time...
 _FOREVER = float("inf")
 #: ...and on its event count: the loop counts its budget *down* and stops at
 #: zero, which a count starting below zero never reaches.
 _NO_LIMIT = -1
+
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
 
 class SimulationError(RuntimeError):
@@ -53,102 +59,51 @@ class SimulationError(RuntimeError):
     """
 
 
-class Event:
-    """A single scheduled callback.
+class EventHandle:
+    """A cancellable scheduled callback, returned by ``schedule`` / ``at`` /
+    ``call_soon``.
 
-    Attributes
-    ----------
-    time:
-        Virtual time (seconds) at which the callback fires.
-    seq:
-        Tie-breaking sequence number; earlier-scheduled events with the same
-        timestamp run first.
-    callback / args:
-        Callable invoked as ``callback(*args)`` when the event fires.
-        Positional arguments are stored on the event itself, so the common
-        ``schedule(delay, fn, arg)`` case needs no binding closure (keyword
-        arguments still close over a ``functools.partial``).
-    cancelled:
-        Set by :meth:`EventHandle.cancel`; cancelled events are skipped.
-    generation:
-        Incremented every time the object is recycled through the engine's
-        free-list; handles remember the generation they were issued for so a
-        stale handle can never cancel a reused slot.
+    The handle is the event: its queue entry is ``(time, seq, handle,
+    None)``.  Once the event fires the handle's ``callback`` is ``None`` and
+    :meth:`cancel` does nothing; a handle is never reused for another event.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "label", "generation")
+    __slots__ = ("time", "callback", "args", "cancelled", "_engine")
 
     def __init__(
         self,
-        time: float = 0.0,
-        seq: int = 0,
-        callback: Optional[Callable[..., None]] = None,
-        cancelled: bool = False,
-        label: str = "",
-        args: Tuple[Any, ...] = (),
+        time: float,
+        callback: Callable[..., None],
+        args: Tuple[Any, ...],
+        engine: "SimulationEngine",
     ) -> None:
+        #: Virtual time at which the event fires (if not cancelled).
         self.time = time
-        self.seq = seq
-        self.callback = callback
+        self.callback: Optional[Callable[..., None]] = callback
         self.args = args
-        self.cancelled = cancelled
-        self.label = label
-        self.generation = 0
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"Event(t={self.time:.6f}, seq={self.seq}, {state}, {self.label!r})"
-
-
-class EventHandle:
-    """Opaque handle returned by the scheduling API.
-
-    A handle allows the caller to cancel a pending event (for example a
-    timeout that is no longer needed because the awaited response arrived).
-    """
-
-    __slots__ = ("_event", "_generation", "_engine")
-
-    def __init__(self, event: Event, engine: Optional["SimulationEngine"] = None) -> None:
-        self._event = event
-        self._generation = event.generation
+        #: Whether :meth:`cancel` was called before the event fired.
+        self.cancelled = False
         self._engine = engine
-
-    @property
-    def time(self) -> float:
-        """Virtual time at which the event will fire (if not cancelled)."""
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called on this handle."""
-        if self._event.generation != self._generation:
-            # The event fired and its slot was recycled; this handle's event
-            # is gone, which can only happen after it ran un-cancelled.
-            return False
-        return self._event.cancelled
 
     def cancel(self) -> None:
         """Prevent the event from firing.
 
         Cancelling an event that already fired or was already cancelled is a
-        no-op; the engine simply skips cancelled entries when it pops them.
+        no-op; the engine skips cancelled entries when it pops them.
         """
-        event = self._event
-        if event.generation != self._generation or event.cancelled:
+        if self.cancelled or self.callback is None:
             return
-        event.cancelled = True
-        event.callback = None  # release the closure right away
-        event.args = ()
-        if self._engine is not None:
-            self._engine._event_cancelled()
+        self.cancelled = True
+        self.callback = None  # release the closure right away
+        self.args = ()
+        self._engine._event_cancelled()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"EventHandle(t={self._event.time:.6f}, {state}, {self._event.label!r})"
+        if self.cancelled:
+            state = "cancelled"
+        else:
+            state = "fired" if self.callback is None else "pending"
+        return f"EventHandle(t={self.time:.6f}, {state})"
 
 
 class SimulationEngine:
@@ -171,13 +126,12 @@ class SimulationEngine:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue: List[Tuple[float, int, Event]] = []
+        self._queue: List[Tuple[float, int, Any, Optional[Tuple[Any, ...]]]] = []
         self._seq = 0
         self._stopped = False
         self._events_processed = 0
         self._cancelled_pending = 0
         self._compactions = 0
-        self._free: List[Event] = []
 
     # ------------------------------------------------------------------
     # Clock
@@ -210,37 +164,60 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _new_event(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        label: str,
-        args: Tuple[Any, ...] = (),
-    ) -> Event:
-        """Take an event from the free-list (or allocate) and enqueue it."""
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event.label = label
-        else:
-            event = Event(time=time, callback=callback, label=label, args=args)
+    def call_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` at absolute virtual ``time``; not cancellable.
+
+        The event fires at exactly the float given, so a caller that compares
+        a stored deadline against the clock with ``<=`` (the timer queues)
+        wakes at that deadline, never one ulp short of it.  A relative-delay
+        caller passes ``engine.now + delay``.  A time before :attr:`now`
+        raises :class:`SimulationError`.
+        """
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule at t={time!r}, which is before the current time {self._now!r}"
+            )
         seq = self._seq
         self._seq = seq + 1
-        event.seq = seq
-        heapq.heappush(self._queue, (time, seq, event))
-        return event
+        _heappush(self._queue, (time, seq, callback, args))
 
-    def _recycle(self, event: Event) -> None:
-        """Return a fired/purged event to the free-list."""
-        event.generation += 1
-        event.callback = None
-        event.args = ()
-        if len(self._free) < _FREE_LIST_MAX:
-            self._free.append(event)
+    def _push_handle(
+        self, time: float, callback: Callable[..., None], args: Tuple[Any, ...]
+    ) -> EventHandle:
+        handle = EventHandle(time, callback, args, self)
+        seq = self._seq
+        self._seq = seq + 1
+        _heappush(self._queue, (time, seq, handle, None))
+        return handle
+
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
+
+        ``delay`` must be non-negative; a zero delay schedules the callback
+        for the current instant but it will only run once control returns to
+        the event loop (events never run re-entrantly).
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule an event {delay!r}s in the past")
+        return self._push_handle(self._now + delay, callback, args)
+
+    def at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
+        """Schedule ``callback(*args)`` at an absolute virtual time.
+
+        Scheduling at a time earlier than :attr:`now` raises
+        :class:`SimulationError` -- silent reordering of the past is a bug in
+        the caller, never something the engine should paper over.
+        """
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule at t={time!r}, which is before the current time {self._now!r}"
+            )
+        return self._push_handle(float(time), callback, args)
+
+    def call_soon(self, callback: Callable[..., None], *args: Any) -> EventHandle:
+        """Schedule ``callback`` at the current virtual time (runs after the
+        currently executing event returns)."""
+        return self.schedule(0.0, callback, *args)
 
     def _event_cancelled(self) -> None:
         """Called by :meth:`EventHandle.cancel`; triggers compaction when the
@@ -260,122 +237,16 @@ class SimulationEngine:
         alias to it, and compaction can run from inside an event callback.
         """
         queue = self._queue
-        live = []
-        for entry in queue:
-            event = entry[2]
-            if event.cancelled:
-                self._recycle(event)
-            else:
-                live.append(entry)
-        queue[:] = live
+        queue[:] = [entry for entry in queue if entry[3] is not None or not entry[2].cancelled]
         heapq.heapify(queue)
         self._cancelled_pending = 0
         self._compactions += 1
-
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., None],
-        *args: Any,
-        label: str = "",
-        **kwargs: Any,
-    ) -> EventHandle:
-        """Schedule ``callback(*args, **kwargs)`` to run ``delay`` seconds from now.
-
-        ``delay`` must be non-negative; a zero delay schedules the callback
-        for the current instant but it will only run once control returns to
-        the event loop (events never run re-entrantly).
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule an event {delay!r}s in the past")
-        if kwargs:
-            callback = functools.partial(callback, *args, **kwargs)
-            args = ()
-        event = self._new_event(self._now + delay, callback, label, args)
-        return EventHandle(event, self)
-
-    def schedule_after(
-        self,
-        delay: float,
-        callback: Callable[..., None],
-        *args: Any,
-        label: str = "",
-        handle: bool = True,
-    ) -> Optional[EventHandle]:
-        """Fast-path :meth:`schedule`: positional args only, optional handle.
-
-        The hot paths (message delivery, replica service completion, client
-        wake-ups) use this so each simulated event costs one free-list pop
-        and one heap push; with ``handle=False`` no :class:`EventHandle` is
-        allocated and the event cannot be cancelled.  The body of
-        :meth:`_new_event` is inlined -- this is called once or more per
-        simulated event.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule an event {delay!r}s in the past")
-        time = self._now + delay
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event.label = label
-        else:
-            event = Event(time=time, callback=callback, label=label, args=args)
-        seq = self._seq
-        self._seq = seq + 1
-        event.seq = seq
-        heapq.heappush(self._queue, (time, seq, event))
-        if handle:
-            return EventHandle(event, self)
-        return None
-
-    def _schedule_unhandled_at(self, time: float, callback: Callable[[], None]) -> None:
-        """Cheapest scheduling path: no handle is created, so the event cannot
-        be cancelled.  Reserved for internal fire-and-forget work (the shared
-        timer queues' wake-ups).  Takes an *absolute* time: a timer queue
-        compares its deadlines against the clock with ``<=``, so the wake-up
-        must fire at exactly the stored float (re-deriving it from a delay
-        would round and can undershoot by one ulp, leaving the queue head
-        marooned just beyond the clock)."""
-        self._new_event(time, callback, "")
-
-    def at(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        *args: Any,
-        label: str = "",
-        **kwargs: Any,
-    ) -> EventHandle:
-        """Schedule ``callback`` at an absolute virtual time.
-
-        Scheduling at a time earlier than :attr:`now` raises
-        :class:`SimulationError` -- silent reordering of the past is a bug in
-        the caller, never something the engine should paper over.
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time!r}, which is before the current time {self._now!r}"
-            )
-        if kwargs:
-            callback = functools.partial(callback, *args, **kwargs)
-            args = ()
-        event = self._new_event(float(time), callback, label, args)
-        return EventHandle(event, self)
-
-    def call_soon(self, callback: Callable[..., None], *args: Any, **kwargs: Any) -> EventHandle:
-        """Schedule ``callback`` at the current virtual time (runs after the
-        currently executing event returns)."""
-        return self.schedule(0.0, callback, *args, **kwargs)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def _dispatch(self, until: float, limit: int) -> int:
-        """The event loop: pop, dispatch, recycle -- the one copy of it.
+        """The event loop: pop, dispatch -- the one copy of it.
 
         Executes up to ``limit`` (positive, or ``_NO_LIMIT``) events whose
         time is ``<= until`` and returns how many ran.  Cancelled heads are
@@ -383,47 +254,35 @@ class SimulationEngine:
         beyond ``until`` goes back on the queue.  A :meth:`stop` request ends
         the loop after the event that made it; a request made before the call
         does not (callers check).  This is where the whole simulation spends
-        its wall time, so the free-list recycling is inlined rather than
-        calling :meth:`_recycle` per event.  :meth:`_compact` mutates the
-        queue list in place, so the local alias stays valid across callbacks.
+        its wall time.  :meth:`_compact` mutates the queue list in place, so
+        the local alias stays valid across callbacks.
         """
         queue = self._queue
-        free = self._free
-        heappop = heapq.heappop
         budget = limit
         try:
             while queue:
-                entry = heappop(queue)
-                event = entry[2]
-                if event.cancelled:
+                entry = _heappop(queue)
+                time, _, callback, args = entry
+                if args is None and callback.cancelled:
                     self._cancelled_pending -= 1
-                    event.generation += 1
-                    event.args = ()
-                    if len(free) < _FREE_LIST_MAX:
-                        free.append(event)
                     continue
-                time = entry[0]
                 if time > until:
-                    heapq.heappush(queue, entry)
+                    _heappush(queue, entry)
                     break
                 if time < self._now:
                     # Reachable: run_until(max_events=...) advances the clock
                     # to its bound even when the cap left earlier events
                     # queued.  The event goes back: refusing it loses nothing.
-                    heapq.heappush(queue, entry)
+                    _heappush(queue, entry)
                     raise SimulationError("event queue yielded an event from the past")
                 self._now = time
-                callback = event.callback
-                args = event.args
-                event.generation += 1
-                event.callback = None
-                event.args = ()
-                if len(free) < _FREE_LIST_MAX:
-                    free.append(event)
-                if args:
-                    callback(*args)
-                else:
-                    callback()
+                if args is None:  # a handle's entry: it fires now, once
+                    handle = callback
+                    callback = handle.callback
+                    args = handle.args
+                    handle.callback = None
+                    handle.args = ()
+                callback(*args)
                 budget -= 1
                 if not budget or self._stopped:
                     break
@@ -492,29 +351,29 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # Introspection helpers
     # ------------------------------------------------------------------
-    def _peek(self) -> Optional[Event]:
-        """Return the next non-cancelled event without executing it."""
+    def next_event_time(self) -> Optional[float]:
+        """Virtual time of the next pending event, or ``None`` if idle.
+
+        Cancelled heads are discarded on the way to it.
+        """
         queue = self._queue
         while queue:
-            event = queue[0][2]
-            if event.cancelled:
-                heapq.heappop(queue)
+            time, _, callback, args = queue[0]
+            if args is None and callback.cancelled:
+                _heappop(queue)
                 self._cancelled_pending -= 1
-                self._recycle(event)
                 continue
-            return event
+            return time
         return None
 
-    def next_event_time(self) -> Optional[float]:
-        """Virtual time of the next pending event, or ``None`` if idle."""
-        event = self._peek()
-        return None if event is None else event.time
-
-    def drain(self) -> Iterable[Event]:
-        """Remove and yield all pending events (used by tests and teardown)."""
-        self._cancelled_pending = 0
-        while self._queue:
-            yield heapq.heappop(self._queue)[2]
+    def pending_callbacks(self) -> Iterator[Callable[..., None]]:
+        """The callback of every live queued event, in no particular order."""
+        for _, _, callback, args in self._queue:
+            if args is None:
+                if callback.cancelled:
+                    continue
+                callback = callback.callback
+            yield callback
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

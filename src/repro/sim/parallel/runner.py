@@ -21,7 +21,7 @@ Safety: every event executed inside a round has time ``>= g``, and every
 cross-shard message drawn from a crossing link class has latency ``>= L``,
 so its delivery time is ``>= g + L = W`` -- at or after every shard's clock
 when the next round injects it.  ``Fabric.inject_remote`` schedules through
-``engine.at``, which raises on any violation, making the window invariant a
+``engine.call_at``, which raises on any violation, making the window invariant a
 hard guarantee rather than a convention.
 
 Determinism: the shard count (not the worker count) fixes the partition and

@@ -268,7 +268,7 @@ class ShardRuntime:
             # Message objects straight through.
             if type(message) is bytes:
                 message = wire_decode(loads(message))
-            # engine.at() raises if deliver_at < now, turning any violation
+            # engine.call_at() raises if deliver_at < now, turning any violation
             # of the conservative window into a hard error instead of a
             # silently reordered delivery.
             fabric.inject_remote(deliver_at, message)
@@ -293,7 +293,6 @@ class ShardRuntime:
         self._deadline_handle = self.engine.at(
             self.engine.now + self.executor.max_virtual_time,
             self.executor.stop_clients,
-            label="run.deadline",
         )
         return self._reply()
 

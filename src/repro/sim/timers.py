@@ -106,11 +106,11 @@ class FixedDelayTimer:
         entries.append(entry)
         if not self._armed:
             self._armed = True
-            # Absolute-time, handle-free scheduling: the wake-up must fire at
-            # exactly the stored deadline float (same rule as the fabric's
-            # link wake-ups) and is never cancelled -- re-arming happens only
-            # after a fire, so there is always at most one event in flight.
-            self._engine._schedule_unhandled_at(entry.deadline, self._fire)
+            # Absolute-time, fire-and-forget: the wake-up must fire at exactly
+            # the stored deadline float and is never cancelled -- re-arming
+            # happens only after a fire, so there is always at most one event
+            # in flight.
+            self._engine.call_at(entry.deadline, self._fire)
         return entry
 
     def _fire(self) -> None:
@@ -133,7 +133,7 @@ class FixedDelayTimer:
         # strictly in the future (now + delay), so the head is still the
         # earliest live deadline.
         if entries:
-            self._engine._schedule_unhandled_at(entries[0].deadline, self._fire)
+            self._engine.call_at(entries[0].deadline, self._fire)
         else:
             self._armed = False
 

@@ -76,7 +76,7 @@ class CompletionBatch:
         self._ready.append((fn, arg))
         if not self._scheduled:
             self._scheduled = True
-            self._engine.schedule_after(0.0, self._flush, handle=False)
+            self._engine.call_at(self._engine.now, self._flush)
 
     def _flush(self) -> None:
         ready = self._ready
@@ -476,7 +476,7 @@ class ClientThread:
         # Sleeps (think time, backoff) are rare relative to completions, so
         # a plain cancellable engine event is fine here; ``stop()`` cancels
         # a pending one so stopped clients never resume.
-        self._sleep_handle = self._engine.schedule_after(delay, fn)
+        self._sleep_handle = self._engine.schedule(delay, fn)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ClientThread(id={self.thread_id}, completed={self.operations_completed})"

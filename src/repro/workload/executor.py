@@ -330,9 +330,7 @@ class WorkloadExecutor:
                 client.stop()
 
         engine.reset_stop()
-        deadline_guard = engine.at(
-            start_time + self.max_virtual_time, deadline_stop, label="run.deadline"
-        )
+        deadline_guard = engine.at(start_time + self.max_virtual_time, deadline_stop)
         engine.run()
         engine.reset_stop()
         deadline_guard.cancel()

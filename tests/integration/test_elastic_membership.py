@@ -65,10 +65,10 @@ def _drive(cluster, timeline, manager, *, bootstrap_node, decommission_node,
                 ),
             )
         if state["i"] * OP_GAP < RUN_SPAN:
-            engine.schedule(OP_GAP, issue, label="test.op")
+            engine.schedule(OP_GAP, issue)
 
     t0 = engine.now
-    engine.schedule(OP_GAP, issue, label="test.op")
+    engine.schedule(OP_GAP, issue)
     engine.schedule(2.0, lambda: manager.begin_bootstrap(bootstrap_node))
     if decommission_node is not None:
         engine.schedule(2.5, lambda: manager.begin_decommission(decommission_node))

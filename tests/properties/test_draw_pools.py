@@ -52,7 +52,8 @@ def test_service_pool_equals_single_draws(seed, n, pattern, slow_at, factor):
     cluster = SimulatedCluster(ClusterConfig(n_nodes=3, replication_factor=1, seed=seed))
     node = cluster.nodes[cluster.addresses[0]]
     delays = []
-    node._schedule_after = lambda delay, *args, **kwargs: delays.append(delay)
+    # The clock stays at 0.0, so each completion time is the delay itself.
+    node._call_at = lambda time, *args: delays.append(time)
     kinds = [pattern[i % len(pattern)] for i in range(n)]
     for i, kind in enumerate(kinds):
         if i == slow_at:

@@ -164,19 +164,6 @@ def test_step_returns_false_when_queue_is_empty():
     assert engine.step() is False
 
 
-def test_kwargs_are_bound_at_scheduling_time():
-    engine = SimulationEngine()
-    seen = {}
-
-    def callback(a, b=None):
-        seen["a"] = a
-        seen["b"] = b
-
-    engine.schedule(0.5, callback, 1, b="two")
-    engine.run()
-    assert seen == {"a": 1, "b": "two"}
-
-
 def test_events_processed_counter():
     engine = SimulationEngine()
     for i in range(7):
@@ -227,21 +214,13 @@ class TestCancellationCompaction:
         assert engine.events_processed == 1
 
 
-class TestEventFreeList:
-    def test_fired_events_are_recycled(self):
-        engine = SimulationEngine()
-        for i in range(10):
-            engine.schedule(float(i), lambda: None)
-        engine.run()
-        assert len(engine._free) > 0
-
+class TestOneShotHandles:
     def test_stale_handle_cannot_cancel_a_recycled_event(self):
         engine = SimulationEngine()
         fired = []
         stale = engine.schedule(1.0, fired.append, "first")
         engine.run()
-        # The event object behind `stale` is now on the free-list; scheduling
-        # again reuses it for a different callback.
+        # `stale` has fired; a new event gets a new handle, never this one.
         engine.schedule(2.0, fired.append, "second")
         stale.cancel()  # must be a no-op for the recycled slot
         assert not stale.cancelled
@@ -255,34 +234,39 @@ class TestEventFreeList:
         assert handle.cancelled is False
 
 
-class TestScheduleAfter:
-    def test_schedule_after_runs_with_args(self):
+class TestCallAt:
+    def test_call_at_runs_with_args(self):
         engine = SimulationEngine()
         seen = []
-        engine.schedule_after(1.0, seen.append, "x")
+        engine.call_at(1.0, seen.append, "x")
         engine.run()
         assert seen == ["x"]
         assert engine.now == 1.0
 
-    def test_schedule_after_without_handle_returns_none(self):
+    def test_call_at_returns_none(self):
         engine = SimulationEngine()
         seen = []
-        assert engine.schedule_after(1.0, seen.append, "y", handle=False) is None
+        assert engine.call_at(1.0, seen.append, "y") is None
         engine.run()
         assert seen == ["y"]
 
-    def test_schedule_after_rejects_negative_delay(self):
+    def test_call_at_rejects_a_time_before_now(self):
         engine = SimulationEngine()
+        engine.run_until(2.0)
         with pytest.raises(SimulationError):
-            engine.schedule_after(-1.0, lambda: None)
+            engine.call_at(1.0, lambda: None)
+        assert engine.pending_events == 0
 
-    def test_schedule_after_handle_can_cancel(self):
+    def test_call_at_fires_at_exactly_the_float_given(self):
+        # 0.1 + 0.2 is not 0.3: the event fires at the stored float itself,
+        # not one re-derived from a delay.
         engine = SimulationEngine()
+        engine.run_until(0.1)
+        deadline = 0.1 + 0.2
         seen = []
-        handle = engine.schedule_after(1.0, seen.append, "z")
-        handle.cancel()
+        engine.call_at(deadline, lambda: seen.append(engine.now))
         engine.run()
-        assert seen == []
+        assert seen == [deadline]
 
 
 def run_until_by_steps(engine: SimulationEngine, time: float, max_events=None) -> int:
@@ -333,7 +317,7 @@ class TestRunUntilEqualsStepping:
             note(tag)
             engine.schedule(0.0, note, f"{tag}+0")  # exactly now
             engine.at(2.0, note, f"{tag}@2")  # exactly the next bound
-            engine.schedule_after(5.0, note, f"{tag}+5", handle=False)
+            engine.call_at(engine.now + 5.0, note, f"{tag}+5")
 
         for i in range(3):  # cancelled heads, before any live event
             engine.schedule(0.1 * (i + 1), note, f"dead{i}").cancel()
