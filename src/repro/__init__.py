@@ -61,7 +61,7 @@ Package layout
     latency models (Grid'5000-like, EC2-like), topology with per-DC-pair
     WAN links, and the message fabric;
 ``repro.workload``
-    YCSB-style workloads A-F, key distributions and closed-loop clients
+    YCSB-style workloads A-D, key distributions and closed-loop clients
     (optionally pinned to datacenters);
 ``repro.staleness``
     ground-truth staleness auditing and the paper's dual-read probe, with
@@ -145,8 +145,6 @@ from repro.workload import (
     WORKLOAD_B,
     WORKLOAD_C,
     WORKLOAD_D,
-    WORKLOAD_E,
-    WORKLOAD_F,
     CoreWorkload,
     WorkloadConfig,
     WorkloadExecutor,
@@ -198,8 +196,6 @@ __all__ = [
     "WORKLOAD_B",
     "WORKLOAD_C",
     "WORKLOAD_D",
-    "WORKLOAD_E",
-    "WORKLOAD_F",
     "WorkloadConfig",
     "WorkloadExecutor",
     "__version__",

@@ -6,8 +6,8 @@ results depend on:
 
 * a token ring with a pluggable partitioner and replication strategy
   (``SimpleStrategy`` and ``OldNetworkTopologyStrategy``);
-* per-node storage engines with a commit log, memtable and flushed sstables,
-  storing timestamped cells (last-write-wins);
+* per-node storage engines: a memtable of timestamped cells
+  (last-write-wins);
 * a coordinator read/write path with per-operation consistency levels
   (ONE, TWO, THREE, QUORUM, ALL or any explicit replica count), asynchronous
   propagation of writes to the replicas outside the blocked-for set, read

@@ -323,7 +323,10 @@ class SimulatedCluster:
             )
             self.nodes[address] = node
             self.coordinators[address] = coordinator
-            node.set_response_handler(coordinator.handle_response)
+            node.set_response_sinks(
+                coordinator.handle_read_response_payload,
+                coordinator.handle_write_response_payload,
+            )
             self.fabric.register(address, node.handle_message)
         # Round-robin over (node, coordinator) pairs: picking a coordinator
         # costs one cycle step and one attribute check, no dict lookups.
@@ -429,20 +432,6 @@ class SimulatedCluster:
         if isinstance(self.strategy, NetworkTopologyStrategy):
             return self.strategy.replication_factors
         return None
-
-    def local_replication_factor(self, datacenter: str) -> int:
-        """Replicas a datacenter holds of every key.
-
-        For :class:`NetworkTopologyStrategy` this is the configured per-DC
-        factor; for the other strategies the placement is key-dependent, so
-        the question has no static answer and a ``ValueError`` is raised.
-        """
-        factors = self.replication_factors
-        if factors is None:
-            raise ValueError(
-                f"strategy {self.config.strategy!r} has no static per-DC replication factor"
-            )
-        return factors.get(datacenter, 0)
 
     @property
     def addresses(self) -> List[NodeAddress]:

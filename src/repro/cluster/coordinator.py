@@ -43,7 +43,7 @@ from repro.cluster.consistency import ConsistencyLevel, blocked_for_datacenters
 from repro.cluster.hints import Hint, HintStore
 from repro.cluster.stats import NodeCounters
 from repro.cluster.storage import Cell
-from repro.network.fabric import Message, MessageKind, NetworkFabric
+from repro.network.fabric import MessageKind, NetworkFabric
 from repro.network.topology import NodeAddress, Topology
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RandomStreams
@@ -125,7 +125,7 @@ class OperationResult:
         Replicas that acknowledged before completion.
     coordinator:
         Address of the coordinator that executed the operation (``None`` for
-        synthetic results assembled by the client, e.g. read-modify-write).
+        a request rejected before any coordinator took it).
     datacenter:
         The coordinator's datacenter -- what "local" meant for DC-aware
         levels; used by the geo metrics to bucket results per site.
@@ -509,22 +509,8 @@ class Coordinator:
     # ------------------------------------------------------------------
     # Response handling (wired up by SimulatedCluster)
     # ------------------------------------------------------------------
-    def handle_response(self, message: Message) -> None:
-        """Process a replica response addressed to this coordinator.
-
-        Response payloads are tuples: ``(request_id, replica, cell)`` for
-        reads, ``(request_id, replica, is_repair)`` for writes.
-        """
-        payload = message.payload
-        kind = message.kind
-        if kind == MessageKind.WRITE_RESPONSE:
-            self.handle_write_response_payload(payload)
-        elif kind == MessageKind.READ_RESPONSE:
-            self.handle_read_response_payload(payload)
-        # Other kinds (repair acks) need no coordinator-side bookkeeping.
-
     def handle_write_response_payload(self, payload: Tuple) -> None:
-        """Fast path for an already-classified WRITE_RESPONSE payload."""
+        """A WRITE_RESPONSE payload: ``(request_id, replica, is_repair)``."""
         request_id = payload[0]
         if payload[2] and self._blocking_repairs and request_id in self._blocking_repairs:
             self._on_blocking_repair_ack(request_id)
@@ -532,7 +518,7 @@ class Coordinator:
             self._on_write_ack(request_id, payload[1])
 
     def handle_read_response_payload(self, payload: Tuple) -> None:
-        """Fast path for an already-classified READ_RESPONSE payload."""
+        """A READ_RESPONSE payload: ``(request_id, replica, cell)``."""
         self._on_read_response(payload[0], payload[1], payload[2])
 
     # ------------------------------------------------------------------

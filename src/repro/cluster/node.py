@@ -62,8 +62,6 @@ class NodeConfig:
     queue_capacity:
         Maximum number of queued requests before the node sheds load
         (requests beyond this are dropped, surfacing as timeouts upstream).
-    memtable_flush_threshold / compaction_threshold:
-        Passed through to the storage engine.
     """
 
     concurrency: int = 16
@@ -72,8 +70,6 @@ class NodeConfig:
     digest_service_factor: float = 0.6
     service_time_cv: float = 0.45
     queue_capacity: int = 8192
-    memtable_flush_threshold: int = 4096
-    compaction_threshold: int = 8
 
     def __post_init__(self) -> None:
         if self.concurrency < 1:
@@ -105,10 +101,7 @@ class StorageNode:
         self.address = address
         self.config = config
         self.counters = counters
-        self.storage = StorageEngine(
-            memtable_flush_threshold=config.memtable_flush_threshold,
-            compaction_threshold=config.compaction_threshold,
-        )
+        self.storage = StorageEngine()
         # The node's ``node.<address>.service`` stream is looked up by name at
         # its first service-pool refill: a node that never serves (a spare,
         # most of a wide ring) never creates it.
@@ -132,31 +125,24 @@ class StorageNode:
         # NumPy call on the hot path.  Kept as C doubles, 8 bytes a draw.
         self._service_pool = _EMPTY_POOL
         self._service_index = 0
-        # Replica *responses* addressed to this node are forwarded to the
-        # co-located coordinator (set by the owning SimulatedCluster via
-        # :meth:`set_response_handler`); the node itself is the single
-        # fabric handler for its address, so delivery needs no intermediate
-        # dispatch closure.  Responses are forwarded even while the node is
-        # down: a coordinator keeps driving its in-flight operations when
-        # its own storage process dies (matching the historical dispatcher).
-        self._response_handler: Optional[Callable[[Message], None]] = None
-        # Kind-classified payload fast paths (set when the handler is a
-        # Coordinator); responses then skip the generic Message dispatch.
-        self._read_response_sink: Optional[Callable] = None
-        self._write_response_sink: Optional[Callable] = None
+        # Replica *responses* addressed to this node go, payload only, to
+        # the co-located coordinator's two sinks (installed by the owning
+        # SimulatedCluster via :meth:`set_response_sinks`); the node itself
+        # is the single fabric handler for its address, so delivery needs no
+        # intermediate dispatch closure.  Responses are forwarded even while
+        # the node is down: a coordinator keeps driving its in-flight
+        # operations when its own storage process dies.
+        self._read_response_sink: Optional[Callable[[tuple], None]] = None
+        self._write_response_sink: Optional[Callable[[tuple], None]] = None
         # Pre-bound hot callable (one attribute hop less per request).
         self._call_at = engine.call_at
 
-    def set_response_handler(self, handler: Callable[[Message], None]) -> None:
-        """Install the co-located coordinator's response handler."""
-        self._response_handler = handler
-        owner = getattr(handler, "__self__", None)
-        self._read_response_sink = (
-            getattr(owner, "handle_read_response_payload", None) if owner is not None else None
-        )
-        self._write_response_sink = (
-            getattr(owner, "handle_write_response_payload", None) if owner is not None else None
-        )
+    def set_response_sinks(
+        self, read_sink: Callable[[tuple], None], write_sink: Callable[[tuple], None]
+    ) -> None:
+        """Install the co-located coordinator's read and write response sinks."""
+        self._read_response_sink = read_sink
+        self._write_response_sink = write_sink
 
     # ------------------------------------------------------------------
     # Failure injection
@@ -217,18 +203,10 @@ class StorageNode:
         """Entry point registered with the network fabric."""
         kind = message.kind
         if kind == MessageKind.READ_RESPONSE:
-            sink = self._read_response_sink
-            if sink is not None:
-                sink(message.payload)
-            elif self._response_handler is not None:
-                self._response_handler(message)
+            self._read_response_sink(message.payload)
             return
         if kind == MessageKind.WRITE_RESPONSE:
-            sink = self._write_response_sink
-            if sink is not None:
-                sink(message.payload)
-            elif self._response_handler is not None:
-                self._response_handler(message)
+            self._write_response_sink(message.payload)
             return
         if not self._up:
             self.counters.dropped_mutations += 1

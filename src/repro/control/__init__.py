@@ -22,9 +22,7 @@ controller implementations:
   :class:`GeoReadWritePolicy` (joint per-DC read/write
   adaptation), :class:`RepairSchedulePolicy` (divergence-driven
   anti-entropy scheduling with the pair's repair traffic as a cost term),
-  :class:`ThresholdReadPolicy` (the write/read-ratio rule),
-  :class:`StalenessSLAPolicy` (closed-loop on the auditor's *measured*
-  staleness-age distribution against a quantitative SLA) and
+  :class:`ThresholdReadPolicy` (the write/read-ratio rule) and
   :class:`~repro.control.policies.ScaleOutPolicy` (demand-driven ring
   membership);
 * :mod:`repro.control.retry` -- client-side :class:`RetryPolicy` /
@@ -49,7 +47,6 @@ from repro.control.policies import (
     HarmonyReadPolicy,
     RepairControlConfig,
     RepairSchedulePolicy,
-    StalenessSLAPolicy,
     ThresholdReadPolicy,
 )
 from repro.control.retry import (
@@ -72,7 +69,6 @@ __all__ = [
     "RepairControlConfig",
     "RepairSchedulePolicy",
     "ThresholdReadPolicy",
-    "StalenessSLAPolicy",
     "BackoffConfig",
     "DowngradeRetryPolicy",
     "RetryDecision",

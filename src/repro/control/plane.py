@@ -367,9 +367,6 @@ class ControlPlane:
         #: Optional op-lifecycle tracer (see :mod:`repro.obs.tracer`): every
         #: decision of every registered policy is mirrored into the trace.
         self.tracer = None
-        #: The run's staleness auditor, for policies that steer from measured
-        #: staleness (:class:`~repro.control.policies.StalenessSLAPolicy`).
-        self.auditor = None
 
     @property
     def interval(self) -> Optional[float]:

@@ -1,7 +1,7 @@
 """Control-plane policies: every adaptive knob of the simulator in one idiom.
 
-Seven policies share the :class:`~repro.control.plane.ControlPolicy` spine.
-Five are :class:`~repro.control.plane.LevelPolicy` subclasses -- the object
+Six policies share the :class:`~repro.control.plane.ControlPolicy` spine.
+Four are :class:`~repro.control.plane.LevelPolicy` subclasses -- the object
 the workload executor asks for ``read_level(dc)`` / ``write_level(dc)`` *is*
 the object the plane ticks:
 
@@ -17,10 +17,7 @@ the object the plane ticks:
   read/write mix (read-heavy sites escalate writes, write-heavy sites
   escalate reads);
 * :class:`ThresholdReadPolicy` -- the Wang et al.-style write/read-ratio
-  threshold rule (``repro.core.policy.ThresholdPolicy`` is this class);
-* :class:`StalenessSLAPolicy` -- a closed-loop policy steering the read
-  level from the auditor's *measured* staleness-age distribution against a
-  quantitative SLA ("99.9% of reads at most 50 ms stale").
+  threshold rule (``repro.core.policy.ThresholdPolicy`` is this class).
 
 Two move other knobs:
 
@@ -63,7 +60,6 @@ __all__ = [
     "RepairControlConfig",
     "RepairSchedulePolicy",
     "ThresholdReadPolicy",
-    "StalenessSLAPolicy",
     "ScaleOutConfig",
     "ScaleOutPolicy",
 ]
@@ -622,120 +618,6 @@ class ThresholdReadPolicy(LevelPolicy):
                 kind=self.kind,
                 value=level,
                 replicas=level.blocked_for(cluster.replication_factor),
-            )
-        ]
-
-
-class StalenessSLAPolicy(LevelPolicy):
-    """Close the loop on *measured* staleness instead of a model estimate.
-
-    Harmony steers from the closed-form stale-read probability; this policy
-    steers from the :class:`~repro.staleness.auditor.StalenessAuditor`'s
-    quantitative ground truth.  The SLA is "at least ``quantile`` of reads
-    are stale by at most ``max_age`` seconds" -- e.g. ``quantile=0.999,
-    max_age=0.05`` reads as *99.9% of reads at most 50 ms stale*.  Each tick
-    compares the windowed violation rate (reads whose staleness age exceeded
-    ``max_age``) against the SLA's violation budget ``1 - quantile``:
-
-    * rate above the budget -> escalate the read level by one replica;
-    * rate at or below **half** the budget -> relax by one replica (the
-      half-budget hysteresis band keeps the loop from oscillating when the
-      violation rate hovers at the boundary);
-    * windows with fewer than ``min_window_reads`` judged reads carry no
-      statistical signal and keep the current level.
-
-    Steers from auditor counters: no probe traffic, no randomness.  The
-    auditor is the one given here or, failing that, the plane's
-    (``plane.auditor`` -- the workload executor puts the run's there).
-    """
-
-    name = "staleness-sla"
-    kind = "read_level"
-
-    def __init__(
-        self,
-        auditor=None,
-        *,
-        max_age: float = 0.05,
-        quantile: float = 0.999,
-        min_window_reads: int = 20,
-        monitoring_interval: float = 0.5,
-        write: ConsistencyLevel = ConsistencyLevel.ONE,
-    ) -> None:
-        super().__init__(write=write)
-        if max_age <= 0:
-            raise ValueError(f"max_age must be positive, got {max_age!r}")
-        if not 0.0 < quantile < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {quantile!r}")
-        if min_window_reads < 1:
-            raise ValueError(
-                f"min_window_reads must be >= 1, got {min_window_reads!r}"
-            )
-        if monitoring_interval <= 0:
-            raise ValueError("monitoring_interval must be positive")
-        self.auditor = auditor
-        self.max_age = float(max_age)
-        self.quantile = float(quantile)
-        self.min_window_reads = int(min_window_reads)
-        self.interval = float(monitoring_interval)
-        self.label = f"sla-{max_age * 1000.0:g}ms"
-        self.current_level = ConsistencyLevel.ONE
-        self.current_replicas = 1
-        self.violation_series = TimeSeries("sla_violation_rate")
-        self._prev_judged = 0
-        self._prev_violations = 0
-
-    def read_level(self, datacenter: Optional[str] = None) -> ConsistencyLevel:
-        return self.current_level
-
-    def bind(self, plane) -> None:
-        super().bind(plane)
-        if self.auditor is None:
-            self.auditor = plane.auditor
-        if self.auditor is None:
-            raise RuntimeError(
-                f"{self.label}: no StalenessAuditor to steer from -- pass one, or "
-                "set plane.auditor (WorkloadExecutor(auditor=...) does)"
-            )
-
-    def prime(self) -> None:
-        stats = self.auditor.stats
-        self._prev_judged = stats.judged_reads
-        self._prev_violations = stats.violations_beyond(self.max_age)
-
-    # ------------------------------------------------------------------
-    def tick(self, tick: ControlTick) -> List[Decision]:
-        stats = self.auditor.stats
-        judged = stats.judged_reads
-        violations = stats.violations_beyond(self.max_age)
-        window_judged = judged - self._prev_judged
-        window_violations = violations - self._prev_violations
-        self._prev_judged = judged
-        self._prev_violations = violations
-        if window_judged < self.min_window_reads:
-            return []
-        rate = window_violations / window_judged
-        self.violation_series.append(tick.now, rate)
-        budget = 1.0 - self.quantile
-        rf = self.cluster.replication_factor
-        replicas = self.current_replicas
-        if rate > budget:
-            replicas = min(rf, replicas + 1)
-        elif rate <= budget / 2.0:
-            replicas = max(1, replicas - 1)
-        if replicas == self.current_replicas:
-            return []
-        level = level_for_replicas(replicas, rf)
-        self.current_level = level
-        self.current_replicas = replicas
-        return [
-            Decision(
-                time=tick.now,
-                policy=self.name,
-                scope="cluster",
-                kind=self.kind,
-                value=level,
-                replicas=replicas,
             )
         ]
 

@@ -23,7 +23,6 @@ from repro.core.model import StaleReadModel, propagation_time
 from repro.core.monitor import ClusterMonitor, MonitoringSample
 from repro.core.policy import (
     HarmonyPolicy,
-    SLAConsistencyPolicy,
     StaticEventualPolicy,
     StaticQuorumPolicy,
     StaticStrongPolicy,
@@ -35,7 +34,6 @@ __all__ = [
     "HarmonyConfig",
     "HarmonyPolicy",
     "MonitoringSample",
-    "SLAConsistencyPolicy",
     "StaleReadModel",
     "StaticEventualPolicy",
     "StaticQuorumPolicy",

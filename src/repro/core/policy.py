@@ -18,10 +18,7 @@ arguments the paper's experiments are phrased in:
   R+W > N configuration, used in ablations);
 * :class:`ThresholdPolicy` -- a Wang et al.-style read/write-ratio threshold
   rule switching between ONE and ALL, the related-work ablation (ablation A2
-  in :mod:`repro.experiments.ablations`);
-* :func:`SLAConsistencyPolicy` -- closes the loop on the staleness auditor's
-  *measured* t-visibility instead of the model estimate: "at least 99.9% of
-  reads at most 50 ms stale" as a control target.
+  in :mod:`repro.experiments.ablations`).
 
 Writes default to level ONE for every policy except the quorum policy,
 matching the paper's experimental setup (the adaptation is applied to reads).
@@ -33,11 +30,7 @@ from typing import Optional
 
 from repro.cluster.consistency import ConsistencyLevel
 from repro.control.plane import LevelPolicy
-from repro.control.policies import (
-    HarmonyReadPolicy,
-    StalenessSLAPolicy,
-    ThresholdReadPolicy,
-)
+from repro.control.policies import HarmonyReadPolicy, ThresholdReadPolicy
 from repro.core.config import HarmonyConfig
 
 __all__ = [
@@ -46,7 +39,6 @@ __all__ = [
     "StaticQuorumPolicy",
     "HarmonyPolicy",
     "ThresholdPolicy",
-    "SLAConsistencyPolicy",
 ]
 
 #: The threshold rule takes exactly the arguments its policy class does.
@@ -101,26 +93,3 @@ def HarmonyPolicy(
         )
     return HarmonyReadPolicy(config, write=write)
 
-
-def SLAConsistencyPolicy(
-    max_age: float = 0.05,
-    quantile: float = 0.999,
-    monitoring_interval: float = 0.5,
-    *,
-    min_window_reads: int = 20,
-    write: ConsistencyLevel = ConsistencyLevel.ONE,
-) -> StalenessSLAPolicy:
-    """Adaptive reads steered by a quantitative staleness SLA.
-
-    Each control tick compares the auditor's windowed staleness-age
-    violation rate against the SLA budget and moves the read level one
-    replica at a time (:class:`~repro.control.policies.StalenessSLAPolicy`).
-    The auditor is the run's: the workload executor puts it on the plane.
-    """
-    return StalenessSLAPolicy(
-        max_age=max_age,
-        quantile=quantile,
-        min_window_reads=min_window_reads,
-        monitoring_interval=monitoring_interval,
-        write=write,
-    )

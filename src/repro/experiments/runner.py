@@ -26,7 +26,6 @@ from repro.control.policies import RepairSchedulePolicy
 from repro.core.config import HarmonyConfig
 from repro.core.policy import (
     HarmonyPolicy,
-    SLAConsistencyPolicy,
     StaticEventualPolicy,
     StaticQuorumPolicy,
     StaticStrongPolicy,
@@ -134,8 +133,8 @@ def _stale_rate(spec: str) -> float:
 #: Policy name (or ``"<family>-"`` prefix, applied to the rest of the name)
 #: -> constructor ``(spec, scenario, interval)``, where ``interval`` is
 #: ``{"monitoring_interval": x}`` when the caller overrides it and ``{}``
-#: otherwise -- both ``HarmonyConfig`` and the threshold / SLA constructors
-#: take it under that name.
+#: otherwise -- both ``HarmonyConfig`` and the threshold constructor take it
+#: under that name.
 _POLICIES: Dict[str, Callable[[str, Scenario, Dict[str, float]], LevelPolicy]] = {
     "eventual": lambda spec, scenario, interval: StaticEventualPolicy(),
     "strong": lambda spec, scenario, interval: StaticStrongPolicy(),
@@ -157,9 +156,6 @@ _POLICIES: Dict[str, Callable[[str, Scenario, Dict[str, float]], LevelPolicy]] =
         config=HarmonyConfig(tolerated_stale_rate=_stale_rate(spec), **interval)
     ),
     "threshold-": lambda spec, scenario, interval: ThresholdPolicy(float(spec), **interval),
-    "sla-": lambda spec, scenario, interval: SLAConsistencyPolicy(
-        float(spec.removesuffix("ms")) / 1000.0, **interval
-    ),
 }
 
 
@@ -183,10 +179,7 @@ def make_policy(name: str, scenario: Scenario, *,
       scenario's ``harmony_stale_rates_by_dc``;
     * ``geo-harmony-rw`` -- joint per-datacenter read *and* write
       adaptation (same ASR map); read-heavy sites escalate writes instead
-      of reads;
-    * ``sla-<ms>`` -- reads steered by a measured staleness SLA, e.g.
-      ``sla-50ms`` keeps 99.9% of reads at most 50 ms stale (steering from
-      the auditor of the executor that runs it).
+      of reads.
 
     ``monitoring_interval`` overrides the tick period of the adaptive ones.
     """

@@ -7,7 +7,7 @@ running time; the Harmony controller records its estimates into a
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -94,25 +94,6 @@ class TimeSeries:
 
     def min(self) -> float:
         return float(np.min(self._values)) if self._values else 0.0
-
-    def resample(self, step: float) -> "TimeSeries":
-        """Piecewise-constant resampling onto a regular grid of period ``step``.
-
-        Useful for comparing runs with different sampling instants.
-        """
-        if step <= 0:
-            raise ValueError("step must be positive")
-        out = TimeSeries(name=f"{self.name}@{step}")
-        if not self._times:
-            return out
-        grid = np.arange(self._times[0], self._times[-1] + step / 2, step)
-        times = self.times
-        values = self.values
-        indices = np.searchsorted(times, grid, side="right") - 1
-        indices = np.clip(indices, 0, len(values) - 1)
-        for t, v in zip(grid, values[indices]):
-            out.append(float(t), float(v))
-        return out
 
     def as_rows(self) -> List[Dict[str, float]]:
         """Rows suitable for report tables."""

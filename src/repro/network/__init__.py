@@ -16,24 +16,19 @@ network latency ``Ln``.  This package provides:
 
 from repro.network.fabric import Message, NetworkFabric, NetworkStats
 from repro.network.latency import (
-    CompositeLatencyModel,
     ConstantLatency,
     EC2LikeLatency,
-    GammaLatency,
     Grid5000LikeLatency,
     LatencyModel,
     LogNormalLatency,
     SpikyLatency,
-    UniformLatency,
 )
 from repro.network.topology import Datacenter, NodeAddress, Rack, Topology, TopologyBuilder
 
 __all__ = [
-    "CompositeLatencyModel",
     "ConstantLatency",
     "Datacenter",
     "EC2LikeLatency",
-    "GammaLatency",
     "Grid5000LikeLatency",
     "LatencyModel",
     "LogNormalLatency",
@@ -45,5 +40,4 @@ __all__ = [
     "SpikyLatency",
     "Topology",
     "TopologyBuilder",
-    "UniformLatency",
 ]

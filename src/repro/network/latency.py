@@ -22,18 +22,14 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "LatencyModel",
     "ConstantLatency",
-    "UniformLatency",
     "LogNormalLatency",
-    "GammaLatency",
     "SpikyLatency",
-    "CompositeLatencyModel",
     "Grid5000LikeLatency",
     "EC2LikeLatency",
 ]
@@ -91,27 +87,6 @@ class ConstantLatency(LatencyModel):
         return np.full(n, self.value, dtype=float)
 
 
-@dataclass(frozen=True)
-class UniformLatency(LatencyModel):
-    """Latency drawn uniformly from ``[low, high]``."""
-
-    low: float
-    high: float
-
-    def __post_init__(self) -> None:
-        if self.low < 0 or self.high < self.low:
-            raise ValueError(f"invalid uniform latency bounds [{self.low!r}, {self.high!r}]")
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.low, self.high))
-
-    def mean(self) -> float:
-        return 0.5 * (self.low + self.high)
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(self.low, self.high, size=n)
-
-
 class LogNormalLatency(LatencyModel):
     """Log-normal latency with a configurable median and tail.
 
@@ -153,33 +128,6 @@ class LogNormalLatency(LatencyModel):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LogNormalLatency(median={self.median!r}, sigma={self.sigma!r})"
-
-
-class GammaLatency(LatencyModel):
-    """Gamma-distributed latency parameterised by mean and coefficient of variation."""
-
-    def __init__(self, mean: float, cv: float = 0.25, floor: float = 0.0) -> None:
-        if mean <= 0:
-            raise ValueError(f"mean latency must be positive, got {mean!r}")
-        if cv <= 0:
-            raise ValueError(f"coefficient of variation must be positive, got {cv!r}")
-        self._mean = float(mean)
-        self._cv = float(cv)
-        self.floor = float(floor)
-        self._shape = 1.0 / (cv * cv)
-        self._scale = mean * cv * cv
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return max(self.floor, float(rng.gamma(self._shape, self._scale)))
-
-    def mean(self) -> float:
-        return max(self.floor, self._mean)
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.maximum(self.floor, rng.gamma(self._shape, self._scale, size=n))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"GammaLatency(mean={self._mean!r}, cv={self._cv!r})"
 
 
 class SpikyLatency(LatencyModel):
@@ -227,34 +175,6 @@ class SpikyLatency(LatencyModel):
             f"SpikyLatency({self.base!r}, p={self.spike_probability!r}, "
             f"factor={self.spike_factor!r})"
         )
-
-
-class CompositeLatencyModel(LatencyModel):
-    """Sum of several independent latency components.
-
-    Typical use: ``propagation + queueing + serialisation`` where each term
-    has its own distribution.
-    """
-
-    def __init__(self, components: Sequence[LatencyModel]) -> None:
-        if not components:
-            raise ValueError("CompositeLatencyModel needs at least one component")
-        self.components = list(components)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(sum(component.sample(rng) for component in self.components))
-
-    def mean(self) -> float:
-        return float(sum(component.mean() for component in self.components))
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        total = np.asarray(self.components[0].sample_many(rng, n), dtype=float)
-        for component in self.components[1:]:
-            total = total + component.sample_many(rng, n)
-        return total
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CompositeLatencyModel({self.components!r})"
 
 
 class Grid5000LikeLatency(LogNormalLatency):
@@ -306,27 +226,3 @@ class EC2LikeLatency(SpikyLatency):
             spike_factor=spike_factor,
         )
 
-
-def scaled(model: LatencyModel, factor: float) -> LatencyModel:
-    """Return a model whose samples are ``factor`` times the original's.
-
-    Used by the figure-4(b) latency sweep, where the same workload is rerun
-    under progressively larger network latencies.
-    """
-
-    class _Scaled(LatencyModel):
-        def sample(self, rng: np.random.Generator) -> float:
-            return factor * model.sample(rng)
-
-        def mean(self) -> float:
-            return factor * model.mean()
-
-        def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-            return factor * np.asarray(model.sample_many(rng, n), dtype=float)
-
-        def __repr__(self) -> str:  # pragma: no cover - debugging aid
-            return f"Scaled({factor!r} * {model!r})"
-
-    if factor < 0:
-        raise ValueError(f"scale factor must be non-negative, got {factor!r}")
-    return _Scaled()

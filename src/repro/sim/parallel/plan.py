@@ -21,15 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.network.latency import (
-    CompositeLatencyModel,
-    ConstantLatency,
-    GammaLatency,
-    LatencyModel,
-    LogNormalLatency,
-    SpikyLatency,
-    UniformLatency,
-)
+from repro.network.latency import ConstantLatency, LatencyModel, LogNormalLatency, SpikyLatency
 from repro.network.topology import NodeAddress, Topology
 
 __all__ = ["DEFAULT_SHARDS", "ShardPlan", "model_floor", "plan_shards"]
@@ -49,17 +41,11 @@ def model_floor(model: LatencyModel) -> float:
     """
     if isinstance(model, ConstantLatency):
         return model.value
-    if isinstance(model, UniformLatency):
-        return model.low
     if isinstance(model, LogNormalLatency):
-        return model.floor
-    if isinstance(model, GammaLatency):
         return model.floor
     if isinstance(model, SpikyLatency):
         # A spike multiplies the base sample, so the minimum is the base floor.
         return model_floor(model.base)
-    if isinstance(model, CompositeLatencyModel):
-        return sum(model_floor(component) for component in model.components)
     return 0.0
 
 

@@ -121,7 +121,7 @@ class StalenessAuditor:
     # Write side
     # ------------------------------------------------------------------
     def observe_write(self, result: OperationResult) -> None:
-        """Record a client-acknowledged write (or read-modify-write)."""
+        """Record a client-acknowledged write."""
         if result.cell is None:
             return
         self.writes_observed += 1

@@ -128,7 +128,7 @@ class StalenessStats:
         return [{"t": float(t), "visibility": self.t_visibility(t)} for t in grid]
 
     def violations_beyond(self, t: float) -> int:
-        """Count of judged reads staler than ``t`` (the SLA policy's signal)."""
+        """Count of judged reads staler than ``t``."""
         ages = self.stale_age_histogram.sorted_samples()
         return len(ages) - bisect.bisect_right(ages, t)
 

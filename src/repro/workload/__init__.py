@@ -8,10 +8,9 @@ configurable number of threads (1, 15, 40, 70, 90 in the evaluation).
 This package provides the equivalent pieces:
 
 * :mod:`repro.workload.distributions` -- key choosers (uniform, zipfian,
-  scrambled zipfian, latest, hotspot) with the same roles as YCSB's
-  generators;
+  scrambled zipfian, latest) with the same roles as YCSB's generators;
 * :mod:`repro.workload.workloads` -- :class:`CoreWorkload` describing the
-  operation mix, key space and value sizes, plus the standard A-F presets;
+  operation mix, key space and value sizes, plus the standard A-D presets;
 * :mod:`repro.workload.client` -- closed-loop client threads simulated as
   processes on the event engine;
 * :mod:`repro.workload.executor` -- :class:`WorkloadExecutor`, which loads
@@ -21,7 +20,6 @@ This package provides the equivalent pieces:
 
 from repro.workload.client import ClientThread
 from repro.workload.distributions import (
-    HotspotKeyChooser,
     KeyChooser,
     LatestKeyChooser,
     ScrambledZipfianKeyChooser,
@@ -34,8 +32,6 @@ from repro.workload.workloads import (
     WORKLOAD_B,
     WORKLOAD_C,
     WORKLOAD_D,
-    WORKLOAD_E,
-    WORKLOAD_F,
     CoreWorkload,
     OperationType,
     WorkloadConfig,
@@ -44,7 +40,6 @@ from repro.workload.workloads import (
 __all__ = [
     "ClientThread",
     "CoreWorkload",
-    "HotspotKeyChooser",
     "KeyChooser",
     "LatestKeyChooser",
     "OperationType",
@@ -55,8 +50,6 @@ __all__ = [
     "WORKLOAD_B",
     "WORKLOAD_C",
     "WORKLOAD_D",
-    "WORKLOAD_E",
-    "WORKLOAD_F",
     "WorkloadConfig",
     "WorkloadExecutor",
     "ZipfianGenerator",

@@ -44,7 +44,7 @@ from repro.cluster.consistency import ConsistencyLevel
 from repro.cluster.coordinator import OperationResult
 from repro.control.retry import BackoffConfig, RetryPolicy
 from repro.sim.engine import EventHandle
-from repro.workload.workloads import CoreWorkload, Operation, OperationType
+from repro.workload.workloads import CoreWorkload, Operation
 
 __all__ = ["ClientThread", "CompletionBatch"]
 
@@ -167,14 +167,7 @@ class ClientThread:
         "_op",
         "_attempt",
         "_override",
-        "_rmw_read",
-        "_scan_remaining",
-        "_scan_first",
-        "_scan_last",
         "_cb_single",
-        "_cb_rmw_read",
-        "_cb_rmw_write",
-        "_cb_scan",
     )
 
     def __init__(
@@ -221,19 +214,10 @@ class ClientThread:
         self._op: Optional[Operation] = None
         self._attempt = 0
         self._override: Optional[ConsistencyLevel] = None
-        self._rmw_read: Optional[OperationResult] = None
-        self._scan_remaining = 0
-        self._scan_first: Optional[OperationResult] = None
-        self._scan_last: Optional[OperationResult] = None
-        # Pre-bound completion sinks: the coordinator calls one of these with
-        # the result, which enqueues the continuation in the shared batch.
-        # Binding once per client keeps the hot path free of per-operation
-        # closures.
-        add = self._batch.add
-        self._cb_single = partial(add, self._single_done)
-        self._cb_rmw_read = partial(add, self._rmw_read_done)
-        self._cb_rmw_write = partial(add, self._rmw_write_done)
-        self._cb_scan = partial(add, self._scan_read_done)
+        # Pre-bound completion sink: the coordinator calls it with the result,
+        # which enqueues the continuation in the shared batch.  Binding once
+        # per client keeps the hot path free of per-operation closures.
+        self._cb_single = partial(self._batch.add, self._single_done)
 
     # ------------------------------------------------------------------
     def start(self, on_finish: Optional[Callable[[], None]] = None) -> "ClientThread":
@@ -293,25 +277,13 @@ class ClientThread:
         assert operation is not None
         if self._on_issue is not None:
             self._on_issue(operation)
-        op_type = operation.op_type
-        if op_type is OperationType.READ_MODIFY_WRITE:
-            self._issue_read(operation.key, self._cb_rmw_read)
-        elif op_type is OperationType.SCAN:
-            # A scan touches ``scan_length`` consecutive records; the
-            # simulator models it as that many sequential point reads whose
-            # latencies accumulate.
-            self._scan_remaining = operation.scan_length
-            self._scan_first = None
-            self._scan_last = None
-            self._issue_read(operation.key, self._cb_scan)
-        elif op_type.is_write:
+        if operation.op_type.is_write:
             self._issue_write(operation, self._cb_single)
         else:
             self._issue_read(operation.key, self._cb_single)
 
     def _issue_read(self, key: str, sink: Callable[[OperationResult], None]) -> None:
-        # A retry downgrade applies to the whole operation: an RMW retried at
-        # LOCAL_QUORUM must not write back at the level that was rejected.
+        # A retry downgrade holds for every later attempt of the operation.
         level = self._override if self._override is not None else self._read_level_provider()
         self._cluster.read(key, level, sink, datacenter=self.datacenter)
 
@@ -333,98 +305,6 @@ class ClientThread:
         if not self._running:
             return
         self._attempt_done(result)
-
-    def _rmw_read_done(self, read_result: OperationResult) -> None:
-        if not self._running:
-            return
-        if read_result.unavailable:
-            # The read half was rejected: abort the RMW without writing
-            # (a client cannot modify what it could not read).  Issuing
-            # the write anyway would commit a mutation hidden inside an
-            # operation reported as failed, corrupting the staleness
-            # ground truth.
-            operation = self._op
-            assert operation is not None
-            self._attempt_done(
-                OperationResult(
-                    op_type="read_modify_write",
-                    key=operation.key,
-                    cell=None,
-                    consistency_level=read_result.consistency_level,
-                    blocked_for=read_result.blocked_for,
-                    started_at=read_result.started_at,
-                    completed_at=read_result.completed_at,
-                    timed_out=False,
-                    unavailable=True,
-                    replicas=read_result.replicas,
-                    responded=[],
-                    coordinator=read_result.coordinator,
-                    datacenter=read_result.datacenter,
-                )
-            )
-            return
-        self._rmw_read = read_result
-        operation = self._op
-        assert operation is not None
-        self._issue_write(operation, self._cb_rmw_write)
-
-    def _rmw_write_done(self, write_result: OperationResult) -> None:
-        if not self._running:
-            return
-        read_result = self._rmw_read
-        self._rmw_read = None
-        operation = self._op
-        assert read_result is not None and operation is not None
-        # Read then write of the same key, as YCSB does: the reported
-        # latency covers both halves.
-        self._attempt_done(
-            OperationResult(
-                op_type="read_modify_write",
-                key=operation.key,
-                cell=write_result.cell,
-                consistency_level=write_result.consistency_level,
-                blocked_for=write_result.blocked_for,
-                started_at=read_result.started_at,
-                completed_at=write_result.completed_at,
-                timed_out=read_result.timed_out or write_result.timed_out,
-                unavailable=read_result.unavailable or write_result.unavailable,
-                replicas=write_result.replicas,
-                responded=write_result.responded,
-            )
-        )
-
-    def _scan_read_done(self, result: OperationResult) -> None:
-        if not self._running:
-            return
-        if self._scan_first is None:
-            self._scan_first = result
-        self._scan_last = result
-        self._scan_remaining -= 1
-        operation = self._op
-        assert operation is not None
-        if self._scan_remaining > 0:
-            self._issue_read(operation.key, self._cb_scan)
-            return
-        first = self._scan_first
-        last = self._scan_last
-        self._scan_first = None
-        self._scan_last = None
-        assert first is not None and last is not None
-        self._attempt_done(
-            OperationResult(
-                op_type="scan",
-                key=operation.key,
-                cell=last.cell,
-                consistency_level=last.consistency_level,
-                blocked_for=last.blocked_for,
-                started_at=first.started_at,
-                completed_at=last.completed_at,
-                timed_out=first.timed_out or last.timed_out,
-                unavailable=first.unavailable or last.unavailable,
-                replicas=last.replicas,
-                responded=last.responded,
-            )
-        )
 
     # ------------------------------------------------------------------
     # Retry / report

@@ -12,14 +12,11 @@ semantics:
   whole key space by hashing, so popular keys are not clustered (YCSB's
   default ``requestdistribution=zipfian``);
 * :class:`LatestKeyChooser` -- zipfian over recency: the most recently
-  inserted keys are the most popular (YCSB workload D);
-* :class:`HotspotKeyChooser` -- a fixed fraction of operations hit a small
-  hot set.
+  inserted keys are the most popular (YCSB workload D).
 """
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from typing import Optional
 
@@ -31,7 +28,6 @@ __all__ = [
     "ZipfianGenerator",
     "ScrambledZipfianKeyChooser",
     "LatestKeyChooser",
-    "HotspotKeyChooser",
 ]
 
 _FNV_OFFSET_BASIS_64 = 0xCBF29CE484222325
@@ -187,44 +183,16 @@ class LatestKeyChooser(KeyChooser):
         return max(0, newest - offset)
 
 
-class HotspotKeyChooser(KeyChooser):
-    """A ``hot_fraction`` of the keys receives ``hot_op_fraction`` of the traffic."""
-
-    def __init__(
-        self,
-        item_count: int,
-        hot_fraction: float = 0.2,
-        hot_op_fraction: float = 0.8,
-    ) -> None:
-        super().__init__(item_count)
-        if not 0.0 < hot_fraction <= 1.0:
-            raise ValueError(f"hot_fraction must be in (0, 1], got {hot_fraction!r}")
-        if not 0.0 <= hot_op_fraction <= 1.0:
-            raise ValueError(f"hot_op_fraction must be in [0, 1], got {hot_op_fraction!r}")
-        self.hot_fraction = float(hot_fraction)
-        self.hot_op_fraction = float(hot_op_fraction)
-
-    def next_index(self, rng: np.random.Generator) -> int:
-        hot_count = max(1, int(math.ceil(self._item_count * self.hot_fraction)))
-        if rng.random() < self.hot_op_fraction:
-            return int(rng.integers(0, hot_count))
-        if hot_count >= self._item_count:
-            return int(rng.integers(0, self._item_count))
-        return int(rng.integers(hot_count, self._item_count))
-
-
 def make_key_chooser(
     name: str,
     item_count: int,
     *,
     theta: float = 0.99,
-    hot_fraction: float = 0.2,
-    hot_op_fraction: float = 0.8,
 ) -> KeyChooser:
     """Factory used by :class:`~repro.workload.workloads.WorkloadConfig`.
 
     Accepted names: ``uniform``, ``zipfian`` (scrambled, YCSB default),
-    ``zipfian_clustered``, ``latest``, ``hotspot``.
+    ``zipfian_clustered``, ``latest``.
     """
     name = name.lower()
     if name == "uniform":
@@ -235,8 +203,4 @@ def make_key_chooser(
         return ZipfianGenerator(item_count, theta=theta)
     if name == "latest":
         return LatestKeyChooser(item_count, theta=theta)
-    if name == "hotspot":
-        return HotspotKeyChooser(
-            item_count, hot_fraction=hot_fraction, hot_op_fraction=hot_op_fraction
-        )
     raise ValueError(f"unknown request distribution {name!r}")

@@ -204,7 +204,6 @@ class WorkloadExecutor:
         #: The run's one control plane: started by :meth:`begin_run`, stopped
         #: by :meth:`finalize_run`; its monitor uses the policy's tunables.
         self.plane = ControlPlane(cluster, policy.config)
-        self.plane.auditor = auditor
         self.plane.add(policy)
         self.workload = CoreWorkload(
             workload_config, cluster.streams.stream(f"workload.{workload_config.name}")

@@ -2,9 +2,10 @@
 
 :class:`WorkloadConfig` plays the role of a YCSB workload properties file;
 :class:`CoreWorkload` turns it into a stream of operations.  The standard
-presets A-F are provided with the same operation mixes as YCSB's bundled
-``workloada`` ... ``workloadf`` files; the paper's evaluation uses
+presets A-D are provided with the same operation mixes as YCSB's bundled
+``workloada`` ... ``workloadd`` files; the paper's evaluation uses
 workload A (heavy read/update, 50/50) and workload B (read-heavy, ~95/5).
+YCSB's scan (E) and read-modify-write (F) mixes are not modelled.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ __all__ = [
     "WORKLOAD_B",
     "WORKLOAD_C",
     "WORKLOAD_D",
-    "WORKLOAD_E",
-    "WORKLOAD_F",
 ]
 
 
@@ -38,17 +37,11 @@ class OperationType(enum.Enum):
     READ = "read"
     UPDATE = "update"
     INSERT = "insert"
-    SCAN = "scan"
-    READ_MODIFY_WRITE = "read_modify_write"
 
     @property
     def is_write(self) -> bool:
         """Whether the operation mutates data (updates the replicas)."""
-        return self in (
-            OperationType.UPDATE,
-            OperationType.INSERT,
-            OperationType.READ_MODIFY_WRITE,
-        )
+        return self is not OperationType.READ
 
 
 class Operation(NamedTuple):
@@ -62,14 +55,11 @@ class Operation(NamedTuple):
         The record key (``"user<index>"`` like YCSB).
     value_size:
         Payload size in bytes for mutating operations.
-    scan_length:
-        Number of records for SCAN operations (1 otherwise).
     """
 
     op_type: OperationType
     key: str
     value_size: int = 0
-    scan_length: int = 1
 
 
 @dataclass(frozen=True)
@@ -84,18 +74,14 @@ class WorkloadConfig:
         Number of records loaded before the run (YCSB ``recordcount``).
     operation_count:
         Number of operations in the run phase (``operationcount``).
-    read_proportion / update_proportion / insert_proportion /
-    scan_proportion / read_modify_write_proportion:
+    read_proportion / update_proportion / insert_proportion:
         Operation mix; must sum to 1.0 (within a small tolerance).
     request_distribution:
-        ``uniform``, ``zipfian`` (scrambled; YCSB default), ``latest`` or
-        ``hotspot``.
+        ``uniform``, ``zipfian`` (scrambled; YCSB default) or ``latest``.
     zipfian_theta:
         Skew of the zipfian distributions.
     field_count / field_length:
         Record shape: YCSB's default 10 fields x 100 bytes = ~1 KB rows.
-    max_scan_length:
-        Upper bound of the uniform scan-length draw.
     key_prefix:
         Prefix of generated keys.
     """
@@ -106,13 +92,10 @@ class WorkloadConfig:
     read_proportion: float = 0.5
     update_proportion: float = 0.5
     insert_proportion: float = 0.0
-    scan_proportion: float = 0.0
-    read_modify_write_proportion: float = 0.0
     request_distribution: str = "zipfian"
     zipfian_theta: float = 0.99
     field_count: int = 10
     field_length: int = 100
-    max_scan_length: int = 100
     key_prefix: str = "user"
 
     def __post_init__(self) -> None:
@@ -128,8 +111,6 @@ class WorkloadConfig:
             raise ValueError(f"operation proportions must sum to 1.0, got {total!r}")
         if self.field_count < 1 or self.field_length < 1:
             raise ValueError("field_count and field_length must be >= 1")
-        if self.max_scan_length < 1:
-            raise ValueError("max_scan_length must be >= 1")
 
     def proportions(self) -> Dict[OperationType, float]:
         """The operation mix as a dict keyed by :class:`OperationType`."""
@@ -137,28 +118,12 @@ class WorkloadConfig:
             OperationType.READ: self.read_proportion,
             OperationType.UPDATE: self.update_proportion,
             OperationType.INSERT: self.insert_proportion,
-            OperationType.SCAN: self.scan_proportion,
-            OperationType.READ_MODIFY_WRITE: self.read_modify_write_proportion,
         }
 
     @property
     def record_size(self) -> int:
         """Approximate size in bytes of one record."""
         return self.field_count * self.field_length
-
-    @property
-    def write_fraction(self) -> float:
-        """Fraction of operations that mutate data.
-
-        A read-modify-write counts as one read and one write at the storage
-        layer; for the purpose of the aggregate write fraction it contributes
-        its full proportion (it always performs a write).
-        """
-        return (
-            self.update_proportion
-            + self.insert_proportion
-            + self.read_modify_write_proportion
-        )
 
     def scaled(self, *, record_count: Optional[int] = None, operation_count: Optional[int] = None
                ) -> "WorkloadConfig":
@@ -241,10 +206,7 @@ class CoreWorkload:
             return Operation(op_type=op_type, key=key, value_size=self.value_size())
         index = self._chooser.next_index(self._rng)
         key = self.key_for(index)
-        if op_type is OperationType.SCAN:
-            length = int(self._rng.integers(1, self.config.max_scan_length + 1))
-            return Operation(op_type=op_type, key=key, scan_length=length)
-        if op_type.is_write or op_type is OperationType.READ_MODIFY_WRITE:
+        if op_type.is_write:
             return Operation(op_type=op_type, key=key, value_size=self.value_size())
         return Operation(op_type=op_type, key=key)
 
@@ -304,23 +266,4 @@ WORKLOAD_D = WorkloadConfig(
     update_proportion=0.0,
     insert_proportion=0.05,
     request_distribution="latest",
-)
-
-#: Workload E -- short ranges: 95% scans, 5% inserts.
-WORKLOAD_E = WorkloadConfig(
-    name="workload-e",
-    read_proportion=0.0,
-    update_proportion=0.0,
-    insert_proportion=0.05,
-    scan_proportion=0.95,
-    request_distribution="zipfian",
-)
-
-#: Workload F -- read-modify-write: 50% reads, 50% read-modify-writes.
-WORKLOAD_F = WorkloadConfig(
-    name="workload-f",
-    read_proportion=0.5,
-    update_proportion=0.0,
-    read_modify_write_proportion=0.5,
-    request_distribution="zipfian",
 )

@@ -164,6 +164,44 @@ def test_hint_replay_applies_without_worker_slot():
     assert node.busy_workers == 0
 
 
+def response_message(src, dst, kind, payload) -> Message:
+    return Message(msg_id=2, src=src, dst=dst, kind=kind, payload=payload)
+
+
+def test_read_response_payload_goes_to_the_read_sink():
+    engine, fabric, node, coordinator, responses, counters = build_node()
+    reads, writes = [], []
+    node.set_response_sinks(reads.append, writes.append)
+    payload = (7, coordinator, None)
+    node.handle_message(response_message(coordinator, node.address, "read_response", payload))
+    assert reads == [payload] and writes == []
+    assert node.busy_workers == 0 and counters.reads_served == 0
+
+
+def test_write_response_payload_goes_to_the_write_sink():
+    engine, fabric, node, coordinator, responses, counters = build_node()
+    reads, writes = [], []
+    node.set_response_sinks(reads.append, writes.append)
+    payload = (8, coordinator, False)
+    node.handle_message(response_message(coordinator, node.address, "write_response", payload))
+    assert writes == [payload] and reads == []
+    assert node.busy_workers == 0 and counters.writes_applied == 0
+
+
+def test_responses_reach_the_sinks_while_the_node_is_down():
+    # A coordinator keeps driving its in-flight operations when the storage
+    # process beside it dies.
+    engine, fabric, node, coordinator, responses, counters = build_node()
+    reads, writes = [], []
+    node.set_response_sinks(reads.append, writes.append)
+    node.go_down()
+    for kind, payload in (("read_response", (1, coordinator, None)),
+                          ("write_response", (2, coordinator, True))):
+        node.handle_message(response_message(coordinator, node.address, kind, payload))
+    assert [p[0] for p in reads] == [1] and [p[0] for p in writes] == [2]
+    assert counters.dropped_mutations == 0
+
+
 def test_unknown_message_kind_raises():
     engine, fabric, node, coordinator, responses, counters = build_node()
     bogus = write_message(coordinator, node.address)

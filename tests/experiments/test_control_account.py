@@ -34,12 +34,10 @@ WAN = dict(
 #: case -> (scenario, policy spec, run shape).  The geo families run on the
 #: adaptive-repair platform, so their logs interleave the repair scheduler's
 #: records; ``adaptive-repair`` is that scheduler beside a static level
-#: policy.  The 50 ms SLA is never breached on the LAN, so it runs across
-#: regions, where it moves the level.
+#: policy.
 CASES = {
     "harmony-20%": (GRID5000, "harmony-20%", LAN),
     "threshold-0.3": (GRID5000, "threshold-0.3", LAN),
-    "sla-50ms": (EC2_MULTIREGION, "sla-50ms", {**WAN, "workload": LAN["workload"]}),
     "geo-harmony": (GRID5000_3SITES_ADAPTIVE, "geo-harmony", WAN),
     "geo-harmony-rw": (GRID5000_3SITES_ADAPTIVE, "geo-harmony-rw", WAN),
     "adaptive-repair": (GRID5000_3SITES_ADAPTIVE, "each_quorum", WAN),

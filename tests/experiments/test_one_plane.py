@@ -28,7 +28,6 @@ from repro.control.policies import (
     ScaleOutPolicy,
 )
 from repro.core.config import HarmonyConfig
-from repro.core.policy import SLAConsistencyPolicy
 from repro.experiments.runner import make_policy
 from repro.experiments.scenarios import GRID5000_3SITES_ELASTIC as SCENARIO
 from repro.extensions.categories import (
@@ -64,20 +63,13 @@ def categorized_policy() -> CategorizedHarmonyPolicy:
 def build_policy(family: str):
     if family == "categorized":
         return categorized_policy()
-    if family == "sla-2ms":  # windows this short hold fewer than the default 20 reads
-        return SLAConsistencyPolicy(0.002, monitoring_interval=INTERVAL, min_window_reads=5)
     return make_policy(family, SCENARIO, monitoring_interval=INTERVAL)
 
 
-#: family -> decision-record name.  ``sla-2ms`` stands beside ``sla-50ms``
-#: because 50 ms is never breached on this platform: the tight one shows the
-#: SLA loop *deciding* on the shared plane, the loose one that a loop with
-#: nothing to decide is harmless there.  ``local_quorum`` is the static case.
+#: family -> decision-record name.  ``local_quorum`` is the static case.
 FAMILIES = {
     "harmony-0.2": "harmony",
     "threshold-0.3": "threshold",
-    "sla-50ms": "staleness-sla",
-    "sla-2ms": "staleness-sla",
     "geo-harmony": "geo-harmony",
     "geo-harmony-rw": "geo-harmony-rw",
     "categorized": "harmony",
@@ -146,8 +138,8 @@ def test_one_plane_carries_everything(family):
     assert all(d.kind == "repair_interval" for d in by_policy.get("repair-schedule", ()))
     assert by_policy.get("repair-schedule"), "the repair scheduler never decided"
     own = by_policy.get(record_name, [])
-    if family in ("sla-50ms", "local_quorum"):
-        assert own == []  # nothing to decide (see FAMILIES), and no harm done
+    if family == "local_quorum":
+        assert own == []  # a static level has nothing to decide, and does no harm
     else:
         assert own, f"{family} never decided on the shared plane"
 

@@ -12,10 +12,11 @@ import pytest
 
 from repro.cluster.consistency import ConsistencyLevel
 from repro.core.config import HarmonyConfig
+from repro.core.policy import StaticEventualPolicy
 from repro.geo import GeoHarmonyPolicy
 from repro.staleness.auditor import StalenessAuditor
 from repro.workload.executor import WorkloadExecutor
-from repro.workload.workloads import WORKLOAD_A
+from repro.workload.workloads import WORKLOAD_A, WORKLOAD_B, WORKLOAD_C, WORKLOAD_D
 
 from tests.geo.conftest import WAN_AB, build_geo_cluster
 
@@ -136,6 +137,37 @@ class TestGeoWorkload:
             summary = metrics.staleness_by_dc.get(dc)
             if summary is not None and summary.judged_reads > 0:
                 assert summary.stale_rate() <= tolerance + 0.1
+
+    @pytest.mark.parametrize(
+        "workload", [WORKLOAD_A, WORKLOAD_B, WORKLOAD_C, WORKLOAD_D], ids=["A", "B", "C", "D"]
+    )
+    def test_every_result_names_its_coordinator_and_site(self, cluster, workload):
+        # The per-DC metrics bucket a result by ``result.datacenter``: an
+        # operation kind that left it unset would drop out of them silently.
+        executor = WorkloadExecutor(
+            cluster,
+            workload.scaled(record_count=60, operation_count=600),
+            StaticEventualPolicy(),
+            threads=3,
+            datacenters=["alpha", "beta", "gamma"],
+        )
+        results = []
+        on_result = executor._on_result
+
+        def record(operation, result):
+            results.append((operation.op_type, result))
+            on_result(operation, result)
+
+        executor._on_result = record
+        metrics = executor.run()
+        assert len(results) == 600
+        kinds = {op_type for op_type, _ in results}
+        assert kinds == {op for op, share in workload.proportions().items() if share > 0}
+        for _, result in results:
+            assert result.coordinator is not None
+            assert result.datacenter == cluster.topology.datacenter_of(result.coordinator)
+        assert {result.datacenter for _, result in results} == {"alpha", "beta", "gamma"}
+        assert sum(h.count for h in metrics.read_latency_by_dc.values()) == metrics.counters.reads
 
     def test_executor_rejects_unknown_datacenter(self, cluster):
         with pytest.raises(ValueError, match="unknown datacenter"):

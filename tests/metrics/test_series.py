@@ -56,22 +56,6 @@ def test_time_weighted_mean_weights_by_holding_time():
     assert series.time_weighted_mean() == pytest.approx((0.0 * 9 + 1.0 * 1) / 10)
 
 
-def test_resample_piecewise_constant():
-    series = TimeSeries()
-    series.extend([(0.0, 1.0), (1.0, 2.0), (3.0, 4.0)])
-    resampled = series.resample(1.0)
-    values = dict(zip(resampled.times.tolist(), resampled.values.tolist()))
-    assert values[0.0] == 1.0
-    assert values[1.0] == 2.0
-    assert values[2.0] == 2.0  # holds the previous value
-    assert values[3.0] == 4.0
-
-
-def test_resample_requires_positive_step():
-    with pytest.raises(ValueError):
-        TimeSeries().resample(0.0)
-
-
 def test_arrays_and_rows():
     series = TimeSeries("y")
     series.extend([(0.0, 1.0), (1.0, 2.0)])

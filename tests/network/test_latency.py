@@ -6,15 +6,11 @@ import numpy as np
 import pytest
 
 from repro.network.latency import (
-    CompositeLatencyModel,
     ConstantLatency,
     EC2LikeLatency,
-    GammaLatency,
     Grid5000LikeLatency,
     LogNormalLatency,
     SpikyLatency,
-    UniformLatency,
-    scaled,
 )
 
 
@@ -35,19 +31,6 @@ def test_constant_latency_rejects_negative_values():
         ConstantLatency(-1.0)
 
 
-def test_uniform_latency_within_bounds(rng):
-    model = UniformLatency(0.001, 0.002)
-    samples = model.sample_many(rng, 1000)
-    assert np.all(samples >= 0.001)
-    assert np.all(samples <= 0.002)
-    assert model.mean() == pytest.approx(0.0015)
-
-
-def test_uniform_latency_rejects_inverted_bounds():
-    with pytest.raises(ValueError):
-        UniformLatency(0.002, 0.001)
-
-
 def test_lognormal_latency_positive_and_floor_respected(rng):
     model = LogNormalLatency(median=0.001, sigma=0.5, floor=0.0005)
     samples = model.sample_many(rng, 2000)
@@ -61,13 +44,6 @@ def test_lognormal_rejects_bad_parameters():
         LogNormalLatency(median=0.0)
     with pytest.raises(ValueError):
         LogNormalLatency(median=0.001, sigma=-1)
-
-
-def test_gamma_latency_mean_matches_configuration(rng):
-    model = GammaLatency(mean=0.004, cv=0.3)
-    samples = model.sample_many(rng, 5000)
-    assert np.mean(samples) == pytest.approx(0.004, rel=0.1)
-    assert model.mean() == pytest.approx(0.004)
 
 
 def test_spiky_latency_mean_accounts_for_spikes(rng):
@@ -87,17 +63,6 @@ def test_spiky_latency_validates_parameters():
         SpikyLatency(base, spike_factor=0.5)
 
 
-def test_composite_latency_sums_components(rng):
-    model = CompositeLatencyModel([ConstantLatency(0.001), ConstantLatency(0.002)])
-    assert model.sample(rng) == pytest.approx(0.003)
-    assert model.mean() == pytest.approx(0.003)
-
-
-def test_composite_latency_requires_components():
-    with pytest.raises(ValueError):
-        CompositeLatencyModel([])
-
-
 def test_ec2_preset_is_roughly_five_times_grid5000():
     ratio = EC2LikeLatency.DEFAULT_MEDIAN / Grid5000LikeLatency.DEFAULT_MEDIAN
     assert ratio == pytest.approx(5.0)
@@ -105,18 +70,6 @@ def test_ec2_preset_is_roughly_five_times_grid5000():
 
 def test_ec2_preset_has_higher_mean_than_grid5000():
     assert EC2LikeLatency().mean() > Grid5000LikeLatency().mean()
-
-
-def test_scaled_model_multiplies_samples(rng):
-    base = ConstantLatency(0.002)
-    doubled = scaled(base, 2.0)
-    assert doubled.sample(rng) == pytest.approx(0.004)
-    assert doubled.mean() == pytest.approx(0.004)
-
-
-def test_scaled_rejects_negative_factor():
-    with pytest.raises(ValueError):
-        scaled(ConstantLatency(0.001), -1.0)
 
 
 def test_describe_mentions_mean():
@@ -134,14 +87,10 @@ class TestSampleManyIsVectorised:
     def _shipped_models():
         return [
             ConstantLatency(0.005),
-            UniformLatency(0.001, 0.002),
             LogNormalLatency(median=0.001, sigma=0.3),
-            GammaLatency(mean=0.002, cv=0.25),
             SpikyLatency(LogNormalLatency(median=0.001), spike_probability=0.05),
-            CompositeLatencyModel([ConstantLatency(0.001), GammaLatency(mean=0.002)]),
             Grid5000LikeLatency(),
             EC2LikeLatency(),
-            scaled(LogNormalLatency(median=0.001), 3.0),
         ]
 
     def test_no_per_element_sample_calls(self, rng, monkeypatch):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.workload.distributions import (
-    HotspotKeyChooser,
     LatestKeyChooser,
     ScrambledZipfianKeyChooser,
     UniformKeyChooser,
@@ -28,7 +27,6 @@ def test_every_chooser_stays_within_range(n, seed):
         ZipfianGenerator(n),
         ScrambledZipfianKeyChooser(n),
         LatestKeyChooser(n),
-        HotspotKeyChooser(n),
     ]
     for chooser in choosers:
         for _ in range(50):
@@ -64,8 +62,6 @@ def test_workload_operations_follow_the_declared_mix(read, update, insert, seed)
         read_proportion=read / total,
         update_proportion=update / total,
         insert_proportion=insert / total,
-        scan_proportion=0.0,
-        read_modify_write_proportion=0.0,
     )
     workload = CoreWorkload(config, np.random.default_rng(seed))
     allowed = {

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.cluster import resolve_topology
 from repro.experiments.scenarios import GRID5000_3SITES, SCALE_100, SCALE_1000
-from repro.network.latency import ConstantLatency, UniformLatency
+from repro.network.latency import ConstantLatency, LogNormalLatency
 from repro.network.topology import Datacenter, NodeAddress, Rack, Topology
 from repro.sim.parallel import plan_shards
 
@@ -135,14 +135,14 @@ class TestLookahead:
     def test_zero_floor_crossing_class_is_not_shardable(self):
         topology = self._two_rack_topology(
             intra_rack=ConstantLatency(0.0001),
-            inter_rack=UniformLatency(0.0, 0.001),  # floor 0 on the boundary
+            inter_rack=LogNormalLatency(median=0.0005),  # floor 0 on the boundary
         )
         with pytest.raises(ValueError, match="not shardable"):
             plan_shards(topology, 2)
 
     def test_zero_intra_rack_floor_blocks_node_granular_splits_only(self):
         topology = self._two_rack_topology(
-            intra_rack=UniformLatency(0.0, 0.001),
+            intra_rack=LogNormalLatency(median=0.0005),
             inter_rack=ConstantLatency(0.001),
         )
         # Rack-granular: the zero-floor intra_rack class never crosses.

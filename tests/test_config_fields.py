@@ -10,41 +10,18 @@ own ``__post_init__``, whose reads only validate the value.
 from __future__ import annotations
 
 import ast
+import functools
 import os
-from typing import Dict, List, Optional, Set
+from collections import Counter
+from typing import Dict, List, Optional, Tuple
 
 SOURCE_ROOT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "repro"
 )
 
 
-def _modules() -> List[ast.Module]:
-    modules = []
-    for folder, _, files in os.walk(SOURCE_ROOT):
-        for name in sorted(files):
-            if name.endswith(".py"):
-                path = os.path.join(folder, name)
-                with open(path, "r", encoding="utf-8") as handle:
-                    modules.append(ast.parse(handle.read(), filename=path))
-    return modules
-
-
 def _is_dataclass(node: ast.ClassDef) -> bool:
     return any(ast.unparse(decorator).startswith("dataclass") for decorator in node.decorator_list)
-
-
-def _config_fields(modules) -> Dict[str, List[str]]:
-    """``{class name: field names}`` for every ``*Config`` dataclass."""
-    configs = {}
-    for tree in modules:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and node.name.endswith("Config") and _is_dataclass(node):
-                configs[node.name] = [
-                    statement.target.id
-                    for statement in node.body
-                    if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)
-                ]
-    return configs
 
 
 def _read_at(node: ast.AST) -> Optional[str]:
@@ -63,37 +40,60 @@ def _read_at(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _reads_outside_post_init(modules, owner: str) -> Set[str]:
-    """Every attribute read in ``src/repro`` except inside ``owner.__post_init__``."""
-    names = set()
-    for tree in modules:
-        stack: List[ast.AST] = [tree]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, ast.ClassDef) and node.name == owner:
-                stack.extend(
-                    item
-                    for item in node.body
-                    if not (isinstance(item, ast.FunctionDef) and item.name == "__post_init__")
-                )
+def _reads(node: ast.AST) -> Counter:
+    return Counter(name for child in ast.walk(node) if (name := _read_at(child)) is not None)
+
+
+@functools.lru_cache(maxsize=None)
+def _scan() -> Tuple[Dict[str, List[str]], Counter, Dict[str, Counter]]:
+    """One walk of ``src/repro``.
+
+    Returns every ``*Config`` dataclass's field names, the count of every
+    attribute read, and per config class the reads inside its own
+    ``__post_init__``.
+    """
+    configs: Dict[str, List[str]] = {}
+    validation: Dict[str, Counter] = {}
+    reads: Counter = Counter()
+    for folder, _, files in os.walk(SOURCE_ROOT):
+        for name in sorted(files):
+            if not name.endswith(".py"):
                 continue
-            name = _read_at(node)
-            if name is not None:
-                names.add(name)
-            stack.extend(ast.iter_child_nodes(node))
-    return names
+            path = os.path.join(folder, name)
+            with open(path, "r", encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=path)
+            reads.update(_reads(tree))
+            for node in ast.walk(tree):
+                if not (
+                    isinstance(node, ast.ClassDef)
+                    and node.name.endswith("Config")
+                    and _is_dataclass(node)
+                ):
+                    continue
+                configs[node.name] = [
+                    statement.target.id
+                    for statement in node.body
+                    if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)
+                ]
+                counted = validation.setdefault(node.name, Counter())
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == "__post_init__":
+                        counted.update(_reads(item))
+    return configs, reads, validation
 
 
 def test_config_dataclasses_are_found():
-    configs = _config_fields(_modules())
+    configs, _, _ = _scan()
     assert {"HarmonyConfig", "ClusterConfig", "ExperimentConfig", "WorkloadConfig"} <= set(configs)
     assert all(configs.values())
 
 
 def test_every_config_field_is_read_outside_its_validation():
-    modules = _modules()
-    unread = []
-    for owner, fields in sorted(_config_fields(modules).items()):
-        reads = _reads_outside_post_init(modules, owner)
-        unread += [f"{owner}.{field}" for field in fields if field not in reads]
+    configs, reads, validation = _scan()
+    unread = [
+        f"{owner}.{field}"
+        for owner, fields in sorted(configs.items())
+        for field in fields
+        if reads[field] - validation[owner][field] <= 0
+    ]
     assert unread == []

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.workload.distributions import (
-    HotspotKeyChooser,
     LatestKeyChooser,
     ScrambledZipfianKeyChooser,
     UniformKeyChooser,
@@ -114,25 +113,6 @@ class TestLatest:
         assert counts[199] == counts.max()
 
 
-class TestHotspot:
-    def test_hot_set_receives_configured_share(self, rng):
-        chooser = HotspotKeyChooser(1000, hot_fraction=0.1, hot_op_fraction=0.8)
-        samples = draw(chooser, rng, 20_000)
-        hot_hits = np.sum(samples < 100)
-        assert 0.75 < hot_hits / len(samples) < 0.85
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            HotspotKeyChooser(10, hot_fraction=0.0)
-        with pytest.raises(ValueError):
-            HotspotKeyChooser(10, hot_op_fraction=1.5)
-
-    def test_hot_set_covering_everything_still_works(self, rng):
-        chooser = HotspotKeyChooser(10, hot_fraction=1.0, hot_op_fraction=0.5)
-        samples = draw(chooser, rng, 500)
-        assert samples.max() < 10
-
-
 class TestFactoryAndHash:
     def test_factory_builds_each_kind(self):
         for name, cls in (
@@ -140,7 +120,6 @@ class TestFactoryAndHash:
             ("zipfian", ScrambledZipfianKeyChooser),
             ("zipfian_clustered", ZipfianGenerator),
             ("latest", LatestKeyChooser),
-            ("hotspot", HotspotKeyChooser),
         ):
             assert isinstance(make_key_chooser(name, 10), cls)
 
