@@ -38,19 +38,13 @@ def monitoring_interval_ablation(
     )
     rows: List[Dict[str, object]] = []
     for interval in intervals:
-        metrics = defaults.run(
+        record = defaults.run(
             scenario, workload, f"harmony-{tolerated}", threads, monitoring_interval=interval
-        ).metrics
+        )
         rows.append(
-            {
-                "monitoring_interval_s": interval,
-                "decisions": len(metrics.estimate_series),
-                "stale_rate": round(metrics.staleness.stale_rate(), 4),
-                "stale_reads": metrics.staleness.stale_reads,
-                "read_p99_ms": round(metrics.read_latency.p99() * 1e3, 3),
-                "throughput_ops_s": round(metrics.ops_per_second(), 1),
-                "mean_estimate": round(metrics.estimate_series.mean(), 4),
-            }
+            {"monitoring_interval_s": interval, "decisions": len(record.estimates)}
+            | record.columns("stale_rate", "stale_reads", "read_p99_ms", "throughput_ops_s")
+            | {"mean_estimate": round(record.estimate_mean, 4)}
         )
     report.add_section("interval sweep", rows)
     report.add_note(
@@ -82,16 +76,10 @@ def policy_comparison_ablation(
     )
     rows: List[Dict[str, object]] = []
     for policy in policies:
-        metrics = defaults.run(scenario, workload, policy, threads).metrics
+        record = defaults.run(scenario, workload, policy, threads)
         rows.append(
-            {
-                "policy": metrics.policy_name,
-                "stale_rate": round(metrics.staleness.stale_rate(), 4),
-                "stale_reads": metrics.staleness.stale_reads,
-                "read_p99_ms": round(metrics.read_latency.p99() * 1e3, 3),
-                "throughput_ops_s": round(metrics.ops_per_second(), 1),
-                "level_usage": dict(metrics.consistency_level_usage),
-            }
+            record.columns("policy", "stale_rate", "stale_reads", "read_p99_ms", "throughput_ops_s")
+            | {"level_usage": dict(record.level_usage)}
         )
     report.add_section("policy comparison", rows)
     report.add_note(

@@ -24,7 +24,18 @@ from repro.experiments.scenarios import GRID5000, Scenario
 from repro.metrics.report import MetricsReport
 from repro.workload.workloads import WORKLOAD_A, WorkloadConfig
 
-__all__ = ["ClaimOutcome", "headline_claims"]
+__all__ = [
+    "MIN_STALE_READ_REDUCTION",
+    "MIN_THROUGHPUT_IMPROVEMENT",
+    "ClaimOutcome",
+    "headline_claims",
+]
+
+#: A claim holds when the measurement reaches this clear fraction of the
+#: paper's magnitude (direction and rough size; the paper reports 0.80 and
+#: 0.45 on its hardware testbeds).  The scorecard judges with these too.
+MIN_STALE_READ_REDUCTION = 0.5
+MIN_THROUGHPUT_IMPROVEMENT = 0.15
 
 
 @dataclass(frozen=True)
@@ -60,45 +71,43 @@ def headline_claims(
         restrictive_asr if restrictive_asr is not None else scenario.harmony_stale_rates[1]
     )
     eventual, strong, harmony_restrictive, harmony_lenient = (
-        defaults.run(scenario, workload, policy, threads).metrics
+        defaults.run(scenario, workload, policy, threads)
         for policy in ("eventual", "strong", f"harmony-{restrictive}", f"harmony-{lenient}")
     )
 
     # Claim 1: stale-read reduction vs eventual consistency (restrictive ASR).
-    eventual_stale = eventual.staleness.stale_reads
-    harmony_stale = harmony_restrictive.staleness.stale_reads
+    eventual_stale = eventual.row["stale_reads"]
+    harmony_stale = harmony_restrictive.row["stale_reads"]
     if eventual_stale > 0:
         reduction = 1.0 - harmony_stale / eventual_stale
     else:
         reduction = 0.0
-    added_latency_ms = (
-        harmony_restrictive.read_latency.p99() - eventual.read_latency.p99()
-    ) * 1e3
+    added_latency_ms = (harmony_restrictive.read_p99 - eventual.read_p99) * 1e3
     claim1 = ClaimOutcome(
         claim="stale-read reduction vs eventual consistency",
         paper_value=0.80,
         measured_value=round(reduction, 4),
-        holds=reduction >= 0.5,
+        holds=reduction >= MIN_STALE_READ_REDUCTION,
         detail=(
             f"eventual={eventual_stale} stale reads, "
-            f"{harmony_restrictive.policy_name}={harmony_stale}; "
+            f"{harmony_restrictive.row['policy']}={harmony_stale}; "
             f"p99 latency added: {added_latency_ms:.3f} ms"
         ),
     )
 
     # Claim 2: throughput improvement vs strong consistency (lenient ASR).
-    strong_tp = strong.ops_per_second()
-    harmony_tp = harmony_lenient.ops_per_second()
+    strong_tp = strong.throughput
+    harmony_tp = harmony_lenient.throughput
     improvement = (harmony_tp - strong_tp) / strong_tp if strong_tp > 0 else 0.0
     claim2 = ClaimOutcome(
         claim="throughput improvement vs strong consistency",
         paper_value=0.45,
         measured_value=round(improvement, 4),
-        holds=improvement >= 0.15,
+        holds=improvement >= MIN_THROUGHPUT_IMPROVEMENT,
         detail=(
             f"strong={strong_tp:.1f} ops/s, "
-            f"{harmony_lenient.policy_name}={harmony_tp:.1f} ops/s, "
-            f"harmony stale rate={harmony_lenient.staleness.stale_rate():.3f} "
+            f"{harmony_lenient.row['policy']}={harmony_tp:.1f} ops/s, "
+            f"harmony stale rate={harmony_lenient.stale_rate:.3f} "
             f"(ASR={lenient})"
         ),
     )
@@ -107,14 +116,8 @@ def headline_claims(
     report.add_section(
         "policy comparison",
         [
-            {
-                "policy": metrics.policy_name,
-                "throughput_ops_s": round(metrics.ops_per_second(), 1),
-                "read_p99_ms": round(metrics.read_latency.p99() * 1e3, 3),
-                "stale_reads": metrics.staleness.stale_reads,
-                "stale_rate": round(metrics.staleness.stale_rate(), 4),
-            }
-            for metrics in (eventual, strong, harmony_restrictive, harmony_lenient)
+            record.columns("policy", "throughput_ops_s", "read_p99_ms", "stale_reads", "stale_rate")
+            for record in (eventual, strong, harmony_restrictive, harmony_lenient)
         ],
     )
     report.add_section(

@@ -5,7 +5,9 @@ and 6, which plot columns of the same runs and come from one sweep.  Each
 figure is a :class:`~repro.metrics.report.MetricsReport` whose sections contain
 the rows or series the original figure plots, so the scorecard
 (``python -m benchmarks.scorecard``) can judge them and SCORECARD.md can quote them.
-:meth:`FigureDefaults.run` is how every figure, claim and ablation run is made.
+:meth:`FigureDefaults.run` is how every figure, claim and ablation run is
+made: it returns the run's :class:`~repro.experiments.runner.RunRecord`, and
+each record's columns are what the tables hold.
 
 The paper's absolute numbers come from 84-node Grid'5000 clusters and 20-node
 EC2 deployments running millions of YCSB operations; the regenerators default
@@ -17,12 +19,13 @@ latency, and the approximate improvement factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import pickle
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import SimulatedCluster
 from repro.core.model import StaleReadModel, propagation_time
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.experiments.runner import RunRecord, run_experiment
 from repro.experiments.scenarios import EC2, GRID5000, Scenario
 from repro.metrics.report import MetricsReport
 from repro.workload.workloads import WORKLOAD_A, WORKLOAD_B, WorkloadConfig
@@ -51,6 +54,10 @@ class FigureDefaults:
     seed: int = 11
     monitoring_interval: float = 0.05
 
+    _runs: Dict[bytes, RunRecord] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
     def run(
         self,
         scenario: Scenario,
@@ -58,22 +65,36 @@ class FigureDefaults:
         policy: str,
         threads: int,
         **overrides: object,
-    ) -> ExperimentResult:
-        """One figure-size run: ``workload`` at these sizes, seed, ring and interval.
+    ) -> RunRecord:
+        """One figure-size run's record: ``workload`` at these sizes, seed, ring and interval.
 
         ``overrides`` are :func:`run_experiment` keywords that replace or
         extend those (an interval sweep point, a ``cluster_hook``).
+
+        Each instance keeps a table of the records it made, keyed by the
+        complete argument set, pickled (``pickle.loads(record.key)`` gives
+        it back), and simulates each argument set once: a figure, claim or
+        ablation that asks for a run another already made reads the same
+        record.  A run with a ``cluster_hook`` is code, not data: it has no
+        key and is never shared.  The table lives as long as the instance;
+        the scorecard's ``build()`` makes its own instances, so its table
+        lives one build.
         """
+        workload = workload.scaled(
+            record_count=self.record_count, operation_count=self.operation_count
+        )
         options = dict(
             seed=self.seed, n_nodes=self.n_nodes, monitoring_interval=self.monitoring_interval
-        )
-        return run_experiment(
-            scenario,
-            workload.scaled(record_count=self.record_count, operation_count=self.operation_count),
-            policy,
-            threads,
-            **(options | overrides),
-        )
+        ) | overrides
+        key = None
+        if "cluster_hook" not in options:
+            key = pickle.dumps((scenario, workload, policy, threads, sorted(options.items())))
+        record = self._runs.get(key)
+        if record is None:
+            record = run_experiment(scenario, workload, policy, threads, **options).record(key)
+            if key is not None:
+                self._runs[key] = record
+        return record
 
 
 DEFAULTS = FigureDefaults()
@@ -106,10 +127,8 @@ def figure_4a_estimation_over_time(
         clock_offset = 0.0
         for threads in sorted(defaults.thread_steps, reverse=True):
             # A pure estimation run: ASR=100% keeps reads at ONE.
-            result = defaults.run(scenario, workload, "harmony-1.0", threads)
-            series = result.metrics.estimate_series
-            mean_estimate = series.mean()
-            for time, value in series:
+            record = defaults.run(scenario, workload, "harmony-1.0", threads)
+            for time, value in record.estimates:
                 series_rows.append(
                     {
                         "workload": workload.name,
@@ -118,14 +137,14 @@ def figure_4a_estimation_over_time(
                         "estimated_stale_probability": round(value, 4),
                     }
                 )
-            clock_offset += result.metrics.duration
+            clock_offset += record.duration
             summary_rows.append(
                 {
                     "workload": workload.name,
                     "threads": threads,
-                    "mean_estimate": round(mean_estimate, 4),
-                    "max_estimate": round(series.max(), 4),
-                    "measured_stale_rate": round(result.metrics.staleness.stale_rate(), 4),
+                    "mean_estimate": round(record.estimate_mean, 4),
+                    "max_estimate": round(record.estimate_max, 4),
+                    "measured_stale_rate": record.row["stale_rate"],
                 }
             )
         report.add_section(f"estimate trace: {workload.name}", series_rows)
@@ -161,11 +180,10 @@ def figure_4b_latency_impact(
     # Analytic curve: representative workload-A rates on the EC2 platform.
     model = StaleReadModel(scenario.replication_factor)
     reference = defaults.run(scenario, WORKLOAD_A, "harmony-1.0", threads)
-    samples = reference.metrics.estimate_series
     # Recover representative rates from the reference run's counters.
-    duration = max(reference.metrics.duration, 1e-9)
-    read_rate = reference.metrics.counters.reads / duration
-    write_rate = max(reference.metrics.counters.writes / duration, 1e-9)
+    duration = max(reference.duration, 1e-9)
+    read_rate = reference.reads / duration
+    write_rate = max(reference.writes / duration, 1e-9)
     analytic_rows: List[Dict[str, object]] = []
     for latency_ms in latencies_ms:
         tp = propagation_time(network_latency=latency_ms / 1e3, avg_write_size=1024.0)
@@ -196,15 +214,15 @@ def figure_4b_latency_impact(
         def scale_latency(cluster: SimulatedCluster, factor: float = scale) -> None:
             cluster.fabric.latency_scale = factor
 
-        result = defaults.run(
+        record = defaults.run(
             scenario, WORKLOAD_A, "harmony-1.0", threads, cluster_hook=scale_latency
         )
         empirical_rows.append(
             {
                 "network_latency_ms": latency_ms,
-                "mean_estimate": round(result.metrics.estimate_series.mean(), 4),
-                "max_estimate": round(result.metrics.estimate_series.max(), 4),
-                "measured_stale_rate": round(result.metrics.staleness.stale_rate(), 4),
+                "mean_estimate": round(record.estimate_mean, 4),
+                "max_estimate": round(record.estimate_max, 4),
+                "measured_stale_rate": record.row["stale_rate"],
             }
         )
     report.add_section("simulated sweep (fabric latency scaled)", empirical_rows)
@@ -241,31 +259,20 @@ def figure_5_6_thread_sweep(
     stale_rows: List[Dict[str, object]] = []
     for threads in defaults.thread_steps:
         for policy in policies:
-            metrics = defaults.run(scenario, workload, policy, threads).metrics
+            record = defaults.run(scenario, workload, policy, threads)
             latency_rows.append(
-                {
-                    "threads": threads,
-                    "policy": metrics.policy_name,
-                    "read_p99_ms": round(metrics.read_latency.p99() * 1e3, 3),
-                    "read_mean_ms": round(metrics.read_latency.mean() * 1e3, 3),
-                }
+                record.columns("threads", "policy", "read_p99_ms", "read_mean_ms")
             )
             throughput_rows.append(
-                {
-                    "threads": threads,
-                    "policy": metrics.policy_name,
-                    "throughput_ops_s": round(metrics.ops_per_second(), 1),
-                    "operations": metrics.counters.total,
-                }
+                record.columns("threads", "policy", "throughput_ops_s")
+                | {"operations": record.row["ops"]}
             )
             stale_rows.append(
-                {
-                    "threads": threads,
-                    "policy": metrics.policy_name,
-                    "stale_reads": metrics.staleness.stale_reads,
-                    "reads": metrics.counters.reads,
-                    "stale_rate": round(metrics.staleness.stale_rate(), 4),
-                    "level_usage": dict(metrics.consistency_level_usage),
+                record.columns("threads", "policy", "stale_reads")
+                | {
+                    "reads": record.reads,
+                    "stale_rate": record.row["stale_rate"],
+                    "level_usage": dict(record.level_usage),
                 }
             )
 

@@ -17,7 +17,7 @@ the paper makes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
@@ -37,7 +37,7 @@ from repro.staleness.auditor import StalenessAuditor
 from repro.workload.executor import RunMetrics, WorkloadExecutor
 from repro.workload.workloads import WorkloadConfig
 
-__all__ = ["ExperimentConfig", "ExperimentResult", "run_experiment", "make_policy"]
+__all__ = ["ExperimentConfig", "ExperimentResult", "RunRecord", "run_experiment", "make_policy"]
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,41 @@ class ExperimentConfig:
             )
 
 
+@dataclass(frozen=True)
+class RunRecord:
+    """What a figure, claim or ablation reads of one run: small and picklable.
+
+    ``row`` is :meth:`ExperimentResult.summary`, the one row definition the
+    figure tables project their columns from.  Beside it sit the raw values
+    those tables and the claims compute with: counts and virtual duration,
+    unrounded throughput (ops/s), read p99 (s) and stale rate, the read
+    levels used, the cluster-scope estimate series as ``(time, value)``
+    pairs with its mean and max, and ``by_dc``, the read columns of
+    :meth:`~repro.workload.executor.RunMetrics.datacenter_summary` for each
+    of the scenario's datacenters.  ``key`` is the pickled argument set the
+    run was made with, or ``None`` for a run that has none (see
+    :meth:`~repro.experiments.figures.FigureDefaults.run`).
+    """
+
+    key: Optional[bytes]
+    row: Dict[str, object]
+    reads: int
+    writes: int
+    duration: float
+    throughput: float
+    read_p99: float
+    stale_rate: float
+    level_usage: Dict[str, int]
+    estimates: Tuple[Tuple[float, float], ...]
+    estimate_mean: float
+    estimate_max: float
+    by_dc: Dict[str, Dict[str, object]]
+
+    def columns(self, *names: str) -> Dict[str, object]:
+        """A new row of ``row``'s ``names`` columns, in that order."""
+        return {name: self.row[name] for name in names}
+
+
 @dataclass
 class ExperimentResult:
     """Outcome of one run: metrics plus identification.
@@ -117,6 +152,29 @@ class ExperimentResult:
         row["scenario"] = self.config.scenario.name
         row["seed"] = self.config.seed
         return row
+
+    def record(self, key: Optional[bytes]) -> RunRecord:
+        """This run as a :class:`RunRecord` made under the argument set ``key``."""
+        metrics = self.metrics
+        series = metrics.estimate_series
+        return RunRecord(
+            key=key,
+            row=self.summary(),
+            reads=metrics.counters.reads,
+            writes=metrics.counters.writes,
+            duration=metrics.duration,
+            throughput=metrics.ops_per_second(),
+            read_p99=metrics.read_latency.p99(),
+            stale_rate=metrics.staleness.stale_rate(),
+            level_usage=dict(metrics.consistency_level_usage),
+            estimates=tuple(series),
+            estimate_mean=series.mean(),
+            estimate_max=series.max(),
+            by_dc={
+                dc: metrics.datacenter_summary(dc)
+                for dc in self.config.scenario.datacenter_names
+            },
+        )
 
 
 def _stale_rate(spec: str) -> float:

@@ -109,18 +109,41 @@ class RunMetrics:
             "threads": self.threads,
             "ops": self.counters.total,
             "throughput_ops_s": round(self.ops_per_second(), 1),
-            "read_p99_ms": round(self.read_latency.p99() * 1e3, 3),
-            "read_mean_ms": round(self.read_latency.mean() * 1e3, 3),
-            "write_p99_ms": round(self.write_latency.p99() * 1e3, 3),
+            "read_p99_ms": _ms(self.read_latency.p99()),
+            "read_mean_ms": _ms(self.read_latency.mean()),
+            "write_p99_ms": _ms(self.write_latency.p99()),
             "stale_reads": self.staleness.stale_reads,
-            "stale_rate": round(self.staleness.stale_rate(), 4),
-            "stale_age_p99_ms": round(self.staleness.age_percentile(99) * 1e3, 3),
+            "stale_rate": _rate(self.staleness.stale_rate()),
+            "stale_age_p99_ms": _ms(self.staleness.age_percentile(99)),
             "k_max": self.staleness.max_k(),
             "unavailable": self.counters.unavailable,
             "retries": self.counters.retries,
             "downgrades": self.counters.downgrades,
             "duration_s": round(self.duration, 3),
         }
+
+    def datacenter_summary(self, datacenter: str) -> Dict[str, object]:
+        """The read columns of :meth:`summary` for the reads ``datacenter``
+        served: read count (judged or not), p99 and mean latency, stale rate
+        (zeros for a site that served none)."""
+        staleness = self.staleness_by_dc.get(datacenter)
+        latency = self.read_latency_by_dc.get(datacenter)
+        return {
+            "reads": staleness.judged_reads + staleness.unknown_reads if staleness else 0,
+            "read_p99_ms": _ms(latency.p99()) if latency else 0.0,
+            "read_mean_ms": _ms(latency.mean()) if latency else 0.0,
+            "stale_rate": _rate(staleness.stale_rate()) if staleness else 0.0,
+        }
+
+
+def _ms(seconds: float) -> float:
+    """A latency column: milliseconds to the microsecond."""
+    return round(seconds * 1e3, 3)
+
+
+def _rate(rate: float) -> float:
+    """A stale-rate column: four decimals."""
+    return round(rate, 4)
 
 
 class WorkloadExecutor:

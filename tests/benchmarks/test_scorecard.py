@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import re
 import sys
 from collections import Counter
@@ -23,9 +24,8 @@ if REPO_ROOT not in sys.path:
 from benchmarks import scorecard  # noqa: E402
 from benchmarks._shared import assert_no_placeholders  # noqa: E402
 from repro.experiments import ablations, claims, figures  # noqa: E402
-from repro.experiments.runner import make_policy, run_experiment  # noqa: E402
+from repro.experiments.runner import ExperimentResult, make_policy, run_experiment  # noqa: E402
 from repro.experiments.scenarios import GRID5000  # noqa: E402
-from repro.workload.workloads import WORKLOAD_A  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -89,31 +89,46 @@ def _argument_set(args, kwargs):
 def test_quick_build_reaches_the_committed_verdicts(committed, monkeypatch):
     """Verdicts are size-independent by construction; numbers are not compared.
 
-    While it builds, the figure, claim and ablation sections are counted: Fig. 5
-    and Fig. 6 share one sweep, so the only argument sets run twice are the
-    three the policy ablation shares with Fig. 5's Grid'5000 sweep at 40
-    threads.  (The subsystem benchmarks repeat runs on purpose, to check
-    determinism; they are not counted.)
+    While it builds, the figure, claim, ablation and geo runs are counted:
+    Fig. 5 and Fig. 6 share one sweep, and the three runs the policy
+    ablation asks for that Fig. 5's Grid'5000 sweep already made at 40
+    threads are read from the build's table, so no argument set runs twice.
+    The nine Fig. 4(b) runs carry a cluster hook and are all made.  Every
+    record the build reads has been through pickle and back.  (The
+    subsystem benchmarks repeat runs on purpose, to check determinism; they
+    are not counted.)
     """
     calls = []
+    hooked = []
 
     def counted(*args, **kwargs):
         calls.append(_argument_set(args, kwargs))
+        if "cluster_hook" in kwargs:
+            hooked.append(kwargs["cluster_hook"])
         return run_experiment(*args, **kwargs)
 
+    def round_tripped(result, key):
+        record = make_record(result, key)
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record
+        return copy
+
+    def asked(defaults, *args, **kwargs):
+        asks.append(args)
+        return ask(defaults, *args, **kwargs)
+
+    asks = []
+    ask = figures.FigureDefaults.run
+    monkeypatch.setattr(figures.FigureDefaults, "run", asked)
+    make_record = ExperimentResult.record
+    monkeypatch.setattr(ExperimentResult, "record", round_tripped)
     for module in (figures, claims, ablations, scorecard):
         if getattr(module, "run_experiment", None) is run_experiment:
             monkeypatch.setattr(module, "run_experiment", counted)
     quick = scorecard.build(quick=True)
-    assert len(calls) == 50
-    d = scorecard.QUICK_DEFAULTS
-    workload = WORKLOAD_A.scaled(record_count=d.record_count, operation_count=d.operation_count)
-    sizes = {"seed": d.seed, "n_nodes": d.n_nodes, "monitoring_interval": d.monitoring_interval}
-    shared = [
-        _argument_set((GRID5000, workload, policy, 40), sizes)
-        for policy in ("eventual", "strong", f"harmony-{GRID5000.harmony_stale_rates[1]}")
-    ]
-    assert {args: n for args, n in Counter(calls).items() if n > 1} == dict.fromkeys(shared, 2)
+    assert (len(asks), len(calls)) == (50, 47)
+    assert [args for args, n in Counter(calls).items() if n > 1] == []
+    assert len(hooked) == len(scorecard.LATENCIES_MS)
     assert quick["quick"] is True
     assert _verdicts(quick) == _verdicts(committed)
     # Exact for a seed: the cheapest section, built again, is the same section.

@@ -7,6 +7,9 @@ figure-shape assertions (who wins, by roughly how much) live in
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.experiments import figures
@@ -15,7 +18,7 @@ from repro.experiments.ablations import monitoring_interval_ablation, policy_com
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import GRID5000
 from repro.metrics.report import MetricsReport
-from repro.workload.workloads import WORKLOAD_A
+from repro.workload.workloads import WORKLOAD_A, WORKLOAD_B
 
 
 @pytest.fixture
@@ -119,3 +122,55 @@ def test_reports_render_to_text(defaults):
         text = report.render()
         assert title in text
         assert "threads" in text
+
+
+def _counted_runs(monkeypatch):
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return run_experiment(*args, **kwargs)
+
+    monkeypatch.setattr(figures, "run_experiment", counted)
+    return runs
+
+
+def test_an_argument_set_is_simulated_once_per_defaults(defaults, monkeypatch):
+    runs = _counted_runs(monkeypatch)
+    first = defaults.run(GRID5000, WORKLOAD_A, "eventual", 2)
+    assert defaults.run(GRID5000, WORKLOAD_A, "eventual", 2, seed=defaults.seed) is first
+    assert len(runs) == 1
+    # The key is the argument set itself, pickled.
+    scenario, workload, policy, threads, options = pickle.loads(first.key)
+    assert (scenario.name, workload, policy, threads) == ("grid5000", *runs[0][1:])
+    assert dict(options) == {
+        "seed": defaults.seed,
+        "n_nodes": defaults.n_nodes,
+        "monitoring_interval": defaults.monitoring_interval,
+    }
+    # Any argument that differs is another run, and a copy starts its own table.
+    defaults.run(GRID5000, WORKLOAD_A, "eventual", 2, monitoring_interval=0.1)
+    dataclasses.replace(defaults).run(GRID5000, WORKLOAD_A, "eventual", 2)
+    assert len(runs) == 3
+
+
+def test_hooked_runs_are_never_shared(defaults, monkeypatch):
+    runs = _counted_runs(monkeypatch)
+    hooked = []
+    first, second = (
+        defaults.run(GRID5000, WORKLOAD_A, "eventual", 2, cluster_hook=hooked.append)
+        for _ in range(2)
+    )
+    assert len(runs) == len(hooked) == 2
+    assert first is not second and first == second
+    assert first.key is None
+    # The hook saw each cluster; a hook that changes nothing leaves the row as it was.
+    assert defaults.run(GRID5000, WORKLOAD_A, "eventual", 2).row == first.row
+    assert len(runs) == 3
+
+
+def test_a_full_size_record_pickles_under_64_kib():
+    # Fig. 4(a)'s workload-B single-thread run has the longest estimate series.
+    record = dataclasses.replace(figures.DEFAULTS).run(GRID5000, WORKLOAD_B, "harmony-1.0", 1)
+    assert len(record.estimates) > 500
+    assert len(pickle.dumps(record)) <= 64 * 1024

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.control.policies import HarmonyReadPolicy
 from repro.core.policy import StaticEventualPolicy, ThresholdPolicy
 from repro.experiments import runner
 from repro.experiments.runner import ExperimentConfig, make_policy, run_experiment
-from repro.experiments.scenarios import GRID5000, GRID5000_3SITES_ADAPTIVE
+from repro.experiments.scenarios import GRID5000, GRID5000_3SITES, GRID5000_3SITES_ADAPTIVE
 from repro.workload.workloads import WORKLOAD_A, WORKLOAD_B
 
 SMALL = WORKLOAD_A.scaled(record_count=80, operation_count=400)
@@ -199,7 +201,64 @@ class TestOneSweep:
         from repro.experiments import figures
 
         assert runner.__all__ == [
-            "ExperimentConfig", "ExperimentResult", "run_experiment", "make_policy"
+            "ExperimentConfig", "ExperimentResult", "RunRecord", "run_experiment", "make_policy"
         ]
         assert not [name for name in vars(runner) if "sweep" in name]
         assert callable(figures.figure_5_6_thread_sweep)
+
+
+class TestRunRecord:
+    """``ExperimentResult.record()``: the summary row plus the raw values it rounds."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_experiment(
+            GRID5000, SMALL, "harmony-0.2", threads=6, seed=1, n_nodes=6, monitoring_interval=0.02
+        )
+
+    def test_holds_the_summary_row_and_the_raw_values(self, result):
+        record = result.record(b"key")
+        metrics = result.metrics
+        assert record.key == b"key"
+        assert record.row == result.summary()
+        assert (record.reads, record.writes) == (metrics.counters.reads, metrics.counters.writes)
+        assert record.duration == metrics.duration
+        assert record.throughput == metrics.ops_per_second()
+        assert record.read_p99 == metrics.read_latency.p99()
+        assert record.stale_rate == metrics.staleness.stale_rate()
+        assert record.level_usage == metrics.consistency_level_usage
+        assert record.estimates == tuple(metrics.estimate_series) != ()
+        assert record.estimate_mean == metrics.estimate_series.mean()
+        assert record.estimate_max == metrics.estimate_series.max()
+
+    def test_columns_project_the_row_in_the_order_asked(self, result):
+        record = result.record(b"key")
+        columns = record.columns("stale_rate", "policy")
+        assert list(columns) == ["stale_rate", "policy"]
+        assert columns == {"stale_rate": record.row["stale_rate"], "policy": "harmony-20%"}
+        columns["policy"] = "changed"
+        assert record.row["policy"] == "harmony-20%"
+
+    def test_pickles_to_an_equal_record(self, result):
+        record = result.record(b"key")
+        assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_has_a_read_row_per_scenario_datacenter(self):
+        result = run_experiment(
+            GRID5000_3SITES,
+            SMALL,
+            "local_quorum",
+            threads=3,
+            seed=1,
+            datacenters=GRID5000_3SITES.datacenter_names[:2],
+        )
+        by_dc = result.record(b"key").by_dc
+        served, idle = GRID5000_3SITES.datacenter_names[:2], GRID5000_3SITES.datacenter_names[2]
+        assert list(by_dc) == GRID5000_3SITES.datacenter_names
+        assert by_dc[idle] == {
+            "reads": 0, "read_p99_ms": 0.0, "read_mean_ms": 0.0, "stale_rate": 0.0
+        }
+        for dc in served:
+            assert by_dc[dc] == result.metrics.datacenter_summary(dc)
+            assert by_dc[dc]["reads"] > 0
+        assert sum(row["reads"] for row in by_dc.values()) == result.metrics.counters.reads
