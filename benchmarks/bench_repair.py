@@ -287,7 +287,7 @@ def run_bandwidth_arm(
     heal_at = engine.now
 
     service = cluster.start_anti_entropy(
-        AntiEntropyConfig(interval=cfg["repair_interval"], depth=6)
+        AntiEntropyConfig(interval=cfg["repair_interval"])
     )
     plane = None
     if wan_budget is not None:

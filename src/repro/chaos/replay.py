@@ -9,7 +9,7 @@ One run is a fixed phase sequence (all in virtual time):
 1. **Load** -- the workload's records are bulk-loaded into every replica.
 2. **Run** -- the fault schedule is armed, cross-DC anti-entropy starts,
    and clients execute the workload while faults fire.  The client run is
-   sized (via ``think_time``) to outlast the fault horizon so there is
+   sized (via its think time) to outlast the fault horizon so there is
    always a post-heal observation window.
 3. **Heal** -- the engine is driven past the schedule horizon so every
    scheduled heal has fired; any fault state *still* active afterwards is
@@ -57,14 +57,31 @@ def _hash_obj(obj: Any) -> str:
     ).hexdigest()
 
 
+#: Share of client operations that are reads (the rest are updates).
+READ_PROPORTION = 0.5
+#: Seconds between cross-DC anti-entropy rounds on multi-DC scenarios.
+REPAIR_INTERVAL = 2.5
+#: Clean repair rounds run after the heal, before the suite judges.
+REPAIR_ROUNDS = 2
+#: Grace after the heal before reads are judged (also the membership
+#: straggler window's base).
+POST_HEAL_GRACE = 3.0
+#: Post-heal stale-read rate the checker tolerates, cluster-wide and per DC.
+STALE_BOUND = 0.5
+PER_DC_STALE_BOUND = 0.9
+#: Fewest post-heal judged reads before a stale rate is held to its bound.
+MIN_JUDGED_READS = 25
+
+
 @dataclass(frozen=True)
 class ChaosConfig:
     """Everything besides the schedule that defines one chaos run.
 
     ``seed`` feeds the cluster/workload RNG tree (the schedule has its own
     generator seed); ``policy=None`` picks ``local_quorum`` for multi-DC
-    scenarios and ``quorum`` otherwise.  ``think_time=None`` derives a
-    client pace that stretches the run about 40% past the fault horizon.
+    scenarios and ``quorum`` otherwise.  The client pace
+    (:meth:`resolved_think_time`) stretches the run about 40% past the
+    fault horizon.
     """
 
     scenario: str = "grid5000_3sites"
@@ -73,31 +90,14 @@ class ChaosConfig:
     operation_count: int = 420
     threads: int = 6
     policy: Optional[str] = None
-    read_proportion: float = 0.5
     horizon: float = 12.0
-    think_time: Optional[float] = None
-    repair_interval: float = 2.5
-    repair_rounds: int = 2
-    post_heal_grace: float = 3.0
-    stale_bound: float = 0.5
-    per_dc_stale_bound: float = 0.9
-    min_judged_reads: int = 25
 
     def __post_init__(self) -> None:
-        for name in ("threads", "record_count", "operation_count", "min_judged_reads"):
+        for name in ("threads", "record_count", "operation_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        for name in ("horizon", "repair_interval"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        for name in ("repair_rounds", "post_heal_grace"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        for name in ("read_proportion", "stale_bound", "per_dc_stale_bound"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)!r}")
-        if self.think_time is not None and self.think_time < 0:
-            raise ValueError(f"think_time must be >= 0 when given, got {self.think_time!r}")
+        if self.horizon <= 0:
+            raise ValueError(f"horizon must be positive, got {self.horizon!r}")
         if self.scenario.lower() not in ScenarioRegistry.names():
             raise ValueError(
                 f"unknown scenario {self.scenario!r}; available: {ScenarioRegistry.names()}"
@@ -113,8 +113,6 @@ class ChaosConfig:
         }
 
     def resolved_think_time(self) -> float:
-        if self.think_time is not None:
-            return self.think_time
         span = self.horizon * 1.4 + 2.0
         ops_per_thread = max(1, self.operation_count // self.threads)
         return round(span / ops_per_thread, 4)
@@ -173,8 +171,8 @@ def run_chaos(schedule: FaultSchedule, config: ChaosConfig) -> ChaosReport:
         name="chaos",
         record_count=config.record_count,
         operation_count=config.operation_count,
-        read_proportion=config.read_proportion,
-        update_proportion=round(1.0 - config.read_proportion, 6),
+        read_proportion=READ_PROPORTION,
+        update_proportion=round(1.0 - READ_PROPORTION, 6),
     )
     executor = WorkloadExecutor(
         cluster,
@@ -202,7 +200,7 @@ def run_chaos(schedule: FaultSchedule, config: ChaosConfig) -> ChaosReport:
     service = None
     if multi_dc:
         service = cluster.start_anti_entropy(
-            AntiEntropyConfig(interval=config.repair_interval)
+            AntiEntropyConfig(interval=REPAIR_INTERVAL)
         )
 
     metrics = executor.run()
@@ -254,7 +252,7 @@ def run_chaos(schedule: FaultSchedule, config: ChaosConfig) -> ChaosReport:
     # work (late write-timeout cleanups may still store hints here), then
     # flush stranded hints (periodic hint delivery) and drain again.
     if service is not None:
-        engine.run_until(engine.now + config.repair_rounds * config.repair_interval + 0.5)
+        engine.run_until(engine.now + REPAIR_ROUNDS * REPAIR_INTERVAL + 0.5)
         service.stop()
     # Membership transitions (schedule-started or injector-created) must
     # complete or abort before the suite judges the run: give stragglers one
@@ -264,7 +262,7 @@ def run_chaos(schedule: FaultSchedule, config: ChaosConfig) -> ChaosReport:
     membership = cluster.membership
     if membership is not None:
         if membership.has_active:
-            engine.run_until(engine.now + config.post_heal_grace + 5.0)
+            engine.run_until(engine.now + POST_HEAL_GRACE + 5.0)
         for transition in membership.active_transitions():
             extra_violations.append(
                 Violation(
@@ -280,10 +278,10 @@ def run_chaos(schedule: FaultSchedule, config: ChaosConfig) -> ChaosReport:
     cluster.settle()
 
     checker = InvariantChecker(
-        post_heal_grace=config.post_heal_grace,
-        stale_bound=config.stale_bound,
-        per_dc_stale_bound=config.per_dc_stale_bound,
-        min_judged_reads=config.min_judged_reads,
+        post_heal_grace=POST_HEAL_GRACE,
+        stale_bound=STALE_BOUND,
+        per_dc_stale_bound=PER_DC_STALE_BOUND,
+        min_judged_reads=MIN_JUDGED_READS,
     )
     violations = extra_violations + checker.check(
         cluster=cluster,

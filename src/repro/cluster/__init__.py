@@ -4,8 +4,10 @@ The paper evaluates Harmony on Apache Cassandra 1.0.2.  This package is a
 discrete-event-simulated stand-in that reproduces the mechanisms the paper's
 results depend on:
 
-* a token ring with a pluggable partitioner and replication strategy
-  (``SimpleStrategy`` and ``OldNetworkTopologyStrategy``);
+* a Murmur3 token ring and a replication strategy worked out from the
+  configuration (``OldNetworkTopologyStrategy``, or per-DC
+  ``NetworkTopologyStrategy`` when replication factors are given per
+  datacenter);
 * per-node storage engines: a memtable of timestamped cells
   (last-write-wins);
 * a coordinator read/write path with per-operation consistency levels
@@ -36,9 +38,8 @@ from repro.cluster.replication import (
     NetworkTopologyStrategy,
     OldNetworkTopologyStrategy,
     ReplicationStrategy,
-    SimpleStrategy,
 )
-from repro.cluster.ring import Murmur3Partitioner, RandomPartitioner, TokenRing
+from repro.cluster.ring import Murmur3Partitioner, TokenRing
 from repro.cluster.stats import ClusterStats, NodeCounters
 from repro.cluster.storage import Cell, StorageEngine
 
@@ -54,9 +55,7 @@ __all__ = [
     "NodeCounters",
     "OldNetworkTopologyStrategy",
     "OperationResult",
-    "RandomPartitioner",
     "ReplicationStrategy",
-    "SimpleStrategy",
     "SimulatedCluster",
     "StorageEngine",
     "StorageNode",

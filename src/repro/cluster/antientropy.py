@@ -158,6 +158,19 @@ class MerkleTree:
         return f"MerkleTree(depth={self.depth}, populated_leaves={populated})"
 
 
+#: Merkle tree depth; ``2**TREE_DEPTH`` token ranges per tree.  Deeper trees
+#: localize differences better (less over-streaming) at the cost of a bigger
+#: tree exchange -- the classic repair trade-off.
+TREE_DEPTH = 6
+#: Wire size of one leaf digest (Cassandra uses 16-32 byte hashes).
+DIGEST_SIZE_BYTES = 32
+#: Wire size of the initial tree request.
+REQUEST_SIZE_BYTES = 64
+#: Wire size of one leaf *index* in an incremental exchange (requests name
+#: their dirty leaves; responses carry ``(index, digest)`` pairs).
+LEAF_INDEX_SIZE_BYTES = 2
+
+
 @dataclass(frozen=True)
 class AntiEntropyConfig:
     """Tunables of the cross-DC repair process.
@@ -172,18 +185,8 @@ class AntiEntropyConfig:
         run time through :meth:`AntiEntropyService.set_pair_interval` (the
         adaptive repair-scheduling policy does), in which case this value is
         the base tick driving the due-checks and should be the smallest
-        cadence any pair may reach.
-    depth:
-        Merkle tree depth; ``2**depth`` token ranges per tree.  Deeper trees
-        localize differences better (less over-streaming) at the cost of a
-        bigger tree exchange -- the classic repair trade-off.
-    digest_size_bytes:
-        Wire size of one leaf digest (Cassandra uses 16-32 byte hashes).
-    request_size_bytes:
-        Wire size of the initial tree request.
-    leaf_index_size_bytes:
-        Wire size of one leaf *index* in an incremental exchange (requests
-        name their dirty leaves; responses carry ``(index, digest)`` pairs).
+        cadence any pair may reach.  Every unordered DC pair of the
+        cluster's topology is repaired.
     incremental:
         ``True`` (default) runs **incremental** repair: each datacenter
         keeps a persistent tree cache updated from per-key dirty flags, and
@@ -192,28 +195,14 @@ class AntiEntropyConfig:
         steady state.  ``False`` reproduces the original full-keyspace
         behaviour (every session re-hashes everything and ships the whole
         leaf vector), kept as the measurable baseline.
-    pairs:
-        Explicit DC pairs to repair; ``None`` repairs every unordered pair
-        of the cluster's topology.
     """
 
     interval: float = 5.0
-    depth: int = 6
-    digest_size_bytes: int = 32
-    request_size_bytes: int = 64
-    leaf_index_size_bytes: int = 2
     incremental: bool = True
-    pairs: Optional[Tuple[Tuple[str, str], ...]] = None
 
     def __post_init__(self) -> None:
         if self.interval <= 0:
             raise ValueError("repair interval must be positive")
-        if not 1 <= self.depth <= 16:
-            raise ValueError(f"depth must be in [1, 16], got {self.depth!r}")
-        if self.digest_size_bytes < 1 or self.request_size_bytes < 1:
-            raise ValueError("message sizes must be positive")
-        if self.leaf_index_size_bytes < 1:
-            raise ValueError("leaf_index_size_bytes must be positive")
 
 
 @dataclass
@@ -352,20 +341,9 @@ class AntiEntropyService:
         self.cluster = cluster
         self.config = config or AntiEntropyConfig()
         names = cluster.topology.datacenter_names
-        if self.config.pairs is not None:
-            pairs = []
-            known = set(names)
-            for a, b in self.config.pairs:
-                if a not in known or b not in known:
-                    raise ValueError(f"unknown datacenter in repair pair ({a!r}, {b!r})")
-                if a == b:
-                    raise ValueError(f"cannot repair a datacenter against itself ({a!r})")
-                pairs.append((a, b) if a <= b else (b, a))
-            self._pairs: List[Tuple[str, str]] = sorted(set(pairs))
-        else:
-            self._pairs = [
-                (a, b) if a <= b else (b, a) for a, b in itertools.combinations(names, 2)
-            ]
+        self._pairs: List[Tuple[str, str]] = [
+            (a, b) if a <= b else (b, a) for a, b in itertools.combinations(names, 2)
+        ]
         if not self._pairs:
             raise ValueError("anti-entropy needs at least two datacenters")
         self.stats: Dict[Tuple[str, str], RepairPairStats] = {
@@ -532,9 +510,8 @@ class AntiEntropyService:
         stats.last_session_at = self.cluster.engine.now
         session = _Session(pair, initiator, partner, self.cluster.engine.now)
         self._sessions[pair] = session
-        config = self.config
-        size = config.request_size_bytes
-        if config.incremental:
+        size = REQUEST_SIZE_BYTES
+        if self.config.incremental:
             cache = self._refresh_cache(dc_a)
             sync = self._pair_sync[pair]
             fabric = self.cluster.fabric
@@ -555,7 +532,7 @@ class AntiEntropyService:
                     if leaf_version[index] > seen
                 )
                 # The request names the initiator's dirty leaves.
-                size += config.leaf_index_size_bytes * len(session.requested_leaves)
+                size += LEAF_INDEX_SIZE_BYTES * len(session.requested_leaves)
         stats.bytes_sent += size
         self.cluster.fabric.send(
             initiator,
@@ -576,14 +553,13 @@ class AntiEntropyService:
             # Abandon the session -- it expires at the next tick.
             return
         dc_b = session.pair[1]
-        config = self.config
-        if config.incremental:
+        if self.config.incremental:
             cache = self._refresh_cache(dc_b)
             session.partner_version = cache.version
             leaves = cache.leaves
             if session.full:
                 send_indices = range(len(leaves))
-                size = len(leaves) * config.digest_size_bytes
+                size = len(leaves) * DIGEST_SIZE_BYTES
             else:
                 sync = self._pair_sync[session.pair]
                 seen = sync.partner_seen
@@ -597,16 +573,14 @@ class AntiEntropyService:
                 send_indices = sorted(set(session.requested_leaves) | set(dirty))
                 # (index, digest) pairs for only the leaves either side saw
                 # change -- the steady-state wire cost of a session.
-                size = len(send_indices) * (
-                    config.digest_size_bytes + config.leaf_index_size_bytes
-                )
+                size = len(send_indices) * (DIGEST_SIZE_BYTES + LEAF_INDEX_SIZE_BYTES)
             session.response_leaves = {index: leaves[index] for index in send_indices}
             stats = self.stats[session.pair]
             stats.leaves_exchanged += len(session.response_leaves)
         else:
             tree = self._build_tree(dc_b)
             session.partner_tree = tree
-            size = tree.serialized_size(config.digest_size_bytes)
+            size = tree.serialized_size(DIGEST_SIZE_BYTES)
             self.stats[session.pair].leaves_exchanged += tree.n_leaves
         self.stats[session.pair].bytes_sent += size
         self.cluster.fabric.send(
@@ -669,7 +643,7 @@ class AntiEntropyService:
         assert session.partner_tree is not None
         token_of = self.cluster.ring.partitioner.token
         view_a = self._dc_view(dc_a)
-        local_tree = MerkleTree.build(view_a, token_of, self.config.depth)
+        local_tree = MerkleTree.build(view_a, token_of, TREE_DEPTH)
         differing = set(local_tree.diff(session.partner_tree))
         stats.sessions_completed += 1
         if not differing:
@@ -704,14 +678,14 @@ class AntiEntropyService:
         cstats = self.cache_stats[datacenter]
         cstats["refreshes"] += 1
         token_of = cluster.ring.partitioner.token
-        shift = 64 - self.config.depth
+        shift = 64 - TREE_DEPTH
         if cache is None or cache.liveness != alive:
             # Full rebuild; reset every node's dirty set (down nodes
             # included -- their data re-enters through the next rebuild
             # when liveness changes again).
             for address in cluster.addresses_in(datacenter):
                 nodes[address].storage.drain_dirty()
-            fresh = _TreeCache(1 << self.config.depth)
+            fresh = _TreeCache(1 << TREE_DEPTH)
             fresh.liveness = alive
             fresh.version = (cache.version + 1) if cache is not None else 1
             view = self._dc_view(datacenter)
@@ -788,7 +762,7 @@ class AntiEntropyService:
 
     def _build_tree(self, datacenter: str) -> MerkleTree:
         token_of = self.cluster.ring.partitioner.token
-        return MerkleTree.build(self._dc_view(datacenter), token_of, self.config.depth)
+        return MerkleTree.build(self._dc_view(datacenter), token_of, TREE_DEPTH)
 
     def _stream_ranges(
         self, session: _Session, differing: set, view_a: Dict[str, Cell]
@@ -801,7 +775,7 @@ class AntiEntropyService:
         side is re-snapshotted because its tree was taken one WAN trip ago.
         """
         token_of = self.cluster.ring.partitioner.token
-        shift = 64 - self.config.depth
+        shift = 64 - TREE_DEPTH
         view_b = self._dc_view(session.pair[1])
         keys = [
             key

@@ -32,9 +32,8 @@ from repro.cluster.replication import (
     NetworkTopologyStrategy,
     OldNetworkTopologyStrategy,
     ReplicationStrategy,
-    SimpleStrategy,
 )
-from repro.cluster.ring import Murmur3Partitioner, Partitioner, TokenRing
+from repro.cluster.ring import TokenRing
 from repro.cluster.stats import ClusterStats
 from repro.cluster.storage import Cell
 from repro.faults.detector import FailureDetector
@@ -52,6 +51,12 @@ __all__ = [
     "resolve_topology",
     "resolve_spares",
 ]
+
+#: Average write payload size in bytes (YCSB's default row is ~1 KB across
+#: 10 fields of 100 B).
+WRITE_SIZE_BYTES = 1024
+#: Virtual nodes per physical node in the token ring.
+VNODES = 8
 
 
 def _discard_result(result: "OperationResult") -> None:
@@ -132,33 +137,26 @@ class ClusterConfig:
         Shape of the default topology when ``topology`` is not supplied.
     topology:
         Explicit topology; overrides the three fields above.
-    strategy:
-        ``"old_network_topology"`` (paper default), ``"simple"`` or
-        ``"network_topology"`` (geo-replication with per-DC factors).
     replication_factors:
-        Per-datacenter replication factors for ``"network_topology"``
-        (e.g. ``{"dc1": 3, "dc2": 2}``).  Supplying this selects the
-        ``"network_topology"`` strategy automatically and overrides
-        ``replication_factor`` with the sum of the per-DC factors.
+        Per-datacenter replication factors (e.g. ``{"dc1": 3, "dc2": 2}``).
+        Supplying this selects
+        :class:`~repro.cluster.replication.NetworkTopologyStrategy`
+        (geo-replication) and overrides ``replication_factor`` with the sum
+        of the per-DC factors; without it the cluster uses the paper's
+        :class:`~repro.cluster.replication.OldNetworkTopologyStrategy`.
     node:
         Per-node performance envelope.
     coordinator:
         Coordinator path tunables.
     intra_rack_latency / inter_rack_latency / inter_dc_latency:
         Latency models used when building the default topology.
-    write_size_bytes:
-        Average write payload size (YCSB's default row is ~1 KB across
-        10 fields of 100 B).
-    vnodes:
-        Virtual nodes per physical node in the token ring.
     seed:
         Root random seed.
-    drop_probability / fabric_delivery:
+    fabric_delivery:
         Passed through to :class:`~repro.network.fabric.NetworkFabric`
-        (which also validates them here, at construction): the probability
-        that any message is silently lost, and the delivery mode --
-        ``"coalesced"`` (independent latency per message) or ``"fifo"``
-        (in-order per-link delivery).
+        (which also validates it here, at construction): ``"coalesced"``
+        (independent latency per message) or ``"fifo"`` (in-order per-link
+        delivery).
     bandwidth:
         Optional :class:`~repro.network.transfers.BandwidthConfig` turning
         on shared-link WAN bandwidth modeling (large payloads become
@@ -171,23 +169,18 @@ class ClusterConfig:
     racks_per_dc: int = 2
     datacenters: int = 1
     topology: Optional[Topology] = None
-    strategy: str = "old_network_topology"
     replication_factors: Optional[Dict[str, int]] = None
     node: NodeConfig = field(default_factory=NodeConfig)
     coordinator: CoordinatorConfig = field(default_factory=CoordinatorConfig)
     intra_rack_latency: Optional[LatencyModel] = None
     inter_rack_latency: Optional[LatencyModel] = None
     inter_dc_latency: Optional[LatencyModel] = None
-    write_size_bytes: int = 1024
-    vnodes: int = 8
     seed: int = 0
     #: Extra nodes provisioned per datacenter but kept *out* of the initial
     #: token ring: elastic capacity for membership transitions (bootstrap
     #: moves a spare into the ring, decommission moves a member out).  With
     #: the default 0 the cluster is exactly the classic static ring.
     spares_per_dc: int = 0
-    drop_probability: float = 0.0
-    partitioner: Optional[Partitioner] = None
     fabric_delivery: str = "coalesced"
     bandwidth: Optional["BandwidthConfig"] = None
 
@@ -197,7 +190,6 @@ class ClusterConfig:
                 raise ValueError("replication_factors must not be empty")
             if any(rf < 0 for rf in self.replication_factors.values()):
                 raise ValueError("per-DC replication factors must be non-negative")
-            self.strategy = "network_topology"
             self.replication_factor = sum(self.replication_factors.values())
         if self.replication_factor < 1:
             raise ValueError("replication_factor must be >= 1")
@@ -206,18 +198,9 @@ class ClusterConfig:
                 f"n_nodes ({self.n_nodes}) must be >= replication_factor "
                 f"({self.replication_factor})"
             )
-        if self.strategy not in ("old_network_topology", "simple", "network_topology"):
-            raise ValueError(f"unknown replication strategy {self.strategy!r}")
-        if self.strategy == "network_topology" and self.replication_factors is None:
-            raise ValueError(
-                "strategy 'network_topology' needs per-DC replication_factors, "
-                "e.g. {'dc1': 3, 'dc2': 2}"
-            )
-        if self.write_size_bytes <= 0:
-            raise ValueError("write_size_bytes must be positive")
         if self.spares_per_dc < 0:
             raise ValueError("spares_per_dc must be non-negative")
-        NetworkFabric.check_options(self.drop_probability, self.fabric_delivery)
+        NetworkFabric.check_delivery(self.fabric_delivery)
 
 
 class SimulatedCluster:
@@ -253,7 +236,6 @@ class SimulatedCluster:
             self.engine,
             self.topology,
             self.streams,
-            drop_probability=config.drop_probability,
             delivery=config.fabric_delivery,
             bandwidth=config.bandwidth,
         )
@@ -276,20 +258,12 @@ class SimulatedCluster:
         #: between windows: a mid-window change is a loud error, never silent
         #: corruption.
         self.membership_epoch = 0
-        self._partitioner = config.partitioner or Murmur3Partitioner()
-        self.ring = TokenRing(
-            self.members,
-            partitioner=self._partitioner,
-            vnodes=config.vnodes,
-        )
+        self.ring = TokenRing(self.members, vnodes=VNODES)
         self.strategy: ReplicationStrategy
-        if config.strategy == "old_network_topology":
-            self.strategy = OldNetworkTopologyStrategy(config.replication_factor, self.topology)
-        elif config.strategy == "network_topology":
-            assert config.replication_factors is not None  # enforced by the config
+        if config.replication_factors is not None:
             self.strategy = NetworkTopologyStrategy(config.replication_factors, self.topology)
         else:
-            self.strategy = SimpleStrategy(config.replication_factor)
+            self.strategy = OldNetworkTopologyStrategy(config.replication_factor, self.topology)
         self.stats = ClusterStats()
         #: Shared liveness view consulted by every coordinator before doing
         #: work for a request (see :mod:`repro.faults.detector`).
@@ -318,7 +292,7 @@ class SimulatedCluster:
                 counters=counters,
                 config=config.coordinator,
                 streams=self.streams,
-                write_size_bytes=config.write_size_bytes,
+                write_size_bytes=WRITE_SIZE_BYTES,
                 failure_detector=self.failure_detector,
             )
             self.nodes[address] = node
@@ -386,9 +360,7 @@ class SimulatedCluster:
         self.members = members
         self._spare_set = frozenset(a for a in self.topology.nodes if a not in member_set)
         self.spares = tuple(a for a in self.topology.nodes if a not in member_set)
-        self.ring = TokenRing(
-            members, partitioner=self._partitioner, vnodes=self.config.vnodes
-        )
+        self.ring = TokenRing(members, vnodes=VNODES)
         self.membership_epoch += 1
         self.invalidate_placement()
 
@@ -919,5 +891,5 @@ class SimulatedCluster:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SimulatedCluster(nodes={self.topology.size}, "
-            f"rf={self.config.replication_factor}, strategy={self.config.strategy})"
+            f"rf={self.config.replication_factor}, strategy={type(self.strategy).__name__})"
         )

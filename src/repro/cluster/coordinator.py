@@ -56,6 +56,14 @@ __all__ = ["Coordinator", "OperationResult", "CoordinatorConfig"]
 #: every coordinator that has not yet rolled.
 _EMPTY_POOL = array("d")
 
+#: Seconds after which missing replica acknowledgements are given up on;
+#: unacknowledged writes turn into hints.
+WRITE_TIMEOUT = 1.0
+READ_TIMEOUT = 1.0
+#: Fixed coordinator-side processing time added to every client operation
+#: (request parsing, Thrift/RPC overhead).
+REQUEST_OVERHEAD = 0.00005
+
 
 @dataclass(frozen=True)
 class CoordinatorConfig:
@@ -68,26 +76,13 @@ class CoordinatorConfig:
         blocked-for set so they can be checked and repaired in the
         background (Cassandra's ``read_repair_chance``, 0.1 by default in
         the 1.0.x era).
-    write_timeout / read_timeout:
-        Seconds after which missing replica acknowledgements are given up
-        on; unacknowledged writes turn into hints.
-    request_overhead:
-        Fixed coordinator-side processing time added to every client
-        operation (request parsing, Thrift/RPC overhead).
     """
 
     read_repair_chance: float = 0.1
-    write_timeout: float = 1.0
-    read_timeout: float = 1.0
-    request_overhead: float = 0.00005
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.read_repair_chance <= 1.0:
             raise ValueError("read_repair_chance must be in [0, 1]")
-        if self.write_timeout <= 0 or self.read_timeout <= 0:
-            raise ValueError("timeouts must be positive")
-        if self.request_overhead < 0:
-            raise ValueError("request_overhead must be non-negative")
 
 
 @dataclass(slots=True)
@@ -426,7 +421,7 @@ class Coordinator:
                 "write", request_id, key, consistency_level, address, len(replicas)
             )
         pending.timeout_handle = self._after(
-            self.config.write_timeout, self._write_timed_out, request_id
+            WRITE_TIMEOUT, self._write_timed_out, request_id
         )
         return request_id
 
@@ -502,7 +497,7 @@ class Coordinator:
                 "read", request_id, key, consistency_level, address, len(contacted)
             )
         pending.timeout_handle = self._after(
-            self.config.read_timeout, self._read_timed_out, request_id
+            READ_TIMEOUT, self._read_timed_out, request_id
         )
         return request_id
 
@@ -557,7 +552,7 @@ class Coordinator:
         else:
             # Re-arm a cleanup timeout: replicas that never answer get hints.
             pending.timeout_handle = self._after(
-                self.config.write_timeout, self._hint_missing_replicas, pending.request_id
+                WRITE_TIMEOUT, self._hint_missing_replicas, pending.request_id
             )
         result = OperationResult(
             op_type="write",
@@ -566,7 +561,7 @@ class Coordinator:
             consistency_level=pending.level,
             blocked_for=pending.required,
             started_at=pending.started_at,
-            completed_at=self._engine.now + self.config.request_overhead,
+            completed_at=self._engine.now + REQUEST_OVERHEAD,
             timed_out=timed_out,
             replicas=pending.replicas,
             responded=list(pending.acks),
@@ -677,7 +672,7 @@ class Coordinator:
             consistency_level=pending.level,
             blocked_for=pending.required,
             started_at=pending.started_at,
-            completed_at=self._engine.now + self.config.request_overhead,
+            completed_at=self._engine.now + REQUEST_OVERHEAD,
             timed_out=timed_out,
             replicas=pending.replicas,
             responded=list(pending.responses),
@@ -695,7 +690,7 @@ class Coordinator:
             # read forever -- evict after one more timeout window, giving
             # stragglers a grace period to trigger read repair.
             pending.timeout_handle = self._after(
-                self.config.read_timeout, self._evict_read, pending.request_id
+                READ_TIMEOUT, self._evict_read, pending.request_id
             )
         pending.callback(result)
 
@@ -860,7 +855,7 @@ class Coordinator:
             consistency_level=level,
             blocked_for=required,
             started_at=now,
-            completed_at=now + self.config.request_overhead,
+            completed_at=now + REQUEST_OVERHEAD,
             timed_out=False,
             unavailable=True,
             replicas=replicas,

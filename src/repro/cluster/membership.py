@@ -49,9 +49,9 @@ leaves the rest of a trace byte-identical until placement actually changes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
+from repro.cluster.coordinator import WRITE_TIMEOUT
 from repro.cluster.ring import TokenRing
 from repro.network.fabric import MessageKind
 from repro.network.topology import NodeAddress
@@ -61,49 +61,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import SimulatedCluster
     from repro.cluster.storage import Cell
 
-__all__ = ["MembershipConfig", "MembershipManager", "Transition"]
+__all__ = ["MembershipManager", "Transition"]
 
 
-@dataclass(frozen=True)
-class MembershipConfig:
-    """Tunables of the membership transition machinery.
-
-    Attributes
-    ----------
-    tick_interval:
-        Seconds between progress ticks (streaming pump, catch-up passes,
-        watchdog resends).
-    chunk_cells:
-        Maximum cells per ``range_stream`` message.
-    chunk_timeout:
-        Seconds after which an unacknowledged chunk is resent (from a
-        possibly different source -- this is the source-crash failover).
-    min_pending_window:
-        Minimum seconds between pending registration and cutover.  ``None``
-        (default) resolves to the coordinator write timeout, which is the
-        smallest window that closes the in-flight-write race (see module
-        docstring).  Cassandra's equivalent knob is ``RING_DELAY``.
-    clean_passes_required:
-        Consecutive empty catch-up passes required before cutover.
-    """
-
-    tick_interval: float = 0.25
-    chunk_cells: int = 64
-    chunk_timeout: float = 2.0
-    min_pending_window: Optional[float] = None
-    clean_passes_required: int = 1
-
-    def __post_init__(self) -> None:
-        if self.tick_interval <= 0:
-            raise ValueError("tick_interval must be positive")
-        if self.chunk_cells < 1:
-            raise ValueError("chunk_cells must be >= 1")
-        if self.chunk_timeout <= 0:
-            raise ValueError("chunk_timeout must be positive")
-        if self.min_pending_window is not None and self.min_pending_window < 0:
-            raise ValueError("min_pending_window must be non-negative")
-        if self.clean_passes_required < 1:
-            raise ValueError("clean_passes_required must be >= 1")
+#: Seconds between progress ticks (streaming pump, catch-up passes,
+#: watchdog resends).
+TICK_INTERVAL = 0.25
+#: Maximum cells per ``range_stream`` message.
+CHUNK_CELLS = 64
+#: Seconds after which an unacknowledged chunk is resent (from a possibly
+#: different source -- this is the source-crash failover).
+CHUNK_TIMEOUT = 2.0
+#: Consecutive empty catch-up passes required before cutover.
+CLEAN_PASSES_REQUIRED = 1
 
 
 class Transition:
@@ -162,13 +132,8 @@ class MembershipManager:
     process.  All public entry points are safe to call from engine callbacks.
     """
 
-    def __init__(self, cluster: "SimulatedCluster", config: Optional[MembershipConfig] = None):
+    def __init__(self, cluster: "SimulatedCluster"):
         self.cluster = cluster
-        self.config = config or MembershipConfig()
-        window = self.config.min_pending_window
-        if window is None:
-            window = cluster.config.coordinator.write_timeout
-        self._min_pending_window = float(window)
         #: Active transitions by node (insertion order = start order).
         self._transitions: Dict[NodeAddress, Transition] = {}
         #: Finished transitions (done or aborted), for tests and reports.
@@ -192,7 +157,7 @@ class MembershipManager:
             return
         self._process = PeriodicProcess(
             self.cluster.engine,
-            self.config.tick_interval,
+            TICK_INTERVAL,
             self._tick,
             name="membership",
         )
@@ -353,7 +318,7 @@ class MembershipManager:
         self._target_ring = TokenRing(
             members,
             partitioner=cluster.ring.partitioner,
-            vnodes=cluster.config.vnodes,
+            vnodes=cluster.ring.vnodes,
         )
         for coordinator in cluster.coordinators.values():
             coordinator.set_pending_hooks(self.pending_for, self._guard_read)
@@ -386,7 +351,7 @@ class MembershipManager:
         # next pump re-picks a live source.  Chunks are idempotent cells.
         if transition.outstanding is not None:
             items, _source, _target, sent_at = transition.outstanding
-            if now - sent_at >= self.config.chunk_timeout:
+            if now - sent_at >= CHUNK_TIMEOUT:
                 transition.outstanding = None
                 transition.queue.extendleft(reversed(items))
         if transition.outstanding is not None:
@@ -415,9 +380,9 @@ class MembershipManager:
             self._pump(transition)
             return
         transition.clean_passes += 1
-        if transition.clean_passes < self.config.clean_passes_required:
+        if transition.clean_passes < CLEAN_PASSES_REQUIRED:
             return
-        if now - transition.started_at < self._min_pending_window:
+        if now - transition.started_at < WRITE_TIMEOUT:
             return  # pending window still open; in-flight writes may land
         self._cutover(transition)
 
@@ -542,7 +507,7 @@ class MembershipManager:
             items: List[Tuple[str, NodeAddress]] = []
             cells: List["Cell"] = []
             size = 0
-            while queue and len(cells) < self.config.chunk_cells:
+            while queue and len(cells) < CHUNK_CELLS:
                 next_key, next_target = queue[0]
                 if next_target != target:
                     break

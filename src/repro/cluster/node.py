@@ -36,6 +36,14 @@ __all__ = ["NodeConfig", "StorageNode"]
 #: has not yet served a request.
 _EMPTY_POOL = array("d")
 
+#: Relative cost of serving a *digest* read (Cassandra sends the full data
+#: request to the closest replica only and digest requests to the others;
+#: digests skip most of the row materialisation work).
+DIGEST_SERVICE_FACTOR = 0.6
+#: Queued requests a node holds before it sheds load (requests beyond this
+#: are dropped, surfacing as timeouts upstream).
+QUEUE_CAPACITY = 8192
+
 
 @dataclass(frozen=True)
 class NodeConfig:
@@ -53,35 +61,22 @@ class NodeConfig:
         The defaults (a few milliseconds) reflect the disk-bound Cassandra
         1.0 deployments of the paper's era, where p99 read latencies are in
         the tens of milliseconds (paper Fig. 5).
-    digest_service_factor:
-        Relative cost of serving a *digest* read (Cassandra sends the full
-        data request to the closest replica only and digest requests to the
-        others; digests skip most of the row materialisation work).
     service_time_cv:
         Coefficient of variation of the service time (gamma-distributed).
-    queue_capacity:
-        Maximum number of queued requests before the node sheds load
-        (requests beyond this are dropped, surfacing as timeouts upstream).
     """
 
     concurrency: int = 16
     read_service_time: float = 0.005
     write_service_time: float = 0.0035
-    digest_service_factor: float = 0.6
     service_time_cv: float = 0.45
-    queue_capacity: int = 8192
 
     def __post_init__(self) -> None:
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
         if self.read_service_time <= 0 or self.write_service_time <= 0:
             raise ValueError("service times must be positive")
-        if not 0.0 < self.digest_service_factor <= 1.0:
-            raise ValueError("digest_service_factor must be in (0, 1]")
         if self.service_time_cv <= 0:
             raise ValueError("service_time_cv must be positive")
-        if self.queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1")
 
 
 class StorageNode:
@@ -220,7 +215,7 @@ class StorageNode:
                 queue = self._queue
                 if queue is None:
                     queue = self._queue = deque()
-                elif len(queue) >= self.config.queue_capacity:
+                elif len(queue) >= QUEUE_CAPACITY:
                     self.counters.queue_rejections += 1
                     return
                 queue.append(message)
@@ -266,7 +261,7 @@ class StorageNode:
         if message.kind == MessageKind.READ_REQUEST:
             scale = self._read_scale
             if message.payload[2]:  # digest read
-                scale *= self.config.digest_service_factor
+                scale *= DIGEST_SERVICE_FACTOR
         else:
             scale = self._write_scale
         index = self._service_index

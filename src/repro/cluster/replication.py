@@ -6,8 +6,6 @@ lazy and every strategy stops pulling from it as soon as its rules are
 satisfied, so one placement costs O(RF + skipped vnodes) ring tokens, not
 O(ring).
 
-* :class:`SimpleStrategy` takes the first ``RF`` distinct nodes of the walk,
-  ignoring topology (Cassandra's ``SimpleStrategy``).
 * :class:`OldNetworkTopologyStrategy` mirrors the strategy the paper
   configures ("this strategy ensures that data is replicated over all the
   clusters and racks"): the first replica is the walk's first node, the
@@ -25,7 +23,6 @@ O(ring).
 
 from __future__ import annotations
 
-import itertools
 from abc import ABC, abstractmethod
 from typing import Dict, Iterator, List, Mapping
 
@@ -34,7 +31,6 @@ from repro.network.topology import NodeAddress, Topology
 
 __all__ = [
     "ReplicationStrategy",
-    "SimpleStrategy",
     "OldNetworkTopologyStrategy",
     "NetworkTopologyStrategy",
 ]
@@ -69,13 +65,6 @@ class ReplicationStrategy(ABC):
                 f"expected {self.replication_factor}"
             )
         return selected
-
-
-class SimpleStrategy(ReplicationStrategy):
-    """First ``RF`` distinct nodes of the walk, topology-agnostic."""
-
-    def select(self, walk: Iterator[NodeAddress]) -> List[NodeAddress]:
-        return list(itertools.islice(walk, self.replication_factor))
 
 
 class OldNetworkTopologyStrategy(ReplicationStrategy):

@@ -5,13 +5,9 @@ to a token and owned by the first node found walking clockwise from that
 token.  Replication strategies (see :mod:`repro.cluster.replication`) then
 pick additional replicas by continuing the walk.
 
-Two partitioners are provided:
-
-* :class:`Murmur3Partitioner` -- a fast, well-mixed 64-bit hash (a pure
-  Python implementation of MurmurHash3's 64-bit finaliser over blake2 input,
-  sufficient for uniform key spreading in the simulator);
-* :class:`RandomPartitioner` -- MD5-based, mirroring Cassandra's classic
-  ``RandomPartitioner`` used in the 1.0.x era the paper targets.
+The one partitioner is :class:`Murmur3Partitioner`, a fast, well-mixed
+64-bit hash (MurmurHash3's 64-bit finaliser over blake2 input, sufficient
+for uniform key spreading in the simulator).
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.network.topology import NodeAddress
 
-__all__ = ["Partitioner", "Murmur3Partitioner", "RandomPartitioner", "TokenRing"]
+__all__ = ["Partitioner", "Murmur3Partitioner", "TokenRing"]
 
 
 class Partitioner(ABC):
@@ -63,14 +59,6 @@ class Murmur3Partitioner(Partitioner):
     def token(self, key: str) -> int:
         digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
         return self._fmix64(int.from_bytes(digest, "little"))
-
-
-class RandomPartitioner(Partitioner):
-    """MD5-based partitioner mirroring Cassandra's ``RandomPartitioner``."""
-
-    def token(self, key: str) -> int:
-        digest = hashlib.md5(key.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big")
 
 
 class TokenRing:

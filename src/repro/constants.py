@@ -9,7 +9,7 @@ bandwidth appears:
   transfer capacity (:mod:`repro.network.fabric`,
   :mod:`repro.network.transfers`);
 * Harmony's analytic propagation-time term ``avg_write_size / bandwidth``
-  (:mod:`repro.core.model`, :class:`repro.core.config.HarmonyConfig`).
+  (:mod:`repro.core.model`, :mod:`repro.core.monitor`).
 
 Before this module existed the three sites each carried their own literal
 ``125_000_000.0``; an override in one place silently diverged the

@@ -50,7 +50,6 @@ from repro.control.policies import (
     ThresholdReadPolicy,
 )
 from repro.control.retry import (
-    BackoffConfig,
     DowngradeRetryPolicy,
     RetryDecision,
     RetryPolicy,
@@ -69,7 +68,6 @@ __all__ = [
     "RepairControlConfig",
     "RepairSchedulePolicy",
     "ThresholdReadPolicy",
-    "BackoffConfig",
     "DowngradeRetryPolicy",
     "RetryDecision",
     "RetryPolicy",

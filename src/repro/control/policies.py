@@ -33,7 +33,7 @@ The model arithmetic is shared through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.cluster.consistency import (
     ConsistencyLevel,
@@ -183,8 +183,8 @@ class GeoReadPolicy(LevelPolicy):
         if factors is None:
             raise ValueError(
                 "per-datacenter control needs a cluster using NetworkTopologyStrategy "
-                "(per-DC replication factors); got strategy "
-                f"{cluster.config.strategy!r}"
+                "(per-DC replication factors); got "
+                f"{type(cluster.strategy).__name__}"
             )
         overrides = self.tolerated_stale_rates
         unknown = set(overrides) - set(cluster.datacenter_names)
@@ -372,6 +372,16 @@ class GeoReadWritePolicy(GeoReadPolicy):
         return decisions
 
 
+#: Multiplier applied to a pair's repair interval when its last completed
+#: session found divergence.
+TIGHTEN_FACTOR = 0.5
+#: Multiplier applied when the pair's sessions came back clean.
+RELAX_FACTOR = 1.5
+#: Differing Merkle leaves (since the previous control tick) that count as
+#: divergence.
+DIVERGENCE_THRESHOLD = 1
+
+
 @dataclass(frozen=True)
 class RepairControlConfig:
     """Tunables of the adaptive anti-entropy repair scheduler.
@@ -380,14 +390,6 @@ class RepairControlConfig:
     ----------
     min_interval / max_interval:
         Bounds of the per-pair repair interval in virtual seconds.
-    tighten_factor:
-        Multiplier applied to a pair's interval when its last completed
-        session found divergence (must be in ``(0, 1)``).
-    relax_factor:
-        Multiplier applied when the pair's sessions came back clean (> 1).
-    divergence_threshold:
-        Number of differing Merkle leaves (since the previous control tick)
-        that counts as divergence.
     wan_budget_bytes_per_s:
         Optional cost cap: when the pair's repair traffic over the control
         window exceeds this rate, the interval is relaxed even under
@@ -407,9 +409,6 @@ class RepairControlConfig:
 
     min_interval: float = 5.0
     max_interval: float = 60.0
-    tighten_factor: float = 0.5
-    relax_factor: float = 1.5
-    divergence_threshold: int = 1
     wan_budget_bytes_per_s: Optional[float] = None
     backlog_pace_s: float = 1.0
 
@@ -418,12 +417,6 @@ class RepairControlConfig:
             raise ValueError("min_interval must be positive")
         if self.max_interval < self.min_interval:
             raise ValueError("max_interval must be >= min_interval")
-        if not 0.0 < self.tighten_factor < 1.0:
-            raise ValueError("tighten_factor must be in (0, 1)")
-        if self.relax_factor <= 1.0:
-            raise ValueError("relax_factor must be > 1")
-        if self.divergence_threshold < 1:
-            raise ValueError("divergence_threshold must be >= 1")
         if self.wan_budget_bytes_per_s is not None and self.wan_budget_bytes_per_s <= 0:
             raise ValueError("wan_budget_bytes_per_s must be positive")
         if self.backlog_pace_s <= 0:
@@ -438,10 +431,10 @@ class RepairSchedulePolicy(ControlPolicy):
     partitions, outages) unrepaired.  This policy watches every pair's
     completed sessions between control ticks:
 
-    * leaf diffs at or above ``divergence_threshold`` -> **tighten** the
-      pair's interval (multiply by ``tighten_factor``, floor at
+    * leaf diffs at or above ``DIVERGENCE_THRESHOLD`` -> **tighten** the
+      pair's interval (multiply by ``TIGHTEN_FACTOR``, floor at
       ``min_interval``) so convergence accelerates while divergence lasts;
-    * clean sessions -> **relax** (multiply by ``relax_factor``, cap at
+    * clean sessions -> **relax** (multiply by ``RELAX_FACTOR``, cap at
       ``max_interval``) so steady state pays almost nothing;
     * repair traffic above ``wan_budget_bytes_per_s`` -> relax even under
       divergence: the pair is already streaming as fast as the budget
@@ -522,7 +515,7 @@ class RepairSchedulePolicy(ControlPolicy):
             if sessions == 0:
                 continue  # no completed session since the last tick: no signal
             current = self.service.pair_interval(pair)
-            diverging = diffs >= self.config.divergence_threshold
+            diverging = diffs >= DIVERGENCE_THRESHOLD
             budget = self.config.wan_budget_bytes_per_s
             over_budget = budget is not None and traffic / window > budget
             if not over_budget and self._fabric is not None:
@@ -533,9 +526,9 @@ class RepairSchedulePolicy(ControlPolicy):
                 if limit is not None and self._fabric.transfer_backlog_bytes(*pair) >= limit:
                     over_budget = True
             if diverging and not over_budget:
-                target = max(self.config.min_interval, current * self.config.tighten_factor)
+                target = max(self.config.min_interval, current * TIGHTEN_FACTOR)
             else:
-                target = min(self.config.max_interval, current * self.config.relax_factor)
+                target = min(self.config.max_interval, current * RELAX_FACTOR)
             if abs(target - current) <= 1e-12:
                 continue
             self.service.set_pair_interval(pair, target)
@@ -632,14 +625,6 @@ class ScaleOutConfig:
         Per-member operation rate (reads + writes per second divided by the
         datacenter's ring members) above which the site counts as under
         pressure, and below which it counts as over-provisioned.
-    high_p99:
-        Optional latency ceiling in seconds; breaching it counts as
-        pressure regardless of the rate (requires ``p99_source``).
-    p99_source:
-        Optional callable ``datacenter -> seconds`` supplying the measured
-        p99 the latency test is evaluated against (e.g. a closure over a
-        :class:`~repro.workload.executor.RunMetrics`'s
-        ``read_latency_by_dc`` histograms).
     sustain_ticks:
         Consecutive ticks a signal must persist before acting -- transient
         spikes never trigger a topology change.
@@ -652,8 +637,6 @@ class ScaleOutConfig:
 
     high_ops_per_node: float = 120.0
     low_ops_per_node: float = 40.0
-    high_p99: Optional[float] = None
-    p99_source: Optional[Callable[[str], float]] = None
     sustain_ticks: int = 3
     cooldown: float = 30.0
     min_members_per_dc: int = 1
@@ -663,10 +646,6 @@ class ScaleOutConfig:
             raise ValueError("high_ops_per_node must be positive")
         if not 0 <= self.low_ops_per_node < self.high_ops_per_node:
             raise ValueError("low_ops_per_node must be in [0, high_ops_per_node)")
-        if self.high_p99 is not None and self.high_p99 <= 0:
-            raise ValueError("high_p99 must be positive")
-        if self.high_p99 is not None and self.p99_source is None:
-            raise ValueError("high_p99 needs a p99_source to evaluate against")
         if self.sustain_ticks < 1:
             raise ValueError("sustain_ticks must be >= 1")
         if self.cooldown < 0:
@@ -678,8 +657,7 @@ class ScaleOutConfig:
 class ScaleOutPolicy(ControlPolicy):
     """Demand-driven elasticity: add/remove ring members per datacenter.
 
-    Sustained per-member load (and optionally a measured p99 breach) above
-    the high watermark bootstraps a provisioned spare into the site's ring;
+    Sustained per-member load above the high watermark bootstraps a provisioned spare into the site's ring;
     sustained load below the low watermark decommissions the most recently
     provisioned member back to spare.  All data movement runs through the
     cluster's :class:`~repro.cluster.membership.MembershipManager`, so every
@@ -731,8 +709,6 @@ class ScaleOutPolicy(ControlPolicy):
             members = cluster.members_in(dc)
             ops_per_node = (sample.read_rate + sample.write_rate) / max(1, len(members))
             hot = ops_per_node >= config.high_ops_per_node
-            if not hot and config.high_p99 is not None:
-                hot = config.p99_source(dc) >= config.high_p99
             cold = not hot and ops_per_node <= config.low_ops_per_node
             self._pressure[dc] = self._pressure[dc] + 1 if hot else 0
             self._relief[dc] = self._relief[dc] + 1 if cold else 0

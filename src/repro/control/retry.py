@@ -12,68 +12,37 @@ the operator sees it happen.
 Two policies ship:
 
 * :class:`RetryPolicy` -- the default: never retry, back off
-  ``backoff.initial`` seconds before the next operation.  With the default
-  :class:`BackoffConfig` this reproduces the previous hard-coded 50 ms
-  behaviour exactly (and consumes no randomness);
+  :data:`BACKOFF_INITIAL` (50 ms) before the next operation;
 * :class:`DowngradeRetryPolicy` -- retry up to ``max_retries`` times with
   exponential backoff, downgrading the consistency level along a
   configurable ladder (default: ``EACH_QUORUM -> LOCAL_QUORUM``).
 
-Backoff delays are deterministic: the optional jitter is drawn from the
-named ``RandomStream`` the workload executor hands each client thread
-(``workload.retry.<thread>``), so same-seed runs stay byte-identical -- and
-with ``jitter=0`` (the default) no randomness is consumed at all.
+Backoff delays are a fixed schedule (:func:`backoff_delay`): no randomness
+is consumed, so same-seed runs stay byte-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 from repro.cluster.consistency import ConsistencyLevel
 
-__all__ = ["BackoffConfig", "RetryDecision", "RetryPolicy", "DowngradeRetryPolicy"]
+__all__ = ["RetryDecision", "RetryPolicy", "DowngradeRetryPolicy"]
+
+#: Exponential backoff: the delay before attempt ``k + 1`` (after the
+#: ``k``-th failure, counted from 0) is
+#: ``min(BACKOFF_MAX_DELAY, BACKOFF_INITIAL * BACKOFF_MULTIPLIER**k)``.
+BACKOFF_INITIAL = 0.05
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_MAX_DELAY = 1.0
 
 
-@dataclass(frozen=True)
-class BackoffConfig:
-    """Exponential backoff with optional deterministic jitter.
-
-    The delay before attempt ``k + 1`` (after the ``k``-th failure, counted
-    from 0) is ``min(max_delay, initial * multiplier**k)``, stretched by a
-    uniformly drawn factor in ``[1, 1 + jitter]`` when ``jitter > 0``.  The
-    defaults reproduce the previous fixed 50 ms client backoff: attempt 0
-    always waits exactly ``initial`` seconds and no random draw happens.
-    """
-
-    initial: float = 0.05
-    multiplier: float = 2.0
-    max_delay: float = 1.0
-    jitter: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.initial < 0:
-            raise ValueError("initial backoff must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if self.max_delay < self.initial:
-            raise ValueError("max_delay must be >= initial")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-
-    def delay(self, attempt: int, rng=None) -> float:
-        """Backoff in seconds after the ``attempt``-th failure (0-based)."""
-        if attempt < 0:
-            raise ValueError("attempt must be non-negative")
-        base = min(self.max_delay, self.initial * self.multiplier**attempt)
-        if self.jitter > 0.0:
-            if rng is None:
-                raise ValueError(
-                    "jittered backoff needs a named RandomStream (rng); "
-                    "deterministic runs must not fall back to global randomness"
-                )
-            base *= 1.0 + self.jitter * float(rng.random())
-        return base
+def backoff_delay(attempt: int) -> float:
+    """Backoff in seconds after the ``attempt``-th failure (0-based)."""
+    if attempt < 0:
+        raise ValueError("attempt must be non-negative")
+    return min(BACKOFF_MAX_DELAY, BACKOFF_INITIAL * BACKOFF_MULTIPLIER**attempt)
 
 
 @dataclass(frozen=True)
@@ -92,12 +61,9 @@ class RetryDecision:
 
 
 class RetryPolicy:
-    """Default policy: no retries, configurable backoff (old behaviour)."""
+    """Default policy: no retries, back off before the next operation."""
 
     name = "no-retry"
-
-    def __init__(self, backoff: Optional[BackoffConfig] = None) -> None:
-        self.backoff = backoff or BackoffConfig()
 
     def on_unavailable(
         self,
@@ -105,13 +71,12 @@ class RetryPolicy:
         attempt: int,
         *,
         datacenter: Optional[str] = None,
-        rng=None,
     ) -> RetryDecision:
         """Decide after the ``attempt``-th Unavailable of one operation."""
-        return RetryDecision(retry=False, backoff=self.backoff.delay(attempt, rng))
+        return RetryDecision(retry=False, backoff=backoff_delay(attempt))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(backoff={self.backoff})"
+        return f"{type(self).__name__}()"
 
 
 #: The downgrade every real application reaches for first: give up cross-DC
@@ -132,8 +97,6 @@ class DowngradeRetryPolicy(RetryPolicy):
         ``EACH_QUORUM -> LOCAL_QUORUM``.
     max_retries:
         Retries per operation before the failure is surfaced.
-    backoff:
-        Backoff schedule across those retries.
     """
 
     name = "downgrade"
@@ -142,9 +105,7 @@ class DowngradeRetryPolicy(RetryPolicy):
         self,
         ladder: Optional[Mapping[ConsistencyLevel, ConsistencyLevel]] = None,
         max_retries: int = 3,
-        backoff: Optional[BackoffConfig] = None,
     ) -> None:
-        super().__init__(backoff)
         if max_retries < 1:
             raise ValueError("max_retries must be >= 1")
         self.ladder: Dict[ConsistencyLevel, ConsistencyLevel] = dict(
@@ -161,9 +122,8 @@ class DowngradeRetryPolicy(RetryPolicy):
         attempt: int,
         *,
         datacenter: Optional[str] = None,
-        rng=None,
     ) -> RetryDecision:
-        delay = self.backoff.delay(attempt, rng)
+        delay = backoff_delay(attempt)
         if attempt >= self.max_retries:
             return RetryDecision(retry=False, backoff=delay)
         downgraded = self.ladder.get(level) if level is not None else None

@@ -51,10 +51,22 @@ import numpy as np
 
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.stats import CounterSnapshot
+from repro.constants import DEFAULT_BANDWIDTH_BYTES_PER_S
 from repro.core.config import HarmonyConfig
 from repro.core.model import propagation_time
 
 __all__ = ["MonitoringSample", "ClusterMonitor"]
+
+#: Exponential-smoothing factor applied to the measured read/write rates
+#: (1.0 = use only the latest window, lower values smooth more).
+RATE_SMOOTHING = 0.6
+#: Node pairs probed (``ping``) per monitoring sample.
+LATENCY_PROBES_PER_SAMPLE = 8
+#: Average write payload size in bytes used in the ``Tp`` computation.
+AVG_WRITE_SIZE = 1024.0
+#: Fixed per-write overhead added to ``Tp`` (serialisation, commit-log
+#: append on the receiving replica).
+PROPAGATION_OVERHEAD = 0.000005
 
 
 @dataclass(frozen=True)
@@ -101,7 +113,7 @@ class ClusterMonitor:
     cluster:
         The cluster being monitored.
     config:
-        Harmony configuration (monitoring interval, smoothing, ``Tp`` terms).
+        Harmony configuration (monitoring interval).
     """
 
     def __init__(self, cluster: SimulatedCluster, config: Optional[HarmonyConfig] = None) -> None:
@@ -209,7 +221,7 @@ class ClusterMonitor:
         datacenter: Optional[str],
     ) -> MonitoringSample:
         """Smooth the raw rates, probe latency, derive ``Tp``, build the sample."""
-        alpha = self.config.rate_smoothing
+        alpha = RATE_SMOOTHING
         smoothed = self._smoothed.get(datacenter)
         if window <= 0:
             # A zero-length window (cold call at the priming instant) carries
@@ -226,9 +238,9 @@ class ClusterMonitor:
         latency = self.measure_network_latency(datacenter=datacenter)
         tp = propagation_time(
             network_latency=latency,
-            avg_write_size=self.config.avg_write_size,
-            bandwidth_bytes_per_s=self.config.bandwidth_bytes_per_s,
-            overhead=self.config.propagation_overhead,
+            avg_write_size=AVG_WRITE_SIZE,
+            bandwidth_bytes_per_s=DEFAULT_BANDWIDTH_BYTES_PER_S,
+            overhead=PROPAGATION_OVERHEAD,
         )
         return MonitoringSample(
             time=now,
@@ -268,7 +280,7 @@ class ClusterMonitor:
         nodes = self.cluster.addresses
         if len(nodes) < 2:
             return 0.0
-        probes = self.config.latency_probes_per_sample
+        probes = LATENCY_PROBES_PER_SAMPLE
         rtts = np.empty(probes, dtype=float)
         if datacenter is None:
             for i in range(probes):

@@ -170,9 +170,6 @@ class Scenario:
             racks_per_dc=self.racks_per_dc,
             datacenters=self.datacenters,
             topology=self.topology,
-            # ClusterConfig auto-selects "network_topology" whenever
-            # replication_factors is given; keep that rule in one place.
-            strategy="old_network_topology",
             replication_factors=self.replication_factors,
             node=self.node,
             coordinator=self.coordinator,
@@ -550,8 +547,6 @@ GRID5000_3SITES_ADAPTIVE = GRID5000_3SITES.with_overrides(
     adaptive_repair=RepairControlConfig(
         min_interval=5.0,
         max_interval=60.0,
-        tighten_factor=0.5,
-        relax_factor=1.5,
         wan_budget_bytes_per_s=2_000_000.0,
     ),
     description=(

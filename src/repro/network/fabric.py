@@ -3,9 +3,10 @@
 The fabric is the only component that couples the topology's latency models
 to the event engine.  A message sent from ``src`` to ``dst`` is delivered to
 the destination's handler after one sampled one-way latency plus an optional
-size-dependent transfer time (``payload_size / bandwidth``).  Messages can be
-dropped with a configurable probability to exercise the cluster's timeout,
-hinted-handoff and read-repair paths.
+size-dependent transfer time (``payload_size / bandwidth``).  Messages are
+lost only where a fault says so -- a drop-mode partition or per-pair packet
+loss (below) -- which exercises the cluster's timeout, hinted-handoff and
+read-repair paths.
 
 The fabric also exposes the measurements the Harmony monitoring module needs:
 a ``ping``-style RTT probe and counters of delivered / dropped messages.
@@ -112,6 +113,15 @@ __all__ = ["Message", "MessageKind", "NetworkFabric", "NetworkStats", "LATENCY_P
 
 #: Number of latencies pre-drawn per vectorised pool refill.
 LATENCY_POOL_SIZE = 4096
+
+#: Under bandwidth modeling, inter-DC messages of these kinds at or above
+#: ``TRANSFER_THRESHOLD_BYTES`` become fair-share transfers; smaller ones
+#: and every foreground kind (read/write requests and responses) stay on
+#: the fast path.
+TRANSFER_KINDS = frozenset(
+    {"repair_stream", "hint_replay", "tree_request", "tree_response", "range_stream"}
+)
+TRANSFER_THRESHOLD_BYTES = 1024
 
 
 class MessageKind(str, Enum):
@@ -286,12 +296,11 @@ class NetworkFabric:
     streams:
         Random streams; the fabric uses one ``"network.latency.<class>"``
         stream per latency class, one ``"network.ping.<class>"`` stream per
-        class that :meth:`ping` probes, and ``"network.drops"``.
+        class that :meth:`ping` probes, and one ``"network.loss.<a>|<b>"``
+        stream per DC pair given packet loss.
     bandwidth_bytes_per_s:
         Link bandwidth used for the size-dependent component of the delay.
         The default (1 Gbit/s) matches the paper's Gigabit Ethernet testbed.
-    drop_probability:
-        Probability that any given message is silently dropped.
     delivery:
         ``"coalesced"`` (default) delivers every message after its own
         latency draw; ``"fifo"`` additionally keeps each (src, dst) pair in
@@ -317,19 +326,16 @@ class NetworkFabric:
         streams: RandomStreams,
         *,
         bandwidth_bytes_per_s: float = DEFAULT_BANDWIDTH,
-        drop_probability: float = 0.0,
         delivery: str = "coalesced",
         bandwidth: Optional[BandwidthConfig] = None,
     ) -> None:
         if bandwidth_bytes_per_s <= 0:
             raise ValueError("bandwidth must be positive")
-        self.check_options(drop_probability, delivery)
+        self.check_delivery(delivery)
         self._engine = engine
         self._topology = topology
         self._streams = streams
-        self._drop_rng = streams.stream("network.drops")
         self._bandwidth = float(bandwidth_bytes_per_s)
-        self._drop_probability = float(drop_probability)
         self._delivery = delivery
         # Mode flag precomputed once; the send hot path branches on a C-level
         # boolean instead of comparing strings per message.
@@ -394,15 +400,13 @@ class NetworkFabric:
             self.enable_bandwidth(bandwidth)
 
     @classmethod
-    def check_options(cls, drop_probability: float, delivery: str) -> None:
-        """Reject a drop probability or delivery mode no fabric can run.
+    def check_delivery(cls, delivery: str) -> None:
+        """Reject a delivery mode no fabric can run.
 
         ``ClusterConfig`` calls this too, so a typo fails where the config is
         written and not later where the fabric is built (on the sharded
         engine, inside every forked worker).
         """
-        if not 0.0 <= drop_probability < 1.0:
-            raise ValueError(f"drop_probability must be in [0, 1), got {drop_probability!r}")
         if delivery not in cls.DELIVERY_MODES:
             raise ValueError(f"delivery must be one of {cls.DELIVERY_MODES}, got {delivery!r}")
 
@@ -463,15 +467,6 @@ class NetworkFabric:
         if value < 0:
             raise ValueError(f"latency scale must be non-negative, got {value!r}")
         self._latency_scale = float(value)
-
-    @property
-    def drop_probability(self) -> float:
-        return self._drop_probability
-
-    @drop_probability.setter
-    def drop_probability(self, value: float) -> None:
-        self.check_options(value, self._delivery)
-        self._drop_probability = float(value)
 
     # ------------------------------------------------------------------
     # Bandwidth modeling (shared-link capacity; see repro.network.transfers)
@@ -942,9 +937,6 @@ class NetworkFabric:
         stats.sent += 1
         stats.bytes_sent += size_bytes
         stats.per_kind[kind] += 1
-        if self._drop_probability and self._drop_rng.random() < self._drop_probability:
-            stats.dropped += 1
-            return message
         pair_scale = 1.0
         if self._cuts or self._grey:
             src_dc = self._topology.datacenter_of(src)
@@ -1038,9 +1030,8 @@ class NetworkFabric:
         dst_dc = self._topology.datacenter_of(message.dst)
         if src_dc == dst_dc:
             return delay + size_bytes / self._bandwidth
-        config = transfers.config
         kind = message.kind
-        if size_bytes >= config.transfer_threshold_bytes and kind in config.transfer_kinds:
+        if size_bytes >= TRANSFER_THRESHOLD_BYTES and kind in TRANSFER_KINDS:
             # Bulk payload: enters the link's fair share; the propagation
             # latency (already sampled, so RNG order matches a modeling-off
             # run) is applied after streaming completes.

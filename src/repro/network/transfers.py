@@ -51,20 +51,16 @@ the fabric's ``fifo`` clamp for small messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.constants import DEFAULT_BANDWIDTH_BYTES_PER_S
 
-__all__ = ["BandwidthConfig", "TransferScheduler", "Transfer", "DEFAULT_TRANSFER_KINDS"]
+__all__ = ["BandwidthConfig", "TransferScheduler", "Transfer"]
 
-#: Message kinds that become transfers when at/above the size threshold.
-DEFAULT_TRANSFER_KINDS = frozenset(
-    {"repair_stream", "hint_replay", "tree_request", "tree_response", "range_stream"}
-)
-
-#: Transfer group per kind; groups are the unit of aggregate rate caps.
-DEFAULT_KIND_GROUPS: Mapping[str, str] = {
+#: Transfer group per kind; groups are the unit of aggregate rate caps
+#: (:meth:`TransferScheduler.set_group_cap`).
+KIND_GROUPS: Mapping[str, str] = {
     "repair_stream": "repair",
     "tree_request": "repair",
     "tree_response": "repair",
@@ -79,6 +75,12 @@ BACKGROUND_GROUP = "background"
 
 #: Fallback group for transfer kinds without an explicit mapping.
 DEFAULT_GROUP = "bulk"
+
+#: Fraction of link capacity always reserved for foreground serialization:
+#: the residual rate quoted to the fabric never drops below
+#: ``capacity * MIN_FOREGROUND_FRACTION``, so bulk transfers can inflate
+#: foreground latency but never starve it entirely.
+MIN_FOREGROUND_FRACTION = 0.05
 
 # Remaining-byte tolerance when declaring a transfer complete; progress
 # arithmetic is exact in theory (piecewise-constant rates) but float
@@ -96,47 +98,17 @@ class BandwidthConfig:
         Default capacity of every inter-DC link (each unordered DC pair is
         one shared link, both directions drawing from the same capacity --
         the WAN bottleneck is the provisioned pipe, not the direction).
-    transfer_threshold_bytes:
-        Minimum ``size_bytes`` for an eligible kind to become a transfer;
-        smaller messages of the same kind stay on the foreground fast path.
-    transfer_kinds:
-        Message kinds eligible to become transfers.  Foreground kinds
-        (read/write requests and responses) are never transfers regardless
-        of size.
-    kind_groups:
-        Transfer group per kind; groups are the unit of aggregate rate
-        caps (:meth:`TransferScheduler.set_group_cap`).
-    link_capacities:
-        Per-link capacity overrides keyed ``"dcA|dcB"`` (sorted names).
-    min_foreground_fraction:
-        Fraction of link capacity always reserved for foreground
-        serialization: the residual rate quoted to the fabric never drops
-        below ``capacity * min_foreground_fraction``, so bulk transfers
-        can inflate foreground latency but never starve it entirely.
+
+    Which messages become transfers is fixed by the fabric
+    (:data:`~repro.network.fabric.TRANSFER_KINDS` at or above
+    :data:`~repro.network.fabric.TRANSFER_THRESHOLD_BYTES`).
     """
 
     capacity_bytes_per_s: float = DEFAULT_BANDWIDTH_BYTES_PER_S
-    transfer_threshold_bytes: int = 1024
-    transfer_kinds: frozenset = DEFAULT_TRANSFER_KINDS
-    kind_groups: Mapping[str, str] = field(default_factory=lambda: dict(DEFAULT_KIND_GROUPS))
-    link_capacities: Mapping[str, float] = field(default_factory=dict)
-    min_foreground_fraction: float = 0.05
 
     def __post_init__(self) -> None:
         if self.capacity_bytes_per_s <= 0:
             raise ValueError(f"capacity must be positive, got {self.capacity_bytes_per_s!r}")
-        if self.transfer_threshold_bytes < 0:
-            raise ValueError("transfer_threshold_bytes must be non-negative")
-        if not 0.0 <= self.min_foreground_fraction < 1.0:
-            raise ValueError(
-                f"min_foreground_fraction must be in [0, 1), got {self.min_foreground_fraction!r}"
-            )
-        for key, value in self.link_capacities.items():
-            if value <= 0:
-                raise ValueError(f"link capacity for {key!r} must be positive, got {value!r}")
-
-    def capacity_for(self, pair_key: str) -> float:
-        return self.link_capacities.get(pair_key, self.capacity_bytes_per_s)
 
 
 class Transfer:
@@ -290,13 +262,13 @@ class TransferScheduler:
         key = self.pair_key(dc_a, dc_b)
         link = self._links.get(key)
         if link is None:
-            link = _TransferLink(key, self.config.capacity_for(key))
+            link = _TransferLink(key, self.config.capacity_bytes_per_s)
             link.last_update = self._engine.now
             self._links[key] = link
         return link
 
     def group_for_kind(self, kind: str) -> str:
-        return self.config.kind_groups.get(kind, DEFAULT_GROUP)
+        return KIND_GROUPS.get(kind, DEFAULT_GROUP)
 
     # ------------------------------------------------------------------
     # Submitting work
@@ -462,14 +434,14 @@ class TransferScheduler:
     def foreground_rate(self, src_dc: str, dst_dc: str) -> float:
         """Residual bandwidth quoted to foreground serialization on the
         pair: capacity minus allocated transfer rate, floored at
-        ``min_foreground_fraction`` of capacity."""
+        ``MIN_FOREGROUND_FRACTION`` of capacity."""
         link = self._links.get(self.pair_key(src_dc, dst_dc))
         if link is None:
-            return self.config.capacity_for(self.pair_key(src_dc, dst_dc))
+            return self.config.capacity_bytes_per_s
         if not link.active:
             return link.capacity
         residual = link.capacity - link.allocated
-        floor = link.capacity * self.config.min_foreground_fraction
+        floor = link.capacity * MIN_FOREGROUND_FRACTION
         return residual if residual > floor else floor
 
     def backlog_bytes(self, dc_a: Optional[str] = None, dc_b: Optional[str] = None) -> float:

@@ -26,8 +26,7 @@ metrics byte for byte.
 
 Unavailable rejections go through a pluggable
 :class:`~repro.control.retry.RetryPolicy`: the default surfaces the failure
-after a 50 ms backoff (a policy of the caller's may use an exponential
-schedule with optional deterministic jitter), while
+after a 50 ms backoff, while
 :class:`~repro.control.retry.DowngradeRetryPolicy` re-issues the operation
 at a weaker consistency level -- e.g. ``EACH_QUORUM -> LOCAL_QUORUM`` during
 a datacenter outage -- with every retry and downgrade metered through the
@@ -42,16 +41,15 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
 from repro.cluster.coordinator import OperationResult
-from repro.control.retry import BackoffConfig, RetryPolicy
+from repro.control.retry import RetryPolicy
 from repro.sim.engine import EventHandle
 from repro.workload.workloads import CoreWorkload, Operation
 
 __all__ = ["ClientThread", "CompletionBatch"]
 
 #: The policy of a client given none: surface the failure after 50 ms.  Shared
-#: by every such client (a :class:`RetryPolicy` holds only its backoff
-#: schedule).
-_NO_RETRY = RetryPolicy(BackoffConfig(initial=0.05, max_delay=1.0))
+#: by every such client (a :class:`RetryPolicy` holds no state).
+_NO_RETRY = RetryPolicy()
 
 
 class CompletionBatch:
@@ -128,9 +126,6 @@ class ClientThread:
         before the next operation after a host refused work; without this,
         a client pinned to a dead datacenter would burn the whole operation
         budget in zero virtual time).
-    retry_rng:
-        Named random stream for jittered backoff schedules (unused -- and
-        never drawn from -- unless the policy's backoff has jitter).
     datacenter:
         When given, the client only contacts coordinators in that
         datacenter (a geo client next to one site); DC-aware consistency
@@ -158,7 +153,6 @@ class ClientThread:
         "_on_retry",
         "_think_time",
         "_retry_policy",
-        "_retry_rng",
         "_batch",
         "_running",
         "_finished",
@@ -184,7 +178,6 @@ class ClientThread:
         on_retry: Optional[Callable[[Operation, object, object, int], None]] = None,
         think_time: float = 0.0,
         retry_policy: Optional[RetryPolicy] = None,
-        retry_rng=None,
         datacenter: Optional[str] = None,
         batch: Optional[CompletionBatch] = None,
     ) -> None:
@@ -203,7 +196,6 @@ class ClientThread:
         self._on_retry = on_retry
         self._think_time = think_time
         self._retry_policy = retry_policy or _NO_RETRY
-        self._retry_rng = retry_rng
         self._batch = batch if batch is not None else CompletionBatch(cluster.engine)
         self.operations_completed = 0
         self._running = False
@@ -318,7 +310,6 @@ class ClientThread:
             result.consistency_level,
             self._attempt,
             datacenter=self.datacenter,
-            rng=self._retry_rng,
         )
         if not decision.retry:
             self._deliver(result, decision.backoff)

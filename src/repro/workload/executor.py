@@ -174,9 +174,6 @@ class WorkloadExecutor:
         after Unavailable rejections, shared by every thread (policies are
         stateless across operations).  ``None`` keeps the historical
         behaviour: no retries, 50 ms backoff before the next operation.
-        Each thread gets its own named random stream
-        (``workload.retry.<thread>``) for jittered backoff schedules; with
-        the default jitter of 0 no randomness is ever drawn.
     max_virtual_time:
         Safety bound on the virtual duration of the run phase.
     datacenters:
@@ -296,11 +293,6 @@ class WorkloadExecutor:
                 on_retry=self._on_retry,
                 think_time=self.think_time,
                 retry_policy=self.retry_policy,
-                retry_rng=(
-                    self.cluster.streams.stream(f"workload.retry.{i}")
-                    if self.retry_policy is not None
-                    else None
-                ),
                 datacenter=self._thread_datacenter(i),
                 batch=batch,
             )

@@ -30,6 +30,12 @@ __all__ = [
     "WORKLOAD_D",
 ]
 
+#: Skew of the zipfian request distributions (YCSB's ``ZIPFIAN_CONSTANT``).
+ZIPFIAN_THETA = 0.99
+#: Record shape: YCSB's default 10 fields x 100 bytes = ~1 KB rows.
+FIELD_COUNT = 10
+FIELD_LENGTH = 100
+
 
 class OperationType(enum.Enum):
     """The operation kinds a YCSB core workload can issue."""
@@ -78,10 +84,6 @@ class WorkloadConfig:
         Operation mix; must sum to 1.0 (within a small tolerance).
     request_distribution:
         ``uniform``, ``zipfian`` (scrambled; YCSB default) or ``latest``.
-    zipfian_theta:
-        Skew of the zipfian distributions.
-    field_count / field_length:
-        Record shape: YCSB's default 10 fields x 100 bytes = ~1 KB rows.
     key_prefix:
         Prefix of generated keys.
     """
@@ -93,9 +95,6 @@ class WorkloadConfig:
     update_proportion: float = 0.5
     insert_proportion: float = 0.0
     request_distribution: str = "zipfian"
-    zipfian_theta: float = 0.99
-    field_count: int = 10
-    field_length: int = 100
     key_prefix: str = "user"
 
     def __post_init__(self) -> None:
@@ -109,8 +108,6 @@ class WorkloadConfig:
             raise ValueError("operation proportions must be non-negative")
         if abs(total - 1.0) > 1e-6:
             raise ValueError(f"operation proportions must sum to 1.0, got {total!r}")
-        if self.field_count < 1 or self.field_length < 1:
-            raise ValueError("field_count and field_length must be >= 1")
 
     def proportions(self) -> Dict[OperationType, float]:
         """The operation mix as a dict keyed by :class:`OperationType`."""
@@ -123,7 +120,7 @@ class WorkloadConfig:
     @property
     def record_size(self) -> int:
         """Approximate size in bytes of one record."""
-        return self.field_count * self.field_length
+        return FIELD_COUNT * FIELD_LENGTH
 
     def scaled(self, *, record_count: Optional[int] = None, operation_count: Optional[int] = None
                ) -> "WorkloadConfig":
@@ -151,7 +148,7 @@ class CoreWorkload:
         self._chooser: KeyChooser = make_key_chooser(
             config.request_distribution,
             config.record_count,
-            theta=config.zipfian_theta,
+            theta=ZIPFIAN_THETA,
         )
         # Pre-compute the cumulative operation mix for fast sampling.
         mix = config.proportions()

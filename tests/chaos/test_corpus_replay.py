@@ -41,15 +41,7 @@ def config_for(reproducer) -> ChaosConfig:
         ("threads", 0),
         ("record_count", 0),
         ("operation_count", 0),
-        ("min_judged_reads", 0),
-        ("repair_rounds", -1),
         ("horizon", 0.0),
-        ("repair_interval", 0.0),
-        ("post_heal_grace", -0.1),
-        ("read_proportion", 1.5),
-        ("stale_bound", -0.1),
-        ("per_dc_stale_bound", 1.1),
-        ("think_time", -1.0),
         ("scenario", "no_such_scenario"),
     ],
 )

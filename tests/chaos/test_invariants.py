@@ -9,6 +9,7 @@ full healthy pipeline and asserts silence.
 from __future__ import annotations
 
 from repro.chaos import ChaosConfig, InvariantChecker, ScheduleGenerator, run_chaos
+from repro.chaos import replay as replay_module
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
 from repro.experiments.scenarios import ScenarioRegistry
@@ -157,15 +158,15 @@ class TestStuckUnavailable:
 
 
 class TestWindowedStaleRate:
-    def test_tight_bound_fires_on_a_lossy_run(self):
+    def test_tight_bound_fires_on_a_lossy_run(self, monkeypatch):
+        monkeypatch.setattr(replay_module, "STALE_BOUND", 0.0)
+        monkeypatch.setattr(replay_module, "PER_DC_STALE_BOUND", 0.0)
+        monkeypatch.setattr(replay_module, "MIN_JUDGED_READS", 5)
         generator = ScheduleGenerator(ScenarioRegistry.get("grid5000_3sites"))
         # Ten hot keys at ~5x the default op rate keep cross-site races going
         # after the heal: 3-11 stale reads in the post-heal window over seeds
         # 0-5, where the default sizes leave 0 or 1 there.
-        config = ChaosConfig(
-            seed=0, record_count=10, operation_count=2000,
-            stale_bound=0.0, per_dc_stale_bound=0.0, min_judged_reads=5,
-        )
+        config = ChaosConfig(seed=0, record_count=10, operation_count=2000)
         report = run_chaos(generator.generate(0, budget=6), config)
         assert report.violated_invariants() == ("windowed_stale_rate",)
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
+from repro.cluster.replication import NetworkTopologyStrategy, OldNetworkTopologyStrategy
 from repro.network.fabric import NetworkFabric
 from repro.network.latency import ConstantLatency
 from repro.network.topology import uniform_topology
@@ -20,19 +21,21 @@ class TestClusterConfig:
         with pytest.raises(ValueError):
             ClusterConfig(n_nodes=2, replication_factor=3)
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(strategy="bogus")
+    def test_the_strategy_is_worked_out_from_the_replication_factors(self):
+        lan = SimulatedCluster(ClusterConfig(n_nodes=4, datacenters=2))
+        geo = SimulatedCluster(
+            ClusterConfig(n_nodes=4, datacenters=2, replication_factors={"dc1": 2, "dc2": 1})
+        )
+        assert type(lan.strategy) is OldNetworkTopologyStrategy
+        assert type(geo.strategy) is NetworkTopologyStrategy
+        assert geo.replication_factor == 3
 
     def test_fabric_options_are_rejected_when_the_config_is_written(self):
         # Not later, when the fabric is built (inside each sharded worker).
         with pytest.raises(ValueError, match="delivery must be one of"):
             ClusterConfig(fabric_delivery="fifo ")
-        for probability in (-0.1, 1.0):
-            with pytest.raises(ValueError, match="drop_probability"):
-                ClusterConfig(drop_probability=probability)
         for delivery in NetworkFabric.DELIVERY_MODES:
-            config = ClusterConfig(fabric_delivery=delivery, drop_probability=0.5)
+            config = ClusterConfig(fabric_delivery=delivery)
             assert SimulatedCluster(config).fabric.delivery_mode == delivery
 
     def test_explicit_topology_overrides_n_nodes(self):

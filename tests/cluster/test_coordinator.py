@@ -12,6 +12,7 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
+from repro.cluster import coordinator as coordinator_module
 from repro.cluster.coordinator import CoordinatorConfig
 from repro.cluster.node import NodeConfig
 from repro.network.latency import ConstantLatency
@@ -171,12 +172,13 @@ class TestHintedHandoff:
         cluster.settle()
         assert cluster.node(down).peek(key) is not None
 
-    def test_write_is_rejected_unavailable_when_too_few_replicas_are_up(self):
+    def test_write_is_rejected_unavailable_when_too_few_replicas_are_up(self, monkeypatch):
         # The failure detector knows every replica is down, so the
         # coordinator rejects up front (UnavailableException semantics)
         # instead of burning the write timeout; no hint is stored because
         # the mutation never happened anywhere.
-        cluster = make_cluster(coordinator=CoordinatorConfig(write_timeout=0.05))
+        monkeypatch.setattr(coordinator_module, "WRITE_TIMEOUT", 0.05)
+        cluster = make_cluster()
         key = "theta"
         for replica in cluster.replicas_for(key):
             cluster.take_down(replica)
@@ -189,8 +191,9 @@ class TestHintedHandoff:
 
 
 class TestReadTimeout:
-    def test_read_is_rejected_unavailable_when_all_replicas_are_down(self):
-        cluster = make_cluster(coordinator=CoordinatorConfig(read_timeout=0.05))
+    def test_read_is_rejected_unavailable_when_all_replicas_are_down(self, monkeypatch):
+        monkeypatch.setattr(coordinator_module, "READ_TIMEOUT", 0.05)
+        cluster = make_cluster()
         key = "iota"
         cluster.write_sync(key, "v1", ConsistencyLevel.ONE)
         cluster.settle()
@@ -200,11 +203,12 @@ class TestReadTimeout:
         assert result.unavailable
         assert result.cell is None
 
-    def test_read_times_out_when_replicas_die_mid_flight(self):
+    def test_read_times_out_when_replicas_die_mid_flight(self, monkeypatch):
         # The fail-fast precheck only covers failures known at issue time; a
         # replica that dies while the request is in flight still surfaces as
         # a timeout (the real UnavailableException/TimedOut asymmetry).
-        cluster = make_cluster(coordinator=CoordinatorConfig(read_timeout=0.05))
+        monkeypatch.setattr(coordinator_module, "READ_TIMEOUT", 0.05)
+        cluster = make_cluster()
         key = "iota2"
         cluster.write_sync(key, "v1", ConsistencyLevel.ONE)
         cluster.settle()
@@ -221,7 +225,3 @@ class TestCoordinatorConfigValidation:
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             CoordinatorConfig(read_repair_chance=1.5)
-        with pytest.raises(ValueError):
-            CoordinatorConfig(write_timeout=0)
-        with pytest.raises(ValueError):
-            CoordinatorConfig(request_overhead=-1)

@@ -17,7 +17,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.antientropy import AntiEntropyConfig, AntiEntropyService
+from repro.cluster.antientropy import (
+    REQUEST_SIZE_BYTES,
+    TREE_DEPTH,
+    AntiEntropyConfig,
+    AntiEntropyService,
+)
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
 from repro.network.latency import ConstantLatency
@@ -103,7 +108,7 @@ class TestDirtyTracking:
         # may still be in flight when the service stops).
         assert service.cache_stats["dc1"]["keys_rehashed"] == hashed_before
         assert stats.leaves_exchanged == leaves_before
-        assert stats.bytes_sent - bytes_before == started * service.config.request_size_bytes
+        assert stats.bytes_sent - bytes_before == started * REQUEST_SIZE_BYTES
         assert stats.ranges_diffed == 0
 
     def test_full_mode_rehashes_every_session(self):
@@ -116,7 +121,7 @@ class TestDirtyTracking:
         run_sessions(cluster, service, 3)
         service.stop()
         stats = service.stats[service.pairs[0]]
-        n_leaves = 1 << service.config.depth
+        n_leaves = 1 << TREE_DEPTH
         # The baseline ships the whole leaf vector every session.
         assert stats.leaves_exchanged == stats.sessions_completed * n_leaves
 
@@ -248,10 +253,10 @@ class TestLossyFabric:
         assert service.stats[pair].full_sessions > full_before
 
     def test_lossy_fabric_still_converges_divergence(self):
-        """With drop_probability > 0, repair keeps re-detecting until the
-        streams land -- the old full-keyspace self-healing property."""
+        """With WAN packet loss, repair keeps re-detecting until the streams
+        land -- the old full-keyspace self-healing property."""
         cluster = build_cluster(seed=13)
-        cluster.fabric.drop_probability = 0.3
+        cluster.fabric.set_pair_loss("dc1", "dc2", 0.3)
         keys = load_lossy(cluster, 8)
         service = AntiEntropyService(cluster, AntiEntropyConfig(interval=1.0))
         service.start()

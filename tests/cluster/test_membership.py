@@ -14,7 +14,8 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
-from repro.cluster.membership import MembershipConfig, MembershipManager
+from repro.cluster import membership as membership_module
+from repro.cluster.membership import MembershipManager
 from repro.network.fabric import MessageKind
 
 QUORUM = ConsistencyLevel.QUORUM
@@ -77,14 +78,6 @@ class TestAdmission:
         with pytest.raises(ValueError, match="below the replication factor"):
             manager.begin_decommission(cluster.members[0])
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MembershipConfig(tick_interval=0.0)
-        with pytest.raises(ValueError):
-            MembershipConfig(chunk_cells=0)
-        with pytest.raises(ValueError):
-            MembershipConfig(clean_passes_required=0)
-
 
 class TestBootstrap:
     def test_happy_path_streams_then_cuts_over(self):
@@ -138,13 +131,13 @@ class TestBootstrap:
         assert manager.pending_read_violations == 0
         manager.stop()
 
-    def test_source_crash_fails_over_to_another_replica(self):
+    def test_source_crash_fails_over_to_another_replica(self, monkeypatch):
+        monkeypatch.setattr(membership_module, "CHUNK_CELLS", 2)
+        monkeypatch.setattr(membership_module, "CHUNK_TIMEOUT", 1.0)
         cluster = make_cluster(n_nodes=6, spares_per_dc=1,
                                seed=23)
         seed_data(cluster)
-        manager = MembershipManager(
-            cluster, MembershipConfig(chunk_cells=2, chunk_timeout=1.0)
-        )
+        manager = MembershipManager(cluster)
         spare = cluster.spares[0]
         manager.begin_bootstrap(spare)
         # Crash one replica of an affected key right after streaming begins:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import node as node_module
 from repro.cluster.node import NodeConfig, StorageNode
 from repro.cluster.stats import NodeCounters
 from repro.cluster.storage import Cell
@@ -12,6 +13,12 @@ from repro.network.latency import ConstantLatency
 from repro.network.topology import TopologyBuilder
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RandomStreams
+
+
+@pytest.fixture(autouse=True)
+def small_queue(monkeypatch):
+    """A four-request queue, so overflow is reachable with a few messages."""
+    monkeypatch.setattr(node_module, "QUEUE_CAPACITY", 4)
 
 
 def build_node(config: NodeConfig | None = None):
@@ -35,7 +42,6 @@ def build_node(config: NodeConfig | None = None):
             read_service_time=0.001,
             write_service_time=0.001,
             service_time_cv=0.2,
-            queue_capacity=4,
         ),
         streams=RandomStreams(seed=3),
         counters=counters,
@@ -235,12 +241,12 @@ def test_slowdown_validation():
         node.slowdown = 0.0
 
 
-def test_digest_reads_are_cheaper_on_average():
+def test_digest_reads_are_cheaper_on_average(monkeypatch):
+    monkeypatch.setattr(node_module, "DIGEST_SERVICE_FACTOR", 0.25)
     config = NodeConfig(
         concurrency=1,
         read_service_time=0.002,
         write_service_time=0.001,
-        digest_service_factor=0.25,
         service_time_cv=0.05,
     )
     engine, fabric, node, coordinator, responses, counters = build_node(config)
@@ -263,7 +269,3 @@ def test_node_config_validation():
         NodeConfig(read_service_time=0)
     with pytest.raises(ValueError):
         NodeConfig(service_time_cv=0)
-    with pytest.raises(ValueError):
-        NodeConfig(queue_capacity=0)
-    with pytest.raises(ValueError):
-        NodeConfig(digest_service_factor=0.0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.replication import OldNetworkTopologyStrategy, SimpleStrategy
+from repro.cluster.replication import OldNetworkTopologyStrategy
 from repro.cluster.ring import TokenRing
 from repro.network.topology import TopologyBuilder
 
@@ -30,34 +30,6 @@ def topology():
 @pytest.fixture
 def ring(topology):
     return TokenRing(topology.nodes, vnodes=8)
-
-
-class TestSimpleStrategy:
-    def test_replica_count_matches_rf(self, ring):
-        strategy = SimpleStrategy(3)
-        for i in range(50):
-            replicas = strategy.replicas(ring, f"user{i}")
-            assert len(replicas) == 3
-            assert len(set(replicas)) == 3
-
-    def test_first_replica_is_the_ring_owner(self, ring):
-        strategy = SimpleStrategy(3)
-        for i in range(20):
-            key = f"user{i}"
-            assert strategy.replicas(ring, key)[0] == ring.primary_replica(key)
-
-    def test_rf_larger_than_cluster_rejected(self, ring):
-        strategy = SimpleStrategy(100)
-        with pytest.raises(ValueError):
-            strategy.replicas(ring, "user1")
-
-    def test_invalid_rf_rejected(self):
-        with pytest.raises(ValueError):
-            SimpleStrategy(0)
-
-    def test_placement_is_deterministic(self, ring):
-        strategy = SimpleStrategy(4)
-        assert strategy.replicas(ring, "user7") == strategy.replicas(ring, "user7")
 
 
 class TestOldNetworkTopologyStrategy:
@@ -112,3 +84,16 @@ class TestOldNetworkTopologyStrategy:
         for i in range(20):
             key = f"user{i}"
             assert strategy.replicas(ring, key)[0] == ring.primary_replica(key)
+
+    def test_rf_larger_than_cluster_rejected(self, ring, topology):
+        strategy = OldNetworkTopologyStrategy(100, topology)
+        with pytest.raises(ValueError):
+            strategy.replicas(ring, "user1")
+
+    def test_invalid_rf_rejected(self, topology):
+        with pytest.raises(ValueError):
+            OldNetworkTopologyStrategy(0, topology)
+
+    def test_placement_is_deterministic(self, ring, topology):
+        strategy = OldNetworkTopologyStrategy(4, topology)
+        assert strategy.replicas(ring, "user7") == strategy.replicas(ring, "user7")

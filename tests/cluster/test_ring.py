@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.ring import Murmur3Partitioner, RandomPartitioner, TokenRing
+from repro.cluster.ring import Murmur3Partitioner, TokenRing
 from repro.network.topology import NodeAddress
 
 
@@ -23,17 +23,10 @@ class TestPartitioners:
         assert len(tokens) == 1000
 
     def test_tokens_within_space(self):
-        for partitioner in (Murmur3Partitioner(), RandomPartitioner()):
-            for i in range(100):
-                token = partitioner.token(f"key{i}")
-                assert 0 <= token < partitioner.TOKEN_SPACE
-
-    def test_random_partitioner_matches_md5_prefix(self):
-        import hashlib
-
-        p = RandomPartitioner()
-        expected = int.from_bytes(hashlib.md5(b"abc").digest()[:8], "big")
-        assert p.token("abc") == expected
+        partitioner = Murmur3Partitioner()
+        for i in range(100):
+            token = partitioner.token(f"key{i}")
+            assert 0 <= token < partitioner.TOKEN_SPACE
 
     def test_node_tokens_differ_per_vnode_index(self):
         p = Murmur3Partitioner()

@@ -12,14 +12,23 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import antientropy as antientropy_module
 from repro.cluster.antientropy import AntiEntropyConfig
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
 from repro.control.plane import ControlPlane
 from repro.control.policies import RepairControlConfig, RepairSchedulePolicy
+from repro.network import fabric as fabric_module
 from repro.network.transfers import BandwidthConfig
 
 PAIR = ("dc1", "dc2")
+
+
+@pytest.fixture(autouse=True)
+def small_transfers_shallow_trees(monkeypatch):
+    """Payloads from 64 B up become transfers; 32-leaf Merkle trees."""
+    monkeypatch.setattr(fabric_module, "TRANSFER_THRESHOLD_BYTES", 64)
+    monkeypatch.setattr(antientropy_module, "TREE_DEPTH", 5)
 
 
 def wan_cluster(seed: int = 3, *, capacity: float = 20_000.0) -> SimulatedCluster:
@@ -30,15 +39,13 @@ def wan_cluster(seed: int = 3, *, capacity: float = 20_000.0) -> SimulatedCluste
             racks_per_dc=2,
             seed=seed,
             replication_factors={"dc1": 2, "dc2": 2},
-            bandwidth=BandwidthConfig(
-                capacity_bytes_per_s=capacity, transfer_threshold_bytes=64.0
-            ),
+            bandwidth=BandwidthConfig(capacity_bytes_per_s=capacity),
         )
     )
 
 
 def throttled_policy(cluster, *, budget: float, pace: float = 0.5, interval: float = 1.0):
-    service = cluster.start_anti_entropy(AntiEntropyConfig(interval=interval, depth=5))
+    service = cluster.start_anti_entropy(AntiEntropyConfig(interval=interval))
     plane = ControlPlane(cluster, interval=interval)
     policy = plane.add(
         RepairSchedulePolicy(
@@ -93,7 +100,7 @@ class TestBind:
 
     def test_no_budget_means_no_throttle(self):
         cluster = wan_cluster()
-        service = cluster.start_anti_entropy(AntiEntropyConfig(interval=1.0, depth=5))
+        service = cluster.start_anti_entropy(AntiEntropyConfig(interval=1.0))
         plane = ControlPlane(cluster, interval=1.0)
         plane.add(
             RepairSchedulePolicy(

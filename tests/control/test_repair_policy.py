@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import antientropy as antientropy_module
 from repro.cluster.antientropy import AntiEntropyConfig
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
 from repro.control.plane import ControlPlane
+from repro.control import policies as policies_module
 from repro.control.policies import RepairControlConfig, RepairSchedulePolicy
 
 
@@ -32,16 +34,21 @@ def two_dc_cluster(seed: int = 3) -> SimulatedCluster:
 PAIR = ("dc1", "dc2")
 
 
+@pytest.fixture
+def doubling_relax(monkeypatch):
+    """Relax by x2 (1 -> 2 -> 4 -> 8 s) over 32-leaf Merkle trees."""
+    monkeypatch.setattr(policies_module, "RELAX_FACTOR", 2.0)
+    monkeypatch.setattr(antientropy_module, "TREE_DEPTH", 5)
+
+
 def controlled_service(cluster, *, interval=1.0, config=None):
-    service = cluster.start_anti_entropy(AntiEntropyConfig(interval=interval, depth=5))
+    service = cluster.start_anti_entropy(AntiEntropyConfig(interval=interval))
     plane = ControlPlane(cluster, interval=interval)
     policy = plane.add(
         RepairSchedulePolicy(
             service,
             config
-            or RepairControlConfig(
-                min_interval=interval, max_interval=8.0, tighten_factor=0.5, relax_factor=2.0
-            ),
+            or RepairControlConfig(min_interval=interval, max_interval=8.0),
         )
     )
     plane.start()
@@ -64,12 +71,6 @@ class TestConfigValidation:
             RepairControlConfig(min_interval=0)
         with pytest.raises(ValueError):
             RepairControlConfig(min_interval=10, max_interval=5)
-        with pytest.raises(ValueError):
-            RepairControlConfig(tighten_factor=1.0)
-        with pytest.raises(ValueError):
-            RepairControlConfig(relax_factor=1.0)
-        with pytest.raises(ValueError):
-            RepairControlConfig(divergence_threshold=0)
         with pytest.raises(ValueError):
             RepairControlConfig(wan_budget_bytes_per_s=0)
 
@@ -103,6 +104,7 @@ class TestServicePairIntervals:
 
 
 class TestAdaptiveScheduling:
+    @pytest.mark.usefixtures("doubling_relax")
     def test_interval_tightens_under_divergence_then_relaxes_clean(self):
         cluster = two_dc_cluster(seed=7)
         keys = [f"k{i}" for i in range(40)]
@@ -112,9 +114,7 @@ class TestAdaptiveScheduling:
         service, plane, policy = controlled_service(
             cluster,
             interval=1.0,
-            config=RepairControlConfig(
-                min_interval=1.0, max_interval=8.0, tighten_factor=0.5, relax_factor=2.0
-            ),
+            config=RepairControlConfig(min_interval=1.0, max_interval=8.0),
         )
         # Steady state first: clean sessions relax the cadence to the cap.
         cluster.engine.run_until(cluster.engine.now + 10.0)
@@ -143,6 +143,7 @@ class TestAdaptiveScheduling:
         plane.stop()
         service.stop()
 
+    @pytest.mark.usefixtures("doubling_relax")
     def test_wan_budget_blocks_tightening(self):
         """The repair_bytes cost term: over budget, divergence must not tighten."""
         cluster = two_dc_cluster(seed=9)
@@ -157,8 +158,6 @@ class TestAdaptiveScheduling:
             config=RepairControlConfig(
                 min_interval=1.0,
                 max_interval=8.0,
-                tighten_factor=0.5,
-                relax_factor=2.0,
                 wan_budget_bytes_per_s=1.0,
             ),
         )
@@ -170,6 +169,7 @@ class TestAdaptiveScheduling:
         plane.stop()
         service.stop()
 
+    @pytest.mark.usefixtures("doubling_relax")
     def test_floor_reached_under_sustained_divergence(self):
         """The control law itself: writes outpacing repair pin the cadence
         at ``min_interval``; a clean streak relaxes it back to the cap.
@@ -201,9 +201,7 @@ class TestAdaptiveScheduling:
         plane = ControlPlane(cluster, interval=1.0)
         plane.add(RepairSchedulePolicy(
             service,
-            RepairControlConfig(
-                min_interval=1.0, max_interval=8.0, tighten_factor=0.5, relax_factor=2.0
-            ),
+            RepairControlConfig(min_interval=1.0, max_interval=8.0),
         ))
         stats = service.stats[PAIR]
         for _ in range(6):  # every tick: one more session, still diverging
@@ -255,6 +253,7 @@ class TestAdaptiveScheduling:
         service.stop()
         assert plane._monitor is None  # sampling-free plane: no monitor built
 
+    @pytest.mark.usefixtures("doubling_relax")
     def test_same_seed_runs_identical(self):
         def run():
             cluster = two_dc_cluster(seed=11)

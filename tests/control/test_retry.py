@@ -8,16 +8,12 @@ the downgrade counter accounts for every absorbed rejection.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
-from repro.control.retry import (
-    BackoffConfig,
-    DowngradeRetryPolicy,
-    RetryPolicy,
-)
+from repro.control import retry as retry_module
+from repro.control.retry import DowngradeRetryPolicy, RetryPolicy, backoff_delay
 from repro.experiments.scenarios import GRID5000_3SITES
 from repro.geo.policy import StaticGeoPolicy
 from repro.staleness.auditor import StalenessAuditor
@@ -25,47 +21,17 @@ from repro.workload.executor import WorkloadExecutor
 from repro.workload.workloads import WORKLOAD_A
 
 
-class TestBackoffConfig:
+class TestBackoffDelay:
     def test_default_reproduces_fixed_50ms(self):
-        config = BackoffConfig()
-        assert config.delay(0) == 0.05
+        assert backoff_delay(0) == 0.05
 
-    def test_exponential_growth_capped(self):
-        config = BackoffConfig(initial=0.05, multiplier=2.0, max_delay=0.3)
-        assert config.delay(0) == 0.05
-        assert config.delay(1) == 0.1
-        assert config.delay(2) == 0.2
-        assert config.delay(3) == 0.3  # capped
-        assert config.delay(10) == 0.3
-
-    def test_jitter_is_deterministic_per_stream(self):
-        config = BackoffConfig(initial=0.05, jitter=0.5)
-        a = config.delay(0, rng=np.random.default_rng(7))
-        b = config.delay(0, rng=np.random.default_rng(7))
-        assert a == b
-        assert 0.05 <= a <= 0.075
-
-    def test_jitter_without_stream_rejected(self):
-        config = BackoffConfig(jitter=0.2)
-        with pytest.raises(ValueError, match="RandomStream"):
-            config.delay(0)
-
-    def test_no_jitter_never_draws(self):
-        class Exploding:
-            def random(self):  # pragma: no cover - must not be called
-                raise AssertionError("default backoff must not consume randomness")
-
-        assert BackoffConfig().delay(2, rng=Exploding()) == 0.2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BackoffConfig(initial=-1.0)
-        with pytest.raises(ValueError):
-            BackoffConfig(multiplier=0.5)
-        with pytest.raises(ValueError):
-            BackoffConfig(initial=0.5, max_delay=0.1)
-        with pytest.raises(ValueError):
-            BackoffConfig(jitter=1.5)
+    def test_exponential_growth_capped(self, monkeypatch):
+        monkeypatch.setattr(retry_module, "BACKOFF_MAX_DELAY", 0.3)
+        assert backoff_delay(0) == 0.05
+        assert backoff_delay(1) == 0.1
+        assert backoff_delay(2) == 0.2
+        assert backoff_delay(3) == 0.3  # capped
+        assert backoff_delay(10) == 0.3
 
 
 class TestPolicies:
@@ -141,10 +107,7 @@ class TestDowngradeUnderDatacenterOutage:
 
     def test_downgraded_run_is_deterministic(self):
         def run():
-            cluster, executor = outage_executor(
-                DowngradeRetryPolicy(backoff=BackoffConfig(initial=0.05, jitter=0.25)),
-                operation_count=150,
-            )
+            cluster, executor = outage_executor(DowngradeRetryPolicy(), operation_count=150)
             metrics = executor.run()
             return (
                 metrics.summary(),
@@ -154,14 +117,6 @@ class TestDowngradeUnderDatacenterOutage:
             )
 
         assert run() == run()
-
-    def test_jittered_backoff_consumes_named_streams(self):
-        cluster, executor = outage_executor(
-            DowngradeRetryPolicy(backoff=BackoffConfig(initial=0.05, jitter=0.25)),
-            operation_count=60,
-        )
-        executor.run()
-        assert any(name.startswith("workload.retry.") for name in cluster.streams.names())
 
 
 class TestDefaultPathPreservesBehaviour:

@@ -113,10 +113,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ScaleOutConfig(high_ops_per_node=10.0, low_ops_per_node=10.0)
 
-    def test_rejects_p99_ceiling_without_source(self):
-        with pytest.raises(ValueError):
-            ScaleOutConfig(high_p99=0.2)
-
     def test_rejects_zero_sustain(self):
         with pytest.raises(ValueError):
             ScaleOutConfig(sustain_ticks=0)

@@ -27,25 +27,6 @@ def test_monitoring_interval_must_be_positive():
         HarmonyConfig(monitoring_interval=0.0)
 
 
-def test_rate_smoothing_bounds():
-    HarmonyConfig(rate_smoothing=1.0)
-    with pytest.raises(ValueError):
-        HarmonyConfig(rate_smoothing=0.0)
-    with pytest.raises(ValueError):
-        HarmonyConfig(rate_smoothing=1.5)
-
-
-def test_probe_count_and_sizes():
-    with pytest.raises(ValueError):
-        HarmonyConfig(latency_probes_per_sample=0)
-    with pytest.raises(ValueError):
-        HarmonyConfig(avg_write_size=-1)
-    with pytest.raises(ValueError):
-        HarmonyConfig(bandwidth_bytes_per_s=0)
-    with pytest.raises(ValueError):
-        HarmonyConfig(propagation_overhead=-0.1)
-
-
 def test_config_is_immutable():
     config = HarmonyConfig()
     with pytest.raises(Exception):

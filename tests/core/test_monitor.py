@@ -9,7 +9,7 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
-from repro.core.config import HarmonyConfig
+from repro.core import monitor as monitor_module
 from repro.core.monitor import ClusterMonitor
 from repro.network.latency import ConstantLatency
 
@@ -26,9 +26,10 @@ def make_cluster(intra=0.0005, inter=0.001, n_nodes=6) -> SimulatedCluster:
     )
 
 
-def test_prime_then_sample_measures_window_rates():
+def test_prime_then_sample_measures_window_rates(monkeypatch):
+    monkeypatch.setattr(monitor_module, "RATE_SMOOTHING", 1.0)
     cluster = make_cluster()
-    monitor = ClusterMonitor(cluster, HarmonyConfig(rate_smoothing=1.0))
+    monitor = ClusterMonitor(cluster)
     monitor.prime()
     for i in range(20):
         cluster.write_sync(f"k{i}", "v", ConsistencyLevel.ONE)
@@ -66,13 +67,11 @@ def test_latency_scale_is_visible_to_the_monitor():
     assert monitor.measure_network_latency() == pytest.approx(4 * baseline, rel=1e-6)
 
 
-def test_propagation_time_includes_write_size_and_overhead():
+def test_propagation_time_includes_write_size_and_overhead(monkeypatch):
+    monkeypatch.setattr(monitor_module, "AVG_WRITE_SIZE", 125_000)  # 1 ms at 1 Gbit/s
+    monkeypatch.setattr(monitor_module, "PROPAGATION_OVERHEAD", 0.0005)
     cluster = make_cluster(intra=0.001, inter=0.001)
-    config = HarmonyConfig(
-        avg_write_size=125_000,  # 1 ms at 1 Gbit/s
-        propagation_overhead=0.0005,
-    )
-    monitor = ClusterMonitor(cluster, config)
+    monitor = ClusterMonitor(cluster)
     monitor.prime()
     sample = monitor.sample()
     assert sample.propagation_time == pytest.approx(
@@ -80,9 +79,10 @@ def test_propagation_time_includes_write_size_and_overhead():
     )
 
 
-def test_smoothing_damps_rate_changes():
+def test_smoothing_damps_rate_changes(monkeypatch):
+    monkeypatch.setattr(monitor_module, "RATE_SMOOTHING", 0.5)
     cluster = make_cluster()
-    monitor = ClusterMonitor(cluster, HarmonyConfig(rate_smoothing=0.5))
+    monitor = ClusterMonitor(cluster)
     monitor.prime()
     for i in range(40):
         cluster.write_sync(f"k{i}", "v", ConsistencyLevel.ONE)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.cluster import SimulatedCluster
+from repro.cluster.replication import OldNetworkTopologyStrategy
 from repro.experiments.scenarios import EC2, GRID5000, Scenario, ScenarioRegistry
 from repro.network.latency import ConstantLatency
 
@@ -35,7 +36,7 @@ def test_cluster_config_builds_a_working_cluster():
     cluster = SimulatedCluster(config)
     assert cluster.topology.size == 6
     assert cluster.replication_factor == 5
-    assert cluster.config.strategy == "old_network_topology"
+    assert type(cluster.strategy) is OldNetworkTopologyStrategy
 
 
 def test_cluster_config_defaults_to_scenario_node_count():

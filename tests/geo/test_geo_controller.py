@@ -306,12 +306,12 @@ class TestPerDatacenterMonitoring:
         assert samples["gamma"].raw_write_rate == samples["alpha"].raw_write_rate
         assert samples["alpha"].datacenter == "alpha"
 
-    def test_per_dc_latency_reflects_wan_distance(self, geo_cluster):
+    def test_per_dc_latency_reflects_wan_distance(self, geo_cluster, monkeypatch):
+        from repro.core import monitor as monitor_module
         from repro.core.monitor import ClusterMonitor
 
-        monitor = ClusterMonitor(
-            geo_cluster, HarmonyConfig(latency_probes_per_sample=64)
-        )
+        monkeypatch.setattr(monitor_module, "LATENCY_PROBES_PER_SAMPLE", 64)
+        monitor = ClusterMonitor(geo_cluster)
         # Probes into any one site mix LAN (from its own nodes) and WAN (from
         # the other eight nodes): the mean must sit strictly between the two.
         latency = monitor.measure_network_latency(datacenter="gamma")

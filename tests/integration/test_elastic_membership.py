@@ -22,7 +22,8 @@ import json
 from repro.chaos.invariants import InvariantChecker
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
-from repro.cluster.membership import MembershipConfig, MembershipManager
+from repro.cluster import membership as membership_module
+from repro.cluster.membership import MembershipManager
 from repro.experiments.scenarios import ScenarioRegistry
 from repro.faults.timeline import FaultTimeline
 
@@ -123,15 +124,15 @@ class TestWorkloadUnderTopologyChange:
         assert timeline.stats.judged_reads > 100  # the run actually exercised reads
         _check(cluster, timeline, heal, end)
 
-    def test_streaming_source_crash_mid_transfer(self):
+    def test_streaming_source_crash_mid_transfer(self, monkeypatch):
+        # Small chunks + short watchdog so the crash lands mid-stream and
+        # the failover path (re-queue, re-pick source) actually runs.
+        monkeypatch.setattr(membership_module, "CHUNK_CELLS", 2)
+        monkeypatch.setattr(membership_module, "CHUNK_TIMEOUT", 0.5)
         cluster = _elastic_cluster(seed=202)
         timeline = FaultTimeline()
         timeline.attach(cluster)
-        # Small chunks + short watchdog so the crash lands mid-stream and
-        # the failover path (re-queue, re-pick source) actually runs.
-        manager = MembershipManager(
-            cluster, MembershipConfig(chunk_cells=2, chunk_timeout=0.5)
-        )
+        manager = MembershipManager(cluster)
         spare = cluster.spares[0]
 
         def crash_a_source(cluster, engine, t0):

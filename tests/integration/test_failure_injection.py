@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import coordinator as coordinator_module
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
-from repro.cluster.coordinator import CoordinatorConfig
 from repro.cluster.node import NodeConfig
 from repro.core.config import HarmonyConfig
 from repro.core.policy import HarmonyPolicy, StaticEventualPolicy
@@ -20,14 +20,20 @@ from repro.workload.executor import WorkloadExecutor
 from repro.workload.workloads import WORKLOAD_A
 
 
-def build_cluster(seed: int = 0, drop_probability: float = 0.0) -> SimulatedCluster:
+@pytest.fixture
+def short_timeouts(monkeypatch):
+    """0.2 s coordinator timeouts, so give-ups and hints happen quickly."""
+    monkeypatch.setattr(coordinator_module, "WRITE_TIMEOUT", 0.2)
+    monkeypatch.setattr(coordinator_module, "READ_TIMEOUT", 0.2)
+
+
+def build_cluster(seed: int = 0, datacenters: int = 1) -> SimulatedCluster:
     return SimulatedCluster(
         ClusterConfig(
             n_nodes=6,
             replication_factor=3,
+            datacenters=datacenters,
             seed=seed,
-            drop_probability=drop_probability,
-            coordinator=CoordinatorConfig(write_timeout=0.2, read_timeout=0.2),
             node=NodeConfig(
                 concurrency=6,
                 read_service_time=0.0015,
@@ -38,6 +44,7 @@ def build_cluster(seed: int = 0, drop_probability: float = 0.0) -> SimulatedClus
     )
 
 
+@pytest.mark.usefixtures("short_timeouts")
 class TestNodeFailure:
     def test_writes_succeed_with_one_replica_down(self):
         cluster = build_cluster(seed=1)
@@ -103,6 +110,7 @@ class TestNodeFailure:
         assert metrics.counters.total == 300
 
 
+@pytest.mark.usefixtures("short_timeouts")
 class TestHintReplayAfterRestart:
     """Hinted handoff around a node restart in a single-DC ring.
 
@@ -250,6 +258,7 @@ class TestHintReplayAfterRestart:
         assert pending >= 1
 
 
+@pytest.mark.usefixtures("short_timeouts")
 class TestSlowNode:
     def test_slow_replica_increases_strong_read_latency_only(self):
         fast = build_cluster(seed=5)
@@ -272,9 +281,11 @@ class TestSlowNode:
         assert slow_one.latency < slow_all.latency
 
 
+@pytest.mark.usefixtures("short_timeouts")
 class TestMessageLoss:
     def test_lossy_network_still_completes_the_workload(self):
-        cluster = build_cluster(seed=6, drop_probability=0.02)
+        cluster = build_cluster(seed=6, datacenters=2)
+        cluster.fabric.set_pair_loss("dc1", "dc2", 0.02)
         executor = WorkloadExecutor(
             cluster,
             WORKLOAD_A.scaled(record_count=50, operation_count=300),
@@ -286,7 +297,8 @@ class TestMessageLoss:
         assert cluster.fabric.stats.dropped > 0
 
     def test_harmony_still_meets_its_target_under_message_loss(self):
-        cluster = build_cluster(seed=7, drop_probability=0.01)
+        cluster = build_cluster(seed=7, datacenters=2)
+        cluster.fabric.set_pair_loss("dc1", "dc2", 0.01)
         auditor = StalenessAuditor()
         policy = HarmonyPolicy(
             config=HarmonyConfig(tolerated_stale_rate=0.3, monitoring_interval=0.05)

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.cluster.cluster import SimulatedCluster
+from repro.cluster.replication import NetworkTopologyStrategy
 from repro.core.policy import StaticQuorumPolicy
 from repro.experiments.scenarios import SCALE_100, SCALE_300, ScenarioRegistry
 from repro.workload.executor import WorkloadExecutor
@@ -44,7 +45,7 @@ class TestScaleScenarios:
         config = SCALE_300.cluster_config(seed=3)
         assert config.n_nodes == 300
         assert config.replication_factors == {"dc1": 3, "dc2": 2, "dc3": 2}
-        assert config.strategy == "network_topology"
+        assert type(SimulatedCluster(config).strategy) is NetworkTopologyStrategy
 
     def test_scale_100_cluster_serves_operations(self):
         cluster, metrics = run_scale_100(seed=5)

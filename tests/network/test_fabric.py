@@ -16,7 +16,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RandomStreams
 
 
-def make_fabric(drop_probability: float = 0.0):
+def make_fabric():
     engine = SimulationEngine()
     topo = (
         TopologyBuilder()
@@ -30,9 +30,7 @@ def make_fabric(drop_probability: float = 0.0):
         .rack("r2", nodes=1)
         .build()
     )
-    fabric = NetworkFabric(
-        engine, topo, RandomStreams(seed=5), drop_probability=drop_probability
-    )
+    fabric = NetworkFabric(engine, topo, RandomStreams(seed=5))
     return engine, topo, fabric
 
 
@@ -99,20 +97,6 @@ def test_duplicate_registration_rejected():
     fabric.register(a, lambda m: None)  # fine after unregister
 
 
-def test_drop_probability_drops_messages():
-    engine, topo, fabric = make_fabric(drop_probability=0.5)
-    a, b, _ = topo.nodes
-    received = []
-    fabric.register(b, received.append)
-    for _ in range(500):
-        fabric.send(a, b, "maybe", None)
-    engine.run()
-    assert fabric.stats.sent == 500
-    assert fabric.stats.dropped > 100
-    assert fabric.stats.delivered == 500 - fabric.stats.dropped
-    assert len(received) == fabric.stats.delivered
-
-
 def test_latency_scale_multiplies_delay():
     engine, topo, fabric = make_fabric()
     a, b, _ = topo.nodes
@@ -129,8 +113,6 @@ def test_latency_scale_validation():
     _, _, fabric = make_fabric()
     with pytest.raises(ValueError):
         fabric.latency_scale = -1.0
-    with pytest.raises(ValueError):
-        fabric.drop_probability = 1.5
 
 
 def test_ping_is_a_round_trip():
@@ -159,8 +141,6 @@ def test_invalid_construction_parameters():
     topo = TopologyBuilder().datacenter("d").rack("r", nodes=1).build()
     with pytest.raises(ValueError):
         NetworkFabric(engine, topo, RandomStreams(0), bandwidth_bytes_per_s=0)
-    with pytest.raises(ValueError):
-        NetworkFabric(engine, topo, RandomStreams(0), drop_probability=1.0)
     with pytest.raises(ValueError):
         NetworkFabric(engine, topo, RandomStreams(0), delivery="bogus")
 

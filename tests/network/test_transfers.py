@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.network import fabric as fabric_module
 from repro.network.fabric import NetworkFabric
 from repro.network.latency import ConstantLatency
 from repro.network.topology import TopologyBuilder
@@ -24,7 +25,12 @@ CAPACITY = 10_000.0
 KIND = "bulk"
 
 
-def make_fabric(capacity: float = CAPACITY, **config_kwargs):
+@pytest.fixture(autouse=True)
+def only_the_test_kind_is_a_transfer(monkeypatch):
+    monkeypatch.setattr(fabric_module, "TRANSFER_KINDS", frozenset({KIND}))
+
+
+def make_fabric(capacity: float = CAPACITY):
     """Two one-node datacenters joined by a constant-latency WAN link."""
     engine = SimulationEngine()
     topo = (
@@ -41,13 +47,11 @@ def make_fabric(capacity: float = CAPACITY, **config_kwargs):
         .rack("r1", nodes=1)
         .build()
     )
-    config_kwargs.setdefault("transfer_kinds", frozenset({KIND}))
-    config_kwargs.setdefault("kind_groups", {KIND: "bulk"})
     fabric = NetworkFabric(
         engine,
         topo,
         RandomStreams(seed=5),
-        bandwidth=BandwidthConfig(capacity_bytes_per_s=capacity, **config_kwargs),
+        bandwidth=BandwidthConfig(capacity_bytes_per_s=capacity),
     )
     for node in topo.nodes:
         fabric.register(node, lambda message: None)
@@ -325,16 +329,6 @@ class TestDeterminismAndConfig:
         scheduler = fabric.transfers
         fabric.enable_bandwidth()
         assert fabric.transfers is scheduler
-
-    def test_link_capacity_override_wins(self):
-        engine, topo, fabric = make_fabric(
-            link_capacities={"dc1|dc2": 1000.0}
-        )
-        a, b = wan_pair(topo)
-        times = []
-        send_bulk(engine, fabric, a, b, 5000, times)
-        engine.run()
-        assert times == [pytest.approx(5.0 + LATENCY)]
 
     def test_wan_scenario_carries_a_bandwidth_config(self):
         from repro.experiments.scenarios import ScenarioRegistry

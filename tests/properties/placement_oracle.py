@@ -29,10 +29,6 @@ def full_walk(ring: TokenRing, key: str) -> List[NodeAddress]:
     return walk
 
 
-def simple(walk: Sequence[NodeAddress], replication_factor: int) -> List[NodeAddress]:
-    return list(walk[:replication_factor])
-
-
 def old_network_topology(
     walk: Sequence[NodeAddress], replication_factor: int, topology: Topology
 ) -> List[NodeAddress]:

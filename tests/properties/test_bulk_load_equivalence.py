@@ -5,8 +5,8 @@ replicas (no engine event, message or random draw).  Whatever it leaves
 behind must equal what the old simulated load (``load_oracle``: every record
 written at CL ONE through the round-robin coordinator at t = 0, then the
 cluster settled) left behind, over random scenario x replication factor x
-record count x seed -- LAN ``SimpleStrategy``, geo ``NetworkTopologyStrategy``
-and the fifo ``SCALE_100`` ring:
+record count x seed -- LAN ``OldNetworkTopologyStrategy``, geo
+``NetworkTopologyStrategy`` and the fifo ``SCALE_100`` ring:
 
 * every replica's newest cell per key (timestamp, value id, value, size);
 * per node: ``dirty_keys``, ``writes_applied``, ``coordinator_writes`` and
@@ -41,18 +41,15 @@ from tests.properties import load_oracle
 
 @st.composite
 def load_cases(draw):
-    """A (cluster config, record count): LAN simple, geo per-DC or fifo SCALE_100."""
+    """A (cluster config, record count): LAN, geo per-DC or fifo SCALE_100."""
     seed = draw(st.integers(0, 10_000))
     records = draw(st.integers(1, 80))
     kind = draw(st.sampled_from(["lan", "geo", "fifo"]))
     if kind == "lan":
         n_nodes = draw(st.integers(3, 20))
         rf = draw(st.integers(1, min(5, n_nodes)))
-        config = replace(
-            GRID5000.with_overrides(replication_factor=rf).cluster_config(
-                seed=seed, n_nodes=n_nodes
-            ),
-            strategy="simple",
+        config = GRID5000.with_overrides(replication_factor=rf).cluster_config(
+            seed=seed, n_nodes=n_nodes
         )
     elif kind == "geo":
         factors = {dc: draw(st.integers(0, 3)) for dc in GRID5000_3SITES.datacenter_names}

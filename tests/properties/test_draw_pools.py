@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
+from repro.cluster.node import DIGEST_SERVICE_FACTOR
 from repro.cluster.storage import Cell
 from repro.network.fabric import Message, MessageKind
 from repro.sim.rng import RandomStreams
@@ -73,7 +74,7 @@ def test_service_pool_equals_single_draws(seed, n, pattern, slow_at, factor):
         else:
             scale = config.read_service_time * cv2
             if kind == "digest":
-                scale *= config.digest_service_factor
+                scale *= DIGEST_SERVICE_FACTOR
         expected.append(float(rng.standard_gamma(1.0 / cv2)) * scale * slowdown)
     assert delays == expected
     assert len(node._service_pool) == last_block(n)

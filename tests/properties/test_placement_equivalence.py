@@ -16,11 +16,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.membership import MembershipManager
-from repro.cluster.replication import (
-    NetworkTopologyStrategy,
-    OldNetworkTopologyStrategy,
-    SimpleStrategy,
-)
+from repro.cluster.replication import NetworkTopologyStrategy, OldNetworkTopologyStrategy
 from repro.cluster.ring import TokenRing
 from repro.network.topology import Topology, TopologyBuilder
 
@@ -44,10 +40,8 @@ def assert_matches_oracle(topology: Topology, ring: TokenRing, factor_maps) -> N
     """Every strategy at every feasible RF agrees with the oracle on ``ring``."""
     walks = {key: oracle.full_walk(ring, key) for key in KEYS}
     for rf in range(1, ring.size + 1):
-        simple = SimpleStrategy(rf)
         old = OldNetworkTopologyStrategy(rf, topology)
         for key, walk in walks.items():
-            assert simple.replicas(ring, key) == oracle.simple(walk, rf)
             assert old.replicas(ring, key) == oracle.old_network_topology(walk, rf, topology)
     for factors in factor_maps:
         strategy = NetworkTopologyStrategy(factors, topology)
@@ -110,11 +104,10 @@ def test_join_and_leave_target_rings_equal_oracle(data, layout):
 @pytest.mark.parametrize(
     "overrides",
     [
-        dict(strategy="simple"),
-        dict(strategy="old_network_topology"),
+        dict(),
         dict(replication_factors={"dc1": 2, "dc2": 1}),
     ],
-    ids=["simple", "old_network_topology", "network_topology"],
+    ids=["old_network_topology", "network_topology"],
 )
 def test_membership_pending_targets_equal_oracle(overrides):
     """``pending_for`` on the manager's own target ring: a join and a leave at once."""
@@ -131,9 +124,7 @@ def test_membership_pending_targets_equal_oracle(overrides):
 
     def expected(ring: TokenRing, key: str):
         walk = oracle.full_walk(ring, key)
-        if cluster.config.strategy == "simple":
-            return oracle.simple(walk, rf)
-        if cluster.config.strategy == "old_network_topology":
+        if cluster.replication_factors is None:
             return oracle.old_network_topology(walk, rf, topology)
         return oracle.network_topology(walk, cluster.replication_factors, topology)
 

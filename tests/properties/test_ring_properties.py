@@ -5,8 +5,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.replication import OldNetworkTopologyStrategy, SimpleStrategy
-from repro.cluster.ring import Murmur3Partitioner, RandomPartitioner, TokenRing
+from repro.cluster.replication import OldNetworkTopologyStrategy
+from repro.cluster.ring import Murmur3Partitioner, TokenRing
 from repro.network.topology import uniform_topology
 
 keys = st.text(
@@ -17,10 +17,10 @@ keys = st.text(
 @given(key=keys)
 @settings(max_examples=300, deadline=None)
 def test_partitioner_tokens_are_stable_and_in_range(key):
-    for partitioner in (Murmur3Partitioner(), RandomPartitioner()):
-        token = partitioner.token(key)
-        assert token == partitioner.token(key)
-        assert 0 <= token < partitioner.TOKEN_SPACE
+    partitioner = Murmur3Partitioner()
+    token = partitioner.token(key)
+    assert token == partitioner.token(key)
+    assert 0 <= token < partitioner.TOKEN_SPACE
 
 
 @given(
@@ -36,23 +36,6 @@ def test_ring_walk_is_a_permutation_of_the_nodes(key, n_nodes, vnodes):
     assert len(walk) == n_nodes
     assert set(walk) == set(topo.nodes)
     assert walk[0] == ring.primary_replica(key)
-
-
-@given(
-    key=keys,
-    n_nodes=st.integers(min_value=3, max_value=12),
-    rf=st.integers(min_value=1, max_value=5),
-)
-@settings(max_examples=200, deadline=None)
-def test_simple_strategy_places_rf_distinct_replicas(key, n_nodes, rf):
-    if rf > n_nodes:
-        rf = n_nodes
-    topo = uniform_topology(n_nodes, racks_per_dc=2, datacenters=1)
-    ring = TokenRing(topo.nodes, vnodes=4)
-    replicas = SimpleStrategy(rf).replicas(ring, key)
-    assert len(replicas) == rf
-    assert len(set(replicas)) == rf
-    assert replicas[0] == ring.primary_replica(key)
 
 
 @given(

@@ -14,10 +14,13 @@ without a read-repair round; and writes under a pending-range provider.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import cluster as cluster_module
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
 from repro.cluster.coordinator import CoordinatorConfig
@@ -34,10 +37,11 @@ def _ignore(_result) -> None:
 
 @st.composite
 def clusters(draw):
-    """A ring of one or two datacenters of 1-3 racks under SimpleStrategy or
+    """A ring of one or two datacenters of 1-3 racks under
     OldNetworkTopologyStrategy (where a key's per-datacenter replica counts
-    vary), or three datacenters under NetworkTopologyStrategy; its
-    coordinators either never or always start a read-repair round."""
+    vary), or three datacenters under NetworkTopologyStrategy, with 1-8
+    vnodes; its coordinators either never or always start a read-repair
+    round."""
     coordinator = CoordinatorConfig(read_repair_chance=draw(st.sampled_from([0.0, 1.0])))
     if draw(st.booleans()):
         n_nodes = draw(st.integers(2, 10))
@@ -46,8 +50,6 @@ def clusters(draw):
             replication_factor=draw(st.integers(1, min(n_nodes, 5))),
             racks_per_dc=draw(st.integers(1, 3)),
             datacenters=draw(st.integers(1, 2)),
-            strategy=draw(st.sampled_from(["simple", "old_network_topology"])),
-            vnodes=draw(st.integers(1, 8)),
             coordinator=coordinator,
             seed=draw(st.integers(0, 2**16)),
         )
@@ -61,13 +63,12 @@ def clusters(draw):
             replication_factor=sum(factors.values()),
             datacenters=3,
             racks_per_dc=racks,
-            strategy="network_topology",
             replication_factors=factors,
-            vnodes=draw(st.integers(1, 8)),
             coordinator=coordinator,
             seed=draw(st.integers(0, 2**16)),
         )
-    return SimulatedCluster(config)
+    with mock.patch.object(cluster_module, "VNODES", draw(st.integers(1, 8))):
+        return SimulatedCluster(config)
 
 
 def assert_read_routes_like_oracle(cluster, coordinator, key, level) -> None:

@@ -3,9 +3,14 @@
 The staleness-SLA control loop, YCSB workloads E and F (scans and
 read-modify-write), sstables with their commit log, three latency models and
 the generic coordinator response handler were removed because nothing but
-their own tests ran them.  No ``src/repro`` module may define or import their
-names again, their config fields stay off the config classes, and the names
-that selected them are rejected like any unknown name.
+their own tests ran them.  So were the config fields nothing outside the
+tests set to a second value -- they are module constants now -- with the
+classes left empty by that (``BackoffConfig``, ``MembershipConfig``) and the
+paths only a second value reached: ``SimpleStrategy``, ``RandomPartitioner``,
+global message loss, backoff jitter, the p99 scale-out trigger, repair pair
+subsets and per-link capacities.  No ``src/repro`` module may define or
+import their names again, their config fields stay off the config classes,
+and the names that selected them are rejected like any unknown name.
 """
 
 from __future__ import annotations
@@ -19,8 +24,15 @@ from typing import Dict, Set
 
 import pytest
 
+from repro.chaos.replay import ChaosConfig
+from repro.cluster.antientropy import AntiEntropyConfig
+from repro.cluster.cluster import ClusterConfig
+from repro.cluster.coordinator import CoordinatorConfig
 from repro.cluster.node import NodeConfig
+from repro.control.policies import RepairControlConfig, ScaleOutConfig
+from repro.core.config import HarmonyConfig
 from repro.experiments.runner import make_policy
+from repro.network.transfers import BandwidthConfig
 from repro.experiments.scenarios import GRID5000
 from repro.workload.distributions import make_key_chooser
 from repro.workload.workloads import WorkloadConfig
@@ -39,6 +51,10 @@ REMOVED_NAMES = [
     "CompositeLatencyModel",
     "HotspotKeyChooser",
     "handle_response",
+    "BackoffConfig",
+    "MembershipConfig",
+    "SimpleStrategy",
+    "RandomPartitioner",
 ]
 
 
@@ -88,12 +104,59 @@ def test_no_module_defines_or_imports_a_removed_name(name):
         (WorkloadConfig, "max_scan_length"),
         (NodeConfig, "memtable_flush_threshold"),
         (NodeConfig, "compaction_threshold"),
+        (ClusterConfig, "strategy"),
+        (ClusterConfig, "partitioner"),
+        (ClusterConfig, "drop_probability"),
+        (ClusterConfig, "vnodes"),
+        (ClusterConfig, "write_size_bytes"),
+        (CoordinatorConfig, "read_timeout"),
+        (CoordinatorConfig, "write_timeout"),
+        (CoordinatorConfig, "request_overhead"),
+        (NodeConfig, "digest_service_factor"),
+        (NodeConfig, "queue_capacity"),
+        (HarmonyConfig, "rate_smoothing"),
+        (HarmonyConfig, "latency_probes_per_sample"),
+        (HarmonyConfig, "avg_write_size"),
+        (HarmonyConfig, "bandwidth_bytes_per_s"),
+        (HarmonyConfig, "propagation_overhead"),
+        (BandwidthConfig, "transfer_threshold_bytes"),
+        (BandwidthConfig, "transfer_kinds"),
+        (BandwidthConfig, "kind_groups"),
+        (BandwidthConfig, "min_foreground_fraction"),
+        (BandwidthConfig, "link_capacities"),
+        (AntiEntropyConfig, "depth"),
+        (AntiEntropyConfig, "digest_size_bytes"),
+        (AntiEntropyConfig, "request_size_bytes"),
+        (AntiEntropyConfig, "leaf_index_size_bytes"),
+        (AntiEntropyConfig, "pairs"),
+        (RepairControlConfig, "tighten_factor"),
+        (RepairControlConfig, "relax_factor"),
+        (RepairControlConfig, "divergence_threshold"),
+        (ScaleOutConfig, "high_p99"),
+        (ScaleOutConfig, "p99_source"),
+        (ChaosConfig, "read_proportion"),
+        (ChaosConfig, "think_time"),
+        (ChaosConfig, "repair_interval"),
+        (ChaosConfig, "repair_rounds"),
+        (ChaosConfig, "post_heal_grace"),
+        (ChaosConfig, "stale_bound"),
+        (ChaosConfig, "per_dc_stale_bound"),
+        (ChaosConfig, "min_judged_reads"),
+        (WorkloadConfig, "zipfian_theta"),
+        (WorkloadConfig, "field_count"),
+        (WorkloadConfig, "field_length"),
     ],
 )
 def test_a_removed_config_field_is_rejected(config, field):
     assert field not in {f.name for f in dataclasses.fields(config)}
     with pytest.raises(TypeError):
         config(**{field: 1})
+
+
+@pytest.mark.parametrize("field, value", [("strategy", "simple"), ("drop_probability", 0.1)])
+def test_the_cluster_config_rejects_the_removed_strategy_and_global_loss(field, value):
+    with pytest.raises(TypeError):
+        ClusterConfig(**{field: value})
 
 
 def test_sla_policy_names_are_unknown():

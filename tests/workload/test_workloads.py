@@ -33,8 +33,7 @@ class TestWorkloadConfig:
             WorkloadConfig(read_proportion=1.2, update_proportion=-0.2)
 
     def test_record_size(self):
-        config = WorkloadConfig(field_count=10, field_length=100)
-        assert config.record_size == 1000
+        assert WorkloadConfig().record_size == 1000
 
     def test_scaled_changes_only_volume(self):
         scaled = WORKLOAD_A.scaled(record_count=10, operation_count=20)
@@ -46,8 +45,6 @@ class TestWorkloadConfig:
     def test_validation_of_counts(self):
         with pytest.raises(ValueError):
             WorkloadConfig(record_count=0)
-        with pytest.raises(ValueError):
-            WorkloadConfig(field_count=0)
 
 
 class TestStandardPresets:
