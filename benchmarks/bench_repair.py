@@ -38,14 +38,13 @@ from repro.cluster.antientropy import AntiEntropyConfig
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
 from repro.control.plane import ControlPlane
-from repro.control.policies import RepairControlConfig, RepairSchedulePolicy
+from repro.control.policies import RepairControlConfig, RepairSchedulePolicy, make_policy
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import (
     GRID5000_3SITES,
     GRID5000_3SITES_WAN,
     grid5000_3sites_faults,
 )
-from repro.geo.policy import StaticGeoPolicy
 from repro.workload.executor import WorkloadExecutor
 from repro.workload.workloads import WORKLOAD_B
 
@@ -153,7 +152,7 @@ def run_steady_state_arm(
     cluster = SimulatedCluster(GRID5000_3SITES.cluster_config(seed=SEED))
     workload = WORKLOAD_B.scaled(record_count=record_count, operation_count=0)
     executor = WorkloadExecutor(
-        cluster, workload, StaticGeoPolicy(), threads=1,
+        cluster, workload, make_policy("local_quorum"), threads=1,
         datacenters=cluster.datacenter_names,
     )
     executor.load()  # every replica holds every record before repair starts

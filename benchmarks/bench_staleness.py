@@ -43,9 +43,13 @@ from typing import Dict, Optional
 
 from repro.cluster.consistency import ConsistencyLevel, quorum_size
 from repro.control.estimator import StalenessEstimator
+from repro.control.monitor import (
+    AVG_WRITE_SIZE,
+    PROPAGATION_OVERHEAD,
+    MonitoringSample,
+    propagation_time,
+)
 from repro.control.plane import LevelPolicy
-from repro.core.model import propagation_time
-from repro.core.monitor import MonitoringSample
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import EC2_MULTIREGION, GRID5000_3SITES, SCALE_100
 from repro.workload.workloads import WORKLOAD_A
@@ -112,7 +116,9 @@ def _predict(cluster, result, read_replicas: int, write_replicas: int) -> float:
         raw_read_rate=read_rate,
         raw_write_rate=write_rate,
         network_latency=latency,
-        propagation_time=propagation_time(latency, avg_write_size=1024.0, overhead=5e-6),
+        propagation_time=propagation_time(
+            latency, avg_write_size=AVG_WRITE_SIZE, overhead=PROPAGATION_OVERHEAD
+        ),
         window=duration,
     )
     estimator = StalenessEstimator({None: cluster.replication_factor})

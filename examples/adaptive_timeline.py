@@ -24,7 +24,7 @@ from repro import (
     WorkloadExecutor,
     format_table,
 )
-from repro.core.policy import HarmonyPolicy
+from repro.control import HarmonyReadPolicy
 
 PHASES = (60, 24, 4)  # client threads per phase, mimicking the paper's step-down
 OPS_PER_PHASE = 3000
@@ -44,8 +44,8 @@ def main() -> None:
                 seed=seed + phase_index,
             )
         )
-        policy = HarmonyPolicy(
-            config=HarmonyConfig(tolerated_stale_rate=0.3, monitoring_interval=0.05)
+        policy = HarmonyReadPolicy(
+            HarmonyConfig(tolerated_stale_rate=0.3, monitoring_interval=0.05)
         )
         auditor = StalenessAuditor()
         executor = WorkloadExecutor(

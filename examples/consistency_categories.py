@@ -26,8 +26,7 @@ Run with::
 from __future__ import annotations
 
 from repro import ClusterConfig, ConsistencyLevel, SimulatedCluster, format_table
-from repro.control import ControlPlane
-from repro.core.config import HarmonyConfig
+from repro.control import ControlPlane, HarmonyConfig
 from repro.extensions import (
     ApplicationProfile,
     CategorizedHarmonyPolicy,

@@ -10,9 +10,10 @@ through the geo-replication subsystem layer by layer:
 2. **DC-aware levels** -- a ``LOCAL_QUORUM`` write acknowledged at LAN
    latency vs an ``EACH_QUORUM`` write that must cross the WAN, and the
    asynchronous convergence of the remote sites;
-3. **per-DC adaptive control** -- one workload run with
-   :class:`~repro.geo.GeoHarmonyPolicy`, where every site independently
-   picks its consistency level against its own tolerated stale rate.
+3. **per-DC adaptive control** -- one workload run with the ``geo-harmony``
+   policy (:class:`~repro.control.GeoReadPolicy`), where every site
+   independently picks its consistency level against its own tolerated
+   stale rate.
 
 Run with::
 
@@ -25,14 +26,13 @@ from collections import Counter
 
 from repro import (
     ConsistencyLevel,
-    GeoHarmonyPolicy,
     SimulatedCluster,
     StalenessAuditor,
     WORKLOAD_A,
     WorkloadExecutor,
     format_table,
+    make_policy,
 )
-from repro.core.config import HarmonyConfig
 from repro.experiments.scenarios import GRID5000_3SITES
 
 
@@ -80,10 +80,7 @@ def run_geo_harmony() -> None:
     print("== per-DC adaptive Harmony (one controller instance per site) ==")
     cluster = SimulatedCluster(GRID5000_3SITES.cluster_config(seed=11))
     auditor = StalenessAuditor()
-    policy = GeoHarmonyPolicy(
-        tolerated_stale_rates=GRID5000_3SITES.harmony_stale_rates_by_dc,
-        config=HarmonyConfig(monitoring_interval=0.05),
-    )
+    policy = make_policy("geo-harmony", GRID5000_3SITES, monitoring_interval=0.05)
     executor = WorkloadExecutor(
         cluster,
         WORKLOAD_A.scaled(record_count=300, operation_count=4000),

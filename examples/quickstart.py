@@ -16,14 +16,12 @@ from __future__ import annotations
 
 from repro import (
     ClusterConfig,
-    HarmonyPolicy,
     SimulatedCluster,
     StalenessAuditor,
-    StaticEventualPolicy,
-    StaticStrongPolicy,
     WORKLOAD_A,
     WorkloadExecutor,
     format_table,
+    make_policy,
 )
 
 
@@ -50,11 +48,7 @@ def run_policy(policy, *, threads: int = 16, seed: int = 7):
 
 
 def main() -> None:
-    policies = [
-        StaticEventualPolicy(),
-        StaticStrongPolicy(),
-        HarmonyPolicy(tolerated_stale_rate=0.2),
-    ]
+    policies = [make_policy("eventual"), make_policy("strong"), make_policy("harmony-20%")]
     rows = []
     for policy in policies:
         metrics = run_policy(policy)

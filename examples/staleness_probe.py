@@ -28,10 +28,10 @@ from repro import (
     DualReadProbe,
     SimulatedCluster,
     StalenessAuditor,
-    StaticEventualPolicy,
     WORKLOAD_A,
     WorkloadExecutor,
     format_table,
+    make_policy,
 )
 
 THREADS = 20
@@ -62,7 +62,7 @@ def run(with_probe: bool, seed: int = 9):
     executor = WorkloadExecutor(
         cluster,
         WORKLOAD,
-        StaticEventualPolicy(),
+        make_policy("eventual"),
         threads=THREADS,
         auditor=auditor,
     )

@@ -23,13 +23,13 @@ from __future__ import annotations
 from repro import (
     ClusterConfig,
     HarmonyConfig,
-    HarmonyPolicy,
     SimulatedCluster,
     StalenessAuditor,
     WORKLOAD_A,
     WorkloadExecutor,
     format_table,
 )
+from repro.control import HarmonyReadPolicy
 
 APPLICATIONS = {
     # A stale read can make the shop oversell a product: keep it rare.
@@ -50,11 +50,8 @@ def run_application(name: str, tolerated_stale_rate: float, *, threads: int = 24
         )
     )
     auditor = StalenessAuditor()
-    policy = HarmonyPolicy(
-        config=HarmonyConfig(
-            tolerated_stale_rate=tolerated_stale_rate,
-            monitoring_interval=0.05,
-        )
+    policy = HarmonyReadPolicy(
+        HarmonyConfig(tolerated_stale_rate=tolerated_stale_rate, monitoring_interval=0.05)
     )
     executor = WorkloadExecutor(
         cluster,

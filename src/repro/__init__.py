@@ -9,14 +9,14 @@ Quick start
 -----------
 >>> from repro import (
 ...     ClusterConfig, SimulatedCluster, WORKLOAD_A, WorkloadExecutor,
-...     HarmonyPolicy, StalenessAuditor,
+...     StalenessAuditor, make_policy,
 ... )
 >>> cluster = SimulatedCluster(ClusterConfig(n_nodes=6, replication_factor=3, seed=7))
 >>> auditor = StalenessAuditor()
 >>> executor = WorkloadExecutor(
 ...     cluster,
 ...     WORKLOAD_A.scaled(record_count=200, operation_count=2000),
-...     HarmonyPolicy(tolerated_stale_rate=0.2),
+...     make_policy("harmony-20%"),
 ...     threads=8,
 ...     auditor=auditor,
 ... )
@@ -26,26 +26,22 @@ True
 
 Package layout
 --------------
-``repro.core``
-    the Harmony contribution: stale-read estimation model, monitoring module
-    (cluster-wide and per-datacenter) and the named policies of the paper's
-    comparison (``HarmonyPolicy``, ``StaticStrongPolicy``, ...), which
-    construct ``repro.control`` policies;
 ``repro.control``
-    the unified adaptive control plane: the scope-parameterized
-    :class:`~repro.control.StalenessEstimator`, the
-    ``Decision``/``ControlPolicy``/:class:`~repro.control.ControlPlane`
-    spine every adaptive knob runs on -- one plane per run, owned by the
-    workload executor -- :class:`~repro.control.LevelPolicy` (the policy the
-    executor asks for ``read_level(dc)`` / ``write_level(dc)``: fixed levels,
-    or a subclass such as the paper's decision scheme,
-    :class:`~repro.control.HarmonyReadPolicy`), repair cadence, scale-out,
-    and the client-side retry/downgrade policies;
-``repro.geo``
-    the geo-replication subsystem: constructors of the geo-aware level
-    policies, led by :func:`~repro.geo.GeoHarmonyPolicy` (one stale-read
-    model instance per site, each independently mapping its ``Xn`` onto the
-    DC-aware levels);
+    the Harmony contribution and every other adaptive knob, on one loop:
+    the monitoring module (:class:`~repro.control.ClusterMonitor`,
+    cluster-wide and per-datacenter), the stale-read model
+    (:class:`~repro.control.StalenessEstimator`, per scope, paper Eq. 1-8),
+    the ``Decision``/``ControlPolicy``/:class:`~repro.control.ControlPlane`
+    spine -- one plane per run, owned by the workload executor --
+    :class:`~repro.control.LevelPolicy` (the policy the executor asks for
+    ``read_level(dc)`` / ``write_level(dc)``: fixed levels, or a subclass
+    such as the paper's decision scheme,
+    :class:`~repro.control.HarmonyReadPolicy`, and its per-datacenter form
+    :class:`~repro.control.GeoReadPolicy`), repair cadence, scale-out, the
+    client-side retry/downgrade policies, and
+    :func:`~repro.control.make_policy`, the one way to name a level policy
+    (``"eventual"``, ``"strong"``, ``"harmony-20%"``, ``"geo-harmony"``,
+    ...);
 ``repro.cluster``
     the simulated quorum-replicated store (ring, replication strategies
     including the per-DC ``NetworkTopologyStrategy``, storage engines,
@@ -105,15 +101,11 @@ from repro.cluster import (
     quorum_size,
 )
 from repro.cluster.antientropy import AntiEntropyConfig, AntiEntropyService, MerkleTree
-from repro.core import (
+from repro.control import (
     ClusterMonitor,
     HarmonyConfig,
-    HarmonyPolicy,
-    StaleReadModel,
-    StaticEventualPolicy,
-    StaticQuorumPolicy,
-    StaticStrongPolicy,
-    ThresholdPolicy,
+    StalenessEstimator,
+    make_policy,
     propagation_time,
 )
 from repro.experiments import (
@@ -137,7 +129,6 @@ from repro.faults import (
     NodeCrash,
     NodeRestart,
 )
-from repro.geo import GeoHarmonyPolicy, GeoHarmonyRWPolicy, StaticGeoPolicy
 from repro.metrics import LatencyHistogram, MetricsReport, TimeSeries, format_table
 from repro.staleness import DualReadProbe, StalenessAuditor
 from repro.workload import (
@@ -174,23 +165,15 @@ __all__ = [
     "GRID5000",
     "GRID5000_3SITES",
     "GRID5000_3SITES_FAULTS",
-    "GeoHarmonyPolicy",
-    "GeoHarmonyRWPolicy",
     "HarmonyConfig",
-    "HarmonyPolicy",
     "LatencyHistogram",
     "MerkleTree",
     "MetricsReport",
     "NodeCrash",
     "NodeRestart",
     "SimulatedCluster",
-    "StaleReadModel",
     "StalenessAuditor",
-    "StaticEventualPolicy",
-    "StaticGeoPolicy",
-    "StaticQuorumPolicy",
-    "StaticStrongPolicy",
-    "ThresholdPolicy",
+    "StalenessEstimator",
     "TimeSeries",
     "WORKLOAD_A",
     "WORKLOAD_B",
@@ -201,6 +184,7 @@ __all__ = [
     "__version__",
     "format_table",
     "grid5000_3sites_faults",
+    "make_policy",
     "propagation_time",
     "quorum_size",
     "run_experiment",

@@ -41,7 +41,7 @@ from repro.chaos.invariants import InvariantChecker, Violation
 from repro.cluster.antientropy import AntiEntropyConfig
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.membership import MembershipManager
-from repro.experiments.runner import make_policy
+from repro.control.policies import make_policy
 from repro.experiments.scenarios import Scenario, ScenarioRegistry
 from repro.faults.schedule import FaultInjector, FaultSchedule
 from repro.faults.timeline import FaultTimeline

@@ -743,7 +743,7 @@ class Coordinator:
             self._blocking_repairs = {}
         self._blocking_repairs[pending.request_id] = pending
         for replica in stale:
-            self._counters.read_repairs += 1
+            # Counted where it lands: the replica's apply_write(is_repair=True).
             self._fabric.send(
                 self.address,
                 replica,

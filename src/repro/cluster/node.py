@@ -224,7 +224,8 @@ class StorageNode:
         elif kind == MessageKind.HINT_REPLAY:
             # Hint replays are applied directly (they are background work and
             # modelled as not competing for the foreground worker pool).
-            self.apply_write(message.payload, is_repair=True)
+            # is_repair=False: the coordinator counts them as hints_replayed.
+            self.apply_write(message.payload, is_repair=False)
         elif kind == MessageKind.REPAIR_STREAM:
             # Anti-entropy streamed cell: background work like hint replay
             # (is_repair=False: the read_repairs counter is for the read

@@ -24,6 +24,7 @@ class NodeCounters:
     writes_applied: int = 0
     coordinator_reads: int = 0
     coordinator_writes: int = 0
+    #: Read-repair writes (background and blocking) this node applied.
     read_repairs: int = 0
     hints_stored: int = 0
     hints_replayed: int = 0

@@ -9,13 +9,13 @@ bandwidth appears:
   transfer capacity (:mod:`repro.network.fabric`,
   :mod:`repro.network.transfers`);
 * Harmony's analytic propagation-time term ``avg_write_size / bandwidth``
-  (:mod:`repro.core.model`, :mod:`repro.core.monitor`).
+  (:func:`repro.control.monitor.propagation_time`).
 
 Before this module existed the three sites each carried their own literal
 ``125_000_000.0``; an override in one place silently diverged the
 estimator from the simulator.
 
-This module lives at the package top level (not ``repro.core``) so leaf
+This module lives at the package top level (not ``repro.control``) so leaf
 modules like the fabric can import it without triggering the heavier
 package ``__init__`` chains.
 """

@@ -13,10 +13,11 @@ The simulated monitor mirrors this:
 * :meth:`ClusterMonitor.sample` snapshots the cluster-wide coordinator
   counters (see :class:`repro.cluster.stats.ClusterStats`) and converts the
   deltas against the previous snapshot into read/write arrival rates;
-* it probes a configurable number of replica pairs through the network
-  fabric's ``ping`` facility and aggregates the measured latency;
-* rates are optionally exponentially smoothed so a single quiet/busy window
-  does not whipsaw the consistency level.
+* it probes ``LATENCY_PROBES_PER_SAMPLE`` replica pairs through the network
+  fabric's ``ping`` facility, aggregates the measured latency and turns it
+  into the propagation time ``Tp`` (:func:`propagation_time`);
+* rates are exponentially smoothed (``RATE_SMOOTHING``) so a single
+  quiet/busy window does not whipsaw the consistency level.
 
 The monitor is passive: it never touches the simulated data path, exactly as
 the real monitoring module sits outside Cassandra's request path.  It keeps
@@ -52,10 +53,8 @@ import numpy as np
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.stats import CounterSnapshot
 from repro.constants import DEFAULT_BANDWIDTH_BYTES_PER_S
-from repro.core.config import HarmonyConfig
-from repro.core.model import propagation_time
 
-__all__ = ["MonitoringSample", "ClusterMonitor"]
+__all__ = ["MonitoringSample", "ClusterMonitor", "propagation_time"]
 
 #: Exponential-smoothing factor applied to the measured read/write rates
 #: (1.0 = use only the latest window, lower values smooth more).
@@ -67,6 +66,42 @@ AVG_WRITE_SIZE = 1024.0
 #: Fixed per-write overhead added to ``Tp`` (serialisation, commit-log
 #: append on the receiving replica).
 PROPAGATION_OVERHEAD = 0.000005
+
+
+def propagation_time(
+    network_latency: float,
+    avg_write_size: float = 0.0,
+    bandwidth_bytes_per_s: float = DEFAULT_BANDWIDTH_BYTES_PER_S,
+    overhead: float = 0.0,
+) -> float:
+    """The paper's ``Tp(Ln, avg_w)``: time to propagate a write to all replicas.
+
+    Parameters
+    ----------
+    network_latency:
+        One-way inter-replica network latency ``Ln`` in seconds.
+    avg_write_size:
+        Average write payload size in bytes (``avg_w``); its contribution is
+        the transfer time at ``bandwidth_bytes_per_s``.
+    bandwidth_bytes_per_s:
+        Replication-link bandwidth (default 1 Gbit/s, the paper's testbed).
+    overhead:
+        Fixed per-write processing overhead at the receiving replica.
+
+    Returns
+    -------
+    float
+        ``Tp`` in seconds (never negative).
+    """
+    if network_latency < 0:
+        raise ValueError(f"network latency must be non-negative, got {network_latency!r}")
+    if avg_write_size < 0:
+        raise ValueError(f"average write size must be non-negative, got {avg_write_size!r}")
+    if bandwidth_bytes_per_s <= 0:
+        raise ValueError("bandwidth must be positive")
+    if overhead < 0:
+        raise ValueError("overhead must be non-negative")
+    return network_latency + avg_write_size / bandwidth_bytes_per_s + overhead
 
 
 @dataclass(frozen=True)
@@ -108,17 +143,13 @@ class MonitoringSample:
 class ClusterMonitor:
     """Samples cluster counters and network latency on demand.
 
-    Parameters
-    ----------
-    cluster:
-        The cluster being monitored.
-    config:
-        Harmony configuration (monitoring interval).
+    The monitor takes no tunables: when it samples is the control plane's
+    business (:class:`~repro.control.plane.ControlPlane`), and how it
+    samples is fixed by the module constants above.
     """
 
-    def __init__(self, cluster: SimulatedCluster, config: Optional[HarmonyConfig] = None) -> None:
+    def __init__(self, cluster: SimulatedCluster) -> None:
         self.cluster = cluster
-        self.config = config or HarmonyConfig()
         self._previous: Optional[CounterSnapshot] = None
         self._previous_by_dc: Dict[str, CounterSnapshot] = {}
         # Cluster-wide snapshots tracked per datacenter window (the write

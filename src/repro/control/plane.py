@@ -37,14 +37,14 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 from repro.cluster.consistency import ConsistencyLevel
-from repro.core.config import HarmonyConfig
-from repro.core.model import StaleEstimate
-from repro.core.monitor import ClusterMonitor, MonitoringSample
+from repro.control.estimator import StaleEstimate
+from repro.control.monitor import ClusterMonitor, MonitoringSample
 from repro.metrics.series import TimeSeries
 from repro.sim.background import PeriodicProcess
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import SimulatedCluster
+    from repro.control.policies import HarmonyConfig
 
 __all__ = [
     "Decision",
@@ -279,7 +279,8 @@ class LevelPolicy(ControlPolicy):
     name = "base"
     uses_monitor = False
 
-    #: Harmony tunables the run's monitor is built with (``None``: defaults).
+    #: Harmony tunables whose ``monitoring_interval`` the run's plane ticks
+    #: at (``None``: the plane takes the policies' declared periods).
     config: Optional[HarmonyConfig] = None
 
     def __init__(
@@ -328,11 +329,8 @@ class ControlPlane:
     cluster:
         The cluster under control.
     config:
-        Shared Harmony tunables (the monitor is built with them); when
-        given, ``config.monitoring_interval`` is the tick period unless
-        ``interval`` overrides it.
-    monitor:
-        Optional pre-built monitor (a fresh one is created otherwise).
+        Shared Harmony tunables; when given, ``config.monitoring_interval``
+        is the tick period unless ``interval`` overrides it.
     interval:
         Explicit tick period in virtual seconds.  With neither ``interval``
         nor ``config`` the plane ticks at the first period its policies
@@ -344,7 +342,6 @@ class ControlPlane:
         self,
         cluster: "SimulatedCluster",
         config: Optional[HarmonyConfig] = None,
-        monitor: Optional[ClusterMonitor] = None,
         *,
         interval: Optional[float] = None,
     ) -> None:
@@ -354,8 +351,8 @@ class ControlPlane:
         if interval is not None and interval <= 0:
             raise ValueError(f"control interval must be positive, got {interval!r}")
         self._interval = None if interval is None else float(interval)
-        self.config = config or HarmonyConfig()
-        self._monitor = monitor
+        self.config = config
+        self._monitor: Optional[ClusterMonitor] = None
         self.policies: List[ControlPolicy] = []
         #: The run's one record of control: every decision of every policy,
         #: in the order taken.  Run metrics, the tracer and the series
@@ -384,7 +381,7 @@ class ControlPlane:
         construction or the priming snapshots.
         """
         if self._monitor is None:
-            self._monitor = ClusterMonitor(self.cluster, self.config)
+            self._monitor = ClusterMonitor(self.cluster)
         return self._monitor
 
     # ------------------------------------------------------------------

@@ -7,9 +7,8 @@ the object the plane ticks:
 
 * :class:`HarmonyReadPolicy` -- the paper's cluster-wide read-level loop
   (Section III: estimate the stale-read rate, compare it with the tolerated
-  rate, pick ``Xn``);
-* :class:`GeoReadPolicy` -- the per-datacenter read-level loop (what
-  :func:`repro.geo.policy.GeoHarmonyPolicy` constructs);
+  rate, pick ``Xn``), tuned by a :class:`HarmonyConfig`;
+* :class:`GeoReadPolicy` -- the per-datacenter read-level loop;
 * :class:`GeoReadWritePolicy` -- the per-datacenter **joint read/write**
   adaptation: instead of forcing the whole consistency requirement onto the
   read path, each site picks the ``(X reads, W writes)`` pair that satisfies
@@ -17,7 +16,7 @@ the object the plane ticks:
   read/write mix (read-heavy sites escalate writes, write-heavy sites
   escalate reads);
 * :class:`ThresholdReadPolicy` -- the Wang et al.-style write/read-ratio
-  threshold rule (``repro.core.policy.ThresholdPolicy`` is this class).
+  threshold rule.
 
 Two move other knobs:
 
@@ -26,14 +25,16 @@ Two move other knobs:
   WAN traffic fed back as a cost term;
 * :class:`ScaleOutPolicy` -- demand-driven ring membership.
 
-The model arithmetic is shared through
-:class:`~repro.control.estimator.StalenessEstimator`.
+:func:`make_policy` is the one way to name a level policy: ``"eventual"``,
+``"harmony-20%"``, ``"geo-harmony"``, ... -- the names the experiments,
+benchmarks and chaos corpus are phrased in.  The model arithmetic is shared
+through :class:`~repro.control.estimator.StalenessEstimator`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.cluster.consistency import (
     ConsistencyLevel,
@@ -49,11 +50,14 @@ from repro.control.plane import (
     LevelPolicy,
     resolve_level,
 )
-from repro.core.config import HarmonyConfig
-from repro.core.monitor import MonitoringSample
+from repro.control.monitor import MonitoringSample
 from repro.metrics.series import TimeSeries
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.scenarios import Scenario
+
 __all__ = [
+    "HarmonyConfig",
     "HarmonyReadPolicy",
     "GeoReadPolicy",
     "GeoReadWritePolicy",
@@ -62,7 +66,40 @@ __all__ = [
     "ThresholdReadPolicy",
     "ScaleOutConfig",
     "ScaleOutPolicy",
+    "make_policy",
 ]
+
+
+@dataclass(frozen=True)
+class HarmonyConfig:
+    """Tunables of the Harmony loop.
+
+    Attributes
+    ----------
+    tolerated_stale_rate:
+        The application's tolerated stale-read rate (``app_stale_rate`` /
+        ASR), in ``[0, 1]``.  ``0.0`` demands strong consistency for every
+        read; ``1.0`` corresponds to static eventual consistency.  The
+        paper's evaluation uses 0.2/0.4 on Grid'5000 and 0.4/0.6 on EC2.
+    monitoring_interval:
+        Seconds of virtual time between monitoring samples.  The paper's
+        monitoring module runs continuously; the interval trades
+        responsiveness against measurement noise (ablation A1).
+
+    Everything else the loop needs it measures (see
+    :mod:`repro.control.monitor`, which holds the monitor's fixed constants).
+    """
+
+    tolerated_stale_rate: float = 0.4
+    monitoring_interval: float = 0.2
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.tolerated_stale_rate <= 1.0:
+            raise ValueError(
+                f"tolerated_stale_rate must be in [0, 1], got {self.tolerated_stale_rate!r}"
+            )
+        if self.monitoring_interval <= 0:
+            raise ValueError("monitoring_interval must be positive")
 
 
 def _percent(rate: float) -> str:
@@ -131,7 +168,7 @@ class HarmonyReadPolicy(LevelPolicy):
 class GeoReadPolicy(LevelPolicy):
     """Per-datacenter adaptive read levels (the geo controller's scheme).
 
-    One staleness model per replica-holding datacenter, evaluated against
+    One estimator scope per replica-holding datacenter, evaluated against
     the site's **local** replication factor, so every site independently
     picks the replica involvement that keeps its own stale-read estimate
     under its own tolerance and maps it onto the local levels; sites without
@@ -205,23 +242,17 @@ class GeoReadPolicy(LevelPolicy):
         self.current_level = {
             dc: (
                 ConsistencyLevel.LOCAL_ONE
-                if dc in self.estimator.models
+                if dc in self.estimator.factors
                 else ConsistencyLevel.ONE
             )
             for dc in cluster.datacenter_names
         }
 
     # ------------------------------------------------------------------
-    @property
-    def models(self) -> Dict[str, object]:
-        """Datacenter -> stale-read model (replica-holding sites only)."""
-        assert self.estimator is not None
-        return self.estimator.models
-
     def decide(self, datacenter: str, sample: MonitoringSample) -> Decision:
         """Run the decision scheme for one datacenter."""
         assert self.estimator is not None, "policy must be bound before deciding"
-        if datacenter not in self.estimator.models:
+        if datacenter not in self.estimator.factors:
             raise ValueError(f"datacenter {datacenter!r} holds no replicas")
         asr = self.tolerated_stale_rates[datacenter]
         estimate, replicas = self.estimator.decide_replicas(sample, asr, scope=datacenter)
@@ -244,7 +275,7 @@ class GeoReadPolicy(LevelPolicy):
     def tick(self, tick: ControlTick) -> List[Decision]:
         assert self.estimator is not None
         samples = tick.samples_by_dc
-        return [self.decide(dc, samples[dc]) for dc in self.estimator.models]
+        return [self.decide(dc, samples[dc]) for dc in self.estimator.factors]
 
 
 class GeoReadWritePolicy(GeoReadPolicy):
@@ -301,7 +332,7 @@ class GeoReadWritePolicy(GeoReadPolicy):
         """The ``(X, W)`` pair for one site and sample (pure, for tests)."""
         estimator = self.estimator
         assert estimator is not None, "policy must be bound before deciding"
-        if datacenter not in estimator.models:
+        if datacenter not in estimator.factors:
             raise ValueError(f"datacenter {datacenter!r} holds no replicas")
         n = estimator.replication_factor(datacenter)
         asr = self.tolerated_stale_rates[datacenter]
@@ -365,9 +396,10 @@ class GeoReadWritePolicy(GeoReadPolicy):
         return [read_decision, write_decision]
 
     def tick(self, tick: ControlTick) -> List[Decision]:
+        assert self.estimator is not None
         samples = tick.samples_by_dc
         decisions: List[Decision] = []
-        for dc in self.models:
+        for dc in self.estimator.factors:
             decisions.extend(self.decide(dc, samples[dc]))
         return decisions
 
@@ -790,3 +822,102 @@ class ScaleOutPolicy(ControlPolicy):
             value=f"decommission:{candidate}",
             sample=sample,
         )
+
+
+def _stale_rate(spec: str) -> float:
+    """``"20%"`` -> 0.2; a bare number above 1 is a percentage too (``"20"``)."""
+    if spec.endswith("%"):
+        rate = float(spec[:-1]) / 100.0
+    else:
+        rate = float(spec)
+        if rate > 1.0:
+            rate /= 100.0
+    return rate
+
+
+def _static_geo(read: ConsistencyLevel) -> LevelPolicy:
+    """A fixed DC-aware read level, writes at LOCAL_ONE."""
+    write = ConsistencyLevel.LOCAL_ONE
+    return LevelPolicy(read, write, name=f"static-geo({read.value}/{write.value})")
+
+
+def _site_rates(scenario: Optional["Scenario"]) -> Mapping[str, float]:
+    """The per-datacenter ASR map the geo loops are named against."""
+    if scenario is None:
+        raise ValueError("geo-harmony policies take their per-site tolerances from a scenario")
+    return scenario.harmony_stale_rates_by_dc
+
+
+#: Policy name (or ``"<family>-"`` prefix, applied to the rest of the name)
+#: -> constructor ``(spec, scenario, interval)``, where ``interval`` is
+#: ``{"monitoring_interval": x}`` when the caller overrides it and ``{}``
+#: otherwise -- both ``HarmonyConfig`` and ``ThresholdReadPolicy`` take it
+#: under that name.
+_POLICIES: Dict[str, Callable[[str, Optional["Scenario"], Dict[str, float]], LevelPolicy]] = {
+    "eventual": lambda spec, scenario, interval: LevelPolicy(
+        ConsistencyLevel.ONE, ConsistencyLevel.ONE, name="eventual"
+    ),
+    "strong": lambda spec, scenario, interval: LevelPolicy(
+        ConsistencyLevel.ALL, ConsistencyLevel.ONE, name="strong"
+    ),
+    "quorum": lambda spec, scenario, interval: LevelPolicy(
+        ConsistencyLevel.QUORUM, ConsistencyLevel.QUORUM, name="quorum"
+    ),
+    "local_one": lambda spec, scenario, interval: _static_geo(ConsistencyLevel.LOCAL_ONE),
+    "local_quorum": lambda spec, scenario, interval: _static_geo(ConsistencyLevel.LOCAL_QUORUM),
+    "each_quorum": lambda spec, scenario, interval: _static_geo(ConsistencyLevel.EACH_QUORUM),
+    "geo-harmony": lambda spec, scenario, interval: GeoReadPolicy(
+        HarmonyConfig(**interval), _site_rates(scenario)
+    ),
+    "geo-harmony-rw": lambda spec, scenario, interval: GeoReadWritePolicy(
+        HarmonyConfig(**interval), _site_rates(scenario)
+    ),
+    "harmony-": lambda spec, scenario, interval: HarmonyReadPolicy(
+        HarmonyConfig(tolerated_stale_rate=_stale_rate(spec), **interval)
+    ),
+    "threshold-": lambda spec, scenario, interval: ThresholdReadPolicy(float(spec), **interval),
+}
+
+
+def make_policy(
+    name: str,
+    scenario: Optional["Scenario"] = None,
+    *,
+    monitoring_interval: Optional[float] = None,
+) -> LevelPolicy:
+    """Build a level policy (the object the run's control plane ticks) from its name.
+
+    Recognised names:
+
+    * ``eventual`` -- static eventual consistency (every operation at ONE);
+    * ``strong`` -- static strong consistency (reads at ALL, writes at ONE,
+      the paper's strong series);
+    * ``quorum`` -- static QUORUM reads and writes (R + W > N);
+    * ``harmony-<asr>`` -- Harmony with the given tolerated stale rate: a
+      trailing ``%`` always means percent (``harmony-20%``, ``harmony-0.5%``),
+      a bare number is a rate up to 1 and a percentage above it
+      (``harmony-0.2`` and ``harmony-20`` are the same policy);
+    * ``threshold-<x>`` -- write/read-ratio threshold baseline;
+    * ``local_one`` / ``local_quorum`` / ``each_quorum`` -- static DC-aware
+      read levels (geo scenarios; writes at LOCAL_ONE);
+    * ``geo-harmony`` -- the per-datacenter adaptive loop, using the
+      ``scenario``'s ``harmony_stale_rates_by_dc``;
+    * ``geo-harmony-rw`` -- joint per-datacenter read *and* write
+      adaptation (same ASR map); read-heavy sites escalate writes instead
+      of reads.
+
+    Only the two geo loops need ``scenario``.  ``monitoring_interval``
+    overrides the tick period of the adaptive ones.  Other settings (a
+    different write level, per-site tolerances of one's own) are the
+    classes' constructor arguments.
+    """
+    lowered = name.lower()
+    build = _POLICIES.get(lowered)
+    spec = ""
+    if build is None:
+        family, _, spec = lowered.partition("-")
+        build = _POLICIES.get(family + "-") if spec else None
+    if build is None:
+        raise ValueError(f"unknown policy name {name!r}")
+    interval = {} if monitoring_interval is None else {"monitoring_interval": monitoring_interval}
+    return build(spec, scenario, interval)

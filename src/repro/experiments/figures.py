@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import SimulatedCluster
-from repro.core.model import StaleReadModel, propagation_time
+from repro.control.estimator import StalenessEstimator
+from repro.control.monitor import AVG_WRITE_SIZE, propagation_time
 from repro.experiments.runner import RunRecord, run_experiment
 from repro.experiments.scenarios import EC2, GRID5000, Scenario
 from repro.metrics.report import MetricsReport
@@ -178,7 +179,7 @@ def figure_4b_latency_impact(
     report = MetricsReport(title="Figure 4(b): stale-read estimation vs network latency")
 
     # Analytic curve: representative workload-A rates on the EC2 platform.
-    model = StaleReadModel(scenario.replication_factor)
+    estimator = StalenessEstimator({None: scenario.replication_factor})
     reference = defaults.run(scenario, WORKLOAD_A, "harmony-1.0", threads)
     # Recover representative rates from the reference run's counters.
     duration = max(reference.duration, 1e-9)
@@ -186,10 +187,10 @@ def figure_4b_latency_impact(
     write_rate = max(reference.writes / duration, 1e-9)
     analytic_rows: List[Dict[str, object]] = []
     for latency_ms in latencies_ms:
-        tp = propagation_time(network_latency=latency_ms / 1e3, avg_write_size=1024.0)
-        probability = model.stale_read_probability(
+        tp = propagation_time(network_latency=latency_ms / 1e3, avg_write_size=AVG_WRITE_SIZE)
+        probability = estimator.estimate(
             read_rate=read_rate, write_rate=write_rate, propagation_time=tp
-        )
+        ).probability
         analytic_rows.append(
             {
                 "network_latency_ms": latency_ms,

@@ -20,24 +20,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import SimulatedCluster
-from repro.cluster.consistency import ConsistencyLevel
 from repro.control.plane import LevelPolicy
-from repro.control.policies import RepairSchedulePolicy
-from repro.core.config import HarmonyConfig
-from repro.core.policy import (
-    HarmonyPolicy,
-    StaticEventualPolicy,
-    StaticQuorumPolicy,
-    StaticStrongPolicy,
-    ThresholdPolicy,
-)
+from repro.control.policies import RepairSchedulePolicy, make_policy
 from repro.experiments.scenarios import Scenario
-from repro.geo.policy import GeoHarmonyPolicy, GeoHarmonyRWPolicy, StaticGeoPolicy
 from repro.staleness.auditor import StalenessAuditor
 from repro.workload.executor import RunMetrics, WorkloadExecutor
 from repro.workload.workloads import WorkloadConfig
 
-__all__ = ["ExperimentConfig", "ExperimentResult", "RunRecord", "run_experiment", "make_policy"]
+__all__ = ["ExperimentConfig", "ExperimentResult", "RunRecord", "run_experiment"]
 
 
 @dataclass(frozen=True)
@@ -177,82 +167,6 @@ class ExperimentResult:
         )
 
 
-def _stale_rate(spec: str) -> float:
-    """``"20%"`` -> 0.2; a bare number above 1 is a percentage too (``"20"``)."""
-    if spec.endswith("%"):
-        rate = float(spec[:-1]) / 100.0
-    else:
-        rate = float(spec)
-        if rate > 1.0:
-            rate /= 100.0
-    return rate
-
-
-#: Policy name (or ``"<family>-"`` prefix, applied to the rest of the name)
-#: -> constructor ``(spec, scenario, interval)``, where ``interval`` is
-#: ``{"monitoring_interval": x}`` when the caller overrides it and ``{}``
-#: otherwise -- both ``HarmonyConfig`` and the threshold constructor take it
-#: under that name.
-_POLICIES: Dict[str, Callable[[str, Scenario, Dict[str, float]], LevelPolicy]] = {
-    "eventual": lambda spec, scenario, interval: StaticEventualPolicy(),
-    "strong": lambda spec, scenario, interval: StaticStrongPolicy(),
-    "quorum": lambda spec, scenario, interval: StaticQuorumPolicy(),
-    "local_one": lambda spec, scenario, interval: StaticGeoPolicy(ConsistencyLevel.LOCAL_ONE),
-    "local_quorum": lambda spec, scenario, interval: StaticGeoPolicy(
-        ConsistencyLevel.LOCAL_QUORUM
-    ),
-    "each_quorum": lambda spec, scenario, interval: StaticGeoPolicy(
-        ConsistencyLevel.EACH_QUORUM
-    ),
-    "geo-harmony": lambda spec, scenario, interval: GeoHarmonyPolicy(
-        scenario.harmony_stale_rates_by_dc, HarmonyConfig(**interval)
-    ),
-    "geo-harmony-rw": lambda spec, scenario, interval: GeoHarmonyRWPolicy(
-        scenario.harmony_stale_rates_by_dc, HarmonyConfig(**interval)
-    ),
-    "harmony-": lambda spec, scenario, interval: HarmonyPolicy(
-        config=HarmonyConfig(tolerated_stale_rate=_stale_rate(spec), **interval)
-    ),
-    "threshold-": lambda spec, scenario, interval: ThresholdPolicy(float(spec), **interval),
-}
-
-
-def make_policy(name: str, scenario: Scenario, *,
-                monitoring_interval: Optional[float] = None) -> LevelPolicy:
-    """Build a level policy (the object the run's control plane ticks) from its name.
-
-    Recognised names:
-
-    * ``eventual`` -- static eventual consistency (level ONE);
-    * ``strong`` -- static strong consistency (reads at ALL);
-    * ``quorum`` -- static QUORUM reads and writes;
-    * ``harmony-<asr>`` -- Harmony with the given tolerated stale rate: a
-      trailing ``%`` always means percent (``harmony-20%``, ``harmony-0.5%``),
-      a bare number is a rate up to 1 and a percentage above it
-      (``harmony-0.2`` and ``harmony-20`` are the same policy);
-    * ``threshold-<x>`` -- write/read-ratio threshold baseline;
-    * ``local_one`` / ``local_quorum`` / ``each_quorum`` -- static DC-aware
-      levels (geo scenarios; writes at LOCAL_ONE);
-    * ``geo-harmony`` -- the per-datacenter adaptive loop, using the
-      scenario's ``harmony_stale_rates_by_dc``;
-    * ``geo-harmony-rw`` -- joint per-datacenter read *and* write
-      adaptation (same ASR map); read-heavy sites escalate writes instead
-      of reads.
-
-    ``monitoring_interval`` overrides the tick period of the adaptive ones.
-    """
-    lowered = name.lower()
-    build = _POLICIES.get(lowered)
-    spec = ""
-    if build is None:
-        family, _, spec = lowered.partition("-")
-        build = _POLICIES.get(family + "-") if spec else None
-    if build is None:
-        raise ValueError(f"unknown policy name {name!r}")
-    interval = {} if monitoring_interval is None else {"monitoring_interval": monitoring_interval}
-    return build(spec, scenario, interval)
-
-
 def run_experiment(
     scenario: Scenario,
     workload: WorkloadConfig,
@@ -278,7 +192,7 @@ def run_experiment(
     scenario, workload, policy, threads, seed, n_nodes, monitoring_interval:
         See :class:`ExperimentConfig`.  ``policy`` may be a
         :class:`~repro.control.plane.LevelPolicy` or a policy name (see
-        :func:`make_policy`).
+        :func:`~repro.control.policies.make_policy`).
     cluster_hook:
         Optional callable invoked with the freshly built cluster before the
         load phase -- used by the figure-4(b) latency sweep (to scale the

@@ -33,8 +33,7 @@ import numpy as np
 
 from repro.cluster.consistency import ConsistencyLevel, level_for_replicas
 from repro.cluster.coordinator import OperationResult
-from repro.control.policies import HarmonyReadPolicy
-from repro.core.config import HarmonyConfig
+from repro.control.policies import HarmonyConfig, HarmonyReadPolicy
 
 __all__ = [
     "KeyAccessStats",

@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from repro.core.model import StaleReadModel, propagation_time
+from repro.control.estimator import StalenessEstimator
+from repro.control.monitor import propagation_time
 
 __all__ = ["ApplicationProfile", "naive_tolerance_for", "recommend_tolerance"]
 
@@ -119,7 +120,7 @@ def recommend_tolerance(
     """
     if not candidates:
         raise ValueError("candidates must not be empty")
-    model = StaleReadModel(profile.replication_factor)
+    estimator = StalenessEstimator({None: profile.replication_factor})
     tp = propagation_time(
         network_latency=profile.network_latency, avg_write_size=profile.avg_write_size
     )
@@ -138,19 +139,19 @@ def recommend_tolerance(
             replicas = 1
             stale_probability = 0.0
         else:
-            estimate = model.estimate(
+            estimate = estimator.estimate(
                 read_rate=profile.expected_read_rate,
                 write_rate=profile.expected_write_rate,
                 propagation_time=tp,
                 tolerated_stale_rate=asr,
             )
             replicas = 1 if asr >= estimate.probability else estimate.required_replicas
-            stale_probability = model.stale_read_probability(
+            stale_probability = estimator.estimate(
                 profile.expected_read_rate,
                 profile.expected_write_rate,
                 tp,
                 read_replicas=replicas,
-            )
+            ).probability
         cost = (
             stale_probability * profile.stale_read_cost
             + (replicas - 1) * extra_ms * profile.latency_value_per_ms

@@ -41,6 +41,7 @@ from time import perf_counter, process_time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import resolve_topology
+from repro.control.policies import make_policy
 from repro.sim.parallel.merge import merge_run_metrics
 from repro.sim.parallel.plan import DEFAULT_SHARDS, ShardPlan, plan_shards
 from repro.sim.parallel.shard import ShardRuntime, split_proportional, wire_encode
@@ -352,9 +353,8 @@ def run_parallel_experiment(
     are cluster-global), the policy must be given by name (each shard needs
     a private instance), and ``threads`` must be at least ``shards``.
     """
-    # Lazy import: experiments.runner imports this module for its
-    # ``workers=`` plumbing.
-    from repro.experiments.runner import make_policy
+    # Lazy import: the experiments package imports this module for the
+    # runner's ``workers=`` plumbing.
     from repro.experiments.scenarios import Scenario, ScenarioRegistry
 
     if isinstance(scenario, str):

@@ -23,8 +23,9 @@ if REPO_ROOT not in sys.path:
 
 from benchmarks import scorecard  # noqa: E402
 from benchmarks._shared import assert_no_placeholders  # noqa: E402
+from repro.control.policies import make_policy  # noqa: E402
 from repro.experiments import ablations, claims, figures  # noqa: E402
-from repro.experiments.runner import ExperimentResult, make_policy, run_experiment  # noqa: E402
+from repro.experiments.runner import ExperimentResult, run_experiment  # noqa: E402
 from repro.experiments.scenarios import GRID5000  # noqa: E402
 
 

@@ -155,8 +155,7 @@ class TestAntiEntropyService:
     def test_monitor_samples_carry_only_what_the_estimator_reads(self):
         import dataclasses
 
-        from repro.core.config import HarmonyConfig
-        from repro.core.monitor import ClusterMonitor, MonitoringSample
+        from repro.control.monitor import ClusterMonitor, MonitoringSample
 
         cluster = two_dc_cluster()
         keys = [f"k{i}" for i in range(15)]
@@ -165,7 +164,7 @@ class TestAntiEntropyService:
         cluster.settle()
         diverge_pair(cluster, keys)
         service = cluster.start_anti_entropy(AntiEntropyConfig(interval=1.0))
-        monitor = ClusterMonitor(cluster, HarmonyConfig(monitoring_interval=0.5))
+        monitor = ClusterMonitor(cluster)
         monitor.prime()
         cluster.engine.run_until(cluster.engine.now + 2.5)
         service.stop()

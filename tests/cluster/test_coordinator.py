@@ -15,6 +15,7 @@ from repro.cluster.consistency import ConsistencyLevel
 from repro.cluster import coordinator as coordinator_module
 from repro.cluster.coordinator import CoordinatorConfig
 from repro.cluster.node import NodeConfig
+from repro.network.fabric import MessageKind
 from repro.network.latency import ConstantLatency
 
 
@@ -152,6 +153,31 @@ class TestReadRepair:
         assert divergent.latency > consistent.latency
         assert divergent.cell.value == "v1"
 
+    def test_each_delivered_repair_write_counts_once(self):
+        # The coordinator and the replica at one address share one set of
+        # counters: the repair is counted where it is applied, not also
+        # where it is sent.
+        cluster = make_cluster()
+        replicas = cluster.replicas_for("iota")
+        cluster.take_down(replicas[-1])
+        cluster.write_sync("iota", "v1", ConsistencyLevel.ONE)
+        cluster.settle()
+        cluster.bring_up(replicas[-1], replay_hints=False)
+        fabric = cluster.fabric
+        send = fabric.send
+        repair_writes = []
+
+        def counting_send(src, dst, kind, payload, **kwargs):
+            if kind == MessageKind.REPAIR_WRITE:
+                repair_writes.append(dst)
+            return send(src, dst, kind, payload, **kwargs)
+
+        fabric.send = counting_send
+        cluster.read_sync("iota", ConsistencyLevel.ALL)  # blocking repair
+        cluster.settle()
+        assert replicas[-1] in repair_writes
+        assert cluster.stats.total("read_repairs") == len(repair_writes)
+
 
 class TestHintedHandoff:
     def test_unreachable_replica_gets_a_hint_and_converges_on_recovery(self):
@@ -171,6 +197,19 @@ class TestHintedHandoff:
         assert replayed >= 1
         cluster.settle()
         assert cluster.node(down).peek(key) is not None
+
+    def test_a_hint_replay_is_not_a_read_repair(self):
+        cluster = make_cluster()
+        key = "kappa"
+        down = cluster.replicas_for(key)[-1]
+        cluster.take_down(down)
+        cluster.write_sync(key, "v1", ConsistencyLevel.ONE)
+        cluster.engine.run_until(cluster.engine.now + 3.0)
+        assert cluster.bring_up(down, replay_hints=True) >= 1
+        cluster.settle()
+        assert cluster.node(down).peek(key) is not None
+        assert cluster.stats.total("hints_replayed") >= 1
+        assert cluster.stats.total("read_repairs") == 0
 
     def test_write_is_rejected_unavailable_when_too_few_replicas_are_up(self, monkeypatch):
         # The failure detector knows every replica is down, so the

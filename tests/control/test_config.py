@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import HarmonyConfig
+from repro.control.policies import HarmonyConfig
 
 
 def test_defaults_are_valid():

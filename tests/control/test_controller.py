@@ -12,9 +12,8 @@ import pytest
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
 from repro.control.plane import ControlPlane
-from repro.control.policies import HarmonyReadPolicy
-from repro.core.config import HarmonyConfig
-from repro.core.monitor import MonitoringSample
+from repro.control.policies import HarmonyConfig, HarmonyReadPolicy
+from repro.control.monitor import MonitoringSample
 from repro.network.latency import ConstantLatency
 
 
@@ -88,7 +87,7 @@ class TestDecisionScheme:
         _, policy = make_policy(cluster, config)
         s = sample(3000.0, 2000.0, 0.0004)
         decision = policy.decide(s)
-        expected = policy.estimator.models[None].estimate(
+        expected = policy.estimator.estimate(
             read_rate=s.read_rate,
             write_rate=s.write_rate,
             propagation_time=s.propagation_time,

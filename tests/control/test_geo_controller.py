@@ -6,11 +6,17 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
-from repro.control.plane import ControlPlane
-from repro.control.policies import GeoReadPolicy
-from repro.core.config import HarmonyConfig
-from repro.core.monitor import MonitoringSample
-from repro.geo import GeoHarmonyPolicy, StaticGeoPolicy
+from repro.control.monitor import MonitoringSample
+from repro.control.plane import ControlPlane, site_agnostic_level
+from repro.control.policies import GeoReadPolicy, HarmonyConfig, make_policy
+
+from tests.control.conftest import build_geo_cluster, build_wan_topology
+
+
+@pytest.fixture
+def geo_cluster() -> SimulatedCluster:
+    """The per-pair WAN mesh with {3, 2, 2} replicas per site."""
+    return build_geo_cluster()
 
 
 def make_sample(dc, read_rate, write_rate, tp, now=0.0):
@@ -61,11 +67,9 @@ class TestConstruction:
             "gamma": 0.4,
         }
 
-    def test_one_model_per_replica_holding_site(self, geo_cluster):
+    def test_one_scope_per_replica_holding_site(self, geo_cluster):
         _, control = make_control(geo_cluster)
-        assert set(control.models) == {"alpha", "beta", "gamma"}
-        assert control.models["alpha"].replication_factor == 3
-        assert control.models["beta"].replication_factor == 2
+        assert control.estimator.factors == {"alpha": 3, "beta": 2, "gamma": 2}
 
     def test_initial_levels_are_local_one(self, geo_cluster):
         _, control = make_control(geo_cluster)
@@ -128,7 +132,7 @@ class TestDecisions:
         plane.start()
         geo_cluster.engine.run_until(0.25)
         plane.stop()
-        sites = [f"dc:{dc}" for dc in control.models]
+        sites = [f"dc:{dc}" for dc in control.estimator.factors]
         assert plane.ticks == 2
         assert [d.scope for d in plane.decisions] == sites * 2
         # Each site's estimate comes from that site's own sample.
@@ -163,9 +167,7 @@ class TestPeriodicLoop:
 
 class TestPolicies:
     def test_static_geo_policy_levels(self):
-        policy = StaticGeoPolicy(
-            read=ConsistencyLevel.EACH_QUORUM, write=ConsistencyLevel.LOCAL_ONE
-        )
+        policy = make_policy("each_quorum")
         assert policy.read_level("anywhere") is ConsistencyLevel.EACH_QUORUM
         assert policy.write_level("anywhere") is ConsistencyLevel.LOCAL_ONE
 
@@ -175,9 +177,7 @@ class TestPolicies:
         LOCAL_* decisions are degraded to their global equivalents because
         an unpinned client's coordinator may live in a replica-less site.
         """
-        from repro.geo.policy import site_agnostic_level
-
-        policy = control = GeoHarmonyPolicy(config=HarmonyConfig(tolerated_stale_rate=0.05))
+        policy = control = GeoReadPolicy(HarmonyConfig(tolerated_stale_rate=0.05))
         ControlPlane(geo_cluster).add(policy)
         control.decide("alpha", make_sample("alpha", 500.0, 400.0, 0.008))
         control.decide("beta", make_sample("beta", 1.0, 0.001, 0.0002))
@@ -193,15 +193,13 @@ class TestPolicies:
 
     def test_unpinned_levels_never_local(self, geo_cluster):
         """Unpinned clients must get levels valid at any coordinator."""
-        static = StaticGeoPolicy(
-            read=ConsistencyLevel.LOCAL_QUORUM, write=ConsistencyLevel.LOCAL_ONE
-        )
+        static = make_policy("local_quorum")
         assert static.read_level() is ConsistencyLevel.QUORUM
         assert static.write_level() is ConsistencyLevel.ONE
         # Pinned lookups keep the DC-aware pair.
         assert static.read_level("alpha") is ConsistencyLevel.LOCAL_QUORUM
         assert static.write_level("alpha") is ConsistencyLevel.LOCAL_ONE
-        harmony = GeoHarmonyPolicy()
+        harmony = GeoReadPolicy()
         assert harmony.write_level() is ConsistencyLevel.ONE
         assert harmony.write_level("alpha") is ConsistencyLevel.LOCAL_ONE
 
@@ -211,11 +209,10 @@ class TestPolicies:
         from repro.staleness.auditor import StalenessAuditor
         from repro.workload.executor import WorkloadExecutor
         from repro.workload.workloads import WORKLOAD_A
-        from tests.geo.conftest import build_geo_topology
 
         cluster = SimulatedCluster(
             ClusterConfig(
-                topology=build_geo_topology(),
+                topology=build_wan_topology(),
                 replication_factors={"alpha": 3},  # beta/gamma hold nothing
                 seed=2,
             )
@@ -223,7 +220,7 @@ class TestPolicies:
         executor = WorkloadExecutor(
             cluster,
             WORKLOAD_A.scaled(record_count=30, operation_count=200),
-            StaticGeoPolicy(),  # LOCAL_QUORUM/LOCAL_ONE, unpinned
+            make_policy("local_quorum"),  # LOCAL_QUORUM/LOCAL_ONE, unpinned
             threads=3,
             auditor=StalenessAuditor(),
         )
@@ -237,18 +234,17 @@ class TestPolicies:
         from repro.staleness.auditor import StalenessAuditor
         from repro.workload.executor import WorkloadExecutor
         from repro.workload.workloads import WORKLOAD_A
-        from tests.geo.conftest import build_geo_topology
 
         cluster = SimulatedCluster(
             ClusterConfig(
-                topology=build_geo_topology(),
+                topology=build_wan_topology(),
                 replication_factors={"alpha": 3, "beta": 2},  # gamma holds nothing
                 seed=3,
             )
         )
         for policy in (
-            StaticGeoPolicy(),
-            GeoHarmonyPolicy(config=HarmonyConfig(monitoring_interval=0.05)),
+            make_policy("local_quorum"),
+            GeoReadPolicy(HarmonyConfig(monitoring_interval=0.05)),
         ):
             executor = WorkloadExecutor(
                 cluster,
@@ -262,9 +258,8 @@ class TestPolicies:
             assert metrics.counters.total == 150
 
     def test_geo_harmony_policy_attach_detach(self, geo_cluster):
-        policy = GeoHarmonyPolicy(
-            tolerated_stale_rates={"alpha": 0.2},
-            config=HarmonyConfig(monitoring_interval=0.1),
+        policy = GeoReadPolicy(
+            HarmonyConfig(monitoring_interval=0.1), tolerated_stale_rates={"alpha": 0.2}
         )
         assert policy.read_level("alpha") is ConsistencyLevel.LOCAL_ONE
         plane = ControlPlane(geo_cluster)
@@ -285,9 +280,9 @@ class TestPerDatacenterMonitoring:
         exactly as exposed to staleness as the site coordinating the writes
         -- its model must see the global write rate, not its own (zero) one.
         """
-        from repro.core.monitor import ClusterMonitor
+        from repro.control.monitor import ClusterMonitor
 
-        monitor = ClusterMonitor(geo_cluster, HarmonyConfig())
+        monitor = ClusterMonitor(geo_cluster)
         monitor.prime()
         # Writes only through alpha's coordinators, reads only through beta's.
         for i in range(30):
@@ -307,8 +302,8 @@ class TestPerDatacenterMonitoring:
         assert samples["alpha"].datacenter == "alpha"
 
     def test_per_dc_latency_reflects_wan_distance(self, geo_cluster, monkeypatch):
-        from repro.core import monitor as monitor_module
-        from repro.core.monitor import ClusterMonitor
+        from repro.control import monitor as monitor_module
+        from repro.control.monitor import ClusterMonitor
 
         monkeypatch.setattr(monitor_module, "LATENCY_PROBES_PER_SAMPLE", 64)
         monitor = ClusterMonitor(geo_cluster)
@@ -318,8 +313,8 @@ class TestPerDatacenterMonitoring:
         assert 0.0002 < latency < 0.008
 
     def test_unknown_datacenter_rejected(self, geo_cluster):
-        from repro.core.monitor import ClusterMonitor
+        from repro.control.monitor import ClusterMonitor
 
-        monitor = ClusterMonitor(geo_cluster, HarmonyConfig())
+        monitor = ClusterMonitor(geo_cluster)
         with pytest.raises(ValueError, match="unknown datacenter"):
             monitor.sample_datacenter("nowhere")

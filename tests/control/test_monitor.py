@@ -9,8 +9,8 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
-from repro.core import monitor as monitor_module
-from repro.core.monitor import ClusterMonitor
+from repro.control import monitor as monitor_module
+from repro.control.monitor import ClusterMonitor
 from repro.network.latency import ConstantLatency
 
 
@@ -111,7 +111,6 @@ def test_the_monitor_keeps_no_sample_history():
     assert [ref() for ref in taken if ref() is not None] == []
     assert set(vars(monitor)) == {
         "cluster",
-        "config",
         "_previous",
         "_previous_by_dc",
         "_previous_global_by_dc",

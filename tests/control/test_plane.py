@@ -15,7 +15,7 @@ from repro.control.plane import (
     LevelPolicy,
     resolve_level,
 )
-from repro.core.config import HarmonyConfig
+from repro.control.policies import GeoReadPolicy, HarmonyConfig
 
 
 class CountingPolicy(ControlPolicy):
@@ -165,13 +165,11 @@ class TestDecisionAccounting:
 
 
 class TestLegacyControllersShareTheSpine:
-    """The workload-facing names construct the very policies a plane ticks."""
+    """The level policy the executor asks for levels is the object a plane ticks."""
 
     def test_geo_policy_runs_on_a_plane(self, geo_cluster):
-        from repro.geo import GeoHarmonyPolicy
-
         plane = ControlPlane(geo_cluster)
-        plane.add(GeoHarmonyPolicy(config=HarmonyConfig(monitoring_interval=0.1)))
+        plane.add(GeoReadPolicy(HarmonyConfig(monitoring_interval=0.1)))
         plane.start()
         geo_cluster.engine.run_until(0.25)
         plane.stop()

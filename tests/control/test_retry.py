@@ -13,9 +13,9 @@ import pytest
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
 from repro.control import retry as retry_module
+from repro.control.plane import LevelPolicy
 from repro.control.retry import DowngradeRetryPolicy, RetryPolicy, backoff_delay
 from repro.experiments.scenarios import GRID5000_3SITES
-from repro.geo.policy import StaticGeoPolicy
 from repro.staleness.auditor import StalenessAuditor
 from repro.workload.executor import WorkloadExecutor
 from repro.workload.workloads import WORKLOAD_A
@@ -64,9 +64,7 @@ class TestPolicies:
 def outage_executor(retry_policy, *, seed=5, operation_count=300):
     """EACH_QUORUM traffic from Rennes/Nancy fleets while Sophia is down."""
     cluster = SimulatedCluster(GRID5000_3SITES.cluster_config(seed=seed))
-    policy = StaticGeoPolicy(
-        read=ConsistencyLevel.EACH_QUORUM, write=ConsistencyLevel.EACH_QUORUM
-    )
+    policy = LevelPolicy(ConsistencyLevel.EACH_QUORUM, ConsistencyLevel.EACH_QUORUM)
     executor = WorkloadExecutor(
         cluster,
         WORKLOAD_A.scaled(record_count=50, operation_count=operation_count),

@@ -6,8 +6,7 @@ import pytest
 
 from repro.cluster.consistency import ConsistencyLevel
 from repro.control.plane import ControlPlane
-from repro.control.policies import GeoReadWritePolicy
-from repro.core.config import HarmonyConfig
+from repro.control.policies import GeoReadWritePolicy, HarmonyConfig, make_policy
 
 from tests.control.conftest import make_sample
 
@@ -107,9 +106,7 @@ class TestDecisions:
 
 class TestExecutorPolicyWrapper:
     def test_rw_policy_attach_and_levels(self, geo_cluster):
-        from repro.geo.policy import GeoHarmonyRWPolicy
-
-        policy = GeoHarmonyRWPolicy(config=HarmonyConfig(monitoring_interval=0.05))
+        policy = GeoReadWritePolicy(HarmonyConfig(monitoring_interval=0.05))
         assert policy.read_level("alpha") is ConsistencyLevel.LOCAL_ONE
         assert policy.write_level("alpha") is ConsistencyLevel.LOCAL_ONE
         plane = ControlPlane(geo_cluster)
@@ -128,7 +125,6 @@ class TestExecutorPolicyWrapper:
         plane.stop()
 
     def test_make_policy_builds_rw_from_scenario(self):
-        from repro.experiments.runner import make_policy
         from repro.experiments.scenarios import GRID5000_3SITES
 
         policy = make_policy("geo-harmony-rw", GRID5000_3SITES)

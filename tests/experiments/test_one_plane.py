@@ -27,8 +27,7 @@ from repro.control.policies import (
     ScaleOutConfig,
     ScaleOutPolicy,
 )
-from repro.core.config import HarmonyConfig
-from repro.experiments.runner import make_policy
+from repro.control.policies import HarmonyConfig, make_policy
 from repro.experiments.scenarios import GRID5000_3SITES_ELASTIC as SCENARIO
 from repro.extensions.categories import (
     CategorizedHarmonyPolicy,

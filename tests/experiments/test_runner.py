@@ -6,62 +6,13 @@ import pickle
 
 import pytest
 
-from repro.control.policies import HarmonyReadPolicy
-from repro.core.policy import StaticEventualPolicy, ThresholdPolicy
+from repro.control.policies import make_policy
 from repro.experiments import runner
-from repro.experiments.runner import ExperimentConfig, make_policy, run_experiment
+from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.experiments.scenarios import GRID5000, GRID5000_3SITES, GRID5000_3SITES_ADAPTIVE
 from repro.workload.workloads import WORKLOAD_A, WORKLOAD_B
 
 SMALL = WORKLOAD_A.scaled(record_count=80, operation_count=400)
-
-
-class TestMakePolicy:
-    def test_builds_static_policies(self):
-        assert make_policy("eventual", GRID5000).label == "eventual"
-        assert make_policy("strong", GRID5000).label == "strong"
-        assert make_policy("quorum", GRID5000).label == "quorum"
-
-    def test_builds_harmony_with_fraction_or_percent(self):
-        a = make_policy("harmony-0.2", GRID5000)
-        b = make_policy("harmony-20%", GRID5000)
-        c = make_policy("harmony-20", GRID5000)
-        assert isinstance(a, HarmonyReadPolicy)
-        assert a.config.tolerated_stale_rate == pytest.approx(0.2)
-        assert b.config.tolerated_stale_rate == pytest.approx(0.2)
-        assert c.config.tolerated_stale_rate == pytest.approx(0.2)
-
-    @pytest.mark.parametrize(
-        "name,rate",
-        [
-            ("harmony-1%", 0.01),  # was 100 %: the % was stripped before the > 1 rule ran
-            ("harmony-0.5%", 0.005),  # was 50 %
-            ("harmony-20%", 0.2),
-            ("harmony-0.2", 0.2),
-            ("harmony-20", 0.2),
-        ],
-    )
-    def test_percent_sign_divides_by_100(self, name, rate):
-        policy = make_policy(name, GRID5000)
-        assert policy.config.tolerated_stale_rate == pytest.approx(rate)
-        assert policy.label == f"harmony-{int(round(rate * 100))}%"
-
-    def test_a_rate_above_100_percent_is_rejected(self):
-        with pytest.raises(ValueError, match="tolerated_stale_rate"):
-            make_policy("harmony-150", GRID5000)
-
-    def test_harmony_monitoring_interval_override(self):
-        policy = make_policy("harmony-0.3", GRID5000, monitoring_interval=0.123)
-        assert policy.config.monitoring_interval == pytest.approx(0.123)
-
-    def test_builds_threshold_policy(self):
-        policy = make_policy("threshold-0.5", GRID5000)
-        assert isinstance(policy, ThresholdPolicy)
-        assert policy.threshold == pytest.approx(0.5)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            make_policy("chaos", GRID5000)
 
 
 class TestExperimentConfig:
@@ -105,7 +56,7 @@ class TestRunExperiment:
 
     def test_accepts_policy_objects(self):
         result = run_experiment(
-            GRID5000, SMALL, StaticEventualPolicy(), threads=2, seed=1, n_nodes=6
+            GRID5000, SMALL, make_policy("eventual"), threads=2, seed=1, n_nodes=6
         )
         assert result.metrics.policy_name == "eventual"
 
@@ -197,11 +148,12 @@ class TestResultPlane:
 class TestOneSweep:
     def test_the_runner_makes_single_runs_and_the_figures_sweep(self):
         # Fig. 5 / 6's thread sweep is ``figures.figure_5_6_thread_sweep``
-        # over ``FigureDefaults.run``; the runner holds no second one.
+        # over ``FigureDefaults.run``; the runner holds no second one.  Policy
+        # names resolve in ``repro.control.make_policy``.
         from repro.experiments import figures
 
         assert runner.__all__ == [
-            "ExperimentConfig", "ExperimentResult", "RunRecord", "run_experiment", "make_policy"
+            "ExperimentConfig", "ExperimentResult", "RunRecord", "run_experiment"
         ]
         assert not [name for name in vars(runner) if "sweep" in name]
         assert callable(figures.figure_5_6_thread_sweep)

@@ -7,7 +7,7 @@ import pytest
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
 from repro.control.plane import ControlPlane
-from repro.core.config import HarmonyConfig
+from repro.control.policies import HarmonyConfig
 from repro.extensions.categories import (
     CategorizedHarmonyPolicy,
     ConsistencyCategorizer,

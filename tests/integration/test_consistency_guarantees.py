@@ -14,7 +14,7 @@ from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel, is_strongly_consistent
 from repro.cluster.node import NodeConfig
 from repro.control.plane import LevelPolicy
-from repro.core.policy import StaticEventualPolicy, StaticStrongPolicy
+from repro.control.policies import make_policy
 from repro.staleness.auditor import StalenessAuditor
 from repro.workload.executor import WorkloadExecutor
 from repro.workload.workloads import WORKLOAD_A
@@ -52,7 +52,7 @@ def run(policy: LevelPolicy, seed: int = 0, threads: int = 8, rf: int = 3):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_strong_reads_are_never_stale(seed):
-    _, metrics, auditor = run(StaticStrongPolicy(), seed=seed)
+    _, metrics, auditor = run(make_policy("strong"), seed=seed)
     assert metrics.staleness is auditor.stats
     assert metrics.staleness.judged_reads > 0
     assert metrics.staleness.stale_reads == 0
@@ -79,13 +79,13 @@ def test_eventual_consistency_produces_stale_reads_under_heavy_updates():
     least some reads observe stale data (this is the premise of the paper)."""
     stale_total = 0
     for seed in (0, 1, 2, 3):
-        _, metrics, _ = run(StaticEventualPolicy(), seed=seed, threads=16)
+        _, metrics, _ = run(make_policy("eventual"), seed=seed, threads=16)
         stale_total += metrics.staleness.stale_reads
     assert stale_total > 0
 
 
 def test_eventual_consistency_converges_after_the_run():
-    cluster, _, _ = run(StaticEventualPolicy(), seed=5)
+    cluster, _, _ = run(make_policy("eventual"), seed=5)
     cluster.settle()
     # After background propagation and read repair drain, replicas agree.
     for i in range(100):
@@ -93,7 +93,7 @@ def test_eventual_consistency_converges_after_the_run():
 
 
 def test_all_writes_are_durable_at_every_replica_after_settle():
-    cluster, metrics, auditor = run(StaticEventualPolicy(), seed=6)
+    cluster, metrics, auditor = run(make_policy("eventual"), seed=6)
     cluster.settle()
     for i in range(100):
         key = f"user{i}"

@@ -13,7 +13,8 @@ import pytest
 
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
-from repro.experiments.runner import make_policy, run_experiment
+from repro.control.policies import make_policy
+from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import GRID5000_3SITES, grid5000_3sites_faults
 from repro.faults.schedule import DatacenterOutage, FaultInjector, FaultSchedule
 from repro.faults.timeline import FaultTimeline

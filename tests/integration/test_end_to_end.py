@@ -17,8 +17,7 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.node import NodeConfig
-from repro.core.config import HarmonyConfig
-from repro.core.policy import HarmonyPolicy, StaticEventualPolicy, StaticStrongPolicy
+from repro.control.policies import HarmonyConfig, HarmonyReadPolicy, make_policy
 from repro.staleness.auditor import StalenessAuditor
 from repro.workload.executor import WorkloadExecutor
 from repro.workload.workloads import WORKLOAD_A, WORKLOAD_B
@@ -55,10 +54,8 @@ def run_policy(policy, seed=1, threads=16, workload=WORKLOAD_A, operations=1200)
     return executor.run()
 
 
-def harmony(asr: float) -> HarmonyPolicy:
-    return HarmonyPolicy(
-        config=HarmonyConfig(tolerated_stale_rate=asr, monitoring_interval=0.02)
-    )
+def harmony(asr: float) -> HarmonyReadPolicy:
+    return HarmonyReadPolicy(HarmonyConfig(tolerated_stale_rate=asr, monitoring_interval=0.02))
 
 
 class TestHarmonyGuarantees:
@@ -90,8 +87,8 @@ class TestPolicyOrdering:
     @pytest.fixture(scope="class")
     def results(self):
         return {
-            "eventual": run_policy(StaticEventualPolicy(), threads=20),
-            "strong": run_policy(StaticStrongPolicy(), threads=20),
+            "eventual": run_policy(make_policy("eventual"), threads=20),
+            "strong": run_policy(make_policy("strong"), threads=20),
             "harmony": run_policy(harmony(0.2), threads=20),
         }
 
@@ -122,11 +119,11 @@ class TestPublicApiQuickstart:
         """The exact flow documented in the package docstring / README."""
         from repro import (
             ClusterConfig,
-            HarmonyPolicy,
             SimulatedCluster,
             StalenessAuditor,
             WORKLOAD_A,
             WorkloadExecutor,
+            make_policy,
         )
 
         cluster = SimulatedCluster(ClusterConfig(n_nodes=6, replication_factor=3, seed=7))
@@ -134,7 +131,7 @@ class TestPublicApiQuickstart:
         executor = WorkloadExecutor(
             cluster,
             WORKLOAD_A.scaled(record_count=200, operation_count=2000),
-            HarmonyPolicy(tolerated_stale_rate=0.2),
+            make_policy("harmony-20%"),
             threads=8,
             auditor=auditor,
         )

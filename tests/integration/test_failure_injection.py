@@ -13,8 +13,7 @@ from repro.cluster import coordinator as coordinator_module
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
 from repro.cluster.node import NodeConfig
-from repro.core.config import HarmonyConfig
-from repro.core.policy import HarmonyPolicy, StaticEventualPolicy
+from repro.control.policies import HarmonyConfig, HarmonyReadPolicy, make_policy
 from repro.staleness.auditor import StalenessAuditor
 from repro.workload.executor import WorkloadExecutor
 from repro.workload.workloads import WORKLOAD_A
@@ -102,7 +101,7 @@ class TestNodeFailure:
         executor = WorkloadExecutor(
             cluster,
             WORKLOAD_A.scaled(record_count=60, operation_count=300),
-            StaticEventualPolicy(),
+            make_policy("eventual"),
             threads=4,
             auditor=auditor,
         )
@@ -132,7 +131,7 @@ class TestHintReplayAfterRestart:
         executor = WorkloadExecutor(
             cluster,
             WORKLOAD_A.scaled(record_count=60, operation_count=1200),
-            StaticEventualPolicy(),
+            make_policy("eventual"),
             threads=4,
             think_time=0.005,
         )
@@ -289,7 +288,7 @@ class TestMessageLoss:
         executor = WorkloadExecutor(
             cluster,
             WORKLOAD_A.scaled(record_count=50, operation_count=300),
-            StaticEventualPolicy(),
+            make_policy("eventual"),
             threads=4,
         )
         metrics = executor.run()
@@ -300,8 +299,8 @@ class TestMessageLoss:
         cluster = build_cluster(seed=7, datacenters=2)
         cluster.fabric.set_pair_loss("dc1", "dc2", 0.01)
         auditor = StalenessAuditor()
-        policy = HarmonyPolicy(
-            config=HarmonyConfig(tolerated_stale_rate=0.3, monitoring_interval=0.05)
+        policy = HarmonyReadPolicy(
+            HarmonyConfig(tolerated_stale_rate=0.3, monitoring_interval=0.05)
         )
         executor = WorkloadExecutor(
             cluster,

@@ -1,6 +1,6 @@
 """Integration tests: DC-aware consistency levels on a three-site cluster.
 
-The cluster comes from ``tests/geo/conftest.py``: sites alpha/beta/gamma with
+The cluster comes from ``tests/control/conftest.py``: sites alpha/beta/gamma with
 per-site replica counts {3, 2, 2} and constant WAN latencies (5-8 ms one-way)
 that dwarf the 0.2 ms LAN, so "did this operation cross the WAN?" is directly
 visible in latencies and acknowledgement sets.
@@ -11,14 +11,12 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.consistency import ConsistencyLevel
-from repro.core.config import HarmonyConfig
-from repro.core.policy import StaticEventualPolicy
-from repro.geo import GeoHarmonyPolicy
+from repro.control.policies import GeoReadPolicy, HarmonyConfig, make_policy
 from repro.staleness.auditor import StalenessAuditor
 from repro.workload.executor import WorkloadExecutor
 from repro.workload.workloads import WORKLOAD_A, WORKLOAD_B, WORKLOAD_C, WORKLOAD_D
 
-from tests.geo.conftest import WAN_AB, build_geo_cluster
+from tests.control.conftest import WAN_AB, build_geo_cluster
 
 
 @pytest.fixture
@@ -105,9 +103,9 @@ class TestLocalOne:
 class TestGeoWorkload:
     def test_pinned_threads_and_per_dc_metrics(self, cluster):
         auditor = StalenessAuditor()
-        policy = GeoHarmonyPolicy(
+        policy = GeoReadPolicy(
+            HarmonyConfig(monitoring_interval=0.02),
             tolerated_stale_rates={"alpha": 0.2, "beta": 0.4, "gamma": 0.4},
-            config=HarmonyConfig(monitoring_interval=0.02),
         )
         executor = WorkloadExecutor(
             cluster,
@@ -147,7 +145,7 @@ class TestGeoWorkload:
         executor = WorkloadExecutor(
             cluster,
             workload.scaled(record_count=60, operation_count=600),
-            StaticEventualPolicy(),
+            make_policy("eventual"),
             threads=3,
             datacenters=["alpha", "beta", "gamma"],
         )
@@ -174,7 +172,7 @@ class TestGeoWorkload:
             WorkloadExecutor(
                 cluster,
                 WORKLOAD_A.scaled(record_count=10, operation_count=10),
-                GeoHarmonyPolicy(),
+                GeoReadPolicy(),
                 threads=2,
                 datacenters=["alpha", "nowhere"],
             )

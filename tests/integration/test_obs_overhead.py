@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 
 from repro.cluster.cluster import SimulatedCluster
-from repro.core.policy import StaticQuorumPolicy
+from repro.control.policies import make_policy
 from repro.experiments.scenarios import SCALE_100
 from repro.obs.tracer import Tracer
 from repro.staleness.auditor import StalenessAuditor
@@ -41,7 +41,7 @@ def run_once(traced: bool):
     executor = WorkloadExecutor(
         cluster,
         workload,
-        StaticQuorumPolicy(),
+        make_policy("quorum"),
         threads=THREADS,
         auditor=StalenessAuditor(),
         tracer=tracer,

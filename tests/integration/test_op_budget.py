@@ -46,7 +46,7 @@ from array import array
 from dataclasses import replace
 
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
-from repro.core.policy import StaticQuorumPolicy
+from repro.control.policies import make_policy
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import GRID5000_3SITES_WAN, SCALE_100, SCALE_1000
 from repro.faults import timeline as timeline_module
@@ -89,7 +89,7 @@ def run_closed_loop(scenario, *, seed, records, ops, threads):
     and each node's ``writes_applied`` after the load."""
     cluster = SimulatedCluster(scenario.cluster_config(seed=seed))
     workload = WORKLOAD_A.scaled(record_count=records, operation_count=ops)
-    executor = WorkloadExecutor(cluster, workload, StaticQuorumPolicy(), threads=threads)
+    executor = WorkloadExecutor(cluster, workload, make_policy("quorum"), threads=threads)
     executor.load()
     # The bulk load is free: no engine event, no fabric message.
     assert cluster.engine.events_processed == 0 and cluster.fabric.stats.sent == 0
@@ -230,7 +230,7 @@ class TestRoutingState:
     def test_scale_100_routing_state_follows_placement_not_ops(self):
         cluster = SimulatedCluster(SCALE_100.cluster_config(seed=11))
         workload = WORKLOAD_A.scaled(record_count=120, operation_count=600)
-        executor = WorkloadExecutor(cluster, workload, StaticQuorumPolicy(), threads=20)
+        executor = WorkloadExecutor(cluster, workload, make_policy("quorum"), threads=20)
         results = []
         cluster.add_operation_observer(results.append)
         executor.load()
@@ -302,7 +302,7 @@ def live_bytes_after_writes(writes: int) -> int:
         )
         auditor = StalenessAuditor()
         executor = WorkloadExecutor(
-            cluster, workload, StaticQuorumPolicy(), threads=4, auditor=auditor
+            cluster, workload, make_policy("quorum"), threads=4, auditor=auditor
         )
         executor.run()
         cluster.settle()

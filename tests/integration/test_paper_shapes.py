@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.model import StaleReadModel, propagation_time
+from repro.control.estimator import StalenessEstimator
+from repro.control.monitor import propagation_time
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import EC2, GRID5000
 from repro.workload.workloads import WORKLOAD_A, WORKLOAD_B
@@ -128,13 +129,13 @@ class TestFigure4Shapes:
         assert a.metrics.estimate_series.mean() > b.metrics.estimate_series.mean()
 
     def test_analytic_estimate_grows_with_network_latency(self):
-        model = StaleReadModel(5)
+        estimator = StalenessEstimator({None: 5})
         values = [
-            model.stale_read_probability(
+            estimator.estimate(
                 read_rate=2000.0,
                 write_rate=2000.0,
                 propagation_time=propagation_time(latency_ms / 1e3, avg_write_size=1024),
-            )
+            ).probability
             for latency_ms in (0.5, 2, 10, 50)
         ]
         assert values == sorted(values)

@@ -14,7 +14,7 @@ import pytest
 
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.replication import NetworkTopologyStrategy
-from repro.core.policy import StaticQuorumPolicy
+from repro.control.policies import make_policy
 from repro.experiments.scenarios import SCALE_100, SCALE_300, ScenarioRegistry
 from repro.workload.executor import WorkloadExecutor
 from repro.workload.workloads import WORKLOAD_A
@@ -24,7 +24,7 @@ def run_scale_100(seed: int):
     """One small workload on the full 100-node SCALE_100 ring."""
     cluster = SimulatedCluster(SCALE_100.cluster_config(seed=seed))
     workload = WORKLOAD_A.scaled(record_count=120, operation_count=600)
-    executor = WorkloadExecutor(cluster, workload, StaticQuorumPolicy(), threads=20)
+    executor = WorkloadExecutor(cluster, workload, make_policy("quorum"), threads=20)
     executor.load()
     metrics = executor.run()
     return cluster, metrics

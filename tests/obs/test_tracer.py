@@ -6,7 +6,7 @@ import json
 
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
-from repro.core.policy import StaticEventualPolicy
+from repro.control.policies import make_policy
 from repro.obs.tracer import TraceEvent, Tracer
 from repro.workload.executor import WorkloadExecutor
 from repro.workload.workloads import WORKLOAD_A
@@ -116,7 +116,7 @@ class TestAttachment:
         tracer = Tracer().attach_cluster(cluster)
         workload = WORKLOAD_A.scaled(record_count=20, operation_count=60)
         executor = WorkloadExecutor(
-            cluster, workload, StaticEventualPolicy(), threads=4, tracer=tracer
+            cluster, workload, make_policy("eventual"), threads=4, tracer=tracer
         )
         executor.load()
         tracer.events.clear()  # look at the run phase only
@@ -133,7 +133,7 @@ class TestAttachment:
             tracer = Tracer().attach_cluster(cluster)
             workload = WORKLOAD_A.scaled(record_count=20, operation_count=60)
             executor = WorkloadExecutor(
-                cluster, workload, StaticEventualPolicy(), threads=4, tracer=tracer
+                cluster, workload, make_policy("eventual"), threads=4, tracer=tracer
             )
             executor.load()
             executor.run()

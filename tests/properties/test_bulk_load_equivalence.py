@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
-from repro.core.policy import StaticEventualPolicy
+from repro.control.policies import make_policy
 from repro.experiments.scenarios import GRID5000, GRID5000_3SITES, SCALE_100
 from repro.staleness.auditor import StalenessAuditor
 from repro.workload.executor import WorkloadExecutor
@@ -65,7 +65,7 @@ def loaded(config: ClusterConfig, records: int, load) -> tuple:
     cluster = SimulatedCluster(config)
     auditor = StalenessAuditor()
     workload = WORKLOAD_A.scaled(record_count=records, operation_count=1)
-    executor = WorkloadExecutor(cluster, workload, StaticEventualPolicy(), auditor=auditor)
+    executor = WorkloadExecutor(cluster, workload, make_policy("eventual"), auditor=auditor)
     load(executor)
     return cluster, auditor, executor.workload.load_keys()
 

@@ -21,7 +21,7 @@ import pytest
 
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.coordinator import CoordinatorConfig
-from repro.core.policy import StaticQuorumPolicy
+from repro.control.policies import make_policy
 from repro.experiments.scenarios import GRID5000_3SITES_ELASTIC, SCALE_100
 from repro.sim.rng import RandomStreams
 from repro.workload.executor import WorkloadExecutor
@@ -41,7 +41,7 @@ def per_node_names(address) -> tuple:
 
 def closed_loop(cluster: SimulatedCluster):
     workload = WORKLOAD_A.scaled(record_count=120, operation_count=600)
-    executor = WorkloadExecutor(cluster, workload, StaticQuorumPolicy(), threads=20)
+    executor = WorkloadExecutor(cluster, workload, make_policy("quorum"), threads=20)
     executor.load()
     metrics = executor.run()
     cluster.settle()

@@ -14,7 +14,8 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.model import StaleReadModel, propagation_time
+from repro.control.estimator import StalenessEstimator
+from repro.control.monitor import propagation_time
 
 # Parameter ranges representative of the simulation and of the paper's
 # platforms (rates up to tens of thousands of ops/s, propagation times up to
@@ -29,8 +30,8 @@ tolerated = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 @given(n=replication_factors, lr=rates, wr=rates, tp=propagation_times)
 @settings(max_examples=300, deadline=None)
 def test_probability_is_always_a_probability(n, lr, wr, tp):
-    model = StaleReadModel(n)
-    p = model.stale_read_probability(lr, wr, tp)
+    model = StalenessEstimator({None: n})
+    p = model.estimate(lr, wr, tp).probability
     assert 0.0 <= p <= 1.0
     assert not math.isnan(p)
 
@@ -39,8 +40,8 @@ def test_probability_is_always_a_probability(n, lr, wr, tp):
        asr=tolerated)
 @settings(max_examples=300, deadline=None)
 def test_required_replicas_always_within_bounds(n, lr, wr, tp, asr):
-    model = StaleReadModel(n)
-    xn = model.required_replicas(lr, wr, tp, tolerated_stale_rate=asr)
+    model = StalenessEstimator({None: n})
+    xn = model.estimate(lr, wr, tp, tolerated_stale_rate=asr).required_replicas
     assert 1 <= xn <= n
 
 
@@ -48,31 +49,31 @@ def test_required_replicas_always_within_bounds(n, lr, wr, tp, asr):
        tp1=propagation_times, tp2=propagation_times)
 @settings(max_examples=200, deadline=None)
 def test_probability_monotone_in_propagation_time(n, lr, wr, tp1, tp2):
-    model = StaleReadModel(n)
+    model = StalenessEstimator({None: n})
     low, high = sorted((tp1, tp2))
-    assert model.stale_read_probability(lr, wr, low) <= model.stale_read_probability(
+    assert model.estimate(lr, wr, low).probability <= model.estimate(
         lr, wr, high
-    ) + 1e-12
+    ).probability + 1e-12
 
 
 @given(n=replication_factors, lr=positive_rates, wr1=positive_rates, wr2=positive_rates,
        tp=propagation_times)
 @settings(max_examples=200, deadline=None)
 def test_probability_monotone_in_write_rate(n, lr, wr1, wr2, tp):
-    model = StaleReadModel(n)
+    model = StalenessEstimator({None: n})
     low, high = sorted((wr1, wr2))
-    assert model.stale_read_probability(lr, low, tp) <= model.stale_read_probability(
+    assert model.estimate(lr, low, tp).probability <= model.estimate(
         lr, high, tp
-    ) + 1e-12
+    ).probability + 1e-12
 
 
 @given(n=st.integers(min_value=2, max_value=9), lr=positive_rates, wr=positive_rates,
        tp=propagation_times)
 @settings(max_examples=200, deadline=None)
 def test_probability_decreases_as_more_replicas_are_read(n, lr, wr, tp):
-    model = StaleReadModel(n)
+    model = StalenessEstimator({None: n})
     values = [
-        model.stale_read_probability(lr, wr, tp, read_replicas=x) for x in range(1, n + 1)
+        model.estimate(lr, wr, tp, read_replicas=x).probability for x in range(1, n + 1)
     ]
     for earlier, later in zip(values, values[1:]):
         assert later <= earlier + 1e-12
@@ -83,11 +84,11 @@ def test_probability_decreases_as_more_replicas_are_read(n, lr, wr, tp):
        asr1=tolerated, asr2=tolerated)
 @settings(max_examples=200, deadline=None)
 def test_required_replicas_monotone_in_tolerance(n, lr, wr, tp, asr1, asr2):
-    model = StaleReadModel(n)
+    model = StalenessEstimator({None: n})
     low, high = sorted((asr1, asr2))
-    assert model.required_replicas(
+    assert model.estimate(
         lr, wr, tp, tolerated_stale_rate=high
-    ) <= model.required_replicas(lr, wr, tp, tolerated_stale_rate=low)
+    ).required_replicas <= model.estimate(lr, wr, tp, tolerated_stale_rate=low).required_replicas
 
 
 @given(n=replication_factors, lr=positive_rates, wr=positive_rates, tp=propagation_times)
@@ -95,13 +96,13 @@ def test_required_replicas_monotone_in_tolerance(n, lr, wr, tp, asr1, asr2):
 def test_decision_rule_consistency(n, lr, wr, tp):
     """If the tolerance is at least the estimate, one replica suffices; with
     zero tolerance under real load, every replica is required."""
-    model = StaleReadModel(n)
+    model = StalenessEstimator({None: n})
     estimate = model.estimate(lr, wr, tp, tolerated_stale_rate=0.0)
     if estimate.probability > 0:
         assert estimate.required_replicas == n
-    covering = model.required_replicas(
+    covering = model.estimate(
         lr, wr, tp, tolerated_stale_rate=min(1.0, estimate.probability)
-    )
+    ).required_replicas
     assert covering == 1
 
 
@@ -110,13 +111,13 @@ def test_decision_rule_consistency(n, lr, wr, tp):
 @settings(max_examples=200, deadline=None)
 def test_reading_xn_replicas_meets_the_tolerance(n, lr, wr, tp, asr):
     """Plugging Xn back into the probability formula satisfies the target."""
-    model = StaleReadModel(n)
-    xn = model.required_replicas(lr, wr, tp, tolerated_stale_rate=asr)
-    achieved = model.stale_read_probability(lr, wr, tp, read_replicas=xn)
+    model = StalenessEstimator({None: n})
+    xn = model.estimate(lr, wr, tp, tolerated_stale_rate=asr).required_replicas
+    achieved = model.estimate(lr, wr, tp, read_replicas=xn).probability
     # Clamping the X=1 probability to 1.0 can make the short-circuit branch
     # (asr >= probability -> one replica) slightly optimistic; outside that
     # branch the guarantee is exact.
-    if xn > 1 or asr >= 1.0 or model.stale_read_probability(lr, wr, tp) <= asr:
+    if xn > 1 or asr >= 1.0 or model.estimate(lr, wr, tp).probability <= asr:
         assert achieved <= asr + 1e-9
 
 

@@ -77,11 +77,11 @@ class TestValidation:
             run_parallel_experiment("scale_100", tiny, "quorum", 8, shards=4)
 
     def test_policy_must_be_named_not_instance(self):
-        from repro.core.policy import StaticQuorumPolicy
+        from repro.control.policies import make_policy
 
         with pytest.raises(ValueError, match="by name"):
             run_parallel_experiment(
-                "scale_100", SMALL, StaticQuorumPolicy(), 8, shards=4
+                "scale_100", SMALL, make_policy("quorum"), 8, shards=4
             )
 
     def test_fault_schedules_are_rejected(self):

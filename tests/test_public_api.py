@@ -28,7 +28,7 @@ PACKAGES = ["repro"] + sorted(
 
 
 def test_the_walk_finds_the_subpackages():
-    assert {"repro.sim", "repro.sim.parallel", "repro.core", "repro.network"} <= set(PACKAGES)
+    assert {"repro.sim", "repro.sim.parallel", "repro.control", "repro.network"} <= set(PACKAGES)
 
 
 @pytest.mark.parametrize("package", PACKAGES)

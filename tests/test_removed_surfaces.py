@@ -8,9 +8,12 @@ tests set to a second value -- they are module constants now -- with the
 classes left empty by that (``BackoffConfig``, ``MembershipConfig``) and the
 paths only a second value reached: ``SimpleStrategy``, ``RandomPartitioner``,
 global message loss, backoff jitter, the p99 scale-out trigger, repair pair
-subsets and per-link capacities.  No ``src/repro`` module may define or
-import their names again, their config fields stay off the config classes,
-and the names that selected them are rejected like any unknown name.
+subsets and per-link capacities.  When the paper's loop folded into
+``repro.control``, ``repro.core`` and ``repro.geo`` went, with the second
+model class (``StaleReadModel``) and the eight constructor names that
+duplicated :func:`~repro.control.make_policy`.  No ``src/repro`` module may
+define or import their names again, their config fields stay off the config
+classes, and the names that selected them are rejected like any unknown name.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import functools
+import importlib
 import os
 from collections import defaultdict
 from typing import Dict, Set
@@ -29,9 +33,7 @@ from repro.cluster.antientropy import AntiEntropyConfig
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.coordinator import CoordinatorConfig
 from repro.cluster.node import NodeConfig
-from repro.control.policies import RepairControlConfig, ScaleOutConfig
-from repro.core.config import HarmonyConfig
-from repro.experiments.runner import make_policy
+from repro.control.policies import HarmonyConfig, RepairControlConfig, ScaleOutConfig, make_policy
 from repro.network.transfers import BandwidthConfig
 from repro.experiments.scenarios import GRID5000
 from repro.workload.distributions import make_key_chooser
@@ -55,6 +57,15 @@ REMOVED_NAMES = [
     "MembershipConfig",
     "SimpleStrategy",
     "RandomPartitioner",
+    "StaleReadModel",
+    "HarmonyPolicy",
+    "StaticEventualPolicy",
+    "StaticStrongPolicy",
+    "StaticQuorumPolicy",
+    "ThresholdPolicy",
+    "GeoHarmonyPolicy",
+    "GeoHarmonyRWPolicy",
+    "StaticGeoPolicy",
 ]
 
 
@@ -157,6 +168,13 @@ def test_a_removed_config_field_is_rejected(config, field):
 def test_the_cluster_config_rejects_the_removed_strategy_and_global_loss(field, value):
     with pytest.raises(TypeError):
         ClusterConfig(**{field: value})
+
+
+@pytest.mark.parametrize("package", ["repro.core", "repro.geo"])
+def test_the_folded_packages_are_gone(package):
+    """The loop lives in ``repro.control``; its old homes import as nothing."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(package)
 
 
 def test_sla_policy_names_are_unknown():

@@ -9,7 +9,7 @@ import pytest
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
 from repro.cluster.node import NodeConfig
-from repro.core.policy import StaticEventualPolicy, StaticQuorumPolicy, StaticStrongPolicy
+from repro.control.policies import GeoReadPolicy, ThresholdReadPolicy, make_policy
 from repro.staleness.auditor import StalenessAuditor
 from repro.staleness.stats import StalenessStats
 from repro.workload.executor import WorkloadExecutor
@@ -54,7 +54,7 @@ class TestLoadPhase:
         executor = WorkloadExecutor(
             cluster,
             WORKLOAD_A.scaled(record_count=40, operation_count=10),
-            StaticEventualPolicy(),
+            make_policy("eventual"),
             threads=1,
             auditor=timeline,
         )
@@ -78,7 +78,7 @@ class TestLoadPhase:
         executor = WorkloadExecutor(
             cluster,
             WORKLOAD_A.scaled(record_count=10, operation_count=1),
-            StaticEventualPolicy(),
+            make_policy("eventual"),
             threads=1,
         )
         loaded = executor.load()
@@ -95,7 +95,7 @@ class TestLoadPhase:
         assert all(cell.value == "new" for cell in cells.values())
 
     def test_run_loads_automatically_if_needed(self):
-        metrics = run_workload(StaticEventualPolicy())
+        metrics = run_workload(make_policy("eventual"))
         assert metrics.counters.total == 400
 
 
@@ -103,17 +103,13 @@ class TestControlPlane:
     """The executor owns the run's plane and registers the policy on it at once."""
 
     def test_policy_validation_fails_at_construction(self):
-        from repro.geo import GeoHarmonyPolicy
-
         workload = WORKLOAD_A.scaled(record_count=10, operation_count=10)
         with pytest.raises(ValueError, match="NetworkTopologyStrategy"):
-            WorkloadExecutor(make_cluster(), workload, GeoHarmonyPolicy())
+            WorkloadExecutor(make_cluster(), workload, GeoReadPolicy())
 
     def test_the_plane_runs_exactly_as_long_as_the_run_phase(self):
-        from repro.core.policy import ThresholdPolicy
-
         cluster = make_cluster()
-        policy = ThresholdPolicy(0.3, monitoring_interval=0.01)
+        policy = ThresholdReadPolicy(0.3, monitoring_interval=0.01)
         executor = WorkloadExecutor(
             cluster, WORKLOAD_A.scaled(record_count=40, operation_count=400), policy, threads=4
         )
@@ -127,11 +123,11 @@ class TestControlPlane:
 
 class TestRunPhase:
     def test_operation_budget_is_respected(self):
-        metrics = run_workload(StaticEventualPolicy(), threads=7)
+        metrics = run_workload(make_policy("eventual"), threads=7)
         assert metrics.counters.total == 400
 
     def test_metrics_split_reads_and_writes(self):
-        metrics = run_workload(StaticEventualPolicy())
+        metrics = run_workload(make_policy("eventual"))
         assert metrics.counters.reads > 0
         assert metrics.counters.writes > 0
         assert metrics.counters.reads + metrics.counters.writes == 400
@@ -139,38 +135,38 @@ class TestRunPhase:
         assert metrics.write_latency.count == metrics.counters.writes
 
     def test_throughput_and_duration_are_positive(self):
-        metrics = run_workload(StaticEventualPolicy())
+        metrics = run_workload(make_policy("eventual"))
         assert metrics.duration > 0
         assert metrics.ops_per_second() > 0
 
     def test_ops_per_second_is_completed_reads_and_writes_over_duration(self):
-        metrics = run_workload(StaticEventualPolicy())
+        metrics = run_workload(make_policy("eventual"))
         counters = metrics.counters
         assert metrics.ops_per_second() == (counters.reads + counters.writes) / metrics.duration
 
     def test_policy_levels_are_used(self):
-        eventual = run_workload(StaticEventualPolicy())
+        eventual = run_workload(make_policy("eventual"))
         assert set(eventual.consistency_level_usage) == {"ONE"}
-        strong = run_workload(StaticStrongPolicy())
+        strong = run_workload(make_policy("strong"))
         assert set(strong.consistency_level_usage) == {"ALL"}
-        quorum = run_workload(StaticQuorumPolicy())
+        quorum = run_workload(make_policy("quorum"))
         assert set(quorum.consistency_level_usage) == {"QUORUM"}
 
     def test_more_threads_do_not_lose_operations(self):
         for threads in (1, 3, 9):
-            metrics = run_workload(StaticEventualPolicy(), threads=threads)
+            metrics = run_workload(make_policy("eventual"), threads=threads)
             assert metrics.counters.total == 400
 
     def test_the_auditor_stats_are_the_staleness_account(self):
         auditor = StalenessAuditor()
-        metrics = run_workload(StaticEventualPolicy(), auditor=auditor)
+        metrics = run_workload(make_policy("eventual"), auditor=auditor)
         assert metrics.staleness is auditor.stats
         assert metrics.staleness_by_dc is auditor.stats_by_dc
         staleness = metrics.staleness
         assert staleness.judged_reads + staleness.unknown_reads == metrics.counters.reads
 
     def test_without_an_auditor_the_staleness_account_is_empty(self):
-        metrics = run_workload(StaticEventualPolicy())
+        metrics = run_workload(make_policy("eventual"))
         assert metrics.counters.reads > 0
         assert metrics.staleness.summary() == StalenessStats().summary()
         assert metrics.staleness.unknown_reads == 0
@@ -178,11 +174,11 @@ class TestRunPhase:
 
     def test_strong_reads_are_never_stale(self):
         auditor = StalenessAuditor()
-        metrics = run_workload(StaticStrongPolicy(), auditor=auditor, threads=8)
+        metrics = run_workload(make_policy("strong"), auditor=auditor, threads=8)
         assert metrics.staleness.stale_reads == 0
 
     def test_summary_row_has_expected_columns(self):
-        metrics = run_workload(StaticEventualPolicy())
+        metrics = run_workload(make_policy("eventual"))
         row = metrics.summary()
         for column in ("policy", "threads", "throughput_ops_s", "read_p99_ms", "stale_reads"):
             assert column in row
@@ -193,17 +189,17 @@ class TestRunPhase:
             WorkloadExecutor(
                 cluster,
                 WORKLOAD_A.scaled(record_count=10, operation_count=10),
-                StaticEventualPolicy(),
+                make_policy("eventual"),
                 threads=0,
             )
 
     def test_think_time_slows_the_run_down(self):
-        fast = run_workload(StaticEventualPolicy(), threads=2)
+        fast = run_workload(make_policy("eventual"), threads=2)
         cluster = make_cluster()
         slow_executor = WorkloadExecutor(
             cluster,
             WORKLOAD_A.scaled(record_count=60, operation_count=400),
-            StaticEventualPolicy(),
+            make_policy("eventual"),
             threads=2,
             think_time=0.01,
         )
