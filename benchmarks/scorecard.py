@@ -177,7 +177,7 @@ def _fig4b(d: FigureDefaults) -> Sections:
     )
     rows.compare(
         "fig4b.analytic_saturates",
-        "high latency dominates: the estimate reaches StaleReadModel's clamp at 1.0",
+        "high latency dominates: the estimate reaches StalenessEstimator.estimate's clamp at 1.0",
         {f"model@{high}": model[-1]}, "==", 1.0,
     )
     rows.compare(

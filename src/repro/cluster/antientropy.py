@@ -805,7 +805,6 @@ class AntiEntropyService:
         cluster = self.cluster
         stats = self.stats[session.pair]
         fabric = cluster.fabric
-        topology = cluster.topology
         limit = self.stream_backlog_limit
         pace = limit is not None and fabric.bandwidth_enabled
         for index, key in enumerate(keys):
@@ -833,7 +832,7 @@ class AntiEntropyService:
             replicas = cluster.replicas_for(key)
             source: Optional[NodeAddress] = None
             for replica in replicas:
-                if topology.datacenter_of(replica) not in session.pair:
+                if replica.datacenter not in session.pair:
                     continue
                 node = cluster.nodes[replica]
                 if not node.is_up:
@@ -844,9 +843,9 @@ class AntiEntropyService:
                     break
             if source is None:
                 continue
-            source_dc = topology.datacenter_of(source)
+            source_dc = source.datacenter
             for replica in replicas:
-                if replica is source or topology.datacenter_of(replica) not in session.pair:
+                if replica is source or replica.datacenter not in session.pair:
                     continue
                 node = cluster.nodes[replica]
                 if not node.is_up:
@@ -854,7 +853,7 @@ class AntiEntropyService:
                 cell = node.peek(key)
                 if cell is None or newest.is_newer_than(cell):
                     stats.cells_streamed += 1
-                    if topology.datacenter_of(replica) != source_dc:
+                    if replica.datacenter != source_dc:
                         stats.bytes_sent += newest.size_bytes
                     fabric.send(
                         source,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import partial
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -61,6 +62,19 @@ VNODES = 8
 
 def _discard_result(result: "OperationResult") -> None:
     """Completion sink for fire-and-forget operations (no callback given)."""
+
+
+def _notify_then(
+    observers: List[Callable[["OperationResult"], None]],
+    callback: Optional[Callable[["OperationResult"], None]],
+    result: "OperationResult",
+) -> None:
+    """Completion sink of an observed operation: every registered operation
+    observer, then the caller's own callback (if any)."""
+    for observer in observers:
+        observer(result)
+    if callback is not None:
+        callback(result)
 
 
 class NoLiveCoordinator(RuntimeError):
@@ -298,8 +312,8 @@ class SimulatedCluster:
             self.nodes[address] = node
             self.coordinators[address] = coordinator
             node.set_response_sinks(
-                coordinator.handle_read_response_payload,
-                coordinator.handle_write_response_payload,
+                coordinator.on_read_response,
+                coordinator.on_write_response,
             )
             self.fabric.register(address, node.handle_message)
         # Round-robin over (node, coordinator) pairs: picking a coordinator
@@ -437,29 +451,6 @@ class SimulatedCluster:
         """
         self._operation_observers.append(observer)
 
-    def _notify(self, result: OperationResult) -> None:
-        for observer in self._operation_observers:
-            observer(result)
-
-    def _completion_callback(
-        self, callback: Optional[Callable[[OperationResult], None]], notify_observers: bool
-    ) -> Callable[[OperationResult], None]:
-        """The observer fan-out closure for one operation.
-
-        Only called from :meth:`read`/:meth:`write` *after* their inlined
-        fast path established that observers must be notified; with no
-        registered observers (or notification suppressed) the callers pass
-        the client's own callback straight through and no per-operation
-        closure is allocated.
-        """
-
-        def on_complete(result: OperationResult) -> None:
-            self._notify(result)
-            if callback is not None:
-                callback(result)
-
-        return on_complete
-
     def _pick_coordinator(
         self, coordinator: Optional[NodeAddress], datacenter: Optional[str] = None
     ) -> Coordinator:
@@ -551,11 +542,14 @@ class SimulatedCluster:
         registered operation observers -- used by measurement probes that
         must not re-trigger themselves.
         """
-        # Inlined _completion_callback fast path (one call per operation).
-        if not notify_observers or not self._operation_observers:
-            on_complete = callback if callback is not None else _discard_result
+        # What the coordinator calls back: the caller's own callback, or with
+        # observers to notify, _notify_then bound to the live observer list
+        # (a C-level partial: no frame to build, one when the op completes).
+        observers = self._operation_observers
+        if notify_observers and observers:
+            on_complete = partial(_notify_then, observers, callback)
         else:
-            on_complete = self._completion_callback(callback, notify_observers)
+            on_complete = callback if callback is not None else _discard_result
         try:
             picked = self._pick_coordinator(coordinator, datacenter)
         except NoLiveCoordinator:
@@ -585,10 +579,14 @@ class SimulatedCluster:
         ``datacenter`` pins the coordinator to one site (see :meth:`write`);
         ``notify_observers=False`` skips the registered operation observers.
         """
-        if not notify_observers or not self._operation_observers:
-            on_complete = callback if callback is not None else _discard_result
+        # What the coordinator calls back: the caller's own callback, or with
+        # observers to notify, _notify_then bound to the live observer list
+        # (a C-level partial: no frame to build, one when the op completes).
+        observers = self._operation_observers
+        if notify_observers and observers:
+            on_complete = partial(_notify_then, observers, callback)
         else:
-            on_complete = self._completion_callback(callback, notify_observers)
+            on_complete = callback if callback is not None else _discard_result
         try:
             picked = self._pick_coordinator(coordinator, datacenter)
         except NoLiveCoordinator:

@@ -79,6 +79,11 @@ class ConsistencyLevel(enum.Enum):
     LOCAL_QUORUM = "LOCAL_QUORUM"
     EACH_QUORUM = "EACH_QUORUM"
 
+    #: Members hash by identity, as ``Enum`` compares them: a C-level slot
+    #: where ``Enum.__hash__`` is a Python call, paid on every operation by
+    #: the coordinator's and the control plane's tables keyed by level.
+    __hash__ = object.__hash__
+
     # ------------------------------------------------------------------
     def blocked_for(self, replication_factor: int) -> int:
         """Number of replica acknowledgements the coordinator waits for.

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from functools import partial
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -260,7 +261,7 @@ class Coordinator:
         self._topology = topology
         self.address = address
         #: The coordinator's own datacenter: what LOCAL_* levels block on.
-        self.datacenter = topology.datacenter_of(address)
+        self.datacenter = address.datacenter
         self._replicas_for = replicas_for
         self._counters = counters
         self.config = config or CoordinatorConfig()
@@ -383,7 +384,7 @@ class Coordinator:
                     # still receives the write, it just cannot count).
                     required_by_dc = dict(required_by_dc)
                     for target in extra:
-                        dc = self._topology.datacenter_of(target)
+                        dc = target.datacenter
                         if dc in required_by_dc:
                             required_by_dc[dc] += 1
                     required = sum(required_by_dc.values())
@@ -392,7 +393,8 @@ class Coordinator:
                 "write", key, consistency_level, required, replicas, callback
             )
         request_id = next(self._request_ids)
-        cell = self.mint(key, value, size_bytes, self._engine.now)
+        now = self._engine._now
+        cell = self.mint(key, value, size_bytes, now)
         pending = _PendingWrite(
             request_id=request_id,
             cell=cell,
@@ -401,7 +403,7 @@ class Coordinator:
             required_by_dc=required_by_dc,
             level=consistency_level,
             callback=callback,
-            started_at=self._engine.now,
+            started_at=now,
         )
         self._pending_writes[request_id] = pending
         payload = (request_id, cell)
@@ -476,7 +478,7 @@ class Coordinator:
             required_by_dc=required_by_dc,
             level=consistency_level,
             callback=callback,
-            started_at=self._engine.now,
+            started_at=self._engine._now,
         )
         self._pending_reads[request_id] = pending
         self._counters.coordinator_reads += 1
@@ -502,24 +504,16 @@ class Coordinator:
         return request_id
 
     # ------------------------------------------------------------------
-    # Response handling (wired up by SimulatedCluster)
-    # ------------------------------------------------------------------
-    def handle_write_response_payload(self, payload: Tuple) -> None:
-        """A WRITE_RESPONSE payload: ``(request_id, replica, is_repair)``."""
-        request_id = payload[0]
-        if payload[2] and self._blocking_repairs and request_id in self._blocking_repairs:
-            self._on_blocking_repair_ack(request_id)
-        else:
-            self._on_write_ack(request_id, payload[1])
-
-    def handle_read_response_payload(self, payload: Tuple) -> None:
-        """A READ_RESPONSE payload: ``(request_id, replica, cell)``."""
-        self._on_read_response(payload[0], payload[1], payload[2])
-
-    # ------------------------------------------------------------------
     # Write-path internals
     # ------------------------------------------------------------------
-    def _on_write_ack(self, request_id: int, replica: NodeAddress) -> None:
+    def on_write_response(self, payload: Tuple) -> None:
+        """A WRITE_RESPONSE payload, ``(request_id, replica, is_repair)``,
+        handed over by the co-located node (see SimulatedCluster): a replica
+        acknowledged a write, or a blocking read repair."""
+        request_id, replica, is_repair = payload
+        if is_repair and self._blocking_repairs and request_id in self._blocking_repairs:
+            self._on_blocking_repair_ack(request_id)
+            return
         pending = self._pending_writes.get(request_id)
         if pending is None:
             return
@@ -561,7 +555,7 @@ class Coordinator:
             consistency_level=pending.level,
             blocked_for=pending.required,
             started_at=pending.started_at,
-            completed_at=self._engine.now + REQUEST_OVERHEAD,
+            completed_at=self._engine._now + REQUEST_OVERHEAD,
             timed_out=timed_out,
             replicas=pending.replicas,
             responded=list(pending.acks),
@@ -590,7 +584,7 @@ class Coordinator:
         for replica in pending.replicas:
             if replica not in pending.acks:
                 self.hints.add(
-                    Hint(target=replica, cell=pending.cell, created_at=self._engine.now)
+                    Hint(target=replica, cell=pending.cell, created_at=self._engine._now)
                 )
                 self._counters.hints_stored += 1
                 stored += 1
@@ -618,9 +612,10 @@ class Coordinator:
     # ------------------------------------------------------------------
     # Read-path internals
     # ------------------------------------------------------------------
-    def _on_read_response(
-        self, request_id: int, replica: NodeAddress, cell: Optional[Cell]
-    ) -> None:
+    def on_read_response(self, payload: Tuple) -> None:
+        """A READ_RESPONSE payload, ``(request_id, replica, cell)``, handed
+        over by the co-located node (see SimulatedCluster)."""
+        request_id, replica, cell = payload
         pending = self._pending_reads.get(request_id)
         if pending is None:
             return
@@ -652,9 +647,13 @@ class Coordinator:
             self._complete_read(pending, timed_out=False)
 
     def _newest_response(self, pending: _PendingRead) -> Optional[Cell]:
+        # Cell.is_newer_than, inlined: every completed read passes here.
         newest: Optional[Cell] = None
         for cell in pending.responses.values():
-            if cell is not None and cell.is_newer_than(newest):
+            if cell is not None and (
+                newest is None
+                or (cell.timestamp, cell.value_id) > (newest.timestamp, newest.value_id)
+            ):
                 newest = cell
         return newest
 
@@ -672,7 +671,7 @@ class Coordinator:
             consistency_level=pending.level,
             blocked_for=pending.required,
             started_at=pending.started_at,
-            completed_at=self._engine.now + REQUEST_OVERHEAD,
+            completed_at=self._engine._now + REQUEST_OVERHEAD,
             timed_out=timed_out,
             replicas=pending.replicas,
             responded=list(pending.responses),
@@ -763,10 +762,15 @@ class Coordinator:
                 self._complete_read(pending, timed_out=False)
 
     def _maybe_read_repair(self, pending: _PendingRead, newest: Optional[Cell]) -> None:
-        """Send the newest observed cell to contacted replicas that are behind."""
+        """Send the newest observed cell to contacted replicas that are behind
+        (:meth:`_stale_responders` and ``Cell.is_newer_than``, inlined: every
+        read passes here)."""
         if newest is None:
             return
-        for replica in self._stale_responders(pending, newest):
+        version = (newest.timestamp, newest.value_id)
+        for replica, cell in pending.responses.items():
+            if cell is not None and not version > (cell.timestamp, cell.value_id):
+                continue
             self._fabric.send(
                 self.address,
                 replica,
@@ -801,7 +805,6 @@ class Coordinator:
         partitioned = fabric.has_partitions
         if not detector.any_down and not partitioned:
             return True
-        topology = self._topology
         local_dc = self.datacenter
         if required_by_dc is None:
             reachable = 0
@@ -809,7 +812,7 @@ class Coordinator:
                 if not detector.is_up(replica):
                     continue
                 if partitioned:
-                    dc = topology.datacenter_of(replica)
+                    dc = replica.datacenter
                     if dc != local_dc and fabric.is_partitioned(local_dc, dc):
                         continue
                 reachable += 1
@@ -823,7 +826,7 @@ class Coordinator:
                 return False
             have = 0
             for replica in replicas:
-                if topology.datacenter_of(replica) == dc and detector.is_up(replica):
+                if replica.datacenter == dc and detector.is_up(replica):
                     have += 1
                     if have >= need:
                         break
@@ -846,7 +849,7 @@ class Coordinator:
         any) never happened anywhere, which is what lets the staleness
         auditor ignore unavailable operations entirely.
         """
-        now = self._engine.now
+        now = self._engine._now
         self._counters.unavailable_rejections += 1
         result = OperationResult(
             op_type=op_type,
@@ -867,7 +870,7 @@ class Coordinator:
             self.tracer.op_complete(result)
         # Delivered through the event loop so callbacks never run re-entrantly
         # inside the caller's stack frame (same rule as every other response).
-        self._engine.call_at(self._engine.now, callback, result)
+        self._engine.call_at(now, callback, result)
         return next(self._request_ids)
 
     # ------------------------------------------------------------------
@@ -904,7 +907,7 @@ class Coordinator:
                 return cached
             counts: Dict[str, int] = {}
             for replica in replicas:
-                dc = self._topology.datacenter_of(replica)
+                dc = replica.datacenter
                 counts[dc] = counts.get(dc, 0) + 1
             by_dc = blocked_for_datacenters(level, counts, self.datacenter)
             resolved = (sum(by_dc.values()), by_dc)
@@ -925,7 +928,10 @@ class Coordinator:
         if required_by_dc is None:
             return len(responded) >= required
         for dc, need in required_by_dc.items():
-            have = sum(1 for node in responded if self._topology.datacenter_of(node) == dc)
+            have = 0
+            for node in responded:
+                if node.datacenter == dc:
+                    have += 1
             if have < need:
                 return False
         return True
@@ -950,8 +956,8 @@ class Coordinator:
             # get digests, as in the classic path.
             union: List[NodeAddress] = []
             for dc, need in required_by_dc.items():
-                in_dc = [r for r in replicas if self._topology.datacenter_of(r) == dc]
-                in_dc.sort(key=lambda r: self._topology.mean_latency(self.address, r))
+                in_dc = [r for r in replicas if r.datacenter == dc]
+                in_dc.sort(key=partial(self._topology.mean_latency, self.address))
                 union.extend(in_dc[:need])
             contacted = self._order_by_proximity(union)
         route = self._read_routes[(level, replicas)] = (requirement, contacted)
@@ -962,7 +968,7 @@ class Coordinator:
         latency model *means*, not samples; the sort is stable, so ties keep
         the order given)."""
         return tuple(
-            sorted(replicas, key=lambda r: self._topology.mean_latency(self.address, r))
+            sorted(replicas, key=partial(self._topology.mean_latency, self.address))
         )
 
     _READ_REPAIR_POOL_SIZE = 512

@@ -121,10 +121,10 @@ class StorageNode:
         self._service_pool = _EMPTY_POOL
         self._service_index = 0
         # Replica *responses* addressed to this node go, payload only, to
-        # the co-located coordinator's two sinks (installed by the owning
-        # SimulatedCluster via :meth:`set_response_sinks`); the node itself
-        # is the single fabric handler for its address, so delivery needs no
-        # intermediate dispatch closure.  Responses are forwarded even while
+        # the co-located coordinator's two sinks (its response methods,
+        # installed by the owning SimulatedCluster via
+        # :meth:`set_response_sinks`); the node itself is the single fabric
+        # handler for its address, so delivery needs no intermediate frame.  Responses are forwarded even while
         # the node is down: a coordinator keeps driving its in-flight
         # operations when its own storage process dies.
         self._read_response_sink: Optional[Callable[[tuple], None]] = None
@@ -194,8 +194,16 @@ class StorageNode:
     # handle_message (hot-first order); there is no separate kind set to
     # keep in sync.
 
+    _SERVICE_POOL_SIZE = 512
+
     def handle_message(self, message: Message) -> None:
-        """Entry point registered with the network fabric."""
+        """Entry point registered with the network fabric.
+
+        A worker-pool request that finds a free worker starts its service
+        here: one pooled standard-gamma draw scaled per request kind (digest
+        reads are cheaper), identical bit-for-bit to per-request sampling --
+        the single home of service-time sampling.
+        """
         kind = message.kind
         if kind == MessageKind.READ_RESPONSE:
             self._read_response_sink(message.payload)
@@ -220,7 +228,31 @@ class StorageNode:
                     return
                 queue.append(message)
                 return
-            self._start_service(message)
+            self._busy_workers += 1
+            if kind == MessageKind.READ_REQUEST:
+                scale = self._read_scale
+                if message.payload[2]:  # digest read
+                    scale *= DIGEST_SERVICE_FACTOR
+            else:
+                scale = self._write_scale
+            index = self._service_index
+            pool = self._service_pool
+            if index >= len(pool):
+                # Refills double from 16 up to the cap: a node that serves a
+                # handful of requests never holds 512 pre-drawn doubles.
+                size = min(2 * len(pool) or 16, self._SERVICE_POOL_SIZE)
+                rng = self._streams.stream(f"node.{self.address}.service")
+                pool = array("d", rng.standard_gamma(self._gamma_shape, size=size).tobytes())
+                self._service_pool = pool
+                index = 0
+            self._service_index = index + 1
+            # Fire-and-forget: service completions are never cancelled (a
+            # node going down is checked inside _finish_service).
+            self._call_at(
+                self._engine._now + pool[index] * scale * self._slowdown,
+                self._finish_service,
+                message,
+            )
         elif kind == MessageKind.HINT_REPLAY:
             # Hint replays are applied directly (they are background work and
             # modelled as not competing for the foreground worker pool).
@@ -249,41 +281,6 @@ class StorageNode:
         else:  # pragma: no cover - defensive; unknown kinds indicate a bug
             raise ValueError(f"node {self.address} received unknown message kind {message.kind!r}")
 
-    _SERVICE_POOL_SIZE = 512
-
-    def _start_service(self, message: Message) -> None:
-        """Claim a worker and schedule the service completion.
-
-        The single home of service-time sampling: one pooled standard-gamma
-        draw scaled per request kind (digest reads are cheaper), identical
-        bit-for-bit to per-request sampling.
-        """
-        self._busy_workers += 1
-        if message.kind == MessageKind.READ_REQUEST:
-            scale = self._read_scale
-            if message.payload[2]:  # digest read
-                scale *= DIGEST_SERVICE_FACTOR
-        else:
-            scale = self._write_scale
-        index = self._service_index
-        pool = self._service_pool
-        if index >= len(pool):
-            # Refills double from 16 up to the cap: a node that serves a
-            # handful of requests never holds 512 pre-drawn doubles.
-            size = min(2 * len(pool) or 16, self._SERVICE_POOL_SIZE)
-            rng = self._streams.stream(f"node.{self.address}.service")
-            pool = array("d", rng.standard_gamma(self._gamma_shape, size=size).tobytes())
-            self._service_pool = pool
-            index = 0
-        self._service_index = index + 1
-        # Fire-and-forget: service completions are never cancelled (a node
-        # going down is checked inside _finish_service).
-        self._call_at(
-            self._engine.now + pool[index] * scale * self._slowdown,
-            self._finish_service,
-            message,
-        )
-
     def _finish_service(self, message: Message) -> None:
         self._busy_workers -= 1
         if self._up:
@@ -302,8 +299,12 @@ class StorageNode:
                 )
             elif kind == MessageKind.WRITE_REQUEST or kind == MessageKind.REPAIR_WRITE:
                 is_repair = kind == MessageKind.REPAIR_WRITE
-                cell = payload[1]
-                self.apply_write(cell, is_repair=is_repair)
+                # apply_write, inlined (one frame less per replica write).
+                self.storage.apply(payload[1])
+                counters = self.counters
+                counters.writes_applied += 1
+                if is_repair:
+                    counters.read_repairs += 1
                 self._fabric.send(
                     self.address,
                     message.src,
@@ -311,10 +312,11 @@ class StorageNode:
                     (payload[0], self.address, is_repair),
                     size_bytes=64,
                 )
-        # Pull the next queued request, if any.
+        # Pull the next queued request, if any: with a worker free, the
+        # handler starts its service.
         queue = self._queue
         while queue and self._busy_workers < self.config.concurrency:
-            self._start_service(queue.popleft())
+            self.handle_message(queue.popleft())
 
     def apply_write(self, cell: Cell, *, is_repair: bool = False) -> None:
         self.storage.apply(cell)

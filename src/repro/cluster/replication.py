@@ -87,7 +87,6 @@ class OldNetworkTopologyStrategy(ReplicationStrategy):
 
     def __init__(self, replication_factor: int, topology: Topology) -> None:
         super().__init__(replication_factor)
-        self._topology = topology
         self._multi_dc = len(topology.datacenter_names) > 1
         self._multi_rack: Dict[str, bool] = {
             dc: len(topology.racks_in_datacenter(dc)) > 1 for dc in topology.datacenter_names
@@ -98,8 +97,7 @@ class OldNetworkTopologyStrategy(ReplicationStrategy):
         primary = next(walk)
         if rf == 1:
             return [primary]
-        site_of = self._topology.site_of
-        primary_dc, primary_rack = site_of(primary)
+        primary_dc, primary_rack, _ = primary
         seek_dc = self._multi_dc
         seek_rack = self._multi_rack[primary_dc]
         other_dc = other_rack = None
@@ -107,7 +105,7 @@ class OldNetworkTopologyStrategy(ReplicationStrategy):
         passed: List[NodeAddress] = []
         for node in walk:
             passed.append(node)
-            dc, rack = site_of(node)
+            dc, rack, _ = node
             if dc != primary_dc:
                 if seek_dc:
                     other_dc = node
@@ -175,7 +173,6 @@ class NetworkTopologyStrategy(ReplicationStrategy):
                     f"replication factor {rf}"
                 )
         super().__init__(sum(factors.values()))
-        self._topology = topology
         self._factors = dict(factors)
         self._rack_counts = {dc: len(topology.racks_in_datacenter(dc)) for dc in factors}
 
@@ -189,7 +186,6 @@ class NetworkTopologyStrategy(ReplicationStrategy):
         return self._factors.get(datacenter, 0)
 
     def select(self, walk: Iterator[NodeAddress]) -> List[NodeAddress]:
-        site_of = self._topology.site_of
         # Per datacenter still short of its factor: replicas still to place,
         # racks already holding one, and the nodes passed over because their
         # rack was taken -- reused, in walk order, once the racks run out.
@@ -197,7 +193,7 @@ class NetworkTopologyStrategy(ReplicationStrategy):
         pulled: List[NodeAddress] = []
         chosen: set[NodeAddress] = set()
         for node in walk:
-            dc, rack = site_of(node)
+            dc, rack, _ = node
             state = short.get(dc)
             if state is None:
                 continue

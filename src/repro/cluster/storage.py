@@ -63,9 +63,6 @@ class Memtable:
         self._cells: Dict[str, Cell] = {}
         self.size_bytes = 0
 
-    def get(self, key: str) -> Optional[Cell]:
-        return self._cells.get(key)
-
     def __len__(self) -> int:
         return len(self._cells)
 
@@ -97,7 +94,8 @@ class StorageEngine:
             memtable._cells[key] = cell
             memtable.size_bytes += cell.size_bytes
             stats.live_cells += 1
-        elif cell.is_newer_than(existing):
+        elif (cell.timestamp, cell.value_id) > (existing.timestamp, existing.value_id):
+            # Cell.is_newer_than, inlined: every replica write passes here.
             memtable._cells[key] = cell
             memtable.size_bytes += cell.size_bytes - existing.size_bytes
         stats.writes += 1
@@ -111,7 +109,7 @@ class StorageEngine:
     def read(self, key: str) -> Optional[Cell]:
         """Return the newest cell for ``key``."""
         self.stats.reads += 1
-        best = self.memtable.get(key)
+        best = self.memtable._cells.get(key)
         if best is None:
             self.stats.read_misses += 1
         return best
@@ -122,7 +120,7 @@ class StorageEngine:
         Used by the staleness auditor and by read repair, which must not
         inflate the request-rate statistics that Harmony's monitor samples.
         """
-        return self.memtable.get(key)
+        return self.memtable._cells.get(key)
 
     def drain_dirty(self) -> set:
         """Return (and reset) the keys mutated since the previous drain.

@@ -28,29 +28,29 @@ class FailureDetector:
     """Tracks which nodes are currently down (shared, zero simulated cost).
 
     The common case -- a healthy cluster -- must stay cheap because the
-    coordinators consult :attr:`any_down` on every operation: it is a single
-    ``bool`` of an (almost always empty) set.
+    coordinators consult :attr:`any_down` on every operation: it is a plain
+    attribute, kept current by the two marks.
     """
 
-    __slots__ = ("_down",)
+    __slots__ = ("_down", "any_down")
 
     def __init__(self) -> None:
         self._down: Set[NodeAddress] = set()
+        #: Whether any node is currently marked down (the fast-path guard).
+        self.any_down = False
 
     # ------------------------------------------------------------------
     def mark_down(self, address: NodeAddress) -> None:
         """Record that a node stopped serving requests."""
         self._down.add(address)
+        self.any_down = True
 
     def mark_up(self, address: NodeAddress) -> None:
         """Record that a node came back."""
         self._down.discard(address)
+        self.any_down = bool(self._down)
 
     # ------------------------------------------------------------------
-    @property
-    def any_down(self) -> bool:
-        """Whether any node is currently marked down (the fast-path guard)."""
-        return bool(self._down)
 
     def is_up(self, address: NodeAddress) -> bool:
         return address not in self._down

@@ -121,7 +121,7 @@ class FaultTimeline(StalenessAuditor):
         times.append(result.completed_at)
         dcs.append(codes.setdefault(result.datacenter, len(codes)))
         op_types.append(codes.setdefault(result.op_type, len(codes)))
-        latencies.append(result.latency)
+        latencies.append(result.completed_at - result.started_at)
         unavailable.append(result.unavailable)
         timed_out.append(result.timed_out)
 

@@ -101,6 +101,7 @@ from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
+from heapq import heappush as _heappush
 
 from repro.constants import DEFAULT_BANDWIDTH_BYTES_PER_S
 from repro.network.latency import LatencyModel
@@ -252,8 +253,12 @@ class _LatencyPool:
         index = self.index
         values = self.values
         if index >= len(values):
-            drawn = self.model.sample_many(self.rng, LATENCY_POOL_SIZE)
-            values = array("d", np.asarray(drawn, dtype=np.float64).tobytes())
+            drawn = np.asarray(self.model.sample_many(self.rng, LATENCY_POOL_SIZE), dtype=np.float64)
+            if drawn.min() < 0.0:
+                # Deliveries go onto the engine heap unchecked (see
+                # NetworkFabric.send), so a negative draw must fail here.
+                raise ValueError(f"{self.model!r} drew a negative latency")
+            values = array("d", drawn.tobytes())
             self.values = values
             index = 0
         self.index = index + 1
@@ -351,16 +356,21 @@ class NetworkFabric:
         self._pools: Dict[str, _LatencyPool] = {}
         # The send path's pool cache: source -> destination site -> pool
         # (``None`` is the source's own loopback).  A site is a (datacenter,
-        # rack) pair, which with the source fixes the link class.
+        # rack) pair, read off the destination's address, which with the
+        # source fixes the link class.
         self._pools_from: Dict[NodeAddress, Dict[Any, _LatencyPool]] = {}
-        self._site_of = topology.site_of
         # "fifo" clamp floors: source -> destination -> the last delivery
         # time handed out on that pair.  An entry lives only while the pair
         # has a message in flight; the delivery at the floor's time removes
         # it (see _deliver_in_order), and an emptied inner dict goes too.
         self._floors: Dict[NodeAddress, Dict[NodeAddress, float]] = {}
-        # The delivery callback every scheduled message's engine event runs.
+        # The delivery callback every scheduled message's engine event runs:
+        # one arrival function per mode, each one frame.
         self._arrive = self._deliver_in_order if self._fifo else self._deliver
+        # Deliveries go onto the engine heap without a call_at frame; every
+        # delivery time is the clock plus a non-negative delay (or a fifo
+        # floor above one), which is the check call_at would make.
+        self._heap, self._next_seq = engine.lane()
         #: Monotone counter bumped whenever the partition map changes (a new
         #: partition or a completed heal).  The anti-entropy service compares
         #: epochs to decide when an incremental session can no longer trust
@@ -371,6 +381,10 @@ class NetworkFabric:
         # An entry lives while any partition cuts the direction.  Empty in
         # healthy runs, so the hot path pays one falsy check per send.
         self._cuts: Dict[Tuple[str, str], _Cut] = {}
+        #: Whether any DC partition (symmetric or asymmetric) is active: the
+        #: coordinators' per-operation liveness guard, kept current by every
+        #: cut and heal so that reading it costs no call.
+        self.has_partitions = False
         # Per-pair packet loss: unordered pair -> probability.  Loss draws
         # come from a dedicated named stream per pair (cached in _loss_rng
         # across enable/disable so re-arming continues the stream), so
@@ -632,6 +646,7 @@ class NetworkFabric:
                 cut = self._cuts[direction] = _Cut()
             cut.counts[kind] += 1
             cut.modes[kind] = mode
+        self.has_partitions = True
         self.partition_epoch += 1
         if self._transfers is not None:
             self._transfers.on_partition(directions, mode)
@@ -673,6 +688,7 @@ class NetworkFabric:
             else:
                 del self._cuts[direction]
                 reopened.append(cut.parked)
+        self.has_partitions = bool(self._cuts)
         if self._transfers is not None:
             self._transfers.on_heal(*directions[0])
         # Both directions of a pair draw from one latency pool: release in
@@ -757,12 +773,6 @@ class NetworkFabric:
         """Whether traffic from ``src_dc`` to ``dst_dc`` is currently blocked
         by any partition, symmetric or asymmetric (directional query)."""
         return (src_dc, dst_dc) in self._cuts
-
-    @property
-    def has_partitions(self) -> bool:
-        """Whether any DC partition (symmetric or asymmetric) is active
-        (cheap liveness-precheck guard)."""
-        return bool(self._cuts)
 
     def partitioned_pairs(self) -> List[Tuple[str, str]]:
         """Active symmetric partitions as sorted ordered pairs."""
@@ -849,8 +859,8 @@ class NetworkFabric:
             self._transfers.clear_capacity_scales()
 
     def _pair_scale_for(self, src: NodeAddress, dst: NodeAddress) -> float:
-        src_dc = self._topology.datacenter_of(src)
-        dst_dc = self._topology.datacenter_of(dst)
+        src_dc = src.datacenter
+        dst_dc = dst.datacenter
         if src_dc == dst_dc:
             return 1.0
         return self._pair_scale.get(self._pair_key(src_dc, dst_dc), 1.0)
@@ -884,11 +894,13 @@ class NetworkFabric:
 
     def _data_pool(self, src: NodeAddress, dst: NodeAddress) -> _LatencyPool:
         """The pool a ``src -> dst`` message draws from, through the send
-        path's cache (which :meth:`send` reads inline)."""
+        path's cache (which :meth:`send` reads inline, the destination's
+        site off its address; a miss asks the topology, which refuses an
+        address it does not hold)."""
         pools = self._pools_from.get(src)
         if pools is None:
             pools = self._pools_from[src] = {}
-        site = self._site_of(dst) if dst != src else None
+        site = self._topology.site_of(dst) if dst != src else None
         pool = pools.get(site)
         if pool is None:
             pool = pools[site] = self._pool_for(src, dst)
@@ -939,8 +951,8 @@ class NetworkFabric:
         stats.per_kind[kind] += 1
         pair_scale = 1.0
         if self._cuts or self._grey:
-            src_dc = self._topology.datacenter_of(src)
-            dst_dc = self._topology.datacenter_of(dst)
+            src_dc = src.datacenter
+            dst_dc = dst.datacenter
             if src_dc != dst_dc:
                 cut = self._cuts.get((src_dc, dst_dc))
                 if cut is not None:
@@ -968,7 +980,7 @@ class NetworkFabric:
 
         pools = self._pools_from.get(src)
         pool = (
-            pools.get(self._site_of(dst) if dst != src else None)
+            pools.get((dst.datacenter, dst.rack) if dst != src else None)
             if pools is not None
             else None
         )
@@ -986,7 +998,7 @@ class NetworkFabric:
             latency *= pair_scale
         delay = latency * self._latency_scale
         if size_bytes:
-            if self._transfers is None:
+            if self._transfers is None or src.datacenter == dst.datacenter:
                 delay += size_bytes / self._bandwidth
             else:
                 delay = self._sized_delay(message, on_delivered, delay)
@@ -1013,8 +1025,11 @@ class NetworkFabric:
                 )
             self._remote_sink(deliver_at, message)
             return message
-        # One engine event per message, no closure (args ride on the entry).
-        engine.call_at(deliver_at, self._arrive, message, on_delivered)
+        # One engine event per message, no closure (args ride on the entry),
+        # pushed as call_at would push it.
+        _heappush(
+            self._heap, (deliver_at, self._next_seq(), self._arrive, (message, on_delivered))
+        )
         return message
 
     def _sized_delay(
@@ -1026,8 +1041,8 @@ class NetworkFabric:
         transfers = self._transfers
         if transfers is None:
             return delay + size_bytes / self._bandwidth
-        src_dc = self._topology.datacenter_of(message.src)
-        dst_dc = self._topology.datacenter_of(message.dst)
+        src_dc = message.src.datacenter
+        dst_dc = message.dst.datacenter
         if src_dc == dst_dc:
             return delay + size_bytes / self._bandwidth
         kind = message.kind
@@ -1090,29 +1105,42 @@ class NetworkFabric:
     def _deliver_in_order(
         self, message: Message, on_delivered: Optional[Callable[[Message], None]]
     ) -> None:
-        """``fifo`` delivery: drop the pair's clamp floor once the clock has
-        reached it, then deliver.
+        """``fifo`` arrival: drop the pair's clamp floor once the clock has
+        reached it, then deliver as :meth:`_deliver` does (inlined: this is
+        one frame per message).
 
         A floor equal to the clock belongs to the pair's last scheduled
         message or to one tied with it; every message still in flight on the
         pair is due no later, and a later send lands at ``now`` or after
         with a larger engine ``seq``, so the floor has nothing left to hold.
         """
-        src = message.src
-        floors = self._floors.get(src)
-        if floors is not None and floors.get(message.dst) == self._engine._now:
-            del floors[message.dst]
+        now = self._engine._now
+        dst = message.dst
+        floors = self._floors.get(message.src)
+        if floors is not None and floors.get(dst) == now:
+            del floors[dst]
             if not floors:
-                del self._floors[src]
-        self._deliver(message, on_delivered)
+                del self._floors[message.src]
+        message.delivered_at = now
+        stats = self.stats
+        stats.delivered += 1
+        stats.total_latency += now - message.sent_at
+        handler = self._handlers.get(dst)
+        if handler is not None:
+            handler(message)
+        if on_delivered is not None:
+            on_delivered(message)
 
     def _deliver(self, message: Message, on_delivered: Optional[Callable[[Message], None]]) -> None:
-        handler = self._handlers.get(message.dst)
+        """``coalesced`` arrival, and that of every message delivered past
+        the fifo clamp (a completed transfer, another shard's message):
+        keep the books, then call the handler and ``on_delivered``."""
         now = self._engine._now
         message.delivered_at = now
         stats = self.stats
         stats.delivered += 1
         stats.total_latency += now - message.sent_at
+        handler = self._handlers.get(message.dst)
         if handler is not None:
             handler(message)
         if on_delivered is not None:

@@ -111,7 +111,7 @@ class Topology:
         self._inter_rack = inter_rack or self._intra_rack
         self._inter_dc = inter_dc
         self._inter_dc_links: Dict[frozenset, LatencyModel] = {}
-        self._mean_latency_by_class: Dict[str, float] = {}
+        self._mean_latency_by_sites: Dict[Optional[Tuple[str, str, str, str]], float] = {}
         dc_names = {dc.name for dc in self._datacenters}
         for pair, model in (inter_dc_links or {}).items():
             key = frozenset(pair)
@@ -126,20 +126,24 @@ class Topology:
                 # misconfiguration (asymmetric links are not supported).
                 raise ValueError(f"duplicate inter-DC link for pair {sorted(key)}")
             self._inter_dc_links[key] = model
+        # An address names where its node sits (``datacenter``, ``rack``), so
+        # the op path reads placement off the address itself; an address
+        # placed anywhere else would make those reads lie.
         self._nodes: List[NodeAddress] = []
-        #: node -> (datacenter, rack): both coordinates in one lookup, shared
-        #: by placement, link-class resolution and the snitch.
-        self._site_of: Dict[NodeAddress, Tuple[str, str]] = {}
-        #: node -> datacenter alone: the lookup the per-message paths make.
-        self._dc_of: Dict[NodeAddress, str] = {}
+        members: set = set()
         for dc in self._datacenters:
             for rack in dc.racks:
                 for node in rack.nodes:
-                    if node in self._site_of:
+                    if node.datacenter != dc.name or node.rack != rack.name:
+                        raise ValueError(
+                            f"node address {node} is placed in {dc.name}/{rack.name}; "
+                            "an address's datacenter and rack must be where it sits"
+                        )
+                    if node in members:
                         raise ValueError(f"duplicate node address {node}")
+                    members.add(node)
                     self._nodes.append(node)
-                    self._site_of[node] = (dc.name, rack.name)
-                    self._dc_of[node] = dc.name
+        self._members = frozenset(members)
         if not self._nodes:
             raise ValueError("a topology needs at least one node")
         #: Ordered DC pair -> name of its inter-DC link class (unordered).
@@ -172,28 +176,31 @@ class Topology:
         return len(self._nodes)
 
     def datacenter_of(self, node: NodeAddress) -> str:
-        return self._dc_of[node]
+        """The datacenter of a member node: its address's ``datacenter``."""
+        if node in self._members:
+            return node.datacenter
+        raise KeyError(node)
 
     def rack_of(self, node: NodeAddress) -> str:
-        return self._site_of[node][1]
+        return self.site_of(node)[1]
 
     def site_of(self, node: NodeAddress) -> Tuple[str, str]:
-        """``(datacenter, rack)`` of a node."""
-        return self._site_of[node]
+        """``(datacenter, rack)`` of a member node."""
+        if node in self._members:
+            return (node.datacenter, node.rack)
+        raise KeyError(node)
 
     def nodes_in_datacenter(self, dc_name: str) -> List[NodeAddress]:
-        return [node for node in self._nodes if self._dc_of[node] == dc_name]
+        return [node for node in self._nodes if node.datacenter == dc_name]
 
     def nodes_in_rack(self, dc_name: str, rack_name: str) -> List[NodeAddress]:
-        site = (dc_name, rack_name)
-        return [node for node in self._nodes if self._site_of[node] == site]
+        return [node for node in self._nodes if node[:2] == (dc_name, rack_name)]
 
     def racks_in_datacenter(self, dc_name: str) -> List[str]:
         seen: list[str] = []
         for node in self._nodes:
-            dc, rack = self._site_of[node]
-            if dc == dc_name and rack not in seen:
-                seen.append(rack)
+            if node.datacenter == dc_name and node.rack not in seen:
+                seen.append(node.rack)
         return seen
 
     # ------------------------------------------------------------------
@@ -203,11 +210,12 @@ class Topology:
         """One of ``{"loopback", "intra_rack", "inter_rack", "inter_dc"}``."""
         if a == b:
             return "loopback"
-        dc_a, rack_a = self._site_of[a]
-        dc_b, rack_b = self._site_of[b]
-        if dc_a != dc_b:
+        members = self._members
+        if a not in members or b not in members:
+            raise KeyError(a if a not in members else b)
+        if a.datacenter != b.datacenter:
             return "inter_dc"
-        return "intra_rack" if rack_a == rack_b else "inter_rack"
+        return "intra_rack" if a.rack == b.rack else "inter_rack"
 
     def link_class(self, a: NodeAddress, b: NodeAddress) -> str:
         """Stable name of the latency class governing a node pair.
@@ -220,7 +228,7 @@ class Topology:
         cls = self.distance_class(a, b)
         if cls != "inter_dc":
             return cls
-        return self._inter_dc_class[self._dc_of[a], self._dc_of[b]]
+        return self._inter_dc_class[a.datacenter, b.datacenter]
 
     def latency_model(self, a: NodeAddress, b: NodeAddress) -> LatencyModel:
         """The latency model governing messages from ``a`` to ``b``."""
@@ -231,7 +239,7 @@ class Topology:
             return self._intra_rack
         if cls == "inter_rack":
             return self._inter_rack
-        link = self._inter_dc_links.get(frozenset((self._dc_of[a], self._dc_of[b])))
+        link = self._inter_dc_links.get(frozenset((a.datacenter, b.datacenter)))
         if link is not None:
             return link
         if self._inter_dc is None:
@@ -244,13 +252,14 @@ class Topology:
     def mean_latency(self, a: NodeAddress, b: NodeAddress) -> float:
         """Expected one-way latency between two nodes in seconds.
 
-        Cached per link class: the snitch (proximity sorts) asks this for
-        every fresh replica set, and the model means never change.
+        Cached per pair of sites, read off the two addresses (``None`` for a
+        node and itself): the snitch (proximity sorts) asks this for every
+        replica of every fresh replica set, and the model means never change.
         """
-        key = self.link_class(a, b)
-        cached = self._mean_latency_by_class.get(key)
+        key = None if a == b else (a.datacenter, a.rack, b.datacenter, b.rack)
+        cached = self._mean_latency_by_sites.get(key)
         if cached is None:
-            cached = self._mean_latency_by_class[key] = self.latency_model(a, b).mean()
+            cached = self._mean_latency_by_sites[key] = self.latency_model(a, b).mean()
         return cached
 
     def mean_inter_replica_latency(self, replicas: Iterable[NodeAddress]) -> float:

@@ -14,13 +14,19 @@ and :meth:`SimulationEngine.run` / :meth:`SimulationEngine.run_until` /
   :meth:`~SimulationEngine.call_soon` (now) -- cancellable; each returns a
   one-shot :class:`EventHandle`.
 
+One hot path skips even the ``call_at`` frame: the network fabric pushes
+each message delivery onto the heap itself, through
+:meth:`~SimulationEngine.lane` (the heap and its sequence counter), and owes
+the one check ``call_at`` makes -- never a time before :attr:`now`.
+
 The engine is single threaded and deterministic.  Ties in event time are
 broken by a monotonically increasing sequence number, so two runs with the
 same seed and the same call ordering produce identical traces.
 
 Queue format
 ------------
-The heap holds one kind of entry, ``(time, seq, callback, args)``.  A
+The heap holds one kind of entry, ``(time, seq, callback, args)``; ``seq``
+comes from one :func:`itertools.count`, shared with the :meth:`lane`.  A
 fire-and-forget event stores its callback and argument tuple directly; a
 cancellable one stores ``(time, seq, handle, None)`` and the handle holds
 the callback, the args and ``cancelled``.  The unique ``seq`` means heap
@@ -33,6 +39,7 @@ they outnumber half of it (the strategy asyncio uses for timer handles).
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 __all__ = ["EventHandle", "SimulationEngine", "SimulationError"]
@@ -127,7 +134,7 @@ class SimulationEngine:
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._queue: List[Tuple[float, int, Any, Optional[Tuple[Any, ...]]]] = []
-        self._seq = 0
+        self._seq = itertools.count()
         self._stopped = False
         self._events_processed = 0
         self._cancelled_pending = 0
@@ -177,18 +184,19 @@ class SimulationEngine:
             raise SimulationError(
                 f"cannot schedule at t={time!r}, which is before the current time {self._now!r}"
             )
-        seq = self._seq
-        self._seq = seq + 1
-        _heappush(self._queue, (time, seq, callback, args))
+        _heappush(self._queue, (time, next(self._seq), callback, args))
 
-    def _push_handle(
-        self, time: float, callback: Callable[..., None], args: Tuple[Any, ...]
-    ) -> EventHandle:
-        handle = EventHandle(time, callback, args, self)
-        seq = self._seq
-        self._seq = seq + 1
-        _heappush(self._queue, (time, seq, handle, None))
-        return handle
+    def lane(self) -> Tuple[List[Any], Callable[[], int]]:
+        """``(heap, next_seq)``: scheduling without a :meth:`call_at` frame.
+
+        The caller pushes ``(time, next_seq(), callback, args)`` with
+        :func:`heapq.heappush` -- exactly the entry :meth:`call_at` pushes --
+        and owes the check :meth:`call_at` makes: ``time`` is never before
+        :attr:`now`.  The message fabric's delivery is the one user; both
+        objects stay valid for the engine's life (compaction rewrites the
+        heap in place).
+        """
+        return self._queue, self._seq.__next__
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
@@ -199,7 +207,10 @@ class SimulationEngine:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule an event {delay!r}s in the past")
-        return self._push_handle(self._now + delay, callback, args)
+        time = self._now + delay
+        handle = EventHandle(time, callback, args, self)
+        _heappush(self._queue, (time, next(self._seq), handle, None))
+        return handle
 
     def at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at an absolute virtual time.
@@ -212,7 +223,10 @@ class SimulationEngine:
             raise SimulationError(
                 f"cannot schedule at t={time!r}, which is before the current time {self._now!r}"
             )
-        return self._push_handle(float(time), callback, args)
+        time = float(time)
+        handle = EventHandle(time, callback, args, self)
+        _heappush(self._queue, (time, next(self._seq), handle, None))
+        return handle
 
     def call_soon(self, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback`` at the current virtual time (runs after the
@@ -233,8 +247,8 @@ class SimulationEngine:
         """Rebuild the queue without cancelled entries (one O(n) pass).
 
         The queue list is mutated in place (slice assignment + heapify)
-        rather than replaced: the loop in :meth:`_dispatch` holds a local
-        alias to it, and compaction can run from inside an event callback.
+        rather than replaced: both loops and the :meth:`lane` hold aliases
+        to it, and compaction can run from inside an event callback.
         """
         queue = self._queue
         queue[:] = [entry for entry in queue if entry[3] is not None or not entry[2].cancelled]
@@ -246,15 +260,15 @@ class SimulationEngine:
     # Execution
     # ------------------------------------------------------------------
     def _dispatch(self, until: float, limit: int) -> int:
-        """The event loop: pop, dispatch -- the one copy of it.
+        """The bounded event loop: pop, dispatch (:meth:`_drain` is the
+        unbounded one).
 
         Executes up to ``limit`` (positive, or ``_NO_LIMIT``) events whose
         time is ``<= until`` and returns how many ran.  Cancelled heads are
         discarded (whatever their time) without counting; the first live event
         beyond ``until`` goes back on the queue.  A :meth:`stop` request ends
         the loop after the event that made it; a request made before the call
-        does not (callers check).  This is where the whole simulation spends
-        its wall time.  :meth:`_compact` mutates the queue list in place, so
+        does not (callers check).  :meth:`_compact` mutates the queue list in place, so
         the local alias stays valid across callbacks.
         """
         queue = self._queue
@@ -291,6 +305,43 @@ class SimulationEngine:
             self._events_processed += executed
         return executed
 
+    def _drain(self) -> int:
+        """:meth:`_dispatch` with no bound, for :meth:`run` without one.
+
+        Per event it asks only whether the entry is a handle (a cancelled
+        one is discarded uncounted) and whether :meth:`stop` was called.
+        ``time > until`` cannot hold with no ``until``, and no budget is
+        counted down.  The event-from-the-past check is made once, on the
+        first live head: every push is at or after the clock and the clock
+        only moves to popped times, so once the head is not overdue no later
+        event is.
+        """
+        head = self.next_event_time()
+        if head is not None and head < self._now:
+            raise SimulationError("event queue yielded an event from the past")
+        queue = self._queue
+        executed = 0
+        try:
+            while queue:
+                time, _, callback, args = _heappop(queue)
+                if args is None:  # a handle's entry: it fires now, once
+                    if callback.cancelled:
+                        self._cancelled_pending -= 1
+                        continue
+                    handle = callback
+                    callback = handle.callback
+                    args = handle.args
+                    handle.callback = None
+                    handle.args = ()
+                self._now = time
+                callback(*args)
+                executed += 1
+                if self._stopped:
+                    break
+        finally:
+            self._events_processed += executed
+        return executed
+
     def step(self) -> bool:
         """Execute the next pending event.
 
@@ -313,10 +364,13 @@ class SimulationEngine:
         int
             The number of events executed by this call.
         """
-        limit = _NO_LIMIT if max_events is None else max(max_events, 0)
-        if self._stopped or not limit:
+        if self._stopped:
             return 0
-        return self._dispatch(_FOREVER, limit)
+        if max_events is None:
+            return self._drain()
+        if max_events <= 0:
+            return 0
+        return self._dispatch(_FOREVER, max_events)
 
     def run_until(self, time: float, max_events: Optional[int] = None) -> int:
         """Run events with timestamps ``<= time``; advance the clock to ``time``.

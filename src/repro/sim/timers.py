@@ -115,7 +115,7 @@ class FixedDelayTimer:
 
     def _fire(self) -> None:
         entries = self._entries
-        now = self._engine.now
+        now = self._engine._now
         while entries:
             head = entries[0]
             fn = head.fn

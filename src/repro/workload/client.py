@@ -74,7 +74,7 @@ class CompletionBatch:
         self._ready.append((fn, arg))
         if not self._scheduled:
             self._scheduled = True
-            self._engine.call_at(self._engine.now, self._flush)
+            self._engine.call_at(self._engine._now, self._flush)
 
     def _flush(self) -> None:
         ready = self._ready
@@ -209,7 +209,7 @@ class ClientThread:
         # Pre-bound completion sink: the coordinator calls it with the result,
         # which enqueues the continuation in the shared batch.  Binding once
         # per client keeps the hot path free of per-operation closures.
-        self._cb_single = partial(self._batch.add, self._single_done)
+        self._cb_single = partial(self._batch.add, self._attempt_done)
 
     # ------------------------------------------------------------------
     def start(self, on_finish: Optional[Callable[[], None]] = None) -> "ClientThread":
@@ -269,51 +269,62 @@ class ClientThread:
         assert operation is not None
         if self._on_issue is not None:
             self._on_issue(operation)
-        if operation.op_type.is_write:
-            self._issue_write(operation, self._cb_single)
-        else:
-            self._issue_read(operation.key, self._cb_single)
-
-    def _issue_read(self, key: str, sink: Callable[[OperationResult], None]) -> None:
         # A retry downgrade holds for every later attempt of the operation.
-        level = self._override if self._override is not None else self._read_level_provider()
-        self._cluster.read(key, level, sink, datacenter=self.datacenter)
-
-    def _issue_write(self, operation: Operation, sink: Callable[[OperationResult], None]) -> None:
-        level = self._override if self._override is not None else self._write_level_provider()
-        self._cluster.write(
-            operation.key,
-            self._workload.value_for(operation.key),
-            level,
-            sink,
-            datacenter=self.datacenter,
-            size_bytes=operation.value_size or None,
-        )
-
-    # ------------------------------------------------------------------
-    # Completion continuations (run inside the batch flush)
-    # ------------------------------------------------------------------
-    def _single_done(self, result: OperationResult) -> None:
-        if not self._running:
-            return
-        self._attempt_done(result)
+        override = self._override
+        if operation.op_type.is_write:
+            level = override if override is not None else self._write_level_provider()
+            self._cluster.write(
+                operation.key,
+                self._workload.value_for(operation.key),
+                level,
+                self._cb_single,
+                datacenter=self.datacenter,
+                size_bytes=operation.value_size or None,
+            )
+        else:
+            level = override if override is not None else self._read_level_provider()
+            self._cluster.read(operation.key, level, self._cb_single, datacenter=self.datacenter)
 
     # ------------------------------------------------------------------
-    # Retry / report
+    # Completion (runs inside the batch flush)
     # ------------------------------------------------------------------
     def _attempt_done(self, result: OperationResult) -> None:
-        """One attempt finished; consult the retry policy on Unavailable."""
-        if not result.unavailable:
-            self._deliver(result, 0.0)
+        """One attempt finished: report the operation and pace the next one,
+        unless an Unavailable rejection is retried.
+
+        The pause before the next operation is the think time, plus the
+        retry policy's backoff when the operation still failed (the
+        historical post-failure backoff, composed with the think time like
+        back-to-back sleeps).  Sleeps are rare relative to completions, so
+        they are plain cancellable engine events; ``stop()`` cancels a
+        pending one so stopped clients never resume.
+        """
+        if not self._running:
             return
+        pause = self._think_time
+        if result.unavailable:
+            backoff = self._retry(result)
+            if backoff is None:
+                return
+            pause += backoff
+        self.operations_completed += 1
+        self._on_result(self._op, result)
+        if pause > 0:
+            self._sleep_handle = self._engine.schedule(pause, self._next_operation)
+        else:
+            self._next_operation()
+
+    def _retry(self, result: OperationResult) -> Optional[float]:
+        """Consult the retry policy on an Unavailable rejection: ``None`` when
+        the operation was re-issued, else the backoff to take after
+        reporting it failed."""
         decision = self._retry_policy.on_unavailable(
             result.consistency_level,
             self._attempt,
             datacenter=self.datacenter,
         )
         if not decision.retry:
-            self._deliver(result, decision.backoff)
-            return
+            return decision.backoff
         to_level = decision.level if decision.level is not None else result.consistency_level
         if self._on_retry is not None:
             self._on_retry(self._op, result.consistency_level, to_level, self._attempt)
@@ -321,33 +332,10 @@ class ClientThread:
             self._override = decision.level
         self._attempt += 1
         if decision.backoff > 0:
-            self._sleep(decision.backoff, self._start_attempt)
+            self._sleep_handle = self._engine.schedule(decision.backoff, self._start_attempt)
         else:
             self._start_attempt()
-
-    def _deliver(self, result: OperationResult, final_backoff: float) -> None:
-        """Report the operation's final result, then pace the next one.
-
-        ``final_backoff`` is the pause taken *after* reporting when the
-        operation still failed (the historical post-failure backoff); it
-        composes with the think time exactly like the old back-to-back
-        sleeps did.
-        """
-        self.operations_completed += 1
-        self._on_result(self._op, result)
-        delay = final_backoff if result.unavailable else 0.0
-        if self._think_time > 0:
-            delay += self._think_time
-        if delay > 0:
-            self._sleep(delay, self._next_operation)
-        else:
-            self._next_operation()
-
-    def _sleep(self, delay: float, fn: Callable[[Any], None]) -> None:
-        # Sleeps (think time, backoff) are rare relative to completions, so
-        # a plain cancellable engine event is fine here; ``stop()`` cancels
-        # a pending one so stopped clients never resume.
-        self._sleep_handle = self._engine.schedule(delay, fn)
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ClientThread(id={self.thread_id}, completed={self.operations_completed})"

@@ -36,6 +36,10 @@ from repro.workload.workloads import CoreWorkload, Operation, OperationType, Wor
 
 __all__ = ["RunMetrics", "WorkloadExecutor"]
 
+#: Each level's name, as the usage table counts reads by it (a dict lookup;
+#: ``level.value`` is a Python-level descriptor call on every read).
+_LEVEL_NAMES: Dict[ConsistencyLevel, str] = {level: level.value for level in ConsistencyLevel}
+
 
 @dataclass
 class RunMetrics:
@@ -415,7 +419,7 @@ class WorkloadExecutor:
                 counters.read_timeouts += 1
             if result.cell is None:
                 counters.read_misses += 1
-            level_name = result.consistency_level.value
+            level_name = _LEVEL_NAMES[result.consistency_level]
             usage = metrics.consistency_level_usage
             usage[level_name] = usage.get(level_name, 0) + 1
             datacenter = result.datacenter

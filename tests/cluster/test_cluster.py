@@ -57,8 +57,8 @@ class TestClusterBasics:
     def test_each_node_answers_into_its_own_coordinator(self, small_cluster):
         for address, node in small_cluster.nodes.items():
             coordinator = small_cluster.coordinators[address]
-            assert node._read_response_sink == coordinator.handle_read_response_payload
-            assert node._write_response_sink == coordinator.handle_write_response_payload
+            assert node._read_response_sink == coordinator.on_read_response
+            assert node._write_response_sink == coordinator.on_write_response
 
     def test_replicas_for_returns_rf_distinct_nodes(self, small_cluster):
         for i in range(30):

@@ -25,14 +25,14 @@ class TestMemtable:
     def test_apply_and_get(self):
         engine = StorageEngine()
         engine.apply(cell("a", 1.0))
-        assert engine.memtable.get("a").timestamp == 1.0
-        assert engine.memtable.get("missing") is None
+        assert engine.peek("a").timestamp == 1.0
+        assert engine.peek("missing") is None
 
     def test_last_write_wins(self):
         engine = StorageEngine()
         engine.apply(cell("a", 2.0, value="new"))
         engine.apply(cell("a", 1.0, value="old"))
-        assert engine.memtable.get("a").value == "new"
+        assert engine.peek("a").value == "new"
 
     def test_size_tracks_replacements(self):
         engine = StorageEngine()

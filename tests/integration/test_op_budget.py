@@ -36,15 +36,25 @@ The *retention* budget pins what a run keeps per operation to what some code
 reads back: the fault timeline's per-operation log is typed columns, and an
 acknowledged write leaves behind its latency samples and one row of its
 key's audit history -- no commit-log entry, no version tuple.
+
+The *call* budget pins how many Python calls into ``src/repro`` one
+run-phase operation makes, counted with ``sys.setprofile``: a pass-through
+frame (a shim, a property on the hot path, a placement lookup the address
+already answers) shows here as a count, exactly, on any machine.  Before the
+op path read placement off the address and delivered each message in one
+frame, the two runs below made 161.3 and 130.4 calls per operation.
 """
 
 from __future__ import annotations
 
 import gc
+import os
+import sys
 import tracemalloc
 from array import array
 from dataclasses import replace
 
+import repro
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.control.policies import make_policy
 from repro.experiments.runner import run_experiment
@@ -77,6 +87,13 @@ MAX_TIMELINE_BYTES_PER_OP = 40
 MAX_LIVE_BYTES_PER_WRITE = 64
 
 
+#: Python calls into ``src/repro`` per run-phase operation.  Measured 92.90
+#: on the ``SCALE_100`` seed-11 closed loop and 76.75 on the quick
+#: ``GRID5000_3SITES_WAN`` run (CPython 3.11); 161.34 and 130.43 before the
+#: op path lost its pass-through frames.
+MAX_CALLS_PER_OP_SCALE_100 = 94
+MAX_CALLS_PER_OP_GEO_WAN = 78
+
 #: Bytes the ``SCALE_1000`` build allocates per node (tracemalloc, a second
 #: build after a warm-up one).  Measured 3 344 B on CPython 3.11, against
 #: 5 789 B with every per-node stream created at build; the ceiling is 35 %
@@ -105,6 +122,37 @@ def run_closed_loop(scenario, *, seed, records, ops, threads):
 
 def run_phase_counts(scenario, **sizes):
     return run_closed_loop(scenario, **sizes)[1:3]
+
+
+REPRO_SOURCE = os.path.dirname(repro.__file__) + os.sep
+
+
+class RunPhaseCalls:
+    """Counts Python calls into ``src/repro`` made inside ``WorkloadExecutor.run``.
+
+    Use as ``monkeypatch.setattr(WorkloadExecutor, "run", counter.wrap(...))``;
+    the profile hook is on only while the run phase is (a ``run()`` that has
+    to load first loads before the hook goes on).
+    """
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def _profile(self, frame, event, arg) -> None:
+        if event == "call" and frame.f_code.co_filename.startswith(REPRO_SOURCE):
+            self.calls += 1
+
+    def wrap(self, run):
+        def counted(executor):
+            if not executor._loaded:
+                executor.load()
+            sys.setprofile(self._profile)
+            try:
+                return run(executor)
+            finally:
+                sys.setprofile(None)
+
+        return counted
 
 
 def per_node_streams(cluster, kind):
@@ -191,6 +239,37 @@ class TestOperationBudget:
         assert per_node_streams(cluster, "node") == served
         assert per_node_streams(cluster, "coordinator") == rolled
         assert (len(served), len(rolled)) == (145, 154)
+
+
+class TestCallBudget:
+    def test_scale_100_calls_per_op(self, monkeypatch):
+        counter = RunPhaseCalls()
+        monkeypatch.setattr(WorkloadExecutor, "run", counter.wrap(WorkloadExecutor.run))
+        run_phase_counts(SCALE_100, seed=11, records=120, ops=600, threads=20)
+        per_op = counter.calls / 600
+        assert per_op <= MAX_CALLS_PER_OP_SCALE_100, (
+            f"a SCALE_100 operation makes {per_op:.2f} calls into src/repro "
+            f"(budget {MAX_CALLS_PER_OP_SCALE_100}); did a pass-through frame come back?"
+        )
+
+    def test_geo_wan_calls_per_op(self, monkeypatch):
+        counter = RunPhaseCalls()
+        monkeypatch.setattr(WorkloadExecutor, "run", counter.wrap(WorkloadExecutor.run))
+        result = run_experiment(
+            GRID5000_3SITES_WAN,
+            WORKLOAD_B.scaled(record_count=100, operation_count=800),
+            "local_one",
+            12,
+            seed=20260730,
+            datacenters=GRID5000_3SITES_WAN.datacenter_names,
+            think_time=83.0 * 12 / 800,  # the ledger's quick geo_faults_wan row
+        )
+        assert result.metrics.counters.total == 800
+        per_op = counter.calls / 800
+        assert per_op <= MAX_CALLS_PER_OP_GEO_WAN, (
+            f"a GRID5000_3SITES_WAN operation makes {per_op:.2f} calls into src/repro "
+            f"(budget {MAX_CALLS_PER_OP_GEO_WAN}); did a pass-through frame come back?"
+        )
 
 
 class TestBuildBudget:

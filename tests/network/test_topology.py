@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
+
+from repro.cluster.cluster import resolve_topology
+from repro.experiments.scenarios import ScenarioRegistry
 
 from repro.network.latency import ConstantLatency
 from repro.network.topology import (
@@ -108,6 +113,29 @@ def test_duplicate_node_addresses_rejected():
     dc = Datacenter("dc1", racks=[Rack("r1", [node, node])])
     with pytest.raises(ValueError):
         Topology([dc])
+
+
+@pytest.mark.parametrize(
+    "misplaced",
+    [NodeAddress("dc2", "r1", 1), NodeAddress("dc1", "r2", 1)],
+    ids=["other-datacenter", "other-rack"],
+)
+def test_an_address_must_name_where_it_is_placed(misplaced):
+    # The op path reads a node's datacenter and rack off its address, so an
+    # address filed under another datacenter or rack is refused, by name.
+    dc = Datacenter("dc1", racks=[Rack("r1", [NodeAddress("dc1", "r1", 0), misplaced])])
+    with pytest.raises(ValueError, match=re.escape(str(misplaced))):
+        Topology([dc])
+
+
+@pytest.mark.parametrize("name", ScenarioRegistry.names())
+def test_every_registered_scenario_places_nodes_where_their_addresses_say(name):
+    topology = resolve_topology(ScenarioRegistry.get(name).cluster_config(seed=0))
+    for dc in topology.datacenters:
+        for rack in dc.racks:
+            for node in rack.nodes:
+                assert (node.datacenter, node.rack) == (dc.name, rack.name)
+                assert topology.site_of(node) == (dc.name, rack.name)
 
 
 def test_empty_topology_rejected():

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
-from repro.cluster.node import DIGEST_SERVICE_FACTOR
+from repro.cluster.node import DIGEST_SERVICE_FACTOR, NodeConfig
 from repro.cluster.storage import Cell
 from repro.network.fabric import Message, MessageKind
 from repro.sim.rng import RandomStreams
@@ -50,7 +50,10 @@ def request(i: int, kind: str, node) -> Message:
 )
 @settings(max_examples=25, deadline=None)
 def test_service_pool_equals_single_draws(seed, n, pattern, slow_at, factor):
-    cluster = SimulatedCluster(ClusterConfig(n_nodes=3, replication_factor=1, seed=seed))
+    # A worker per request, so every request starts its service on arrival.
+    cluster = SimulatedCluster(ClusterConfig(
+        n_nodes=3, replication_factor=1, seed=seed, node=NodeConfig(concurrency=MAX_DRAWS)
+    ))
     node = cluster.nodes[cluster.addresses[0]]
     delays = []
     # The clock stays at 0.0, so each completion time is the delay itself.
@@ -59,7 +62,7 @@ def test_service_pool_equals_single_draws(seed, n, pattern, slow_at, factor):
     for i, kind in enumerate(kinds):
         if i == slow_at:
             node.slowdown = factor
-        node._start_service(request(i, kind, node))
+        node.handle_message(request(i, kind, node))
 
     config = cluster.config.node
     cv2 = config.service_time_cv**2

@@ -3,7 +3,10 @@
 The heap's entry format, its sequence counter and its contents are private to
 ``sim/engine.py``: every other module schedules through ``call_at`` /
 ``schedule`` / ``at`` / ``call_soon`` and looks at pending work through
-``pending_callbacks()`` / ``next_event_time()``.  This walks every module
+``pending_callbacks()`` / ``next_event_time()``.  The one exception is the
+engine's published ``lane()``, which hands the heap and the counter to the
+message fabric so a delivery costs no ``call_at`` frame; no other module may
+take it.  This walks every module
 under ``src/repro`` and fails on any read of an engine's ``_queue``, ``_seq``
 or ``_free`` -- ``engine._queue``, ``self._engine._seq``,
 ``cluster.engine._free`` or ``getattr(engine, "_queue")``.  A component's own
@@ -94,3 +97,29 @@ def test_the_scan_sees_each_spelling_and_spares_a_components_own_queue():
         "3: cluster.engine._free",
         "4: getattr(engine, '_queue')",
     ]
+
+
+def lane_takers() -> List[str]:
+    """Modules (relative to ``src/repro``) that call an engine's ``lane()``."""
+    takers = []
+    for folder, _, files in os.walk(SOURCE_ROOT):
+        for name in sorted(files):
+            path = os.path.join(folder, name)
+            relative = os.path.relpath(path, SOURCE_ROOT)
+            if not name.endswith(".py") or relative == ENGINE_MODULE:
+                continue
+            with open(path, "r", encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=path)
+            if any(
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "lane"
+                and _is_engine(node.func.value)
+                for node in ast.walk(tree)
+            ):
+                takers.append(relative.replace(os.sep, "/"))
+    return takers
+
+
+def test_only_the_fabric_takes_the_lane():
+    assert lane_takers() == ["network/fabric.py"]

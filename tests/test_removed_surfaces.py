@@ -3,7 +3,8 @@
 The staleness-SLA control loop, YCSB workloads E and F (scans and
 read-modify-write), sstables with their commit log, three latency models and
 the generic coordinator response handler were removed because nothing but
-their own tests ran them.  So were the config fields nothing outside the
+their own tests ran them; the coordinator's two response-payload shims went
+when nodes began handing responses to its response methods directly.  So were the config fields nothing outside the
 tests set to a second value -- they are module constants now -- with the
 classes left empty by that (``BackoffConfig``, ``MembershipConfig``) and the
 paths only a second value reached: ``SimpleStrategy``, ``RandomPartitioner``,
@@ -53,6 +54,8 @@ REMOVED_NAMES = [
     "CompositeLatencyModel",
     "HotspotKeyChooser",
     "handle_response",
+    "handle_read_response_payload",
+    "handle_write_response_payload",
     "BackoffConfig",
     "MembershipConfig",
     "SimpleStrategy",
@@ -97,7 +100,7 @@ def _names_by_module() -> Dict[str, Set[str]]:
 def test_the_scan_sees_the_live_names():
     names = _names_by_module()
     assert "LogNormalLatency" in names[os.path.join("network", "latency.py")]
-    assert "handle_read_response_payload" in names[os.path.join("cluster", "coordinator.py")]
+    assert "on_read_response" in names[os.path.join("cluster", "coordinator.py")]
     assert "StorageEngine" in names[os.path.join("cluster", "node.py")]
 
 
