@@ -52,6 +52,14 @@ from repro.sim.timers import FixedDelayTimer, TimerEntry
 
 __all__ = ["Coordinator", "OperationResult", "CoordinatorConfig"]
 
+# Hot constants as module globals: reading a member off an Enum class is a
+# Python-level lookup, about ten times a global's cost.
+_READ_REQUEST = MessageKind.READ_REQUEST
+_WRITE_REQUEST = MessageKind.WRITE_REQUEST
+_REPAIR_WRITE = MessageKind.REPAIR_WRITE
+_HINT_REPLAY = MessageKind.HINT_REPLAY
+_ALL = ConsistencyLevel.ALL
+
 #: The read-repair pool every coordinator starts with.  A refill replaces
 #: the pool and nothing writes into one, so a single empty array serves
 #: every coordinator that has not yet rolled.
@@ -395,15 +403,12 @@ class Coordinator:
         request_id = next(self._request_ids)
         now = self._engine._now
         cell = self.mint(key, value, size_bytes, now)
+        # Per-operation records are built positionally: a keyword call
+        # matches every name against the signature, about three times the
+        # cost of the call itself.
         pending = _PendingWrite(
-            request_id=request_id,
-            cell=cell,
-            replicas=replicas,
-            required=required,
-            required_by_dc=required_by_dc,
-            level=consistency_level,
-            callback=callback,
-            started_at=now,
+            request_id, cell, replicas, required, consistency_level, callback, now,
+            required_by_dc,
         )
         self._pending_writes[request_id] = pending
         payload = (request_id, cell)
@@ -414,7 +419,7 @@ class Coordinator:
             fabric_send(
                 address,
                 replica,
-                MessageKind.WRITE_REQUEST,
+                _WRITE_REQUEST,
                 payload,
                 size_bytes=size,
             )
@@ -470,15 +475,8 @@ class Coordinator:
             # placement only, never to a pending (still-streaming) target.
             read_guard(key, contacted)
         pending = _PendingRead(
-            request_id=request_id,
-            key=key,
-            replicas=replicas,
-            contacted=contacted,
-            required=required,
-            required_by_dc=required_by_dc,
-            level=consistency_level,
-            callback=callback,
-            started_at=self._engine._now,
+            request_id, key, replicas, contacted, required, consistency_level, callback,
+            self._engine._now, required_by_dc,
         )
         self._pending_reads[request_id] = pending
         self._counters.coordinator_reads += 1
@@ -492,7 +490,7 @@ class Coordinator:
         address = self.address
         payload = data_payload
         for replica in contacted:
-            fabric_send(address, replica, MessageKind.READ_REQUEST, payload, size_bytes=64)
+            fabric_send(address, replica, _READ_REQUEST, payload, size_bytes=64)
             payload = digest_payload
         if self.tracer is not None:
             self.tracer.op_fanout(
@@ -548,19 +546,20 @@ class Coordinator:
             pending.timeout_handle = self._after(
                 WRITE_TIMEOUT, self._hint_missing_replicas, pending.request_id
             )
-        result = OperationResult(
-            op_type="write",
-            key=pending.cell.key,
-            cell=pending.cell,
-            consistency_level=pending.level,
-            blocked_for=pending.required,
-            started_at=pending.started_at,
-            completed_at=self._engine._now + REQUEST_OVERHEAD,
-            timed_out=timed_out,
-            replicas=pending.replicas,
-            responded=list(pending.acks),
-            coordinator=self.address,
-            datacenter=self.datacenter,
+        result = OperationResult(  # positional, in field order (see write())
+            "write",
+            pending.cell.key,
+            pending.cell,
+            pending.level,
+            pending.required,  # blocked_for
+            pending.started_at,
+            self._engine._now + REQUEST_OVERHEAD,  # completed_at
+            timed_out,
+            False,  # unavailable
+            pending.replicas,
+            list(pending.acks),  # responded
+            self.address,  # coordinator
+            self.datacenter,
         )
         if self.tracer is not None:
             self.tracer.op_complete(result, pending.request_id)
@@ -598,7 +597,7 @@ class Coordinator:
             self._fabric.send(
                 self.address,
                 hint.target,
-                MessageKind.HINT_REPLAY,
+                _HINT_REPLAY,
                 hint.cell,
                 size_bytes=hint.cell.size_bytes,
             )
@@ -641,19 +640,15 @@ class Coordinator:
             # Level ALL demands that the replicas agree before the client is
             # answered: if they diverge, repair the stale ones first and only
             # then complete (paper Fig. 1, strong-consistency flow).
-            if pending.level is ConsistencyLevel.ALL and not self._responses_consistent(pending):
+            if pending.level is _ALL and not self._responses_consistent(pending):
                 self._start_blocking_repair(pending)
                 return
             self._complete_read(pending, timed_out=False)
 
     def _newest_response(self, pending: _PendingRead) -> Optional[Cell]:
-        # Cell.is_newer_than, inlined: every completed read passes here.
         newest: Optional[Cell] = None
         for cell in pending.responses.values():
-            if cell is not None and (
-                newest is None
-                or (cell.timestamp, cell.value_id) > (newest.timestamp, newest.value_id)
-            ):
+            if cell is not None and cell.is_newer_than(newest):
                 newest = cell
         return newest
 
@@ -664,19 +659,20 @@ class Coordinator:
         # Computed once and threaded through the repair helpers (historically
         # each helper re-scanned the responses).
         newest = self._newest_response(pending)
-        result = OperationResult(
-            op_type="read",
-            key=pending.key,
-            cell=newest,
-            consistency_level=pending.level,
-            blocked_for=pending.required,
-            started_at=pending.started_at,
-            completed_at=self._engine._now + REQUEST_OVERHEAD,
-            timed_out=timed_out,
-            replicas=pending.replicas,
-            responded=list(pending.responses),
-            coordinator=self.address,
-            datacenter=self.datacenter,
+        result = OperationResult(  # positional, in field order (see write())
+            "read",
+            pending.key,
+            newest,  # cell
+            pending.level,
+            pending.required,  # blocked_for
+            pending.started_at,
+            self._engine._now + REQUEST_OVERHEAD,  # completed_at
+            timed_out,
+            False,  # unavailable
+            pending.replicas,
+            list(pending.responses),  # responded
+            self.address,  # coordinator
+            self.datacenter,
         )
         if self.tracer is not None:
             self.tracer.op_complete(result, pending.request_id)
@@ -746,7 +742,7 @@ class Coordinator:
             self._fabric.send(
                 self.address,
                 replica,
-                MessageKind.REPAIR_WRITE,
+                _REPAIR_WRITE,
                 (pending.request_id, newest),
                 size_bytes=newest.size_bytes,
             )
@@ -763,18 +759,16 @@ class Coordinator:
 
     def _maybe_read_repair(self, pending: _PendingRead, newest: Optional[Cell]) -> None:
         """Send the newest observed cell to contacted replicas that are behind
-        (:meth:`_stale_responders` and ``Cell.is_newer_than``, inlined: every
-        read passes here)."""
+        (:meth:`_stale_responders`, inlined: every read passes here)."""
         if newest is None:
             return
-        version = (newest.timestamp, newest.value_id)
         for replica, cell in pending.responses.items():
-            if cell is not None and not version > (cell.timestamp, cell.value_id):
+            if cell is not None and not newest.is_newer_than(cell):
                 continue
             self._fabric.send(
                 self.address,
                 replica,
-                MessageKind.REPAIR_WRITE,
+                _REPAIR_WRITE,
                 (pending.request_id, newest),
                 size_bytes=newest.size_bytes,
             )

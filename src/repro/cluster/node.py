@@ -31,6 +31,20 @@ from repro.sim.rng import RandomStreams
 
 __all__ = ["NodeConfig", "StorageNode"]
 
+# Message kinds as module constants: reading a member off the Enum class is
+# a Python-level lookup, about ten times a global's cost, and the dispatch
+# below compares kinds on every message.
+_READ_REQUEST = MessageKind.READ_REQUEST
+_WRITE_REQUEST = MessageKind.WRITE_REQUEST
+_REPAIR_WRITE = MessageKind.REPAIR_WRITE
+_HINT_REPLAY = MessageKind.HINT_REPLAY
+_READ_RESPONSE = MessageKind.READ_RESPONSE
+_WRITE_RESPONSE = MessageKind.WRITE_RESPONSE
+_REPAIR_STREAM = MessageKind.REPAIR_STREAM
+_RANGE_STREAM = MessageKind.RANGE_STREAM
+_TREE_REQUEST = MessageKind.TREE_REQUEST
+_TREE_RESPONSE = MessageKind.TREE_RESPONSE
+
 #: The service pool every node starts with.  A refill replaces the pool and
 #: nothing writes into one, so a single empty array serves every node that
 #: has not yet served a request.
@@ -124,9 +138,10 @@ class StorageNode:
         # the co-located coordinator's two sinks (its response methods,
         # installed by the owning SimulatedCluster via
         # :meth:`set_response_sinks`); the node itself is the single fabric
-        # handler for its address, so delivery needs no intermediate frame.  Responses are forwarded even while
-        # the node is down: a coordinator keeps driving its in-flight
-        # operations when its own storage process dies.
+        # handler for its address, so delivery needs no intermediate frame.
+        # Responses are forwarded even while the node is down: a coordinator
+        # keeps driving its in-flight operations when its own storage
+        # process dies.
         self._read_response_sink: Optional[Callable[[tuple], None]] = None
         self._write_response_sink: Optional[Callable[[tuple], None]] = None
         # Pre-bound hot callable (one attribute hop less per request).
@@ -205,19 +220,19 @@ class StorageNode:
         the single home of service-time sampling.
         """
         kind = message.kind
-        if kind == MessageKind.READ_RESPONSE:
+        if kind == _READ_RESPONSE:
             self._read_response_sink(message.payload)
             return
-        if kind == MessageKind.WRITE_RESPONSE:
+        if kind == _WRITE_RESPONSE:
             self._write_response_sink(message.payload)
             return
         if not self._up:
             self.counters.dropped_mutations += 1
             return
         if (
-            kind == MessageKind.READ_REQUEST
-            or kind == MessageKind.WRITE_REQUEST
-            or kind == MessageKind.REPAIR_WRITE
+            kind == _READ_REQUEST
+            or kind == _WRITE_REQUEST
+            or kind == _REPAIR_WRITE
         ):
             if self._busy_workers >= self.config.concurrency:
                 queue = self._queue
@@ -229,7 +244,7 @@ class StorageNode:
                 queue.append(message)
                 return
             self._busy_workers += 1
-            if kind == MessageKind.READ_REQUEST:
+            if kind == _READ_REQUEST:
                 scale = self._read_scale
                 if message.payload[2]:  # digest read
                     scale *= DIGEST_SERVICE_FACTOR
@@ -253,19 +268,19 @@ class StorageNode:
                 self._finish_service,
                 message,
             )
-        elif kind == MessageKind.HINT_REPLAY:
+        elif kind == _HINT_REPLAY:
             # Hint replays are applied directly (they are background work and
             # modelled as not competing for the foreground worker pool).
             # is_repair=False: the coordinator counts them as hints_replayed.
             self.apply_write(message.payload, is_repair=False)
-        elif kind == MessageKind.REPAIR_STREAM:
+        elif kind == _REPAIR_STREAM:
             # Anti-entropy streamed cell: background work like hint replay
             # (is_repair=False: the read_repairs counter is for the read
             # path), counted separately so repair effectiveness is
             # observable.
             self.apply_write(message.payload, is_repair=False)
             self.counters.anti_entropy_cells += 1
-        elif kind == MessageKind.RANGE_STREAM:
+        elif kind == _RANGE_STREAM:
             # Membership bulk transfer: a batch of cells for a moving range.
             # Background work (no foreground worker), applied newest-wins
             # like any other write; the membership manager drives progress
@@ -273,7 +288,7 @@ class StorageNode:
             for cell in message.payload:
                 self.apply_write(cell, is_repair=False)
             self.counters.range_stream_cells += len(message.payload)
-        elif kind in (MessageKind.TREE_REQUEST, MessageKind.TREE_RESPONSE):
+        elif kind in (_TREE_REQUEST, _TREE_RESPONSE):
             # Merkle tree exchange: the anti-entropy service drives its own
             # state machine through delivery callbacks; the node itself has
             # nothing to do beyond having "received" the message.
@@ -287,28 +302,24 @@ class StorageNode:
             # Inlined request serving (historically a separate _serve call).
             payload = message.payload
             kind = message.kind
-            if kind == MessageKind.READ_REQUEST:
+            if kind == _READ_REQUEST:
                 cell = self.storage.read(payload[1])
                 self.counters.reads_served += 1
                 self._fabric.send(
                     self.address,
                     message.src,
-                    MessageKind.READ_RESPONSE,
+                    _READ_RESPONSE,
                     (payload[0], self.address, cell),
                     size_bytes=cell.size_bytes if cell is not None else 64,
                 )
-            elif kind == MessageKind.WRITE_REQUEST or kind == MessageKind.REPAIR_WRITE:
-                is_repair = kind == MessageKind.REPAIR_WRITE
-                # apply_write, inlined (one frame less per replica write).
-                self.storage.apply(payload[1])
-                counters = self.counters
-                counters.writes_applied += 1
-                if is_repair:
-                    counters.read_repairs += 1
+            elif kind == _WRITE_REQUEST or kind == _REPAIR_WRITE:
+                is_repair = kind == _REPAIR_WRITE
+                cell = payload[1]
+                self.apply_write(cell, is_repair=is_repair)
                 self._fabric.send(
                     self.address,
                     message.src,
-                    MessageKind.WRITE_RESPONSE,
+                    _WRITE_RESPONSE,
                     (payload[0], self.address, is_repair),
                     size_bytes=64,
                 )

@@ -94,8 +94,7 @@ class StorageEngine:
             memtable._cells[key] = cell
             memtable.size_bytes += cell.size_bytes
             stats.live_cells += 1
-        elif (cell.timestamp, cell.value_id) > (existing.timestamp, existing.value_id):
-            # Cell.is_newer_than, inlined: every replica write passes here.
+        elif cell.is_newer_than(existing):
             memtable._cells[key] = cell
             memtable.size_bytes += cell.size_bytes - existing.size_bytes
         stats.writes += 1

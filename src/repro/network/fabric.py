@@ -75,7 +75,9 @@ Three things keep the per-message cost low on 100+ node rings:
   path finds its pool in a cache per (source, destination site).
 * **One engine event per message, and no per-link state.**  A message is
   its own entry in the engine heap, which already orders every delivery by
-  ``(time, seq)``; the destination handler is looked up at delivery.  The
+  ``(time, seq)``; the fabric pushes it through the engine's
+  :meth:`~repro.sim.engine.SimulationEngine.lane` (no ``call_at`` frame),
+  and one arrival frame per message looks the destination handler up.  The
   two delivery modes are two *models*, not two speeds.  ``"coalesced"``
   delivers each message at ``sent_at`` plus its own independent latency
   draw (the WARS model of PBS, which the paper-faithful and geo scenarios
@@ -97,11 +99,11 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappush as _heappush
 from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-from heapq import heappush as _heappush
 
 from repro.constants import DEFAULT_BANDWIDTH_BYTES_PER_S
 from repro.network.latency import LatencyModel
@@ -253,7 +255,8 @@ class _LatencyPool:
         index = self.index
         values = self.values
         if index >= len(values):
-            drawn = np.asarray(self.model.sample_many(self.rng, LATENCY_POOL_SIZE), dtype=np.float64)
+            drawn = self.model.sample_many(self.rng, LATENCY_POOL_SIZE)
+            drawn = np.asarray(drawn, dtype=np.float64)
             if drawn.min() < 0.0:
                 # Deliveries go onto the engine heap unchecked (see
                 # NetworkFabric.send), so a negative draw must fail here.

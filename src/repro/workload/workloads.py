@@ -44,10 +44,15 @@ class OperationType(enum.Enum):
     UPDATE = "update"
     INSERT = "insert"
 
-    @property
-    def is_write(self) -> bool:
-        """Whether the operation mutates data (updates the replicas)."""
-        return self is not OperationType.READ
+    def __init__(self, value: str) -> None:
+        #: Whether the operation mutates data (updates the replicas): a
+        #: member attribute, read per operation without a call.
+        self.is_write = value != "read"
+
+
+# A member as a module global: reading one off the Enum class is a
+# Python-level lookup, and ``next_operation`` compares against it per draw.
+_INSERT = OperationType.INSERT
 
 
 class Operation(NamedTuple):
@@ -195,34 +200,29 @@ class CoreWorkload:
 
     def next_operation(self) -> Operation:
         """Draw the next operation of the run phase."""
-        op_type = self._draw_op_type()
-        if op_type is OperationType.INSERT:
+        # The op type: bisect on the (tiny) cumulative list instead of
+        # np.searchsorted, whose call overhead dwarfs the search at this
+        # size.  The single scalar draw keeps stream consumption identical
+        # to the historical implementation.
+        op_types = self._op_types
+        index = bisect.bisect_right(self._cumulative_list, float(self._rng.random()))
+        op_type = op_types[index if index < len(op_types) else len(op_types) - 1]
+        if op_type is _INSERT:
             key = self.key_for(self._insert_count)
             self._insert_count += 1
             self._chooser.grow(self._insert_count)
-            return Operation(op_type=op_type, key=key, value_size=self.value_size())
+            return Operation(op_type, key, self.value_size())
         index = self._chooser.next_index(self._rng)
         key = self.key_for(index)
         if op_type.is_write:
-            return Operation(op_type=op_type, key=key, value_size=self.value_size())
-        return Operation(op_type=op_type, key=key)
+            return Operation(op_type, key, self.value_size())
+        return Operation(op_type, key)
 
     def operations(self, count: Optional[int] = None):
         """Iterator over ``count`` operations (defaults to ``operation_count``)."""
         total = count if count is not None else self.config.operation_count
         for _ in range(total):
             yield self.next_operation()
-
-    def _draw_op_type(self) -> OperationType:
-        # bisect on the (tiny) cumulative list instead of np.searchsorted:
-        # the NumPy call overhead dwarfs the search at this size.  The
-        # single scalar draw keeps stream consumption identical to the
-        # historical implementation.
-        u = float(self._rng.random())
-        index = bisect.bisect_right(self._cumulative_list, u)
-        if index >= len(self._op_types):
-            index = len(self._op_types) - 1
-        return self._op_types[index]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CoreWorkload({self.config.name!r}, records={self.config.record_count})"

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.network.fabric import LATENCY_POOL_SIZE, NetworkFabric
-from repro.network.latency import ConstantLatency
+from repro.network.latency import ConstantLatency, LatencyModel
 from repro.network.topology import TopologyBuilder
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RandomStreams
@@ -57,6 +57,34 @@ def test_bandwidth_term_adds_transfer_time():
     fabric.send(a, b, "data", None, size_bytes=size)
     engine.run()
     assert received[0].delivered_at == pytest.approx(0.001 + 0.001)
+
+
+class _NegativeLatency(LatencyModel):
+    """Breaks the model contract (latencies are never negative)."""
+
+    def sample(self, rng):
+        return -0.001
+
+    def mean(self):
+        return -0.001
+
+
+def test_a_negative_latency_draw_is_refused_at_pool_refill():
+    # Deliveries are pushed onto the engine heap without call_at's past
+    # check, so the pool must refuse a draw that would schedule one there.
+    engine = SimulationEngine()
+    topo = (
+        TopologyBuilder()
+        .latencies(intra_rack=_NegativeLatency())
+        .datacenter("dc1")
+        .rack("r1", nodes=2)
+        .build()
+    )
+    fabric = NetworkFabric(engine, topo, RandomStreams(seed=5))
+    a, b = topo.nodes
+    with pytest.raises(ValueError, match="negative latency"):
+        fabric.send(a, b, "x", None)
+    assert engine.pending_events == 0
 
 
 def test_inter_rack_latency_applies():

@@ -381,6 +381,28 @@ class TestRunUntilEqualsStepping:
         assert engine.pending_events == 1 and engine.next_event_time() == 0.6
         assert engine.events_processed == 1
 
+    @pytest.mark.parametrize("stop_at", [None, "a", "b", "e+0", "g"])
+    def test_unbounded_run_agrees_with_stepping(self, stop_at):
+        # run() with no bound has a loop of its own (_drain); it must match
+        # step() by step() on the same queue, stop requests included.
+        def by_run(engine):
+            return engine.run()
+
+        def by_steps(engine):
+            executed = 0
+            while not engine._stopped and engine.step():
+                executed += 1
+            return executed
+
+        outcomes = []
+        for drain in (by_run, by_steps):
+            engine = SimulationEngine()
+            log: list = []
+            self.populate(engine, log, stop_at=stop_at)
+            executed = drain(engine)
+            outcomes.append((executed, observable_state(engine), log))
+        assert outcomes[0] == outcomes[1]
+
     @pytest.mark.parametrize("stop_at", ["a", "b", "c", "e+0", "f"])
     def test_stop_from_inside_a_callback_agrees(self, stop_at):
         fast = self.drive(self.run_until, stop_at=stop_at)
