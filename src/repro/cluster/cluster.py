@@ -579,10 +579,7 @@ class SimulatedCluster:
         ``datacenter`` pins the coordinator to one site (see :meth:`write`);
         ``notify_observers=False`` skips the registered operation observers.
         """
-        # What the coordinator calls back: the caller's own callback, or with
-        # observers to notify, _notify_then bound to the live observer list
-        # (a C-level partial: no frame to build, one when the op completes).
-        observers = self._operation_observers
+        observers = self._operation_observers  # as in write()
         if notify_observers and observers:
             on_complete = partial(_notify_then, observers, callback)
         else:

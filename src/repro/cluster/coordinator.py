@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from functools import partial
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.consistency import ConsistencyLevel, blocked_for_datacenters
@@ -758,13 +758,10 @@ class Coordinator:
                 self._complete_read(pending, timed_out=False)
 
     def _maybe_read_repair(self, pending: _PendingRead, newest: Optional[Cell]) -> None:
-        """Send the newest observed cell to contacted replicas that are behind
-        (:meth:`_stale_responders`, inlined: every read passes here)."""
+        """Send the newest observed cell to contacted replicas that are behind."""
         if newest is None:
             return
-        for replica, cell in pending.responses.items():
-            if cell is not None and not newest.is_newer_than(cell):
-                continue
+        for replica in self._stale_responders(pending, newest):
             self._fabric.send(
                 self.address,
                 replica,

@@ -131,8 +131,13 @@ class Topology:
         # placed anywhere else would make those reads lie.
         self._nodes: List[NodeAddress] = []
         members: set = set()
+        #: One ``(datacenter, rack)`` tuple per site, shared by its nodes
+        #: (a site keys the fabric's per-source pool caches).
+        self._sites: Dict[Tuple[str, str], Tuple[str, str]] = {}
         for dc in self._datacenters:
             for rack in dc.racks:
+                site = (dc.name, rack.name)
+                self._sites.setdefault(site, site)
                 for node in rack.nodes:
                     if node.datacenter != dc.name or node.rack != rack.name:
                         raise ValueError(
@@ -185,9 +190,9 @@ class Topology:
         return self.site_of(node)[1]
 
     def site_of(self, node: NodeAddress) -> Tuple[str, str]:
-        """``(datacenter, rack)`` of a member node."""
+        """``(datacenter, rack)`` of a member node, one tuple per site."""
         if node in self._members:
-            return (node.datacenter, node.rack)
+            return self._sites[node.datacenter, node.rack]
         raise KeyError(node)
 
     def nodes_in_datacenter(self, dc_name: str) -> List[NodeAddress]:

