@@ -52,8 +52,9 @@ from repro.sim.timers import FixedDelayTimer, TimerEntry
 
 __all__ = ["Coordinator", "OperationResult", "CoordinatorConfig"]
 
-# Hot constants as module globals: reading a member off an Enum class is a
-# Python-level lookup, about ten times a global's cost.
+# The message kinds a coordinator sends, and the level its read path tests,
+# as module globals: reading a member off an Enum class is a Python-level
+# lookup, about ten times a global's cost.
 _READ_REQUEST = MessageKind.READ_REQUEST
 _WRITE_REQUEST = MessageKind.WRITE_REQUEST
 _REPAIR_WRITE = MessageKind.REPAIR_WRITE
