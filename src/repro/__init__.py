@@ -53,6 +53,10 @@ Package layout
     outages, WAN partitions at the fabric level), the shared failure
     detector behind the coordinators' Unavailable fail-fast path, and the
     windowed fault timeline for before/during/after analysis;
+``repro.chaos``
+    seeded search over the fault-schedule space: a schedule generator, the
+    post-heal invariant suite, the deterministic replay every caller
+    shares, ddmin shrinking and the reproducer corpus format;
 ``repro.network``
     latency models (Grid'5000-like, EC2-like), topology with per-DC-pair
     WAN links, and the message fabric;

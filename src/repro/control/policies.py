@@ -129,9 +129,6 @@ class HarmonyReadPolicy(LevelPolicy):
         self.label = f"harmony-{_percent(self.config.tolerated_stale_rate)}"
         self.estimator: Optional[StalenessEstimator] = None
         self.current_level = ConsistencyLevel.ONE
-        #: The monitoring sample behind the current decision (``None`` before
-        #: the first one).
-        self.last_sample: Optional[MonitoringSample] = None
 
     def read_level(self, datacenter: Optional[str] = None) -> ConsistencyLevel:
         return self.current_level  # a cluster-wide level needs no per-site rule
@@ -158,7 +155,6 @@ class HarmonyReadPolicy(LevelPolicy):
             sample=sample,
         )
         self.current_level = level
-        self.last_sample = sample
         return decision
 
     def tick(self, tick: ControlTick) -> List[Decision]:

@@ -562,9 +562,11 @@ GRID5000_3SITES_ADAPTIVE = GRID5000_3SITES.with_overrides(
 
 #: The bandwidth-realism scenario: the canonical fault timeline on a
 #: *finite* WAN.  Each inter-site link carries 4 MB/s (a provisioned WAN
-#: pipe, not the 1 Gbit/s LAN default), so the post-heal repair storm and
-#: hint replay become fair-share transfers that contend with foreground
-#: traffic -- the contention the paper's Grid'5000 runs actually faced.
+#: pipe, not the 1 Gbit/s LAN default), so the post-heal repair storm
+#: becomes fair-share transfers that contend with foreground traffic -- the
+#: contention the paper's Grid'5000 runs actually faced.  Hints are stored
+#: during the isolation and not replayed on heal (``replay_hints=False``,
+#: inherited), so anti-entropy alone converges the isolated site.
 #: ``benchmarks/bench_repair.py`` compares this against the infinite-pipe
 #: arm and against the repair policy's physical WAN budget throttle.
 GRID5000_3SITES_WAN = GRID5000_3SITES_FAULTS.with_overrides(
@@ -572,10 +574,11 @@ GRID5000_3SITES_WAN = GRID5000_3SITES_FAULTS.with_overrides(
     bandwidth=BandwidthConfig(capacity_bytes_per_s=4_000_000.0),
     description=(
         "GRID5000_3SITES_FAULTS on a finite WAN: every inter-site link has "
-        "4 MB/s shared capacity, repair streams / hint replay / tree "
-        "exchanges are max-min fair-share transfers, and foreground "
-        "serialization runs at the residual bandwidth, so repair storms "
-        "after the heal visibly inflate foreground latency."
+        "4 MB/s shared capacity, repair streams and tree exchanges are "
+        "max-min fair-share transfers, and foreground serialization runs "
+        "at the residual bandwidth, so repair storms after the heal "
+        "visibly inflate foreground latency; hints are stored during the "
+        "isolation and not replayed on heal."
     ),
 )
 

@@ -105,13 +105,12 @@ class TestDecisionScheme:
         last = policy.decide(heavy)
         assert last.replicas > 1
         assert policy.current_level is last.value is policy.read_level()
-        assert policy.last_sample is heavy is last.sample
+        assert last.sample is heavy
         assert plane.decisions == []  # the plane logs its own ticks only
 
     def test_level_defaults_to_one_before_the_first_decision(self):
         plane, policy = make_policy(make_cluster())
         assert policy.current_level is ConsistencyLevel.ONE
-        assert policy.last_sample is None
         assert len(plane.estimate_series) == 0
         assert plane.decisions == []
 
@@ -120,7 +119,7 @@ class TestPeriodicLoop:
     def test_start_schedules_periodic_ticks(self):
         cluster = make_cluster()
         config = HarmonyConfig(tolerated_stale_rate=0.2, monitoring_interval=0.1)
-        plane, policy = make_policy(cluster, config)
+        plane, _ = make_policy(cluster, config)
         plane.start()
         cluster.engine.run_until(cluster.engine.now + 0.55)
         assert len(plane.decisions) == 5
@@ -128,7 +127,8 @@ class TestPeriodicLoop:
         series = plane.estimate_series
         assert list(series.times) == [d.time for d in plane.decisions]
         assert list(series.values) == [d.estimate.probability for d in plane.decisions]
-        assert policy.last_sample is plane.decisions[-1].sample
+        # Each decision carries the sample of its own tick.
+        assert [d.sample.time for d in plane.decisions] == [d.time for d in plane.decisions]
         plane.stop()
         cluster.engine.run_until(cluster.engine.now + 0.5)
         assert len(plane.decisions) == 5

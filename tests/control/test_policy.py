@@ -123,7 +123,7 @@ class TestHarmonyPolicy:
     def test_read_level_before_attach_is_one(self):
         policy = make_policy("harmony-40%")
         assert policy.read_level() is ConsistencyLevel.ONE
-        assert policy.plane is None and policy.last_sample is None
+        assert policy.plane is None
 
     def test_attach_starts_a_plane_and_detach_stops_it(self, cluster):
         """The policy *is* what the plane ticks, at the policy's own interval."""

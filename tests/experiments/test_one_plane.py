@@ -26,14 +26,9 @@ from repro.control.policies import (
     RepairSchedulePolicy,
     ScaleOutConfig,
     ScaleOutPolicy,
+    make_policy,
 )
-from repro.control.policies import HarmonyConfig, make_policy
 from repro.experiments.scenarios import GRID5000_3SITES_ELASTIC as SCENARIO
-from repro.extensions.categories import (
-    CategorizedHarmonyPolicy,
-    ConsistencyCategorizer,
-    KeyAccessTracker,
-)
 from repro.staleness.auditor import StalenessAuditor
 from repro.workload.executor import WorkloadExecutor
 from repro.workload.workloads import WORKLOAD_A
@@ -42,36 +37,12 @@ INTERVAL = 0.1  # the adaptive level policies' tick period
 REPAIR_INTERVAL = 1.0
 
 
-def categorized_policy() -> CategorizedHarmonyPolicy:
-    """Write-hot keys get ASR 0 (strictest), read-only ones ASR 1."""
-    tracker = KeyAccessTracker()
-    for _ in range(200):
-        tracker.observe_raw("hot", is_write=True)
-        tracker.observe_raw("hot", is_write=False)
-    for _ in range(3):
-        tracker.observe_raw("cold", is_write=False)
-    categorizer = ConsistencyCategorizer(n_categories=2, strict_asr=0.0, relaxed_asr=1.0, seed=1)
-    categorizer.fit(tracker)
-    return CategorizedHarmonyPolicy(
-        categorizer,
-        default_asr=0.2,
-        config=HarmonyConfig(tolerated_stale_rate=0.2, monitoring_interval=INTERVAL),
-    )
-
-
-def build_policy(family: str):
-    if family == "categorized":
-        return categorized_policy()
-    return make_policy(family, SCENARIO, monitoring_interval=INTERVAL)
-
-
 #: family -> decision-record name.  ``local_quorum`` is the static case.
 FAMILIES = {
     "harmony-0.2": "harmony",
     "threshold-0.3": "threshold",
     "geo-harmony": "geo-harmony",
     "geo-harmony-rw": "geo-harmony-rw",
-    "categorized": "harmony",
     "local_quorum": "static-geo(LOCAL_QUORUM/LOCAL_ONE)",
 }
 
@@ -79,7 +50,7 @@ FAMILIES = {
 def run_on_one_plane(family: str):
     cluster = SimulatedCluster(SCENARIO.cluster_config(seed=5))
     manager = MembershipManager(cluster)
-    policy = build_policy(family)
+    policy = make_policy(family, SCENARIO, monitoring_interval=INTERVAL)
     executor = WorkloadExecutor(
         cluster,
         WORKLOAD_A.scaled(record_count=60, operation_count=900),
@@ -150,16 +121,3 @@ def test_one_plane_carries_everything(family):
         starting = {ConsistencyLevel.LOCAL_QUORUM}
     assert issued and set(issued) <= decided | starting
     assert set(metrics.consistency_level_usage) == {level.value for level in set(issued)}
-
-
-def test_per_key_levels_ignore_the_other_policies_decisions():
-    """The repair scheduler's sample-less decisions land after the read loop's
-    in every tick; the per-key answer comes from the loop's own last sample."""
-    policy, plane, _, _ = run_on_one_plane("categorized")
-    assert any(d.sample is None for d in plane.decisions)
-    assert policy.last_sample is not None
-    rf = plane.cluster.replication_factor
-    strict = policy.level_for_key("hot")  # ASR 0.0
-    relaxed = policy.level_for_key("cold")  # ASR 1.0
-    assert relaxed is ConsistencyLevel.ONE
-    assert strict.blocked_for(rf) > 1

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cluster.cluster import SimulatedCluster
@@ -62,7 +65,9 @@ def test_registry_unknown_name_raises():
         ScenarioRegistry.get("azure")
 
 
-def test_registry_register_custom_scenario():
+def test_registry_register_custom_scenario(monkeypatch):
+    # A copy of the registry, so "lab" is gone again after this test.
+    monkeypatch.setattr(ScenarioRegistry, "_scenarios", dict(ScenarioRegistry._scenarios))
     custom = Scenario(
         name="lab",
         n_nodes=4,
@@ -73,3 +78,10 @@ def test_registry_register_custom_scenario():
     )
     ScenarioRegistry.register(custom)
     assert ScenarioRegistry.get("lab") is custom
+
+
+def test_every_registered_scenario_has_a_docs_entry():
+    docs = Path(__file__).resolve().parents[2] / "docs" / "scenarios.md"
+    documented = set(re.findall(r"^### `([^`]+)`$", docs.read_text(encoding="utf-8"), re.M))
+    missing = [name for name in ScenarioRegistry.names() if name not in documented]
+    assert not missing, f"docs/scenarios.md has no ### heading for {missing}"

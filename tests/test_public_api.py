@@ -3,6 +3,8 @@
 A module deleted from under a package leaves its name behind in an
 ``__all__`` list; ``from package import *`` then fails, long after the
 deletion.  Walk the packages instead of listing them, so a new one is covered.
+The two package maps (README's "Package layout" block and the one in
+``repro/__init__.py``) are held to the same walk.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import ast
 import doctest
 import importlib
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -44,6 +47,27 @@ def test_the_package_docstring_examples_run():
     """Both quick starts in ``repro/__init__.py`` construct policies by public name."""
     results = doctest.testmod(repro)
     assert results.attempted >= 11 and results.failed == 0
+
+
+def _readme_package_map() -> set:
+    """The ``  name/`` rows under ``src/repro/`` in README's layout block."""
+    readme = (Path(repro.__path__[0]).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Package layout", 1)[1].split("```")[1]
+    rows = block.split("src/repro/", 1)[1]
+    return set(re.findall(r"^  (\w+)/ ", rows, re.M))
+
+
+def _docstring_package_map() -> set:
+    """The ````repro.name```` headings of the package docstring's layout."""
+    section = repro.__doc__.split("Package layout\n--------------\n", 1)[1]
+    section = re.split(r"^\w.*\n-{3,}$", section, maxsplit=1, flags=re.M)[0]
+    return set(re.findall(r"^``repro\.(\w+)``$", section, re.M))
+
+
+def test_both_package_maps_name_the_packages_that_exist():
+    existing = {info.name for info in pkgutil.iter_modules(repro.__path__) if info.ispkg}
+    assert _readme_package_map() == existing, "README's Package layout block"
+    assert _docstring_package_map() == existing, "repro/__init__.py's Package layout"
 
 
 def test_no_module_under_src_imports_benchmarks():

@@ -12,7 +12,12 @@ global message loss, backoff jitter, the p99 scale-out trigger, repair pair
 subsets and per-link capacities.  When the paper's loop folded into
 ``repro.control``, ``repro.core`` and ``repro.geo`` went, with the second
 model class (``StaleReadModel``) and the eight constructor names that
-duplicated :func:`~repro.control.make_policy`.  No ``src/repro`` module may
+duplicated :func:`~repro.control.make_policy`.  The Section VII future-work
+package, ``repro.extensions`` (per-key consistency categories by k-means over
+access counts, and an application-cost tolerance model), went because no
+simulated run consulted it: its policy's read level ignored the key, nothing
+on the op path asked for the per-key one, and only an example and its own
+tests called it.  No ``src/repro`` module may
 define or import their names again, their config fields stay off the config
 classes, and the names that selected them are rejected like any unknown name.
 """
@@ -69,6 +74,14 @@ REMOVED_NAMES = [
     "GeoHarmonyPolicy",
     "GeoHarmonyRWPolicy",
     "StaticGeoPolicy",
+    "CategorizedHarmonyPolicy",
+    "ConsistencyCategorizer",
+    "ConsistencyCategory",
+    "KeyAccessTracker",
+    "KeyAccessStats",
+    "ApplicationProfile",
+    "recommend_tolerance",
+    "naive_tolerance_for",
 ]
 
 
@@ -178,6 +191,11 @@ def test_the_folded_packages_are_gone(package):
     """The loop lives in ``repro.control``; its old homes import as nothing."""
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(package)
+
+
+def test_the_section_vii_package_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.extensions")
 
 
 def test_sla_policy_names_are_unknown():

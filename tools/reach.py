@@ -4,7 +4,7 @@
 Runs the repository's entry points in this one process under a
 ``sys.setprofile`` hook that records each code object entered:
 
-* the quick scorecard build and the 8 examples (``dc_outage.py --quick``);
+* the quick scorecard build and the 7 examples (``dc_outage.py --quick``);
 * ``tools/chaos_search.py`` on seeds 0-5 of the three multi-DC scenarios at
   budget 6, with no ``--time-budget`` so the sweep is the same on every host;
 * the replay of every corpus entry in ``tests/chaos/corpus/``;
