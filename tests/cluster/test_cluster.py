@@ -111,6 +111,42 @@ class TestClusterBasics:
         small_cluster.read_sync("k", ConsistencyLevel.ONE)
         assert [r.op_type for r in seen] == ["write", "read"]
 
+    def test_observed_results_name_the_key_and_the_level(self, small_cluster):
+        seen = []
+        small_cluster.add_operation_observer(seen.append)
+        small_cluster.write_sync("a", "v", ConsistencyLevel.ONE)
+        small_cluster.read_sync("a", ConsistencyLevel.QUORUM)
+        small_cluster.write_sync("b", "w", ConsistencyLevel.ALL)
+        assert [(r.op_type, r.key, r.consistency_level) for r in seen] == [
+            ("write", "a", ConsistencyLevel.ONE),
+            ("read", "a", ConsistencyLevel.QUORUM),
+            ("write", "b", ConsistencyLevel.ALL),
+        ]
+        assert seen[1].cell.value == "v"
+
+    def test_observers_run_in_registration_order_before_the_callback(self, small_cluster):
+        order = []
+        small_cluster.add_operation_observer(lambda r: order.append("first"))
+        small_cluster.add_operation_observer(lambda r: order.append("second"))
+        small_cluster.write("k", "v", ConsistencyLevel.ONE, lambda r: order.append("callback"))
+        small_cluster.settle()
+        assert order == ["first", "second", "callback"]
+
+    def test_unnotified_operations_skip_the_observers_not_the_callback(self, small_cluster):
+        seen, done = [], []
+        small_cluster.add_operation_observer(seen.append)
+        small_cluster.write("k", "v", ConsistencyLevel.ONE, done.append, notify_observers=False)
+        small_cluster.read("k", ConsistencyLevel.ONE, done.append, notify_observers=False)
+        small_cluster.settle()
+        assert seen == [] and sorted(r.op_type for r in done) == ["read", "write"]
+
+    def test_a_fire_and_forget_write_lands(self, small_cluster):
+        """No callback and no observer: the write still completes on every replica."""
+        small_cluster.write("k", "v", ConsistencyLevel.ONE)
+        small_cluster.settle()
+        assert small_cluster.newest_cell("k").value == "v"
+        assert small_cluster.is_consistent("k")
+
     def test_newest_cell_and_consistency_check(self, small_cluster):
         small_cluster.write_sync("k", "v1", ConsistencyLevel.ALL)
         small_cluster.settle()

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
+import repro
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
 from repro.control.plane import ControlPlane, LevelPolicy
@@ -16,9 +20,31 @@ from repro.control.policies import (
 from repro.experiments.scenarios import GRID5000_3SITES
 
 
+#: One name per family ``make_policy`` knows.
+POLICY_NAMES = [
+    "eventual",
+    "strong",
+    "quorum",
+    "local_one",
+    "local_quorum",
+    "each_quorum",
+    "geo-harmony",
+    "geo-harmony-rw",
+    "harmony-0.2",
+    "threshold-0.3",
+]
+
+
 @pytest.fixture
 def cluster() -> SimulatedCluster:
     return SimulatedCluster(ClusterConfig(n_nodes=6, replication_factor=3, seed=23))
+
+
+def write_heavy_load(cluster: SimulatedCluster, writes: int = 200, reads: int = 20) -> None:
+    for i in range(writes):
+        cluster.write(f"k{i}", "v", ConsistencyLevel.ONE)
+    for i in range(reads):
+        cluster.read(f"k{i}", ConsistencyLevel.ONE)
 
 
 class TestMakePolicy:
@@ -70,6 +96,19 @@ class TestMakePolicy:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             make_policy("chaos")
+
+    def test_every_level_policy_class_is_one_make_policy_can_name(self):
+        """No level policy in ``src/`` is reachable only by its constructor."""
+        for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+            importlib.import_module(info.name)
+        classes, todo = set(), [LevelPolicy]
+        while todo:
+            cls = todo.pop()
+            if cls.__module__.startswith("repro."):
+                classes.add(cls)
+                todo.extend(cls.__subclasses__())
+        named = {type(make_policy(name, GRID5000_3SITES)) for name in POLICY_NAMES}
+        assert classes == named
 
     def test_only_the_geo_loops_need_a_scenario(self):
         for name in ("eventual", "local_quorum", "harmony-20%", "threshold-0.3"):
@@ -125,6 +164,28 @@ class TestHarmonyPolicy:
         assert policy.read_level() is ConsistencyLevel.ONE
         assert policy.plane is None
 
+    @pytest.mark.parametrize("asr", [0.0, 1.0])
+    def test_live_load_escalates_reads_only_past_the_tolerance(self, asr):
+        cluster = SimulatedCluster(ClusterConfig(n_nodes=6, replication_factor=5, seed=3))
+        policy = HarmonyReadPolicy(
+            HarmonyConfig(tolerated_stale_rate=asr, monitoring_interval=0.05)
+        )
+        plane = ControlPlane(cluster)
+        plane.add(policy)
+        plane.start()
+        for i in range(400):
+            cluster.write(f"hot{i % 5}", "v", ConsistencyLevel.ONE)
+            cluster.read(f"hot{i % 5}", ConsistencyLevel.ONE)
+        cluster.engine.run_until(cluster.engine.now + 0.2)
+        plane.stop()
+        # The model sees the load either way; only the tolerance differs.
+        assert plane.decisions[-1].estimate.probability > 0.0
+        if asr == 0.0:
+            assert policy.read_level().blocked_for(5) > 1
+        else:
+            assert policy.read_level() is ConsistencyLevel.ONE
+        assert policy.write_level() is ConsistencyLevel.ONE  # the paper adapts reads only
+
     def test_attach_starts_a_plane_and_detach_stops_it(self, cluster):
         """The policy *is* what the plane ticks, at the policy's own interval."""
         policy = HarmonyReadPolicy(
@@ -159,6 +220,31 @@ class TestHarmonyPolicy:
         assert "harmony-25%" in repr(policy)
         assert policy.config.tolerated_stale_rate == 0.25
         assert policy.interval == policy.config.monitoring_interval
+
+
+class TestPinnedClients:
+    @pytest.mark.parametrize(
+        "name", ["eventual", "strong", "quorum", "harmony-0.2", "threshold-0.3"]
+    )
+    def test_a_cluster_wide_policy_hands_every_site_the_shared_level(self, name):
+        """``read_level`` takes a client's datacenter; a cluster-wide level ignores it."""
+        cluster = SimulatedCluster(
+            ClusterConfig(n_nodes=6, datacenters=2, replication_factor=3, seed=23)
+        )
+        policy = make_policy(name, monitoring_interval=0.05)
+        plane = ControlPlane(cluster)
+        plane.add(policy)
+        levels = []
+        plane.start()
+        for _ in range(3):
+            write_heavy_load(cluster)
+            cluster.engine.run_until(cluster.engine.now + 0.1)
+            shared = policy.read_level()
+            assert [policy.read_level(dc) for dc in cluster.datacenter_names] == [shared] * 2
+            levels.append(shared)
+        plane.stop()
+        if policy.interval is not None:
+            assert len(plane.decisions) >= 3 and levels[-1] is not ConsistencyLevel.ONE
 
 
 class TestThresholdPolicy:

@@ -21,6 +21,7 @@ from repro.cluster.antientropy import AntiEntropyConfig
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
 from repro.cluster.membership import MembershipManager
+from repro.control.plane import LevelPolicy
 from repro.control.policies import (
     RepairControlConfig,
     RepairSchedulePolicy,
@@ -37,13 +38,19 @@ INTERVAL = 0.1  # the adaptive level policies' tick period
 REPAIR_INTERVAL = 1.0
 
 
-#: family -> decision-record name.  ``local_quorum`` is the static case.
+#: family -> decision-record name: every name ``make_policy`` knows.  The
+#: last six are static levels, which never tick.
 FAMILIES = {
     "harmony-0.2": "harmony",
     "threshold-0.3": "threshold",
     "geo-harmony": "geo-harmony",
     "geo-harmony-rw": "geo-harmony-rw",
+    "eventual": "eventual",
+    "strong": "strong",
+    "quorum": "quorum",
+    "local_one": "static-geo(LOCAL_ONE/LOCAL_ONE)",
     "local_quorum": "static-geo(LOCAL_QUORUM/LOCAL_ONE)",
+    "each_quorum": "static-geo(EACH_QUORUM/LOCAL_ONE)",
 }
 
 
@@ -108,7 +115,7 @@ def test_one_plane_carries_everything(family):
     assert all(d.kind == "repair_interval" for d in by_policy.get("repair-schedule", ()))
     assert by_policy.get("repair-schedule"), "the repair scheduler never decided"
     own = by_policy.get(record_name, [])
-    if family == "local_quorum":
+    if static:
         assert own == []  # a static level has nothing to decide, and does no harm
     else:
         assert own, f"{family} never decided on the shared plane"
@@ -118,6 +125,8 @@ def test_one_plane_carries_everything(family):
     decided = {d.value for d in own if d.kind == "read_level"}
     starting = {ConsistencyLevel.ONE, ConsistencyLevel.LOCAL_ONE}
     if static:
-        starting = {ConsistencyLevel.LOCAL_QUORUM}
+        # The fixed level at each client's site (the class's method: the
+        # instance's own one records ``issued``).
+        starting = {LevelPolicy.read_level(policy, dc) for dc in SCENARIO.datacenter_names}
     assert issued and set(issued) <= decided | starting
     assert set(metrics.consistency_level_usage) == {level.value for level in set(issued)}

@@ -9,7 +9,13 @@ import pytest
 
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.replication import OldNetworkTopologyStrategy
-from repro.experiments.scenarios import EC2, GRID5000, Scenario, ScenarioRegistry
+from repro.experiments.scenarios import (
+    EC2,
+    GRID5000,
+    GRID5000_3SITES_WAN,
+    Scenario,
+    ScenarioRegistry,
+)
 from repro.network.latency import ConstantLatency
 
 
@@ -85,3 +91,10 @@ def test_every_registered_scenario_has_a_docs_entry():
     documented = set(re.findall(r"^### `([^`]+)`$", docs.read_text(encoding="utf-8"), re.M))
     missing = [name for name in ScenarioRegistry.names() if name not in documented]
     assert not missing, f"docs/scenarios.md has no ### heading for {missing}"
+
+
+def test_the_wan_scenario_stores_hints_and_says_it_does_not_replay_them():
+    """Its text once claimed hint replay on heal, which the timeline turns off."""
+    isolations = list(GRID5000_3SITES_WAN.fault_schedule)
+    assert isolations and all(event.replay_hints is False for event in isolations)
+    assert "not replayed on heal" in GRID5000_3SITES_WAN.description
