@@ -69,8 +69,8 @@ Package layout
     into t-visibility curves and k-staleness histograms per scope;
 ``repro.obs``
     run observability: the opt-in zero-engine-event op-lifecycle
-    :class:`~repro.obs.Tracer` (deterministic JSONL spans) and the periodic
-    :class:`~repro.obs.RunSeriesRecorder` time-series export;
+    :class:`~repro.obs.Tracer` (deterministic JSONL spans), attached once
+    per cluster;
 ``repro.metrics``
     latency histograms, operation counters, time series and reports;
 ``repro.experiments``

@@ -28,9 +28,8 @@ accounts for is the **traffic**: every byte of tree exchange and streaming
 crosses the fabric, is delayed by the WAN latency models, is subject to
 partitions and is tallied per DC pair.  That per-pair tally
 (:meth:`AntiEntropyService.traffic_by_pair`, :meth:`AntiEntropyService.wan_traffic_bytes`)
-is the one account of repair traffic: the adaptive repair scheduler and the
-run's series recorder read it, and ``benchmarks/bench_repair.py`` trades it
-off against the stale rate.
+is the one account of repair traffic: the adaptive repair scheduler reads
+it, and ``benchmarks/bench_repair.py`` trades it off against the stale rate.
 
 Incremental repair (the default, ``AntiEntropyConfig.incremental``)
 -------------------------------------------------------------------
@@ -368,9 +367,9 @@ class AntiEntropyService:
             dc: {"keys_rehashed": 0, "full_rebuilds": 0, "refreshes": 0}
             for dc in sorted({name for pair in self._pairs for name in pair})
         }
-        #: Optional op-lifecycle tracer (see :mod:`repro.obs.tracer`):
+        #: The cluster's op-lifecycle tracer (see :mod:`repro.obs.tracer`):
         #: completed sessions are mirrored into the trace.
-        self.tracer = None
+        self.tracer = cluster.tracer
         #: Physical repair backpressure (set by ``RepairSchedulePolicy``
         #: when the fabric models bandwidth): while a pair's unstreamed
         #: transfer backlog is at or above this many bytes,

@@ -331,6 +331,11 @@ class SimulatedCluster:
         #: :meth:`start_anti_entropy`); monitors discover it here so repair
         #: traffic shows up in samples without explicit wiring.
         self.anti_entropy: Optional["AntiEntropyService"] = None
+        #: The run's op-lifecycle tracer (``None`` unless
+        #: :meth:`~repro.obs.tracer.Tracer.attach_cluster` set it).  Hook
+        #: sites built on this cluster after the coordinators and the fabric
+        #: copy it when they are constructed.
+        self.tracer = None
 
     # ------------------------------------------------------------------
     # Membership

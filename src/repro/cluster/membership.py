@@ -144,8 +144,8 @@ class MembershipManager:
         self._target_ring: Optional[TokenRing] = None
         self._pending_cache: Dict[str, Tuple[NodeAddress, ...]] = {}
         self._process: Optional[PeriodicProcess] = None
-        #: Optional op-lifecycle tracer (attach via Tracer.attach_membership).
-        self.tracer = None
+        #: The cluster's op-lifecycle tracer (see :mod:`repro.obs.tracer`).
+        self.tracer = cluster.tracer
         cluster.membership = self
 
     # ------------------------------------------------------------------
@@ -278,17 +278,6 @@ class MembershipManager:
             for address in contacted:
                 if address in pending:
                     self.pending_read_violations += 1
-
-    # ------------------------------------------------------------------
-    # Observability gauges
-    # ------------------------------------------------------------------
-    def pending_range_count(self) -> int:
-        """Number of active transitions (ranges in pending state)."""
-        return len(self._transitions)
-
-    def streaming_backlog_bytes(self) -> int:
-        """Bytes still to stream across every active transition."""
-        return sum(t.backlog_bytes for t in self._transitions.values())
 
     # ------------------------------------------------------------------
     # Internals

@@ -11,9 +11,8 @@ it once:
 * the :class:`ControlPlane` owns the monitor, drives every registered policy
   from **one** :class:`~repro.sim.background.PeriodicProcess` and logs the
   decisions: ``ControlPlane.decisions`` is the run's one record of control,
-  and the per-``policy.kind`` counts, the cluster-wide estimate series, the
-  tracer's ``control.decision`` events and the series recorder's
-  ``control_decisions`` are views of it;
+  and the per-``policy.kind`` counts, the cluster-wide estimate series and
+  the tracer's ``control.decision`` events are views of it;
 * a :class:`LevelPolicy` is the :class:`ControlPolicy` the workload executor
   asks for consistency levels -- ``read_level(datacenter)`` /
   ``write_level(datacenter)`` -- and the one place a datacenter is resolved
@@ -355,15 +354,15 @@ class ControlPlane:
         self._monitor: Optional[ClusterMonitor] = None
         self.policies: List[ControlPolicy] = []
         #: The run's one record of control: every decision of every policy,
-        #: in the order taken.  Run metrics, the tracer and the series
-        #: recorder derive their views from it.
+        #: in the order taken.  Run metrics and the tracer derive their
+        #: views from it.
         self.decisions: List[Decision] = []
         #: Ticks run so far.
         self.ticks = 0
         self._process: Optional[PeriodicProcess] = None
-        #: Optional op-lifecycle tracer (see :mod:`repro.obs.tracer`): every
-        #: decision of every registered policy is mirrored into the trace.
-        self.tracer = None
+        #: The cluster's op-lifecycle tracer (see :mod:`repro.obs.tracer`):
+        #: every decision of every registered policy is mirrored into it.
+        self.tracer = cluster.tracer
 
     @property
     def interval(self) -> Optional[float]:

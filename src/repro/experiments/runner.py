@@ -131,10 +131,8 @@ class ExperimentResult:
     anti_entropy: Optional[object] = None
     control_plane: Optional[object] = None
     #: The run's :class:`~repro.obs.tracer.Tracer` (``None`` unless the
-    #: caller passed one in) and :class:`~repro.obs.export.RunSeriesRecorder`
-    #: (``None`` unless ``series_interval`` was given).
+    #: caller passed one in).
     tracer: Optional[object] = None
-    series: Optional[object] = None
 
     def summary(self) -> Dict[str, object]:
         """One flat row: the columns every figure table shares."""
@@ -181,7 +179,6 @@ def run_experiment(
     think_time: float = 0.0,
     retry_policy: Optional[object] = None,
     tracer: Optional[object] = None,
-    series_interval: Optional[float] = None,
     workers: int = 1,
     shards: Optional[int] = None,
 ) -> ExperimentResult:
@@ -210,16 +207,11 @@ def run_experiment(
         outages at a weaker level); ``None`` keeps the no-retry default.
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer`; when given, the runner
-        attaches it to every layer of the run (coordinators, control plane,
-        fault injector, anti-entropy service, client loop) so the trace
-        covers the full op lifecycle.  Tracing schedules no engine events,
-        so same-seed runs stay byte-identical with or without it.
-    series_interval:
-        When set, a :class:`~repro.obs.export.RunSeriesRecorder` samples
-        stale rate, staleness-age p99, per-DC read latency, repair WAN
-        bytes and control decisions every ``series_interval`` virtual
-        seconds; returned as ``result.series``.  Unlike the tracer this
-        *does* schedule one engine event per tick (it is off by default).
+        attaches it to the cluster as soon as it is built, and every layer
+        of the run built on it (coordinators, fabric, client loop, control
+        plane, fault injector, anti-entropy service, membership manager)
+        traces into it.  Tracing schedules no engine events, so same-seed
+        runs stay byte-identical with or without it.
     workers / shards:
         Opt into the sharded conservative-PDES engine
         (:mod:`repro.sim.parallel`): the ring is partitioned into ``shards``
@@ -228,7 +220,7 @@ def run_experiment(
         either delegates to :func:`~repro.sim.parallel.run_parallel_experiment`
         and returns its :class:`~repro.sim.parallel.ParallelExperimentResult`;
         options the sharded engine does not support (``cluster_hook``,
-        ``datacenters``, ``tracer``, ``series_interval``) are rejected.
+        ``datacenters``, ``tracer``) are rejected.
     """
     if workers != 1 or shards is not None:
         from repro.sim.parallel import DEFAULT_SHARDS, run_parallel_experiment
@@ -237,7 +229,6 @@ def run_experiment(
             "cluster_hook": cluster_hook,
             "datacenters": datacenters,
             "tracer": tracer,
-            "series_interval": series_interval,
         }
         offending = [name for name, value in unsupported.items() if value is not None]
         if offending:
@@ -276,10 +267,11 @@ def run_experiment(
             "config; the repair scheduler needs a repair service to steer"
         )
     cluster = SimulatedCluster(scenario.cluster_config(seed=seed, n_nodes=n_nodes))
+    if tracer is not None:
+        # Before the hook: whatever it builds on the cluster copies the tracer.
+        tracer.attach_cluster(cluster)
     if cluster_hook is not None:
         cluster_hook(cluster)
-    if tracer is not None:
-        tracer.attach_cluster(cluster)
     faulted = scenario.fault_schedule is not None
     if faulted:
         from repro.faults.timeline import FaultTimeline
@@ -299,48 +291,27 @@ def run_experiment(
         think_time=think_time,
         retry_policy=retry_policy,
         datacenters=list(datacenters) if datacenters is not None else None,
-        tracer=tracer,
     )
-    if tracer is not None:
-        tracer.attach_plane(executor.plane)
     injector = None
     service = None
-    recorder = None
-    if faulted or scenario.anti_entropy is not None or series_interval is not None:
-        # Load first: fault times, repair ticks and series samples count
-        # from the start of the measured run.
+    if faulted or scenario.anti_entropy is not None:
+        # Load first: fault times and repair ticks count from the start of
+        # the measured run.
         executor.load()
         if faulted:
             from repro.faults.schedule import FaultInjector
 
             injector = FaultInjector(cluster, scenario.fault_schedule)
-            if tracer is not None:
-                tracer.attach_injector(injector)
             injector.arm()
         if scenario.anti_entropy is not None:
             service = cluster.start_anti_entropy(scenario.anti_entropy)
-            if tracer is not None:
-                tracer.attach_service(service)
             if scenario.adaptive_repair is not None:
                 # After the level policy: an adaptive one sets the tick
                 # period, a static one leaves it to the repair base cadence.
                 executor.plane.add(RepairSchedulePolicy(service, scenario.adaptive_repair))
-        if series_interval is not None:
-            from repro.obs.export import RunSeriesRecorder
-
-            recorder = RunSeriesRecorder(
-                cluster,
-                auditor=auditor,
-                metrics=executor.metrics,
-                interval=series_interval,
-            )
-            recorder.plane = executor.plane
-            recorder.start()
     try:
         metrics = executor.run()
     finally:
-        if recorder is not None:
-            recorder.stop()
         if service is not None:
             service.stop()
     return ExperimentResult(
@@ -351,5 +322,4 @@ def run_experiment(
         anti_entropy=service,
         control_plane=executor.plane,
         tracer=tracer,
-        series=recorder,
     )

@@ -510,8 +510,8 @@ class FaultInjector:
         self.schedule = schedule
         self.log: List[Tuple[float, str]] = []
         self._armed = False
-        #: Optional op-lifecycle tracer (see :mod:`repro.obs.tracer`).
-        self.tracer = None
+        #: The cluster's op-lifecycle tracer (see :mod:`repro.obs.tracer`).
+        self.tracer = cluster.tracer
         # Background-transfer handles of active WanCongestion events.
         self._congestion_handles: dict = {}
 

@@ -7,7 +7,7 @@ running time; the Harmony controller records its estimates into a
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -94,10 +94,6 @@ class TimeSeries:
 
     def min(self) -> float:
         return float(np.min(self._values)) if self._values else 0.0
-
-    def as_rows(self) -> List[Dict[str, float]]:
-        """Rows suitable for report tables."""
-        return [{"time": t, "value": v} for t, v in zip(self._times, self._values)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TimeSeries({self.name!r}, n={len(self)})"

@@ -592,12 +592,6 @@ class NetworkFabric:
             return 0.0
         return self._transfers.drain_estimate(dc_a, dc_b)
 
-    def transfer_utilization(self) -> Dict[str, float]:
-        """Per-link ``∫ utilization dt`` so far (empty when modeling off)."""
-        if self._transfers is None:
-            return {}
-        return self._transfers.utilization_integrals()
-
     def active_transfer_count(
         self, dc_a: Optional[str] = None, dc_b: Optional[str] = None
     ) -> int:

@@ -184,7 +184,6 @@ class _TransferLink:
         "allocated",
         "timer_gen",
         "last_delivery",
-        "busy_integral",
         "bytes_completed",
     )
 
@@ -201,9 +200,6 @@ class _TransferLink:
         self.timer_gen = 0
         #: Monotone delivery clamp per direction ("a->b" FIFO, like TCP).
         self.last_delivery: Dict[Tuple[str, str], float] = {}
-        #: Integral of utilization (allocated/capacity) over time; windowed
-        #: deltas of this divided by the window give mean utilization.
-        self.busy_integral = 0.0
         self.bytes_completed = 0.0
 
 
@@ -481,16 +477,6 @@ class TransferScheduler:
             1 for link in self._links.values() for t in link.active if t.message is not None
         )
 
-    def utilization_integrals(self) -> Dict[str, float]:
-        """Per-link ``∫ utilization dt`` up to now; windowed deltas of this
-        are mean utilization over the window (see ``RunSeriesRecorder``)."""
-        now = self._engine.now
-        out = {}
-        for key, link in self._links.items():
-            self._advance(link, now)
-            out[key] = link.busy_integral
-        return out
-
     # ------------------------------------------------------------------
     # Core: advance / allocate / arm
     # ------------------------------------------------------------------
@@ -506,9 +492,6 @@ class TransferScheduler:
                 rate = transfer.rate
                 if rate > 0.0:
                     transfer.remaining -= rate * dt
-            if link.capacity > 0.0:
-                utilization = link.allocated / link.capacity
-                link.busy_integral += (utilization if utilization < 1.0 else 1.0) * dt
 
     def _allocate(self, link: _TransferLink) -> None:
         """Recompute fair-share rates: water-fill over unpaused transfers,

@@ -1,28 +1,19 @@
-"""Run-wide observability: op-lifecycle tracing and time-series export.
+"""Run-wide observability: the op-lifecycle tracer.
 
-Two opt-in instruments that sit outside the simulated data path:
+:class:`~repro.obs.tracer.Tracer` is a deterministic JSONL trace of client
+op lifecycles (issue -> fan-out -> ack/timeout/unavailable -> retry), hint
+replay, repair sessions, control-plane decisions, fault events, fair-share
+transfers and membership transitions.  Zero cost when off: every hook site
+holds a ``tracer`` attribute that is ``None`` by default and is guarded by
+one identity check.  :meth:`~repro.obs.tracer.Tracer.attach_cluster` is the
+one attach point: it sets ``cluster.tracer``, and every hook site built on
+that cluster copies it.  Tracing adds **no engine events** and consumes
+**no randomness**, so a traced run is byte-identical to an untraced one.
 
-* :class:`~repro.obs.tracer.Tracer` -- deterministic JSONL trace of client
-  op lifecycles (issue -> fan-out -> ack/timeout/unavailable -> retry),
-  hint replay, repair sessions, control-plane decisions and fault events.
-  Zero cost when off: every hook site holds a ``tracer`` attribute that is
-  ``None`` by default and is guarded by one identity check; attaching a
-  tracer adds **no engine events** and consumes **no randomness**, so a
-  traced run is byte-identical to an untraced one.
-* :class:`~repro.obs.export.RunSeriesRecorder` -- periodic snapshots of
-  stale rate, staleness-age p99, per-DC read latency, WAN repair bytes and
-  control-decision counts into :class:`~repro.metrics.series.TimeSeries`,
-  for metric-vs-time plots alongside benchmark JSON.  The recorder runs its
-  own :class:`~repro.sim.background.PeriodicProcess` (it *does* add engine
-  events, which is why it is a separate opt-in from the tracer).
-
-Quantitative staleness itself (t-visibility / k-staleness) lives with the
-ground truth in :mod:`repro.staleness.stats`; this package re-exports it
-for convenience.
+Quantitative staleness (t-visibility / k-staleness) lives with the ground
+truth in :mod:`repro.staleness.stats`.
 """
 
-from repro.obs.export import RunSeriesRecorder
 from repro.obs.tracer import TraceEvent, Tracer
-from repro.staleness.stats import StalenessStats
 
-__all__ = ["Tracer", "TraceEvent", "RunSeriesRecorder", "StalenessStats"]
+__all__ = ["Tracer", "TraceEvent"]

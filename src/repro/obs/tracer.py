@@ -2,47 +2,52 @@
 
 The tracer is an append-only event log with virtual (engine) timestamps.
 Hook sites across the repository each hold a ``tracer`` attribute that
-defaults to ``None``; :meth:`Tracer.attach_cluster` and friends flip those
-attributes to the tracer instance.  Every hook is guarded by a single
-``if tracer is not None`` identity check inside a callback that already
-exists, so tracing adds **zero engine events** and consumes **no random
-draws** -- a traced run replays the exact event sequence of an untraced
-one and same-seed traces are byte-identical.
+defaults to ``None``.  :meth:`Tracer.attach_cluster` is the one attach
+point: it sets ``cluster.tracer`` and flips the coordinators and the fabric,
+which are built with the cluster; the executor, control plane, fault
+injector, anti-entropy service and membership manager copy
+``cluster.tracer`` when they are constructed, so one attached before they
+are built reaches them too (the membership manager is built mid-run).
+
+Every hook is guarded by a single ``if tracer is not None`` identity check
+inside a callback that already exists, so tracing adds **zero engine
+events** and consumes **no random draws** -- a traced run replays the exact
+event sequence of an untraced one and same-seed traces are byte-identical.
 
 Event kinds (the trace schema, also documented in docs/observability.md):
 
-====================  =====================================================
-kind                  emitted when
-====================  =====================================================
-``op.issue``          a client thread issues an operation (executor hook)
-``op.retry``          a client retries after Unavailable, possibly at a
-                      downgraded level (executor hook)
-``op.fanout``         a coordinator sends the replica fan-out of one
-                      read/write (contact set size, level, request id)
-``op.complete``       the client callback fires: ack, timeout or
-                      unavailable rejection, with latency and outcome flags
-``hint.stored``       a write timeout buffered hints for silent replicas
-``hint.replay``       buffered hints were replayed to a recovered node
-``repair.session``    an anti-entropy session completed (pair, ranges
-                      diffed, cumulative pair bytes)
-``control.decision``  a control-plane policy moved a knob
-``fault``             the fault injector applied a schedule event
-``transfer.start``    a bulk message entered the fair-share transfer
-                      scheduler instead of the foreground fast path
-``transfer.end``      a bulk transfer finished streaming and its message
-                      was handed to the delivery path
-``transfer.background``  a non-message background transfer (e.g. a
-                      ``wan_congestion`` fault) started occupying a link
-``bootstrap.*`` /     an elastic-membership transition changed phase:
-``decommission.*``    ``.start`` (the transition was admitted), ``.stream``
-                      (a catch-up pass found divergent keys and queued
-                      them), ``.pause`` (streaming backpressured by a down
-                      or partitioned endpoint), ``.cutover`` (the ring
-                      flipped: the node is a full member / a spare again)
-                      and ``.abort``.  Every event carries the
-                      transition's node, state, streamed totals and
-                      backlog
-====================  =====================================================
+=========================  =====================================================
+kind                       emitted when
+=========================  =====================================================
+``op.issue``               a client thread issues an operation (executor hook)
+``op.retry``               a client retries after Unavailable, possibly at a
+                           downgraded level (executor hook)
+``op.fanout``              a coordinator sends the replica fan-out of one
+                           read/write (contact set size, level, request id)
+``op.complete``            the client callback fires: ack, timeout or
+                           unavailable rejection, with latency and outcome flags
+``hint.stored``            a write timeout buffered hints for silent replicas
+``hint.replay``            buffered hints were replayed to a recovered node
+``repair.session``         an anti-entropy session completed (pair, ranges
+                           diffed, cumulative pair bytes)
+``control.decision``       a control-plane policy moved a knob
+``fault``                  the fault injector applied a schedule event
+``transfer.start``         a bulk message entered the fair-share transfer
+                           scheduler instead of the foreground fast path
+``transfer.end``           a bulk transfer finished streaming and its message
+                           was handed to the delivery path
+``transfer.background``    a non-message background transfer (e.g. a
+                           ``wan_congestion`` fault) started occupying a link
+``bootstrap.*`` /          an elastic-membership transition changed phase:
+``decommission.*``         ``.start`` (the transition was admitted), ``.stream``
+                           (a catch-up pass found divergent keys and queued
+                           them), ``.pause`` (streaming backpressured by a down
+                           or partitioned endpoint), ``.cutover`` (the ring
+                           flipped: the node is a full member / a spare again)
+                           and ``.abort``.  Every event carries the
+                           transition's node, state, streamed totals and
+                           backlog
+=========================  =====================================================
 
 Spans: an operation's lifecycle is the ``op.issue`` -> ``op.fanout`` ->
 ``op.complete`` (and possibly ``op.retry`` -> ...) sequence; coordinator
@@ -88,32 +93,17 @@ class Tracer:
     # Attachment (flip the hook sites' ``tracer`` attributes)
     # ------------------------------------------------------------------
     def attach_cluster(self, cluster) -> "Tracer":
-        """Trace every coordinator of ``cluster`` (fan-out + completions)."""
+        """Trace every layer of ``cluster``'s runs.
+
+        Sets ``cluster.tracer`` and flips the coordinators and the fabric;
+        hook sites built later on the cluster copy ``cluster.tracer``.
+        """
         if self._engine is None:
             self._engine = cluster.engine
+        cluster.tracer = self
         for coordinator in cluster.coordinators.values():
             coordinator.tracer = self
         cluster.fabric.tracer = self
-        return self
-
-    def attach_plane(self, plane) -> "Tracer":
-        """Trace the control plane's decisions."""
-        plane.tracer = self
-        return self
-
-    def attach_injector(self, injector) -> "Tracer":
-        """Trace the fault injector's applied events."""
-        injector.tracer = self
-        return self
-
-    def attach_service(self, service) -> "Tracer":
-        """Trace an anti-entropy service's completed sessions."""
-        service.tracer = self
-        return self
-
-    def attach_membership(self, manager) -> "Tracer":
-        """Trace a membership manager's transition phase changes."""
-        manager.tracer = self
         return self
 
     # ------------------------------------------------------------------

@@ -201,7 +201,6 @@ class WorkloadExecutor:
         retry_policy: Optional[RetryPolicy] = None,
         max_virtual_time: float = 3600.0,
         datacenters: Optional[List[str]] = None,
-        tracer: Optional[object] = None,
     ) -> None:
         if threads < 1:
             raise ValueError("threads must be >= 1")
@@ -210,10 +209,11 @@ class WorkloadExecutor:
         self.policy = policy
         self.threads = int(threads)
         self.auditor = auditor
-        #: Optional op-lifecycle tracer (see :mod:`repro.obs.tracer`); the
-        #: executor contributes the client-side ``op.issue`` / ``op.retry``
-        #: events (coordinators trace fan-outs and completions themselves).
-        self.tracer = tracer
+        #: The cluster's op-lifecycle tracer (see :mod:`repro.obs.tracer`);
+        #: the executor contributes the client-side ``op.issue`` /
+        #: ``op.retry`` events (coordinators trace fan-outs and completions
+        #: themselves).
+        self.tracer = cluster.tracer
         self.think_time = float(think_time)
         self.retry_policy = retry_policy
         self.max_virtual_time = float(max_virtual_time)

@@ -56,10 +56,8 @@ def test_time_weighted_mean_weights_by_holding_time():
     assert series.time_weighted_mean() == pytest.approx((0.0 * 9 + 1.0 * 1) / 10)
 
 
-def test_arrays_and_rows():
+def test_arrays():
     series = TimeSeries("y")
     series.extend([(0.0, 1.0), (1.0, 2.0)])
     assert isinstance(series.times, np.ndarray)
     assert series.values.tolist() == [1.0, 2.0]
-    rows = series.as_rows()
-    assert rows[0] == {"time": 0.0, "value": 1.0}

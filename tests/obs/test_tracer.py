@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
+from repro.cluster.antientropy import AntiEntropyService
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
+from repro.cluster.membership import MembershipManager
 from repro.control.policies import make_policy
+from repro.faults.schedule import FaultInjector, FaultSchedule
+from repro.obs import tracer as tracer_module
 from repro.obs.tracer import TraceEvent, Tracer
 from repro.workload.executor import WorkloadExecutor
 from repro.workload.workloads import WORKLOAD_A
@@ -103,6 +109,8 @@ class TestAttachment:
         cluster = small_cluster()
         tracer = Tracer()  # no engine yet: the runner builds the cluster later
         assert tracer.attach_cluster(cluster) is tracer
+        assert cluster.tracer is tracer
+        assert cluster.fabric.tracer is tracer
         assert all(
             coordinator.tracer is tracer
             for coordinator in cluster.coordinators.values()
@@ -111,12 +119,34 @@ class TestAttachment:
         tracer.emit("custom")
         assert tracer.events[0].time == cluster.engine.now
 
+    def test_attach_cluster_is_the_one_attach_point(self):
+        assert [name for name in dir(Tracer) if name.startswith("attach")] == [
+            "attach_cluster"
+        ]
+
+    def test_hook_sites_built_on_the_cluster_take_its_tracer(self):
+        cluster = SimulatedCluster(
+            ClusterConfig(n_nodes=4, datacenters=2, replication_factor=2, seed=7)
+        )
+        untraced = WorkloadExecutor(cluster, WORKLOAD_A, make_policy("eventual"))
+        assert untraced.tracer is None and untraced.plane.tracer is None
+        tracer = Tracer().attach_cluster(cluster)
+        executor = WorkloadExecutor(cluster, WORKLOAD_A, make_policy("eventual"))
+        sites = [
+            executor,
+            executor.plane,
+            FaultInjector(cluster, FaultSchedule([])),
+            AntiEntropyService(cluster),
+            MembershipManager(cluster),
+        ]
+        assert [site.tracer for site in sites] == [tracer] * len(sites)
+
     def test_traced_run_records_full_op_lifecycle(self):
         cluster = small_cluster()
         tracer = Tracer().attach_cluster(cluster)
         workload = WORKLOAD_A.scaled(record_count=20, operation_count=60)
         executor = WorkloadExecutor(
-            cluster, workload, make_policy("eventual"), threads=4, tracer=tracer
+            cluster, workload, make_policy("eventual"), threads=4
         )
         executor.load()
         tracer.events.clear()  # look at the run phase only
@@ -133,9 +163,36 @@ class TestAttachment:
             tracer = Tracer().attach_cluster(cluster)
             workload = WORKLOAD_A.scaled(record_count=20, operation_count=60)
             executor = WorkloadExecutor(
-                cluster, workload, make_policy("eventual"), threads=4, tracer=tracer
+                cluster, workload, make_policy("eventual"), threads=4
             )
             executor.load()
             executor.run()
             traces.append(tracer.to_jsonl())
         assert traces[0] == traces[1]
+
+
+def _docstring_kinds() -> list:
+    """The kind column of the schema table in ``repro/obs/tracer.py``."""
+    lines = tracer_module.__doc__.splitlines()
+    rules = [i for i, line in enumerate(lines) if line.startswith("====")]
+    width = len(lines[rules[0]].split()[0])
+    rows = lines[rules[1] + 1 : rules[2]]
+    return [kind for row in rows for kind in re.findall(r"``([^`]+)``", row[:width])]
+
+
+def _docs_kinds() -> list:
+    """The kind column of the table in ``docs/observability.md``."""
+    docs = Path(__file__).parents[2] / "docs" / "observability.md"
+    section = docs.read_text(encoding="utf-8").split("| kind | emitted when |\n", 1)[1]
+    kinds = []
+    for row in section.splitlines()[1:]:
+        if not row.startswith("|"):
+            break
+        kinds += re.findall(r"`([^`]+)`", row.split("|")[1])
+    return kinds
+
+
+def test_the_docs_list_the_kinds_of_the_tracer_schema():
+    kinds = _docstring_kinds()
+    assert {"op.issue", "transfer.background", "bootstrap.*", "decommission.*"} <= set(kinds)
+    assert _docs_kinds() == kinds

@@ -1,10 +1,9 @@
-"""WAN bandwidth observability: trace events and run series.
+"""WAN bandwidth observability: the fabric's transfer trace events.
 
-The fabric emits ``transfer.start`` / ``transfer.end`` spans through the
-tracer (attached via ``attach_cluster``) and the series recorder samples
-per-link utilization and transfer backlog whenever the bandwidth model is
-on.  Both hooks must stay passive: a traced or recorded run takes the same
-scheduling decisions as a bare one.
+The fabric emits ``transfer.start`` / ``transfer.end`` /
+``transfer.background`` spans through the tracer (attached via
+``attach_cluster``) whenever the bandwidth model is on.  The hook must stay
+passive: a traced run takes the same scheduling decisions as a bare one.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.network.transfers import BandwidthConfig
-from repro.obs.export import RunSeriesRecorder
 from repro.obs.tracer import Tracer
 
 CAPACITY = 10_000.0
@@ -70,33 +68,3 @@ class TestTracerSpans:
         assert ends[0].time == pytest.approx(0.5)
         assert ends[0].fields["deliver_at"] > 0.5
 
-
-class TestWanSeries:
-    def test_utilization_and_backlog_series_record_under_load(self, cluster):
-        recorder = RunSeriesRecorder(cluster, interval=0.5)
-        recorder.start()
-        cluster.fabric.start_background_transfer("dc1", "dc2", 15_000.0)
-        cluster.engine.run_until(2.6)
-        recorder.stop()
-        rows = recorder.rows()
-        utilization = rows["wan_utilization[dc1|dc2]"]
-        backlog = rows["transfer_backlog_bytes"]
-        # The transfer saturates the link for 1.5 s: the first three windows
-        # report full utilization, later ones are idle.
-        assert utilization[0]["value"] == pytest.approx(1.0)
-        assert utilization[1]["value"] == pytest.approx(1.0)
-        assert utilization[-1]["value"] == pytest.approx(0.0)
-        # Backlog decays linearly at capacity: 10000 at t=0.5, 5000 at 1.0.
-        assert backlog[0]["value"] == pytest.approx(10_000.0)
-        assert backlog[1]["value"] == pytest.approx(5_000.0)
-        assert backlog[-1]["value"] == 0.0
-
-    def test_series_absent_without_bandwidth_model(self):
-        plain = SimulatedCluster(
-            ClusterConfig(n_nodes=4, datacenters=2, replication_factor=2, seed=17)
-        )
-        recorder = RunSeriesRecorder(plain, interval=0.5)
-        recorder.start()
-        plain.engine.run_until(2.1)
-        recorder.stop()
-        assert "transfer_backlog_bytes" not in recorder.rows()

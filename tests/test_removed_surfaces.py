@@ -17,7 +17,11 @@ package, ``repro.extensions`` (per-key consistency categories by k-means over
 access counts, and an application-cost tolerance model), went because no
 simulated run consulted it: its policy's read level ignored the key, nothing
 on the op path asked for the per-key one, and only an example and its own
-tests called it.  No ``src/repro`` module may
+tests called it.  The run-series recorder (``run_experiment(series_interval=)``)
+went with the gauges only it read, because each series it sampled was a
+windowed copy of an account the run already keeps; the tracer's per-layer
+attach methods went with it, since every hook site now copies
+``cluster.tracer`` when it is built.  No ``src/repro`` module may
 define or import their names again, their config fields stay off the config
 classes, and the names that selected them are rejected like any unknown name.
 """
@@ -41,9 +45,11 @@ from repro.cluster.coordinator import CoordinatorConfig
 from repro.cluster.node import NodeConfig
 from repro.control.policies import HarmonyConfig, RepairControlConfig, ScaleOutConfig, make_policy
 from repro.network.transfers import BandwidthConfig
+from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import GRID5000
+from repro.workload.executor import WorkloadExecutor
 from repro.workload.distributions import make_key_chooser
-from repro.workload.workloads import WorkloadConfig
+from repro.workload.workloads import WORKLOAD_A, WorkloadConfig
 
 SOURCE_ROOT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "repro"
@@ -82,6 +88,17 @@ REMOVED_NAMES = [
     "ApplicationProfile",
     "recommend_tolerance",
     "naive_tolerance_for",
+    "RunSeriesRecorder",
+    "utilization_integrals",
+    "transfer_utilization",
+    "busy_integral",
+    "pending_range_count",
+    "streaming_backlog_bytes",
+    "as_rows",
+    "attach_plane",
+    "attach_injector",
+    "attach_service",
+    "attach_membership",
 ]
 
 
@@ -206,3 +223,21 @@ def test_sla_policy_names_are_unknown():
 def test_the_hotspot_key_chooser_name_is_unknown():
     with pytest.raises(ValueError):
         make_key_chooser("hotspot", 10)
+
+
+def test_the_series_recorder_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.obs.export")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_experiment(GRID5000, WORKLOAD_A, "eventual", 1, series_interval=1.0),
+        lambda: WorkloadExecutor(None, WORKLOAD_A, make_policy("eventual"), tracer=None),
+    ],
+    ids=["run_experiment.series_interval", "WorkloadExecutor.tracer"],
+)
+def test_the_removed_options_are_rejected(call):
+    with pytest.raises(TypeError):
+        call()

@@ -6,7 +6,10 @@ import json
 
 import pytest
 
+from repro.obs.tracer import Tracer
 from tools.trace_report import load_events, main, render_report
+
+from tests.integration.test_obs_overhead import elastic_bootstrap_run
 
 
 def jsonl(events):
@@ -76,6 +79,36 @@ class TestRenderReport:
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
             render_report([], window=0.0)
+
+
+class TestRunnerTrace:
+    """A real run's trace, not synthetic rows: the runner's tracer reaches
+    the membership manager the fault injector builds mid-run."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        tracer = Tracer()
+        result = elastic_bootstrap_run(tracer=tracer)
+        (bootstrap,) = result.injector.log
+        assert bootstrap[1].startswith("bootstrap of ") and bootstrap[1].endswith(" started")
+        return tracer
+
+    def test_bootstrap_phases_reach_the_trace(self, trace):
+        kinds = [e.kind for e in trace.events if e.kind.startswith("bootstrap.")]
+        assert kinds[0] == "bootstrap.start"
+        assert kinds[-1] == "bootstrap.cutover"
+
+    def test_report_renders_the_member_column_and_annotations(self, trace):
+        lines = render_report(load_events(trace.to_jsonl().splitlines()), window=0.5)
+        header = lines[1].split()
+        member = header.index("member")
+        rows = [line.split() for line in lines if line.lstrip().startswith("[")]
+        assert sum(int(row[member]) for row in rows) == sum(
+            1 for e in trace.events if e.kind.startswith("bootstrap.")
+        )
+        notes = [line.strip() for line in lines if line.startswith("    bootstrap.")]
+        assert notes[0].startswith("bootstrap.start rennes/")
+        assert notes[-1].startswith("bootstrap.cutover rennes/")
 
 
 class TestMain:
