@@ -46,13 +46,14 @@ Package layout
     the simulated quorum-replicated store (ring, replication strategies
     including the per-DC ``NetworkTopologyStrategy``, storage engines,
     coordinator read/write paths with the DC-aware levels ``LOCAL_ONE`` /
-    ``LOCAL_QUORUM`` / ``EACH_QUORUM``, read repair, hints, and the
-    cross-DC Merkle anti-entropy service);
+    ``LOCAL_QUORUM`` / ``EACH_QUORUM``, read repair, hints, the shared
+    failure detector behind the coordinators' Unavailable fail-fast path,
+    and the cross-DC Merkle anti-entropy service);
 ``repro.faults``
-    fault injection: declarative fault schedules (node crashes, full-DC
-    outages, WAN partitions at the fabric level), the shared failure
-    detector behind the coordinators' Unavailable fail-fast path, and the
-    windowed fault timeline for before/during/after analysis;
+    fault injection: declarative fault schedules, each fault one event
+    that, given a ``duration``, undoes itself (node crashes and restarts,
+    full-DC outages, WAN partitions at the fabric level), and the windowed
+    fault timeline for before/during/after analysis;
 ``repro.chaos``
     seeded search over the fault-schedule space: a schedule generator, the
     post-heal invariant suite, the deterministic replay every caller
@@ -101,6 +102,7 @@ True
 from repro.cluster import (
     ClusterConfig,
     ConsistencyLevel,
+    FailureDetector,
     SimulatedCluster,
     quorum_size,
 )
@@ -126,12 +128,10 @@ from repro.faults import (
     DatacenterIsolation,
     DatacenterOutage,
     DatacenterPartition,
-    FailureDetector,
     FaultInjector,
     FaultSchedule,
     FaultTimeline,
     NodeCrash,
-    NodeRestart,
 )
 from repro.metrics import LatencyHistogram, MetricsReport, TimeSeries, format_table
 from repro.staleness import DualReadProbe, StalenessAuditor
@@ -174,7 +174,6 @@ __all__ = [
     "MerkleTree",
     "MetricsReport",
     "NodeCrash",
-    "NodeRestart",
     "SimulatedCluster",
     "StalenessAuditor",
     "StalenessEstimator",

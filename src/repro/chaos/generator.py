@@ -2,13 +2,14 @@
 
 The generator maps ``(seed, scenario, budget)`` deterministically to a
 :class:`~repro.faults.schedule.FaultSchedule`.  "Budget" counts *fault
-actions*, where a crash/restart pair is one action, as is a partition plus
-its heal -- so a budget of six produces a timeline with up to twelve raw
-events but six distinct injected faults.
+actions*.  Every action but ``membership`` is one windowed event that undoes
+itself ``duration`` after it begins (a crash restarts its node, a partition
+heals); a ``membership`` action is a bootstrap and, half the time, a later
+decommission.
 
 Action menu (multi-datacenter scenarios)::
 
-    crash        node crash + restart                       weight 0.30
+    crash        node crash window (down, then restarted)   weight 0.30
     outage       whole-datacenter outage + recovery         weight 0.10
     partition    symmetric DC partition (drop or park)      weight 0.15
     asym         asymmetric (one-way) DC partition          weight 0.15
@@ -41,11 +42,11 @@ serialized corpus form is exact.
 Structural sanity
 -----------------
 :func:`validate_schedule` enforces the invariants the rest of the chaos
-stack assumes: every fault heals (all windows carry a duration), windows end
-by ``0.92 * horizon`` so the run always has a post-heal tail, no
-crash/restart overlap per node, no node crash during its datacenter's
-outage, and no overlapping loss / slow-WAN / congestion windows on the
-same DC pair.
+stack assumes: every fault heals (all windows, crashes included, carry a
+duration), windows end by ``0.92 * horizon`` so the run always has a
+post-heal tail, no two windows of one key overlap (one key per node for
+crashes, per site for outages, per kind and DC pair for loss / slow-WAN /
+congestion), and no node crash falls in its datacenter's outage.
 The generator asserts it on every schedule it returns; the property tests
 re-check it over hundreds of seeds.
 """
@@ -67,7 +68,6 @@ from repro.faults.schedule import (
     NodeBootstrap,
     NodeCrash,
     NodeDecommission,
-    NodeRestart,
     PacketLoss,
     SlowWan,
     WanCongestion,
@@ -121,6 +121,24 @@ def _overlaps(intervals: Sequence[Tuple[float, float]], start: float, end: float
     return any(not (end < s or start > e) for s, e in intervals)
 
 
+def _unordered(pair: Tuple[str, str]) -> Tuple[str, str]:
+    a, b = pair
+    return (a, b) if a <= b else (b, a)
+
+
+def _window_key(event: FaultEvent):
+    """The key no two windows may share while they overlap: ``("node",
+    node)`` for a crash, ``("dc", dc)`` for an outage, ``(tag, unordered
+    pair)`` for a loss / slow-WAN / congestion window; ``None`` otherwise."""
+    if isinstance(event, NodeCrash):
+        return ("node", event.node)
+    if isinstance(event, DatacenterOutage):
+        return ("dc", event.datacenter)
+    if isinstance(event, (PacketLoss, SlowWan, WanCongestion)):
+        return (event.tag, _unordered(event.datacenters))
+    return None
+
+
 @dataclass(frozen=True)
 class _Shape:
     """Topology facts the generator needs, precomputed once."""
@@ -169,11 +187,7 @@ class ScheduleGenerator:
         rng = RandomStreams(seed).stream(f"chaos.{self.scenario.name}")
         multi_dc = len(self._shape.datacenters) > 1
         events: List[FaultEvent] = []
-        node_busy: Dict[NodeAddress, List[Tuple[float, float]]] = {}
-        dc_busy: Dict[str, List[Tuple[float, float]]] = {}
-        loss_busy: Dict[Tuple[str, str], List[Tuple[float, float]]] = {}
-        slow_busy: Dict[Tuple[str, str], List[Tuple[float, float]]] = {}
-        congestion_busy: Dict[Tuple[str, str], List[Tuple[float, float]]] = {}
+        busy: Dict[tuple, List[Tuple[float, float]]] = {}
         membership_used: set = set()
 
         for _ in range(budget):
@@ -182,21 +196,7 @@ class ScheduleGenerator:
                 window = self._draw_window(rng)
                 if window is None:
                     continue
-                start, end = window
-                placed = self._place(
-                    kind,
-                    rng,
-                    start,
-                    end,
-                    events,
-                    node_busy,
-                    dc_busy,
-                    loss_busy,
-                    slow_busy,
-                    congestion_busy,
-                    membership_used,
-                )
-                if placed:
+                if self._place(kind, rng, *window, events, busy, membership_used):
                     break
 
         events.sort(key=lambda e: (e.at, type(e).__name__))
@@ -236,81 +236,63 @@ class ScheduleGenerator:
         return dcs[i], dcs[j]
 
     def _place(
-        self,
-        kind: str,
-        rng,
-        start: float,
-        end: float,
-        events: List[FaultEvent],
-        node_busy,
-        dc_busy,
-        loss_busy,
-        slow_busy,
-        congestion_busy,
-        membership_used,
+        self, kind: str, rng, start: float, end: float, events, busy, membership_used
     ) -> bool:
+        """Draw one ``kind`` action into ``start..end``; ``False`` when it
+        would overlap a window of the same key in ``busy``."""
         duration = round(end - start, 3)
+
+        def free(key) -> bool:
+            return not _overlaps(busy.get(key, ()), start, end)
+
+        def take(event: FaultEvent) -> bool:
+            events.append(event)
+            key = _window_key(event)
+            if key is not None:
+                busy.setdefault(key, []).append((start, end))
+            return True
+
         if kind == "crash":
             node = self._shape.nodes[int(rng.integers(len(self._shape.nodes)))]
-            if _overlaps(node_busy.get(node, ()), start, end):
+            if not free(("node", node)) or not free(("dc", node.datacenter)):
                 return False
-            if _overlaps(dc_busy.get(node.datacenter, ()), start, end):
-                return False
-            events.append(NodeCrash(at=start, node=node))
-            events.append(NodeRestart(at=end, node=node))
-            node_busy.setdefault(node, []).append((start, end))
-            return True
+            return take(NodeCrash(at=start, node=node, duration=duration))
         if kind == "outage":
             dc = self._shape.datacenters[int(rng.integers(len(self._shape.datacenters)))]
-            if _overlaps(dc_busy.get(dc, ()), start, end):
+            if not free(("dc", dc)):
                 return False
-            if any(
-                _overlaps(node_busy.get(node, ()), start, end)
-                for node in self._shape.nodes
-                if node.datacenter == dc
-            ):
+            if not all(free(("node", node)) for node in self._shape.nodes if node.datacenter == dc):
                 return False
-            events.append(DatacenterOutage(at=start, datacenter=dc, duration=duration))
-            dc_busy.setdefault(dc, []).append((start, end))
-            return True
+            return take(DatacenterOutage(at=start, datacenter=dc, duration=duration))
         if kind == "partition":
             a, b = self._draw_dc_pair(rng)
             mode = "drop" if rng.random() < 0.7 else "park"
-            events.append(
+            return take(
                 DatacenterPartition(at=start, datacenters=(a, b), duration=duration, mode=mode)
             )
-            return True
         if kind == "asym":
             src, dst = self._draw_dc_pair(rng)
             mode = "drop" if rng.random() < 0.7 else "park"
-            events.append(
+            return take(
                 AsymmetricPartition(at=start, datacenters=(src, dst), duration=duration, mode=mode)
             )
-            return True
         if kind == "loss":
-            a, b = self._draw_dc_pair(rng)
-            pair = (a, b) if a <= b else (b, a)
-            if _overlaps(loss_busy.get(pair, ()), start, end):
+            pair = _unordered(self._draw_dc_pair(rng))
+            if not free((PacketLoss.tag, pair)):
                 return False
             probability = round(0.05 + 0.30 * rng.random(), 3)
-            events.append(
+            return take(
                 PacketLoss(at=start, datacenters=pair, probability=probability, duration=duration)
             )
-            loss_busy.setdefault(pair, []).append((start, end))
-            return True
         if kind == "slow":
-            a, b = self._draw_dc_pair(rng)
-            pair = (a, b) if a <= b else (b, a)
-            if _overlaps(slow_busy.get(pair, ()), start, end):
+            pair = _unordered(self._draw_dc_pair(rng))
+            if not free((SlowWan.tag, pair)):
                 return False
             scale = round(2.0 + 10.0 * rng.random(), 2)
-            events.append(SlowWan(at=start, datacenters=pair, scale=scale, duration=duration))
-            slow_busy.setdefault(pair, []).append((start, end))
-            return True
+            return take(SlowWan(at=start, datacenters=pair, scale=scale, duration=duration))
         if kind == "congestion":
-            a, b = self._draw_dc_pair(rng)
-            pair = (a, b) if a <= b else (b, a)
-            if _overlaps(congestion_busy.get(pair, ()), start, end):
+            pair = _unordered(self._draw_dc_pair(rng))
+            if not free((WanCongestion.tag, pair)):
                 return False
             # Size the bulk transfer to 0.6x..1.4x of what the link can move
             # in the window, so roughly half the draws keep the link pinned
@@ -319,11 +301,9 @@ class ScheduleGenerator:
             size = float(round(self._capacity * duration * fraction))
             if size <= 0:
                 return False
-            events.append(
+            return take(
                 WanCongestion(at=start, datacenters=pair, bytes=size, duration=duration)
             )
-            congestion_busy.setdefault(pair, []).append((start, end))
-            return True
         if kind == "membership":
             spares = self._shape.spares
             spare = spares[int(rng.integers(len(spares)))]
@@ -343,10 +323,11 @@ class ScheduleGenerator:
 def validate_schedule(schedule: FaultSchedule, *, horizon: float) -> None:
     """Raise :class:`ScheduleValidationError` unless ``schedule`` is sane.
 
-    Sanity means: every window heals by ``HEAL_FRACTION * horizon``, every
-    crash has exactly one matching restart (and vice versa) with no per-node
-    overlap, no crash window intersects its datacenter's outage, and loss /
-    slow-WAN / congestion windows never overlap on the same pair.
+    Sanity means: every window (crashes included) heals by
+    ``HEAL_FRACTION * horizon``; windows of one :func:`_window_key` never
+    overlap (a node's crashes, a site's outages, one pair's loss / slow-WAN /
+    congestion windows); and no crash window intersects its datacenter's
+    outage.
 
     Membership events carry two rules of their own: every bootstrap /
     decommission must *begin* by the heal cap (the transition then has the
@@ -356,10 +337,7 @@ def validate_schedule(schedule: FaultSchedule, *, horizon: float) -> None:
     describe an overlapping or invalid join/leave.
     """
     cap = HEAL_FRACTION * horizon + 1e-9
-    crash_windows: Dict[NodeAddress, List[Tuple[float, float]]] = {}
-    pending_crash: Dict[NodeAddress, float] = {}
-    dc_windows: Dict[str, List[Tuple[float, float]]] = {}
-    pair_windows: Dict[Tuple[str, Tuple[str, str]], List[Tuple[float, float]]] = {}
+    windows: Dict[tuple, List[Tuple[float, float]]] = {}
     last_membership: Dict[NodeAddress, str] = {}
 
     for event in schedule.events:
@@ -367,22 +345,7 @@ def validate_schedule(schedule: FaultSchedule, *, horizon: float) -> None:
             raise ScheduleValidationError(f"event before time zero: {event!r}")
 
     for event in sorted(schedule.events, key=lambda e: (e.at, type(e).__name__)):
-        if isinstance(event, NodeCrash):
-            if event.node in pending_crash:
-                raise ScheduleValidationError(f"double crash without restart: {event.node}")
-            pending_crash[event.node] = event.at
-        elif isinstance(event, NodeRestart):
-            start = pending_crash.pop(event.node, None)
-            if start is None:
-                raise ScheduleValidationError(f"restart without crash: {event.node}")
-            if event.at > cap:
-                raise ScheduleValidationError(
-                    f"restart of {event.node} at {event.at} past heal cap {cap:.3f}"
-                )
-            if _overlaps(crash_windows.get(event.node, ()), start, event.at):
-                raise ScheduleValidationError(f"overlapping crash windows for {event.node}")
-            crash_windows.setdefault(event.node, []).append((start, event.at))
-        elif isinstance(event, (NodeBootstrap, NodeDecommission)):
+        if isinstance(event, (NodeBootstrap, NodeDecommission)):
             kind = "bootstrap" if isinstance(event, NodeBootstrap) else "decommission"
             if event.at > cap:
                 raise ScheduleValidationError(
@@ -393,37 +356,27 @@ def validate_schedule(schedule: FaultSchedule, *, horizon: float) -> None:
                     f"consecutive {kind} events for {event.node} (overlapping join/leave)"
                 )
             last_membership[event.node] = kind
-        else:
-            duration = getattr(event, "duration", None)
-            if duration is None:
-                raise ScheduleValidationError(f"unhealed fault window: {event!r}")
-            end = event.at + duration
-            if end > cap:
-                raise ScheduleValidationError(
-                    f"window ending at {end:.3f} past heal cap {cap:.3f}: {event!r}"
-                )
-            if isinstance(event, DatacenterOutage):
-                dc_windows.setdefault(event.datacenter, []).append((event.at, end))
-            elif isinstance(event, (PacketLoss, SlowWan, WanCongestion)):
-                if isinstance(event, PacketLoss):
-                    kind = "loss"
-                elif isinstance(event, SlowWan):
-                    kind = "slow"
-                else:
-                    kind = "congestion"
-                a, b = event.datacenters
-                pair = (a, b) if a <= b else (b, a)
-                key = (kind, pair)
-                if _overlaps(pair_windows.get(key, ()), event.at, end):
-                    raise ScheduleValidationError(f"overlapping {kind} windows on {pair}")
-                pair_windows.setdefault(key, []).append((event.at, end))
+            continue
+        duration = getattr(event, "duration", None)
+        if duration is None:
+            raise ScheduleValidationError(f"unhealed fault window: {event!r}")
+        end = event.at + duration
+        if end > cap:
+            raise ScheduleValidationError(
+                f"window ending at {end:.3f} past heal cap {cap:.3f}: {event!r}"
+            )
+        key = _window_key(event)
+        if key is None:
+            continue
+        if _overlaps(windows.get(key, ()), event.at, end):
+            raise ScheduleValidationError(f"overlapping {key[0]} windows on {key[1]}")
+        windows.setdefault(key, []).append((event.at, end))
 
-    if pending_crash:
-        raise ScheduleValidationError(f"crashes never restarted: {sorted(pending_crash)}")
-
-    for node, windows in crash_windows.items():
-        for start, end in windows:
-            if _overlaps(dc_windows.get(node.datacenter, ()), start, end):
+    for (kind, node), spans in windows.items():
+        if kind != "node":
+            continue
+        for start, end in spans:
+            if _overlaps(windows.get(("dc", node.datacenter), ()), start, end):
                 raise ScheduleValidationError(
                     f"crash of {node} overlaps outage of {node.datacenter}"
                 )

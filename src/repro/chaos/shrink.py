@@ -4,11 +4,12 @@ Given a schedule whose chaos run violates invariants, :func:`shrink`
 searches for a smaller schedule that fails the *same* invariants, using
 three passes looped to a fixpoint:
 
-1. **Event removal** -- classic ddmin over the event list (crash/restart
-   pairs are one atom: removing a crash without its restart would break
-   structural sanity and change the failure being studied).
+1. **Event removal** -- classic ddmin over the event list.  Each event is
+   one removal unit: a windowed fault (a crash with its restart, a
+   partition with its heal) is one event, so it goes as a whole.
 2. **Duration halving** -- per windowed event, halve the window while the
-   failure kind is preserved, down to a floor.
+   failure kind is preserved, down to a floor (for a crash, the restart
+   moves toward the crash).
 3. **Time alignment** -- pull events earlier: to time zero, to whole
    seconds, and onto other events' start/end boundaries.  Earlier-only
    moves monotonically shrink the horizon, so the pass terminates.
@@ -39,7 +40,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
-from repro.faults.schedule import FaultEvent, FaultSchedule, NodeCrash, NodeRestart
+from repro.faults.schedule import FaultEvent, FaultSchedule
 
 __all__ = ["NondeterministicReplayError", "ShrinkResult", "shrink"]
 
@@ -59,44 +60,6 @@ class ShrinkResult:
     exhausted: bool = False
 
 
-# An "atom" is the removal unit: a lone event, or a crash+restart pair.
-_Atom = Tuple[FaultEvent, ...]
-
-
-def _atomize(events: Sequence[FaultEvent]) -> List[_Atom]:
-    atoms: List[_Atom] = []
-    pending: dict = {}
-    for event in events:
-        if isinstance(event, NodeCrash):
-            pending.setdefault(event.node, []).append([event, None])
-            atoms.append(None)  # placeholder keeps discovery order
-            pending[event.node][-1].append(len(atoms) - 1)
-        elif isinstance(event, NodeRestart):
-            stack = pending.get(event.node)
-            if stack:
-                crash, _none, index = stack.pop(0)
-                atoms[index] = (crash, event)
-            else:
-                atoms.append((event,))
-        else:
-            atoms.append((event,))
-    # Crashes with no restart stay single-event atoms.
-    for index, atom in enumerate(atoms):
-        if atom is None:
-            atoms[index] = ()
-    for stacks in pending.values():
-        for crash, _none, index in stacks:
-            atoms[index] = (crash,)
-    return [atom for atom in atoms if atom]
-
-
-def _flatten(atoms: Sequence[_Atom]) -> FaultSchedule:
-    events: List[FaultEvent] = []
-    for atom in atoms:
-        events.extend(atom)
-    return FaultSchedule(events)
-
-
 class _Session:
     def __init__(self, run_fn: Callable[[FaultSchedule], object], max_runs: int) -> None:
         self.run_fn = run_fn
@@ -111,34 +74,28 @@ class _Session:
         self.runs += 1
         return self.run_fn(schedule)
 
-    def still_fails(self, schedule: FaultSchedule, kinds: Tuple[str, ...]):
-        report = self.run(schedule)
-        if report is None:
-            return None
-        if tuple(report.violated_invariants()) == kinds:
-            return report
-        return None
+    def still_fails(self, events: List[FaultEvent], kinds: Tuple[str, ...]) -> bool:
+        report = self.run(FaultSchedule(events))
+        return report is not None and tuple(report.violated_invariants()) == kinds
 
 
-def _ddmin(session: _Session, atoms: List[_Atom], kinds) -> Tuple[List[_Atom], object]:
-    """Standard ddmin over atoms; returns (minimal atoms, last failing report)."""
-    best_report = None
+def _ddmin(session: _Session, events: List[FaultEvent], kinds) -> List[FaultEvent]:
+    """Standard ddmin over events; returns the minimal events."""
     granularity = 2
-    while len(atoms) >= 2:
-        chunk = max(1, math.ceil(len(atoms) / granularity))
+    while len(events) >= 2:
+        chunk = max(1, math.ceil(len(events) / granularity))
         reduced = False
         start = 0
-        while start < len(atoms):
-            candidate = atoms[:start] + atoms[start + chunk :]
+        while start < len(events):
+            candidate = events[:start] + events[start + chunk :]
             if not candidate:
                 start += chunk
                 continue
-            report = session.still_fails(_flatten(candidate), kinds)
+            fails = session.still_fails(candidate, kinds)
             if session.exhausted:
-                return atoms, best_report
-            if report is not None:
-                atoms = candidate
-                best_report = report
+                return events
+            if fails:
+                events = candidate
                 granularity = max(granularity - 1, 2)
                 reduced = True
                 break
@@ -146,102 +103,57 @@ def _ddmin(session: _Session, atoms: List[_Atom], kinds) -> Tuple[List[_Atom], o
         if not reduced:
             if chunk <= 1:
                 break
-            granularity = min(len(atoms), granularity * 2)
-    return atoms, best_report
-
-
-def _replace_in_atom(atom: _Atom, index: int, event: FaultEvent) -> _Atom:
-    out = list(atom)
-    out[index] = event
-    return tuple(out)
+            granularity = min(len(events), granularity * 2)
+    return events
 
 
 def _halve_durations(
-    session: _Session, atoms: List[_Atom], kinds, *, min_duration: float
-) -> Tuple[List[_Atom], object, bool]:
-    best_report = None
-    changed = False
-    for i, atom in enumerate(atoms):
-        for j, event in enumerate(atom):
-            if isinstance(event, (NodeCrash, NodeRestart)):
-                continue
-            duration = getattr(event, "duration", None)
-            if duration is None:
-                continue
-            while duration / 2.0 >= min_duration:
-                halved = round(duration / 2.0, 3)
-                trial = dataclasses.replace(event, duration=halved)
-                candidate = list(atoms)
-                candidate[i] = _replace_in_atom(atom, j, trial)
-                report = session.still_fails(_flatten(candidate), kinds)
-                if session.exhausted:
-                    return atoms, best_report, changed
-                if report is None:
-                    break
-                atoms = candidate
-                atom = atoms[i]
-                event = trial
-                duration = halved
-                best_report = report
-                changed = True
-        # Crash/restart pairs: shrink the outage window by pulling the
-        # restart toward the crash.
-        if len(atom) == 2 and isinstance(atom[0], NodeCrash) and isinstance(atom[1], NodeRestart):
-            crash, restart = atom
-            while (restart.at - crash.at) / 2.0 >= min_duration:
-                halved_at = round(crash.at + (restart.at - crash.at) / 2.0, 3)
-                trial = dataclasses.replace(restart, at=halved_at)
-                candidate = list(atoms)
-                candidate[i] = (crash, trial)
-                report = session.still_fails(_flatten(candidate), kinds)
-                if session.exhausted:
-                    return atoms, best_report, changed
-                if report is None:
-                    break
-                atoms = candidate
-                atom = atoms[i]
-                restart = trial
-                best_report = report
-                changed = True
-    return atoms, best_report, changed
+    session: _Session, events: List[FaultEvent], kinds, *, min_duration: float
+) -> List[FaultEvent]:
+    for i, event in enumerate(events):
+        duration = getattr(event, "duration", None)
+        if duration is None:
+            continue
+        while duration / 2.0 >= min_duration:
+            halved = round(duration / 2.0, 3)
+            trial = dataclasses.replace(event, duration=halved)
+            candidate = list(events)
+            candidate[i] = trial
+            fails = session.still_fails(candidate, kinds)
+            if session.exhausted:
+                return events
+            if not fails:
+                break
+            events = candidate
+            event = trial
+            duration = halved
+    return events
 
 
-def _candidate_times(atoms: Sequence[_Atom], current: float) -> List[float]:
+def _candidate_times(events: Sequence[FaultEvent], current: float) -> List[float]:
     """Earlier times to try for one event: zero, whole seconds, boundaries."""
     times = {0.0, float(math.floor(current))}
-    for atom in atoms:
-        for event in atom:
-            times.add(event.at)
-            duration = getattr(event, "duration", None)
-            if duration is not None:
-                times.add(round(event.at + duration, 3))
+    for event in events:
+        times.add(event.at)
+        duration = getattr(event, "duration", None)
+        if duration is not None:
+            times.add(round(event.at + duration, 3))
     return sorted(t for t in times if 0.0 <= t < current)
 
 
-def _align_times(session: _Session, atoms: List[_Atom], kinds) -> Tuple[List[_Atom], object, bool]:
-    best_report = None
-    changed = False
-    for i in range(len(atoms)):
-        atom = atoms[i]
-        anchor = atom[0]
-        for target in _candidate_times(atoms, anchor.at):
-            shift = round(target - anchor.at, 3)
-            moved = tuple(
-                dataclasses.replace(event, at=round(event.at + shift, 3)) for event in atom
-            )
-            if any(event.at < 0 for event in moved):
-                continue
-            candidate = list(atoms)
-            candidate[i] = moved
-            report = session.still_fails(_flatten(candidate), kinds)
+def _align_times(session: _Session, events: List[FaultEvent], kinds) -> List[FaultEvent]:
+    for i in range(len(events)):
+        event = events[i]
+        for target in _candidate_times(events, event.at):
+            candidate = list(events)
+            candidate[i] = dataclasses.replace(event, at=target)
+            fails = session.still_fails(candidate, kinds)
             if session.exhausted:
-                return atoms, best_report, changed
-            if report is not None:
-                atoms = candidate
-                best_report = report
-                changed = True
-                break  # earliest accepted target wins for this atom
-    return atoms, best_report, changed
+                return events
+            if fails:
+                events = candidate
+                break  # earliest accepted target wins for this event
+    return events
 
 
 def shrink(
@@ -271,26 +183,16 @@ def shrink(
     if not kinds:
         raise ValueError("schedule does not violate any invariant; nothing to shrink")
 
-    atoms = _atomize(schedule.events)
-    best_report = baseline
-
+    events = list(schedule.events)
     while True:
-        before = _flatten(atoms).events
-        atoms, report = _ddmin(session, atoms, kinds)
-        if report is not None:
-            best_report = report
-        atoms, report, _changed = _halve_durations(
-            session, atoms, kinds, min_duration=min_duration
-        )
-        if report is not None:
-            best_report = report
-        atoms, report, _changed = _align_times(session, atoms, kinds)
-        if report is not None:
-            best_report = report
-        if session.exhausted or _flatten(atoms).events == before:
+        before = events
+        events = _ddmin(session, events, kinds)
+        events = _halve_durations(session, events, kinds, min_duration=min_duration)
+        events = _align_times(session, events, kinds)
+        if session.exhausted or events == before:
             break
 
-    minimized = _flatten(atoms)
+    minimized = FaultSchedule(events)
     final = session.run_fn(minimized)  # always allowed: the closing verification
     confirm = session.run_fn(minimized)
     if final.signature() != confirm.signature():

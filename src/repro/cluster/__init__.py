@@ -14,6 +14,9 @@ results depend on:
   (ONE, TWO, THREE, QUORUM, ALL or any explicit replica count), asynchronous
   propagation of writes to the replicas outside the blocked-for set, read
   repair and hinted handoff;
+* a shared failure detector (:class:`FailureDetector`, the simulator's
+  gossip): coordinators reject a request whose consistency level provably
+  cannot be met with an ``unavailable`` result instead of a timeout;
 * node-level request queues with bounded concurrency, so throughput saturates
   realistically as the number of closed-loop client threads grows (the shape
   of the paper's Fig. 5(c)/(d));
@@ -33,6 +36,7 @@ from repro.cluster.consistency import (
     quorum_size,
 )
 from repro.cluster.coordinator import Coordinator, OperationResult
+from repro.cluster.detector import FailureDetector
 from repro.cluster.node import NodeConfig, StorageNode
 from repro.cluster.replication import (
     NetworkTopologyStrategy,
@@ -49,6 +53,7 @@ __all__ = [
     "ClusterStats",
     "ConsistencyLevel",
     "Coordinator",
+    "FailureDetector",
     "Murmur3Partitioner",
     "NetworkTopologyStrategy",
     "NodeConfig",

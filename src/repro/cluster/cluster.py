@@ -28,6 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.cluster.consistency import ConsistencyLevel
 from repro.cluster.coordinator import Coordinator, CoordinatorConfig, OperationResult
+from repro.cluster.detector import FailureDetector
 from repro.cluster.node import NodeConfig, StorageNode
 from repro.cluster.replication import (
     NetworkTopologyStrategy,
@@ -37,7 +38,6 @@ from repro.cluster.replication import (
 from repro.cluster.ring import TokenRing
 from repro.cluster.stats import ClusterStats
 from repro.cluster.storage import Cell
-from repro.faults.detector import FailureDetector
 from repro.network.fabric import Message, MessageKind, NetworkFabric
 from repro.network.latency import LatencyModel
 from repro.network.transfers import BandwidthConfig
@@ -280,7 +280,7 @@ class SimulatedCluster:
             self.strategy = OldNetworkTopologyStrategy(config.replication_factor, self.topology)
         self.stats = ClusterStats()
         #: Shared liveness view consulted by every coordinator before doing
-        #: work for a request (see :mod:`repro.faults.detector`).
+        #: work for a request (see :mod:`repro.cluster.detector`).
         self.failure_detector = FailureDetector()
         self.nodes: Dict[NodeAddress, StorageNode] = {}
         self.coordinators: Dict[NodeAddress, Coordinator] = {}

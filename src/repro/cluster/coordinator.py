@@ -281,7 +281,7 @@ class Coordinator:
         self._read_repair_pool = _EMPTY_POOL
         self._read_repair_index = 0
         self._write_size_bytes = int(write_size_bytes)
-        #: Shared liveness view (see :mod:`repro.faults.detector`).  ``None``
+        #: Shared liveness view (see :mod:`repro.cluster.detector`).  ``None``
         #: disables the availability precheck entirely (standalone use).
         self._failure_detector = failure_detector
         self._request_ids = itertools.count()

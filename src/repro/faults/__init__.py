@@ -3,24 +3,16 @@
 Harmony's promise is a *bounded* stale-read rate, and the interesting bound
 is the one that holds while the world is on fire: a site losing power, a
 transatlantic link flapping, a node rejoining with cold replicas.  This
-package turns the simulator into that adversarial testbed.  It has three
-parts, layered exactly like the healthy-path code it stresses:
-
-:mod:`repro.faults.detector`
-    :class:`FailureDetector` -- the cluster-shared liveness view (the
-    simulator's gossip).  Coordinators consult it before doing work for a
-    request so that requirements which provably cannot be met are rejected
-    up front with an ``unavailable`` result (Cassandra's
-    ``UnavailableException``) instead of burning a timeout.  ``LOCAL_ONE`` /
-    ``LOCAL_QUORUM`` requirements never mention remote sites, which is why
-    surviving datacenters sail through a remote outage with zero Unavailable
-    errors while ``EACH_QUORUM`` degrades immediately.
+package turns the simulator into that adversarial testbed.  It has two
+parts:
 
 :mod:`repro.faults.schedule`
     :class:`FaultSchedule` / :class:`FaultInjector` -- declarative, seeded,
-    replayable failure timelines (:class:`NodeCrash`, :class:`NodeRestart`,
+    replayable failure timelines (:class:`NodeCrash`,
     :class:`DatacenterOutage`, :class:`DatacenterPartition`,
-    :class:`DatacenterIsolation`).  Partitions act at the **fabric** level:
+    :class:`DatacenterIsolation`, ...).  Every fault is one event; one with
+    a ``duration`` undoes itself that long after it began (a crashed node
+    restarts, a partition heals).  Partitions act at the **fabric** level:
     cross-DC messages are dropped or parked while both sides keep serving
     their own clients, and on heal the fabric releases parked traffic and
     the coordinators replay hinted handoff across the WAN.
@@ -30,6 +22,13 @@ parts, layered exactly like the healthy-path code it stresses:
     verdict and operation so stale rate, latency and Unavailable counts can
     be sliced per datacenter into before/during/after windows.
 
+A crashed node or site is seen by the cluster's shared failure detector
+(:class:`repro.cluster.FailureDetector`): coordinators reject requests whose
+consistency level it proves unmeetable with an ``unavailable`` result.
+``LOCAL_ONE`` / ``LOCAL_QUORUM`` requirements never mention remote sites,
+which is why surviving datacenters sail through a remote outage with zero
+Unavailable errors while ``EACH_QUORUM`` degrades immediately.
+
 Convergence after the fault is the other half of the story: hinted handoff
 covers writes the coordinator *knows* went missing, and the cross-DC
 Merkle repair process (:mod:`repro.cluster.antientropy`) covers everything
@@ -38,7 +37,6 @@ labour; ``docs/determinism.md`` explains why fault timelines replay
 byte-identically under a fixed seed.
 """
 
-from repro.faults.detector import FailureDetector
 from repro.faults.schedule import (
     AsymmetricPartition,
     DatacenterIsolation,
@@ -48,36 +46,21 @@ from repro.faults.schedule import (
     FaultInjector,
     FaultSchedule,
     NodeCrash,
-    NodeRestart,
     PacketLoss,
     SlowWan,
 )
-
-
-def __getattr__(name: str):
-    # FaultTimeline subclasses the staleness auditor, whose package pulls in
-    # the cluster facade -- and the cluster facade imports this package for
-    # the FailureDetector.  Loading the timeline lazily (PEP 562) keeps the
-    # public `from repro.faults import FaultTimeline` working without the
-    # import cycle.
-    if name in ("FaultTimeline", "OpEvent"):
-        from repro.faults import timeline
-
-        return getattr(timeline, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from repro.faults.timeline import FaultTimeline, OpEvent
 
 __all__ = [
     "AsymmetricPartition",
     "DatacenterIsolation",
     "DatacenterOutage",
     "DatacenterPartition",
-    "FailureDetector",
     "FaultEvent",
     "FaultInjector",
     "FaultSchedule",
     "FaultTimeline",
     "NodeCrash",
-    "NodeRestart",
     "OpEvent",
     "PacketLoss",
     "SlowWan",

@@ -1,11 +1,11 @@
 """Fault schedules: declarative, replayable failure timelines.
 
 A :class:`FaultSchedule` is a list of timed :class:`FaultEvent`\\ s -- node
-crashes and restarts, whole-datacenter outages, WAN partitions between DC
-pairs -- that a :class:`FaultInjector` arms against a running cluster.  The
-injector translates each event into plain engine callbacks, so a fault
-timeline is exactly as deterministic as everything else in the simulator:
-the same seed and the same schedule produce the same trace.
+crashes, whole-datacenter outages, WAN partitions between DC pairs -- that
+a :class:`FaultInjector` arms against a running cluster.  The injector
+translates each event into plain engine callbacks, so a fault timeline is
+exactly as deterministic as everything else in the simulator: the same seed
+and the same schedule produce the same trace.
 
 Each fault kind is one class, and the class is the only place that knows
 the kind: its corpus ``tag``, its :meth:`~FaultEvent.start` action and, for
@@ -22,8 +22,8 @@ objects carry a fault timeline the same way they carry a topology.
 The three failure axes map onto the cluster layers like this:
 
 ========================  ==========================================================
-:class:`NodeCrash` /      :meth:`SimulatedCluster.take_down` / ``bring_up`` --
-:class:`NodeRestart`      the node drops queued work; recovery replays hints.
+:class:`NodeCrash`        :meth:`SimulatedCluster.take_down` / ``bring_up`` --
+                          the node drops queued work; recovery replays hints.
 :class:`DatacenterOutage` every node of the site goes down at once; LOCAL_*
                           clients of *other* sites keep serving, EACH_QUORUM
                           surfaces ``Unavailable``.
@@ -58,13 +58,12 @@ from typing import TYPE_CHECKING, ClassVar, List, Optional, Sequence, Tuple
 
 from repro.network.topology import NodeAddress
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cluster imports faults)
+if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.cluster.cluster import SimulatedCluster
 
 __all__ = [
     "FaultEvent",
     "NodeCrash",
-    "NodeRestart",
     "DatacenterOutage",
     "DatacenterPartition",
     "DatacenterIsolation",
@@ -126,27 +125,29 @@ def _check_duration(event: FaultEvent, noun: str) -> None:
 
 @dataclass(frozen=True)
 class NodeCrash(FaultEvent):
-    """Take one node offline (queued and future requests are dropped)."""
+    """Take one node offline at ``at`` and restart it ``duration`` later.
+
+    While down, the node drops queued and future requests.  ``duration=None``
+    keeps it down for the rest of the run.  On restart, hints buffered
+    anywhere in the cluster for the node are replayed unless
+    ``replay_hints=False``.
+    """
 
     node: NodeAddress = None  # type: ignore[assignment]
+    duration: Optional[float] = None
+    replay_hints: bool = True
 
     tag = "node_crash"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _check_duration(self, "crash")
 
     def start(self, injector: "FaultInjector") -> str:
         injector.cluster.take_down(self.node)
         return f"node {self.node} down"
 
-
-@dataclass(frozen=True)
-class NodeRestart(FaultEvent):
-    """Bring a crashed node back, optionally replaying buffered hints to it."""
-
-    node: NodeAddress = None  # type: ignore[assignment]
-    replay_hints: bool = True
-
-    tag = "node_restart"
-
-    def start(self, injector: "FaultInjector") -> str:
+    def end(self, injector: "FaultInjector") -> str:
         replayed = injector.cluster.bring_up(self.node, replay_hints=self.replay_hints)
         return f"node {self.node} up ({replayed} hints replayed)"
 
@@ -535,10 +536,16 @@ class FaultInjector:
 
     # ------------------------------------------------------------------
     def _apply(self, action) -> None:
+        tracer = self.tracer
+        # The line is known only once the action has run, but the fault goes
+        # into the trace ahead of what the action emitted (a bootstrap's
+        # ``bootstrap.start``).
+        index = len(tracer.events) if tracer is not None else 0
         description = action(self)
         self.log.append((self.cluster.engine.now, description))
-        if self.tracer is not None:
-            self.tracer.fault(description)
+        if tracer is not None:
+            tracer.fault(description)
+            tracer.events.insert(index, tracer.events.pop())
 
     def _begin_transition(self, kind: str, node: NodeAddress) -> str:
         """Begin a bootstrap or decommission through the cluster's membership

@@ -22,7 +22,6 @@ from repro.faults.schedule import (
     NodeBootstrap,
     NodeCrash,
     NodeDecommission,
-    NodeRestart,
     PacketLoss,
     SlowWan,
     WanCongestion,
@@ -37,15 +36,14 @@ NODE = NodeAddress("dc1", "r2", 7)
 SAMPLES = {
     NodeCrash: [
         (NodeCrash(at=1.25, node=NODE), '{"at":1.25,"node":["dc1","r2",7],"type":"node_crash"}'),
-    ],
-    NodeRestart: [
         (
-            NodeRestart(at=2.0, node=NODE),
-            '{"at":2.0,"node":["dc1","r2",7],"type":"node_restart"}',
+            NodeCrash(at=1.25, node=NODE, duration=0.75),
+            '{"at":1.25,"duration":0.75,"node":["dc1","r2",7],"type":"node_crash"}',
         ),
         (
-            NodeRestart(at=2.5, node=NODE, replay_hints=False),
-            '{"at":2.5,"node":["dc1","r2",7],"replay_hints":false,"type":"node_restart"}',
+            NodeCrash(at=2.5, node=NODE, duration=3.0, replay_hints=False),
+            '{"at":2.5,"duration":3.0,"node":["dc1","r2",7],"replay_hints":false,'
+            '"type":"node_crash"}',
         ),
     ],
     DatacenterOutage: [
@@ -169,3 +167,10 @@ def test_every_kind_keeps_its_wire_format(kind):
 def test_every_sampled_kind_is_a_fault_kind_with_its_own_tag():
     assert set(SAMPLES) == set(FaultEvent.__subclasses__())
     assert len({kind.tag for kind in SAMPLES}) == len(SAMPLES)
+
+
+def test_a_restart_event_is_not_a_fault_kind():
+    # A crash carries its own duration; a file naming the old two-event
+    # form fails loudly instead of replaying a crash that never ends.
+    with pytest.raises(ValueError, match="unknown fault event type 'node_restart'"):
+        event_from_dict({"at": 2.0, "node": ["dc1", "r2", 7], "type": "node_restart"})

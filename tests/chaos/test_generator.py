@@ -17,11 +17,11 @@ from repro.chaos.corpus import schedule_from_dict, schedule_signature, schedule_
 from repro.chaos.generator import HEAL_FRACTION
 from repro.experiments.scenarios import ScenarioRegistry
 from repro.faults.schedule import (
+    DatacenterOutage,
     FaultSchedule,
     NodeBootstrap,
     NodeCrash,
     NodeDecommission,
-    NodeRestart,
     PacketLoss,
     SlowWan,
 )
@@ -73,18 +73,14 @@ class TestStructuralSanity:
             end = event.at + (getattr(event, "duration", None) or 0.0)
             assert end <= cap
 
-        # Independent re-derivation 2: crash/restart windows pair up
-        # one-to-one per node and never overlap.
+        # Independent re-derivation 2: every crash restarts, and one node's
+        # crash windows never overlap.
         crashes = {}
         for event in schedule.events:
             if isinstance(event, NodeCrash):
-                crashes.setdefault(event.node, []).append([event.at, None])
-            elif isinstance(event, NodeRestart):
-                open_windows = [w for w in crashes.get(event.node, []) if w[1] is None]
-                assert open_windows, f"restart without crash for {event.node}"
-                open_windows[0][1] = event.at
+                assert event.duration is not None, f"crash of {event.node} never restarts"
+                crashes.setdefault(event.node, []).append((event.at, event.at + event.duration))
         for node, windows in crashes.items():
-            assert all(end is not None for _start, end in windows)
             windows.sort()
             for (s1, e1), (s2, _e2) in zip(windows, windows[1:]):
                 assert e1 < s2, f"overlapping crash windows for {node}"
@@ -92,8 +88,7 @@ class TestStructuralSanity:
     @pytest.mark.parametrize("seed", SEEDS[::4])
     def test_budget_bounds_the_action_count(self, generator, seed):
         schedule = generator.generate(seed, budget=4)
-        actions = sum(1 for e in schedule.events if not isinstance(e, NodeRestart))
-        assert actions <= 4
+        assert len(schedule.events) <= 4
 
     def test_zero_budget_gives_an_empty_schedule(self, generator):
         assert len(generator.generate(0, budget=0).events) == 0
@@ -103,7 +98,7 @@ class TestStructuralSanity:
         for seed in range(8):
             schedule = generator.generate(seed, budget=5)
             assert all(
-                isinstance(e, (NodeCrash, NodeRestart)) for e in schedule.events
+                isinstance(e, NodeCrash) for e in schedule.events
             ), f"seed {seed} drew a cross-DC fault on a single-DC scenario"
 
     def test_loss_and_slow_draws_stay_in_their_validated_ranges(self, generator):
@@ -116,13 +111,48 @@ class TestStructuralSanity:
 
 
 class TestValidator:
-    def test_rejects_restart_without_crash(self):
-        generator = ScheduleGenerator(ScenarioRegistry.get("grid5000_3sites"))
+    def test_rejects_a_crash_that_never_restarts(self):
         node = ScenarioRegistry.get("grid5000_3sites").topology.nodes[0]
-        with pytest.raises(ScheduleValidationError):
+        with pytest.raises(ScheduleValidationError, match="unhealed"):
+            validate_schedule(FaultSchedule([NodeCrash(at=1.0, node=node)]), horizon=12.0)
+
+    def test_rejects_overlapping_crashes_of_one_node(self):
+        node = ScenarioRegistry.get("grid5000_3sites").topology.nodes[0]
+        with pytest.raises(ScheduleValidationError, match="overlapping node windows"):
             validate_schedule(
-                FaultSchedule([NodeRestart(at=1.0, node=node)]), horizon=generator.horizon
+                FaultSchedule(
+                    [
+                        NodeCrash(at=1.0, node=node, duration=3.0),
+                        NodeCrash(at=2.0, node=node, duration=1.0),
+                    ]
+                ),
+                horizon=12.0,
             )
+
+    def test_rejects_a_crash_inside_its_datacenters_outage(self):
+        node = ScenarioRegistry.get("grid5000_3sites").topology.nodes[0]
+        with pytest.raises(ScheduleValidationError, match="overlaps outage"):
+            validate_schedule(
+                FaultSchedule(
+                    [
+                        DatacenterOutage(at=1.0, datacenter=node.datacenter, duration=3.0),
+                        NodeCrash(at=2.0, node=node, duration=3.0),
+                    ]
+                ),
+                horizon=12.0,
+            )
+
+    def test_accepts_back_to_back_crashes_of_one_node(self):
+        node = ScenarioRegistry.get("grid5000_3sites").topology.nodes[0]
+        validate_schedule(
+            FaultSchedule(
+                [
+                    NodeCrash(at=1.0, node=node, duration=1.0),
+                    NodeCrash(at=2.5, node=node, duration=1.0),
+                ]
+            ),
+            horizon=12.0,
+        )
 
     def test_rejects_unhealed_window(self):
         with pytest.raises(ScheduleValidationError):

@@ -1,4 +1,4 @@
-"""Shrink-engine tests: minimization, atom pairing, determinism guard.
+"""Shrink-engine tests: minimization, crash windows, determinism guard.
 
 Most cases use a cheap stub ``run_fn`` (no simulation) so the ddmin /
 halving / alignment passes can be asserted precisely; the final class runs
@@ -19,7 +19,6 @@ from repro.faults.schedule import (
     DatacenterPartition,
     FaultSchedule,
     NodeCrash,
-    NodeRestart,
     PacketLoss,
     SlowWan,
 )
@@ -54,8 +53,7 @@ def stub_run_fn(predicate):
 def noise_events():
     return [
         SlowWan(at=1.1, datacenters=("dc1", "dc2"), scale=4.0, duration=2.0),
-        NodeCrash(at=2.0, node=NODE_A),
-        NodeRestart(at=5.0, node=NODE_A),
+        NodeCrash(at=2.0, node=NODE_A, duration=3.0),
         PacketLoss(at=3.3, datacenters=("dc1", "dc2"), probability=0.2, duration=1.5),
         DatacenterPartition(at=4.0, datacenters=("dc1", "dc2"), duration=2.5),
     ]
@@ -82,31 +80,26 @@ class TestMinimization:
         assert survivor.duration < 2.0
         assert result.baseline_kinds == ("lost_writes",)
 
-    def test_crash_restart_pair_is_one_atom(self):
-        # Failure needs the crash of NODE_B to span at least one second; the
-        # pair must survive shrinking as a unit, never a lone crash.
+    def test_a_crash_window_shrinks_as_one_event(self):
+        # Failure needs NODE_B down for at least one second.  NODE_A's crash
+        # goes in one removal, restart and all; NODE_B's stays one event
+        # whose window halves toward the threshold, restart moving with it.
         schedule = FaultSchedule(
-            noise_events()
-            + [NodeCrash(at=6.0, node=NODE_B), NodeRestart(at=9.0, node=NODE_B)]
+            noise_events() + [NodeCrash(at=6.0, node=NODE_B, duration=3.0)]
         )
 
         def predicate(s):
-            crash_at = None
             for e in s.events:
-                if isinstance(e, NodeCrash) and e.node == NODE_B:
-                    crash_at = e.at
-                if isinstance(e, NodeRestart) and e.node == NODE_B and crash_at is not None:
-                    if e.at - crash_at >= 1.0:
-                        return ["stuck_unavailable"]
+                if isinstance(e, NodeCrash) and e.node == NODE_B and (e.duration or 0) >= 1.0:
+                    return ["stuck_unavailable"]
             return []
 
         result = shrink(schedule, stub_run_fn(predicate))
-        assert len(result.schedule.events) == 2
-        crash, restart = result.schedule.events
+        (crash,) = result.schedule.events
         assert isinstance(crash, NodeCrash) and crash.node == NODE_B
-        assert isinstance(restart, NodeRestart) and restart.node == NODE_B
         # Duration halving converged just above the predicate's threshold.
-        assert 1.0 <= restart.at - crash.at < 2.0
+        assert 1.0 <= crash.duration < 2.0
+        assert crash.at == 0.0
 
     def test_two_event_interaction_keeps_both(self):
         partition = DatacenterPartition(at=4.0, datacenters=("dc2", "dc3"), duration=2.0)

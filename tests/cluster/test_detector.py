@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.faults.detector import FailureDetector
+from repro.cluster.detector import FailureDetector
 from repro.network.topology import NodeAddress
 
 

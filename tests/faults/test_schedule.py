@@ -13,7 +13,6 @@ from repro.faults.schedule import (
     FaultInjector,
     FaultSchedule,
     NodeCrash,
-    NodeRestart,
 )
 
 
@@ -62,6 +61,10 @@ class TestFaultScheduleValidation:
             DatacenterOutage(at=0.0, datacenter="dc1", duration=0.0)
         with pytest.raises(ValueError):
             DatacenterIsolation(at=0.0, datacenter="dc1", duration=-2.0)
+        from repro.network.topology import NodeAddress
+
+        with pytest.raises(ValueError, match="crash duration"):
+            NodeCrash(at=0.0, node=NodeAddress("dc1", "r1", 0), duration=0.0)
 
     def test_non_events_rejected(self):
         with pytest.raises(TypeError):
@@ -72,9 +75,7 @@ class TestFaultInjector:
     def test_node_crash_and_restart_fire_at_schedule_times(self):
         cluster = two_dc_cluster()
         victim = cluster.addresses[0]
-        schedule = FaultSchedule(
-            [NodeCrash(at=1.0, node=victim), NodeRestart(at=2.0, node=victim)]
-        )
+        schedule = FaultSchedule([NodeCrash(at=1.0, node=victim, duration=1.0)])
         injector = FaultInjector(cluster, schedule)
         injector.arm()
         assert cluster.nodes[victim].is_up
@@ -85,6 +86,36 @@ class TestFaultInjector:
         assert cluster.nodes[victim].is_up
         assert cluster.failure_detector.is_up(victim)
         assert [entry[0] for entry in injector.log] == [1.0, 2.0]
+
+    def test_a_crash_without_duration_keeps_the_node_down(self):
+        cluster = two_dc_cluster()
+        victim = cluster.addresses[0]
+        injector = FaultInjector(cluster, FaultSchedule([NodeCrash(at=1.0, node=victim)]))
+        injector.arm()
+        cluster.engine.run_until(10.0)
+        assert not cluster.nodes[victim].is_up
+        assert injector.log == [(1.0, f"node {victim} down")]
+
+    def test_a_restart_without_replay_leaves_its_hints_pending(self):
+        cluster = two_dc_cluster()
+        victim = cluster.addresses_in("dc1")[0]
+        schedule = FaultSchedule(
+            [NodeCrash(at=0.0, node=victim, duration=3.0, replay_hints=False)]
+        )
+        injector = FaultInjector(cluster, schedule)
+        injector.arm()
+        cluster.engine.run_until(0.5)
+        keys = [f"k{i}" for i in range(12) if victim in cluster.replicas_for(f"k{i}")]
+        assert keys
+        for key in keys:
+            cluster.write_sync(key, "v1", ConsistencyLevel.ONE, datacenter="dc1")
+        cluster.engine.run_until(2.5)
+        pending = sum(c.hints.total_pending() for c in cluster.coordinators.values())
+        assert pending > 0
+        cluster.engine.run_until(3.5)
+        assert cluster.nodes[victim].is_up
+        assert injector.log[-1] == (3.0, f"node {victim} up (0 hints replayed)")
+        assert sum(c.hints.total_pending() for c in cluster.coordinators.values()) == pending
 
     def test_injector_is_one_shot(self):
         cluster = two_dc_cluster()

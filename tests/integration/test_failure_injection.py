@@ -120,13 +120,11 @@ class TestHintReplayAfterRestart:
     """
 
     def test_restart_mid_workload_converges_through_hints(self):
-        from repro.faults.schedule import FaultInjector, FaultSchedule, NodeCrash, NodeRestart
+        from repro.faults.schedule import FaultInjector, FaultSchedule, NodeCrash
 
         cluster = build_cluster(seed=11)
         victim = cluster.addresses[0]
-        schedule = FaultSchedule(
-            [NodeCrash(at=0.3, node=victim), NodeRestart(at=1.6, node=victim)]
-        )
+        schedule = FaultSchedule([NodeCrash(at=0.3, node=victim, duration=1.3)])
         injector = FaultInjector(cluster, schedule)
         executor = WorkloadExecutor(
             cluster,

@@ -21,7 +21,9 @@ tests called it.  The run-series recorder (``run_experiment(series_interval=)``)
 went with the gauges only it read, because each series it sampled was a
 windowed copy of an account the run already keeps; the tracer's per-layer
 attach methods went with it, since every hook site now copies
-``cluster.tracer`` when it is built.  No ``src/repro`` module may
+``cluster.tracer`` when it is built.  ``NodeRestart`` went when a crash
+became a window: ``NodeCrash`` carries its ``duration`` and restarts its node
+when that ends, like every other windowed fault.  No ``src/repro`` module may
 define or import their names again, their config fields stay off the config
 classes, and the names that selected them are rejected like any unknown name.
 """
@@ -99,6 +101,7 @@ REMOVED_NAMES = [
     "attach_injector",
     "attach_service",
     "attach_membership",
+    "NodeRestart",
 ]
 
 

@@ -98,6 +98,11 @@ class TestRunnerTrace:
         assert kinds[0] == "bootstrap.start"
         assert kinds[-1] == "bootstrap.cutover"
 
+    def test_the_fault_precedes_the_bootstrap_it_began(self, trace):
+        kinds = [e.kind for e in trace.events]
+        assert kinds.count("fault") == 1
+        assert kinds.index("fault") < kinds.index("bootstrap.start")
+
     def test_report_renders_the_member_column_and_annotations(self, trace):
         lines = render_report(load_events(trace.to_jsonl().splitlines()), window=0.5)
         header = lines[1].split()
